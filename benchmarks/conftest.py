@@ -11,8 +11,9 @@ a laptop. Set ``REPRO_BENCH_FULL=1`` for the full 11-workload,
 3-setpoint grid. The grid-shaped campaigns run through
 :class:`repro.harness.GridRunner`: set ``REPRO_BENCH_WORKERS=n`` to
 fan cells out over ``n`` processes and ``REPRO_BENCH_CACHE=<dir>`` to
-persist finished cells so interrupted or repeated campaigns resume
-instead of recomputing (results are bit-identical either way).
+persist finished cells in a sharded result store there, so interrupted
+or repeated campaigns resume instead of recomputing (results are
+bit-identical either way).
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def bench_executor():
 
 @pytest.fixture
 def bench_runner(bench_executor):
-    """Grid runner honouring the worker and cache-directory env knobs."""
+    """Grid runner honouring the worker and result-store env knobs."""
     return GridRunner(
         executor=bench_executor,
-        cache_dir=os.environ.get("REPRO_BENCH_CACHE") or None,
+        cache=os.environ.get("REPRO_BENCH_CACHE") or None,
     )

@@ -7,7 +7,7 @@ reports read tail percentiles per scheme — with and without erase
 suspension. The campaign is described declaratively: one
 :class:`repro.ExperimentSpec` per cell, executed through
 ``run_experiments`` so it fans out across worker processes and resumes
-from a result cache; serial, parallel, and cached runs print identical
+from a result store; serial, parallel, and cached runs print identical
 tables. The equivalent shell command is::
 
     python -m repro grid --schemes baseline,aero_cons,aero \\
@@ -15,7 +15,7 @@ tables. The equivalent shell command is::
 
 Run:  python examples/tail_latency_study.py
       python examples/tail_latency_study.py --workers 4
-      python examples/tail_latency_study.py --cache-dir .repro-cache
+      python examples/tail_latency_study.py --store .repro-store
 """
 
 import argparse
@@ -40,8 +40,8 @@ def main():
         help="worker processes for grid cells (default: serial)",
     )
     parser.add_argument(
-        "--cache-dir", default=None,
-        help="cache finished cells here and resume on re-run",
+        "--store", "--cache-dir", dest="store", default=None,
+        help="result store: keep finished cells here and resume on re-run",
     )
     args = parser.parse_args()
 
@@ -64,9 +64,7 @@ def main():
             for workload in WORKLOADS
             for scheme in SCHEMES
         ]
-        result = run_experiments(
-            specs, executor=executor, cache_dir=args.cache_dir
-        )
+        result = run_experiments(specs, executor=executor, cache=args.store)
         grid = result.grid
         rows = []
         for workload in WORKLOADS:

@@ -11,8 +11,8 @@ FTL, and an event-driven multi-channel SSD simulator.
 The declarative experiment API (:mod:`repro.experiments`) is the front
 door: an :class:`ExperimentSpec` describes one (scheme, PEC, workload)
 cell, the :data:`SCHEMES` / :data:`WORKLOADS` plugin registries resolve
-every string key, and results flow through a fingerprint-keyed cache
-shared by the Python API and the ``python -m repro`` CLI.
+every string key, and results flow through a fingerprint-keyed sharded
+result store shared by the Python API and the ``python -m repro`` CLI.
 
 Quick start::
 
@@ -22,13 +22,13 @@ Quick start::
               .at_pec(2500)
               .workload("ali.A")
               .requests(5000)
-              .run(cache_dir=".repro-cache"))
+              .run(cache=".repro-store"))
     print(report.reads.percentile(99.99))
 
 or, equivalently, from the shell::
 
     python -m repro run --scheme aero --pec 2500 --workload ali.A \\
-        --requests 5000 --cache-dir .repro-cache
+        --requests 5000 --store .repro-store
 
 The lower layers remain importable directly — ``build_ssd`` for a live
 :class:`Ssd` object, ``make_scheme`` for a bare erase scheme,

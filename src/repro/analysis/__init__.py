@@ -1,7 +1,5 @@
-"""Analysis helpers: percentiles, CDFs, ASCII tables."""
+"""Analysis helpers: ASCII tables."""
 
-from repro.analysis.percentiles import exact_percentile, tail_summary
-from repro.analysis.cdf import Cdf
 from repro.analysis.tables import format_table
 
-__all__ = ["Cdf", "exact_percentile", "format_table", "tail_summary"]
+__all__ = ["format_table"]

@@ -5,7 +5,10 @@ process" to "a campaign of millions of cells sharded across processes
 and threads with crash-resume". Three layers:
 
 * :mod:`repro.campaign.store` — :class:`ShardedResultStore`, the
-  chunked append-only result store;
+  chunked append-only result store every driver persists to (the grid
+  runner, the experiment API, and lifetime comparisons open a
+  ``cache=`` path through the same :func:`open_store` as the
+  orchestrator);
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, the declarative
   (schemes x PECs x workloads) campaign description, JSON
   round-trippable and :meth:`GridRunner.plan`-compatible; plus
@@ -24,8 +27,8 @@ and threads with crash-resume". Three layers:
   quarantine (:mod:`repro.campaign.quarantine`, one JSONL record per
   given-up cell next to the store).
 
-``python -m repro campaign run|status|compact`` drives all of it from
-the shell; ``campaign run --cell-timeout/--max-retries/--on-poison``
+``python -m repro campaign run|status|ls|compact`` drives all of it
+from the shell; ``campaign run --cell-timeout/--max-retries/--on-poison``
 expose the supervision knobs and ``--fault-plan`` arms deterministic
 chaos (:mod:`repro.faults`).
 
@@ -37,14 +40,13 @@ without losing records (see :mod:`repro.campaign.store`).
 Store layout
 ============
 
-One JSON file per cell (:class:`~repro.harness.cache.ResultCache`)
-collapses past a few thousand cells — directory scans, inode pressure,
-one ``os.replace`` per cell. The sharded store instead appends records
-to a bounded number of JSONL segment files, sharded by fingerprint
-prefix::
+One JSON file per cell collapses past a few thousand cells —
+directory scans, inode pressure, one ``os.replace`` per cell. The
+store instead appends records to a bounded number of JSONL segment
+files, sharded by fingerprint prefix::
 
     <root>/
-        store.json              manifest: {"version", "prefix_len",
+        store.json              manifest: {"layout", "prefix_len",
                                            "segment_max_bytes"}
         2f/                     shard = first prefix_len hex digits
             seg-000000.jsonl      of the cell fingerprint
@@ -55,7 +57,7 @@ prefix::
 Each line of a segment is one self-contained record::
 
     {"version": CACHE_VERSION, "key": "<fingerprint>", "ts": <epoch>,
-     "meta": {...}, "report": {...}}
+     "meta": {...}, "report": {...}, "crc": <CRC32 of key + report>}
 
 Non-cell results (lifetime curves) additionally carry a top-level
 ``"family"`` key naming the result family; cell records omit it, so
@@ -70,16 +72,17 @@ wins, so overwrites never rewrite history and a torn final line (a
 crash mid-append) is skipped on load without losing earlier records.
 
 Compaction (``gc``/``compact``, surfaced as ``python -m repro campaign
-compact`` and honouring the same knobs as ``cache gc``) rewrites a
-shard's live records — the newest healthy record per surviving key —
-into one fresh segment *numbered after* every existing segment, then
-unlinks the old ones; a crash between the two steps leaves duplicate
-records whose last-wins resolution is unchanged, so compaction is
-crash-safe without a directory-wide lock.
+compact``, whose ``--max-entries``/``--older-than`` knobs select
+``gc``) rewrites a shard's live records — the newest healthy record
+per surviving key — into one fresh segment *numbered after* every
+existing segment, then unlinks the old ones; a crash between the two
+steps leaves duplicate records whose last-wins resolution is
+unchanged, so compaction is crash-safe without a directory-wide lock.
 
 Records carry :data:`~repro.harness.cache.CACHE_VERSION`; entries
 written under an older version read as misses (and are dropped at
-compaction), exactly like the one-file-per-cell cache.
+compaction). One-JSON-file-per-cell cache directories from earlier
+library versions are not read; their cells recompute once.
 """
 
 from repro.campaign.orchestrator import (
@@ -100,9 +103,12 @@ from repro.campaign.spec import (
     load_campaign_file,
 )
 from repro.campaign.store import (
+    CacheEntry,
     CompactionStats,
+    GcResult,
     ShardedResultStore,
     StoreStats,
+    open_store,
 )
 from repro.campaign.supervisor import (
     CellOutcome,
@@ -118,9 +124,11 @@ __all__ = [
     "CampaignResult",
     "CampaignSpec",
     "CampaignStats",
+    "CacheEntry",
     "CellOutcome",
     "CellSupervisor",
     "CompactionStats",
+    "GcResult",
     "MixedCampaignSpec",
     "Quarantine",
     "RetryPolicy",
@@ -129,5 +137,6 @@ __all__ = [
     "campaign_spec_from_dict",
     "cell_engine_kind",
     "load_campaign_file",
+    "open_store",
     "run_campaign",
 ]

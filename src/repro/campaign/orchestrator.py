@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.quarantine import Quarantine
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import ShardedResultStore
+from repro.campaign.store import open_store
 from repro.campaign.supervisor import CellSupervisor, RetryPolicy
 from repro.errors import ConfigError, InjectedFault, PoisonCellError
 from repro.faults import FaultPlan
@@ -210,8 +210,9 @@ class CampaignOrchestrator:
         engine_fallback: bool = True,
         shutdown: Optional[Any] = None,
     ):
-        """``store`` is a :class:`ResultStore` or a path (opened as a
-        :class:`ShardedResultStore`). ``progress`` is called with a
+        """``store`` is a :class:`ResultStore` or a path (opened by
+        :func:`~repro.campaign.store.open_store`, as ``GridRunner``'s
+        ``cache`` is). ``progress`` is called with a
         :class:`CampaignProgress` at start, at most every
         ``progress_interval_s`` seconds while cells stream in, and at
         the end. ``on_cell(index, job, report)`` fires after each
@@ -239,10 +240,7 @@ class CampaignOrchestrator:
                 f"on_poison must be 'skip' or 'fail', got {on_poison!r}"
             )
         self.spec = spec
-        self.store: ResultStore = (
-            ShardedResultStore(store)
-            if isinstance(store, (str, Path)) else store
-        )
+        self.store = open_store(store)
         self.process_workers = process_workers
         self.thread_workers = thread_workers
         self.progress = progress

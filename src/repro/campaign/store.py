@@ -1,18 +1,23 @@
 """Chunked, append-only, fingerprint-sharded result store.
 
-:class:`ShardedResultStore` implements the
-:class:`~repro.harness.store.ResultStore` contract at campaign scale:
-records append to JSONL segment files sharded by fingerprint prefix
-(layout documented in :mod:`repro.campaign`), so a million-cell
-campaign touches a few hundred files instead of a million, and every
-``put`` is one atomic ``O_APPEND`` write instead of a tmp-file dance.
+:class:`ShardedResultStore` is the one implementation of the
+:class:`~repro.harness.store.ResultStore` contract: the grid runner,
+the experiment API, the lifetime comparisons, and the campaign
+orchestrator all persist through it, and :func:`open_store` is the
+single place a directory path becomes a store. Records append to JSONL
+segment files sharded by fingerprint prefix (layout documented in
+:mod:`repro.campaign`), so a million-cell campaign touches a few
+hundred files instead of a million, and every ``put`` is one atomic
+``O_APPEND`` write. This module alone knows the on-disk record format;
+:class:`CacheEntry` and :class:`GcResult` describe its records to
+``campaign ls`` and ``campaign compact``.
 
 Durability model: the last record per key wins within a shard;
 overwrites append rather than rewrite; a torn final line (crash
 mid-append) is skipped on load; compaction writes the merged segment
 *before* unlinking the old ones, so every intermediate crash state
-still reads correctly. Stale-:data:`~repro.harness.cache.CACHE_VERSION`
-records read as misses, exactly like the one-file-per-cell cache.
+still reads correctly. Records written under another
+:data:`~repro.harness.cache.CACHE_VERSION` read as misses.
 
 Integrity: every record written by this library version carries a
 CRC32 (``"crc"``) over a canonical serialization of its key + report.
@@ -68,13 +73,14 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, NO_FAULTS
-from repro.harness.cache import CACHE_VERSION, CacheEntry, GcResult
+from repro.harness.cache import CACHE_VERSION
 from repro.harness.results import (
     FAMILY_CELL,
     result_family,
     result_from_json_dict,
     result_to_json_dict,
 )
+from repro.harness.store import ResultStore
 from repro.telemetry.instruments import store_metrics
 
 
@@ -130,6 +136,76 @@ class _Shard:
 
 
 @dataclass(frozen=True)
+class CacheEntry:
+    """Metadata of one stored key (for ``campaign ls`` / ``gc``).
+
+    ``corrupt`` marks records that parse but cannot be served (missing
+    report, failed checksum); ``stale`` marks records written under a
+    different :data:`CACHE_VERSION`. Both read as misses at run time
+    and are prime garbage-collection candidates.
+    """
+
+    key: str
+    path: Path
+    mtime: float
+    size: int
+    meta: Dict[str, Any] = field(default_factory=dict)
+    corrupt: bool = False
+    stale: bool = False
+
+    def age_seconds(self, now: Optional[float] = None) -> float:
+        """Seconds since the entry was written."""
+        return max(0.0, (time.time() if now is None else now) - self.mtime)
+
+    def summary(self) -> str:
+        """One-line human summary of what experiment the entry holds."""
+        if self.corrupt:
+            return "<corrupt entry>"
+        meta = self.meta
+        if meta.get("family") == "lifetime":
+            parts = [
+                str(meta.get("scheme", "?")),
+                f"profile={meta.get('profile', '?')}",
+                f"blocks={meta.get('block_count', '?')}",
+                f"seed={meta.get('seed', '?')}",
+                "[lifetime]",
+            ]
+            if self.stale:
+                parts.append("[stale version]")
+            return " ".join(parts)
+        parts = [
+            str(meta.get("scheme", "?")),
+            f"pec={meta.get('pec', '?')}",
+            str(meta.get("workload", "?")),
+            f"requests={meta.get('requests', '?')}",
+            f"seed={meta.get('seed', '?')}",
+        ]
+        if meta.get("scheme_params"):
+            parts.append(f"params={meta['scheme_params']}")
+        if self.stale:
+            parts.append("[stale version]")
+        return " ".join(parts)
+
+
+@dataclass(frozen=True)
+class GcResult:
+    """Outcome of one :meth:`ShardedResultStore.gc` pass."""
+
+    removed: Tuple[CacheEntry, ...] = ()
+    kept: int = 0
+    #: Compaction tmp files orphaned by a crash, swept up.
+    tmp_removed: int = 0
+
+    @property
+    def removed_count(self) -> int:
+        return len(self.removed)
+
+    @property
+    def removed_bytes(self) -> int:
+        return sum(entry.size for entry in self.removed)
+
+
+@dataclass(frozen=True)
 class StoreStats:
     """One snapshot of the store's physical and logical shape."""
 
@@ -165,11 +241,11 @@ class CompactionStats:
 
 
 class ShardedResultStore:
-    """Fingerprint-sharded, append-only store of finished cell reports.
+    """Fingerprint-sharded, append-only store of finished results.
 
-    Satisfies :class:`~repro.harness.store.ResultStore`, so it drops
-    into :class:`~repro.harness.runner.GridRunner` (``cache=store``)
-    as well as the campaign orchestrator.
+    Satisfies :class:`~repro.harness.store.ResultStore`; the grid
+    runner (``cache=``) and the campaign orchestrator open one from a
+    path through :func:`open_store`.
     """
 
     def __init__(
@@ -648,7 +724,9 @@ class ShardedResultStore:
     # --- inspection ---------------------------------------------------------
 
     def __len__(self) -> int:
-        """Retrievable entries only, like ``ResultCache.__len__``."""
+        """Retrievable entries only — corrupt and stale records read
+        as misses, so counting them would make resume-progress
+        estimates (and ``campaign ls`` totals) lie after a crash."""
         with self._lock:
             return sum(1 for _ in self.keys())
 
@@ -663,9 +741,9 @@ class ShardedResultStore:
 
     def entries(self) -> List[CacheEntry]:
         """One :class:`CacheEntry` per key (its newest record), oldest
-        first — the same shape ``ResultCache.entries`` returns, so
-        ``cache ls``-style tooling and the gc policy code work on
-        either backend. ``path`` points at the record's segment file.
+        first, unusable ones flagged — what ``campaign ls`` lists and
+        the gc policy ranks. ``path`` points at the record's segment
+        file.
         """
         with self._lock:
             self._sync_generation()
@@ -742,12 +820,18 @@ class ShardedResultStore:
         dry_run: bool = False,
         now: Optional[float] = None,
     ) -> GcResult:
-        """Prune entries with ``ResultCache.gc`` semantics.
+        """Prune the store; returns what was (or would be) removed.
 
-        Same policy knobs, same :class:`GcResult` — and because the
-        store is append-only, every non-dry run *rewrites* the shards
-        it touches (dropping superseded records and torn lines along
-        the way), so gc doubles as targeted compaction.
+        * ``older_than_s`` — drop entries older than this many seconds;
+        * ``max_entries`` — after the age pass, keep only the newest N
+          healthy entries;
+        * ``remove_corrupt`` — also drop corrupt/stale entries (they
+          read as misses anyway).
+
+        Because the store is append-only, every non-dry run *rewrites*
+        the shards it touches (dropping superseded records and torn
+        lines along the way), so gc doubles as targeted compaction.
+        ``dry_run=True`` reports without rewriting.
         """
         if max_entries is not None and max_entries < 0:
             raise ConfigError("max_entries must be >= 0")
@@ -774,8 +858,7 @@ class ShardedResultStore:
                     survivors.append(entry)
             if max_entries is not None and len(survivors) > max_entries:
                 # Healthy entries rank above corrupt/stale survivors in
-                # the keep-newest-N pass — the same ranking fix the
-                # one-file-per-cell cache applies.
+                # the keep-newest-N pass.
                 ranked = sorted(
                     survivors,
                     key=lambda entry: (
@@ -945,3 +1028,11 @@ class ShardedResultStore:
             f"ShardedResultStore(root={str(self.root)!r}, "
             f"prefix_len={self.prefix_len})"
         )
+
+
+def open_store(store: ResultStore | str | Path) -> ResultStore:
+    """``store`` itself, or a :class:`ShardedResultStore` opened (and
+    created if missing) at a directory path."""
+    if isinstance(store, (str, Path)):
+        return ShardedResultStore(store)
+    return store

@@ -14,7 +14,7 @@ The one way to describe and run an evaluation experiment:
   optionally parallel :class:`~repro.harness.runner.GridRunner`;
 * ``python -m repro`` (:mod:`repro.experiments.cli`) — the same
   surface from the shell (``run``, ``grid``, ``compare``,
-  ``cache ls|gc``).
+  ``campaign ls|compact``).
 
 Only the registries import eagerly here; the spec/runner/CLI layers
 load on first attribute access, which keeps this package importable

@@ -6,21 +6,21 @@ Five subcommands cover the paper's evaluation surface:
 * ``grid``     — a (schemes x PECs x workloads) campaign with the
   normalized read-tail table the figures use;
 * ``compare``  — the Figure 13 lifetime comparison across schemes
-  (flags or a ``--spec`` LifetimeSpec file; ``--store``/``--cache-dir``
-  persist curves for crash-resume, sharing cache entries with
-  lifetime-family campaigns);
-* ``cache``    — inspect (``ls``) and prune (``gc``) the result cache;
+  (flags or a ``--spec`` LifetimeSpec file; ``--store`` persists
+  curves for crash-resume, sharing cache entries with lifetime-family
+  campaigns);
 * ``campaign`` — orchestrated large campaigns against the sharded
   result store (``run`` with live progress/ETA and crash-resume,
-  ``status``, ``compact``);
+  ``status``, ``ls``, ``compact``);
 * ``metrics``  — dump/validate the telemetry registry (``dump`` reads
   the in-process registry, a ``--metrics-port`` endpoint via
   ``--url``, or a ``--metrics-json`` snapshot file).
 
 Everything resolves through the plugin registries, honours
-``--workers`` (process fan-out) and ``--cache-dir`` / ``--store``
-(persistent result backends, shared with the Python API), and exits 2
-on configuration errors with the registry's rich unknown-key messages.
+``--workers`` (process fan-out) and ``--store`` (the sharded result
+store, shared with the Python API; ``--cache-dir`` is a second
+spelling), and exits 2 on configuration errors with the registry's
+rich unknown-key messages.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.errors import ConfigError, ReproError
 from repro.experiments.registry import SCHEMES, WORKLOADS
 from repro.experiments.runner import run_experiments
 from repro.experiments.spec import ExperimentSpec, load_spec_file
-from repro.harness.cache import ResultCache
 from repro.harness.executors import (
     ProcessExecutor,
     SerialExecutor,
@@ -111,6 +110,16 @@ def _csv_ints(text: str) -> List[int]:
         ) from None
 
 
+def _add_store_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--store", "--cache-dir", dest="store", default=None,
+        metavar="DIR",
+        help="sharded result store: persist finished results here and "
+             "reuse them on re-run (shared with `campaign run --store`; "
+             "--cache-dir is a second spelling)",
+    )
+
+
 def _add_execution_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -120,32 +129,7 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
         "--executor", choices=sorted(_EXECUTORS), default="process",
         help="worker kind when --workers > 1 (default: process)",
     )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="persist finished cells here and reuse them on re-run",
-    )
-    parser.add_argument(
-        "--store", default=None,
-        help="sharded campaign store directory to persist/reuse cells "
-             "instead of --cache-dir (interoperates with `campaign "
-             "run --store`)",
-    )
-
-
-def _runner_from_args(args: argparse.Namespace):
-    """A pre-configured GridRunner when ``--store`` selects the
-    sharded backend; None leaves run_experiments on --cache-dir."""
-    if args.store is None:
-        return None
-    if args.cache_dir is not None:
-        raise ConfigError("pass either --store or --cache-dir, not both")
-    from repro.campaign import ShardedResultStore
-    from repro.harness.runner import GridRunner
-
-    return GridRunner(
-        executor=_make_executor(args.workers, args.executor),
-        cache=ShardedResultStore(args.store),
-    )
+    _add_store_arg(parser)
 
 
 def _spec_from_flags(args: argparse.Namespace) -> ExperimentSpec:
@@ -210,8 +194,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_experiments(
         specs,
         executor=_make_executor(args.workers, args.executor),
-        cache_dir=args.cache_dir,
-        runner=_runner_from_args(args),
+        cache=args.store,
     )
     if args.json:
         payload = [
@@ -282,8 +265,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     result = run_experiments(
         specs,
         executor=_make_executor(args.workers, args.executor),
-        cache_dir=args.cache_dir,
-        runner=_runner_from_args(args),
+        cache=args.store,
     )
     grid = result.grid
     baseline = args.schemes[0]
@@ -342,32 +324,6 @@ def _default_compare_executor(schemes, profile, engine: str) -> str:
     return "thread"
 
 
-class _FailingStore:
-    """Store wrapper that crashes after N successful puts.
-
-    Behind ``compare --fail-after``, the crash-injection half of the
-    CI resume smoke: the inner ``put`` completes *before* the failure,
-    so the Nth curve is durable and a rerun resumes past it.
-    """
-
-    def __init__(self, inner: Any, fail_after: int):
-        if fail_after < 1:
-            raise ConfigError("--fail-after must be >= 1")
-        self._inner = inner
-        self._remaining = fail_after
-
-    def get(self, key: str) -> Any:
-        return self._inner.get(key)
-
-    def put(self, key: str, report: Any, meta: Optional[dict] = None) -> None:
-        self._inner.put(key, report, meta=meta)
-        self._remaining -= 1
-        if self._remaining <= 0:
-            raise RuntimeError(
-                "injected failure after persisting a curve (--fail-after)"
-            )
-
-
 def _compare_spec_from_args(args: argparse.Namespace):
     from repro.lifetime import LifetimeSpec, load_lifetime_file
 
@@ -408,8 +364,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.harness.runner import GridRunner
     from repro.nand.chip_types import profile_by_name
 
-    if args.store and args.cache_dir:
-        raise ConfigError("pass --store or --cache-dir, not both")
     spec = _compare_spec_from_args(args)
     profile = profile_by_name(spec.profile)
     kind = args.executor or _default_compare_executor(
@@ -418,18 +372,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     executor = (
         _EXECUTORS[kind](args.workers) if args.workers > 1 else None
     )
-    backend: Optional[Any] = None
-    if args.store:
-        from repro.campaign import ShardedResultStore
-
-        backend = ShardedResultStore(args.store)
-    elif args.cache_dir:
-        backend = ResultCache(Path(args.cache_dir))
+    store: Optional[Any] = args.store
     if args.fail_after is not None:
-        if backend is None:
-            raise ConfigError("--fail-after needs --store or --cache-dir")
-        backend = _FailingStore(backend, args.fail_after)
-    runner = GridRunner(executor=executor, cache=backend)
+        if store is None:
+            raise ConfigError("--fail-after needs --store")
+        if args.fail_after < 1:
+            raise ConfigError("--fail-after must be >= 1")
+        from repro.campaign import ShardedResultStore
+        from repro.faults import FaultInjector, FaultPlan, FaultSpec
+
+        # Crash injection for the resume smoke: the Nth curve is
+        # durable before the store's crash_after_put fault fires, so a
+        # rerun resumes past it.
+        fault = FaultSpec("crash_after_put", put_index=args.fail_after - 1)
+        store = ShardedResultStore(
+            store, fault_injector=FaultInjector(FaultPlan(faults=(fault,)))
+        )
+    runner = GridRunner(executor=executor, cache=store)
     comparison = spec.comparison(runner.execute_jobs(spec.jobs()))
     baseline_key = spec.schemes[0]
     base = comparison.curves[baseline_key].lifetime_pec
@@ -453,7 +412,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             title=f"Lifetime comparison on {profile.name}",
         )
     )
-    if backend is not None:
+    if runner.cache is not None:
         print(
             f"curves executed: {runner.stats.executed}, "
             f"served from cache: {runner.stats.cached}"
@@ -734,9 +693,67 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_campaign_ls(args: argparse.Namespace) -> int:
+    entries = _open_store(args.store).entries()
+    now = time.time()
+    if args.json:
+        print(
+            json.dumps(
+                [
+                    {
+                        "key": entry.key,
+                        "age_seconds": entry.age_seconds(now),
+                        "size_bytes": entry.size,
+                        "meta": entry.meta,
+                        "corrupt": entry.corrupt,
+                        "stale": entry.stale,
+                    }
+                    for entry in entries
+                ],
+                indent=2,
+            )
+        )
+        return 0
+    if not entries:
+        print(f"store {args.store}: empty")
+        return 0
+    rows = [
+        [
+            entry.key[:12],
+            _format_age(entry.age_seconds(now)),
+            f"{entry.size:,} B",
+            entry.summary(),
+        ]
+        for entry in entries
+    ]
+    print(
+        format_table(
+            ["key", "age", "size", "experiment"],
+            rows,
+            title=f"Result store {args.store}",
+        )
+    )
+    corrupt = sum(1 for entry in entries if entry.corrupt or entry.stale)
+    healthy = len(entries) - corrupt
+    total = sum(entry.size for entry in entries)
+    print(f"  {healthy} entries, {total:,} bytes", end="")
+    if corrupt:
+        print(f" ({corrupt} corrupt/stale — `campaign compact` prunes them)")
+    else:
+        print()
+    return 0
+
+
 def _cmd_campaign_compact(args: argparse.Namespace) -> int:
+    gc = args.max_entries is not None or args.older_than is not None
+    if args.keep_corrupt and not gc:
+        # Plain compaction keeps only healthy records, so the flag
+        # would be silently ignored; refuse before touching the store.
+        raise ConfigError(
+            "--keep-corrupt needs --max-entries or --older-than"
+        )
     store = _open_store(args.store)
-    if args.max_entries is not None or args.older_than is not None:
+    if gc:
         result = store.gc(
             max_entries=args.max_entries,
             older_than_s=args.older_than,
@@ -748,6 +765,9 @@ def _cmd_campaign_compact(args: argparse.Namespace) -> int:
             f"store {args.store}: {verb} {result.removed_count} entries "
             f"({result.removed_bytes:,} bytes), kept {result.kept}"
         )
+        if result.tmp_removed:
+            tmp_verb = "would sweep" if args.dry_run else "swept"
+            print(f"  {tmp_verb} {result.tmp_removed} orphaned tmp files")
         return 0
     result = store.compact(dry_run=args.dry_run)
     verb = "would merge" if args.dry_run else "merged"
@@ -826,94 +846,6 @@ def _cmd_metrics_dump(args: argparse.Namespace) -> int:
         print(json.dumps(snapshot, indent=2))
     else:
         print(text, end="")
-    return 0
-
-
-# --- cache -------------------------------------------------------------------
-
-
-def _open_cache(cache_dir: str) -> ResultCache:
-    """Open an existing cache for inspection without creating it."""
-    if not Path(cache_dir).is_dir():
-        raise ConfigError(f"no such cache directory: {cache_dir}")
-    return ResultCache(cache_dir)
-
-
-def _cmd_cache_ls(args: argparse.Namespace) -> int:
-    cache = _open_cache(args.cache_dir)
-    entries = cache.entries()
-    now = time.time()
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "key": entry.key,
-                        "age_seconds": entry.age_seconds(now),
-                        "size_bytes": entry.size,
-                        "meta": entry.meta,
-                        "corrupt": entry.corrupt,
-                        "stale": entry.stale,
-                    }
-                    for entry in entries
-                ],
-                indent=2,
-            )
-        )
-        return 0
-    if not entries:
-        print(f"cache {args.cache_dir}: empty")
-        return 0
-    rows = [
-        [
-            entry.key[:12],
-            _format_age(entry.age_seconds(now)),
-            f"{entry.size:,} B",
-            entry.summary(),
-        ]
-        for entry in entries
-    ]
-    print(
-        format_table(
-            ["key", "age", "size", "experiment"],
-            rows,
-            title=f"Result cache {args.cache_dir}",
-        )
-    )
-    corrupt = sum(1 for entry in entries if entry.corrupt or entry.stale)
-    healthy = len(entries) - corrupt
-    total = sum(entry.size for entry in entries)
-    print(f"  {healthy} entries, {total:,} bytes", end="")
-    if corrupt:
-        print(f" ({corrupt} corrupt/stale — `cache gc` prunes them)")
-    else:
-        print()
-    return 0
-
-
-def _cmd_cache_gc(args: argparse.Namespace) -> int:
-    cache = _open_cache(args.cache_dir)
-    result = cache.gc(
-        max_entries=args.max_entries,
-        older_than_s=args.older_than,
-        remove_corrupt=not args.keep_corrupt,
-        dry_run=args.dry_run,
-    )
-    verb = "would remove" if args.dry_run else "removed"
-    print(
-        f"cache {args.cache_dir}: {verb} {result.removed_count} entries "
-        f"({result.removed_bytes:,} bytes), kept {result.kept}"
-    )
-    if result.tmp_removed:
-        tmp_verb = "would sweep" if args.dry_run else "swept"
-        print(f"  {tmp_verb} {result.tmp_removed} orphaned tmp files")
-    for entry in result.removed:
-        reason = (
-            "corrupt" if entry.corrupt
-            else "stale" if entry.stale
-            else "pruned"
-        )
-        print(f"  - {entry.key[:12]}  [{reason}] {entry.summary()}")
     return 0
 
 
@@ -1021,17 +953,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON LifetimeSpec file; fully describes the "
                               "comparison, so the sweep flags above "
                               "conflict with it")
-    compare.add_argument("--store", default=None, metavar="DIR",
-                         help="sharded result store for finished curves "
-                              "(crash-resume; shareable with campaign run)")
-    compare.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="one-file-per-curve result cache "
-                              "(alternative to --store)")
+    _add_store_arg(compare)
     compare.add_argument("--fail-after", type=int, default=None,
                          metavar="N",
                          help="crash injection: abort after N curves "
                               "persisted (resume smoke testing; needs "
-                              "--store or --cache-dir)")
+                              "--store)")
     compare.set_defaults(func=_cmd_compare)
 
     bench = sub.add_parser(
@@ -1138,6 +1065,13 @@ def build_parser() -> argparse.ArgumentParser:
                                       "against")
     campaign_status.set_defaults(func=_cmd_campaign_status)
 
+    campaign_ls = campaign_sub.add_parser(
+        "ls", help="list the store's entries, oldest first"
+    )
+    campaign_ls.add_argument("--store", required=True)
+    campaign_ls.add_argument("--json", action="store_true")
+    campaign_ls.set_defaults(func=_cmd_campaign_ls)
+
     campaign_compact = campaign_sub.add_parser(
         "compact",
         help="merge segments and drop dead records (gc knobs supported)",
@@ -1151,7 +1085,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="drop entries older than AGE "
                                        "(e.g. 12h, 7d)")
     campaign_compact.add_argument("--keep-corrupt", action="store_true",
-                                  help="do not prune corrupt/stale entries")
+                                  help="do not prune corrupt/stale entries "
+                                       "(needs --max-entries or "
+                                       "--older-than)")
     campaign_compact.add_argument("--dry-run", action="store_true",
                                   help="report without rewriting")
     campaign_compact.set_defaults(func=_cmd_campaign_compact)
@@ -1183,27 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="scrape timeout in seconds "
                                    "(default: 5)")
     metrics_dump.set_defaults(func=_cmd_metrics_dump)
-
-    cache = sub.add_parser("cache", help="inspect or prune the result cache")
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-
-    cache_ls = cache_sub.add_parser("ls", help="list cache entries")
-    cache_ls.add_argument("--cache-dir", required=True)
-    cache_ls.add_argument("--json", action="store_true")
-    cache_ls.set_defaults(func=_cmd_cache_ls)
-
-    cache_gc = cache_sub.add_parser("gc", help="prune cache entries")
-    cache_gc.add_argument("--cache-dir", required=True)
-    cache_gc.add_argument("--max-entries", type=int, default=None,
-                          help="keep only the newest N healthy entries")
-    cache_gc.add_argument("--older-than", type=_parse_age, default=None,
-                          metavar="AGE",
-                          help="drop entries older than AGE (e.g. 12h, 7d)")
-    cache_gc.add_argument("--keep-corrupt", action="store_true",
-                          help="do not prune corrupt/stale entries")
-    cache_gc.add_argument("--dry-run", action="store_true",
-                          help="report what would be removed, delete nothing")
-    cache_gc.set_defaults(func=_cmd_cache_gc)
 
     return parser
 

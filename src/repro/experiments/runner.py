@@ -22,6 +22,7 @@ from repro.errors import ConfigError
 from repro.experiments.spec import ExperimentSpec
 from repro.harness.grid import EvaluationGrid
 from repro.harness.runner import CellJob, GridRunner, RunStats, grid_from_jobs
+from repro.harness.store import ResultStore
 from repro.ssd.metrics import PerfReport
 
 
@@ -47,20 +48,21 @@ class ExperimentRun:
 def run_experiments(
     specs: Sequence[ExperimentSpec],
     executor: Optional[object] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
+    cache: Optional[Union[ResultStore, str, Path]] = None,
     runner: Optional[GridRunner] = None,
 ) -> ExperimentRun:
     """Run experiment specs; cached cells load, the rest execute.
 
     Pass ``executor`` (e.g. ``ProcessExecutor(4)``) to fan cells out
-    across processes and ``cache_dir`` to persist/reuse finished
-    cells — or hand in a pre-configured ``runner`` directly.
+    across processes and ``cache`` (a store or a directory path) to
+    persist/reuse finished cells — or hand in a pre-configured
+    ``runner`` directly.
     """
     specs = tuple(specs)
     if not specs:
         raise ConfigError("run_experiments needs at least one spec")
     if runner is None:
-        runner = GridRunner(executor=executor, cache_dir=cache_dir)
+        runner = GridRunner(executor=executor, cache=cache)
     jobs = tuple(spec.resolve() for spec in specs)
     reports = tuple(runner.execute_jobs(jobs))
     grid = grid_from_jobs(jobs, reports)
@@ -76,9 +78,7 @@ def run_experiments(
 def run_experiment(
     spec: ExperimentSpec,
     executor: Optional[object] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
+    cache: Optional[Union[ResultStore, str, Path]] = None,
 ) -> PerfReport:
     """Run a single spec and return its report (one-call convenience)."""
-    return run_experiments(
-        [spec], executor=executor, cache_dir=cache_dir
-    ).reports[0]
+    return run_experiments([spec], executor=executor, cache=cache).reports[0]

@@ -221,12 +221,13 @@ class ExperimentSpec:
         """The cache key of this experiment's result."""
         return self.resolve().fingerprint
 
-    def run(self, executor: Any = None, cache_dir: Any = None):
-        """Run this one experiment; returns its PerfReport."""
+    def run(self, executor: Any = None, cache: Any = None):
+        """Run this one experiment; returns its PerfReport. ``cache``
+        is a result store or a store directory path."""
         from repro.experiments.runner import run_experiments
 
         return run_experiments(
-            [self], executor=executor, cache_dir=cache_dir
+            [self], executor=executor, cache=cache
         ).reports[0]
 
     # --- serialization ------------------------------------------------------
@@ -410,6 +411,6 @@ class Experiment(metaclass=_ExperimentMeta):
         """The finished, validated experiment spec."""
         return self._spec.validate()
 
-    def run(self, executor: Any = None, cache_dir: Any = None):
+    def run(self, executor: Any = None, cache: Any = None):
         """Build the spec and run it; returns its PerfReport."""
-        return self.spec().run(executor=executor, cache_dir=cache_dir)
+        return self.spec().run(executor=executor, cache=cache)

@@ -11,8 +11,11 @@ show. The package splits the old single-module harness into layers:
 * :mod:`repro.harness.executors` — :class:`SerialExecutor` /
   :class:`ProcessExecutor` / :class:`ThreadExecutor`, the pluggable
   ``map`` strategies;
-* :mod:`repro.harness.cache` — :class:`ResultCache`, one JSON file per
-  finished cell, fingerprint-keyed, resume-friendly;
+* :mod:`repro.harness.cache` — :func:`cell_fingerprint`, the key a
+  finished cell is stored under;
+* :mod:`repro.harness.store` — :class:`ResultStore`, the persistence
+  contract the :class:`~repro.campaign.store.ShardedResultStore`
+  fulfils;
 * :mod:`repro.harness.runner` — :class:`GridRunner` and the
   ``run_grid`` façade tying them together.
 
@@ -24,7 +27,7 @@ Quick start::
         workloads=("ali.A", "hm"),
         requests=900,
         executor=ProcessExecutor(4),      # fan cells out over 4 processes
-        cache_dir=".repro-cache",         # skip finished cells on re-run
+        cache=".repro-store",             # skip finished cells on re-run
     )
     print(grid.geomean_normalized(lambda r: r.read_tail(99.0), pec=500))
 
@@ -35,13 +38,7 @@ its inputs. ``from repro.harness import run_grid, run_workload_cell``
 keeps working exactly as it did when the harness was one module.
 """
 
-from repro.harness.cache import (
-    CACHE_VERSION,
-    CacheEntry,
-    GcResult,
-    ResultCache,
-    cell_fingerprint,
-)
+from repro.harness.cache import CACHE_VERSION, cell_fingerprint
 from repro.harness.cells import (
     PAPER_PEC_POINTS,
     PAPER_SCHEMES,
@@ -67,10 +64,8 @@ from repro.harness.store import ResultStore
 
 __all__ = [
     "CACHE_VERSION",
-    "CacheEntry",
     "CellJob",
     "Executor",
-    "GcResult",
     "CellKey",
     "EvaluationGrid",
     "GridCell",
@@ -78,7 +73,6 @@ __all__ = [
     "PAPER_PEC_POINTS",
     "PAPER_SCHEMES",
     "ProcessExecutor",
-    "ResultCache",
     "ResultStore",
     "RunStats",
     "SerialExecutor",

@@ -2,10 +2,11 @@
 
 ``GridRunner`` turns a (schemes x pec_points x workloads) request into
 an ordered list of independent cell jobs, satisfies as many as it can
-from the :class:`~repro.harness.cache.ResultCache`, fans the rest out
-through the configured executor, and assembles the
-:class:`~repro.harness.grid.EvaluationGrid` in the canonical
-pec -> workload -> scheme order regardless of completion order.
+from its result store (a :class:`~repro.campaign.store.
+ShardedResultStore`), fans the rest out through the configured
+executor, and assembles the :class:`~repro.harness.grid.EvaluationGrid`
+in the canonical pec -> workload -> scheme order regardless of
+completion order.
 
 Determinism: the runner derives one seed per (pec, workload) point via
 :func:`repro.rng.derive` — shared by every scheme at that point, so
@@ -15,10 +16,11 @@ description. A ``ProcessExecutor`` grid is therefore bit-identical to
 a ``SerialExecutor`` grid, and a cached report is bit-identical to a
 recomputed one.
 
-Resume: pass ``cache_dir`` and every finished cell is persisted
-immediately; re-running the same campaign (same spec, schemes,
-setpoints, workloads, requests, seed) skips straight past completed
-cells, so an interrupted campaign continues where it stopped.
+Resume: pass ``cache`` (a store or a directory path) and every
+finished cell is persisted immediately; re-running the same campaign
+(same spec, schemes, setpoints, workloads, requests, seed) skips
+straight past completed cells, so an interrupted campaign continues
+where it stopped.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import WORKLOADS
-from repro.harness.cache import ResultCache, cell_fingerprint
+from repro.harness.cache import cell_fingerprint
 from repro.harness.cells import (
     PAPER_PEC_POINTS,
     PAPER_SCHEMES,
@@ -256,22 +258,19 @@ class GridRunner:
     def __init__(
         self,
         executor: Optional[Executor] = None,
-        cache_dir: Optional[Union[str, Path]] = None,
-        cache: Optional[ResultStore] = None,
+        cache: Optional[Union[ResultStore, str, Path]] = None,
     ):
-        """``cache`` accepts any :class:`ResultStore` (e.g. a
-        :class:`~repro.campaign.store.ShardedResultStore`);
-        ``cache_dir`` remains the one-JSON-file-per-cell shorthand for
-        ``cache=ResultCache(cache_dir)``. Passing both is ambiguous.
+        """``cache`` accepts any :class:`ResultStore` or a directory
+        path, opened as a :class:`~repro.campaign.store.
+        ShardedResultStore` (the same store ``campaign run`` uses).
         """
-        if cache is not None and cache_dir is not None:
-            raise ConfigError("pass either cache or cache_dir, not both")
         self.executor = executor or SerialExecutor()
-        self.cache: Optional[ResultStore] = (
-            cache if cache is not None
-            else ResultCache(cache_dir) if cache_dir is not None
-            else None
-        )
+        self.cache: Optional[ResultStore] = None
+        if cache is not None:
+            # Imported here: the campaign package imports this module.
+            from repro.campaign.store import open_store
+
+            self.cache = open_store(cache)
         self.stats = RunStats()
 
     # --- job planning -------------------------------------------------------
@@ -365,15 +364,16 @@ def run_grid(
     seed: int = 0xAE20,
     engine: str = "auto",
     executor: Optional[Executor] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
+    cache: Optional[Union[ResultStore, str, Path]] = None,
 ) -> EvaluationGrid:
     """Run a (scheme x pec x workload) grid.
 
     The one-call façade over :class:`GridRunner`: pass ``executor``
     (e.g. ``ProcessExecutor(4)``) to parallelize across processes and
-    ``cache_dir`` to persist/reuse finished cells.
+    ``cache`` (a store or a directory path) to persist/reuse finished
+    cells.
     """
-    runner = GridRunner(executor=executor, cache_dir=cache_dir)
+    runner = GridRunner(executor=executor, cache=cache)
     return runner.run(
         schemes=schemes,
         pec_points=pec_points,

@@ -2,13 +2,10 @@
 
 :class:`ResultStore` is the structural contract between execution
 machinery (:class:`~repro.harness.runner.GridRunner`, the campaign
-orchestrator) and result persistence. Two implementations ship:
-
-* :class:`~repro.harness.cache.ResultCache` — one JSON file per cell,
-  right for interactive runs and grids up to a few thousand cells;
-* :class:`~repro.campaign.store.ShardedResultStore` — chunked
-  append-only JSONL segments sharded by fingerprint prefix, built for
-  million-cell campaigns.
+orchestrator) and result persistence. One implementation ships:
+:class:`~repro.campaign.store.ShardedResultStore`, chunked append-only
+JSONL segments sharded by fingerprint prefix; both drivers open a
+directory path as one through :func:`~repro.campaign.store.open_store`.
 
 The contract is deliberately small: ``get`` returns a report or
 ``None``, ``put`` persists one atomically, and ``in`` answers exactly

@@ -122,7 +122,6 @@ def compare_schemes(
     executor: Optional[Any] = None,
     engine: str = "auto",
     cache: Optional[Any] = None,
-    cache_dir: Optional[Any] = None,
     runner: Optional[Any] = None,
 ) -> SchemeComparison:
     """Run the Figure 13 campaign: one block set per erase scheme.
@@ -133,9 +132,9 @@ def compare_schemes(
     :meth:`~repro.harness.runner.GridRunner.execute_jobs`, so flag
     calls, ``compare --spec`` files, and orchestrated campaigns share
     one cache entry per (scheme, profile) fingerprint. Pass ``cache``
-    (any :class:`~repro.harness.store.ResultStore`) or ``cache_dir``
-    to persist curves and crash-resume, or a pre-built ``runner`` to
-    share its cache and stats across calls. Ad-hoc
+    (any :class:`~repro.harness.store.ResultStore`, or a store
+    directory path) to persist curves and crash-resume, or a pre-built
+    ``runner`` to share its cache and stats across calls. Ad-hoc
     :class:`ChipProfile` objects keep the direct path (no cache — an
     unnamed profile has no stable fingerprint).
 
@@ -175,11 +174,9 @@ def compare_schemes(
             engine=engine,
         )
         if runner is None:
-            runner = GridRunner(
-                executor=executor, cache=cache, cache_dir=cache_dir
-            )
+            runner = GridRunner(executor=executor, cache=cache)
         return spec.comparison(runner.execute_jobs(spec.jobs()))
-    if cache is not None or cache_dir is not None or runner is not None:
+    if cache is not None or runner is not None:
         raise ConfigError(
             f"profile {profile.name!r} is not a built-in chip profile; "
             "curves for ad-hoc profiles cannot be cached"
@@ -217,7 +214,6 @@ def misprediction_sensitivity(
     engine: str = "auto",
     executor: Optional[Any] = None,
     cache: Optional[Any] = None,
-    cache_dir: Optional[Any] = None,
 ) -> Dict[float, Dict[str, LifetimeCurve]]:
     """Figure 16 (lifetime panel): inject forced mispredictions.
 
@@ -229,8 +225,8 @@ def misprediction_sensitivity(
     path for built-in profiles: jobs whose fingerprints coincide
     across sweep points (the misprediction rate only perturbs the
     aero schemes, so every non-aero curve is shared) execute once and
-    fan out to every rate; pass ``cache``/``cache_dir`` to also reuse
-    curves across sessions.
+    fan out to every rate; pass ``cache`` (a store or a directory path)
+    to also reuse curves across sessions.
     """
     if _builtin_profile_name(profile) is None:
         results: Dict[float, Dict[str, LifetimeCurve]] = {}
@@ -269,7 +265,7 @@ def misprediction_sensitivity(
     for jobs in point_jobs.values():
         for job in jobs:
             unique.setdefault(job.fingerprint, job)
-    runner = GridRunner(executor=executor, cache=cache, cache_dir=cache_dir)
+    runner = GridRunner(executor=executor, cache=cache)
     ordered = list(unique.values())
     curves = dict(
         zip(
@@ -296,7 +292,6 @@ def requirement_sensitivity(
     engine: str = "auto",
     executor: Optional[Any] = None,
     cache: Optional[Any] = None,
-    cache_dir: Optional[Any] = None,
 ) -> Dict[int, SchemeComparison]:
     """Figure 17 (lifetime panel): weaker ECC shrinks the margin.
 
@@ -308,17 +303,15 @@ def requirement_sensitivity(
     For built-in profiles every point runs through one shared
     :class:`~repro.harness.runner.GridRunner` on the cached
     :class:`~repro.lifetime.spec.LifetimeJob` path, so re-running a
-    sweep (or widening it) against a ``cache``/``cache_dir`` only
-    computes the curves it has never seen.
+    sweep (or widening it) against a ``cache`` only computes the curves
+    it has never seen.
     """
     runner = None
     if _builtin_profile_name(profile) is not None:
         from repro.harness.runner import GridRunner
 
-        runner = GridRunner(
-            executor=executor, cache=cache, cache_dir=cache_dir
-        )
-    elif cache is not None or cache_dir is not None:
+        runner = GridRunner(executor=executor, cache=cache)
+    elif cache is not None:
         raise ConfigError(
             f"profile {profile.name!r} is not a built-in chip profile; "
             "curves for ad-hoc profiles cannot be cached"

@@ -4,7 +4,7 @@
 serialized to a JSON-compatible dict and reconstructed exactly —
 ``PerfReport.from_json_dict(report.to_json_dict()) == report`` — which
 is what lets the evaluation harness cache finished grid cells on disk
-and resume interrupted campaigns (see :mod:`repro.harness.cache`).
+and resume interrupted campaigns (see :mod:`repro.campaign.store`).
 """
 
 from __future__ import annotations

@@ -169,7 +169,7 @@ class StoreMetrics:
 def store_metrics(
     backend: str, registry: Optional[MetricsRegistry] = None
 ) -> "_BoundStoreMetrics":
-    """Handles for one store backend (``sharded`` or ``cache``)."""
+    """Handles for one store backend (``sharded``)."""
     reg = _registry(registry)
     labels = ("backend",)
     families = StoreMetrics(

@@ -1,52 +1,6 @@
-"""Percentiles, CDFs, and table rendering."""
+"""Table rendering."""
 
-import pytest
-
-from repro.analysis import Cdf, exact_percentile, format_table, tail_summary
-from repro.errors import ConfigError
-
-
-class TestPercentiles:
-    def test_exact_percentile(self):
-        samples = list(range(1, 101))
-        assert exact_percentile(samples, 50.0) == pytest.approx(50.5)
-        assert exact_percentile(samples, 100.0) == 100.0
-        assert exact_percentile(samples, 0.0) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            exact_percentile([], 50.0)
-        with pytest.raises(ConfigError):
-            exact_percentile([1.0], 101.0)
-
-    def test_tail_summary(self):
-        summary = tail_summary([1.0, 2.0, 3.0, 4.0])
-        assert summary["count"] == 4
-        assert summary["mean"] == 2.5
-        assert summary["max"] == 4.0
-        assert "p99.9" in summary
-
-
-class TestCdf:
-    def test_at_and_quantile(self):
-        cdf = Cdf([1.0, 2.0, 3.0, 4.0])
-        assert cdf.at(0.5) == 0.0
-        assert cdf.at(2.0) == 0.5
-        assert cdf.at(10.0) == 1.0
-        assert cdf.quantile(0.0) == 1.0
-        assert cdf.quantile(1.0) == 4.0
-        assert cdf.min == 1.0 and cdf.max == 4.0
-
-    def test_points_grid(self):
-        cdf = Cdf([1.0, 2.0, 3.0])
-        points = cdf.points([0.0, 2.0, 5.0])
-        assert points == [(0.0, 0.0), (2.0, pytest.approx(2 / 3)), (5.0, 1.0)]
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            Cdf([])
-        with pytest.raises(ConfigError):
-            Cdf([1.0]).quantile(1.5)
+from repro.analysis import format_table
 
 
 class TestTables:

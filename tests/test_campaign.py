@@ -299,12 +299,25 @@ def test_grid_runner_accepts_sharded_store(tmp_path):
     assert grid_warm == grid_cold
 
 
-def test_grid_runner_rejects_cache_and_cache_dir(tmp_path):
-    with pytest.raises(ConfigError):
-        GridRunner(
-            cache=ShardedResultStore(tmp_path / "s"),
-            cache_dir=tmp_path / "c",
-        )
+def test_grid_runner_path_shares_entries_with_orchestrator(tmp_path):
+    # GridRunner(cache=<path>) and the orchestrator open one store
+    partial = GridRunner(cache=tmp_path)
+    assert isinstance(partial.cache, ShardedResultStore)
+    partial.run(
+        schemes=SPEC.schemes, pec_points=SPEC.pec_points,
+        workloads=SPEC.workloads[:1], requests=SPEC.requests,
+        seed=SPEC.seed,
+    )
+    assert partial.stats.executed == 2
+    result = CampaignOrchestrator(SPEC, tmp_path).run()
+    assert result.stats.resumed == 2
+    assert result.stats.executed == SPEC.size - 2
+    reread = GridRunner(cache=str(tmp_path))
+    assert reread.run(
+        schemes=SPEC.schemes, pec_points=SPEC.pec_points,
+        workloads=SPEC.workloads, requests=SPEC.requests, seed=SPEC.seed,
+    ) == result.grid
+    assert reread.stats.executed == 0
 
 
 # --- campaign spec -----------------------------------------------------------

@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
+from repro.campaign import ShardedResultStore
 from repro.config import SsdSpec
 from repro.errors import ConfigError
-from repro.harness.cache import CACHE_VERSION, ResultCache
+from repro.harness.cache import CACHE_VERSION
 from repro.harness.cells import PAPER_SCHEMES, run_workload_cell
 from repro.harness.runner import CellJob
 from repro.kernels import (
@@ -151,18 +152,21 @@ class TestPr5Regressions:
         assert report.makespan_us < trace.duration_us
 
     def test_cache_len_counts_healthy_entries_only(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultStore(tmp_path)
         report = _cell("baseline", "ali.A", "kernel", requests=60)
-        cache.put("good", report)
+        good, bad, old = "a" * 64, "b" * 64, "c" * 64
+        cache.put(good, report)
         assert len(cache) == 1
-        # Corrupt file and stale-version entry both read as misses.
-        (tmp_path / "bad.json").write_text("{trunca")
-        cache.put("old", report)
-        path = cache.path("old")
-        stale = path.read_text().replace(
-            f'"version": {CACHE_VERSION}', '"version": 1'
-        )
-        path.write_text(stale)
-        assert cache.get("bad") is None
-        assert cache.get("old") is None
+        # Torn record and stale-version record both read as misses.
+        cache.put(bad, report)
+        cache.put(old, report)
+        torn = next((tmp_path / "bb").glob("seg-*"))
+        torn.write_text(torn.read_text()[:40])
+        stale = next((tmp_path / "cc").glob("seg-*"))
+        stale.write_text(stale.read_text().replace(
+            f'"version":{CACHE_VERSION}', '"version":1'
+        ))
+        cache = ShardedResultStore(tmp_path)
+        assert cache.get(bad) is None
+        assert cache.get(old) is None
         assert len(cache) == 1

@@ -1,4 +1,4 @@
-"""``python -m repro`` CLI and the cache ls/gc tooling."""
+"""``python -m repro`` CLI and the store ls/compact tooling."""
 
 import json
 import os
@@ -8,9 +8,10 @@ import time
 
 import pytest
 
+from repro.campaign import ShardedResultStore
 from repro.experiments import ExperimentSpec
 from repro.experiments.cli import _format_age, _parse_age, main
-from repro.harness.cache import ResultCache
+from repro.harness.cache import CACHE_VERSION
 
 RUN_ARGS = [
     "run", "--scheme", "aero", "--pec", "2500", "--workload", "ali.A",
@@ -20,30 +21,39 @@ RUN_ARGS = [
 
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory):
-    """One executed CLI run with its cache directory."""
-    cache_dir = str(tmp_path_factory.mktemp("cli-cache"))
-    assert main(RUN_ARGS + ["--cache-dir", cache_dir]) == 0
-    return cache_dir
+    """One executed CLI run with its store directory."""
+    store = str(tmp_path_factory.mktemp("cli-store"))
+    assert main(RUN_ARGS + ["--store", store]) == 0
+    return store
 
 
 def test_run_executes_then_caches(warm_cache, capsys):
     capsys.readouterr()
-    assert main(RUN_ARGS + ["--cache-dir", warm_cache]) == 0
+    assert main(RUN_ARGS + ["--store", warm_cache]) == 0
     out = capsys.readouterr().out
     assert "aero" in out and "p99 read" in out
     assert "served from cache: 1" in out
     assert "cells executed: 0" in out
 
 
+def test_cache_dir_is_a_second_spelling_of_store(tmp_path, capsys):
+    store = str(tmp_path / "store")
+    assert main(RUN_ARGS + ["--cache-dir", store]) == 0
+    assert "cells executed: 1" in capsys.readouterr().out
+    assert main(RUN_ARGS + ["--store", store]) == 0
+    assert "served from cache: 1" in capsys.readouterr().out
+    assert ShardedResultStore(store).stats().keys == 1
+
+
 def test_cache_ls_sees_the_entry(warm_cache, capsys):
-    assert main(["cache", "ls", "--cache-dir", warm_cache]) == 0
+    assert main(["campaign", "ls", "--store", warm_cache]) == 0
     out = capsys.readouterr().out
     assert "aero pec=2500 ali.A requests=120" in out
     assert "1 entries" in out
 
 
 def test_cache_ls_json(warm_cache, capsys):
-    assert main(["cache", "ls", "--cache-dir", warm_cache, "--json"]) == 0
+    assert main(["campaign", "ls", "--store", warm_cache, "--json"]) == 0
     entries = json.loads(capsys.readouterr().out)
     assert len(entries) == 1
     assert entries[0]["meta"]["scheme"] == "aero"
@@ -51,7 +61,7 @@ def test_cache_ls_json(warm_cache, capsys):
 
 
 def test_run_json_output(warm_cache, capsys):
-    assert main(RUN_ARGS + ["--cache-dir", warm_cache, "--json"]) == 0
+    assert main(RUN_ARGS + ["--store", warm_cache, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["spec"]["scheme"] == "aero"
     assert payload["report"]["requests_completed"] == 120
@@ -87,9 +97,10 @@ def test_run_flag_defaults_match_parser():
 
 def test_cache_commands_do_not_create_directories(tmp_path, capsys):
     missing = tmp_path / "typo"
-    assert main(["cache", "ls", "--cache-dir", str(missing)]) == 2
-    assert "no such cache directory" in capsys.readouterr().err
-    assert main(["cache", "gc", "--cache-dir", str(missing)]) == 2
+    assert main(["campaign", "ls", "--store", str(missing)]) == 2
+    assert "no such store directory" in capsys.readouterr().err
+    assert main(["campaign", "compact", "--store", str(missing),
+                 "--max-entries", "0"]) == 2
     assert not missing.exists()
 
 
@@ -108,7 +119,7 @@ def test_grid_smoke(tmp_path, capsys):
     args = [
         "grid", "--schemes", "baseline,aero", "--pecs", "500",
         "--workloads", "hm", "--requests", "100", "--seed", "7",
-        "--cache-dir", str(tmp_path),
+        "--store", str(tmp_path),
     ]
     assert main(args) == 0
     out = capsys.readouterr().out
@@ -123,7 +134,7 @@ def test_grid_without_literal_baseline_scheme(tmp_path, capsys):
     assert main([
         "grid", "--schemes", "aero_cons,aero", "--pecs", "500",
         "--workloads", "hm", "--requests", "80", "--seed", "7",
-        "--cache-dir", str(tmp_path),
+        "--store", str(tmp_path),
     ]) == 0
     out = capsys.readouterr().out
     assert "aero_cons" in out and "geomean" in out
@@ -141,6 +152,29 @@ def test_compare_smoke(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "Lifetime comparison" in out and "vs baseline" in out
+
+
+COMPARE_ARGS = [
+    "compare", "--schemes", "baseline,aero", "--blocks", "4",
+    "--step", "500", "--max-pec", "2000",
+]
+
+
+def test_compare_fail_after_then_resume(tmp_path, capsys):
+    store = str(tmp_path / "store")
+    # the first curve is durable before the injected crash: exit 2
+    assert main(COMPARE_ARGS + ["--store", store, "--fail-after", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: injected crash_after_put" in err
+    assert ShardedResultStore(store).stats().keys == 1
+    assert main(COMPARE_ARGS + ["--store", store]) == 0
+    assert "curves executed: 1, served from cache: 1" in (
+        capsys.readouterr().out
+    )
+    assert main(COMPARE_ARGS + ["--store", store, "--fail-after", "0"]) == 2
+    assert "--fail-after must be >= 1" in capsys.readouterr().err
+    assert main(COMPARE_ARGS + ["--fail-after", "1"]) == 2
+    assert "--fail-after needs --store" in capsys.readouterr().err
 
 
 def test_compare_engine_and_executor_flags(capsys):
@@ -176,61 +210,75 @@ def test_bench_smoke_writes_artifact(tmp_path, capsys):
 
 
 def test_cache_gc_prunes_and_reports(tmp_path, capsys):
-    cache_dir = str(tmp_path)
+    store = str(tmp_path)
     for seed in (1, 2):
         assert main([
             "run", "--scheme", "baseline", "--pec", "500", "--workload", "hm",
-            "--requests", "80", "--seed", str(seed), "--cache-dir", cache_dir,
+            "--requests", "80", "--seed", str(seed), "--store", store,
         ]) == 0
     capsys.readouterr()
 
     # Dry run deletes nothing.
-    assert main(["cache", "gc", "--cache-dir", cache_dir,
+    assert main(["campaign", "compact", "--store", store,
                  "--max-entries", "1", "--dry-run"]) == 0
     assert "would remove 1" in capsys.readouterr().out
-    assert len(ResultCache(cache_dir).entries()) == 2
+    assert len(ShardedResultStore(store).entries()) == 2
 
     # Real gc keeps the newest entry.
-    assert main(["cache", "gc", "--cache-dir", cache_dir,
+    assert main(["campaign", "compact", "--store", store,
                  "--max-entries", "1"]) == 0
     assert "removed 1" in capsys.readouterr().out
-    assert len(ResultCache(cache_dir).entries()) == 1
+    assert len(ShardedResultStore(store).entries()) == 1
+
+
+def _rewrite_records(store_root, **fields):
+    for segment in store_root.glob("*/seg-*.jsonl"):
+        lines = segment.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        segment.write_text(
+            "".join(json.dumps({**r, **fields}) + "\n" for r in records)
+        )
 
 
 def test_cache_gc_older_than_and_corrupt(tmp_path, capsys):
-    cache_dir = str(tmp_path)
+    store = str(tmp_path)
     assert main([
         "run", "--scheme", "baseline", "--pec", "500", "--workload", "hm",
-        "--requests", "80", "--seed", "1", "--cache-dir", cache_dir,
+        "--requests", "80", "--seed", "1", "--store", store,
     ]) == 0
-    corrupt = tmp_path / "deadbeef.json"
-    corrupt.write_text("{truncated")
+    # a parsable record without a report: listed, never served
+    (tmp_path / "de").mkdir(exist_ok=True)
+    with (tmp_path / "de" / "seg-000000.jsonl").open("a") as handle:
+        handle.write(json.dumps(
+            {"version": CACHE_VERSION, "key": "de" + "ad" * 31}
+        ) + "\n")
     capsys.readouterr()
 
-    assert main(["cache", "ls", "--cache-dir", cache_dir]) == 0
+    assert main(["campaign", "ls", "--store", store]) == 0
     out = capsys.readouterr().out
     assert "<corrupt entry>" in out and "1 corrupt/stale" in out
 
-    # Age out everything: backdate files, prune older than 1h.
-    old = time.time() - 7200
-    for path in tmp_path.glob("*.json"):
-        os.utime(path, (old, old))
-    assert main(["cache", "gc", "--cache-dir", cache_dir,
+    # Age out everything: backdate records, prune older than 1h.
+    _rewrite_records(tmp_path, ts=time.time() - 7200)
+    assert main(["campaign", "compact", "--store", store,
                  "--older-than", "1h"]) == 0
     assert "removed 2" in capsys.readouterr().out
-    assert not list(tmp_path.glob("*.json"))
+    assert not ShardedResultStore(store).entries()
 
 
 def test_cache_gc_sweeps_orphaned_tmp_files(tmp_path, capsys):
-    orphan = tmp_path / "abc123.tmp.9999"
+    # a compaction's merged segment, orphaned by a crash before rename
+    (tmp_path / "ab").mkdir()
+    orphan = tmp_path / "ab" / "seg-000001.jsonl.tmp.9999"
     orphan.write_text("partial write")
     old = time.time() - 300
     os.utime(orphan, (old, old))
-    assert main(["cache", "gc", "--cache-dir", str(tmp_path),
-                 "--dry-run"]) == 0
+    gc_args = ["campaign", "compact", "--store", str(tmp_path),
+               "--older-than", "7d"]
+    assert main(gc_args + ["--dry-run"]) == 0
     assert "would sweep 1 orphaned tmp" in capsys.readouterr().out
     assert orphan.exists()
-    assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
+    assert main(gc_args) == 0
     assert "swept 1 orphaned tmp" in capsys.readouterr().out
     assert not orphan.exists()
 
@@ -262,8 +310,7 @@ def test_python_dash_m_entry_point():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0
-    for command in ("run", "grid", "compare", "cache"):
-        assert command in proc.stdout
+    assert "{run,grid,compare,bench,campaign,metrics}" in proc.stdout
 
 
 # --- campaign ----------------------------------------------------------------
@@ -360,6 +407,24 @@ def test_campaign_compact_reports(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "removed 1 entries" in out
     assert "kept 1" in out
+
+
+def test_campaign_compact_keep_corrupt_needs_gc_knob(tmp_path, capsys):
+    store = str(tmp_path / "store")
+    assert main(CAMPAIGN_ARGS + ["--store", store, "--quiet"]) == 0
+    # stale records: plain compaction would drop them
+    _rewrite_records(tmp_path / "store", version=CACHE_VERSION - 1)
+    capsys.readouterr()
+    assert main(["campaign", "compact", "--store", store,
+                 "--keep-corrupt"]) == 2
+    assert "--keep-corrupt needs --max-entries or --older-than" in (
+        capsys.readouterr().err
+    )
+    assert ShardedResultStore(store).stats().stale == 2
+    # with a gc knob the flag is honoured: the stale records survive
+    assert main(["campaign", "compact", "--store", store,
+                 "--keep-corrupt", "--older-than", "7d"]) == 0
+    assert ShardedResultStore(store).stats().stale == 2
 
 
 def test_campaign_status_requires_existing_store(tmp_path, capsys):

@@ -1,18 +1,21 @@
 """Determinism and cache regressions for the evaluation harness.
 
-The parallel runner and the result cache are only safe because every
+The parallel runner and the result store are only safe because every
 cell is a pure function of its inputs; these tests pin that property:
 same seed -> identical report, process grid == serial grid
-cell-for-cell, cached report == recomputed report, and a warm cache
+cell-for-cell, cached report == recomputed report, and a warm store
 replays a campaign without executing anything.
 """
 
+import json
+
 import pytest
 
+from repro.campaign import ShardedResultStore, open_store
 from repro.harness import (
+    CACHE_VERSION,
     GridRunner,
     ProcessExecutor,
-    ResultCache,
     SerialExecutor,
     ThreadExecutor,
     cell_fingerprint,
@@ -99,12 +102,12 @@ def test_thread_lifetime_comparison_equals_serial():
 
 
 def test_warm_cache_executes_zero_cells(tmp_path):
-    cold = GridRunner(cache_dir=tmp_path)
+    cold = GridRunner(cache=tmp_path)
     grid_cold = cold.run(**GRID_KWARGS)
     assert cold.stats.executed == 4
     assert cold.stats.cached == 0
 
-    warm = GridRunner(cache_dir=tmp_path)
+    warm = GridRunner(cache=tmp_path)
     grid_warm = warm.run(**GRID_KWARGS)
     assert warm.stats.executed == 0
     assert warm.stats.cached == 4
@@ -112,13 +115,13 @@ def test_warm_cache_executes_zero_cells(tmp_path):
 
 
 def test_cache_resumes_partial_campaign(tmp_path):
-    partial = GridRunner(cache_dir=tmp_path)
+    partial = GridRunner(cache=tmp_path)
     partial.run(
         **{**GRID_KWARGS, "workloads": ("hm",)}
     )
     assert partial.stats.executed == 2
 
-    resumed = GridRunner(cache_dir=tmp_path)
+    resumed = GridRunner(cache=tmp_path)
     resumed.run(**GRID_KWARGS)
     # The two "hm" cells replay from disk; only "ali.A" cells execute.
     assert resumed.stats.cached == 2
@@ -126,19 +129,24 @@ def test_cache_resumes_partial_campaign(tmp_path):
 
 
 def test_cache_ignores_corrupt_entries(tmp_path):
-    runner = GridRunner(cache_dir=tmp_path)
+    runner = GridRunner(cache=tmp_path)
     runner.run(**GRID_KWARGS)
-    for path in tmp_path.glob("*.json"):
-        path.write_text("{ truncated", encoding="utf-8")
-    rerun = GridRunner(cache_dir=tmp_path)
+    # Tear every record line mid-record (a crash mid-append).
+    segments = list(tmp_path.glob("*/seg-*.jsonl"))
+    assert segments
+    for path in segments:
+        lines = path.read_bytes().splitlines()
+        torn = [line[: len(line) // 2] for line in lines]
+        path.write_bytes(b"\n".join(torn))
+    rerun = GridRunner(cache=tmp_path)
     rerun.run(**GRID_KWARGS)
     assert rerun.stats.executed == 4
 
 
 def test_cached_grid_equals_uncached_grid(tmp_path):
     plain = run_grid(**GRID_KWARGS)
-    cached = run_grid(**GRID_KWARGS, cache_dir=tmp_path)
-    reloaded = run_grid(**GRID_KWARGS, cache_dir=tmp_path)
+    cached = run_grid(**GRID_KWARGS, cache=tmp_path)
+    reloaded = run_grid(**GRID_KWARGS, cache=tmp_path)
     assert plain == cached == reloaded
 
 
@@ -170,13 +178,17 @@ def test_latency_recorder_equality():
 
 
 def test_result_cache_round_trip(tmp_path):
-    cache = ResultCache(tmp_path)
+    # A path opens as a sharded store; a store passes through as is.
+    cache = open_store(tmp_path)
+    assert isinstance(cache, ShardedResultStore)
+    assert open_store(cache) is cache
     report = run_workload_cell("aero", 500, "hm", requests=100, seed=3)
-    cache.put("abc123", report, meta={"scheme": "aero"})
-    assert "abc123" in cache
+    cache.put(KEYS["abc"], report, meta={"scheme": "aero"})
+    assert KEYS["abc"] in cache
     assert len(cache) == 1
-    assert cache.get("abc123") == report
-    assert cache.get("missing") is None
+    assert cache.get(KEYS["abc"]) == report
+    assert cache.get(KEYS["missing"]) is None
+    assert open_store(str(tmp_path)).get(KEYS["abc"]) == report
 
 
 def test_custom_workload_profile_runs_and_gets_own_cache_key(tmp_path):
@@ -185,7 +197,7 @@ def test_custom_workload_profile_runs_and_gets_own_cache_key(tmp_path):
     custom = WorkloadProfile("synthetic", "custom_0", "cst", 0.5, 16.0, 50.0)
     tweaked_hm = WorkloadProfile("msrc", "hm_0", "hm", 0.75, 8.0, 151.5,
                                  acceleration=10.0)
-    runner = GridRunner(cache_dir=tmp_path)
+    runner = GridRunner(cache=tmp_path)
     kwargs = dict(schemes=("baseline",), pec_points=(500,), requests=100,
                   seed=3)
     grid = runner.run(workloads=(custom,), **kwargs)
@@ -226,9 +238,16 @@ def test_fingerprint_sensitivity():
 
 
 # --- cache correctness regressions ------------------------------------------
-# Membership must match retrievability, concurrent puts must not
-# collide on tmp names, and gc's keep-newest-N budget must never evict
-# a healthy entry while keeping an unusable one.
+# Membership must match retrievability, concurrent puts of one key must
+# not lose it, and gc's keep-newest-N budget must never evict a healthy
+# entry while keeping an unusable one.
+
+#: Hex fingerprints (the store shards on their first digits).
+KEYS = {
+    name: (name.encode().hex() * 64)[:64]
+    for name in ("abc", "missing", "feed01", "feed02", "feed03",
+                 "c0ffee", "aaa", "bbb", "ccc", "ddd", "eee")
+}
 
 
 @pytest.fixture(scope="module")
@@ -236,42 +255,64 @@ def small_report():
     return run_workload_cell("aero", 500, "hm", requests=100, seed=3)
 
 
+def _segment(store, key):
+    return next((store.root / store.shard_of(key)).glob("seg-*.jsonl"))
+
+
+def _edit_record(store, key, **fields):
+    """Rewrite ``key``'s record line in place with ``fields`` merged."""
+    segment = _segment(store, key)
+    lines = []
+    for line in segment.read_text().splitlines():
+        record = json.loads(line)
+        if record["key"] == key:
+            record.update(fields)
+        lines.append(json.dumps(record))
+    segment.write_text("\n".join(lines) + "\n")
+
+
+def _put_corrupt(store, key, ts):
+    """Append a parsable record for ``key`` that has no report."""
+    directory = store.root / store.shard_of(key)
+    directory.mkdir(exist_ok=True)
+    record = {"version": CACHE_VERSION, "key": key, "ts": ts}
+    with (directory / "seg-000000.jsonl").open("a") as handle:
+        handle.write(json.dumps(record) + "\n")
+
+
 def test_contains_is_false_for_truncated_entry(tmp_path, small_report):
-    cache = ResultCache(tmp_path)
-    cache.put("feed01", small_report)
-    cache.path("feed01").write_text("{ truncated", encoding="utf-8")
-    # get() treats the torn file as a miss, so membership must too
-    assert cache.get("feed01") is None
-    assert "feed01" not in cache
+    cache = ShardedResultStore(tmp_path)
+    cache.put(KEYS["feed01"], small_report)
+    segment = _segment(cache, KEYS["feed01"])
+    segment.write_bytes(segment.read_bytes()[:40])  # torn mid-record
+    reopened = ShardedResultStore(tmp_path)
+    # get() treats the torn record as a miss, so membership must too
+    assert reopened.get(KEYS["feed01"]) is None
+    assert KEYS["feed01"] not in reopened
 
 
 def test_contains_is_false_for_stale_version_entry(tmp_path, small_report):
-    import json as _json
-
-    from repro.harness import CACHE_VERSION
-
-    cache = ResultCache(tmp_path)
-    cache.put("feed02", small_report)
-    data = _json.loads(cache.path("feed02").read_text())
-    data["version"] = CACHE_VERSION - 1
-    cache.path("feed02").write_text(_json.dumps(data), encoding="utf-8")
-    assert cache.get("feed02") is None
-    assert "feed02" not in cache
+    cache = ShardedResultStore(tmp_path)
+    cache.put(KEYS["feed02"], small_report)
+    _edit_record(cache, KEYS["feed02"], version=CACHE_VERSION - 1)
+    cache = ShardedResultStore(tmp_path)
+    assert cache.get(KEYS["feed02"]) is None
+    assert KEYS["feed02"] not in cache
     # a healthy sibling still reads as present
-    cache.put("feed03", small_report)
-    assert "feed03" in cache
+    cache.put(KEYS["feed03"], small_report)
+    assert KEYS["feed03"] in cache
 
 
 def test_concurrent_same_key_puts_do_not_collide(tmp_path, small_report):
     import threading
 
-    cache = ResultCache(tmp_path)
+    cache = ShardedResultStore(tmp_path)
     errors = []
 
     def hammer():
         try:
             for _ in range(20):
-                cache.put("c0ffee", small_report)
+                cache.put(KEYS["c0ffee"], small_report)
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -281,53 +322,49 @@ def test_concurrent_same_key_puts_do_not_collide(tmp_path, small_report):
     for thread in threads:
         thread.join()
     assert not errors
-    assert cache.get("c0ffee") == small_report
-    # unique tmp names: nothing orphaned, nothing clobbered mid-replace
-    assert list(tmp_path.glob("*.tmp.*")) == []
+    assert cache.get(KEYS["c0ffee"]) == small_report
+    # every append landed whole: one live key, the rest superseded
+    reopened = ShardedResultStore(tmp_path)
+    assert reopened.get(KEYS["c0ffee"]) == small_report
+    stats = reopened.stats()
+    assert (stats.keys, stats.superseded, stats.corrupt_lines) == (1, 79, 0)
 
 
-def test_put_tmp_names_are_unique_per_thread_and_call(tmp_path):
-    from repro.harness.cache import _TMP_COUNTER
+def _aged_store(tmp_path, report, healthy, corrupt):
+    """Healthy records 100 s old (oldest first), then newer corrupt ones."""
+    import time as _time
 
-    a, b = next(_TMP_COUNTER), next(_TMP_COUNTER)
-    assert a != b  # monotonic tick folded into every tmp name
+    cache = ShardedResultStore(tmp_path)
+    now = _time.time()
+    for index, name in enumerate(healthy):
+        cache.put(KEYS[name], report)
+        _edit_record(cache, KEYS[name], ts=now - 100 + index)
+    for index, name in enumerate(corrupt):
+        _put_corrupt(cache, KEYS[name], ts=now + index)
+    return ShardedResultStore(tmp_path)
 
 
 def test_gc_budget_prefers_healthy_over_corrupt(tmp_path, small_report):
-    import os
-    import time as _time
-
-    cache = ResultCache(tmp_path)
-    now = _time.time()
-    for index, key in enumerate(["aaa", "bbb", "ccc"]):
-        cache.put(key, small_report)
-        os.utime(cache.path(key), (now - 100 + index, now - 100 + index))
-    # two *newer* corrupt entries would win the old keep-newest-N pass
-    for index, key in enumerate(["ddd", "eee"]):
-        cache.path(key).write_text("{ torn", encoding="utf-8")
-        os.utime(cache.path(key), (now + index, now + index))
-
+    # two *newer* corrupt entries would win a naive keep-newest-N pass
+    cache = _aged_store(
+        tmp_path, small_report, ["aaa", "bbb", "ccc"], ["ddd", "eee"]
+    )
     result = cache.gc(max_entries=3, remove_corrupt=False)
     # the budget evicts the unusable entries first, keeping all healthy
-    assert {entry.key for entry in result.removed} == {"ddd", "eee"}
+    assert {entry.key for entry in result.removed} == {
+        KEYS["ddd"], KEYS["eee"]
+    }
     assert result.kept == 3
-    for key in ("aaa", "bbb", "ccc"):
-        assert key in cache
+    for name in ("aaa", "bbb", "ccc"):
+        assert KEYS[name] in cache
 
 
 def test_gc_budget_still_trims_oldest_healthy(tmp_path, small_report):
-    import os
-    import time as _time
-
-    cache = ResultCache(tmp_path)
-    now = _time.time()
-    for index, key in enumerate(["aaa", "bbb", "ccc"]):
-        cache.put(key, small_report)
-        os.utime(cache.path(key), (now - 100 + index, now - 100 + index))
-    cache.path("ddd").write_text("{ torn", encoding="utf-8")
-    os.utime(cache.path("ddd"), (now, now))
-
+    cache = _aged_store(tmp_path, small_report, ["aaa", "bbb", "ccc"], ["ddd"])
     result = cache.gc(max_entries=2, remove_corrupt=False)
     # corrupt first, then the oldest healthy entry
-    assert {entry.key for entry in result.removed} == {"ddd", "aaa"}
-    assert "bbb" in cache and "ccc" in cache
+    assert {entry.key for entry in result.removed} == {
+        KEYS["ddd"], KEYS["aaa"]
+    }
+    assert KEYS["bbb"] in cache and KEYS["ccc"] in cache
+    assert KEYS["aaa"] not in ShardedResultStore(tmp_path)

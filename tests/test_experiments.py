@@ -338,10 +338,10 @@ def test_run_experiments_executes_and_caches(tmp_path):
                        requests=150, seed=9)
         for scheme in ("baseline", "aero")
     ]
-    first = run_experiments(specs, cache_dir=tmp_path)
+    first = run_experiments(specs, cache=tmp_path)
     assert first.stats.executed == 2 and first.stats.cached == 0
     assert len(first.reports) == 2
-    second = run_experiments(specs, cache_dir=tmp_path)
+    second = run_experiments(specs, cache=tmp_path)
     assert second.stats.executed == 0 and second.stats.cached == 2
     # Cached replay is bit-identical.
     for a, b in zip(first.reports, second.reports):
@@ -354,8 +354,8 @@ def test_run_experiments_executes_and_caches(tmp_path):
 def test_run_experiments_shares_cache_with_grid_runner(tmp_path):
     spec = ExperimentSpec(scheme="baseline", pec=500, workload="hm",
                           requests=150, seed=9)
-    run_experiments([spec], cache_dir=tmp_path)
-    runner = GridRunner(cache_dir=tmp_path)
+    run_experiments([spec], cache=tmp_path)
+    runner = GridRunner(cache=tmp_path)
     runner.run(schemes=("baseline",), pec_points=(500,), workloads=("hm",),
                requests=150, seed=9)
     assert runner.stats.cached == 1 and runner.stats.executed == 0
@@ -369,7 +369,7 @@ def test_run_experiments_rejects_empty():
 def test_spec_run_convenience(tmp_path):
     report = ExperimentSpec(
         scheme="baseline", pec=500, workload="hm", requests=150, seed=9
-    ).run(cache_dir=tmp_path)
+    ).run(cache=tmp_path)
     assert report.requests_completed == 150
 
 

@@ -20,7 +20,6 @@ from repro.campaign import (
 )
 from repro.errors import ConfigError
 from repro.harness import GridRunner, SerialExecutor
-from repro.harness.cache import ResultCache
 from repro.lifetime import (
     LifetimeCurve,
     LifetimeSpec,
@@ -164,13 +163,13 @@ def test_cached_compare_bit_identical_to_fresh_serial(tmp_path):
 
 
 def test_flag_and_spec_paths_share_cache_entries(tmp_path):
-    cache_dir = tmp_path / "cache"
+    store_dir = tmp_path / "store"
     compare_schemes(
         profile_by_name(SPEC.profile), scheme_keys=SPEC.schemes,
         block_count=SPEC.block_count, step=SPEC.step, max_pec=SPEC.max_pec,
-        cache_dir=cache_dir,
+        cache=store_dir,
     )
-    runner = GridRunner(cache=ResultCache(cache_dir))
+    runner = GridRunner(cache=ShardedResultStore(store_dir))
     runner.execute_jobs(SPEC.jobs())
     assert runner.stats.executed == 0
     assert runner.stats.cached == len(SPEC.schemes)
@@ -183,7 +182,7 @@ def test_adhoc_profile_cannot_cache():
         profile_by_name(SPEC.profile), name="tweaked"
     )
     with pytest.raises(ConfigError, match="built-in"):
-        compare_schemes(adhoc, scheme_keys=("baseline",), cache_dir="x")
+        compare_schemes(adhoc, scheme_keys=("baseline",), cache="x")
 
 
 # --- mixed-family campaigns --------------------------------------------------

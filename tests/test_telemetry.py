@@ -28,7 +28,7 @@ from repro.campaign.store import record_checksum
 from repro.errors import ConfigError
 from repro.experiments.cli import main
 from repro.harness import GridRunner, SerialExecutor, run_workload_cell
-from repro.harness.cache import CACHE_VERSION, ResultCache
+from repro.harness.cache import CACHE_VERSION
 from repro.telemetry import (
     MetricsRegistry,
     parse_text_format,
@@ -434,25 +434,27 @@ def test_replay_metrics_identical_across_engines():
 
 def test_cache_backend_counts_hits_misses_and_bad_entries(tmp_path, report):
     with scoped_registry() as registry:
-        cache = ResultCache(tmp_path)
+        cache = GridRunner(cache=tmp_path).cache
         key = "d" * 64
         assert cache.get(key) is None            # absent -> plain miss
         cache.put(key, report)
         assert cache.get(key) == report          # hit
-        cache.path(key).write_text("{not json", encoding="utf-8")
-        assert cache.get(key) is None            # torn -> miss + reason
+        [(path, _)] = list(_segment_lines(tmp_path))
+        path.write_text("{not json", encoding="utf-8")
+        torn = ShardedResultStore(tmp_path)
+        assert torn.get(key) is None             # torn -> miss + reason
         families = families_of(registry)
         assert families["repro_store_puts_total"].value(
-            {"backend": "cache"}
+            {"backend": "sharded"}
         ) == 1
         assert families["repro_store_gets_total"].value(
-            {"backend": "cache", "outcome": "hit"}
+            {"backend": "sharded", "outcome": "hit"}
         ) == 1
         assert families["repro_store_gets_total"].value(
-            {"backend": "cache", "outcome": "miss"}
+            {"backend": "sharded", "outcome": "miss"}
         ) == 2
         assert families["repro_store_bad_entries_total"].value(
-            {"backend": "cache", "reason": "torn"}
+            {"backend": "sharded", "reason": "torn"}
         ) == 1
 
 
@@ -468,14 +470,6 @@ def test_cli_run_with_store_backend(tmp_path, capsys):
     assert "served from cache: 1" in capsys.readouterr().out
     # the same store resumes a campaign CLI invocation
     assert ShardedResultStore(store_dir).stats().keys == 1
-
-
-def test_cli_store_and_cache_dir_conflict(tmp_path, capsys):
-    assert main([
-        "run", "--store", str(tmp_path / "a"),
-        "--cache-dir", str(tmp_path / "b"),
-    ]) == 2
-    assert "either --store or --cache-dir" in capsys.readouterr().err
 
 
 def test_cli_metrics_dump_validates_and_requires(tmp_path, capsys):
