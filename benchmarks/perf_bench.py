@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Perf-trajectory bench: times the hot campaigns, writes BENCH_PR5.json.
+"""Perf-trajectory bench: times the hot campaigns, writes ``--out``.
 
 Standalone face of ``python -m repro bench`` (same flags, same
 artifact). Not a pytest module — run it directly:
 
-    PYTHONPATH=src python benchmarks/perf_bench.py            # full
-    PYTHONPATH=src python benchmarks/perf_bench.py --smoke    # CI-sized
+    PYTHONPATH=src python benchmarks/perf_bench.py --out BENCH_PR<N>.json
+    PYTHONPATH=src python benchmarks/perf_bench.py --smoke --out BENCH_smoke.json
 
 The artifact records median-of-N wall times for the five-scheme
 Figure 13 lifetime sweep on both engines (object vs vectorized kernel,

@@ -34,7 +34,7 @@ from repro.core.ept import (
     published_aggressive_table,
     published_conservative_table,
 )
-from repro.core.felp import FelpPredictor, PulsePrediction
+from repro.core.felp import Decision, FelpPredictor
 from repro.erase.scheme import EraseOperationResult, EraseScheme
 from repro.errors import ConfigError
 from repro.nand.block import Block
@@ -113,14 +113,22 @@ class AeroEraseScheme(EraseScheme):
         """Erase ``block``; ``use_shallow`` overrides the internal SEF."""
         self._use_shallow_override = use_shallow
         try:
-            return super().erase(block, rng, cycles=cycles)
+            result = super().erase(block, rng, cycles=cycles)
         finally:
             self._use_shallow_override = None
+        # Pulses saved against the Baseline ladder's final loop, which
+        # ``EraseScheme.erase`` has now settled into ``result.loops``.
+        per_loop = self.profile.pulses_per_loop
+        self.stats.pulses_applied += result.total_pulses
+        self.stats.pulses_saved_vs_baseline += max(
+            0, per_loop * result.loops - result.total_pulses
+        )
+        return result
 
     def batch_kernel(self):
         from repro.kernels.erase import AeroBatchKernel
 
-        return AeroBatchKernel.from_scheme(self)
+        return AeroBatchKernel(self)
 
     def shallow_enabled(self, block: Block) -> bool:
         """Whether the internal SEF would use shallow erasure on ``block``."""
@@ -130,6 +138,12 @@ class AeroEraseScheme(EraseScheme):
         self.stats = AeroStats()
 
     # --- scheme body ------------------------------------------------------------
+
+    def _decide(self, loop: int, fail_bits: int) -> Decision:
+        """FELP decision ``(pulses, reduced, aggressive)`` for EP(loop)."""
+        rows = self.predictor.table[self.aggressive]
+        row = rows[min(loop, len(rows)) - 1]
+        return row[self.profile.failbit_range_index(fail_bits)]
 
     def _run(
         self,
@@ -144,7 +158,6 @@ class AeroEraseScheme(EraseScheme):
         if use_shallow is None:
             use_shallow = self.shallow_enabled(block)
 
-        fail_bits: Optional[int] = None
         if use_shallow:
             fail_bits = self._first_loop_shallow(block, state, result, rng)
         else:
@@ -153,23 +166,21 @@ class AeroEraseScheme(EraseScheme):
             if state.passes(fail_bits):
                 result.completed = True
         if result.completed or result.accepted_under_erase:
-            self._finish_stats(result)
             return
 
         for loop in range(2, self.profile.max_loops + 1):
-            prediction = self.predictor.predict(
-                loop, fail_bits, use_margin=self.aggressive
-            )
-            if prediction.skipped_entirely and prediction.aggressive:
+            pulses, reduced, aggressive = self._decide(loop, fail_bits)
+            if aggressive and pulses == 0:  # skip the loop outright
                 self._accept_under_erase(result, fail_bits, nispe=loop)
                 break
-            pulses = self._maybe_inject_misprediction(prediction, rng)
+            pulses = self._maybe_inject_misprediction(pulses, reduced, rng)
             self._pulse(state, result, loop, pulses)
             fail_bits = self._verify(state, result, rng)
-            if self._settle_loop(state, result, rng, prediction, fail_bits):
+            if self._settle_loop(
+                state, result, rng, reduced, aggressive, fail_bits
+            ):
                 break
             fail_bits = result.fail_bit_trace[-1]
-        self._finish_stats(result)
 
     # --- first loop with shallow erasure -------------------------------------------
 
@@ -191,20 +202,19 @@ class AeroEraseScheme(EraseScheme):
             result.completed = True
             self._record_shallow_outcome(block, result, useful=True)
             return fail_bits
-        prediction = self.predictor.predict(
-            1, fail_bits, use_margin=self.aggressive
-        )
-        if prediction.skipped_entirely and prediction.aggressive:
+        pulses, reduced, aggressive = self._decide(1, fail_bits)
+        if aggressive and pulses == 0:
             self._accept_under_erase(result, fail_bits, nispe=1)
             self._record_shallow_outcome(block, result, useful=True)
             return fail_bits
         remainder_cap = per_loop - self.shallow_pulses
-        pulses = min(prediction.pulses, remainder_cap)
-        pulses = self._maybe_inject_misprediction(prediction, rng, cap=pulses)
+        pulses = self._maybe_inject_misprediction(
+            min(pulses, remainder_cap), reduced, rng
+        )
         useful = (self.shallow_pulses + pulses) < per_loop
         self._pulse(state, result, 1, pulses)
         fail_bits = self._verify(state, result, rng)
-        self._settle_loop(state, result, rng, prediction, fail_bits)
+        self._settle_loop(state, result, rng, reduced, aggressive, fail_bits)
         self._record_shallow_outcome(block, result, useful=useful)
         return result.fail_bit_trace[-1]
 
@@ -223,7 +233,8 @@ class AeroEraseScheme(EraseScheme):
         state: EraseState,
         result: EraseOperationResult,
         rng: np.random.Generator,
-        prediction: PulsePrediction,
+        reduced: bool,
+        aggressive: bool,
         fail_bits: int,
     ) -> bool:
         """Resolve one loop's verify-read; returns True when the op is done.
@@ -243,13 +254,13 @@ class AeroEraseScheme(EraseScheme):
         # not that it is two pulses from done — accepting there would
         # leave cells the current voltage cannot finish.
         if (
-            prediction.aggressive
+            aggressive
             and fail_bits <= threshold
             and state.pulses_in_loop < per_loop
         ):
             self._accept_under_erase(result, fail_bits, nispe=state.loop)
             return True
-        if not prediction.reduced:
+        if not reduced:
             return False  # Natural ISPE failure; ladder escalates.
         # Misprediction: the reduced pulse was not enough. Repair with
         # single pulse quanta at the same VERASE while the loop budget
@@ -263,7 +274,7 @@ class AeroEraseScheme(EraseScheme):
                 result.completed = True
                 return True
             if (
-                prediction.aggressive
+                aggressive
                 and fail_bits <= threshold
                 and state.pulses_in_loop < per_loop
             ):
@@ -277,33 +288,25 @@ class AeroEraseScheme(EraseScheme):
         result.accepted_under_erase = True
         result.residual_fail_bits = fail_bits
         result.residual_nispe = nispe
+        # The skipped or truncated loop counts as the erase's last.
+        result.loops = max(result.loops, nispe)
         self.stats.aggressive_accepts += 1
 
     # --- misprediction injection (Figure 16 sensitivity hook) -------------------------
 
     def _maybe_inject_misprediction(
         self,
-        prediction: PulsePrediction,
+        pulses: int,
+        reduced: bool,
         rng: np.random.Generator,
-        cap: Optional[int] = None,
     ) -> int:
         """Optionally under-predict by one quantum (sensitivity study)."""
-        pulses = prediction.pulses if cap is None else cap
         if (
             self.mispredict_rate > 0.0
-            and prediction.reduced
+            and reduced
             and pulses > 0
             and rng.random() < self.mispredict_rate
         ):
             self.stats.injected_mispredictions += 1
             return pulses - 1
         return pulses
-
-    def _finish_stats(self, result: EraseOperationResult) -> None:
-        per_loop = self.profile.pulses_per_loop
-        loops = max(1, result.loops, result.residual_nispe)
-        result.loops = loops
-        self.stats.pulses_applied += result.total_pulses
-        self.stats.pulses_saved_vs_baseline += max(
-            0, per_loop * loops - result.total_pulses
-        )

@@ -94,11 +94,14 @@ class EraseTimingTable:
 
     def lookup_pulses(self, profile: ChipProfile, loop: int, fail_bits: int) -> int:
         """Pulse quanta for ``EP(loop)`` given ``F(loop-1) = fail_bits``."""
+        return self.pulses_at(loop, profile.failbit_range_index(fail_bits))
+
+    def pulses_at(self, loop: int, index: int) -> int:
+        """Pulse quanta for ``EP(loop)`` after fail-bit range ``index``."""
         row = self.row(min(loop, self.loops))
-        range_index = profile.failbit_range_index(fail_bits)
-        if range_index >= len(row):
+        if index >= len(row):
             return self.default_pulses
-        return row[range_index]
+        return row[index]
 
     def to_milliseconds(self, profile: ChipProfile) -> List[List[float]]:
         """Render the table in milliseconds (for reports / Table 1)."""

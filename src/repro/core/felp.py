@@ -11,7 +11,7 @@ so the scheme knows an under-erased verify result is intentional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.ept import EraseTimingTable
 from repro.errors import ConfigError
@@ -41,8 +41,20 @@ class PulsePrediction:
         return self.pulses == 0
 
 
+#: One FELP decision: ``(pulses, reduced, aggressive)``.
+Decision = Tuple[int, bool, bool]
+
+
 class FelpPredictor:
-    """EPT-backed erase-latency prediction (conservative + aggressive)."""
+    """EPT-backed erase-latency prediction (conservative + aggressive).
+
+    Every decision is precomputed into :attr:`table`:
+    ``table[use_margin][row][range_index]`` is the :data:`Decision` for
+    ``EP(loop)`` (row ``min(loop, rows) - 1``) after a verify-read in
+    fail-bit range ``range_index``, the last range being "above FHIGH".
+    The AERO scheme reads it at each ladder step, the AERO batch kernel
+    indexes it as an array, and :meth:`predict` wraps it.
+    """
 
     def __init__(
         self,
@@ -57,6 +69,30 @@ class FelpPredictor:
         self.profile = profile
         self.conservative = conservative
         self.aggressive = aggressive
+        self.table = (self._decisions(None), self._decisions(aggressive))
+
+    def _decisions(
+        self, margin: Optional[EraseTimingTable]
+    ) -> Tuple[Tuple[Decision, ...], ...]:
+        """Decision rows with the ``margin`` table applied (None: none)."""
+        conservative = self.conservative
+        default = conservative.default_pulses
+        ranges = len(self.profile.failbit_range_edges())
+        loops = max(conservative.loops, margin.loops if margin else 0)
+        rows = []
+        for loop in range(1, loops + 1):
+            row = []
+            for index in range(ranges):
+                pulses = base = conservative.pulses_at(loop, index)
+                if margin is not None:
+                    pulses = margin.pulses_at(loop, index)
+                # An aggressive entry equal to the conservative one is not
+                # an intentional under-erase (e.g. Table 1 row 5: t2 == t1).
+                row.append((pulses, pulses < default, pulses != base))
+            # Above FHIGH the default full pulse applies: no reduction room.
+            row.append((default, False, False))
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @property
     def f_pass(self) -> int:
@@ -83,38 +119,18 @@ class FelpPredictor:
         near-optimal latency. ``use_margin`` selects the aggressive
         table when one is available.
         """
-        default = self.conservative.default_pulses
+        if loop < 1:
+            raise ConfigError(f"EPT has no row for loop {loop}")
+        rows = self.table[bool(use_margin)]
         range_index = self.profile.failbit_range_index(fail_bits)
-        if fail_bits > self.f_high:
-            return PulsePrediction(
-                loop=loop,
-                fail_bits=fail_bits,
-                range_index=range_index,
-                pulses=default,
-                reduced=False,
-                aggressive=False,
-            )
-        if use_margin and self.aggressive is not None:
-            pulses = self.aggressive.lookup_pulses(
-                self.profile, loop, fail_bits
-            )
-            conservative_pulses = self.conservative.lookup_pulses(
-                self.profile, loop, fail_bits
-            )
-            # An aggressive entry equal to the conservative one is not
-            # an intentional under-erase (e.g. Table 1 row 5: t2 == t1).
-            aggressive = pulses != conservative_pulses
-        else:
-            pulses = self.conservative.lookup_pulses(
-                self.profile, loop, fail_bits
-            )
-            aggressive = False
+        row = rows[min(loop, len(rows)) - 1]
+        pulses, reduced, aggressive = row[range_index]
         return PulsePrediction(
             loop=loop,
             fail_bits=fail_bits,
             range_index=range_index,
             pulses=pulses,
-            reduced=pulses < default,
+            reduced=reduced,
             aggressive=aggressive,
         )
 

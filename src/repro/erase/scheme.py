@@ -13,7 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -43,25 +43,6 @@ class EraseSegment:
     def __post_init__(self) -> None:
         if self.duration_us < 0:
             raise ValueError("segment duration must be non-negative")
-
-
-# Frozen segments are shareable, and erase ladders draw from a handful
-# of (duration, loop, pulses) combinations, so the record methods below
-# intern them instead of constructing ~5 fresh objects per erase.
-_SEGMENT_CACHE: dict = {}
-
-
-def _segment(
-    kind: SegmentKind, duration_us: float, loop: int, pulses: int = 0
-) -> EraseSegment:
-    key = (kind, duration_us, loop, pulses)
-    segment = _SEGMENT_CACHE.get(key)
-    if segment is None:
-        segment = EraseSegment(
-            kind=kind, duration_us=duration_us, loop=loop, pulses=pulses
-        )
-        _SEGMENT_CACHE[key] = segment
-    return segment
 
 
 @dataclass
@@ -109,24 +90,6 @@ class EraseOperationResult:
             if segment.kind is SegmentKind.ERASE_PULSE
         )
 
-    def add_pulse(self, timing: NandTiming, loop: int, pulses: int) -> None:
-        """Record an erase-pulse segment."""
-        self.segments.append(
-            _segment(
-                SegmentKind.ERASE_PULSE,
-                timing.erase_pulse_us(pulses),
-                loop,
-                pulses,
-            )
-        )
-        self.total_pulses += pulses
-
-    def add_verify(self, timing: NandTiming, loop: int) -> None:
-        """Record a verify-read segment."""
-        self.segments.append(
-            _segment(SegmentKind.VERIFY_READ, timing.t_vr_us, loop)
-        )
-
 
 class EraseScheme(ABC):
     """Base class for erase schemes.
@@ -142,6 +105,12 @@ class EraseScheme(ABC):
     def __init__(self, profile: ChipProfile):
         self.profile = profile
         self.timing = NandTiming.from_profile(profile)
+        # Frozen segments are shareable and a ladder draws from a handful
+        # of steps, so each scheme interns its erase-pulse segments by
+        # ``(loop, pulses)`` and its verify-read segments by loop instead
+        # of building ~5 fresh objects per erase.
+        self._pulse_segments: Dict[Tuple[int, int], EraseSegment] = {}
+        self._verify_segments: Dict[int, EraseSegment] = {}
 
     def erase(
         self,
@@ -218,7 +187,16 @@ class EraseScheme(ABC):
             state.start_loop(loop)
         if pulses > 0:
             state.apply_pulses(pulses)
-        result.add_pulse(self.timing, loop, pulses)
+        segment = self._pulse_segments.get((loop, pulses))
+        if segment is None:
+            segment = self._pulse_segments[(loop, pulses)] = EraseSegment(
+                SegmentKind.ERASE_PULSE,
+                self.timing.erase_pulse_us(pulses),
+                loop,
+                pulses,
+            )
+        result.segments.append(segment)
+        result.total_pulses += pulses
 
     def _verify(
         self,
@@ -228,7 +206,12 @@ class EraseScheme(ABC):
     ) -> int:
         """Run one verify-read step; returns the measured fail-bit count."""
         fail_bits = state.verify_read(rng)
-        result.add_verify(self.timing, state.loop)
+        segment = self._verify_segments.get(state.loop)
+        if segment is None:
+            segment = self._verify_segments[state.loop] = EraseSegment(
+                SegmentKind.VERIFY_READ, self.timing.t_vr_us, state.loop
+            )
+        result.segments.append(segment)
         result.fail_bit_trace.append(fail_bits)
         return fail_bits
 

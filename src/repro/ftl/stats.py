@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 
 @dataclass
@@ -20,6 +20,10 @@ class FtlStats:
     erase_pulses_total: int = 0
     wear_leveling_moves: int = 0
     per_scheme_erases: Dict[str, int] = field(default_factory=dict)
+    #: Erase latencies not yet flushed into the telemetry histogram.
+    pending_erase_latencies_us: List[float] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     @property
     def write_amplification(self) -> float:
@@ -39,12 +43,6 @@ class FtlStats:
         self.erase_latency_total_us += latency_us
         self.erase_pulses_total += pulses
         self.per_scheme_erases[scheme] = self.per_scheme_erases.get(scheme, 0) + 1
-        # Telemetry rides the same boundary: erases arrive here from
-        # both engines (the kernel path delegates real erases to the
-        # FTL), a few hundred per cell at most.
-        from repro.telemetry.instruments import ftl_erase_metrics
-
-        metrics = ftl_erase_metrics()
-        metrics.erases.inc()
-        metrics.pulses.inc(pulses)
-        metrics.latency.observe(latency_us / 1e6)
+        # Telemetry takes these at the end of the replay
+        # (:func:`repro.telemetry.instruments.observe_replay`).
+        self.pending_erase_latencies_us.append(latency_us)

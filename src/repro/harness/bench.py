@@ -1,13 +1,15 @@
-"""Perf-tracking bench harness: the ``BENCH_PR5.json`` trajectory artifact.
+"""Perf-tracking bench harness: the ``BENCH_<label>.json`` trajectory artifact.
 
 Times the two hot campaign shapes — the five-scheme Figure 13 lifetime
 sweep (object vs kernel engine, equal block count and step) and one
 evaluation-grid cell (object event loop vs lean replay kernel,
 bit-identical reports) — as median-of-N wall times, and writes a JSON
-artifact future PRs can diff to catch regressions. Exposed as
-``python -m repro bench`` and as the standalone
-``benchmarks/perf_bench.py`` script; CI runs it in ``--smoke`` mode
-(tiny block counts) on every push and uploads the artifact.
+artifact future PRs can diff to catch regressions. ``--out`` names the
+artifact and its stem is the artifact's ``label`` (``BENCH_smoke.json``
+is labelled ``BENCH_smoke``). Exposed as ``python -m repro bench`` and
+as the standalone ``benchmarks/perf_bench.py`` script; CI runs it in
+``--smoke`` mode (tiny block counts) on every push and uploads the
+artifact.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Bump when the artifact layout changes.
 ARTIFACT_VERSION = 1
-
-#: Default artifact path (repo-relative), named after the PR that
-#: last moved the perf trajectory.
-DEFAULT_ARTIFACT = "BENCH_PR5.json"
 
 
 @dataclass(frozen=True)
@@ -195,11 +193,11 @@ def bench_grid_cell(config: BenchConfig) -> Dict[str, object]:
     }
 
 
-def run_bench(config: BenchConfig) -> Dict[str, object]:
+def run_bench(config: BenchConfig, label: str) -> Dict[str, object]:
     """Run the full bench and assemble the artifact payload."""
     return {
         "version": ARTIFACT_VERSION,
-        "label": "PR5",
+        "label": label,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": _platform.python_version(),
         "machine": _platform.machine(),
@@ -218,8 +216,9 @@ def write_artifact(payload: Dict[str, object], path: str) -> None:
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the bench flags (shared by the CLI and the script)."""
     defaults = BenchConfig()
-    parser.add_argument("--out", default=DEFAULT_ARTIFACT,
-                        help=f"artifact path (default: {DEFAULT_ARTIFACT})")
+    parser.add_argument("--out", required=True,
+                        help="artifact path; its stem is the artifact label "
+                             "(e.g. BENCH_PR<N>.json)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny CI-sized campaign (seconds, not minutes)")
     parser.add_argument("--profile", default=defaults.profile)
@@ -262,7 +261,7 @@ def config_from_args(args: argparse.Namespace) -> BenchConfig:
 def run_from_args(args: argparse.Namespace) -> int:
     """Execute the bench described by parsed flags; returns exit code."""
     config = config_from_args(args)
-    payload = run_bench(config)
+    payload = run_bench(config, Path(args.out).stem)
     write_artifact(payload, args.out)
     sweep = payload["lifetime_sweep"]
     if args.json:

@@ -30,7 +30,10 @@ How identity is preserved:
   the kernel syncs the victim block's write pointer and calls the real
   ``ftl._erase_block``, so scheme code, ``ftl.rng`` draws, wear
   accounting, SEF/feature-command bookkeeping, and per-erase
-  ``FtlStats`` updates are the object path's own, in the same order.
+  ``FtlStats`` counters are the object path's own, in the same order.
+  Erase telemetry is flushed at the replay boundary
+  (:func:`~repro.telemetry.instruments.observe_replay`), as on the
+  object path.
 * **Mutable device state** — block wear, scheme memories, and erase
   statistics live on the real objects throughout; page states, the
   mapping table, the per-plane allocators, and the bulk ``FtlStats``

@@ -11,10 +11,12 @@ object scheme in :mod:`repro.erase` / :mod:`repro.core.aero`:
   the object path's damage trajectory exactly, pulse for pulse.
 * ``aero`` / ``aero_cons`` replay the full FELP ladder — shallow probe,
   EPT prediction, aggressive acceptance, misprediction repair — with
-  masked array steps. Verify-read noise is drawn from the kernel's own
-  generator (vectorized draws cannot interleave with the object path's
-  shared stream), so trajectories match statistically, not bit for bit;
-  the equivalence suite pins lifetime PEC and trajectory tolerance.
+  masked array steps, reading the scheme's own FELP decision table
+  (:attr:`~repro.core.felp.FelpPredictor.table`). Verify-read noise is
+  drawn from the kernel's own generator (vectorized draws cannot
+  interleave with the object path's shared stream), so trajectories
+  match statistically, not bit for bit; the equivalence suite pins
+  lifetime PEC and trajectory tolerance.
 
 Kernels are stateful where the schemes are (i-ISPE loop memory, AERO
 shallow-erase flags): create one kernel per block population and reuse
@@ -351,82 +353,39 @@ def _verify_batch(
 class AeroBatchKernel(BatchEraseKernel):
     """AERO / AEROcons: the FELP ladder as masked array steps."""
 
-    def __init__(
-        self,
-        profile: ChipProfile,
-        conservative_rows: np.ndarray,
-        aggressive_rows: Optional[np.ndarray],
-        default_pulses: int,
-        acceptance_threshold: int,
-        shallow_pulses: int,
-        mispredict_rate: float = 0.0,
-    ):
-        super().__init__(profile)
-        self.scheme_key = "aero" if aggressive_rows is not None else "aero_cons"
-        self._cons = np.asarray(conservative_rows, dtype=np.int64)
-        self._agg = (
-            None
-            if aggressive_rows is None
-            else np.asarray(aggressive_rows, dtype=np.int64)
-        )
-        self._default = int(default_pulses)
-        self._threshold = int(acceptance_threshold)
-        self.shallow_pulses = int(shallow_pulses)
-        self.mispredict_rate = float(mispredict_rate)
-        self._edges = np.asarray(profile.failbit_range_edges(), dtype=np.int64)
-        self._shallow: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_scheme(cls, scheme) -> "AeroBatchKernel":
-        """Build the kernel from a configured :class:`AeroEraseScheme`."""
+    def __init__(self, scheme):
+        """Bind the kernel to a configured :class:`AeroEraseScheme`."""
+        super().__init__(scheme.profile)
+        self.scheme_key = scheme.name
         predictor = scheme.predictor
-        cons = predictor.conservative
-        cons_rows = np.array(
-            [cons.row(loop) for loop in range(1, cons.loops + 1)]
+        #: ``_felp[row, range_index]`` is the scheme's own FELP decision
+        #: ``(pulses, reduced, aggressive)`` (:attr:`FelpPredictor.table`).
+        self._felp = np.array(
+            predictor.table[scheme.aggressive], dtype=np.int64
         )
-        agg_rows = None
-        if scheme.aggressive and predictor.aggressive is not None:
-            agg = predictor.aggressive
-            agg_rows = np.array(
-                [agg.row(loop) for loop in range(1, agg.loops + 1)]
-            )
-        return cls(
-            scheme.profile,
-            cons_rows,
-            agg_rows,
-            cons.default_pulses,
-            predictor.acceptance_threshold(),
-            scheme.shallow_pulses,
-            mispredict_rate=scheme.mispredict_rate,
+        self._threshold = predictor.acceptance_threshold()
+        self.shallow_pulses = scheme.shallow_pulses
+        self.mispredict_rate = scheme.mispredict_rate
+        self._edges = np.asarray(
+            scheme.profile.failbit_range_edges(), dtype=np.int64
         )
+        self._shallow: Optional[np.ndarray] = None
 
     # --- FELP prediction ------------------------------------------------------
 
     def _predict(
         self, loop: int, fail_bits: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`FelpPredictor.predict` for one ladder loop.
-
-        Returns ``(pulses, reduced, aggressive)`` arrays; above FHIGH
-        the default full-length pulse applies and neither flag is set.
-        """
-        row = min(loop, self._cons.shape[0]) - 1
-        range_index = np.searchsorted(self._edges, fail_bits, side="left")
-        in_table = range_index < self._edges.shape[0]
-        index = np.minimum(range_index, self._edges.shape[0] - 1)
-        cons_pulses = self._cons[row, index]
-        if self._agg is not None:
-            agg_pulses = self._agg[row, index]
-            aggressive = in_table & (agg_pulses != cons_pulses)
-            pulses = np.where(
-                in_table, np.where(aggressive, agg_pulses, cons_pulses),
-                self._default,
-            )
-        else:
-            aggressive = np.zeros(fail_bits.shape[0], dtype=bool)
-            pulses = np.where(in_table, cons_pulses, self._default)
-        reduced = pulses < self._default
-        return pulses, reduced, aggressive
+        """Vectorized FELP lookup: ``(pulses, reduced, aggressive)`` arrays."""
+        row = min(loop, self._felp.shape[0]) - 1
+        decisions = self._felp[
+            row, np.searchsorted(self._edges, fail_bits, side="left")
+        ]
+        return (
+            decisions[:, 0],
+            decisions[:, 1].astype(bool),
+            decisions[:, 2].astype(bool),
+        )
 
     def _inject(
         self,

@@ -158,6 +158,7 @@ class Block:
             residual_fail_bits=residual_fail_bits,
             nispe=nispe,
             cycles=cycles,
+            baseline=state.baseline_damage,
         )
         self.erase_count += cycles
         # Reset the page lists in place, and only up to the write

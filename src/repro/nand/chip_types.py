@@ -18,6 +18,7 @@ paper reports from silicon; they are not vendor data.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Tuple
@@ -60,17 +61,22 @@ class EraseWorkModel:
         (8.0, 24.0),
     )
 
+    @cached_property
+    def _floor_x(self) -> Tuple[float, ...]:
+        return tuple(x for x, _ in self.floor_points)
+
     def floor_pulses(self, pec: int) -> float:
         """Interpolated minimum work (pulses) at ``pec`` P/E cycles."""
         kilo = pec / 1000.0
         points = self.floor_points
         if kilo <= points[0][0]:
             return points[0][1]
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            if kilo <= x1:
-                frac = (kilo - x0) / (x1 - x0)
-                return y0 + frac * (y1 - y0)
-        return points[-1][1]
+        upper = bisect_left(self._floor_x, kilo)  # first x >= kilo
+        if upper == len(points):
+            return points[-1][1]
+        (x0, y0), (x1, y1) = points[upper - 1], points[upper]
+        frac = (kilo - x0) / (x1 - x0)
+        return y0 + frac * (y1 - y0)
 
 
 @dataclass(frozen=True)
@@ -274,11 +280,7 @@ class ChipProfile:
         Returns 0 for ``F <= gamma``, k for ``(k-1)*delta < F <= k*delta``,
         and ``f_high_deltas + 1`` for counts above FHIGH (no reduction).
         """
-        edges = self.failbit_range_edges()
-        for index, edge in enumerate(edges):
-            if fail_bits <= edge:
-                return index
-        return len(edges)
+        return bisect_left(self._failbit_range_edges, fail_bits)
 
 
 # --- the three characterized chip families ------------------------------------

@@ -38,8 +38,8 @@ equals PEC/1000 and the characterization figures calibrate directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +59,6 @@ FAILBIT_SATURATION_DELTAS = 8.0
 ERASE_JITTER_STD = 0.35
 
 
-@dataclass
 class EraseState:
     """Ladder position of one in-flight erase operation.
 
@@ -69,22 +68,38 @@ class EraseState:
     ``1..v-1`` grants ``jump_efficiency * 7 * (v-1)`` units of voltage
     credit (the higher voltage instantly achieves most of what gentler
     loops would have, fully so on 2D chips).
+
+    ``baseline_damage`` is the wear-age normalizer of this erase (what a
+    Baseline ISPE erase would inflict at the pre-erase wear age);
+    :meth:`BlockEraseModel.begin_erase` fills it in, and a bare state
+    leaves it ``None`` for :meth:`WearState.record_erase` to compute.
     """
 
-    required: int
-    profile: ChipProfile
-    #: Multiplier on per-pulse damage; erase-voltage-scaling schemes
-    #: (DPES) lower it below 1.0 to model the gentler pulse.
-    damage_scale: float = 1.0
-    progress: float = 0.0
-    loop: int = 0
-    pulses_in_loop: int = 0
-    total_pulses: int = 0
-    damage: float = 0.0
-    loops_started: int = 0
-    skipped_loops: int = 0
-    last_fail_bits: Optional[int] = None
-    pulse_log: List[int] = field(default_factory=list)
+    __slots__ = (
+        "required", "profile", "damage_scale", "baseline_damage",
+        "progress", "loop", "pulses_in_loop", "total_pulses", "damage",
+        "skipped_loops",
+    )
+
+    def __init__(
+        self,
+        required: int,
+        profile: ChipProfile,
+        damage_scale: float = 1.0,
+        baseline_damage: Optional[float] = None,
+    ):
+        self.required = required
+        self.profile = profile
+        #: Multiplier on per-pulse damage; erase-voltage-scaling schemes
+        #: (DPES) lower it below 1.0 to model the gentler pulse.
+        self.damage_scale = damage_scale
+        self.baseline_damage = baseline_damage
+        self.progress = 0.0
+        self.loop = 0
+        self.pulses_in_loop = 0
+        self.total_pulses = 0
+        self.damage = 0.0
+        self.skipped_loops = 0
 
     # --- queries ------------------------------------------------------------
 
@@ -115,11 +130,9 @@ class EraseState:
             raise EraseSchemeError(
                 f"cannot lower erase voltage (loop {self.loop} -> {voltage_loop})"
             )
-        per_loop = self.profile.pulses_per_loop
         if voltage_loop == self.loop:
-            # Retry at the same voltage: misprediction handling path.
-            self.loops_started += 1
-            return
+            return  # Retry at the same voltage: misprediction handling.
+        per_loop = self.profile.pulses_per_loop
         continuous = voltage_loop == 1 or (
             voltage_loop == self.loop + 1 and self.pulses_in_loop >= per_loop
         )
@@ -130,7 +143,6 @@ class EraseState:
         self.progress = max(self.progress, credit)
         self.loop = voltage_loop
         self.pulses_in_loop = 0
-        self.loops_started += 1
 
     def apply_pulses(self, count: int) -> float:
         """Apply ``count`` pulse quanta at the current loop voltage.
@@ -151,8 +163,8 @@ class EraseState:
             damage_per_pulse *= (
                 1.0 + _skip_stress(self.profile) * self.skipped_loops
             )
-        # Hot path: the per-pulse state lives in locals for the loop;
-        # the counters/log are batch-updated after (nothing reads them
+        # Hot path: the per-pulse state lives in locals for the loop and
+        # the counters are batch-updated after (nothing reads them
         # mid-loop). Progress still advances one pulse at a time so the
         # float sequence is unchanged.
         added_damage = 0.0
@@ -165,7 +177,6 @@ class EraseState:
         self.progress = progress
         self.pulses_in_loop += count
         self.total_pulses += count
-        self.pulse_log.extend([self.loop] * count)
         self.damage += added_damage
         return added_damage
 
@@ -177,13 +188,16 @@ class EraseState:
         tightly ``~gamma`` at ``r == 1`` and saturating near ``8*delta``.
         Measurement noise is multiplicative (``failbit_noise``).
         """
+        # ``lo + (hi - lo) * random()`` and ``scale * standard_normal()``
+        # are how NumPy defines ``uniform(lo, hi)`` and ``normal(0, scale)``
+        # (same draws, same floats) without their argument handling.
         profile = self.profile
+        draw = rng.random
         deficit = math.ceil(self.required - self.progress - 1e-9)
-        remaining = deficit if deficit > 0 else 0
-        if remaining <= 0:
-            true_count = rng.uniform(0.0, 0.6 * profile.f_pass)
-        elif remaining == 1:
-            true_count = profile.gamma * rng.uniform(0.85, 1.15)
+        if deficit <= 0:
+            true_count = 0.6 * profile.f_pass * draw()
+        elif deficit == 1:
+            true_count = profile.gamma * (0.85 + (1.15 - 0.85) * draw())
         else:
             # Centered slightly below gamma + delta*(r-1): about two
             # thirds of blocks needing r more pulses report a count in
@@ -192,15 +206,16 @@ class EraseState:
             # need the same mtEP, the rest need less).
             true_count = (
                 profile.gamma
-                + profile.delta * (remaining - 1)
-                + rng.uniform(-0.65, 0.15) * profile.delta
+                + profile.delta * (deficit - 1)
+                + (-0.65 + (0.15 - (-0.65)) * draw()) * profile.delta
             )
         saturation = FAILBIT_SATURATION_DELTAS * profile.delta
-        true_count = min(true_count, saturation * rng.uniform(0.97, 1.03))
-        measured = true_count * (1.0 + rng.normal(0.0, profile.failbit_noise))
-        fail_bits = max(0, int(round(measured)))
-        self.last_fail_bits = fail_bits
-        return fail_bits
+        true_count = min(
+            true_count, saturation * (0.97 + (1.03 - 0.97) * draw())
+        )
+        noise = profile.failbit_noise * rng.standard_normal()
+        fail_bits = int(round(true_count * (1.0 + noise)))
+        return fail_bits if fail_bits > 0 else 0
 
     def passes(self, fail_bits: int) -> bool:
         """ISPE pass criterion: fail-bit count at or below FPASS."""
@@ -253,12 +268,12 @@ class BlockEraseModel:
 
     def deterministic_pulses(self, age_kilocycles: float) -> int:
         """Required pulses at wear age ``x`` without erase-to-erase jitter."""
-        return self._pulses(age_kilocycles, jitter=0.0)
+        return self._clamp(*self._work(age_kilocycles))
 
     def required_pulses(self, age_kilocycles: float) -> int:
         """Sample this erase's required pulses (adds small operation jitter)."""
-        jitter = float(self._jitter_rng.normal(0.0, ERASE_JITTER_STD))
-        return self._pulses(age_kilocycles, jitter)
+        raw, floor = self._work(age_kilocycles)
+        return self._clamp(raw + self._jitter(), floor)
 
     def jitter_batch(self, count: int) -> np.ndarray:
         """Draw ``count`` erase-to-erase jitter values from this block's stream.
@@ -271,18 +286,26 @@ class BlockEraseModel:
         """
         return self._jitter_rng.normal(0.0, ERASE_JITTER_STD, size=int(count))
 
-    def _pulses(self, age_kilocycles: float, jitter: float) -> int:
+    def _jitter(self) -> float:
+        # NumPy defines ``normal(0, scale)`` as ``scale * standard_normal()``.
+        return ERASE_JITTER_STD * self._jitter_rng.standard_normal()
+
+    def _work(self, age_kilocycles: float) -> Tuple[float, float]:
+        """``(base + rate * x^exponent, floor(x))`` at wear age ``x``."""
         if age_kilocycles < 0:
             raise EraseSchemeError("wear age must be non-negative")
         work = self.profile.erase_work
-        raw = (
-            self.base
-            + self.rate * age_kilocycles ** work.pec_exponent
-            + jitter
-        )
-        floor = work.floor_pulses(int(round(age_kilocycles * 1000)))
+        raw = self.base + self.rate * age_kilocycles ** work.pec_exponent
+        return raw, work.floor_pulses(int(round(age_kilocycles * 1000)))
+
+    def _clamp(self, raw: float, floor: float) -> int:
         bounded = max(raw, floor)
         return int(max(1, min(self.profile.max_pulses, round(bounded))))
+
+    def _baseline_damage(self, pulses: int) -> float:
+        per_loop = self.profile.pulses_per_loop
+        loops = (pulses + per_loop - 1) // per_loop
+        return per_loop * self.profile.pulse_damage_prefix(loops)
 
     # --- derived characterization quantities -----------------------------------
 
@@ -306,10 +329,17 @@ class BlockEraseModel:
         return pulse_time + loops * self.profile.t_vr_us
 
     def begin_erase(self, age_kilocycles: float) -> EraseState:
-        """Create the erase-state ladder for one erase operation."""
+        """Create the erase-state ladder for one erase operation.
+
+        The wear term and floor are evaluated once, for both the
+        jittered required work and the :meth:`baseline_damage` reference
+        that wear accounting divides by when the erase finishes.
+        """
+        raw, floor = self._work(age_kilocycles)
         return EraseState(
-            required=self.required_pulses(age_kilocycles),
+            required=self._clamp(raw + self._jitter(), floor),
             profile=self.profile,
+            baseline_damage=self._baseline_damage(self._clamp(raw, floor)),
         )
 
     def baseline_damage(self, age_kilocycles: float) -> float:
@@ -318,9 +348,7 @@ class BlockEraseModel:
         The wear-age update divides actual damage by this reference, so
         Baseline cycling ages a block by exactly one cycle per erase.
         """
-        loops = self.nispe(age_kilocycles)
-        per_loop = self.profile.pulses_per_loop
-        return per_loop * self.profile.pulse_damage_prefix(loops)
+        return self._baseline_damage(self.deterministic_pulses(age_kilocycles))
 
 
 @dataclass
@@ -347,9 +375,15 @@ class WearState:
         residual_fail_bits: int = 0,
         nispe: int = 1,
         cycles: int = 1,
+        baseline: Optional[float] = None,
     ) -> None:
-        """Account one erase (or ``cycles`` identical coarse-step erases)."""
-        baseline = model.baseline_damage(self.age_kilocycles)
+        """Account one erase (or ``cycles`` identical coarse-step erases).
+
+        ``baseline`` is the erase's :meth:`BlockEraseModel.baseline_damage`
+        at the current wear age, when the caller already has it.
+        """
+        if baseline is None:
+            baseline = model.baseline_damage(self.age_kilocycles)
         ratio = damage / baseline if baseline > 0 else 1.0
         step = (PROGRAM_WEAR_SHARE + ERASE_WEAR_SHARE * ratio) / 1000.0
         self.age_kilocycles += step * cycles

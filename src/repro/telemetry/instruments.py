@@ -414,13 +414,17 @@ def observe_replay(report, stats, registry=None) -> None:
     :func:`repro.kernels.cell.run_trace_kernel` with the finished
     :class:`~repro.ssd.metrics.PerfReport` and the device's cumulative
     :class:`~repro.ftl.stats.FtlStats` — per-event hot loops stay
-    untouched. FTL counters are flushed as deltas since the previous
-    flush of the same stats object, so a drive cycled through several
-    measured windows never double-counts.
+    untouched. FTL counters, erase counts and pulses included, are
+    flushed as deltas since the previous flush of the same stats object,
+    and the erase latencies it recorded since then go into the latency
+    histogram, so a drive cycled through several measured windows never
+    double-counts and erases done while preconditioning land in the
+    first replay's flush.
     """
     import numpy as np
 
     metrics = ssd_metrics(registry)
+    erase_metrics = ftl_erase_metrics(registry)
     metrics.replays.inc()
     for op, recorder in (("read", report.reads), ("write", report.writes)):
         values = recorder.values
@@ -443,12 +447,20 @@ def observe_replay(report, stats, registry=None) -> None:
         ("host_writes", metrics.host_writes),
         ("gc_page_moves", metrics.gc_page_moves),
         ("gc_jobs", metrics.gc_jobs),
+        ("erases", erase_metrics.erases),
+        ("erase_pulses_total", erase_metrics.pulses),
     ):
         current = getattr(stats, attr)
         delta = current - flushed.get(attr, 0)
         if delta > 0:
             counter.inc(delta)
         flushed[attr] = current
+    pending = stats.pending_erase_latencies_us
+    if pending:
+        erase_metrics.latency.observe_many(
+            np.asarray(pending, dtype=float) / 1e6
+        )
+        pending.clear()
     metrics.waf.set(
         report.extra.get("waf", stats.write_amplification)
     )

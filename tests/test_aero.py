@@ -134,6 +134,22 @@ def test_stats_accumulate(aero, profile, rng):
     assert stats["pulses_saved_vs_baseline"] > 0
 
 
+@pytest.mark.parametrize("aggressive", [False, True])
+def test_pulses_saved_counts_final_ladder_loop(aggressive, profile, rng):
+    """Pulses saved are measured against each erase's final ladder loop
+    (``result.loops``), as the batch kernels count them, not against a
+    single loop per completed multi-loop erase."""
+    scheme = AeroEraseScheme(profile, aggressive=aggressive)
+    per_loop = profile.pulses_per_loop
+    expected = 0
+    for index in range(64):
+        block = make_block(profile, age_kilocycles=3.0, index=index)
+        result = scheme.erase(block, rng, use_shallow=False)
+        expected += max(0, per_loop * result.loops - result.total_pulses)
+    assert expected > 0
+    assert scheme.stats.pulses_saved_vs_baseline == expected
+
+
 def test_equation2_latency_structure(aero_cons, profile, rng):
     """tBERS = (tEP + tVR) * NISPE - delta_tEP (Equation 2): the final
     loop is the truncated one; earlier loops run at full length."""

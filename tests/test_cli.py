@@ -188,7 +188,7 @@ def test_compare_engine_and_executor_flags(capsys):
 
 
 def test_bench_smoke_writes_artifact(tmp_path, capsys):
-    artifact = tmp_path / "BENCH_PR5.json"
+    artifact = tmp_path / "BENCH_smoke.json"
     assert main([
         "bench", "--smoke", "--out", str(artifact),
         "--blocks", "8", "--step", "500", "--repeats", "1",
@@ -199,6 +199,7 @@ def test_bench_smoke_writes_artifact(tmp_path, capsys):
     assert "lifetime sweep" in out and "grid cell" in out
     payload = json.loads(artifact.read_text())
     assert payload["version"] == 1
+    assert payload["label"] == "BENCH_smoke"
     sweep = payload["lifetime_sweep"]
     assert sweep["speedup"] > 0
     assert set(sweep["per_scheme"]) == {"baseline", "aero"}

@@ -94,6 +94,26 @@ def test_aero_cons_kernel_never_accepts():
     assert simulator.kernel.stats.aggressive_accepts == 0
 
 
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("key", STOCHASTIC_KEYS)
+def test_aero_kernel_felp_decisions_match_predictor(profile, key):
+    """The batch kernel and ``FelpPredictor.predict`` read one FELP table,
+    so they agree on every (loop, fail-bit count), past the last row and
+    above FHIGH included."""
+    scheme = make_scheme(profile, key)
+    kernel = scheme.batch_kernel()
+    fail_bits = np.arange(0, profile.f_high + 2 * profile.delta, 97)
+    for loop in range(1, profile.max_loops + 2):
+        pulses, reduced, aggressive = kernel._predict(loop, fail_bits)
+        expected = [
+            scheme.predictor.predict(loop, int(count), scheme.aggressive)
+            for count in fail_bits
+        ]
+        assert pulses.tolist() == [p.pulses for p in expected]
+        assert reduced.tolist() == [p.reduced for p in expected]
+        assert aggressive.tolist() == [p.aggressive for p in expected]
+
+
 def test_kernel_misprediction_injection_counts():
     simulator = LifetimeSimulator(
         TLC_3D_48L, "aero", engine="kernel", mispredict_rate=0.2, **SIM_KWARGS

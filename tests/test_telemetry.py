@@ -25,10 +25,13 @@ from repro.campaign import (
 )
 from repro.campaign.orchestrator import CampaignProgress
 from repro.campaign.store import record_checksum
+from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.cli import main
 from repro.harness import GridRunner, SerialExecutor, run_workload_cell
 from repro.harness.cache import CACHE_VERSION
+from repro.kernels import precondition_kernel, run_trace_kernel
+from repro.ssd.builder import build_ssd
 from repro.telemetry import (
     MetricsRegistry,
     parse_text_format,
@@ -36,6 +39,8 @@ from repro.telemetry import (
     scoped_registry,
 )
 from repro.telemetry.httpd import MetricsServer
+from repro.workloads.profiles import profile_by_abbr
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
 SPEC = CampaignSpec(
     schemes=("baseline", "aero"),
@@ -426,10 +431,83 @@ def test_replay_metrics_identical_across_engines():
         "repro_ssd_erase_resumes_total",
         "repro_ssd_host_writes_total",
         "repro_ssd_gc_page_moves_total",
+        "repro_ssd_erases_total",
+        "repro_ssd_erase_pulses_total",
+        "repro_ssd_erase_latency_seconds",
     ):
         assert kernel_families[name].samples == object_families[
             name
         ].samples, name
+
+
+def _drive_and_traces(count):
+    spec = SsdSpec.small_test(seed=21)
+    ssd = build_ssd(spec, "aero", pec_setpoint=2500)
+    traces = [
+        SyntheticTraceGenerator(
+            profile_by_abbr("ali.A"),
+            footprint_bytes=int(spec.logical_bytes * 0.85),
+            seed=40 + index,
+        ).generate(150)
+        for index in range(count)
+    ]
+    return ssd, int(spec.logical_pages * 0.9), traces
+
+
+@pytest.mark.parametrize("engine", ["kernel", "object"])
+def test_erase_telemetry_flushed_once_per_replay(engine):
+    """Erase counters and the latency histogram are flushed at the end
+    of each replay as deltas: after every replay on one drive they equal
+    the drive's cumulative FtlStats (preconditioning erases included),
+    with nothing counted twice and nothing left pending."""
+    with scoped_registry() as registry:
+        ssd, footprint, traces = _drive_and_traces(2)
+        stats = ssd.ftl.stats
+        if engine == "kernel":
+            precondition_kernel(ssd, footprint)
+        else:
+            ssd.precondition(footprint_pages=footprint)
+        assert stats.erases > 0
+        for trace in traces:
+            if engine == "kernel":
+                run_trace_kernel(ssd, trace)
+            else:
+                ssd.run_trace(trace)
+            families = families_of(registry)
+            assert families["repro_ssd_erases_total"].value() == stats.erases
+            assert families["repro_ssd_erase_pulses_total"].value() == (
+                stats.erase_pulses_total
+            )
+            assert families["repro_ssd_erase_latency_seconds"].value(
+                sample_name="repro_ssd_erase_latency_seconds_count"
+            ) == stats.erases
+            assert stats.pending_erase_latencies_us == []
+        assert families["repro_ssd_replays_total"].value() == len(traces)
+
+
+def test_kernel_replay_calls_erase_boundaries_once_per_erase():
+    """perfbench-style instance wrappers on ``scheme.erase`` and
+    ``stats.record_erase`` see exactly one call per erase of a kernel
+    replay (the per-erase call boundaries stay where tracing hooks in)."""
+    ssd, footprint, (trace,) = _drive_and_traces(1)
+    lean = precondition_kernel(ssd, footprint, write_back=False)
+    scheme, stats = ssd.ftl.scheme, ssd.ftl.stats
+    calls = {"erase": 0, "record_erase": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    scheme.erase = counting("erase", scheme.erase)
+    stats.record_erase = counting("record_erase", stats.record_erase)
+    before = stats.erases
+    report = run_trace_kernel(ssd, trace, lean=lean)
+    assert report.erases > 0
+    assert calls == {"erase": report.erases, "record_erase": report.erases}
+    assert stats.erases - before == report.erases
 
 
 def test_cache_backend_counts_hits_misses_and_bad_entries(tmp_path, report):
