@@ -8,12 +8,12 @@ roughly what factor, where crossovers fall).
 
 Scale: the default sizes keep the whole suite in the minutes range on
 a laptop. Set ``REPRO_BENCH_FULL=1`` for the full 11-workload,
-3-setpoint grid. The grid-shaped campaigns run through
-:class:`repro.harness.GridRunner`: set ``REPRO_BENCH_WORKERS=n`` to
-fan cells out over ``n`` processes and ``REPRO_BENCH_CACHE=<dir>`` to
-persist finished cells in a sharded result store there, so interrupted
-or repeated campaigns resume instead of recomputing (results are
-bit-identical either way).
+3-setpoint grid. The grid-shaped campaigns and the Figure 13 lifetime
+sweep run through :class:`repro.harness.GridRunner`: set
+``REPRO_BENCH_WORKERS=n`` to fan them out over ``n`` worker processes
+and ``REPRO_BENCH_CACHE=<dir>`` to persist finished cells and curves
+in a sharded result store there, so interrupted or repeated campaigns
+resume instead of recomputing (results are bit-identical either way).
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ import os
 import pytest
 
 from repro.experiments import WORKLOADS
-from repro.harness import (
-    GridRunner,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
+from repro.harness import GridRunner
 
 
 def full_scale() -> bool:
@@ -62,34 +57,10 @@ def bench_requests():
     return 4000 if full_scale() else 900
 
 
-@pytest.fixture(scope="session")
-def bench_executor():
-    """Cell executor for grid campaigns (serial unless REPRO_BENCH_WORKERS>1).
-
-    ``REPRO_BENCH_EXECUTOR=thread`` swaps the fan-out to threads —
-    worthwhile for kernel-engine lifetime campaigns, where the NumPy
-    batch kernels release the GIL and processes pay a pickle tax.
-    """
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-    kind = os.environ.get("REPRO_BENCH_EXECUTOR", "process")
-    if kind not in ("process", "thread"):
-        from repro.errors import ConfigError
-
-        raise ConfigError(
-            f"unknown REPRO_BENCH_EXECUTOR {kind!r}; "
-            "choose 'process' or 'thread'"
-        )
-    if workers > 1:
-        if kind == "thread":
-            return ThreadExecutor(workers)
-        return ProcessExecutor(workers)
-    return SerialExecutor()
-
-
 @pytest.fixture
-def bench_runner(bench_executor):
+def bench_runner():
     """Grid runner honouring the worker and result-store env knobs."""
     return GridRunner(
-        executor=bench_executor,
+        workers=int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
         cache=os.environ.get("REPRO_BENCH_CACHE") or None,
     )

@@ -21,14 +21,14 @@ PAPER_GAINS = {
 }
 
 
-def test_fig13_lifetime(once, bench_executor):
+def test_fig13_lifetime(once, bench_runner):
     comparison = once(
         compare_schemes,
         TLC_3D_48L,
         block_count=48,
         step=50,
         seed=0xF13,
-        executor=bench_executor,
+        runner=bench_runner,
     )
 
     base_life = comparison.lifetime("baseline")

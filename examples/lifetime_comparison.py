@@ -23,36 +23,17 @@ import argparse
 
 from repro import SCHEME_KEYS
 from repro.analysis.tables import format_table
-from repro.harness import ProcessExecutor, ThreadExecutor
-from repro.kernels import ENGINES, kernel_for_scheme
+from repro.harness import GridRunner
+from repro.kernels import ENGINES
 from repro.lifetime import compare_schemes
 from repro.nand.chip_types import TLC_3D_48L
-from repro.schemes import make_scheme
-
-
-def _default_executor_kind(scheme_keys, engine):
-    """Threads only when every scheme runs its GIL-releasing kernel."""
-    if engine == "object":
-        return "process"
-    if engine == "kernel":
-        return "thread"
-    for key in scheme_keys:
-        if kernel_for_scheme(make_scheme(TLC_3D_48L, key)) is None:
-            return "process"
-    return "thread"
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="workers, one scheme each (default: serial)",
-    )
-    parser.add_argument(
-        "--executor", choices=["process", "thread"], default=None,
-        help="worker kind when --workers > 1 (default: thread for "
-             "kernel-engine runs — they release the GIL — and process "
-             "for --engine object, which would serialize on threads)",
+        help="worker processes, one scheme each (default: 1, inline)",
     )
     parser.add_argument(
         "--engine", choices=list(ENGINES), default="auto",
@@ -67,16 +48,11 @@ def main():
     scheme_keys = tuple(key for key in args.schemes.split(",") if key)
     if not scheme_keys:
         parser.error("--schemes needs at least one scheme key")
-    executor = None
-    if args.workers > 1:
-        kind = args.executor or _default_executor_kind(scheme_keys, args.engine)
-        executor_cls = ThreadExecutor if kind == "thread" else ProcessExecutor
-        executor = executor_cls(args.workers)
 
     print("Cycling five 48-block sets to failure (this takes a few seconds)...\n")
     comparison = compare_schemes(
         TLC_3D_48L, scheme_keys=scheme_keys, block_count=48, step=50,
-        seed=1, executor=executor, engine=args.engine,
+        seed=1, engine=args.engine, runner=GridRunner(workers=args.workers),
     )
 
     base = comparison.curves[scheme_keys[0]].lifetime_pec

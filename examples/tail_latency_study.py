@@ -23,7 +23,6 @@ import argparse
 from repro import ExperimentSpec
 from repro.analysis.tables import format_table
 from repro.experiments import run_experiments
-from repro.harness import ProcessExecutor, SerialExecutor
 
 
 SCHEMES = ("baseline", "aero_cons", "aero")
@@ -45,10 +44,6 @@ def main():
     )
     args = parser.parse_args()
 
-    executor = (
-        ProcessExecutor(args.workers) if args.workers > 1 else SerialExecutor()
-    )
-
     print("Replaying traces on bench-scale SSDs (a minute or so)...\n")
     for suspension in (True, False):
         specs = [
@@ -64,7 +59,7 @@ def main():
             for workload in WORKLOADS
             for scheme in SCHEMES
         ]
-        result = run_experiments(specs, executor=executor, cache=args.store)
+        result = run_experiments(specs, workers=args.workers, cache=args.store)
         grid = result.grid
         rows = []
         for workload in WORKLOADS:

@@ -17,7 +17,7 @@ and threads with crash-resume". Three layers:
   grid cells (``"cell"``), lifetime curves (``"lifetime"``, a
   :class:`~repro.lifetime.spec.LifetimeSpec`), or both (``"mixed"``);
 * :mod:`repro.campaign.orchestrator` — :class:`CampaignOrchestrator`,
-  which fans pending cells out over a mixed process+thread executor
+  which fans pending cells out over a mixed process+thread worker
   pool and streams each finished cell into the store the moment it
   completes;
 * :mod:`repro.campaign.supervisor` — :class:`CellSupervisor`, the

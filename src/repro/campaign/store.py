@@ -35,7 +35,7 @@ matters.
 
 Concurrency: every public method is thread-safe behind one store-wide
 lock (the orchestrator persists from its main thread, but `put` from
-ThreadExecutor workers is supported). Multi-*process* writers are
+worker threads is supported). Multi-*process* writers are
 first-class: appends take a *shared* advisory ``flock`` on the
 per-store lock file (concurrent appenders never serialize against
 each other; POSIX ``O_APPEND`` keeps each line atomic), while

@@ -1,9 +1,9 @@
 """Cell supervision: timeouts, retry with backoff, quarantine.
 
-:class:`CellSupervisor` sits between the orchestrator and the
-supervised workers of :mod:`repro.harness.executors`. The pool
-executors give up when a worker dies; the supervisor treats every
-failure mode as an *event* with a recovery policy:
+:class:`CellSupervisor` runs jobs on killable workers — a
+:class:`ProcessWorker` (an OS process behind a pipe) or a
+:class:`ThreadWorker` — and treats every failure mode as an *event*
+with a recovery policy, where a pool would abort its whole ``map``:
 
 * a cell raising → retried with exponential backoff and deterministic
   jitter (seeded through :func:`repro.rng.derive`, so two runs of a
@@ -20,31 +20,242 @@ failure mode as an *event* with a recovery policy:
 
 The orchestrator feeds persist failures back with :meth:`requeue`
 (a put that crashed mid-append is a cell failure too), and a shutdown
-event stops admission while in-flight cells drain.
+event stops admission while in-flight cells drain. The same
+supervisor, with retries off, is the process fan-out behind
+``GridRunner(workers=n)``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import multiprocessing as mp
 import queue
+import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, InjectedFault
 from repro.faults import FaultPlan
 from repro.faults.plan import KILL_WORKER_EXIT
-from repro.harness.executors import (
-    ProcessWorker,
-    ThreadWorker,
-    WorkerEvent,
-)
 from repro.harness.runner import execute_job
 from repro.rng import derive
 from repro.telemetry import get_default_registry, scoped_registry
 from repro.telemetry.instruments import campaign_metrics, fault_metrics
+
+
+# --- supervised workers ------------------------------------------------------
+
+
+class WorkerEvent:
+    """One message from a supervised worker to its supervisor.
+
+    ``kind`` is ``"result"`` (payload = the task's return value),
+    ``"error"`` (payload = ``(exc_type_name, message, traceback_text)``)
+    or ``"died"`` (the worker process exited without reporting;
+    payload = its exit code). ``task_id`` is ``-1`` for a worker that
+    died idle.
+    """
+
+    __slots__ = ("kind", "worker", "task_id", "payload")
+
+    def __init__(self, kind: str, worker: str, task_id: int, payload: Any):
+        self.kind = kind
+        self.worker = worker
+        self.task_id = task_id
+        self.payload = payload
+
+    def __repr__(self) -> str:
+        return (
+            f"WorkerEvent({self.kind!r}, worker={self.worker!r}, "
+            f"task_id={self.task_id})"
+        )
+
+
+def _error_payload(exc: BaseException) -> Tuple[str, str, str]:
+    return (type(exc).__name__, str(exc), traceback.format_exc())
+
+
+def _process_worker_main(fn: Callable[[Any], Any], conn) -> None:
+    """Child-process loop: recv ``(task_id, task)``, send results back.
+
+    A ``None`` message is the clean-shutdown sentinel. Exceptions are
+    reduced to strings — a failing task must never take the reporting
+    channel down with an unpicklable exception object.
+    """
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message is None:
+            break
+        task_id, task = message
+        try:
+            result = fn(task)
+        except BaseException as exc:
+            try:
+                conn.send(("error", task_id, _error_payload(exc)))
+            except (OSError, ValueError):
+                break
+        else:
+            conn.send(("result", task_id, result))
+    conn.close()
+
+
+class ProcessWorker:
+    """One killable OS-process worker reporting onto a shared queue.
+
+    Unlike a pool, death is an *event*, not an abort: if the child
+    exits without reporting — ``os._exit``, SIGKILL, a segfault — the
+    reader thread turns the broken pipe into a ``died`` event carrying
+    the in-flight task id, and the supervisor replaces the worker.
+    ``fn`` and tasks must be picklable (module-level function).
+    """
+
+    kind = "process"
+
+    def __init__(
+        self,
+        name: str,
+        fn: Callable[[Any], Any],
+        events: "queue.Queue[WorkerEvent]",
+    ):
+        ctx = mp.get_context()
+        self.name = name
+        self.events = events
+        self.task_id: Optional[int] = None
+        self._closed = False
+        parent, child = ctx.Pipe()
+        self._conn = parent
+        self._proc = ctx.Process(
+            target=_process_worker_main,
+            args=(fn, child),
+            name=name,
+            daemon=True,
+        )
+        self._proc.start()
+        child.close()
+        self._reader = threading.Thread(
+            target=self._read, name=f"{name}-reader", daemon=True
+        )
+        self._reader.start()
+
+    def _read(self) -> None:
+        while True:
+            try:
+                kind, task_id, payload = self._conn.recv()
+            except (EOFError, OSError):
+                break
+            self.task_id = None
+            self.events.put(WorkerEvent(kind, self.name, task_id, payload))
+        in_flight = self.task_id
+        self.task_id = None
+        if not self._closed:
+            self._proc.join(timeout=5.0)
+            self.events.put(
+                WorkerEvent(
+                    "died",
+                    self.name,
+                    -1 if in_flight is None else in_flight,
+                    self._proc.exitcode,
+                )
+            )
+
+    @property
+    def alive(self) -> bool:
+        return self._proc.is_alive()
+
+    def submit(self, task_id: int, task: Any) -> None:
+        """Hand the worker one task; raises ``OSError`` if it is dead
+        (the pending ``died`` event still reports the prior task)."""
+        self.task_id = task_id
+        try:
+            self._conn.send((task_id, task))
+        except (OSError, ValueError):
+            self.task_id = None
+            raise OSError(f"worker {self.name} is not accepting tasks")
+
+    def kill(self) -> None:
+        """SIGKILL the child — the timeout enforcement primitive."""
+        self._proc.kill()
+
+    def close(self) -> None:
+        """Clean shutdown: sentinel, bounded join, then force-kill."""
+        self._closed = True
+        try:
+            self._conn.send(None)
+        except (OSError, ValueError):
+            pass
+        self._proc.join(timeout=5.0)
+        if self._proc.is_alive():
+            self._proc.kill()
+            self._proc.join(timeout=5.0)
+        self._conn.close()
+
+
+class ThreadWorker:
+    """One thread worker reporting onto a shared queue.
+
+    Threads cannot be killed, so :meth:`kill` *abandons*: the thread
+    keeps running its current task to completion, but the supervisor
+    drops its name from the live set, so whatever it eventually
+    reports lands as an event for an unknown task and is discarded.
+    """
+
+    kind = "thread"
+
+    def __init__(
+        self,
+        name: str,
+        fn: Callable[[Any], Any],
+        events: "queue.Queue[WorkerEvent]",
+    ):
+        self.name = name
+        self.events = events
+        self.task_id: Optional[int] = None
+        self.abandoned = False
+        self._fn = fn
+        self._inbox: "queue.Queue[Any]" = queue.Queue()
+        self._thread = threading.Thread(
+            target=self._run, name=name, daemon=True
+        )
+        self._thread.start()
+
+    def _run(self) -> None:
+        while True:
+            message = self._inbox.get()
+            if message is None:
+                return
+            task_id, task = message
+            try:
+                result = self._fn(task)
+            except BaseException as exc:
+                kind, payload = "error", _error_payload(exc)
+            else:
+                kind, payload = "result", result
+            self.task_id = None
+            self.events.put(WorkerEvent(kind, self.name, task_id, payload))
+
+    @property
+    def alive(self) -> bool:
+        return self._thread.is_alive() and not self.abandoned
+
+    def submit(self, task_id: int, task: Any) -> None:
+        self.task_id = task_id
+        self._inbox.put((task_id, task))
+
+    def kill(self) -> None:
+        self.abandoned = True
+
+    def close(self) -> None:
+        self._inbox.put(None)
+
+
+# --- supervision -------------------------------------------------------------
 
 
 def _run_cell_task(task: Tuple[int, int, str, Any, FaultPlan]):

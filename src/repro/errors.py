@@ -104,7 +104,8 @@ class CampaignError(ReproError):
 
 
 class PoisonCellError(CampaignError):
-    """A cell exhausted its retry budget and ``on_poison="fail"`` is set.
+    """A cell exhausted its retry budget and ``on_poison="fail"`` is
+    set, or failed on a ``GridRunner(workers > 1)`` worker process.
 
     Carries the cell index and fingerprint so operators can find the
     quarantine record and the job that produced it.

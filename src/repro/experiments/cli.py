@@ -17,10 +17,10 @@ Five subcommands cover the paper's evaluation surface:
   ``--url``, or a ``--metrics-json`` snapshot file).
 
 Everything resolves through the plugin registries, honours
-``--workers`` (process fan-out) and ``--store`` (the sharded result
-store, shared with the Python API; ``--cache-dir`` is a second
-spelling), and exits 2 on configuration errors with the registry's
-rich unknown-key messages.
+``--workers`` (fan-out over supervised worker processes) and
+``--store`` (the sharded result store, shared with the Python API;
+``--cache-dir`` is a second spelling), and exits 2 on configuration
+errors with the registry's rich unknown-key messages.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ from repro.errors import ConfigError, ReproError
 from repro.experiments.registry import SCHEMES, WORKLOADS
 from repro.experiments.runner import run_experiments
 from repro.experiments.spec import ExperimentSpec, load_spec_file
-from repro.harness.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
 from repro.kernels import ENGINES
 
 _SSD_PRESETS = {
@@ -50,15 +45,6 @@ _SSD_PRESETS = {
     "bench": SsdSpec.bench,
     "paper": lambda seed=0xAE20: SsdSpec.paper_table2(),
 }
-
-_EXECUTORS = {"process": ProcessExecutor, "thread": ThreadExecutor}
-
-
-def _make_executor(workers: int, kind: str = "process"):
-    if workers <= 1:
-        return SerialExecutor()
-    return _EXECUTORS[kind](workers)
-
 
 def _parse_age(text: str) -> float:
     """Parse ``90``, ``90s``, ``15m``, ``2h``, or ``7d`` into seconds."""
@@ -123,11 +109,7 @@ def _add_store_arg(parser: argparse.ArgumentParser) -> None:
 def _add_execution_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="workers for cell fan-out (default: serial)",
-    )
-    parser.add_argument(
-        "--executor", choices=sorted(_EXECUTORS), default="process",
-        help="worker kind when --workers > 1 (default: process)",
+        help="worker processes for cell fan-out (default: 1, inline)",
     )
     _add_store_arg(parser)
 
@@ -193,7 +175,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         specs = [_spec_from_flags(args)]
     result = run_experiments(
         specs,
-        executor=_make_executor(args.workers, args.executor),
+        workers=args.workers,
         cache=args.store,
     )
     if args.json:
@@ -264,7 +246,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     ]
     result = run_experiments(
         specs,
-        executor=_make_executor(args.workers, args.executor),
+        workers=args.workers,
         cache=args.store,
     )
     grid = result.grid
@@ -302,26 +284,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 # --- compare -----------------------------------------------------------------
-
-
-def _default_compare_executor(schemes, profile, engine: str) -> str:
-    """Pick the fan-out kind that actually parallelizes the sweep.
-
-    Threads only pay off when every worker releases the GIL — i.e. when
-    every compared scheme runs on its batch kernel. Any scheme falling
-    back to the pure-Python object path serializes a thread pool, so
-    those sweeps default to processes.
-    """
-    if engine == "object":
-        return "process"
-    if engine == "kernel":
-        return "thread"
-    from repro.kernels import kernel_for_scheme
-
-    for key in schemes:
-        if kernel_for_scheme(SCHEMES.create(key, profile)) is None:
-            return "process"
-    return "thread"
 
 
 def _compare_spec_from_args(args: argparse.Namespace):
@@ -366,12 +328,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     spec = _compare_spec_from_args(args)
     profile = profile_by_name(spec.profile)
-    kind = args.executor or _default_compare_executor(
-        spec.schemes, profile, spec.engine
-    )
-    executor = (
-        _EXECUTORS[kind](args.workers) if args.workers > 1 else None
-    )
     store: Optional[Any] = args.store
     if args.fail_after is not None:
         if store is None:
@@ -388,7 +344,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         store = ShardedResultStore(
             store, fault_injector=FaultInjector(FaultPlan(faults=(fault,)))
         )
-    runner = GridRunner(executor=executor, cache=store)
+    runner = GridRunner(workers=args.workers, cache=store)
     comparison = spec.comparison(runner.execute_jobs(spec.jobs()))
     baseline_key = spec.schemes[0]
     base = comparison.curves[baseline_key].lifetime_pec
@@ -936,13 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--mispredict-rate", type=float, default=0.0,
                          help="forced AERO misprediction rate (Figure 16)")
     compare.add_argument("--workers", type=int, default=1,
-                         help="workers, one scheme each (default: serial)")
-    compare.add_argument("--executor", choices=sorted(_EXECUTORS),
-                         default=None,
-                         help="worker kind when --workers > 1 (default: "
-                              "thread when every scheme runs on its batch "
-                              "kernel — kernels release the GIL, so threads "
-                              "avoid the process pickle tax — else process)")
+                         help="worker processes, one scheme each "
+                              "(default: 1, inline)")
     compare.add_argument("--engine", choices=list(ENGINES),
                          default="auto",
                          help="lifetime engine: vectorized batch kernel "

@@ -4,7 +4,7 @@
 (:class:`~repro.experiments.spec.ExperimentSpec`) and the execution
 machinery (:class:`~repro.harness.runner.GridRunner`): each spec
 resolves to a :class:`~repro.harness.runner.CellJob`, the jobs flow
-through the runner's cache-then-executor path, and the results come
+through the runner's cache-then-workers path, and the results come
 back both as a flat report list (aligned with the input specs) and as
 an :class:`~repro.harness.grid.EvaluationGrid` for figure-shaped
 projections. Because spec resolution reproduces ``GridRunner.plan``'s
@@ -47,22 +47,19 @@ class ExperimentRun:
 
 def run_experiments(
     specs: Sequence[ExperimentSpec],
-    executor: Optional[object] = None,
+    workers: int = 1,
     cache: Optional[Union[ResultStore, str, Path]] = None,
-    runner: Optional[GridRunner] = None,
 ) -> ExperimentRun:
     """Run experiment specs; cached cells load, the rest execute.
 
-    Pass ``executor`` (e.g. ``ProcessExecutor(4)``) to fan cells out
-    across processes and ``cache`` (a store or a directory path) to
-    persist/reuse finished cells — or hand in a pre-configured
-    ``runner`` directly.
+    Pass ``workers`` > 1 to fan cells out over that many worker
+    processes and ``cache`` (a store or a directory path) to
+    persist/reuse finished cells.
     """
     specs = tuple(specs)
     if not specs:
         raise ConfigError("run_experiments needs at least one spec")
-    if runner is None:
-        runner = GridRunner(executor=executor, cache=cache)
+    runner = GridRunner(workers=workers, cache=cache)
     jobs = tuple(spec.resolve() for spec in specs)
     reports = tuple(runner.execute_jobs(jobs))
     grid = grid_from_jobs(jobs, reports)
@@ -77,8 +74,7 @@ def run_experiments(
 
 def run_experiment(
     spec: ExperimentSpec,
-    executor: Optional[object] = None,
     cache: Optional[Union[ResultStore, str, Path]] = None,
 ) -> PerfReport:
     """Run a single spec and return its report (one-call convenience)."""
-    return run_experiments([spec], executor=executor, cache=cache).reports[0]
+    return run_experiments([spec], cache=cache).reports[0]

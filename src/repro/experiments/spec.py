@@ -221,14 +221,12 @@ class ExperimentSpec:
         """The cache key of this experiment's result."""
         return self.resolve().fingerprint
 
-    def run(self, executor: Any = None, cache: Any = None):
+    def run(self, cache: Any = None):
         """Run this one experiment; returns its PerfReport. ``cache``
         is a result store or a store directory path."""
         from repro.experiments.runner import run_experiments
 
-        return run_experiments(
-            [self], executor=executor, cache=cache
-        ).reports[0]
+        return run_experiments([self], cache=cache).reports[0]
 
     # --- serialization ------------------------------------------------------
 
@@ -411,6 +409,6 @@ class Experiment(metaclass=_ExperimentMeta):
         """The finished, validated experiment spec."""
         return self._spec.validate()
 
-    def run(self, executor: Any = None, cache: Any = None):
+    def run(self, cache: Any = None):
         """Build the spec and run it; returns its PerfReport."""
-        return self.spec().run(executor=executor, cache=cache)
+        return self.spec().run(cache=cache)

@@ -8,26 +8,23 @@ show. The package splits the old single-module harness into layers:
   (``run_workload_cell``);
 * :mod:`repro.harness.grid` — :class:`EvaluationGrid` with an O(1)
   ``(scheme, pec, workload)`` index and figure-shaped projections;
-* :mod:`repro.harness.executors` — :class:`SerialExecutor` /
-  :class:`ProcessExecutor` / :class:`ThreadExecutor`, the pluggable
-  ``map`` strategies;
 * :mod:`repro.harness.cache` — :func:`cell_fingerprint`, the key a
   finished cell is stored under;
 * :mod:`repro.harness.store` — :class:`ResultStore`, the persistence
   contract the :class:`~repro.campaign.store.ShardedResultStore`
   fulfils;
 * :mod:`repro.harness.runner` — :class:`GridRunner` and the
-  ``run_grid`` façade tying them together.
+  ``run_grid`` façade tying them together; ``GridRunner(workers=n)``
+  fans cells out over the process workers of
+  :class:`repro.campaign.supervisor.CellSupervisor`.
 
 Quick start::
 
-    from repro.harness import ProcessExecutor, run_grid
+    from repro.harness import GridRunner
 
-    grid = run_grid(
+    grid = GridRunner(workers=4, cache=".repro-store").run(
         workloads=("ali.A", "hm"),
         requests=900,
-        executor=ProcessExecutor(4),      # fan cells out over 4 processes
-        cache=".repro-store",             # skip finished cells on re-run
     )
     print(grid.geomean_normalized(lambda r: r.read_tail(99.0), pec=500))
 
@@ -44,12 +41,6 @@ from repro.harness.cells import (
     PAPER_SCHEMES,
     run_workload_cell,
 )
-from repro.harness.executors import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
 from repro.harness.grid import CellKey, EvaluationGrid, GridCell
 from repro.harness.runner import (
     CellJob,
@@ -65,18 +56,14 @@ from repro.harness.store import ResultStore
 __all__ = [
     "CACHE_VERSION",
     "CellJob",
-    "Executor",
     "CellKey",
     "EvaluationGrid",
     "GridCell",
     "GridRunner",
     "PAPER_PEC_POINTS",
     "PAPER_SCHEMES",
-    "ProcessExecutor",
     "ResultStore",
     "RunStats",
-    "SerialExecutor",
-    "ThreadExecutor",
     "cell_fingerprint",
     "execute_cell",
     "grid_from_jobs",

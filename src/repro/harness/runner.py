@@ -3,18 +3,19 @@
 ``GridRunner`` turns a (schemes x pec_points x workloads) request into
 an ordered list of independent cell jobs, satisfies as many as it can
 from its result store (a :class:`~repro.campaign.store.
-ShardedResultStore`), fans the rest out through the configured
-executor, and assembles the :class:`~repro.harness.grid.EvaluationGrid`
-in the canonical pec -> workload -> scheme order regardless of
-completion order.
+ShardedResultStore`), runs the rest — inline with one worker, on the
+process workers of a :class:`~repro.campaign.supervisor.
+CellSupervisor` with more — and assembles the
+:class:`~repro.harness.grid.EvaluationGrid` in the canonical
+pec -> workload -> scheme order regardless of completion order.
 
 Determinism: the runner derives one seed per (pec, workload) point via
 :func:`repro.rng.derive` — shared by every scheme at that point, so
 schemes are always compared on the *same* trace and device-variation
 draw, as in the paper — and each cell is a pure function of its job
-description. A ``ProcessExecutor`` grid is therefore bit-identical to
-a ``SerialExecutor`` grid, and a cached report is bit-identical to a
-recomputed one.
+description. A ``GridRunner(workers=4)`` grid is therefore
+bit-identical to a serial one, and a cached report is bit-identical
+to a recomputed one.
 
 Resume: pass ``cache`` (a store or a directory path) and every
 finished cell is persisted immediately; re-running the same campaign
@@ -25,12 +26,13 @@ where it stopped.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SsdSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PoisonCellError
 from repro.experiments.registry import WORKLOADS
 from repro.harness.cache import cell_fingerprint
 from repro.harness.cells import (
@@ -38,7 +40,6 @@ from repro.harness.cells import (
     PAPER_SCHEMES,
     run_workload_cell,
 )
-from repro.harness.executors import Executor, SerialExecutor
 from repro.harness.grid import EvaluationGrid, GridCell
 from repro.harness.store import ResultStore
 from repro.rng import derive
@@ -165,9 +166,9 @@ def execute_job(job: Any) -> Any:
     Grid cells go through :func:`execute_cell`; any other family
     (e.g. :class:`repro.lifetime.spec.LifetimeJob`) must bring its own
     ``execute()``. Dispatching here keeps the harness importable
-    without the lifetime stack while letting every executor, the
-    :class:`GridRunner`, and the campaign supervisor run mixed job
-    lists through one entry point.
+    without the lifetime stack while letting the :class:`GridRunner`
+    and the campaign supervisor run mixed job lists through one entry
+    point.
     """
     if isinstance(job, CellJob):
         return execute_cell(job)
@@ -253,18 +254,22 @@ class RunStats:
 
 
 class GridRunner:
-    """Executes evaluation grids through an executor and a cache."""
+    """Executes evaluation grids through a result store and workers."""
 
     def __init__(
         self,
-        executor: Optional[Executor] = None,
+        workers: int = 1,
         cache: Optional[Union[ResultStore, str, Path]] = None,
     ):
-        """``cache`` accepts any :class:`ResultStore` or a directory
-        path, opened as a :class:`~repro.campaign.store.
-        ShardedResultStore` (the same store ``campaign run`` uses).
+        """``workers`` is 1 to run jobs inline in this process, or the
+        number of supervised worker processes to fan them out over.
+        ``cache`` accepts any :class:`ResultStore` or a directory path,
+        opened as a :class:`~repro.campaign.store.ShardedResultStore`
+        (the same store ``campaign run`` uses).
         """
-        self.executor = executor or SerialExecutor()
+        if workers < 1:
+            raise ConfigError(f"need at least 1 worker, got {workers}")
+        self.workers = workers
         self.cache: Optional[ResultStore] = None
         if cache is not None:
             # Imported here: the campaign package imports this module.
@@ -300,40 +305,84 @@ class GridRunner:
         The reusable core of :meth:`run` — the declarative experiment
         layer (:func:`repro.experiments.run_experiments`) feeds
         :class:`CellJob` lists resolved from ``ExperimentSpec`` objects
-        through the same cache-then-executor path, so CLI runs, spec
+        through the same cache-then-workers path, so CLI runs, spec
         files, and grid campaigns share cache entries. Jobs of any
         campaign family run here — lifetime jobs
         (:class:`repro.lifetime.spec.LifetimeJob`) interleave freely
         with grid cells; each needs only ``fingerprint``,
-        ``store_meta()``, and :func:`execute_job` support. Updates
-        :attr:`stats`.
+        ``store_meta()``, and :func:`execute_job` support. Each
+        distinct fingerprint runs at most once per call; its repeats
+        share that result and count as cached in :attr:`stats`.
         """
+        fingerprints = [job.fingerprint for job in jobs]
         reports: List[Optional[Any]] = [None] * len(jobs)
+        first: Dict[str, int] = {}
         pending: List[int] = []
-        if self.cache is not None:
-            for index, job in enumerate(jobs):
-                cached = self.cache.get(job.fingerprint)
-                if cached is not None:
-                    reports[index] = cached
-                else:
-                    pending.append(index)
-        else:
-            pending = list(range(len(jobs)))
+        for index, fingerprint in enumerate(fingerprints):
+            if fingerprint in first:
+                continue
+            first[fingerprint] = index
+            cached = (
+                None if self.cache is None else self.cache.get(fingerprint)
+            )
+            if cached is None:
+                pending.append(index)
+            else:
+                reports[index] = cached
 
-        # Stream results out of the executor and persist each one the
-        # moment it arrives, so an interrupted campaign keeps every
-        # completed cell and resumes from there.
-        fresh = self.executor.imap(execute_job, [jobs[i] for i in pending])
-        for index, report in zip(pending, fresh):
-            reports[index] = report
-            if self.cache is not None:
-                job = jobs[index]
-                self.cache.put(job.fingerprint, report, meta=job.store_meta())
-
+        # Persist each result the moment it arrives, so an interrupted
+        # campaign keeps every completed cell and resumes from there.
+        with contextlib.closing(self._execute(jobs, pending)) as fresh:
+            for index, report in fresh:
+                reports[index] = report
+                if self.cache is not None:
+                    self.cache.put(
+                        fingerprints[index], report,
+                        meta=jobs[index].store_meta(),
+                    )
+        reports = [reports[first[fp]] for fp in fingerprints]
         self.stats = RunStats(
             executed=len(pending), cached=len(jobs) - len(pending)
         )
         return reports
+
+    def _execute(
+        self, jobs: Sequence[Any], pending: List[int]
+    ) -> Iterator[Tuple[int, Any]]:
+        """Yield ``(index, report)`` per pending job as it finishes.
+
+        One worker runs the jobs inline; more submit them to a
+        :class:`~repro.campaign.supervisor.CellSupervisor`'s process
+        workers with retries off, so a failing job ends the call as a
+        :class:`PoisonCellError` naming it.
+        """
+        if self.workers == 1:
+            for index in pending:
+                yield index, execute_job(jobs[index])
+            return
+        # Imported here: the campaign package imports this module.
+        from repro.campaign.supervisor import CellSupervisor, RetryPolicy
+
+        supervisor = CellSupervisor(
+            policy=RetryPolicy(max_retries=0),
+            process_workers=self.workers,
+            engine_fallback=False,
+        )
+        try:
+            for index in pending:
+                supervisor.submit(index, jobs[index], "process")
+            for outcome in iter(supervisor.next_outcome, None):
+                if outcome.kind != "done":
+                    job = outcome.job
+                    raise PoisonCellError(
+                        f"cell {outcome.index} ({job.describe()}) failed "
+                        f"on a worker process: {outcome.error}",
+                        index=outcome.index,
+                        fingerprint=job.fingerprint,
+                    )
+                yield outcome.index, outcome.report
+        finally:
+            supervisor.close()
 
     def run(
         self,
@@ -363,17 +412,15 @@ def run_grid(
     erase_suspension: bool = True,
     seed: int = 0xAE20,
     engine: str = "auto",
-    executor: Optional[Executor] = None,
     cache: Optional[Union[ResultStore, str, Path]] = None,
 ) -> EvaluationGrid:
     """Run a (scheme x pec x workload) grid.
 
-    The one-call façade over :class:`GridRunner`: pass ``executor``
-    (e.g. ``ProcessExecutor(4)``) to parallelize across processes and
+    The one-call façade over a serial :class:`GridRunner`: pass
     ``cache`` (a store or a directory path) to persist/reuse finished
-    cells.
+    cells; ``GridRunner(workers=n).run(...)`` fans cells out.
     """
-    runner = GridRunner(executor=executor, cache=cache)
+    runner = GridRunner(cache=cache)
     return runner.run(
         schemes=schemes,
         pec_points=pec_points,

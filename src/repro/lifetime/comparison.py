@@ -64,36 +64,6 @@ class SchemeComparison:
         )
 
 
-@dataclass(frozen=True)
-class _CurveJob:
-    """Picklable work order for one scheme's lifetime curve."""
-
-    profile: ChipProfile
-    key: str
-    block_count: int
-    step: int
-    seed: int
-    mispredict_rate: float
-    requirement: Optional[int]
-    max_pec: int
-    engine: str = "auto"
-
-
-def _run_curve(job: _CurveJob) -> LifetimeCurve:
-    """Cycle one block set to failure (module-level so workers can import it)."""
-    simulator = LifetimeSimulator(
-        job.profile,
-        job.key,
-        block_count=job.block_count,
-        step=job.step,
-        seed=job.seed,
-        mispredict_rate=job.mispredict_rate,
-        requirement=job.requirement,
-        engine=job.engine,
-    )
-    return simulator.run(max_pec=job.max_pec)
-
-
 def _builtin_profile_name(profile: ChipProfile) -> Optional[str]:
     """The registry name of ``profile``, or None for ad-hoc profiles.
 
@@ -119,7 +89,6 @@ def compare_schemes(
     max_pec: int = 12000,
     requirement: Optional[int] = None,
     mispredict_rate: float = 0.0,
-    executor: Optional[Any] = None,
     engine: str = "auto",
     cache: Optional[Any] = None,
     runner: Optional[Any] = None,
@@ -134,15 +103,12 @@ def compare_schemes(
     one cache entry per (scheme, profile) fingerprint. Pass ``cache``
     (any :class:`~repro.harness.store.ResultStore`, or a store
     directory path) to persist curves and crash-resume, or a pre-built
-    ``runner`` to share its cache and stats across calls. Ad-hoc
-    :class:`ChipProfile` objects keep the direct path (no cache — an
-    unnamed profile has no stable fingerprint).
-
-    Each scheme's block set cycles independently, so the campaign fans
-    out across an executor from :mod:`repro.harness.executors` — pass
-    ``executor=ProcessExecutor(n)`` to run schemes concurrently; results
-    are identical to the serial run (each curve is a pure function of
-    its job).
+    ``runner`` to share its cache and stats across calls — each
+    scheme's block set cycles independently, so
+    ``runner=GridRunner(workers=n)`` runs schemes concurrently, with
+    results identical to the serial run. Ad-hoc :class:`ChipProfile`
+    objects keep the direct, serial path (no cache — an unnamed
+    profile has no stable fingerprint).
 
     Scheme keys resolve through :data:`repro.experiments.SCHEMES`, so
     registered plugin schemes compare alongside the built-ins; unknown
@@ -174,33 +140,27 @@ def compare_schemes(
             engine=engine,
         )
         if runner is None:
-            runner = GridRunner(executor=executor, cache=cache)
+            runner = GridRunner(cache=cache)
         return spec.comparison(runner.execute_jobs(spec.jobs()))
     if cache is not None or runner is not None:
         raise ConfigError(
             f"profile {profile.name!r} is not a built-in chip profile; "
-            "curves for ad-hoc profiles cannot be cached"
+            "curves for ad-hoc profiles cannot be cached or run on a "
+            "GridRunner"
         )
     comparison = SchemeComparison(profile_name=profile.name)
-    jobs = [
-        _CurveJob(
-            profile=profile,
-            key=key,
+    for key in scheme_keys:
+        simulator = LifetimeSimulator(
+            profile,
+            key,
             block_count=block_count,
             step=step,
             seed=seed,
             mispredict_rate=mispredict_rate if key.startswith("aero") else 0.0,
             requirement=requirement,
-            max_pec=max_pec,
             engine=engine,
         )
-        for key in scheme_keys
-    ]
-    if executor is None:
-        curves = [_run_curve(job) for job in jobs]
-    else:
-        curves = executor.map(_run_curve, jobs)
-    comparison.curves = dict(zip(scheme_keys, curves))
+        comparison.curves[key] = simulator.run(max_pec=max_pec)
     return comparison
 
 
@@ -212,7 +172,6 @@ def misprediction_sensitivity(
     step: int = 50,
     seed: int = 0xAE20,
     engine: str = "auto",
-    executor: Optional[Any] = None,
     cache: Optional[Any] = None,
 ) -> Dict[float, Dict[str, LifetimeCurve]]:
     """Figure 16 (lifetime panel): inject forced mispredictions.
@@ -222,11 +181,12 @@ def misprediction_sensitivity(
     at a 20 % misprediction rate.
 
     Runs through the cached :class:`~repro.lifetime.spec.LifetimeJob`
-    path for built-in profiles: jobs whose fingerprints coincide
-    across sweep points (the misprediction rate only perturbs the
-    aero schemes, so every non-aero curve is shared) execute once and
-    fan out to every rate; pass ``cache`` (a store or a directory path)
-    to also reuse curves across sessions.
+    path for built-in profiles, all sweep points in one
+    :meth:`~repro.harness.runner.GridRunner.execute_jobs` call: jobs
+    whose fingerprints coincide across sweep points (the misprediction
+    rate only perturbs the aero schemes, so every non-aero curve is
+    shared) execute once and serve every rate; pass ``cache`` (a store
+    or a directory path) to also reuse curves across runs.
     """
     if _builtin_profile_name(profile) is None:
         results: Dict[float, Dict[str, LifetimeCurve]] = {}
@@ -259,27 +219,12 @@ def misprediction_sensitivity(
         ).jobs()
         for rate in rates
     }
-    # Deduplicate by fingerprint across the whole sweep, then execute
-    # each distinct curve exactly once.
-    unique = {}
-    for jobs in point_jobs.values():
-        for job in jobs:
-            unique.setdefault(job.fingerprint, job)
-    runner = GridRunner(executor=executor, cache=cache)
-    ordered = list(unique.values())
-    curves = dict(
-        zip(
-            (job.fingerprint for job in ordered),
-            runner.execute_jobs(ordered),
+    curves = iter(
+        GridRunner(cache=cache).execute_jobs(
+            [job for jobs in point_jobs.values() for job in jobs]
         )
     )
-    return {
-        rate: {
-            key: curves[job.fingerprint]
-            for key, job in zip(scheme_keys, jobs)
-        }
-        for rate, jobs in point_jobs.items()
-    }
+    return {rate: dict(zip(scheme_keys, curves)) for rate in point_jobs}
 
 
 def requirement_sensitivity(
@@ -290,7 +235,6 @@ def requirement_sensitivity(
     step: int = 50,
     seed: int = 0xAE20,
     engine: str = "auto",
-    executor: Optional[Any] = None,
     cache: Optional[Any] = None,
 ) -> Dict[int, SchemeComparison]:
     """Figure 17 (lifetime panel): weaker ECC shrinks the margin.
@@ -310,7 +254,7 @@ def requirement_sensitivity(
     if _builtin_profile_name(profile) is not None:
         from repro.harness.runner import GridRunner
 
-        runner = GridRunner(executor=executor, cache=cache)
+        runner = GridRunner(cache=cache)
     elif cache is not None:
         raise ConfigError(
             f"profile {profile.name!r} is not a built-in chip profile; "
@@ -326,7 +270,6 @@ def requirement_sensitivity(
             seed=seed,
             requirement=requirement,
             engine=engine,
-            executor=executor,
             runner=runner,
         )
     return results

@@ -27,7 +27,6 @@ from repro.harness import (
     CACHE_VERSION,
     GridRunner,
     ResultStore,
-    SerialExecutor,
     run_workload_cell,
 )
 
@@ -50,7 +49,7 @@ def fake_key(n: int) -> str:
 
 
 def serial_grid(spec: CampaignSpec):
-    runner = GridRunner(executor=SerialExecutor())
+    runner = GridRunner()
     return runner.run(
         schemes=spec.schemes,
         pec_points=spec.pec_points,

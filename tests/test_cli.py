@@ -180,8 +180,7 @@ def test_compare_fail_after_then_resume(tmp_path, capsys):
 def test_compare_engine_and_executor_flags(capsys):
     assert main([
         "compare", "--schemes", "baseline,aero", "--blocks", "4",
-        "--step", "500", "--engine", "kernel",
-        "--workers", "2", "--executor", "thread",
+        "--step", "500", "--engine", "kernel", "--workers", "2",
     ]) == 0
     out = capsys.readouterr().out
     assert "Lifetime comparison" in out

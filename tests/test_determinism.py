@@ -14,15 +14,14 @@ import pytest
 from repro.campaign import ShardedResultStore, open_store
 from repro.harness import (
     CACHE_VERSION,
+    CellJob,
     GridRunner,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
     cell_fingerprint,
     run_grid,
     run_workload_cell,
 )
 from repro.config import SsdSpec
+from repro.errors import ConfigError, PoisonCellError
 from repro.ssd.metrics import LatencyRecorder, PerfReport
 
 GRID_KWARGS = dict(
@@ -49,8 +48,8 @@ def test_different_seed_different_report():
 
 
 def test_process_grid_equals_serial_grid():
-    serial = GridRunner(executor=SerialExecutor())
-    parallel = GridRunner(executor=ProcessExecutor(2))
+    serial = GridRunner()
+    parallel = GridRunner(workers=2)
     grid_s = serial.run(**GRID_KWARGS)
     grid_p = parallel.run(**GRID_KWARGS)
     assert len(grid_s.cells) == len(grid_p.cells) == 4
@@ -58,34 +57,17 @@ def test_process_grid_equals_serial_grid():
         assert cell_s.key == cell_p.key
         assert cell_s.report == cell_p.report
     assert grid_s == grid_p
+    assert parallel.stats.executed == 4
 
 
-def test_thread_grid_equals_serial_grid():
-    serial = GridRunner(executor=SerialExecutor())
-    threaded = GridRunner(executor=ThreadExecutor(2))
-    grid_s = serial.run(**GRID_KWARGS)
-    grid_t = threaded.run(**GRID_KWARGS)
-    assert len(grid_s.cells) == len(grid_t.cells) == 4
-    for cell_s, cell_t in zip(grid_s.cells, grid_t.cells):
-        assert cell_s.key == cell_t.key
-        assert cell_s.report == cell_t.report
-    assert grid_s == grid_t
+def test_grid_runner_rejects_zero_workers():
+    assert GridRunner().workers == 1
+    assert GridRunner(workers=3).workers == 3
+    with pytest.raises(ConfigError, match="at least 1 worker"):
+        GridRunner(workers=0)
 
 
-def test_thread_executor_api():
-    import pytest as _pytest
-
-    from repro.errors import ConfigError
-
-    executor = ThreadExecutor(3)
-    assert executor.map(abs, [-2, 1, -3]) == [2, 1, 3]
-    assert list(executor.imap(abs, [])) == []
-    assert "workers=3" in repr(executor)
-    with _pytest.raises(ConfigError):
-        ThreadExecutor(0)
-
-
-def test_thread_lifetime_comparison_equals_serial():
+def test_process_lifetime_comparison_equals_serial():
     from repro.lifetime import compare_schemes
     from repro.nand.chip_types import TLC_3D_48L
 
@@ -93,12 +75,55 @@ def test_thread_lifetime_comparison_equals_serial():
         scheme_keys=("baseline", "aero"), block_count=12, step=200, seed=6
     )
     serial = compare_schemes(TLC_3D_48L, **kwargs)
-    threaded = compare_schemes(
-        TLC_3D_48L, executor=ThreadExecutor(2), **kwargs
+    parallel = compare_schemes(
+        TLC_3D_48L, runner=GridRunner(workers=2), **kwargs
     )
-    for key in kwargs["scheme_keys"]:
-        assert serial.curves[key].lifetime_pec == threaded.curves[key].lifetime_pec
-        assert serial.curves[key].avg_mrber == threaded.curves[key].avg_mrber
+    assert parallel.to_json_dict() == serial.to_json_dict()
+
+
+def test_process_fanout_persists_every_cell(tmp_path):
+    parallel = GridRunner(workers=2, cache=tmp_path)
+    grid_p = parallel.run(**GRID_KWARGS)
+    assert parallel.stats.executed == 4
+    assert len(ShardedResultStore(tmp_path)) == 4
+
+    rerun = GridRunner(cache=tmp_path)
+    assert rerun.run(**GRID_KWARGS) == grid_p
+    assert rerun.stats.executed == 0
+    assert rerun.stats.cached == 4
+
+
+def test_failing_job_raises_inline_and_poisons_on_worker():
+    job = CellJob(
+        scheme="no_such_scheme", pec=500, workload="hm",
+        spec=SsdSpec.small_test(seed=1), requests=120,
+        erase_suspension=True, seed=1,
+    )
+    with pytest.raises(ConfigError, match="no_such_scheme"):
+        GridRunner().execute_jobs([job])
+    with pytest.raises(PoisonCellError) as info:
+        GridRunner(workers=2).execute_jobs([job])
+    message = str(info.value)
+    assert "no_such_scheme/500/hm" in message
+    assert "ConfigError: " in message
+    assert info.value.index == 0
+    assert info.value.fingerprint == job.fingerprint
+
+
+def test_repeated_job_runs_once_per_call(tmp_path):
+    runner = GridRunner(cache=tmp_path)
+    grid = runner.run(
+        schemes=("aero", "aero"), pec_points=(500,), workloads=("hm",),
+        requests=120, seed=1,
+    )
+    assert runner.stats.executed == 1
+    assert runner.stats.cached == 1
+    assert runner.stats.total == 2
+    first, second = grid.cells
+    assert first.report == second.report
+    stats = ShardedResultStore(tmp_path).stats()
+    assert stats.keys == 1
+    assert stats.superseded == 0
 
 
 def test_warm_cache_executes_zero_cells(tmp_path):

@@ -19,7 +19,7 @@ from repro.campaign import (
     campaign_spec_from_dict,
 )
 from repro.errors import ConfigError
-from repro.harness import GridRunner, SerialExecutor
+from repro.harness import GridRunner
 from repro.lifetime import (
     LifetimeCurve,
     LifetimeSpec,
@@ -147,7 +147,7 @@ def test_cached_compare_bit_identical_to_fresh_serial(tmp_path):
     fresh = compare_schemes(
         profile_by_name(SPEC.profile), scheme_keys=SPEC.schemes,
         block_count=SPEC.block_count, step=SPEC.step, max_pec=SPEC.max_pec,
-        executor=SerialExecutor(),
+        runner=GridRunner(),
     )
     store = ShardedResultStore(tmp_path / "store")
     first_runner = GridRunner(cache=store)
@@ -218,7 +218,7 @@ def test_mixed_campaign_kill_and_resume_bit_identical(tmp_path):
     fresh = compare_schemes(
         profile_by_name(SPEC.profile), scheme_keys=SPEC.schemes,
         block_count=SPEC.block_count, step=SPEC.step, max_pec=SPEC.max_pec,
-        executor=SerialExecutor(),
+        runner=GridRunner(),
     )
     assert len(result.comparisons) == 1
     assert result.comparisons[0].to_json_dict() == fresh.to_json_dict()

@@ -28,7 +28,7 @@ from repro.campaign.store import record_checksum
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.cli import main
-from repro.harness import GridRunner, SerialExecutor, run_workload_cell
+from repro.harness import GridRunner, run_workload_cell
 from repro.harness.cache import CACHE_VERSION
 from repro.kernels import precondition_kernel, run_trace_kernel
 from repro.ssd.builder import build_ssd
@@ -259,7 +259,7 @@ def test_final_progress_reaches_telemetry_without_callback(tmp_path):
 
 
 def test_crash_resume_metrics_reconcile(tmp_path):
-    reference = GridRunner(executor=SerialExecutor()).run(
+    reference = GridRunner().run(
         schemes=SPEC.schemes,
         pec_points=SPEC.pec_points,
         workloads=SPEC.workloads,
@@ -652,8 +652,7 @@ def test_merge_snapshot_skips_empty_histograms_and_none():
 
 def test_process_executor_forwards_child_telemetry():
     from repro.config import SsdSpec
-    from repro.harness import ProcessExecutor
-    from repro.harness.runner import CellJob, execute_job
+    from repro.harness.runner import CellJob
 
     spec = SsdSpec.small_test(seed=3)
     jobs = [
@@ -663,7 +662,7 @@ def test_process_executor_forwards_child_telemetry():
                 requests=120, erase_suspension=True, seed=2),
     ]
     with scoped_registry() as registry:
-        ProcessExecutor(2).map(execute_job, jobs)
+        GridRunner(workers=2).execute_jobs(jobs)
         replays = registry.get("repro_ssd_replays_total")
         assert replays is not None and replays.value == 2
         latency = registry.get("repro_ssd_latency_seconds")
