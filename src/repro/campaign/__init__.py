@@ -10,12 +10,15 @@ and threads with crash-resume". Three layers:
   ``cache=`` path through the same :func:`open_store` as the
   orchestrator);
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, the declarative
-  (schemes x PECs x workloads) campaign description, JSON
-  round-trippable and :meth:`GridRunner.plan`-compatible; plus
-  :class:`MixedCampaignSpec` and :func:`campaign_spec_from_dict`,
-  which dispatch on a ``family`` key so one campaign file carries
-  grid cells (``"cell"``), lifetime curves (``"lifetime"``, a
-  :class:`~repro.lifetime.spec.LifetimeSpec`), or both (``"mixed"``);
+  (schemes x PECs x workloads) campaign description,
+  :meth:`GridRunner.plan`-compatible; plus :class:`MixedCampaignSpec`
+  and :func:`campaign_spec_from_dict`, which dispatch on a ``family``
+  key so one campaign file carries grid cells (``"cell"``), lifetime
+  curves (``"lifetime"``, a :class:`~repro.lifetime.spec.LifetimeSpec`),
+  or both (``"mixed"``). Every spec class shares one JSON codec and
+  one version (:class:`~repro.experiments.spec.SpecBase`,
+  :data:`~repro.experiments.spec.SPEC_VERSION`) and one file reader,
+  so a wrongly typed field is a ``ConfigError`` naming the field;
 * :mod:`repro.campaign.orchestrator` — :class:`CampaignOrchestrator`,
   which fans pending cells out over a mixed process+thread worker
   pool and streams each finished cell into the store the moment it
@@ -96,7 +99,6 @@ from repro.campaign.orchestrator import (
 from repro.campaign.quarantine import Quarantine
 from repro.campaign.spec import (
     CAMPAIGN_FAMILIES,
-    CAMPAIGN_SPEC_VERSION,
     CampaignSpec,
     MixedCampaignSpec,
     campaign_spec_from_dict,
@@ -118,7 +120,6 @@ from repro.campaign.supervisor import (
 
 __all__ = [
     "CAMPAIGN_FAMILIES",
-    "CAMPAIGN_SPEC_VERSION",
     "CampaignOrchestrator",
     "CampaignProgress",
     "CampaignResult",

@@ -13,54 +13,55 @@ registries, seed derivation, and cache fingerprints:
 * ``spec.experiments()`` views the same campaign as a list of
   :class:`ExperimentSpec` objects (each resolving to the identical
   :class:`CellJob`), for code that speaks the per-cell API;
-* ``to_dict``/``from_dict`` round-trip through JSON, and
+* both this class and :class:`MixedCampaignSpec` take their JSON codec
+  (``to_dict``/``from_dict``, version and type checks) from
+  :class:`~repro.experiments.spec.SpecBase`, and
   :func:`load_campaign_file` reads the ``campaign.json`` files the CLI
-  takes.
+  takes through the shared
+  :func:`~repro.experiments.spec.read_spec_file`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, List, Mapping, Optional, Tuple, Union
 
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES, WORKLOADS
 from repro.experiments.spec import (
+    SSD_CODEC,
     ExperimentSpec,
-    _ssd_from_dict,
-    _ssd_to_dict,
+    SpecBase,
+    read_spec_file,
 )
 from repro.harness.cells import PAPER_PEC_POINTS, PAPER_SCHEMES
 from repro.harness.runner import CellJob, plan_jobs
 from repro.kernels import ENGINES
-
-#: Bump when the campaign-file layout changes incompatibly.
-CAMPAIGN_SPEC_VERSION = 1
+from repro.rng import DEFAULT_SEED
 
 #: The ``family`` values a campaign file may declare.
 CAMPAIGN_FAMILIES = ("cell", "lifetime", "mixed")
 
-_DEFAULT_SEED = 0xAE20
-
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(SpecBase):
     """Frozen description of one (schemes x PECs x workloads) campaign."""
 
     schemes: Tuple[str, ...] = PAPER_SCHEMES
     pec_points: Tuple[int, ...] = PAPER_PEC_POINTS
     workloads: Tuple[str, ...] = ("ali.A", "hm", "usr")
     requests: int = 1200
-    seed: int = _DEFAULT_SEED
+    seed: int = DEFAULT_SEED
     erase_suspension: bool = True
     engine: str = "auto"
-    ssd: Optional[SsdSpec] = field(default=None)
+    ssd: Optional[SsdSpec] = None
 
+    label = "campaign spec"
     #: Family discriminator (grid-cell replay campaigns).
     family = "cell"
+    codecs = {"ssd": SSD_CODEC}
 
     def __post_init__(self) -> None:
         for name in ("schemes", "pec_points", "workloads"):
@@ -71,10 +72,6 @@ class CampaignSpec:
                 raise ConfigError(f"{name} must be a list, got {value!r}")
             if not getattr(self, name):
                 raise ConfigError(f"campaign needs at least one of {name}")
-        if any(not isinstance(s, str) for s in self.schemes):
-            raise ConfigError("schemes must be registry keys (strings)")
-        if any(not isinstance(w, str) for w in self.workloads):
-            raise ConfigError("workloads must be registry refs (strings)")
         if any(
             not isinstance(p, int) or isinstance(p, bool) or p < 0
             for p in self.pec_points
@@ -145,84 +142,21 @@ class CampaignSpec:
             for scheme in self.schemes
         ]
 
-    def fingerprints(self) -> List[str]:
-        """Cache keys of every cell, in job order."""
-        return [job.fingerprint for job in self.jobs()]
 
-    # --- serialization ------------------------------------------------------
+def _members_from_json(members: Any) -> Tuple[Any, ...]:
+    """Decode a mixed campaign's ``members`` list (``__post_init__``
+    rejects nested mixed members)."""
+    if not isinstance(members, list):
+        raise ConfigError("mixed campaign needs a members list")
+    return tuple(campaign_spec_from_dict(member) for member in members)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict; ``from_dict`` inverts it losslessly."""
-        return {
-            "version": CAMPAIGN_SPEC_VERSION,
-            "family": "cell",
-            "schemes": list(self.schemes),
-            "pec_points": list(self.pec_points),
-            "workloads": list(self.workloads),
-            "requests": self.requests,
-            "seed": self.seed,
-            "erase_suspension": self.erase_suspension,
-            "engine": self.engine,
-            "ssd": None if self.ssd is None else _ssd_to_dict(self.ssd),
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        """Rebuild a spec from :meth:`to_dict` output or hand-written JSON."""
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"campaign spec must be a JSON object, "
-                f"got {type(data).__name__}"
-            )
-        version = data.get("version", CAMPAIGN_SPEC_VERSION)
-        if version != CAMPAIGN_SPEC_VERSION:
-            raise ConfigError(
-                f"unsupported campaign spec version {version!r} "
-                f"(this library reads version {CAMPAIGN_SPEC_VERSION})"
-            )
-        family = data.get("family", "cell")
-        if family != "cell":
-            raise ConfigError(
-                f"family {family!r} is not a cell campaign spec"
-            )
-        known = {
-            "version", "family", "schemes", "pec_points", "workloads",
-            "requests", "seed", "erase_suspension", "engine", "ssd",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown campaign spec fields {unknown}; "
-                f"known: {', '.join(sorted(known))}"
-            )
-        ssd = data.get("ssd")
-        return cls(
-            schemes=tuple(data.get("schemes", PAPER_SCHEMES)),
-            pec_points=tuple(data.get("pec_points", PAPER_PEC_POINTS)),
-            workloads=tuple(data.get("workloads", ("ali.A", "hm", "usr"))),
-            requests=data.get("requests", 1200),
-            seed=data.get("seed", _DEFAULT_SEED),
-            erase_suspension=data.get("erase_suspension", True),
-            engine=data.get("engine", "auto"),
-            ssd=None if ssd is None else _ssd_from_dict(ssd),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSpec":
-        """Parse one campaign spec from a JSON string."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"invalid campaign JSON: {exc}") from exc
-        return cls.from_dict(data)
+def _members_to_json(members: Tuple[Any, ...]) -> List[Any]:
+    return [member.to_dict() for member in members]
 
 
 @dataclass(frozen=True)
-class MixedCampaignSpec:
+class MixedCampaignSpec(SpecBase):
     """A campaign whose members span both families.
 
     ``members`` is an ordered tuple of :class:`CampaignSpec` and
@@ -236,8 +170,10 @@ class MixedCampaignSpec:
 
     members: Tuple[Any, ...] = ()
 
+    label = "mixed campaign spec"
     #: Family discriminator (heterogeneous campaigns).
     family = "mixed"
+    codecs = {"members": (_members_to_json, _members_from_json)}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
@@ -284,53 +220,6 @@ class MixedCampaignSpec:
             offset += member.size
         return ranges
 
-    def fingerprints(self) -> List[str]:
-        return [job.fingerprint for job in self.jobs()]
-
-    # --- serialization ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": CAMPAIGN_SPEC_VERSION,
-            "family": "mixed",
-            "members": [member.to_dict() for member in self.members],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MixedCampaignSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"campaign spec must be a JSON object, "
-                f"got {type(data).__name__}"
-            )
-        version = data.get("version", CAMPAIGN_SPEC_VERSION)
-        if version != CAMPAIGN_SPEC_VERSION:
-            raise ConfigError(
-                f"unsupported campaign spec version {version!r} "
-                f"(this library reads version {CAMPAIGN_SPEC_VERSION})"
-            )
-        known = {"version", "family", "members"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown campaign spec fields {unknown}; "
-                f"known: {', '.join(sorted(known))}"
-            )
-        members = data.get("members")
-        if not isinstance(members, (list, tuple)):
-            raise ConfigError("mixed campaign needs a members list")
-        parsed = []
-        for member in members:
-            if (
-                isinstance(member, Mapping)
-                and member.get("family") == "mixed"
-            ):
-                raise ConfigError(
-                    "mixed campaigns cannot nest mixed members"
-                )
-            parsed.append(campaign_spec_from_dict(member))
-        return cls(members=tuple(parsed))
-
 
 def campaign_spec_from_dict(
     data: Mapping[str, Any],
@@ -371,15 +260,4 @@ def load_campaign_file(
     Accepts the bare spec object or ``{"campaign": {...}}``; the
     ``family`` key selects the spec type (``cell`` when absent).
     """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read campaign file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(
-            f"invalid JSON in campaign file {path}: {exc}"
-        ) from exc
-    if isinstance(data, Mapping) and "campaign" in data:
-        data = data["campaign"]
-    return campaign_spec_from_dict(data)
+    return campaign_spec_from_dict(read_spec_file(path, "campaign"))

@@ -21,6 +21,13 @@ Everything resolves through the plugin registries, honours
 ``--store`` (the sharded result store, shared with the Python API;
 ``--cache-dir`` is a second spelling), and exits 2 on configuration
 errors with the registry's rich unknown-key messages.
+
+``run``, ``grid``, ``compare`` and ``campaign run`` build their spec
+(:class:`ExperimentSpec`, :class:`CampaignSpec` or
+:class:`LifetimeSpec`) from only the spec flags they were given: every
+spec flag defaults to ``None`` and sets the field its ``dest`` names,
+so every default lives once, on its spec class. A spec file describes
+the whole spec, so any spec flag given with one exits 2.
 """
 
 from __future__ import annotations
@@ -29,21 +36,23 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.tables import format_table
+from repro.campaign.spec import CampaignSpec, load_campaign_file
 from repro.config import SsdSpec
 from repro.errors import ConfigError, ReproError
-from repro.experiments.registry import SCHEMES, WORKLOADS
 from repro.experiments.runner import run_experiments
 from repro.experiments.spec import ExperimentSpec, load_spec_file
 from repro.kernels import ENGINES
+from repro.lifetime.spec import LifetimeSpec, load_lifetime_file
 
 _SSD_PRESETS = {
     "small": SsdSpec.small_test,
     "bench": SsdSpec.bench,
-    "paper": lambda seed=0xAE20: SsdSpec.paper_table2(),
+    "paper": lambda seed: SsdSpec.paper_table2(),
 }
 
 def _parse_age(text: str) -> float:
@@ -106,6 +115,23 @@ def _add_store_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_campaign_flags(
+    parser: argparse.ArgumentParser, engine_help: str
+) -> None:
+    """The :class:`CampaignSpec` flags ``grid`` and ``campaign run`` share."""
+    _spec_flag(parser, "--schemes", type=_csv,
+               help="comma-separated scheme keys (first = baseline)")
+    _spec_flag(parser, "--pecs", dest="pec_points", type=_csv_ints,
+               metavar="PECS", help="comma-separated PEC setpoints")
+    _spec_flag(parser, "--workloads", type=_csv,
+               help="comma-separated workload abbreviations")
+    _spec_flag(parser, "--requests", type=int)
+    _spec_flag(parser, "--seed", type=int)
+    _spec_flag(parser, "--no-suspension", dest="erase_suspension",
+               action="store_const", const=False)
+    _spec_flag(parser, "--engine", choices=list(ENGINES), help=engine_help)
+
+
 def _add_execution_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -114,65 +140,61 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
     _add_store_arg(parser)
 
 
-def _spec_from_flags(args: argparse.Namespace) -> ExperimentSpec:
-    params: Dict[str, Any] = dict(args.param or [])
-    if args.mispredict_rate:
-        params.setdefault("mispredict_rate", args.mispredict_rate)
-    if args.rber_requirement is not None:
-        params.setdefault("rber_requirement", args.rber_requirement)
-    ssd = None
-    if args.ssd != "default":
-        ssd = _SSD_PRESETS[args.ssd](seed=args.seed)
-    return ExperimentSpec(
-        scheme=args.scheme,
-        scheme_params=params,
-        pec=args.pec,
-        workload=args.workload,
-        requests=args.requests,
-        seed=args.seed,
-        erase_suspension=not args.no_suspension,
-        ssd=ssd,
-        engine=args.engine,
-    ).validate()
+def _spec_flag(parser: argparse.ArgumentParser, *names: str, **kwargs) -> None:
+    """Add a flag that sets one spec field (its ``dest``).
+
+    The flag defaults to None, so the flags a command was given are
+    exactly the non-None ones and each field's default stays on its
+    spec class.
+    """
+    action = parser.add_argument(*names, default=None, **kwargs)
+    flags = parser.get_default("spec_flags") or {}
+    parser.set_defaults(spec_flags={**flags, action.dest: names[0]})
+
+
+def _spec_from_args(args: argparse.Namespace) -> Any:
+    """The command's spec, built from only the spec flags it was given.
+
+    A spec file describes the whole spec, so any spec flag given with
+    one is a conflict.
+    """
+    given = {
+        dest: getattr(args, dest)
+        for dest in args.spec_flags
+        if getattr(args, dest) is not None
+    }
+    spec_file = getattr(args, "spec_file", None)
+    if not spec_file:
+        return args.build_spec(**given)
+    if given:
+        raise ConfigError(
+            "--spec-file fully describes the spec; drop the conflicting "
+            f"flags: {', '.join(args.spec_flags[dest] for dest in given)}"
+        )
+    return args.load_spec(spec_file)
+
+
+def _experiments_from_flags(
+    param=(), mispredict_rate=None, rber_requirement=None, ssd=None, **fields
+) -> List[ExperimentSpec]:
+    """``run``'s one spec: scheme-param flags fold into ``scheme_params``
+    and ``--ssd`` picks a preset seeded with the spec's seed."""
+    params: Dict[str, Any] = dict(param)
+    if mispredict_rate:
+        params.setdefault("mispredict_rate", mispredict_rate)
+    if rber_requirement is not None:
+        params.setdefault("rber_requirement", rber_requirement)
+    spec = ExperimentSpec(scheme_params=params, **fields)
+    if ssd not in (None, "default"):
+        spec = replace(spec, ssd=_SSD_PRESETS[ssd](seed=spec.seed))
+    return [spec]
 
 
 # --- run ---------------------------------------------------------------------
 
 
-#: Experiment-describing `run` flags and their defaults; mutually
-#: exclusive with --spec-file (a spec file fully describes the run).
-_RUN_FLAG_DEFAULTS = {
-    "scheme": "aero",
-    "pec": 2500,
-    "workload": "ali.A",
-    "requests": 1200,
-    "seed": 0xAE20,
-    "no_suspension": False,
-    "mispredict_rate": 0.0,
-    "rber_requirement": None,
-    "param": None,
-    "ssd": "default",
-    "engine": "auto",
-}
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.spec_file:
-        overridden = [
-            f"--{name.replace('_', '-')}"
-            for name, default in _RUN_FLAG_DEFAULTS.items()
-            if getattr(args, name) != default
-        ]
-        if overridden:
-            raise ConfigError(
-                "--spec-file fully describes the experiment; drop the "
-                f"conflicting flags: {', '.join(overridden)}"
-            )
-        specs = load_spec_file(args.spec_file)
-        for spec in specs:
-            spec.validate()
-    else:
-        specs = [_spec_from_flags(args)]
+    specs = [spec.validate() for spec in _spec_from_args(args)]
     result = run_experiments(
         specs,
         workers=args.workers,
@@ -224,50 +246,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    if not args.schemes or not args.pecs or not args.workloads:
-        raise ConfigError("grid needs at least one scheme, pec, and workload")
-    for scheme in args.schemes:
-        SCHEMES.get(scheme)
-    for workload in args.workloads:
-        WORKLOADS.resolve(workload)
-    specs = [
-        ExperimentSpec(
-            scheme=scheme,
-            pec=pec,
-            workload=workload,
-            requests=args.requests,
-            seed=args.seed,
-            erase_suspension=not args.no_suspension,
-            engine=args.engine,
-        )
-        for pec in args.pecs
-        for workload in args.workloads
-        for scheme in args.schemes
-    ]
+    spec = _spec_from_args(args).validate()
     result = run_experiments(
-        specs,
+        spec.experiments(),
         workers=args.workers,
         cache=args.store,
     )
     grid = result.grid
-    baseline = args.schemes[0]
-    for pec in args.pecs:
+    baseline = spec.schemes[0]
+    for pec in spec.pec_points:
         rows = []
         table = grid.normalized_read_tail(args.percentile, pec, baseline)
-        for workload in args.workloads:
+        for workload in spec.workloads:
             rows.append(
                 [workload]
-                + [f"{table[workload][scheme]:.3f}" for scheme in args.schemes]
+                + [f"{table[workload][scheme]:.3f}" for scheme in spec.schemes]
             )
         geomean = grid.geomean_normalized(
             lambda r: r.read_tail(args.percentile), pec, baseline
         )
         rows.append(
-            ["geomean"] + [f"{geomean[scheme]:.3f}" for scheme in args.schemes]
+            ["geomean"] + [f"{geomean[scheme]:.3f}" for scheme in spec.schemes]
         )
         print(
             format_table(
-                ["workload"] + list(args.schemes),
+                ["workload"] + list(spec.schemes),
                 rows,
                 title=(
                     f"p{args.percentile:g} read latency at {pec} PEC "
@@ -286,47 +289,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 # --- compare -----------------------------------------------------------------
 
 
-def _compare_spec_from_args(args: argparse.Namespace):
-    from repro.lifetime import LifetimeSpec, load_lifetime_file
-
-    if args.spec_file:
-        flag_defaults = {
-            "profile": "3D-TLC-48L",
-            "schemes": ["baseline", "iispe", "dpes", "aero_cons", "aero"],
-            "blocks": 48, "step": 50, "seed": 0xAE20, "max_pec": 12000,
-            "requirement": None, "mispredict_rate": 0.0, "engine": "auto",
-        }
-        overridden = [
-            f"--{name.replace('_', '-')}"
-            for name, default in flag_defaults.items()
-            if getattr(args, name) != default
-        ]
-        if overridden:
-            raise ConfigError(
-                "--spec fully describes the comparison; drop the "
-                f"conflicting flags: {', '.join(overridden)}"
-            )
-        return load_lifetime_file(args.spec_file).validate()
-    if not args.schemes:
-        raise ConfigError("compare needs at least one scheme")
-    return LifetimeSpec(
-        schemes=tuple(args.schemes),
-        profile=args.profile,
-        block_count=args.blocks,
-        step=args.step,
-        seed=args.seed,
-        max_pec=args.max_pec,
-        requirement=args.requirement,
-        mispredict_rate=args.mispredict_rate,
-        engine=args.engine,
-    ).validate()
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.harness.runner import GridRunner
     from repro.nand.chip_types import profile_by_name
 
-    spec = _compare_spec_from_args(args)
+    spec = _spec_from_args(args).validate()
     profile = profile_by_name(spec.profile)
     store: Optional[Any] = args.store
     if args.fail_after is not None:
@@ -379,47 +346,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # --- campaign ----------------------------------------------------------------
 
 
-def _campaign_spec_from_args(args: argparse.Namespace):
-    from repro.campaign import CampaignSpec, load_campaign_file
-
-    if args.spec_file:
-        flag_defaults = {
-            "schemes": None, "pecs": None, "workloads": None,
-            "requests": None, "seed": None, "no_suspension": False,
-            "engine": None,
-        }
-        overridden = [
-            f"--{name.replace('_', '-')}"
-            for name, default in flag_defaults.items()
-            if getattr(args, name) != default
-        ]
-        if overridden:
-            raise ConfigError(
-                "--spec-file fully describes the campaign; drop the "
-                f"conflicting flags: {', '.join(overridden)}"
-            )
-        return load_campaign_file(args.spec_file).validate()
-    return CampaignSpec(
-        schemes=tuple(
-            args.schemes
-            or ["baseline", "iispe", "dpes", "aero_cons", "aero"]
-        ),
-        pec_points=tuple(args.pecs or [500, 2500, 4500]),
-        workloads=tuple(args.workloads or ["ali.A", "hm", "usr"]),
-        requests=args.requests if args.requests is not None else 1200,
-        seed=args.seed if args.seed is not None else 0xAE20,
-        erase_suspension=not args.no_suspension,
-        engine=args.engine or "auto",
-    ).validate()
-
-
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     import signal
     import threading
 
     from repro.campaign import CampaignOrchestrator, ShardedResultStore
 
-    spec = _campaign_spec_from_args(args)
+    spec = _spec_from_args(args).validate()
 
     def show(progress) -> None:
         print(f"[campaign] {progress.format()}", flush=True)
@@ -603,8 +536,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     progress = None
     family_status: Dict[str, Dict[str, int]] = {}
     if args.spec_file:
-        from repro.campaign import load_campaign_file
-
         spec = load_campaign_file(args.spec_file).validate()
         orchestrator = CampaignOrchestrator(spec, store)
         progress = orchestrator.status()
@@ -819,86 +750,68 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", help="run one experiment from flags or a JSON spec file"
     )
-    run.add_argument("--scheme", default="aero",
-                     help="erase scheme key (see the scheme registry)")
-    run.add_argument("--pec", type=int, default=2500,
-                     help="P/E-cycle wear setpoint (default: 2500)")
-    run.add_argument("--workload", default="ali.A",
-                     help="workload abbreviation (Table 3)")
-    run.add_argument("--requests", type=int, default=1200,
-                     help="trace requests to replay (default: 1200)")
-    run.add_argument("--seed", type=int, default=0xAE20,
-                     help="campaign seed (default: 0xAE20)")
-    run.add_argument("--no-suspension", action="store_true",
-                     help="disable erase suspension in the scheduler")
-    run.add_argument("--mispredict-rate", type=float, default=0.0,
-                     help="forced AERO misprediction rate (Figure 16)")
-    run.add_argument("--rber-requirement", type=int, default=None,
-                     help="ECC requirement in bits/KiB (Figure 17)")
-    run.add_argument("--param", action="append", type=_parse_param,
-                     metavar="KEY=VALUE",
-                     help="extra scheme param (repeatable; JSON values)")
-    run.add_argument("--ssd", choices=["default", "small", "bench", "paper"],
-                     default="default",
-                     help="SSD preset (default: deterministic small SSD)")
-    run.add_argument("--engine", choices=list(ENGINES), default="auto",
-                     help="grid-cell engine: vectorized replay kernel "
-                          "when the scheme provides one (auto), or force "
-                          "one path; results are identical either way")
+    _spec_flag(run, "--scheme",
+               help="erase scheme key (see the scheme registry)")
+    _spec_flag(run, "--pec", type=int, help="P/E-cycle wear setpoint")
+    _spec_flag(run, "--workload", help="workload abbreviation (Table 3)")
+    _spec_flag(run, "--requests", type=int, help="trace requests to replay")
+    _spec_flag(run, "--seed", type=int, help="campaign seed")
+    _spec_flag(run, "--no-suspension", dest="erase_suspension",
+               action="store_const", const=False,
+               help="disable erase suspension in the scheduler")
+    _spec_flag(run, "--mispredict-rate", type=float,
+               help="forced AERO misprediction rate (Figure 16)")
+    _spec_flag(run, "--rber-requirement", type=int,
+               help="ECC requirement in bits/KiB (Figure 17)")
+    _spec_flag(run, "--param", action="append", type=_parse_param,
+               metavar="KEY=VALUE",
+               help="extra scheme param (repeatable; JSON values)")
+    _spec_flag(run, "--ssd", choices=["default", "small", "bench", "paper"],
+               help="SSD preset (default: deterministic small SSD)")
+    _spec_flag(run, "--engine", choices=list(ENGINES),
+               help="grid-cell engine: vectorized replay kernel "
+                    "when the scheme provides one (auto), or force "
+                    "one path; results are identical either way")
     run.add_argument("--spec-file", default=None,
                      help="JSON file with one spec or a list of specs")
     run.add_argument("--json", action="store_true",
                      help="emit spec + report as JSON")
     _add_execution_args(run)
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=_cmd_run, build_spec=_experiments_from_flags,
+                     load_spec=load_spec_file)
 
     grid = sub.add_parser(
         "grid", help="run a (schemes x PECs x workloads) campaign"
     )
-    grid.add_argument("--schemes", type=_csv,
-                      default=["baseline", "iispe", "dpes", "aero_cons", "aero"],
-                      help="comma-separated scheme keys (first = baseline)")
-    grid.add_argument("--pecs", type=_csv_ints, default=[500, 2500, 4500],
-                      help="comma-separated PEC setpoints")
-    grid.add_argument("--workloads", type=_csv, default=["ali.A", "hm", "usr"],
-                      help="comma-separated workload abbreviations")
-    grid.add_argument("--requests", type=int, default=1200)
-    grid.add_argument("--seed", type=int, default=0xAE20)
-    grid.add_argument("--no-suspension", action="store_true")
+    _add_campaign_flags(grid,
+                        engine_help="grid-cell engine (see `run --engine`)")
     grid.add_argument("--percentile", type=float, default=99.0,
                       help="read-tail percentile to tabulate (default: 99)")
-    grid.add_argument("--engine", choices=list(ENGINES), default="auto",
-                      help="grid-cell engine (see `run --engine`)")
     _add_execution_args(grid)
-    grid.set_defaults(func=_cmd_grid)
+    grid.set_defaults(func=_cmd_grid, build_spec=CampaignSpec)
 
     compare = sub.add_parser(
         "compare", help="lifetime comparison across schemes (Figure 13)"
     )
-    compare.add_argument("--profile", default="3D-TLC-48L",
-                         help="chip profile name (default: 3D-TLC-48L)")
-    compare.add_argument("--schemes", type=_csv,
-                         default=["baseline", "iispe", "dpes",
-                                  "aero_cons", "aero"],
-                         help="comma-separated scheme keys (first = baseline)")
-    compare.add_argument("--blocks", type=int, default=48,
-                         help="blocks per scheme set (default: 48)")
-    compare.add_argument("--step", type=int, default=50,
-                         help="P/E cycles per simulated erase (default: 50)")
-    compare.add_argument("--seed", type=int, default=0xAE20)
-    compare.add_argument("--max-pec", type=int, default=12000)
-    compare.add_argument("--requirement", type=int, default=None,
-                         help="ECC requirement in bits/KiB (Figure 17)")
-    compare.add_argument("--mispredict-rate", type=float, default=0.0,
-                         help="forced AERO misprediction rate (Figure 16)")
+    _spec_flag(compare, "--profile", help="chip profile name")
+    _spec_flag(compare, "--schemes", type=_csv,
+               help="comma-separated scheme keys (first = baseline)")
+    _spec_flag(compare, "--blocks", dest="block_count", type=int,
+               metavar="BLOCKS", help="blocks per scheme set")
+    _spec_flag(compare, "--step", type=int,
+               help="P/E cycles per simulated erase")
+    _spec_flag(compare, "--seed", type=int)
+    _spec_flag(compare, "--max-pec", type=int)
+    _spec_flag(compare, "--requirement", type=int,
+               help="ECC requirement in bits/KiB (Figure 17)")
+    _spec_flag(compare, "--mispredict-rate", type=float,
+               help="forced AERO misprediction rate (Figure 16)")
+    _spec_flag(compare, "--engine", choices=list(ENGINES),
+               help="lifetime engine: vectorized batch kernel when the "
+                    "scheme provides one (auto), or force one path")
     compare.add_argument("--workers", type=int, default=1,
                          help="worker processes, one scheme each "
                               "(default: 1, inline)")
-    compare.add_argument("--engine", choices=list(ENGINES),
-                         default="auto",
-                         help="lifetime engine: vectorized batch kernel "
-                              "when the scheme provides one (auto), or "
-                              "force one path")
     compare.add_argument("--spec", "--spec-file", dest="spec_file",
                          default=None, metavar="PATH",
                          help="JSON LifetimeSpec file; fully describes the "
@@ -910,7 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="crash injection: abort after N curves "
                               "persisted (resume smoke testing; needs "
                               "--store)")
-    compare.set_defaults(func=_cmd_compare)
+    compare.set_defaults(func=_cmd_compare, build_spec=LifetimeSpec,
+                         load_spec=load_lifetime_file)
 
     bench = sub.add_parser(
         "bench", help="time the hot campaigns, write the perf artifact"
@@ -939,20 +853,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--spec-file", default=None,
                               help="JSON campaign spec (bare object or "
                                    "{\"campaign\": {...}})")
-    campaign_run.add_argument("--schemes", type=_csv, default=None,
-                              help="comma-separated scheme keys")
-    campaign_run.add_argument("--pecs", type=_csv_ints, default=None,
-                              help="comma-separated PEC setpoints")
-    campaign_run.add_argument("--workloads", type=_csv, default=None,
-                              help="comma-separated workload abbreviations")
-    campaign_run.add_argument("--requests", type=int, default=None)
-    campaign_run.add_argument("--seed", type=int, default=None)
-    campaign_run.add_argument("--no-suspension", action="store_true")
-    campaign_run.add_argument("--engine", choices=list(ENGINES),
-                              default=None,
-                              help="grid-cell engine (see `run --engine`); "
-                                   "object-engine cells route to process "
-                                   "workers, kernel cells to threads")
+    _add_campaign_flags(campaign_run,
+                        engine_help="grid-cell engine (see `run --engine`); "
+                                    "object-engine cells route to process "
+                                    "workers, kernel cells to threads")
     campaign_run.add_argument("--process-workers", type=int, default=1,
                               help="process-pool workers for object-engine "
                                    "cells (default: 1)")
@@ -1000,7 +904,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="keep the --metrics-port endpoint up "
                                    "this long after the run (scrape "
                                    "window for CI)")
-    campaign_run.set_defaults(func=_cmd_campaign_run)
+    campaign_run.set_defaults(func=_cmd_campaign_run, build_spec=CampaignSpec,
+                              load_spec=load_campaign_file)
 
     campaign_status = campaign_sub.add_parser(
         "status", help="report store contents and campaign completion"

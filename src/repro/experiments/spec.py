@@ -1,4 +1,14 @@
-"""Declarative experiment descriptions: ``ExperimentSpec`` and builder.
+"""Declarative specs: the shared codec, ``ExperimentSpec`` and its builder.
+
+:class:`SpecBase` is the one JSON codec of all four frozen spec
+classes (:class:`ExperimentSpec` here, ``CampaignSpec`` and
+``MixedCampaignSpec`` in :mod:`repro.campaign.spec`, ``LifetimeSpec``
+in :mod:`repro.lifetime.spec`). Its ``to_dict``/``from_dict`` walk
+``dataclasses.fields`` under one :data:`SPEC_VERSION`; a wrongly typed
+JSON value is a :class:`~repro.errors.ConfigError` naming its field,
+and an absent field keeps its dataclass default, so every default is
+defined once, on its class. :func:`read_spec_file` is the one reader
+of spec files.
 
 An :class:`ExperimentSpec` is the canonical, frozen description of one
 evaluation cell — scheme key plus scheme params, the SSD under test,
@@ -11,8 +21,8 @@ the campaign seed. It is the one currency every consumer trades in:
   the same campaign, so CLI runs, spec files, and grid campaigns all
   share one result cache;
 * ``spec.to_dict()`` / ``ExperimentSpec.from_dict`` round-trip through
-  JSON without losing fingerprint identity — the dict is the canonical
-  cache-fingerprint input and the on-disk spec-file format;
+  JSON without losing fingerprint identity — the dict is the on-disk
+  spec-file format;
 * :class:`Experiment` is the fluent builder over it::
 
       report = (Experiment.aero()
@@ -28,9 +38,9 @@ so specs describe third-party schemes/workloads with no core changes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.config import GcSpec, SchedulerSpec, SsdSpec
 from repro.errors import ConfigError
@@ -39,12 +49,157 @@ from repro.harness.runner import CellJob
 from repro.kernels import ENGINES
 from repro.nand.chip_types import profile_by_name
 from repro.nand.geometry import NandGeometry
-from repro.rng import derive
+from repro.rng import DEFAULT_SEED, derive
 
-#: Bump when the spec dict layout changes incompatibly.
+#: Version of every spec dict layout; bump when one changes incompatibly.
 SPEC_VERSION = 1
 
-_DEFAULT_SEED = 0xAE20
+#: JSON types each scalar field annotation accepts.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def _fits(type_name: str, value: Any) -> bool:
+    """Whether a JSON value fits a scalar annotation (a bool is no number)."""
+    return isinstance(value, _JSON_TYPES[type_name]) and (
+        type_name == "bool" or not isinstance(value, bool)
+    )
+
+
+def _decode_field(label: str, name: str, annotation: str, value: Any) -> Any:
+    """Type-check one JSON value against its field's annotation string.
+
+    Covers the annotations plain-JSON spec fields use: ``str``,
+    ``int``, ``float``, ``bool``, ``Optional[...]`` of one of them, and
+    ``Tuple[X, ...]`` (a JSON list). Lists become tuples and integers
+    in float fields become floats.
+    """
+    expected = annotation
+    if annotation.startswith("Optional["):
+        if value is None:
+            return None
+        annotation = annotation[len("Optional["):-1]
+        expected = f"{annotation} or null"
+    if annotation.startswith("Tuple["):
+        item = annotation[len("Tuple["):-len(", ...]")]
+        if isinstance(value, list) and all(_fits(item, v) for v in value):
+            return tuple(value)
+        expected = f"a list of {item}"
+    elif _fits(annotation, value):
+        return float(value) if annotation == "float" else value
+    raise ConfigError(
+        f"{label} field {name!r} must be {expected}, got {value!r}"
+    )
+
+
+class SpecBase:
+    """The JSON codec shared by the frozen spec dataclasses.
+
+    ``to_dict`` writes ``version``, the class's ``family`` (when it has
+    one) and every field; ``from_dict`` checks the version, the family
+    and unknown keys, type-checks each value against its field's
+    annotation, and leaves absent fields to their dataclass defaults.
+    Fields plain JSON cannot carry name an ``(encode, decode)`` pair in
+    ``codecs``. The type checks run here, where JSON comes in, and not
+    in ``__post_init__``, so building a spec in Python stays cheap.
+    """
+
+    #: Subject of error messages, e.g. ``"experiment spec"``.
+    label = "spec"
+    #: The ``family`` key the dict carries; ``None`` writes none.
+    family: Optional[str] = None
+    #: ``{field: (encode, decode)}`` for fields plain JSON cannot carry.
+    codecs: Mapping[str, Tuple[Callable, Callable]] = {}
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe dict; ``from_dict`` inverts it fingerprint-stably."""
+        data: Dict[str, Any] = {"version": SPEC_VERSION}
+        if self.family is not None:
+            data["family"] = self.family
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if spec_field.name in self.codecs:
+                value = self.codecs[spec_field.name][0](value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            data[spec_field.name] = value
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        """Rebuild a spec from :meth:`to_dict` output or hand-written JSON.
+
+        Every field is optional and falls back to its dataclass
+        default, so minimal spec files stay minimal.
+        """
+        if not isinstance(data, Mapping):
+            raise ConfigError(
+                f"{cls.label} must be a JSON object, got {type(data).__name__}"
+            )
+        version = data.get("version", SPEC_VERSION)
+        if version != SPEC_VERSION:
+            raise ConfigError(
+                f"unsupported {cls.label} version {version!r} "
+                f"(this library reads version {SPEC_VERSION})"
+            )
+        annotations = {f.name: f.type for f in fields(cls)}
+        known = {"version", *annotations}
+        if cls.family is not None:
+            known.add("family")
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ConfigError(
+                f"unknown {cls.label} fields {unknown}; "
+                f"known: {', '.join(sorted(known))}"
+            )
+        family = data.get("family", cls.family)
+        if family != cls.family:
+            raise ConfigError(
+                f"{cls.label} needs family {cls.family!r}, got {family!r}"
+            )
+        values = {}
+        for name, value in data.items():
+            if name in cls.codecs:
+                values[name] = cls.codecs[name][1](value)
+            elif name in annotations:
+                values[name] = _decode_field(
+                    cls.label, name, annotations[name], value
+                )
+        return cls(**values)
+
+    def to_json(self, indent: Optional[int] = None) -> str:
+        """Serialize to a JSON string."""
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> Any:
+        """Parse one spec from a JSON string."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {cls.label} JSON: {exc}") from exc
+        return cls.from_dict(data)
+
+    def fingerprints(self) -> List[str]:
+        """Cache keys of every job, in job order."""
+        return [job.fingerprint for job in self.jobs()]
+
+
+def read_spec_file(path: Union[str, Path], wrapper: str) -> Any:
+    """Read and parse a JSON spec file, unwrapping ``{wrapper: ...}``.
+
+    Unreadable files and invalid JSON are :class:`ConfigError`\\ s
+    naming the path; the caller parses the unwrapped value.
+    """
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"invalid JSON in spec file {path}: {exc}") from exc
+    if isinstance(data, Mapping) and wrapper in data:
+        data = data[wrapper]
+    return data
 
 
 def _canonical_param(key: str, value: Any) -> Any:
@@ -72,8 +227,22 @@ def _canonical_param(key: str, value: Any) -> Any:
     )
 
 
-def _ssd_to_dict(spec: SsdSpec) -> Dict[str, Any]:
+def _params_from_json(value: Any) -> Any:
+    """Decode ``scheme_params``: a JSON object (``null`` means none)."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(
+            f"experiment spec field 'scheme_params' must be an object, "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _ssd_to_dict(spec: Optional[SsdSpec]) -> Optional[Dict[str, Any]]:
     """JSON-safe dict of an :class:`SsdSpec` (built-in chip profiles only)."""
+    if spec is None:
+        return None
     try:
         builtin = profile_by_name(spec.profile.name)
     except ConfigError:
@@ -99,8 +268,10 @@ def _ssd_to_dict(spec: SsdSpec) -> Dict[str, Any]:
     }
 
 
-def _ssd_from_dict(data: Mapping[str, Any]) -> SsdSpec:
+def _ssd_from_dict(data: Optional[Mapping[str, Any]]) -> Optional[SsdSpec]:
     """Rebuild an :class:`SsdSpec` from :func:`_ssd_to_dict` output."""
+    if data is None:
+        return None
     try:
         return SsdSpec(
             geometry=NandGeometry(**data["geometry"]),
@@ -116,8 +287,12 @@ def _ssd_from_dict(data: Mapping[str, Any]) -> SsdSpec:
         raise ConfigError(f"malformed ssd spec dict: {exc}") from exc
 
 
+#: JSON codec of the ``ssd`` field (``null`` is the default small SSD).
+SSD_CODEC = (_ssd_to_dict, _ssd_from_dict)
+
+
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(SpecBase):
     """Frozen description of one (scheme, PEC, workload) experiment.
 
     ``ssd=None`` means "the deterministic small test SSD seeded from
@@ -134,13 +309,16 @@ class ExperimentSpec:
     pec: int = 2500
     workload: str = "ali.A"
     requests: int = 1200
-    seed: int = _DEFAULT_SEED
+    seed: int = DEFAULT_SEED
     ssd: Optional[SsdSpec] = None
     erase_suspension: bool = True
     scheme_params: Tuple[Tuple[str, Any], ...] = ()
     #: Grid-cell execution engine; never part of the fingerprint because
     #: kernel and object replays are report-identical (pinned by tests).
     engine: str = "auto"
+
+    label = "experiment spec"
+    codecs = {"ssd": SSD_CODEC, "scheme_params": (dict, _params_from_json)}
 
     def __post_init__(self) -> None:
         params = self.scheme_params
@@ -216,6 +394,10 @@ class ExperimentSpec:
             engine=self.engine,
         )
 
+    def jobs(self) -> List[CellJob]:
+        """The one cell job this spec describes."""
+        return [self.resolve()]
+
     @property
     def fingerprint(self) -> str:
         """The cache key of this experiment's result."""
@@ -228,76 +410,6 @@ class ExperimentSpec:
 
         return run_experiments([self], cache=cache).reports[0]
 
-    # --- serialization ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict; ``from_dict`` inverts it fingerprint-stably."""
-        return {
-            "version": SPEC_VERSION,
-            "scheme": self.scheme,
-            "scheme_params": self.params,
-            "pec": self.pec,
-            "workload": self.workload,
-            "requests": self.requests,
-            "seed": self.seed,
-            "erase_suspension": self.erase_suspension,
-            "ssd": None if self.ssd is None else _ssd_to_dict(self.ssd),
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON).
-
-        Every field except ``scheme`` is optional and falls back to the
-        dataclass default, so minimal spec files stay minimal.
-        """
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"experiment spec must be a JSON object, got {type(data).__name__}"
-            )
-        version = data.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise ConfigError(
-                f"unsupported experiment spec version {version!r} "
-                f"(this library reads version {SPEC_VERSION})"
-            )
-        known = {
-            "version", "scheme", "scheme_params", "pec", "workload",
-            "requests", "seed", "erase_suspension", "ssd", "engine",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown experiment spec fields {unknown}; "
-                f"known: {', '.join(sorted(known))}"
-            )
-        ssd = data.get("ssd")
-        return cls(
-            scheme=data.get("scheme", "aero"),
-            scheme_params=data.get("scheme_params", {}) or {},
-            pec=data.get("pec", 2500),
-            workload=data.get("workload", "ali.A"),
-            requests=data.get("requests", 1200),
-            seed=data.get("seed", _DEFAULT_SEED),
-            erase_suspension=data.get("erase_suspension", True),
-            ssd=None if ssd is None else _ssd_from_dict(ssd),
-            engine=data.get("engine", "auto"),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        """Parse one spec from a JSON string."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"invalid spec JSON: {exc}") from exc
-        return cls.from_dict(data)
-
 
 def load_spec_file(path: Union[str, Path]) -> List[ExperimentSpec]:
     """Load one spec or a list of specs from a JSON file.
@@ -305,15 +417,7 @@ def load_spec_file(path: Union[str, Path]) -> List[ExperimentSpec]:
     Accepts a single spec object, a JSON array of them, or
     ``{"experiments": [...]}``.
     """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid JSON in spec file {path}: {exc}") from exc
-    if isinstance(data, Mapping) and "experiments" in data:
-        data = data["experiments"]
+    data = read_spec_file(path, "experiments")
     if isinstance(data, Mapping):
         data = [data]
     if not isinstance(data, list) or not data:

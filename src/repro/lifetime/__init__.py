@@ -17,14 +17,12 @@ from repro.lifetime.comparison import (
     requirement_sensitivity,
 )
 from repro.lifetime.spec import (
-    LIFETIME_SPEC_VERSION,
     LifetimeJob,
     LifetimeSpec,
     load_lifetime_file,
 )
 
 __all__ = [
-    "LIFETIME_SPEC_VERSION",
     "LifetimeCurve",
     "LifetimeJob",
     "LifetimeSimulator",

@@ -21,29 +21,33 @@ AERO's lifetime kernels match the object path only statistically, so
 the lifetime fingerprint includes the *resolved* engine (``auto``
 canonicalizes to the path actually taken, so ``auto`` and an explicit
 ``kernel`` share one cache entry).
+
+:class:`LifetimeSpec` takes its JSON codec (``to_dict``/``from_dict``,
+version, family and type checks) from
+:class:`~repro.experiments.spec.SpecBase`, so a wrongly typed field
+such as ``"block_count": 8.7`` is an error, not a silent coercion;
+:func:`load_lifetime_file` reads spec files through the shared
+:func:`~repro.experiments.spec.read_spec_file`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES
+from repro.experiments.spec import SpecBase, read_spec_file
 from repro.harness.cache import CACHE_VERSION
 from repro.kernels import ENGINES, kernel_for_scheme
 from repro.lifetime.comparison import SchemeComparison
 from repro.lifetime.simulator import LifetimeCurve, LifetimeSimulator
 from repro.nand.chip_types import profile_by_name
-from repro.rng import derive
+from repro.rng import DEFAULT_SEED, derive
 from repro.schemes import SCHEME_KEYS
-
-#: Spec wire-format version; bump on incompatible to_dict changes.
-LIFETIME_SPEC_VERSION = 1
 
 #: Job/spec family discriminator shared with the campaign layer.
 LIFETIME_FAMILY = "lifetime"
@@ -93,7 +97,7 @@ class LifetimeJob:
     profile: str
     block_count: int = 48
     step: int = 50
-    seed: int = 0xAE20
+    seed: int = DEFAULT_SEED
     max_pec: int = 12000
     requirement: Optional[int] = None
     mispredict_rate: float = 0.0
@@ -179,12 +183,12 @@ class LifetimeJob:
 
 
 @dataclass(frozen=True)
-class LifetimeSpec:
+class LifetimeSpec(SpecBase):
     """Frozen, registry-validated description of a lifetime campaign.
 
     Mirrors :class:`~repro.experiments.spec.ExperimentSpec` /
-    :class:`~repro.campaign.spec.CampaignSpec`: JSON round-trip via
-    :meth:`to_dict`/:meth:`from_dict`, validation against the scheme
+    :class:`~repro.campaign.spec.CampaignSpec`: the same JSON codec
+    (:meth:`to_dict`/:meth:`from_dict`), validation against the scheme
     and chip-profile registries, and resolution to per-(scheme,
     profile) :class:`LifetimeJob` work orders whose fingerprints are
     stable across sessions.
@@ -194,12 +198,13 @@ class LifetimeSpec:
     profile: str = "3D-TLC-48L"
     block_count: int = 48
     step: int = 50
-    seed: int = 0xAE20
+    seed: int = DEFAULT_SEED
     max_pec: int = 12000
     requirement: Optional[int] = None
     mispredict_rate: float = 0.0
     engine: str = "auto"
 
+    label = "lifetime spec"
     #: Family discriminator for the campaign layer.
     family = LIFETIME_FAMILY
 
@@ -258,9 +263,6 @@ class LifetimeSpec:
             for key in self.schemes
         ]
 
-    def fingerprints(self) -> List[str]:
-        return [job.fingerprint for job in self.jobs()]
-
     def comparison(self, curves: Sequence[LifetimeCurve]) -> SchemeComparison:
         """Assemble curves (in :meth:`jobs` order) into a comparison."""
         if len(curves) != len(self.schemes):
@@ -272,68 +274,6 @@ class LifetimeSpec:
             curves=dict(zip(self.schemes, curves)),
         )
 
-    # --- serialization ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON form; exact inverse of :meth:`from_dict`."""
-        return {
-            "version": LIFETIME_SPEC_VERSION,
-            "family": LIFETIME_FAMILY,
-            "schemes": list(self.schemes),
-            "profile": self.profile,
-            "block_count": self.block_count,
-            "step": self.step,
-            "seed": self.seed,
-            "max_pec": self.max_pec,
-            "requirement": self.requirement,
-            "mispredict_rate": float(self.mispredict_rate),
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LifetimeSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigError("lifetime spec must be a JSON object")
-        version = data.get("version", LIFETIME_SPEC_VERSION)
-        if version != LIFETIME_SPEC_VERSION:
-            raise ConfigError(
-                f"unsupported lifetime spec version {version!r} "
-                f"(this build reads version {LIFETIME_SPEC_VERSION})"
-            )
-        family = data.get("family", LIFETIME_FAMILY)
-        if family != LIFETIME_FAMILY:
-            raise ConfigError(
-                f"family {family!r} is not a lifetime spec"
-            )
-        known = {
-            "version", "family", "schemes", "profile", "block_count",
-            "step", "seed", "max_pec", "requirement", "mispredict_rate",
-            "engine",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown lifetime spec field(s): {', '.join(unknown)}"
-            )
-        spec = cls()
-        overrides: Dict[str, Any] = {}
-        if "schemes" in data:
-            overrides["schemes"] = tuple(
-                str(key) for key in data["schemes"]
-            )
-        if "profile" in data:
-            overrides["profile"] = str(data["profile"])
-        for field_name in ("block_count", "step", "seed", "max_pec"):
-            if field_name in data:
-                overrides[field_name] = int(data[field_name])
-        if "requirement" in data and data["requirement"] is not None:
-            overrides["requirement"] = int(data["requirement"])
-        if "mispredict_rate" in data:
-            overrides["mispredict_rate"] = float(data["mispredict_rate"])
-        if "engine" in data:
-            overrides["engine"] = str(data["engine"])
-        return replace(spec, **overrides)
-
 
 def load_lifetime_file(path: Union[str, Path]) -> LifetimeSpec:
     """Load a lifetime spec from a JSON file.
@@ -343,11 +283,4 @@ def load_lifetime_file(path: Union[str, Path]) -> LifetimeSpec:
     and ``campaign run --spec-file``); the family, when present, must
     be ``lifetime``.
     """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise ConfigError(f"cannot read lifetime spec {path}: {error}")
-    if isinstance(data, Mapping) and "campaign" in data:
-        data = data["campaign"]
-    return LifetimeSpec.from_dict(data)
+    return LifetimeSpec.from_dict(read_spec_file(path, "campaign"))

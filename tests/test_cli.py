@@ -87,12 +87,65 @@ def test_run_spec_file_rejects_conflicting_flags(tmp_path, capsys):
     assert "--spec-file" in err and "--requests" in err
 
 
-def test_run_flag_defaults_match_parser():
-    from repro.experiments.cli import _RUN_FLAG_DEFAULTS, build_parser
+def test_spec_flags_build_the_default_specs():
+    # With no spec flags, each command builds its spec class's defaults:
+    # the CLI keeps no copy of them.
+    from repro.campaign import CampaignSpec
+    from repro.experiments.cli import _spec_from_args, build_parser
+    from repro.lifetime import LifetimeSpec
 
-    args = build_parser().parse_args(["run"])
-    for name, default in _RUN_FLAG_DEFAULTS.items():
-        assert getattr(args, name) == default, name
+    parser = build_parser()
+    for argv, expected in (
+        (["run"], [ExperimentSpec()]),
+        (["grid"], CampaignSpec()),
+        (["compare"], LifetimeSpec()),
+        (["campaign", "run", "--store", "unused"], CampaignSpec()),
+    ):
+        assert _spec_from_args(parser.parse_args(argv)) == expected, argv
+
+
+@pytest.mark.parametrize(
+    "argv, flag, data",
+    [
+        (["run", "--requests", "1200"], "--requests", {"requests": 100}),
+        (["run", "--ssd", "default"], "--ssd", {"requests": 100}),
+        (["compare", "--blocks", "48"], "--blocks",
+         {"schemes": ["baseline"], "block_count": 4, "step": 500}),
+    ],
+)
+def test_spec_flag_at_its_default_value_conflicts(tmp_path, capsys, argv,
+                                                  flag, data):
+    # Spec flags default to None, so a flag spelled with its spec
+    # field's default value is still given, and conflicts with a file.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(argv + ["--spec-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "--spec-file" in err and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, data, field",
+    [
+        (["compare", "--spec"], {"block_count": "many"}, "block_count"),
+        (["run", "--spec-file"], {"scheme": "aero", "pec": "high"}, "pec"),
+        (["campaign", "run", "--store", "s", "--spec-file"],
+         {"requests": "10"}, "requests"),
+        (["campaign", "status", "--store", ".", "--spec-file"],
+         {"family": "mixed", "members": [
+             {"family": "lifetime", "mispredict_rate": "x"}]},
+         "mispredict_rate"),
+        (["compare", "--spec"], {"schemes": "aero"}, "schemes"),
+    ],
+)
+def test_wrongly_typed_spec_field_exits_2(tmp_path, capsys, monkeypatch,
+                                          argv, data, field):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(argv + [str(path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and repr(field) in line
 
 
 def test_cache_commands_do_not_create_directories(tmp_path, capsys):
@@ -142,7 +195,7 @@ def test_grid_without_literal_baseline_scheme(tmp_path, capsys):
 
 def test_grid_rejects_empty_axis(capsys):
     assert main(["grid", "--schemes", ","]) == 2
-    assert "at least one scheme" in capsys.readouterr().err
+    assert "at least one of schemes" in capsys.readouterr().err
 
 
 def test_compare_smoke(capsys):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.campaign import CampaignSpec
 from repro.errors import ConfigError
 from repro.experiments import (
     Experiment,
@@ -16,6 +17,7 @@ from repro.experiments import (
 from repro.experiments.registry import Registry, SchemeRegistry
 from repro.config import SsdSpec
 from repro.harness.runner import GridRunner
+from repro.lifetime import LifetimeSpec
 from repro.nand.chip_types import TLC_3D_48L
 from repro.schemes import ALL_SCHEME_KEYS, SCHEME_KEYS, make_scheme
 from repro.workloads.profiles import ALL_PROFILES, WorkloadProfile
@@ -273,6 +275,35 @@ def test_from_dict_rejects_unknown_fields_and_versions():
 def test_minimal_dict_uses_defaults():
     spec = ExperimentSpec.from_dict({"scheme": "baseline"})
     assert spec == ExperimentSpec(scheme="baseline")
+
+
+@pytest.mark.parametrize(
+    "cls, data, field",
+    [
+        (ExperimentSpec, {"pec": "high"}, "pec"),
+        (ExperimentSpec, {"erase_suspension": 1}, "erase_suspension"),
+        (ExperimentSpec, {"scheme_params": [["a", 1]]}, "scheme_params"),
+        (CampaignSpec, {"requests": "10"}, "requests"),
+        (CampaignSpec, {"schemes": "aero"}, "schemes"),
+        (CampaignSpec, {"pec_points": [500, True]}, "pec_points"),
+        (LifetimeSpec, {"block_count": "many"}, "block_count"),
+        (LifetimeSpec, {"block_count": 8.7}, "block_count"),
+        (LifetimeSpec, {"seed": "12"}, "seed"),
+        (LifetimeSpec, {"requirement": "40"}, "requirement"),
+        (LifetimeSpec, {"mispredict_rate": "x"}, "mispredict_rate"),
+    ],
+)
+def test_from_dict_rejects_wrongly_typed_fields(cls, data, field):
+    # One codec type-checks every JSON value against its field: no
+    # crash in the constructor, no silent coercion.
+    with pytest.raises(ConfigError, match=f"field '{field}' must be"):
+        cls.from_dict(data)
+
+
+def test_from_dict_loads_json_integers_into_float_fields():
+    spec = LifetimeSpec.from_dict({"mispredict_rate": 0})
+    assert spec.mispredict_rate == 0.0
+    assert isinstance(spec.mispredict_rate, float)
 
 
 # --- fluent builder ----------------------------------------------------------

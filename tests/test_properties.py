@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import dataclasses
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -72,24 +73,44 @@ def test_felp_prediction_bounds(fail_bits):
             assert cons.pulses == 7 and not cons.reduced
 
 
+CONSERVATIVE = FelpPredictor(
+    PROFILE, conservative=published_conservative_table(PROFILE)
+)
+
+
+def _conservative_prediction(profile, remaining, seed):
+    """Conservative FELP pulses for a block with ``remaining`` pulses
+    left after a 7-pulse first loop, measured with ``profile``'s noise."""
+    state = EraseState(required=7 + remaining, profile=profile)
+    state.start_loop(1)
+    state.apply_pulses(7)
+    fail_bits = state.verify_read(make_rng(seed))
+    return CONSERVATIVE.predict(2, fail_bits).pulses
+
+
 @given(
     remaining=st.integers(min_value=1, max_value=7),
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=60)
 def test_conservative_table_covers_true_remaining(remaining, seed):
-    """For any block state with r pulses left, the measured fail-bit
-    count maps to a conservative prediction of at least r pulses."""
-    rng = make_rng(seed)
-    predictor = FelpPredictor(
-        PROFILE, conservative=published_conservative_table(PROFILE)
+    """Without verify-read noise, the measured fail-bit count of a block
+    with r pulses left maps to a conservative prediction of at least r."""
+    quiet = dataclasses.replace(PROFILE, failbit_noise=0.0)
+    assert _conservative_prediction(quiet, remaining, seed) >= remaining
+
+
+def test_conservative_table_rarely_underpredicts_with_noise():
+    """The profile's 4 % multiplicative verify-read noise makes the
+    conservative table under-predict now and then (the Figure 8 bench
+    accepts >= 99.5 % coverage); over a fixed grid of 21,000 inputs it
+    does so at most 0.1 % of the time."""
+    misses = sum(
+        _conservative_prediction(PROFILE, remaining, seed) < remaining
+        for remaining in range(1, 8)
+        for seed in range(3000)
     )
-    state = EraseState(required=7 + remaining, profile=PROFILE)
-    state.start_loop(1)
-    state.apply_pulses(7)
-    fail_bits = state.verify_read(rng)
-    prediction = predictor.predict(2, fail_bits)
-    assert prediction.pulses >= remaining
+    assert misses <= 21
 
 
 @given(
