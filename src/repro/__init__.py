@@ -11,7 +11,7 @@ FTL, and an event-driven multi-channel SSD simulator.
 The declarative experiment API (:mod:`repro.experiments`) is the front
 door: an :class:`ExperimentSpec` describes one (scheme, PEC, workload)
 cell, the :data:`SCHEMES` / :data:`WORKLOADS` plugin registries resolve
-every string key, and results flow through a fingerprint-keyed sharded
+every string key, and results flow through a fingerprint-keyed SQLite
 result store shared by the Python API and the ``python -m repro`` CLI.
 
 Quick start::

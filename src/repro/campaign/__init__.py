@@ -1,14 +1,14 @@
-"""Campaign service: sharded result store + mixed-pool orchestrator.
+"""Campaign service: result store + mixed-pool orchestrator.
 
 This package scales the evaluation harness from "a grid in one
 process" to "a campaign of millions of cells sharded across processes
 and threads with crash-resume". Three layers:
 
 * :mod:`repro.campaign.store` — :class:`ShardedResultStore`, the
-  chunked append-only result store every driver persists to (the grid
-  runner, the experiment API, and lifetime comparisons open a
-  ``cache=`` path through the same :func:`open_store` as the
-  orchestrator);
+  SQLite result store every driver persists to (the grid runner, the
+  experiment API, and lifetime comparisons open a ``cache=`` path
+  through the same :func:`open_store` as the orchestrator). The class
+  keeps its historical name because the repo benchmark imports it;
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, the declarative
   (schemes x PECs x workloads) campaign description,
   :meth:`GridRunner.plan`-compatible; plus :class:`MixedCampaignSpec`
@@ -33,58 +33,57 @@ and threads with crash-resume". Three layers:
 ``python -m repro campaign run|status|ls|compact`` drives all of it
 from the shell; ``campaign run --cell-timeout/--max-retries/--on-poison``
 expose the supervision knobs and ``--fault-plan`` arms deterministic
-chaos (:mod:`repro.faults`).
+chaos (:mod:`repro.faults`). ``status``, ``ls`` and ``compact`` only
+open an existing store: on any other directory they exit 2 with
+``error: not a result store: DIR``.
 
-Multi-writer safety: the store takes a shared ``flock`` for appends
-and an exclusive one for compaction/gc, and bumps a generation marker
-on every rewrite — N orchestrator processes can share one store root
-without losing records (see :mod:`repro.campaign.store`).
+Multi-writer safety: the database runs in WAL mode with a busy
+timeout, so N orchestrator processes (or ``campaign run`` racing
+``campaign compact``) share one store root without losing records
+(see :mod:`repro.campaign.store`).
 
 Store layout
 ============
 
-One JSON file per cell collapses past a few thousand cells —
-directory scans, inode pressure, one ``os.replace`` per cell. The
-store instead appends records to a bounded number of JSONL segment
-files, sharded by fingerprint prefix::
+::
 
     <root>/
-        store.json              manifest: {"layout", "prefix_len",
-                                           "segment_max_bytes"}
-        2f/                     shard = first prefix_len hex digits
-            seg-000000.jsonl      of the cell fingerprint
-            seg-000001.jsonl
-        88/
-            seg-000000.jsonl
+        results.sqlite          the one table, ``results``
+        results.sqlite-wal      write-ahead log (while a handle is open)
+        results.sqlite-shm      WAL index (while a handle is open)
+        quarantine.jsonl        given-up cells (orchestrator sidecar)
 
-Each line of a segment is one self-contained record::
+Each row of ``results`` is one finished result, keyed by its job
+fingerprint::
 
-    {"version": CACHE_VERSION, "key": "<fingerprint>", "ts": <epoch>,
-     "meta": {...}, "report": {...}, "crc": <CRC32 of key + report>}
+    key      TEXT PRIMARY KEY   cell or lifetime-job fingerprint
+    version  INTEGER            CACHE_VERSION the row was written under
+    family   TEXT               result family ("cell", "lifetime")
+    ts       REAL               epoch seconds of the last put
+    meta     TEXT               JSON: what ``campaign ls`` describes
+    report   BLOB               the result's compact JSON bytes
+    crc      INTEGER            CRC32 over exactly those report bytes
+    writes   INTEGER            puts since the last gc or compaction
 
-Non-cell results (lifetime curves) additionally carry a top-level
-``"family"`` key naming the result family; cell records omit it, so
-every record written before families existed still reads back
-byte-identically as a cell.
-
-Append-only semantics: a ``put`` appends one line (a single
-``O_APPEND`` write, atomic on POSIX) to the shard's highest-numbered
-segment, rolling to a fresh segment once the active one exceeds
-``segment_max_bytes``. Within a shard, the *last* record for a key
-wins, so overwrites never rewrite history and a torn final line (a
-crash mid-append) is skipped on load without losing earlier records.
+A ``put`` is one UPSERT (committed on return; a re-put of a key
+overwrites its row and bumps ``writes``, which ``StoreStats.superseded``
+sums). A ``get`` or ``in`` is one primary-key SELECT that serves the
+row only when its version is current and its CRC matches, so
+membership and retrievability agree by construction.
 
 Compaction (``gc``/``compact``, surfaced as ``python -m repro campaign
 compact``, whose ``--max-entries``/``--older-than`` knobs select
-``gc``) rewrites a shard's live records — the newest healthy record
-per surviving key — into one fresh segment *numbered after* every
-existing segment, then unlinks the old ones; a crash between the two
-steps leaves duplicate records whose last-wins resolution is
-unchanged, so compaction is crash-safe without a directory-wide lock.
+``gc``) is one policy ``DELETE`` transaction that also resets
+``writes``; ``compact`` then runs ``VACUUM``. A crash before ``COMMIT``
+leaves nothing behind: the next open discards the uncommitted WAL
+tail.
 
-Records carry :data:`~repro.harness.cache.CACHE_VERSION`; entries
-written under an older version read as misses (and are dropped at
-compaction). One-JSON-file-per-cell cache directories from earlier
+Rows written under an older
+:data:`~repro.harness.cache.CACHE_VERSION` read as misses (and are
+dropped at compaction). A directory in the earlier JSONL layout
+(``store.json`` plus ``<prefix>/seg-*.jsonl``) is imported on first
+open: the newest healthy record per key, then the old files are
+removed. One-JSON-file-per-cell cache directories from still older
 library versions are not read; their cells recompute once.
 """
 

@@ -9,7 +9,7 @@ Five subcommands cover the paper's evaluation surface:
   (flags or a ``--spec`` LifetimeSpec file; ``--store`` persists
   curves for crash-resume, sharing cache entries with lifetime-family
   campaigns);
-* ``campaign`` — orchestrated large campaigns against the sharded
+* ``campaign`` — orchestrated large campaigns against the
   result store (``run`` with live progress/ETA and crash-resume,
   ``status``, ``ls``, ``compact``);
 * ``metrics``  — dump/validate the telemetry registry (``dump`` reads
@@ -18,7 +18,7 @@ Five subcommands cover the paper's evaluation surface:
 
 Everything resolves through the plugin registries, honours
 ``--workers`` (fan-out over supervised worker processes) and
-``--store`` (the sharded result store, shared with the Python API;
+``--store`` (the result store, shared with the Python API;
 ``--cache-dir`` is a second spelling), and exits 2 on configuration
 errors with the registry's rich unknown-key messages.
 
@@ -109,7 +109,7 @@ def _add_store_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store", "--cache-dir", dest="store", default=None,
         metavar="DIR",
-        help="sharded result store: persist finished results here and "
+        help="result store: persist finished results here and "
              "reuse them on re-run (shared with `campaign run --store`; "
              "--cache-dir is a second spelling)",
     )
@@ -507,24 +507,29 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _open_store(store_dir: str):
-    from repro.campaign import ShardedResultStore
+    """Open an existing store; status/ls/compact never create one."""
+    from repro.campaign.store import ShardedResultStore, is_store
 
     if not Path(store_dir).is_dir():
         raise ConfigError(f"no such store directory: {store_dir}")
+    if not is_store(store_dir):
+        raise ConfigError(f"not a result store: {store_dir}")
     return ShardedResultStore(store_dir)
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignOrchestrator
 
+    spec = None
+    if args.spec_file:
+        # Report a malformed spec file before looking at the store.
+        spec = load_campaign_file(args.spec_file).validate()
     store = _open_store(args.store)
     stats = store.stats()
     payload: Dict[str, Any] = {
         "store": {
             "path": args.store,
             "keys": stats.keys,
-            "shards": stats.shards,
-            "segments": stats.segments,
             "data_bytes": stats.data_bytes,
             "superseded": stats.superseded,
             "stale": stats.stale,
@@ -535,8 +540,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     }
     progress = None
     family_status: Dict[str, Dict[str, int]] = {}
-    if args.spec_file:
-        spec = load_campaign_file(args.spec_file).validate()
+    if spec is not None:
         orchestrator = CampaignOrchestrator(spec, store)
         progress = orchestrator.status()
         family_status = orchestrator.family_status()
@@ -560,8 +564,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
                 f"  {family}: {counts['done']}/{counts['total']} done"
             )
     print(
-        f"store {args.store}: {stats.keys} entries across "
-        f"{stats.shards} shards / {stats.segments} segments, "
+        f"store {args.store}: {stats.keys} entries, "
         f"{stats.data_bytes:,} bytes"
     )
     if stats.families:
@@ -574,7 +577,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         print(
             f"  reclaimable: {stats.superseded} superseded, "
             f"{stats.stale} stale, {stats.corrupt} corrupt, "
-            f"{stats.corrupt_lines} torn lines "
+            f"{stats.corrupt_lines} torn "
             "(`campaign compact` prunes them)"
         )
     return 0
@@ -652,16 +655,11 @@ def _cmd_campaign_compact(args: argparse.Namespace) -> int:
             f"store {args.store}: {verb} {result.removed_count} entries "
             f"({result.removed_bytes:,} bytes), kept {result.kept}"
         )
-        if result.tmp_removed:
-            tmp_verb = "would sweep" if args.dry_run else "swept"
-            print(f"  {tmp_verb} {result.tmp_removed} orphaned tmp files")
         return 0
     result = store.compact(dry_run=args.dry_run)
-    verb = "would merge" if args.dry_run else "merged"
+    verb = "would drop" if args.dry_run else "dropped"
     print(
-        f"store {args.store}: {verb} {result.segments_before} segments "
-        f"into {result.segments_after} across {result.shards_rewritten} "
-        f"rewritten shards; dropped {result.records_dropped} dead "
+        f"store {args.store}: {verb} {result.records_dropped} dead "
         f"records, reclaimed {result.bytes_reclaimed:,} bytes"
     )
     return 0
@@ -836,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
-        help="orchestrated campaigns on the sharded result store",
+        help="orchestrated campaigns on the result store",
     )
     campaign_sub = campaign.add_subparsers(
         dest="campaign_command", required=True
@@ -848,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
              "live progress and crash-resume",
     )
     campaign_run.add_argument("--store", required=True,
-                              help="sharded result store directory "
+                              help="result store directory "
                                    "(created if missing)")
     campaign_run.add_argument("--spec-file", default=None,
                               help="JSON campaign spec (bare object or "
@@ -930,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_compact = campaign_sub.add_parser(
         "compact",
-        help="merge segments and drop dead records (gc knobs supported)",
+        help="drop dead records and vacuum (gc knobs supported)",
     )
     campaign_compact.add_argument("--store", required=True)
     campaign_compact.add_argument("--max-entries", type=int, default=None,
@@ -945,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "(needs --max-entries or "
                                        "--older-than)")
     campaign_compact.add_argument("--dry-run", action="store_true",
-                                  help="report without rewriting")
+                                  help="report without deleting")
     campaign_compact.set_defaults(func=_cmd_campaign_compact)
 
     metrics = sub.add_parser(

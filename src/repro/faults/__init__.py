@@ -1,10 +1,9 @@
 """Deterministic fault injection for chaos-testing the campaign stack.
 
 A :class:`FaultPlan` is a seeded, JSON round-trippable description of
-*exactly* which faults fire where: the Nth store put writes a torn
-final line, the worker executing cell K dies, a compaction is
-interrupted between writing the merged segment and unlinking the old
-ones. Because every fault is a pure predicate over (cell index,
+*exactly* which faults fire where: the Nth store put stores torn
+report bytes, the worker executing cell K dies, a compaction is
+interrupted between staging its delete and committing it. Because every fault is a pure predicate over (cell index,
 attempt number, put ordinal) plus a seed — no wall clocks, no real
 randomness — a chaos run reproduces byte-for-byte: CI replays every
 failure mode the suite pins.
@@ -18,15 +17,17 @@ Fault kinds
 ===========
 
 ``torn_tail``
-    The targeted put's line is truncated mid-record before the append
-    (a crash mid-``write``); the record is lost, later loads skip it.
+    The targeted put stores its report bytes cut short under the whole
+    bytes' CRC32, as a crash mid-write would leave them; the row reads
+    as a torn miss and the next run re-executes the cell.
 ``corrupt_checksum``
-    The targeted put's CRC32 field is flipped; the record parses but
+    The targeted put stores its CRC32 off by one; the row parses but
     reads as a checksum miss.
 ``crash_before_put`` / ``crash_after_put``
-    :class:`~repro.errors.InjectedFault` is raised around the targeted
-    append — the orchestrator treats it as a torn persist and retries
-    the cell (before: nothing durable; after: a superseded duplicate).
+    :class:`~repro.errors.InjectedFault` is raised before the targeted
+    UPSERT or after it commits — the orchestrator treats it as a torn
+    persist and retries the cell (before: nothing durable; after: a
+    superseded duplicate).
 ``kill_worker``
     The worker executing the targeted cell dies — ``os._exit`` in a
     process worker (real worker death, exercising pool rebuild),
@@ -35,9 +36,9 @@ Fault kinds
     The targeted cell sleeps ``delay_s`` before executing — pair with
     ``--cell-timeout`` to exercise the timeout/retry path.
 ``compact_interrupt``
-    :class:`InjectedFault` is raised inside ``compact()`` after the
-    merged segment is in place but before old segments are unlinked —
-    the crash window compaction must survive.
+    :class:`InjectedFault` is raised inside the compaction (or gc)
+    transaction, after its ``DELETE`` and before ``COMMIT``; the
+    transaction rolls back and a plain reopen serves every key.
 """
 
 from repro.faults.plan import (

@@ -177,7 +177,7 @@ class FaultPlan:
         return any(spec.kind == "compact_interrupt" for spec in self.faults)
 
     def torn_cut(self, put_index: int, length: int) -> int:
-        """Deterministic byte count a torn line keeps (1..length-2)."""
+        """Deterministic byte count a torn write keeps (1..length-2)."""
         if length <= 2:
             return 1
         return 1 + derive(self.seed, "torn", put_index) % (length - 2)
@@ -287,25 +287,22 @@ class FaultInjector:
             self.fire(spec, f"put #{ordinal} ({key[:12]})")
         return ordinal
 
-    def mutate_line(self, ordinal: int, line: bytes) -> bytes:
-        """Corrupt the record line about to be appended, per the plan."""
-        if not self.plan:
-            return line
-        spec = self.plan.put_fault(ordinal)
-        if spec is None:
-            return line
+    def mutate_record(
+        self, ordinal: int, payload: bytes, crc: int
+    ) -> Tuple[bytes, int]:
+        """Damage the report bytes or CRC about to be stored, per plan.
+
+        ``torn_tail`` keeps a prefix of the bytes under the whole
+        bytes' CRC, as a crash mid-write would; ``corrupt_checksum``
+        stores the CRC off by one.
+        """
+        spec = self.plan.put_fault(ordinal) if self.plan else None
+        if spec is None or spec.kind not in ("torn_tail", "corrupt_checksum"):
+            return payload, crc
+        self.record(spec.kind)
         if spec.kind == "torn_tail":
-            self.record(spec.kind)
-            return line[: self.plan.torn_cut(ordinal, len(line))]
-        if spec.kind == "corrupt_checksum":
-            try:
-                record = json.loads(line)
-                record["crc"] = (int(record.get("crc", 0)) + 1) & 0xFFFFFFFF
-            except (ValueError, TypeError):
-                return line
-            self.record(spec.kind)
-            return json.dumps(record, separators=(",", ":")).encode() + b"\n"
-        return line
+            return payload[: self.plan.torn_cut(ordinal, len(payload))], crc
+        return payload, (crc + 1) & 0xFFFFFFFF
 
     def after_put(self, ordinal: int, key: str) -> None:
         if not self.plan:
@@ -317,8 +314,8 @@ class FaultInjector:
     # --- compaction hook ----------------------------------------------------
 
     def on_compact(self, stage: str) -> None:
-        """Called between compaction stages; ``stage`` is
-        ``"before-unlink"`` — merged segment durable, old ones live."""
+        """Called inside a compaction; ``stage`` is ``"before-commit"``
+        — the policy DELETE is staged but not yet committed."""
         if not self.plan or not self.plan.has_compact_interrupt():
             return
         for spec in self.plan.faults:

@@ -10,10 +10,10 @@ input yields a different key, so one store can be shared across
 campaigns and machines without collisions.
 
 Finished cells persist in a
-:class:`~repro.campaign.store.ShardedResultStore`: the runner consults
-it before executing a cell and writes each finished report back
-immediately, so a campaign killed halfway resumes from its last
-completed cell on the next run.
+:class:`~repro.campaign.store.ShardedResultStore` (one SQLite table
+keyed by fingerprint): the runner consults it before executing a cell
+and writes each finished report back immediately, so a campaign killed
+halfway resumes from its last completed cell on the next run.
 """
 
 from __future__ import annotations

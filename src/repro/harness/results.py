@@ -1,13 +1,13 @@
 """Result-family dispatch for the persistent store.
 
-:class:`~repro.campaign.store.ShardedResultStore` persists results as
-JSON records. Historically every record held a grid-cell
-:class:`~repro.ssd.metrics.PerfReport`; the unified campaign surface
-also stores lifetime-family :class:`~repro.lifetime.simulator.
-LifetimeCurve` results. Records carry a ``family`` discriminator
-(absent on legacy records, which therefore read as cells — no cache
-or store version bump), and this module is the single place a family
-resolves to its (de)serializer.
+:class:`~repro.campaign.store.ShardedResultStore` persists each result
+as the JSON bytes of one table row. Historically every record held a
+grid-cell :class:`~repro.ssd.metrics.PerfReport`; the unified campaign
+surface also stores lifetime-family :class:`~repro.lifetime.simulator.
+LifetimeCurve` results. Every row names its ``family`` (records of the
+earlier JSONL layout without one import as cells — no cache or store
+version bump), and this module is the single place a family resolves
+to its (de)serializer.
 
 Lifetime types import lazily: the harness package must stay importable
 without pulling the lifetime simulator stack, and the lifetime package

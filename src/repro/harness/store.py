@@ -3,9 +3,10 @@
 :class:`ResultStore` is the structural contract between execution
 machinery (:class:`~repro.harness.runner.GridRunner`, the campaign
 orchestrator) and result persistence. One implementation ships:
-:class:`~repro.campaign.store.ShardedResultStore`, chunked append-only
-JSONL segments sharded by fingerprint prefix; both drivers open a
-directory path as one through :func:`~repro.campaign.store.open_store`.
+:class:`~repro.campaign.store.ShardedResultStore`, one SQLite table
+keyed by fingerprint (the class name predates that layout and stays
+because the repo benchmark imports it); both drivers open a directory
+path as one through :func:`~repro.campaign.store.open_store`.
 
 The contract is deliberately small: ``get`` returns a report or
 ``None``, ``put`` persists one atomically, and ``in`` answers exactly

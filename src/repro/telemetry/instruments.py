@@ -42,10 +42,6 @@ CELL_WALL_BUCKETS = (
 #: Batch-kernel block-count buckets.
 BATCH_SIZE_BUCKETS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
-#: Store lock contention buckets (seconds): shared/exclusive flock
-#: waits range from sub-millisecond handoffs to a full compaction.
-LOCK_WAIT_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10.0)
-
 
 def _registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
     if registry is not None:
@@ -161,9 +157,6 @@ class StoreMetrics:
     gc_removed: MetricFamily  # counter
     data_bytes: MetricFamily  # gauge
     bytes_written: MetricFamily  # counter
-    lock_waits: MetricFamily  # counter{mode}
-    lock_wait_seconds: MetricFamily  # histogram
-    generation_rescans: MetricFamily  # counter
 
 
 def store_metrics(
@@ -185,8 +178,8 @@ def store_metrics(
         ),
         bad_entries=reg.counter(
             "repro_store_bad_entries_total",
-            "Unusable records seen while reading: corrupt payloads, "
-            "stale cache versions, torn lines, checksum mismatches.",
+            "Gets that found an unusable record: stale cache version, "
+            "torn report bytes, or a checksum mismatch.",
             labels=("backend", "reason"),
         ),
         superseded=reg.counter(
@@ -206,35 +199,17 @@ def store_metrics(
         ),
         gc_removed=reg.counter(
             "repro_store_gc_removed_total",
-            "Entries removed by garbage collection.",
+            "Entries removed by garbage collection or compaction.",
             labels=labels,
         ),
         data_bytes=reg.gauge(
             "repro_store_data_bytes",
-            "Bytes across the store's live segment files.",
+            "Size of the store's database, pages in use and free.",
             labels=labels,
         ),
         bytes_written=reg.counter(
             "repro_store_bytes_written_total",
-            "Bytes appended by puts.",
-            labels=labels,
-        ),
-        lock_waits=reg.counter(
-            "repro_store_lock_waits_total",
-            "Contended cross-process lock acquisitions, by the mode "
-            "that had to wait (shared appends vs exclusive rewrites).",
-            labels=("backend", "mode"),
-        ),
-        lock_wait_seconds=reg.histogram(
-            "repro_store_lock_wait_seconds",
-            "Time spent blocked on a contended store lock.",
-            labels=labels,
-            buckets=LOCK_WAIT_BUCKETS,
-        ),
-        generation_rescans=reg.counter(
-            "repro_store_generation_rescans_total",
-            "Shard-index rescans forced by another process's "
-            "compaction (generation bump or vanished segment).",
+            "Report bytes written by puts.",
             labels=labels,
         ),
     )
@@ -246,9 +221,8 @@ class _BoundStoreMetrics:
 
     __slots__ = (
         "puts", "superseded", "compactions", "reclaimed_bytes",
-        "gc_removed", "data_bytes", "bytes_written",
-        "lock_wait_seconds", "generation_rescans", "_gets",
-        "_bad_entries", "_lock_waits", "_backend",
+        "gc_removed", "data_bytes", "bytes_written", "_gets",
+        "_bad_entries", "_backend",
     )
 
     def __init__(self, families: StoreMetrics, backend: str):
@@ -263,15 +237,8 @@ class _BoundStoreMetrics:
         self.bytes_written = families.bytes_written.labels(
             backend=backend
         )
-        self.lock_wait_seconds = families.lock_wait_seconds.labels(
-            backend=backend
-        )
-        self.generation_rescans = families.generation_rescans.labels(
-            backend=backend
-        )
         self._gets = families.gets
         self._bad_entries = families.bad_entries
-        self._lock_waits = families.lock_waits
         self._backend = backend
 
     def get_outcome(self, hit: bool):
@@ -282,11 +249,6 @@ class _BoundStoreMetrics:
     def bad_entry(self, reason: str):
         return self._bad_entries.labels(
             backend=self._backend, reason=reason
-        )
-
-    def lock_waits(self, mode: str):
-        return self._lock_waits.labels(
-            backend=self._backend, mode=mode
         )
 
 

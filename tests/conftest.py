@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sqlite3
+from contextlib import closing
+from pathlib import Path
+
 import pytest
 
 from repro.config import SsdSpec
@@ -49,3 +53,21 @@ def make_block(profile, age_kilocycles: float = 0.0, seed: int = 777, index: int
 @pytest.fixture
 def block_factory():
     return make_block
+
+
+@pytest.fixture
+def damage_row():
+    """``damage_row(root, key, "version = ?", 1)`` runs one UPDATE on
+    the stored row of ``key`` — the way bit rot, a torn write or an
+    older library version would have left it."""
+
+    def damage(root, key, assignment, *params):
+        with closing(sqlite3.connect(Path(root) / "results.sqlite")) as db:
+            with db:
+                updated = db.execute(
+                    f"UPDATE results SET {assignment} WHERE key = ?",
+                    (*params, key),
+                ).rowcount
+        assert updated == 1, f"no stored row for {key}"
+
+    return damage

@@ -1,16 +1,20 @@
-"""Campaign subsystem: sharded store, campaign spec, orchestrator.
+"""Campaign subsystem: result store, campaign spec, orchestrator.
 
-The contracts pinned here are the ones the ISSUE's acceptance criteria
-name: membership == retrievability on the store, append-only
-last-write-wins with crash-tolerant loading and compaction, campaign
-specs planning ``GridRunner.plan``-identical jobs, and an interrupted
-campaign resuming from the store alone into a grid bit-identical to an
+The contracts pinned here: membership == retrievability on the store,
+last-write-wins with crash-tolerant reads and compaction, a one-shot
+import of the earlier JSONL layout, campaign specs planning
+``GridRunner.plan``-identical jobs, and an interrupted campaign
+resuming from the store alone into a grid bit-identical to an
 uninterrupted serial run with no cell executed twice.
 """
 
+import gc
 import hashlib
 import json
+import os
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -61,7 +65,7 @@ def serial_grid(spec: CampaignSpec):
     )
 
 
-# --- sharded store -----------------------------------------------------------
+# --- result store ------------------------------------------------------------
 
 
 def test_store_round_trip_and_membership(tmp_path, report):
@@ -84,38 +88,6 @@ def test_store_satisfies_result_store_protocol(tmp_path):
     assert isinstance(ShardedResultStore(tmp_path), ResultStore)
 
 
-def test_store_shards_by_fingerprint_prefix(tmp_path, report):
-    store = ShardedResultStore(tmp_path, prefix_len=2)
-    keys = [fake_key(n) for n in range(8)]
-    for key in keys:
-        store.put(key, report)
-    for key in keys:
-        shard_dir = tmp_path / key[:2]
-        assert shard_dir.is_dir()
-        blob = b"".join(
-            path.read_bytes() for path in shard_dir.glob("seg-*.jsonl")
-        )
-        assert key.encode() in blob
-
-
-def test_store_rolls_segments_past_max_bytes(tmp_path, report):
-    store = ShardedResultStore(tmp_path, prefix_len=1, segment_max_bytes=1)
-    keys = sorted((fake_key(n) for n in range(6)), key=lambda k: k[0])
-    same_shard = [k for k in keys if k[0] == keys[0][0]]
-    for key in keys:
-        store.put(key, report)
-    # every record overflows the 1-byte budget, so each lands in its
-    # own segment within its shard
-    for key in keys:
-        segments = list((tmp_path / key[0]).glob("seg-*.jsonl"))
-        assert len(segments) >= 1
-    if len(same_shard) > 1:
-        segments = list((tmp_path / same_shard[0][0]).glob("seg-*.jsonl"))
-        assert len(segments) == len(same_shard)
-    assert len(store) == 6
-    assert ShardedResultStore(tmp_path).stats().segments >= 6
-
-
 def test_store_last_write_wins(tmp_path, report):
     other = run_workload_cell("aero", 500, "hm", requests=120, seed=8)
     assert other != report
@@ -130,52 +102,52 @@ def test_store_last_write_wins(tmp_path, report):
     assert ShardedResultStore(tmp_path).get(key) == other
 
 
-def test_store_tolerates_torn_final_line(tmp_path, report):
-    store = ShardedResultStore(tmp_path, prefix_len=1)
-    key = fake_key(3)
+def test_store_tolerates_torn_final_line(tmp_path, report, damage_row):
+    store = ShardedResultStore(tmp_path)
+    key, torn = fake_key(3), fake_key(4)
     store.put(key, report)
-    segment = next((tmp_path / key[0]).glob("seg-*.jsonl"))
-    with segment.open("ab") as handle:
-        handle.write(b'{"version": 2, "key": "torn')  # crash mid-append
+    store.put(torn, report)
+    damage_row(tmp_path, torn, "report = substr(report, 1, 40)")
     reopened = ShardedResultStore(tmp_path)
     assert reopened.get(key) == report
+    assert torn not in reopened and reopened.get(torn) is None
     assert reopened.stats().corrupt_lines == 1
-    # the next append must not concatenate onto the torn bytes
-    key2 = key[0] + fake_key(4)[1:]
-    reopened.put(key2, report)
-    assert reopened.get(key2) == report
-    assert ShardedResultStore(tmp_path).get(key2) == report
+    # the next put of the torn key heals it
+    reopened.put(torn, report)
+    assert reopened.get(torn) == report
+    assert ShardedResultStore(tmp_path).get(torn) == report
 
 
-def test_store_stale_version_reads_as_miss(tmp_path, report):
-    store = ShardedResultStore(tmp_path, prefix_len=1)
+def test_store_stale_version_reads_as_miss(tmp_path, report, damage_row):
+    store = ShardedResultStore(tmp_path)
     key = fake_key(5)
     store.put(key, report)
-    segment = next((tmp_path / key[0]).glob("seg-*.jsonl"))
-    record = json.loads(segment.read_text())
-    record["version"] = CACHE_VERSION - 1
-    segment.write_text(json.dumps(record) + "\n")
+    damage_row(tmp_path, key, "version = ?", CACHE_VERSION - 1)
     reopened = ShardedResultStore(tmp_path)
     assert key not in reopened
     assert reopened.get(key) is None
     assert reopened.stats().stale == 1
 
 
-def test_store_compaction_squashes_and_prunes(tmp_path, report):
-    store = ShardedResultStore(tmp_path, prefix_len=1, segment_max_bytes=1)
+def test_store_compaction_squashes_and_prunes(tmp_path, report, damage_row):
+    store = ShardedResultStore(tmp_path)
     keys = [fake_key(n) for n in range(4)]
     for key in keys:
         store.put(key, report)
         store.put(key, report)  # superseded duplicate per key
+    dead = [fake_key(n) for n in range(4, 12)]
+    for key in dead:
+        store.put(key, report)
+        damage_row(tmp_path, key, "version = ?", CACHE_VERSION - 1)
     before = store.stats()
-    assert before.superseded == 4
+    assert (before.superseded, before.stale) == (4, len(dead))
     result = store.compact()
-    assert result.records_dropped >= 4
+    assert result.records_dropped == 4 + len(dead)
     assert result.bytes_reclaimed > 0
     after = store.stats()
     assert after.superseded == 0
     assert after.keys == 4
-    assert after.segments == after.shards  # one segment per shard now
+    assert (after.stale, after.corrupt, after.corrupt_lines) == (0, 0, 0)
     for key in keys:
         assert store.get(key) == report
     # and the compacted layout reads identically from a fresh handle
@@ -184,22 +156,14 @@ def test_store_compaction_squashes_and_prunes(tmp_path, report):
         assert reopened.get(key) == report
 
 
-def test_store_gc_matches_cache_semantics(tmp_path, report):
-    store = ShardedResultStore(tmp_path, prefix_len=1)
+def test_store_gc_matches_cache_semantics(tmp_path, report, damage_row):
+    store = ShardedResultStore(tmp_path)
     keys = [fake_key(n) for n in range(5)]
     for key in keys:
         store.put(key, report)
     # age the first two records far into the past
     for key in keys[:2]:
-        segment = next((tmp_path / key[0]).glob("seg-*.jsonl"))
-        lines = segment.read_text().splitlines()
-        aged = []
-        for line in lines:
-            record = json.loads(line)
-            if record["key"] == key:
-                record["ts"] = 1.0
-            aged.append(json.dumps(record))
-        segment.write_text("\n".join(aged) + "\n")
+        damage_row(tmp_path, key, "ts = 1.0")
     store = ShardedResultStore(tmp_path)
     result = store.gc(older_than_s=3600.0)
     assert result.removed_count == 2
@@ -216,22 +180,14 @@ def test_store_gc_matches_cache_semantics(tmp_path, report):
     assert len(store) == 3
 
 
-def test_store_gc_ranks_healthy_over_stale(tmp_path, report):
-    store = ShardedResultStore(tmp_path, prefix_len=1)
+def test_store_gc_ranks_healthy_over_stale(tmp_path, report, damage_row):
+    store = ShardedResultStore(tmp_path)
     keys = [fake_key(n) for n in range(4)]
     for key in keys:
         store.put(key, report)
     # make the two *newest* records stale-versioned
     for key in keys[2:]:
-        segment = next((tmp_path / key[0]).glob("seg-*.jsonl"))
-        lines = segment.read_text().splitlines()
-        rewritten = []
-        for line in lines:
-            record = json.loads(line)
-            if record["key"] == key:
-                record["version"] = CACHE_VERSION - 1
-            rewritten.append(json.dumps(record))
-        segment.write_text("\n".join(rewritten) + "\n")
+        damage_row(tmp_path, key, "version = ?", CACHE_VERSION - 1)
     store = ShardedResultStore(tmp_path)
     result = store.gc(max_entries=2, remove_corrupt=False)
     # the stale survivors are evicted first; both healthy entries stay
@@ -240,22 +196,8 @@ def test_store_gc_ranks_healthy_over_stale(tmp_path, report):
         assert store.get(key) == report
 
 
-def test_store_rejects_mismatched_prefix_len(tmp_path):
-    ShardedResultStore(tmp_path, prefix_len=2)
-    with pytest.raises(ConfigError):
-        ShardedResultStore(tmp_path, prefix_len=3)
-    # omitting the argument honours the manifest
-    assert ShardedResultStore(tmp_path).prefix_len == 2
-
-
-def test_store_rejects_non_hex_keys(tmp_path, report):
-    store = ShardedResultStore(tmp_path)
-    with pytest.raises(ConfigError):
-        store.put("not-a-fingerprint", report)
-
-
 def test_store_concurrent_thread_puts(tmp_path, report):
-    store = ShardedResultStore(tmp_path, prefix_len=1)
+    store = ShardedResultStore(tmp_path)
     keys = [fake_key(n) for n in range(24)]
     errors = []
 
@@ -278,6 +220,95 @@ def test_store_concurrent_thread_puts(tmp_path, report):
     assert len(store) == 24
     reopened = ShardedResultStore(tmp_path)
     assert all(reopened.get(key) == report for key in keys)
+
+
+def _open_database_files(root):
+    """Paths under ``root`` this process holds an open descriptor on."""
+    found = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith(str(root)):
+            found.append(target)
+    return found
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_dropped_handles_close_their_connection(tmp_path, report):
+    ShardedResultStore(tmp_path).put(fake_key(0), report)
+    gc.disable()  # a connection's own reference cycle would keep it open
+    try:
+        for _ in range(20):
+            assert ShardedResultStore(tmp_path).get(fake_key(0)) == report
+        assert _open_database_files(tmp_path) == []
+    finally:
+        gc.enable()
+
+
+def _put_in_child(store, key, report):
+    store.put(key, report)
+
+
+def test_forked_child_puts_through_inherited_handle(tmp_path, report):
+    import multiprocessing as mp
+
+    store = ShardedResultStore(tmp_path)
+    store.put(fake_key(0), report)  # the parent's connection is open
+    child = mp.get_context("fork").Process(
+        target=_put_in_child, args=(store, fake_key(1), report)
+    )
+    child.start()
+    child.join(60)
+    assert child.exitcode == 0
+    assert store.get(fake_key(1)) == report
+    assert sorted(store.keys()) == sorted([fake_key(0), fake_key(1)])
+
+
+#: A store in the earlier JSONL layout, written by the previous library
+#: version's ``GridRunner(cache=...)`` for the 2-cell grid below. Then,
+#: appended by hand: after the baseline cell's record, a stale-version
+#: copy, a CRC-off-by-one copy and a torn tail line; after the aero
+#: cell's record, a newer CRC-less copy (the pre-checksum format).
+JSONL_STORE = Path(__file__).parent / "fixtures" / "jsonl_store"
+JSONL_GRID = dict(
+    schemes=("baseline", "aero"), pec_points=(500,), workloads=("hm",),
+    requests=120, seed=1234,
+)
+
+
+def test_jsonl_store_is_imported_on_first_open(tmp_path):
+    root = tmp_path / "store"
+    shutil.copytree(JSONL_STORE, root)
+    first, second = sorted(root.glob("*/seg-*.jsonl"))
+    healthy = json.loads(first.read_text().splitlines()[0])
+    crc_less = json.loads(second.read_text().splitlines()[-1])
+    assert "crc" in healthy and "crc" not in crc_less
+
+    warm = GridRunner(cache=root)
+    assert warm.run(**JSONL_GRID) == GridRunner().run(**JSONL_GRID)
+    assert (warm.stats.executed, warm.stats.cached) == (0, 2)
+    # exactly the newest healthy record per key: the baseline cell's
+    # first record (its newer damaged copies skipped), the aero cell's
+    # CRC-less copy
+    store = ShardedResultStore(root)
+    assert {entry.key: entry.mtime for entry in store.entries()} == {
+        healthy["key"]: healthy["ts"], crc_less["key"]: crc_less["ts"],
+    }
+    stats = store.stats()
+    assert (stats.keys, stats.stale, stats.corrupt, stats.corrupt_lines) \
+        == (2, 0, 0, 0)
+    assert not list(root.glob("**/seg-*.jsonl"))
+    assert not (root / "store.json").exists()
+    assert not [path for path in root.iterdir() if path.is_dir()]
+
+    # a second open does not import again, even if old files reappear
+    store.gc(max_entries=1)
+    shutil.copytree(JSONL_STORE, root, dirs_exist_ok=True)
+    assert len(ShardedResultStore(root)) == 1
 
 
 def test_grid_runner_accepts_sharded_store(tmp_path):
@@ -438,8 +469,8 @@ def test_interrupted_campaign_resumes_bit_identical(tmp_path):
     assert resumed.stats.resumed == kill_after
     assert resumed.stats.executed == SPEC.size - kill_after
     assert resumed.grid == reference
-    # no cell executed twice: every key has exactly one record (an
-    # append-only store would show superseded records otherwise)
+    # no cell executed twice: every key was written exactly once (the
+    # store would count superseded writes otherwise)
     stats = ShardedResultStore(tmp_path).stats()
     assert stats.keys == SPEC.size
     assert stats.superseded == 0
@@ -499,12 +530,12 @@ def test_worker_exception_propagates(tmp_path):
 #
 # The helpers live at module scope so that (fork or not) the child
 # processes can resolve them; each child writes through its own store
-# handle, exercising the shared-flock append path for real.
+# handle and connection, exercising the database's locking for real.
 
 
 def _mp_writer(root, start, count, requests):
     report = run_workload_cell("aero", 500, "hm", requests=requests, seed=7)
-    store = ShardedResultStore(root, segment_max_bytes=8192)
+    store = ShardedResultStore(root)
     for n in range(start, start + count):
         store.put(fake_key(n), report)
 
@@ -529,7 +560,7 @@ def test_two_process_store_writers_lose_nothing(tmp_path):
     for writer in writers:
         writer.start()
     # compact continuously while the writers append
-    compactor = ShardedResultStore(tmp_path, segment_max_bytes=8192)
+    compactor = ShardedResultStore(tmp_path)
     while any(writer.is_alive() for writer in writers):
         compactor.compact()
     for writer in writers:
@@ -568,17 +599,16 @@ def test_two_orchestrator_processes_share_one_store(tmp_path):
 
 
 def test_two_handles_interleave_put_and_compact(tmp_path, report):
-    """The in-process flavour of the race: one handle keeps appending
-    while another compacts between its puts; the appender survives the
-    rewrite and neither handle drops a record."""
-    writer = ShardedResultStore(tmp_path, segment_max_bytes=1)
-    compactor = ShardedResultStore(tmp_path, segment_max_bytes=1)
+    """The in-process flavour of the race: one handle keeps putting
+    while another compacts between its puts; the writer survives the
+    compaction and neither handle drops a record."""
+    writer = ShardedResultStore(tmp_path)
+    compactor = ShardedResultStore(tmp_path)
     writer.put(fake_key(0), report)
     writer.put(fake_key(0), report)  # superseded: gives compact work
     writer.put(fake_key(1), report)
     compactor.compact()
-    # the compaction bumped the generation; the writer's next put lands
-    # in the rewritten shard layout without losing its cached state
+    # the writer's next put lands in the compacted database
     writer.put(fake_key(2), report)
     expected = sorted(fake_key(n) for n in range(3))
     assert sorted(writer.keys()) == expected

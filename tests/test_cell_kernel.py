@@ -151,7 +151,9 @@ class TestPr5Regressions:
         assert report.makespan_us >= sliced_horizon
         assert report.makespan_us < trace.duration_us
 
-    def test_cache_len_counts_healthy_entries_only(self, tmp_path):
+    def test_cache_len_counts_healthy_entries_only(
+        self, tmp_path, damage_row
+    ):
         cache = ShardedResultStore(tmp_path)
         report = _cell("baseline", "ali.A", "kernel", requests=60)
         good, bad, old = "a" * 64, "b" * 64, "c" * 64
@@ -160,12 +162,8 @@ class TestPr5Regressions:
         # Torn record and stale-version record both read as misses.
         cache.put(bad, report)
         cache.put(old, report)
-        torn = next((tmp_path / "bb").glob("seg-*"))
-        torn.write_text(torn.read_text()[:40])
-        stale = next((tmp_path / "cc").glob("seg-*"))
-        stale.write_text(stale.read_text().replace(
-            f'"version":{CACHE_VERSION}', '"version":1'
-        ))
+        damage_row(tmp_path, bad, "report = substr(report, 1, 40)")
+        damage_row(tmp_path, old, "version = ?", CACHE_VERSION - 1)
         cache = ShardedResultStore(tmp_path)
         assert cache.get(bad) is None
         assert cache.get(old) is None

@@ -157,6 +157,26 @@ def test_cache_commands_do_not_create_directories(tmp_path, capsys):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("command", ["status", "ls", "compact"])
+def test_store_commands_refuse_a_directory_that_is_not_a_store(
+    tmp_path, capsys, command
+):
+    (tmp_path / "notes.txt").write_text("not a store")
+    assert main(["campaign", command, "--store", str(tmp_path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: not a result store: {tmp_path}"
+    assert [path.name for path in tmp_path.iterdir()] == ["notes.txt"]
+
+
+def test_store_commands_reject_a_database_that_is_not_sqlite(
+    tmp_path, capsys
+):
+    (tmp_path / "results.sqlite").write_bytes(b"not a database " * 10)
+    assert main(["campaign", "status", "--store", str(tmp_path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "is not a store" in line
+
+
 def test_unknown_scheme_exits_2(capsys):
     assert main(["run", "--scheme", "bogus", "--requests", "10"]) == 2
     err = capsys.readouterr().err
@@ -284,27 +304,18 @@ def test_cache_gc_prunes_and_reports(tmp_path, capsys):
     assert len(ShardedResultStore(store).entries()) == 1
 
 
-def _rewrite_records(store_root, **fields):
-    for segment in store_root.glob("*/seg-*.jsonl"):
-        lines = segment.read_text().splitlines()
-        records = [json.loads(line) for line in lines]
-        segment.write_text(
-            "".join(json.dumps({**r, **fields}) + "\n" for r in records)
-        )
-
-
-def test_cache_gc_older_than_and_corrupt(tmp_path, capsys):
+def test_cache_gc_older_than_and_corrupt(tmp_path, capsys, damage_row):
     store = str(tmp_path)
     assert main([
         "run", "--scheme", "baseline", "--pec", "500", "--workload", "hm",
         "--requests", "80", "--seed", "1", "--store", store,
     ]) == 0
-    # a parsable record without a report: listed, never served
-    (tmp_path / "de").mkdir(exist_ok=True)
-    with (tmp_path / "de" / "seg-000000.jsonl").open("a") as handle:
-        handle.write(json.dumps(
-            {"version": CACHE_VERSION, "key": "de" + "ad" * 31}
-        ) + "\n")
+    # a record failing its checksum: listed, never served
+    handle = ShardedResultStore(store)
+    [entry] = handle.entries()
+    corrupt = "de" + "ad" * 31
+    handle.put(corrupt, handle.get(entry.key))
+    damage_row(store, corrupt, "crc = crc + 1")
     capsys.readouterr()
 
     assert main(["campaign", "ls", "--store", store]) == 0
@@ -312,28 +323,12 @@ def test_cache_gc_older_than_and_corrupt(tmp_path, capsys):
     assert "<corrupt entry>" in out and "1 corrupt/stale" in out
 
     # Age out everything: backdate records, prune older than 1h.
-    _rewrite_records(tmp_path, ts=time.time() - 7200)
+    for key in (entry.key, corrupt):
+        damage_row(store, key, "ts = ?", time.time() - 7200)
     assert main(["campaign", "compact", "--store", store,
                  "--older-than", "1h"]) == 0
     assert "removed 2" in capsys.readouterr().out
     assert not ShardedResultStore(store).entries()
-
-
-def test_cache_gc_sweeps_orphaned_tmp_files(tmp_path, capsys):
-    # a compaction's merged segment, orphaned by a crash before rename
-    (tmp_path / "ab").mkdir()
-    orphan = tmp_path / "ab" / "seg-000001.jsonl.tmp.9999"
-    orphan.write_text("partial write")
-    old = time.time() - 300
-    os.utime(orphan, (old, old))
-    gc_args = ["campaign", "compact", "--store", str(tmp_path),
-               "--older-than", "7d"]
-    assert main(gc_args + ["--dry-run"]) == 0
-    assert "would sweep 1 orphaned tmp" in capsys.readouterr().out
-    assert orphan.exists()
-    assert main(gc_args) == 0
-    assert "swept 1 orphaned tmp" in capsys.readouterr().out
-    assert not orphan.exists()
 
 
 def test_parse_age_units():
@@ -462,11 +457,14 @@ def test_campaign_compact_reports(tmp_path, capsys):
     assert "kept 1" in out
 
 
-def test_campaign_compact_keep_corrupt_needs_gc_knob(tmp_path, capsys):
+def test_campaign_compact_keep_corrupt_needs_gc_knob(
+    tmp_path, capsys, damage_row
+):
     store = str(tmp_path / "store")
     assert main(CAMPAIGN_ARGS + ["--store", store, "--quiet"]) == 0
     # stale records: plain compaction would drop them
-    _rewrite_records(tmp_path / "store", version=CACHE_VERSION - 1)
+    for key in list(ShardedResultStore(store).keys()):
+        damage_row(store, key, "version = ?", CACHE_VERSION - 1)
     capsys.readouterr()
     assert main(["campaign", "compact", "--store", store,
                  "--keep-corrupt"]) == 2

@@ -7,8 +7,6 @@ cell-for-cell, cached report == recomputed report, and a warm store
 replays a campaign without executing anything.
 """
 
-import json
-
 import pytest
 
 from repro.campaign import ShardedResultStore, open_store
@@ -23,6 +21,7 @@ from repro.harness import (
 from repro.config import SsdSpec
 from repro.errors import ConfigError, PoisonCellError
 from repro.ssd.metrics import LatencyRecorder, PerfReport
+from repro.telemetry import parse_text_format, render_text, scoped_registry
 
 GRID_KWARGS = dict(
     schemes=("baseline", "aero"),
@@ -153,16 +152,16 @@ def test_cache_resumes_partial_campaign(tmp_path):
     assert resumed.stats.executed == 2
 
 
-def test_cache_ignores_corrupt_entries(tmp_path):
+def test_cache_ignores_corrupt_entries(tmp_path, damage_row):
     runner = GridRunner(cache=tmp_path)
     runner.run(**GRID_KWARGS)
-    # Tear every record line mid-record (a crash mid-append).
-    segments = list(tmp_path.glob("*/seg-*.jsonl"))
-    assert segments
-    for path in segments:
-        lines = path.read_bytes().splitlines()
-        torn = [line[: len(line) // 2] for line in lines]
-        path.write_bytes(b"\n".join(torn))
+    # Tear every record mid-report (a crash mid-write).
+    keys = list(ShardedResultStore(tmp_path).keys())
+    assert len(keys) == 4
+    for key in keys:
+        damage_row(
+            tmp_path, key, "report = substr(report, 1, length(report) / 2)"
+        )
     rerun = GridRunner(cache=tmp_path)
     rerun.run(**GRID_KWARGS)
     assert rerun.stats.executed == 4
@@ -203,7 +202,7 @@ def test_latency_recorder_equality():
 
 
 def test_result_cache_round_trip(tmp_path):
-    # A path opens as a sharded store; a store passes through as is.
+    # A path opens as a result store; a store passes through as is.
     cache = open_store(tmp_path)
     assert isinstance(cache, ShardedResultStore)
     assert open_store(cache) is cache
@@ -267,10 +266,10 @@ def test_fingerprint_sensitivity():
 # not lose it, and gc's keep-newest-N budget must never evict a healthy
 # entry while keeping an unusable one.
 
-#: Hex fingerprints (the store shards on their first digits).
+#: Fingerprint-shaped (64 hex digit) keys.
 KEYS = {
     name: (name.encode().hex() * 64)[:64]
-    for name in ("abc", "missing", "feed01", "feed02", "feed03",
+    for name in ("abc", "missing", "feed01", "feed02",
                  "c0ffee", "aaa", "bbb", "ccc", "ddd", "eee")
 }
 
@@ -280,52 +279,42 @@ def small_report():
     return run_workload_cell("aero", 500, "hm", requests=100, seed=3)
 
 
-def _segment(store, key):
-    return next((store.root / store.shard_of(key)).glob("seg-*.jsonl"))
+#: Row states, each as (UPDATE applied after a healthy put, the
+#: ``repro_store_bad_entries_total`` reason a get counts); ``absent``
+#: never puts the key at all.
+ROW_STATES = {
+    "healthy": (None, None),
+    "stale": (f"version = {CACHE_VERSION - 1}", "stale"),
+    "checksum": ("crc = crc + 1", "checksum"),
+    "truncated": ("report = substr(report, 1, 40)", "torn"),
+    "absent": (None, None),
+}
 
 
-def _edit_record(store, key, **fields):
-    """Rewrite ``key``'s record line in place with ``fields`` merged."""
-    segment = _segment(store, key)
-    lines = []
-    for line in segment.read_text().splitlines():
-        record = json.loads(line)
-        if record["key"] == key:
-            record.update(fields)
-        lines.append(json.dumps(record))
-    segment.write_text("\n".join(lines) + "\n")
-
-
-def _put_corrupt(store, key, ts):
-    """Append a parsable record for ``key`` that has no report."""
-    directory = store.root / store.shard_of(key)
-    directory.mkdir(exist_ok=True)
-    record = {"version": CACHE_VERSION, "key": key, "ts": ts}
-    with (directory / "seg-000000.jsonl").open("a") as handle:
-        handle.write(json.dumps(record) + "\n")
-
-
-def test_contains_is_false_for_truncated_entry(tmp_path, small_report):
-    cache = ShardedResultStore(tmp_path)
-    cache.put(KEYS["feed01"], small_report)
-    segment = _segment(cache, KEYS["feed01"])
-    segment.write_bytes(segment.read_bytes()[:40])  # torn mid-record
-    reopened = ShardedResultStore(tmp_path)
-    # get() treats the torn record as a miss, so membership must too
-    assert reopened.get(KEYS["feed01"]) is None
-    assert KEYS["feed01"] not in reopened
-
-
-def test_contains_is_false_for_stale_version_entry(tmp_path, small_report):
-    cache = ShardedResultStore(tmp_path)
-    cache.put(KEYS["feed02"], small_report)
-    _edit_record(cache, KEYS["feed02"], version=CACHE_VERSION - 1)
-    cache = ShardedResultStore(tmp_path)
-    assert cache.get(KEYS["feed02"]) is None
-    assert KEYS["feed02"] not in cache
-    # a healthy sibling still reads as present
-    cache.put(KEYS["feed03"], small_report)
-    assert KEYS["feed03"] in cache
+@pytest.mark.parametrize("state", ROW_STATES)
+def test_membership_matches_get_for_every_row_state(
+    tmp_path, small_report, damage_row, state
+):
+    """The store contract: ``key in store`` exactly when ``get``
+    returns a result — on the writing handle and on a fresh one."""
+    key = KEYS["feed01"]
+    damage, reason = ROW_STATES[state]
+    writer = ShardedResultStore(tmp_path)
+    writer.put(KEYS["feed02"], small_report)  # a healthy sibling
+    if state != "absent":
+        writer.put(key, small_report)
+    if damage is not None:
+        damage_row(tmp_path, key, damage)
+    for store in (writer, ShardedResultStore(tmp_path)):
+        with scoped_registry() as registry:
+            served = store.get(key)
+            assert (key in store) == (served is not None)
+            assert (served == small_report) == (state == "healthy")
+            assert store.get(KEYS["feed02"]) == small_report
+            families = parse_text_format(render_text(registry))
+        bad = families["repro_store_bad_entries_total"].samples.items()
+        counts = {dict(labels)["reason"]: value for (_, labels), value in bad}
+        assert counts == ({} if reason is None else {reason: 1})
 
 
 def test_concurrent_same_key_puts_do_not_collide(tmp_path, small_report):
@@ -355,7 +344,7 @@ def test_concurrent_same_key_puts_do_not_collide(tmp_path, small_report):
     assert (stats.keys, stats.superseded, stats.corrupt_lines) == (1, 79, 0)
 
 
-def _aged_store(tmp_path, report, healthy, corrupt):
+def _aged_store(tmp_path, report, damage_row, healthy, corrupt):
     """Healthy records 100 s old (oldest first), then newer corrupt ones."""
     import time as _time
 
@@ -363,16 +352,22 @@ def _aged_store(tmp_path, report, healthy, corrupt):
     now = _time.time()
     for index, name in enumerate(healthy):
         cache.put(KEYS[name], report)
-        _edit_record(cache, KEYS[name], ts=now - 100 + index)
+        damage_row(tmp_path, KEYS[name], "ts = ?", now - 100 + index)
     for index, name in enumerate(corrupt):
-        _put_corrupt(cache, KEYS[name], ts=now + index)
+        cache.put(KEYS[name], report)
+        damage_row(
+            tmp_path, KEYS[name], "crc = crc + 1, ts = ?", now + index
+        )
     return ShardedResultStore(tmp_path)
 
 
-def test_gc_budget_prefers_healthy_over_corrupt(tmp_path, small_report):
+def test_gc_budget_prefers_healthy_over_corrupt(
+    tmp_path, small_report, damage_row
+):
     # two *newer* corrupt entries would win a naive keep-newest-N pass
     cache = _aged_store(
-        tmp_path, small_report, ["aaa", "bbb", "ccc"], ["ddd", "eee"]
+        tmp_path, small_report, damage_row,
+        ["aaa", "bbb", "ccc"], ["ddd", "eee"],
     )
     result = cache.gc(max_entries=3, remove_corrupt=False)
     # the budget evicts the unusable entries first, keeping all healthy
@@ -384,8 +379,12 @@ def test_gc_budget_prefers_healthy_over_corrupt(tmp_path, small_report):
         assert KEYS[name] in cache
 
 
-def test_gc_budget_still_trims_oldest_healthy(tmp_path, small_report):
-    cache = _aged_store(tmp_path, small_report, ["aaa", "bbb", "ccc"], ["ddd"])
+def test_gc_budget_still_trims_oldest_healthy(
+    tmp_path, small_report, damage_row
+):
+    cache = _aged_store(
+        tmp_path, small_report, damage_row, ["aaa", "bbb", "ccc"], ["ddd"]
+    )
     result = cache.gc(max_entries=2, remove_corrupt=False)
     # corrupt first, then the oldest healthy entry
     assert {entry.key for entry in result.removed} == {

@@ -230,25 +230,27 @@ def test_chaos_slow_cell_trips_timeout_then_recovers(tmp_path):
 
 def test_chaos_compact_interrupt_is_recoverable(tmp_path, report):
     plan = FaultPlan(seed=3, faults=(FaultSpec(kind="compact_interrupt"),))
-    store = ShardedResultStore(tmp_path, segment_max_bytes=1)
+    store = ShardedResultStore(tmp_path)
     keys = []
     for n in range(4):
         key = f"{n:02d}" + "e" * 62
         keys.append(key)
         store.put(key, report)
-        store.put(key, report)  # superseded duplicate: forces a rewrite
+        store.put(key, report)  # superseded duplicate: compaction work
     store.set_fault_injector(FaultInjector(plan))
     with scoped_registry() as registry:
         with pytest.raises(InjectedFault):
             store.compact()
         assert injected_count(registry, "compact_interrupt") == 1
-    # The interrupt hit the documented crash window: merged segment
-    # durable, old segments still present. Recovery is a plain reopen.
+    # The interrupt hit the documented crash window: the compaction's
+    # delete staged but not committed, so it rolled back. Recovery is
+    # a plain reopen.
     recovered = ShardedResultStore(tmp_path)
     assert sorted(recovered.keys()) == sorted(keys)
+    assert recovered.stats().superseded == len(keys)
     recovered.compact()
     assert sorted(recovered.keys()) == sorted(keys)
-    assert recovered.stats().segments == len(keys)  # one per shard
+    assert recovered.stats().superseded == 0
 
 
 # --- quarantine and poison handling ------------------------------------------
@@ -364,9 +366,9 @@ def test_no_faults_injector_is_inert(tmp_path, report):
     assert not NO_FAULTS
     assert not FaultPlan()
     ordinal = NO_FAULTS.before_put("ab")
-    assert NO_FAULTS.mutate_line(ordinal, b'{"x":1}\n') == b'{"x":1}\n'
+    assert NO_FAULTS.mutate_record(ordinal, b'{"x":1}', 7) == (b'{"x":1}', 7)
     NO_FAULTS.after_put(ordinal, "ab")
-    NO_FAULTS.on_compact("before-unlink")
+    NO_FAULTS.on_compact("before-commit")
 
 
 # --- kill -9 during compaction -----------------------------------------------
@@ -390,7 +392,7 @@ def _compact_and_die(root):
 def test_kill9_during_compact_then_clean_reopen(tmp_path, report):
     import multiprocessing as mp
 
-    store = ShardedResultStore(tmp_path, segment_max_bytes=1)
+    store = ShardedResultStore(tmp_path)
     keys = [f"{n:02d}" + "d" * 62 for n in range(4)]
     for key in keys:
         store.put(key, report)
@@ -399,8 +401,8 @@ def test_kill9_during_compact_then_clean_reopen(tmp_path, report):
     child.start()
     child.join(60)
     assert child.exitcode == -signal.SIGKILL
-    # the store lock died with the process; a clean reopen sees every
-    # record (merged segment + benign old duplicates, last wins)
+    # the uncommitted compaction died with the process; a clean reopen
+    # discards its WAL tail and sees every record
     recovered = ShardedResultStore(tmp_path)
     assert sorted(recovered.keys()) == sorted(keys)
     for key in keys:

@@ -12,8 +12,11 @@ bit-identical to a fresh serial run.
 
 import json
 import math
+import sqlite3
 import urllib.error
 import urllib.request
+import zlib
+from contextlib import closing
 
 import pytest
 
@@ -24,12 +27,11 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.orchestrator import CampaignProgress
-from repro.campaign.store import record_checksum
+from repro.campaign.store import DB_NAME
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.cli import main
 from repro.harness import GridRunner, run_workload_cell
-from repro.harness.cache import CACHE_VERSION
 from repro.kernels import precondition_kernel, run_trace_kernel
 from repro.ssd.builder import build_ssd
 from repro.telemetry import (
@@ -325,37 +327,33 @@ def test_crash_resume_metrics_reconcile(tmp_path):
 # --- store checksums ---------------------------------------------------------
 
 
-def _segment_lines(store_root):
-    for path in sorted(store_root.glob("*/seg-*.jsonl")):
-        for line in path.read_text(encoding="utf-8").splitlines():
-            yield path, line
-
-
 def test_store_records_carry_verifiable_crc(tmp_path, report):
     store = ShardedResultStore(tmp_path)
     key = "a" * 64
     store.put(key, report)
-    [(_, line)] = list(_segment_lines(tmp_path))
-    data = json.loads(line)
-    assert data["crc"] == record_checksum(key, data["report"])
+    with closing(sqlite3.connect(tmp_path / DB_NAME)) as db:
+        [(stored, crc)] = db.execute(
+            "SELECT report, crc FROM results WHERE key = ?", (key,)
+        ).fetchall()
+    assert crc == zlib.crc32(stored)
+    assert json.loads(stored) == report.to_json_dict()
 
 
-def test_checksum_mismatch_reads_as_miss_and_counts(tmp_path, report):
+def test_checksum_mismatch_reads_as_miss_and_counts(
+    tmp_path, report, damage_row
+):
     store = ShardedResultStore(tmp_path)
     good, bad = "a" * 64, "b" * 64
     store.put(good, report)
     store.put(bad, report)
-    # corrupt one byte of the bad record's report payload on disk,
-    # keeping the line valid JSON — only the CRC can catch this
-    for path, line in _segment_lines(tmp_path):
-        data = json.loads(line)
-        if data["key"] != bad:
-            continue
-        data["report"]["requests_completed"] += 1
-        path.write_text(
-            json.dumps(data, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+    # change the bad record's stored report, keeping it valid JSON
+    # (requests_completed gains a leading digit) — only the CRC can
+    # catch this
+    damage_row(
+        tmp_path, bad,
+        "report = CAST(replace(CAST(report AS TEXT),"
+        " '\"requests_completed\":', '\"requests_completed\":1') AS BLOB)",
+    )
     with scoped_registry() as registry:
         reopened = ShardedResultStore(tmp_path)
         assert reopened.get(good) == report
@@ -371,26 +369,6 @@ def test_checksum_mismatch_reads_as_miss_and_counts(tmp_path, report):
     # compaction drops the poisoned record for good
     reopened.compact()
     assert ShardedResultStore(tmp_path).stats().checksum_failed == 0
-
-
-def test_checksum_less_legacy_records_stay_readable(tmp_path, report):
-    store = ShardedResultStore(tmp_path, prefix_len=2)
-    legacy = "c" * 64
-    shard_dir = tmp_path / legacy[:2]
-    shard_dir.mkdir()
-    line = {
-        "version": CACHE_VERSION,
-        "key": legacy,
-        "ts": 1.0,
-        "meta": {},
-        "report": report.to_json_dict(),
-    }
-    (shard_dir / "seg-000000.jsonl").write_text(
-        json.dumps(line, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
-    assert legacy in store
-    assert store.get(legacy) == report
-    assert store.stats().checksum_failed == 0
 
 
 # --- instrumentation boundaries ----------------------------------------------
@@ -510,15 +488,16 @@ def test_kernel_replay_calls_erase_boundaries_once_per_erase():
     assert stats.erases - before == report.erases
 
 
-def test_cache_backend_counts_hits_misses_and_bad_entries(tmp_path, report):
+def test_cache_backend_counts_hits_misses_and_bad_entries(
+    tmp_path, report, damage_row
+):
     with scoped_registry() as registry:
         cache = GridRunner(cache=tmp_path).cache
         key = "d" * 64
         assert cache.get(key) is None            # absent -> plain miss
         cache.put(key, report)
         assert cache.get(key) == report          # hit
-        [(path, _)] = list(_segment_lines(tmp_path))
-        path.write_text("{not json", encoding="utf-8")
+        damage_row(tmp_path, key, "report = substr(report, 1, 9)")
         torn = ShardedResultStore(tmp_path)
         assert torn.get(key) is None             # torn -> miss + reason
         families = families_of(registry)
