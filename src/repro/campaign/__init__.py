@@ -1,8 +1,8 @@
-"""Campaign service: result store + mixed-pool orchestrator.
+"""Campaign service: result store + supervised orchestrator.
 
 This package scales the evaluation harness from "a grid in one
-process" to "a campaign of millions of cells sharded across processes
-and threads with crash-resume". Three layers:
+process" to "a campaign of millions of cells spread over worker
+processes with crash-resume". Four layers:
 
 * :mod:`repro.campaign.store` — :class:`ShardedResultStore`, the
   SQLite result store every driver persists to (the grid runner, the
@@ -20,15 +20,17 @@ and threads with crash-resume". Three layers:
   :data:`~repro.experiments.spec.SPEC_VERSION`) and one file reader,
   so a wrongly typed field is a ``ConfigError`` naming the field;
 * :mod:`repro.campaign.orchestrator` — :class:`CampaignOrchestrator`,
-  which fans pending cells out over a mixed process+thread worker
-  pool and streams each finished cell into the store the moment it
-  completes;
+  which runs pending cells in this process or on worker processes and
+  streams each finished cell into the store the moment it completes;
 * :mod:`repro.campaign.supervisor` — :class:`CellSupervisor`, the
   fault-tolerance layer under the orchestrator: per-cell wall-clock
-  timeouts, retry with seeded exponential backoff, pool rebuild when
-  a worker dies, graceful engine degradation, and poison-cell
-  quarantine (:mod:`repro.campaign.quarantine`, one JSONL record per
-  given-up cell next to the store).
+  timeouts, retry with seeded exponential backoff, worker replacement
+  when one dies, and poison-cell quarantine
+  (:mod:`repro.campaign.quarantine`, one JSONL record per given-up
+  cell next to the store); and
+  :class:`~repro.campaign.supervisor.JobRun`, the one resume → dedupe
+  → run → persist loop that ``GridRunner.execute_jobs`` shares with
+  the orchestrator.
 
 ``python -m repro campaign run|status|ls|compact`` drives all of it
 from the shell; ``campaign run --cell-timeout/--max-retries/--on-poison``
@@ -92,7 +94,6 @@ from repro.campaign.orchestrator import (
     CampaignProgress,
     CampaignResult,
     CampaignStats,
-    cell_engine_kind,
     run_campaign,
 )
 from repro.campaign.quarantine import Quarantine
@@ -135,7 +136,6 @@ __all__ = [
     "ShardedResultStore",
     "StoreStats",
     "campaign_spec_from_dict",
-    "cell_engine_kind",
     "load_campaign_file",
     "open_store",
     "run_campaign",

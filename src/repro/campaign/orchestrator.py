@@ -1,4 +1,4 @@
-"""Campaign orchestrator: mixed process+thread fan-out with resume.
+"""Campaign orchestrator: supervised execution with resume.
 
 :class:`CampaignOrchestrator` executes a :class:`CampaignSpec` against
 a result store:
@@ -7,31 +7,27 @@ a result store:
    :class:`CellJob` objects (shared fingerprints, shared store
    entries).
 2. **Resume** — every cell whose fingerprint the store can retrieve is
-   loaded, not re-executed; a campaign killed at any point restarts
-   from the store alone.
-3. **Route** — pending cells split across a mixed worker pool by
-   engine: kernel-engine cells go to thread workers, object-engine
-   cells to process workers. Threads do not speed up the cell kernel,
-   which is pure Python and holds the GIL: on a 2-CPU host, 30 grid
-   cells took 3.97 s on two threads, 3.45 s serially and 1.86 s on
-   two processes (15 lifetime curves of 128 blocks: 1.11 s, 0.87 s,
-   0.56 s). Routing kernel cells to processes instead is a separate
-   change that needs its own before/after timing.
-4. **Supervise** — cells run under a
-   :class:`~repro.campaign.supervisor.CellSupervisor`: wall-clock
-   timeouts, retry with seeded backoff, pool rebuild when a worker
-   dies, quarantine for poison cells — a flaky cell never aborts the
-   campaign (``on_poison="fail"`` opts back into aborting).
-5. **Stream** — each finished report is appended to the store the
-   moment it arrives, so an interruption loses at most the in-flight
-   cells; a put that raises :class:`~repro.errors.InjectedFault`
-   (chaos testing) re-queues its cell instead of crashing.
-6. **Report** — a progress callback receives cells done / total,
+   loaded, not re-executed; a repeated job shares its first
+   occurrence's result. A campaign killed at any point restarts from
+   the store alone.
+3. **Supervise** — pending cells run under a
+   :class:`~repro.campaign.supervisor.CellSupervisor`: in this process
+   with one worker and no cell timeout, otherwise on worker processes;
+   wall-clock timeouts, retry with seeded backoff, worker replacement
+   when one dies, quarantine for poison cells — a flaky cell never
+   aborts the campaign (``on_poison="fail"`` opts back into aborting).
+4. **Stream** — each finished report is put to the store the moment
+   it arrives, so an interruption loses at most the in-flight cells;
+   a put that raises :class:`~repro.errors.InjectedFault` (chaos
+   testing) re-queues its cell instead of crashing.
+5. **Report** — a progress callback receives cells done / total,
    throughput, and a projected finish throughout the run.
 
-Determinism: cells are pure functions of their jobs and the grid is
-assembled in job order, so an orchestrated (parallel, resumed,
-mixed-pool, even retried) campaign is bit-identical to a fresh serial
+Steps 2–4 are :class:`~repro.campaign.supervisor.JobRun`, the loop
+``GridRunner.execute_jobs`` runs too. Determinism: cells are pure
+functions of their jobs and the grid is assembled in job order, so an
+orchestrated (parallel, resumed, even retried) campaign is
+bit-identical to a fresh serial
 :class:`~repro.harness.runner.GridRunner` run of the same spec —
 pinned by tests.
 """
@@ -46,30 +42,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.campaign.quarantine import Quarantine
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import open_store
-from repro.campaign.supervisor import CellSupervisor, RetryPolicy
-from repro.errors import ConfigError, InjectedFault, PoisonCellError
+from repro.campaign.supervisor import CellOutcome, JobRun, RetryPolicy
+from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.harness.grid import EvaluationGrid
 from repro.harness.runner import grid_from_jobs
 from repro.harness.store import ResultStore
 from repro.telemetry.instruments import campaign_metrics
-
-
-def cell_engine_kind(job: Any) -> str:
-    """Which engine a job will execute on: kernel or object.
-
-    For grid cells this mirrors the decision inside
-    ``run_workload_cell`` without building an SSD: ``build_ssd`` always
-    constructs one of the two exact FTL types the cell kernel supports,
-    and freshly built drives never carry retired blocks, so every cell
-    that does not force ``engine="object"`` replays on the kernel path.
-    Lifetime jobs resolve through
-    :attr:`~repro.lifetime.spec.LifetimeJob.resolved_engine` (the
-    scheme may not provide a batch kernel at all).
-    """
-    if getattr(job, "family", "cell") == "lifetime":
-        return job.resolved_engine
-    return "object" if job.engine == "object" else "kernel"
 
 
 @dataclass(frozen=True)
@@ -136,21 +115,19 @@ def _format_duration(seconds: float) -> str:
 class CampaignStats:
     """Where the campaign's cells came from, and how long it took.
 
-    The supervision counters (``retried`` .. ``interrupted``) stay
-    zero on a healthy run.
+    ``resumed`` counts cells served without executing: store hits and
+    repeats of an earlier job. The supervision counters (``retried``
+    .. ``interrupted``) stay zero on a healthy run.
     """
 
     total: int
     executed: int
     resumed: int
-    thread_cells: int
-    process_cells: int
     wall_s: float
     retried: int = 0
     timeouts: int = 0
     quarantined: int = 0
     pool_rebuilds: int = 0
-    degraded: int = 0
     interrupted: int = 0
 
 
@@ -195,7 +172,7 @@ _CellFn = Callable[[int, Any, Any], None]
 
 
 class CampaignOrchestrator:
-    """Runs one campaign spec against a store on a mixed worker pool."""
+    """Runs one campaign spec against a store under supervision."""
 
     def __init__(
         self,
@@ -210,12 +187,15 @@ class CampaignOrchestrator:
         max_retries: int = 2,
         on_poison: str = "skip",
         fault_plan: Optional[FaultPlan] = None,
-        engine_fallback: bool = True,
         shutdown: Optional[Any] = None,
     ):
         """``store`` is a :class:`ResultStore` or a path (opened by
         :func:`~repro.campaign.store.open_store`, as ``GridRunner``'s
-        ``cache`` is). ``progress`` is called with a
+        ``cache`` is). ``process_workers`` is the worker count: one
+        runs cells in this process (unless ``cell_timeout_s`` needs a
+        killable worker), more run them on that many worker processes.
+        ``thread_workers`` is kept for old callers and must be 1.
+        ``progress`` is called with a
         :class:`CampaignProgress` at start, at most every
         ``progress_interval_s`` seconds while cells stream in, and at
         the end. ``on_cell(index, job, report)`` fires after each
@@ -226,17 +206,21 @@ class CampaignOrchestrator:
 
         Supervision: ``cell_timeout_s`` bounds each attempt's wall
         clock; a failing cell is retried up to ``max_retries`` times
-        with seeded exponential backoff, then (``engine_fallback``)
-        kernel-engine cells get one object-engine attempt, then the
-        cell is quarantined — skipped with a record
-        (``on_poison="skip"``) or fatal
-        (``on_poison="fail"`` → :class:`PoisonCellError`).
+        with seeded exponential backoff, then quarantined — skipped
+        with a record (``on_poison="skip"``) or fatal
+        (``on_poison="fail"`` →
+        :class:`~repro.errors.PoisonCellError`).
         ``fault_plan`` arms deterministic chaos (worker kills, slow
         cells; put faults must be armed on the store itself).
         ``shutdown`` is a ``threading.Event``-like object: once set,
         no new cells are admitted and in-flight ones drain.
         """
-        if process_workers < 1 or thread_workers < 1:
+        if thread_workers != 1:
+            raise ConfigError(
+                f"thread_workers={thread_workers}: campaign cells run on "
+                "process workers; use process_workers instead"
+            )
+        if process_workers < 1:
             raise ConfigError("campaign worker counts must be >= 1")
         if on_poison not in ("skip", "fail"):
             raise ConfigError(
@@ -245,7 +229,6 @@ class CampaignOrchestrator:
         self.spec = spec
         self.store = open_store(store)
         self.process_workers = process_workers
-        self.thread_workers = thread_workers
         self.progress = progress
         self.progress_interval_s = progress_interval_s
         self.on_cell = on_cell
@@ -253,7 +236,6 @@ class CampaignOrchestrator:
         self.max_retries = max_retries
         self.on_poison = on_poison
         self.fault_plan = fault_plan or FaultPlan()
-        self.engine_fallback = engine_fallback
         self.shutdown = shutdown
         self.quarantine = Quarantine(getattr(self.store, "root", None))
 
@@ -294,29 +276,11 @@ class CampaignOrchestrator:
     # --- execution ----------------------------------------------------------
 
     def run(self) -> CampaignResult:
-        """Execute the campaign; resume, fan out, stream, assemble."""
+        """Execute the campaign; resume, supervise, stream, assemble."""
         start = time.monotonic()
         jobs = self.plan()
-        reports: List[Optional[Any]] = [None] * len(jobs)
-
-        # Resume pass: everything the store can retrieve is loaded.
-        pending: List[int] = []
-        for index, job in enumerate(jobs):
-            cached = self.store.get(job.fingerprint)
-            if cached is not None:
-                reports[index] = cached
-            else:
-                pending.append(index)
-        resumed = len(jobs) - len(pending)
-
-        # Route by engine: kernel cells to threads, object cells to
-        # processes (see cell_engine_kind for why).
-        thread_indices = [
-            i for i in pending if cell_engine_kind(jobs[i]) == "kernel"
-        ]
-        process_indices = [
-            i for i in pending if cell_engine_kind(jobs[i]) == "object"
-        ]
+        run = JobRun(jobs, self.store)
+        workers = self.process_workers
 
         metrics = campaign_metrics()
         metrics.planned.set(len(jobs))
@@ -328,42 +292,25 @@ class CampaignOrchestrator:
             metrics.retries.labels(reason=reason).inc(0)
         metrics.timeouts.inc(0)
         metrics.quarantined.inc(0)
-        metrics.engine_fallbacks.inc(0)
-        for pool in ("thread", "process"):
-            metrics.pool_rebuilds.labels(pool=pool).inc(0)
-        if resumed:
-            metrics.cells.labels(outcome="resumed").inc(resumed)
-        pool_of = {index: "thread" for index in thread_indices}
-        pool_of.update({index: "process" for index in process_indices})
-        pool_pending = {
-            "thread": len(thread_indices),
-            "process": len(process_indices),
-        }
-        pool_executed = {"thread": 0, "process": 0}
-        pool_workers = {
-            "thread": self.thread_workers,
-            "process": self.process_workers,
-        }
-        for pool, workers in pool_workers.items():
-            metrics.pool_workers.labels(pool=pool).set(workers)
+        metrics.pool_rebuilds.inc(0)
+        if run.resumed:
+            metrics.cells.labels(outcome="resumed").inc(run.resumed)
+        metrics.pool_workers.set(workers)
+        unresolved = len(run.pending)
 
         def update_pool_gauges() -> None:
-            for pool, left in pool_pending.items():
-                metrics.pool_pending.labels(pool=pool).set(left)
-                metrics.pool_inflight.labels(pool=pool).set(
-                    min(pool_workers[pool], left)
-                )
+            metrics.pool_pending.set(unresolved)
+            metrics.pool_inflight.set(min(workers, unresolved))
 
-        update_pool_gauges()
-        executed = 0
-        last_emit = [0.0]
+        last_emit = 0.0
 
         def emit(force: bool = False) -> None:
+            nonlocal last_emit
             now = time.monotonic()
             snapshot = CampaignProgress(
                 total=len(jobs),
-                executed=executed,
-                resumed=resumed,
+                executed=run.executed,
+                resumed=run.resumed,
                 elapsed_s=now - start,
             )
             # Telemetry gauges track every snapshot, including the
@@ -376,92 +323,50 @@ class CampaignOrchestrator:
                 metrics.eta_seconds.set(0.0)
             if self.progress is None:
                 return
-            if not force and now - last_emit[0] < self.progress_interval_s:
+            if not force and now - last_emit < self.progress_interval_s:
                 return
-            last_emit[0] = now
+            last_emit = now
             self.progress(snapshot)
 
+        quarantined_records: List[Dict[str, Any]] = []
+
+        def on_outcome(outcome: CellOutcome, superseding: bool) -> None:
+            nonlocal unresolved
+            unresolved -= 1
+            update_pool_gauges()
+            job = outcome.job
+            if outcome.kind == "done":
+                metrics.cell_wall.observe(outcome.wall_s)
+                metrics.cells.labels(outcome="executed").inc()
+                if superseding:
+                    metrics.cells.labels(outcome="superseded").inc()
+                emit()
+                if self.on_cell is not None:
+                    self.on_cell(outcome.index, job, outcome.report)
+            elif outcome.kind == "quarantined":
+                record = self.quarantine.record(
+                    key=job.fingerprint,
+                    index=outcome.index,
+                    attempts=outcome.attempts,
+                    reason=outcome.reason,
+                    error=outcome.error,
+                    meta={**job.store_meta(), "engine": job.engine},
+                )
+                quarantined_records.append(record)
+                emit()
+                if self.on_poison == "fail":
+                    raise outcome.poison("quarantined") from outcome.cause
+
+        update_pool_gauges()
         emit(force=True)
-        supervisor = CellSupervisor(
-            policy=RetryPolicy(
-                max_retries=self.max_retries, seed=self.spec.seed
-            ),
+        reports = run.execute(
+            RetryPolicy(max_retries=self.max_retries, seed=self.spec.seed),
+            on_outcome=on_outcome,
+            workers=workers,
             cell_timeout_s=self.cell_timeout_s,
-            process_workers=self.process_workers,
-            thread_workers=self.thread_workers,
             fault_plan=self.fault_plan,
-            engine_fallback=self.engine_fallback,
             shutdown=self.shutdown,
         )
-        for index in thread_indices:
-            supervisor.submit(index, jobs[index], "thread")
-        for index in process_indices:
-            supervisor.submit(index, jobs[index], "process")
-        quarantined_records: List[Dict[str, Any]] = []
-        try:
-            while True:
-                outcome = supervisor.next_outcome()
-                if outcome is None:
-                    break
-                index = outcome.index
-                job = outcome.job
-                if outcome.kind == "done":
-                    report = outcome.report
-                    meta = job.store_meta()
-                    superseding = job.fingerprint in self.store
-                    try:
-                        self.store.put(job.fingerprint, report, meta=meta)
-                    except InjectedFault as fault:
-                        # A chaos fault around the append: the result
-                        # may not be durable, so the cell goes around
-                        # again instead of taking the campaign down.
-                        supervisor.requeue(
-                            index, "persist_fault", str(fault)
-                        )
-                        continue
-                    reports[index] = report
-                    executed += 1
-                    pool_executed[pool_of[index]] += 1
-                    metrics.cell_wall.observe(outcome.wall_s)
-                    metrics.cells.labels(outcome="executed").inc()
-                    if superseding:
-                        metrics.cells.labels(outcome="superseded").inc()
-                    pool_pending[pool_of[index]] -= 1
-                    update_pool_gauges()
-                    emit()
-                    if self.on_cell is not None:
-                        self.on_cell(index, job, report)
-                elif outcome.kind == "quarantined":
-                    record = self.quarantine.record(
-                        key=job.fingerprint,
-                        index=index,
-                        attempts=outcome.attempts,
-                        reason=outcome.reason,
-                        error=outcome.error,
-                        meta={
-                            **job.store_meta(),
-                            "engine": job.engine,
-                            "degraded": outcome.degraded,
-                        },
-                    )
-                    quarantined_records.append(record)
-                    pool_pending[pool_of[index]] -= 1
-                    update_pool_gauges()
-                    emit()
-                    if self.on_poison == "fail":
-                        raise PoisonCellError(
-                            f"cell {index} ({job.describe()}) "
-                            f"quarantined after "
-                            f"{outcome.attempts} attempts: "
-                            f"{outcome.reason}: {outcome.error}",
-                            index=index,
-                            fingerprint=job.fingerprint,
-                        )
-                else:  # interrupted by shutdown
-                    pool_pending[pool_of[index]] -= 1
-                    update_pool_gauges()
-        finally:
-            supervisor.close()
         emit(force=True)
 
         finished = [
@@ -483,7 +388,6 @@ class CampaignOrchestrator:
             curves = reports[begin:end]
             if all(curve is not None for curve in curves):
                 comparisons.append(member.comparison(curves))
-        sup = supervisor.stats
         return CampaignResult(
             spec=self.spec,
             jobs=tuple(jobs),
@@ -491,17 +395,10 @@ class CampaignOrchestrator:
             grid=grid,
             stats=CampaignStats(
                 total=len(jobs),
-                executed=executed,
-                resumed=resumed,
-                thread_cells=pool_executed["thread"],
-                process_cells=pool_executed["process"],
+                executed=run.executed,
+                resumed=run.resumed,
                 wall_s=time.monotonic() - start,
-                retried=sup["retried"],
-                timeouts=sup["timeouts"],
-                quarantined=sup["quarantined"],
-                pool_rebuilds=sup["pool_rebuilds"],
-                degraded=sup["degraded"],
-                interrupted=sup["interrupted"],
+                **run.stats,
             ),
             quarantined=tuple(quarantined_records),
             comparisons=tuple(comparisons),
@@ -511,31 +408,8 @@ class CampaignOrchestrator:
 def run_campaign(
     spec: Union[CampaignSpec, Any],
     store: Union[ResultStore, str, Path],
-    process_workers: int = 1,
-    thread_workers: int = 1,
-    progress: Optional[_ProgressFn] = None,
-    progress_interval_s: float = 1.0,
-    on_cell: Optional[_CellFn] = None,
-    cell_timeout_s: Optional[float] = None,
-    max_retries: int = 2,
-    on_poison: str = "skip",
-    fault_plan: Optional[FaultPlan] = None,
-    engine_fallback: bool = True,
-    shutdown: Optional[Any] = None,
+    **options: Any,
 ) -> CampaignResult:
-    """One-call façade over :class:`CampaignOrchestrator`."""
-    return CampaignOrchestrator(
-        spec,
-        store,
-        process_workers=process_workers,
-        thread_workers=thread_workers,
-        progress=progress,
-        progress_interval_s=progress_interval_s,
-        on_cell=on_cell,
-        cell_timeout_s=cell_timeout_s,
-        max_retries=max_retries,
-        on_poison=on_poison,
-        fault_plan=fault_plan,
-        engine_fallback=engine_fallback,
-        shutdown=shutdown,
-    ).run()
+    """One-call façade: ``CampaignOrchestrator(spec, store,
+    **options).run()``."""
+    return CampaignOrchestrator(spec, store, **options).run()

@@ -1,28 +1,34 @@
-"""Cell supervision: timeouts, retry with backoff, quarantine.
+"""Cell supervision and the one execution loop.
 
-:class:`CellSupervisor` runs jobs on killable workers — a
-:class:`ProcessWorker` (an OS process behind a pipe) or a
-:class:`ThreadWorker` — and treats every failure mode as an *event*
-with a recovery policy, where a pool would abort its whole ``map``:
+:class:`CellSupervisor` runs jobs and treats every failure mode as an
+*event* with a recovery policy, where a pool would abort its whole
+``map``:
 
 * a cell raising → retried with exponential backoff and deterministic
   jitter (seeded through :func:`repro.rng.derive`, so two runs of a
   flaky campaign schedule identical retries);
-* a cell exceeding the wall-clock timeout → its process worker is
-  SIGKILLed (thread workers are abandoned), a replacement worker is
-  spawned, the cell is retried;
+* a cell exceeding the wall-clock timeout → its worker process is
+  SIGKILLed, a replacement worker is spawned, the cell is retried;
 * a worker dying outright (``os._exit``, OOM-kill, segfault) → the
-  pool is rebuilt and the in-flight cell retried;
-* a cell exhausting its budget on the kernel engine → optionally
-  degraded to one object-engine attempt before giving up;
-* a cell exhausting everything → returned as ``quarantined`` so the
+  worker is replaced and the in-flight cell retried;
+* a cell exhausting its budget → returned as ``quarantined`` so the
   campaign records it and *finishes* instead of aborting.
 
-The orchestrator feeds persist failures back with :meth:`requeue`
-(a put that crashed mid-append is a cell failure too), and a shutdown
-event stops admission while in-flight cells drain. The same
-supervisor, with retries off, is the process fan-out behind
-``GridRunner(workers=n)``.
+One worker kind: with one worker and no ``cell_timeout_s`` each
+attempt runs in the calling thread, and otherwise on
+:class:`ProcessWorker` processes, since a timeout needs a worker it
+can kill. Retry, requeue, quarantine and shutdown behave the same on
+both. In-process attempts keep every span and metric recorded inside
+a cell in this process; the cell kernel is pure Python, so a thread
+would only add overhead.
+
+:class:`JobRun` is the one resume → dedupe → run → persist loop over a
+supervisor, shared by ``GridRunner.execute_jobs`` (retries off; the
+first failure ends the call) and ``CampaignOrchestrator.run``
+(retries, quarantine, progress). A put that raises
+:class:`~repro.errors.InjectedFault` is a cell failure too, fed back
+with :meth:`CellSupervisor.requeue`; a shutdown event stops admission
+while in-flight cells drain.
 """
 
 from __future__ import annotations
@@ -30,28 +36,37 @@ from __future__ import annotations
 import heapq
 import itertools
 import multiprocessing as mp
+import os
 import queue
 import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from repro.errors import ConfigError, InjectedFault
+from repro.errors import ConfigError, InjectedFault, PoisonCellError
 from repro.faults import FaultPlan
 from repro.faults.plan import KILL_WORKER_EXIT
 from repro.harness.runner import execute_job
+from repro.harness.store import ResultStore
 from repro.rng import derive
 from repro.telemetry import get_default_registry, scoped_registry
 from repro.telemetry.instruments import campaign_metrics, fault_metrics
+
+#: The supervision counters of :attr:`CellSupervisor.stats`.
+SUPERVISION_COUNTERS = (
+    "retried", "timeouts", "quarantined", "pool_rebuilds", "interrupted",
+)
 
 
 # --- supervised workers ------------------------------------------------------
 
 
-class WorkerEvent:
-    """One message from a supervised worker to its supervisor.
+class WorkerEvent(NamedTuple):
+    """One message from a worker process to its supervisor.
 
     ``kind`` is ``"result"`` (payload = the task's return value),
     ``"error"`` (payload = ``(exc_type_name, message, traceback_text)``)
@@ -60,19 +75,10 @@ class WorkerEvent:
     died idle.
     """
 
-    __slots__ = ("kind", "worker", "task_id", "payload")
-
-    def __init__(self, kind: str, worker: str, task_id: int, payload: Any):
-        self.kind = kind
-        self.worker = worker
-        self.task_id = task_id
-        self.payload = payload
-
-    def __repr__(self) -> str:
-        return (
-            f"WorkerEvent({self.kind!r}, worker={self.worker!r}, "
-            f"task_id={self.task_id})"
-        )
+    kind: str
+    worker: str
+    task_id: int
+    payload: Any
 
 
 def _error_payload(exc: BaseException) -> Tuple[str, str, str]:
@@ -115,8 +121,6 @@ class ProcessWorker:
     the in-flight task id, and the supervisor replaces the worker.
     ``fn`` and tasks must be picklable (module-level function).
     """
-
-    kind = "process"
 
     def __init__(
         self,
@@ -197,102 +201,40 @@ class ProcessWorker:
         self._conn.close()
 
 
-class ThreadWorker:
-    """One thread worker reporting onto a shared queue.
-
-    Threads cannot be killed, so :meth:`kill` *abandons*: the thread
-    keeps running its current task to completion, but the supervisor
-    drops its name from the live set, so whatever it eventually
-    reports lands as an event for an unknown task and is discarded.
-    """
-
-    kind = "thread"
-
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[[Any], Any],
-        events: "queue.Queue[WorkerEvent]",
-    ):
-        self.name = name
-        self.events = events
-        self.task_id: Optional[int] = None
-        self.abandoned = False
-        self._fn = fn
-        self._inbox: "queue.Queue[Any]" = queue.Queue()
-        self._thread = threading.Thread(
-            target=self._run, name=name, daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            message = self._inbox.get()
-            if message is None:
-                return
-            task_id, task = message
-            try:
-                result = self._fn(task)
-            except BaseException as exc:
-                kind, payload = "error", _error_payload(exc)
-            else:
-                kind, payload = "result", result
-            self.task_id = None
-            self.events.put(WorkerEvent(kind, self.name, task_id, payload))
-
-    @property
-    def alive(self) -> bool:
-        return self._thread.is_alive() and not self.abandoned
-
-    def submit(self, task_id: int, task: Any) -> None:
-        self.task_id = task_id
-        self._inbox.put((task_id, task))
-
-    def kill(self) -> None:
-        self.abandoned = True
-
-    def close(self) -> None:
-        self._inbox.put(None)
-
-
 # --- supervision -------------------------------------------------------------
 
 
-def _run_cell_task(task: Tuple[int, int, str, Any, FaultPlan]):
-    """Worker-side job execution with fault evaluation.
+def _run_cell_task(task: Tuple[int, int, bool, Any, FaultPlan]):
+    """Run one attempt of a job, with fault evaluation.
 
     Module-level so process workers can pickle it; the fault plan's
-    cell predicates are pure functions of ``(cell, attempt, engine)``,
-    so a forked worker needs no shared state to evaluate them.
+    cell predicates are pure functions of ``(cell, attempt)``, so a
+    forked worker needs no shared state to evaluate them.
 
-    Process workers run the job under a fresh telemetry registry and
-    return its snapshot as a fourth tuple element, so metrics recorded
-    inside the child (replay counters, latency histograms) reach the
-    coordinator; thread workers share the parent registry and return
-    ``None`` there.
+    In a worker process (``in_child``) the job runs under a fresh
+    telemetry registry whose snapshot comes back as the fourth tuple
+    element, so metrics recorded in the child reach the coordinator.
+    An in-process attempt records into the caller's registry and
+    returns ``None`` there.
     """
-    index, attempt, worker_kind, job, plan = task
+    index, attempt, in_child, job, plan = task
     if plan:
-        delay, kill = plan.cell_fault(index, attempt, job.engine)
+        delay, kill = plan.cell_fault(index, attempt)
         if delay > 0:
             time.sleep(delay)
         if kill:
-            if worker_kind == "process":
-                import os
-
+            if in_child:
                 os._exit(KILL_WORKER_EXIT)  # a real, unreportable death
             raise InjectedFault(
                 f"injected kill_worker at cell {index} attempt {attempt}",
                 kind="kill_worker",
             )
     begin = time.perf_counter()
-    if worker_kind == "process":
-        with scoped_registry() as registry:
-            report = execute_job(job)
-        snapshot = registry.snapshot()
-    else:
+    if not in_child:
+        return index, execute_job(job), time.perf_counter() - begin, None
+    with scoped_registry() as registry:
         report = execute_job(job)
-        snapshot = None
+    snapshot = registry.snapshot()
     return index, report, time.perf_counter() - begin, snapshot
 
 
@@ -333,7 +275,9 @@ class CellOutcome:
 
     ``kind`` is ``"done"`` (report attached), ``"quarantined"`` (the
     cell exhausted its budget; ``reason``/``error`` say why) or
-    ``"interrupted"`` (shutdown before the cell could run).
+    ``"interrupted"`` (shutdown before the cell could run). ``cause``
+    is the exception of a last attempt that failed in this process
+    (``None`` after a timeout or a worker-process failure).
     """
 
     index: int
@@ -342,105 +286,96 @@ class CellOutcome:
     report: Any = None
     wall_s: float = 0.0
     attempts: int = 0
-    degraded: bool = False
     reason: str = ""
     error: str = ""
+    cause: Optional[BaseException] = None
+
+    def poison(self, verb: str) -> PoisonCellError:
+        """The error that ends a run at this unfinished cell."""
+        return PoisonCellError(
+            f"cell {self.index} ({self.job.describe()}) {verb} after "
+            f"{self.attempts} attempts: {self.reason}: {self.error}",
+            index=self.index,
+            fingerprint=self.job.fingerprint,
+        )
 
 
 class _Cell:
-    __slots__ = ("job", "pool", "attempts", "degraded")
+    __slots__ = ("job", "attempts")
 
-    def __init__(self, job: Any, pool: str):
+    def __init__(self, job: Any):
         self.job = job
-        self.pool = pool
         self.attempts = 0
-        self.degraded = False
 
 
 class CellSupervisor:
-    """Supervise cell execution across killable worker pools.
+    """Supervise cell execution in this thread or on worker processes.
 
     Usage: ``submit`` every cell, then drain ``next_outcome()`` until
-    it returns ``None``. Thread-safety: ``submit``/``next_outcome``/
-    ``requeue`` are called from the orchestrator's thread only; the
-    shared event queue is the sole cross-thread channel.
+    it returns ``None``. With one worker and no ``cell_timeout_s``,
+    ``next_outcome()`` runs at most one attempt per call in the calling
+    thread, so its caller handles a finished cell before the next one
+    starts; only ``Exception`` counts as a failed attempt there, so
+    Ctrl-C still stops the run. Otherwise up to ``workers`` worker
+    processes run attempts. Thread-safety: ``submit``/``next_outcome``/
+    ``requeue`` are called from one thread only; the shared event
+    queue is the sole cross-thread channel.
     """
 
     def __init__(
         self,
         policy: Optional[RetryPolicy] = None,
         cell_timeout_s: Optional[float] = None,
-        process_workers: int = 1,
-        thread_workers: int = 1,
+        workers: int = 1,
         fault_plan: Optional[FaultPlan] = None,
-        engine_fallback: bool = True,
         shutdown: Optional[Any] = None,
     ):
+        if workers < 1:
+            raise ConfigError(f"need at least 1 worker, got {workers}")
         if cell_timeout_s is not None and cell_timeout_s <= 0:
             raise ConfigError("cell_timeout_s must be positive")
         self.policy = policy or RetryPolicy()
         self.cell_timeout_s = cell_timeout_s
+        self.workers = workers
+        self.in_process = workers == 1 and cell_timeout_s is None
         self.plan = fault_plan or FaultPlan()
-        self.engine_fallback = engine_fallback
         self.shutdown = shutdown
         self.events: "queue.Queue[WorkerEvent]" = queue.Queue()
-        self._limits = {"process": process_workers, "thread": thread_workers}
         self._cells: Dict[int, _Cell] = {}
-        self._pending: Dict[str, Deque[int]] = {
-            "process": deque(), "thread": deque(),
-        }
+        self._pending: Deque[int] = deque()
         self._retry_heap: List[Tuple[float, int, int]] = []
         self._inflight: Dict[int, Tuple[int, str, Optional[float]]] = {}
-        self._workers: Dict[str, Any] = {}
-        self._idle: Dict[str, List[Any]] = {"process": [], "thread": []}
+        self._workers: Dict[str, ProcessWorker] = {}
+        self._idle: List[ProcessWorker] = []
         self._ready: Deque[CellOutcome] = deque()
         self._task_ids = itertools.count()
         self._worker_seq = itertools.count()
         self._outstanding = 0
-        self.stats = {
-            "retried": 0, "timeouts": 0, "quarantined": 0,
-            "pool_rebuilds": 0, "degraded": 0, "interrupted": 0,
-        }
+        self.stats = dict.fromkeys(SUPERVISION_COUNTERS, 0)
 
     # --- public API ---------------------------------------------------------
 
-    def submit(self, index: int, job: Any, pool: str) -> None:
-        """Enqueue one job (grid cell or lifetime curve) on the
-        ``process`` or ``thread`` pool."""
-        if pool not in self._pending:
-            raise ConfigError(f"unknown pool {pool!r}")
-        self._cells[index] = _Cell(job, pool)
-        self._pending[pool].append(index)
+    def submit(self, index: int, job: Any) -> None:
+        """Enqueue one job (grid cell or lifetime curve)."""
+        self._cells[index] = _Cell(job)
+        self._pending.append(index)
         self._outstanding += 1
 
-    def requeue(self, index: int, reason: str, error: str = "") -> None:
+    def requeue(
+        self,
+        index: int,
+        reason: str,
+        error: str = "",
+        cause: Optional[BaseException] = None,
+    ) -> None:
         """Feed back a persist-stage failure as a cell failure.
 
-        The orchestrator calls this when ``store.put`` raised an
-        :class:`InjectedFault` *after* the cell itself succeeded — the
-        result is not durable, so the cell runs again.
+        Called when ``store.put`` raised an :class:`InjectedFault`
+        *after* the cell itself succeeded — the result is not durable,
+        so the cell runs again (or is quarantined, out of budget).
         """
         self._outstanding += 1
-        self._handle_failure(index, reason, error)
-
-    def pending_count(self, pool: str) -> int:
-        return len(self._pending[pool]) + sum(
-            1
-            for _, _, idx in self._retry_heap
-            if self._cells[idx].pool == pool
-        )
-
-    def inflight_count(self, pool: str) -> int:
-        return sum(
-            1
-            for _, name, _ in self._inflight.values()
-            if name in self._workers and self._workers[name].kind == pool
-        )
-
-    def worker_count(self, pool: str) -> int:
-        return sum(
-            1 for w in self._workers.values() if w.kind == pool
-        )
+        self._handle_failure(index, reason, error, cause)
 
     def next_outcome(self) -> Optional[CellOutcome]:
         """Block until one cell resolves; ``None`` when all have."""
@@ -451,15 +386,19 @@ class CellSupervisor:
             if self._outstanding == 0:
                 return None
             if self._shutting_down():
+                # Pending cells resolve as interrupted now, retries too
+                # once nothing is in flight; in-flight cells drain.
                 self._interrupt_pending()
-                if self._ready:
-                    continue
-                if not self._inflight:
-                    # Nothing running, nothing schedulable: the retry
-                    # heap's survivors are interrupted too.
+                if self._ready or not self._inflight:
                     continue
             else:
                 self._dispatch()
+                if self._ready or (self.in_process and self._pending):
+                    continue
+            if self.in_process:
+                # Every cell left is waiting out a retry backoff.
+                time.sleep(self._wait_s())
+                continue
             try:
                 event = self.events.get(timeout=self._wait_s())
             except queue.Empty:
@@ -472,7 +411,7 @@ class CellSupervisor:
         for worker in list(self._workers.values()):
             worker.close()
         self._workers.clear()
-        self._idle = {"process": [], "thread": []}
+        self._idle = []
 
     # --- scheduling ---------------------------------------------------------
 
@@ -494,66 +433,79 @@ class CellSupervisor:
     def _dispatch(self) -> None:
         now = self._now()
         while self._retry_heap and self._retry_heap[0][0] <= now:
-            _, _, index = heapq.heappop(self._retry_heap)
-            self._pending[self._cells[index].pool].append(index)
-        for pool in ("process", "thread"):
-            while self._pending[pool]:
-                worker = self._checkout_worker(pool)
-                if worker is None:
-                    break
-                index = self._pending[pool].popleft()
-                self._start_attempt(index, worker)
+            self._pending.append(heapq.heappop(self._retry_heap)[2])
+        if self.in_process:
+            if self._pending:
+                self._start_attempt(self._pending.popleft(), None)
+            return
+        while self._pending:
+            worker = self._checkout_worker()
+            if worker is None:
+                break
+            self._start_attempt(self._pending.popleft(), worker)
 
-    def _checkout_worker(self, pool: str):
-        idle = self._idle[pool]
-        while idle:
-            worker = idle.pop()
+    def _checkout_worker(self) -> Optional[ProcessWorker]:
+        while self._idle:
+            worker = self._idle.pop()
             if worker.alive:
                 return worker
             self._replace_worker(worker, spawn=False)
-        if self.worker_count(pool) < self._limits[pool]:
-            return self._spawn_worker(pool)
+        if len(self._workers) < self.workers:
+            return self._spawn_worker()
         return None
 
-    def _spawn_worker(self, pool: str):
-        name = f"{pool}-worker-{next(self._worker_seq)}"
-        cls = ProcessWorker if pool == "process" else ThreadWorker
-        worker = cls(name, _run_cell_task, self.events)
+    def _spawn_worker(self) -> ProcessWorker:
+        name = f"process-worker-{next(self._worker_seq)}"
+        worker = ProcessWorker(name, _run_cell_task, self.events)
         self._workers[name] = worker
         return worker
 
-    def _replace_worker(self, worker, spawn: bool = True) -> None:
-        """Drop a dead/abandoned worker; optionally spawn its successor."""
+    def _replace_worker(
+        self, worker: ProcessWorker, spawn: bool = True
+    ) -> None:
+        """Drop a dead or killed worker; optionally spawn its successor."""
         if self._workers.pop(worker.name, None) is None:
             return
         self.stats["pool_rebuilds"] += 1
-        campaign_metrics().pool_rebuilds.labels(pool=worker.kind).inc()
+        campaign_metrics().pool_rebuilds.inc()
         if spawn:
-            self._idle[worker.kind].append(self._spawn_worker(worker.kind))
+            self._idle.append(self._spawn_worker())
 
-    def _start_attempt(self, index: int, worker) -> None:
+    def _start_attempt(
+        self, index: int, worker: Optional[ProcessWorker]
+    ) -> None:
+        """Run one attempt in this thread (``worker=None``) or hand it
+        to a worker process."""
         cell = self._cells[index]
         cell.attempts += 1
         if self.plan:
             # Cell faults are recorded here, in the parent — a worker
             # that os._exit()s cannot report its own injection.
-            delay, kill = self.plan.cell_fault(
-                index, cell.attempts, cell.job.engine
-            )
+            delay, kill = self.plan.cell_fault(index, cell.attempts)
             metrics = fault_metrics()
             if delay > 0:
                 metrics.injected.labels(kind="slow_cell").inc()
             if kill:
                 metrics.injected.labels(kind="kill_worker").inc()
+        task = (index, cell.attempts, worker is not None, cell.job, self.plan)
+        if worker is None:
+            try:
+                _, report, wall_s, _ = _run_cell_task(task)
+            except Exception as exc:  # not BaseException: Ctrl-C stops
+                self._handle_failure(
+                    index, "error", f"{type(exc).__name__}: {exc}", exc
+                )
+            else:
+                self._finish(index, report, wall_s)
+            return
         task_id = next(self._task_ids)
-        task = (index, cell.attempts, worker.kind, cell.job, self.plan)
         try:
             worker.submit(task_id, task)
         except OSError:
             # Died while idle; its queued "died" event will be stale.
             cell.attempts -= 1
             self._replace_worker(worker)
-            self._pending[cell.pool].append(index)
+            self._pending.append(index)
             return
         deadline = (
             self._now() + self.cell_timeout_s
@@ -584,10 +536,8 @@ class CellSupervisor:
             )
 
     def _interrupt_pending(self) -> None:
-        drained: List[int] = []
-        for pool in ("process", "thread"):
-            drained.extend(self._pending[pool])
-            self._pending[pool].clear()
+        drained = list(self._pending)
+        self._pending.clear()
         if not self._inflight:
             drained.extend(index for _, _, index in self._retry_heap)
             self._retry_heap.clear()
@@ -600,7 +550,6 @@ class CellSupervisor:
                     job=cell.job,
                     kind="interrupted",
                     attempts=cell.attempts,
-                    degraded=cell.degraded,
                     reason="shutdown",
                 )
             )
@@ -612,17 +561,14 @@ class CellSupervisor:
             worker = self._workers.get(event.worker)
             if worker is None:
                 return  # we killed it deliberately; already handled
-            self._idle[worker.kind] = [
-                w for w in self._idle[worker.kind] if w.name != worker.name
-            ]
+            self._idle = [w for w in self._idle if w is not worker]
             self._replace_worker(worker)
             entry = self._inflight.pop(event.task_id, None) if (
                 event.task_id >= 0
             ) else None
             if entry is not None:
-                index = entry[0]
                 self._handle_failure(
-                    index,
+                    entry[0],
                     "worker_death",
                     f"worker {event.worker} died "
                     f"(exit code {event.payload})",
@@ -630,38 +576,43 @@ class CellSupervisor:
             return
         entry = self._inflight.pop(event.task_id, None)
         if entry is None:
-            return  # late report from an abandoned thread worker
+            return  # late report from a worker killed at its timeout
         index = entry[0]
         worker = self._workers.get(event.worker)
         if worker is not None and worker.alive:
-            self._idle[worker.kind].append(worker)
+            self._idle.append(worker)
         if event.kind == "result":
-            _, report, wall_s = event.payload[:3]
-            snapshot = event.payload[3] if len(event.payload) > 3 else None
-            if snapshot:
-                # Process workers ship their telemetry home with the
-                # result; merge before the outcome becomes visible.
-                get_default_registry().merge_snapshot(snapshot)
-            cell = self._cells[index]
-            self._ready.append(
-                CellOutcome(
-                    index=index,
-                    job=cell.job,
-                    kind="done",
-                    report=report,
-                    wall_s=wall_s,
-                    attempts=cell.attempts,
-                    degraded=cell.degraded,
-                )
-            )
+            _, report, wall_s, snapshot = event.payload
+            # Worker processes ship their telemetry home with the
+            # result; merge before the outcome becomes visible.
+            get_default_registry().merge_snapshot(snapshot)
+            self._finish(index, report, wall_s)
             return
         exc_type, message, _trace = event.payload
         self._handle_failure(index, "error", f"{exc_type}: {message}")
 
-    def _handle_failure(self, index: int, reason: str, error: str) -> None:
+    def _finish(self, index: int, report: Any, wall_s: float) -> None:
         cell = self._cells[index]
-        budget = self.policy.max_retries + 1
-        if cell.attempts < budget:
+        self._ready.append(
+            CellOutcome(
+                index=index,
+                job=cell.job,
+                kind="done",
+                report=report,
+                wall_s=wall_s,
+                attempts=cell.attempts,
+            )
+        )
+
+    def _handle_failure(
+        self,
+        index: int,
+        reason: str,
+        error: str,
+        cause: Optional[BaseException] = None,
+    ) -> None:
+        cell = self._cells[index]
+        if cell.attempts <= self.policy.max_retries:
             self.stats["retried"] += 1
             campaign_metrics().retries.labels(reason=reason).inc()
             delay = self.policy.backoff_s(
@@ -669,33 +620,6 @@ class CellSupervisor:
             )
             heapq.heappush(
                 self._retry_heap, (self._now() + delay, index, index)
-            )
-            return
-        if (
-            self.engine_fallback
-            and not cell.degraded
-            and cell.pool == "thread"
-            and cell.job.engine != "object"
-            and getattr(cell.job, "family", "cell") == "cell"
-        ):
-            # Graceful degradation: exactly one object-engine attempt
-            # on the process pool before giving the cell up (attempts
-            # is already at budget, so the next failure quarantines).
-            # The cell fingerprint excludes the engine, so the store
-            # key is unchanged; lifetime jobs are excluded because
-            # their fingerprints pin the resolved engine — swapping it
-            # would silently answer a different question.
-            cell.job = replace(cell.job, engine="object")
-            cell.pool = "process"
-            cell.degraded = True
-            self.stats["degraded"] += 1
-            metrics = campaign_metrics()
-            metrics.engine_fallbacks.inc()
-            metrics.retries.labels(reason=reason).inc()
-            self.stats["retried"] += 1
-            heapq.heappush(
-                self._retry_heap,
-                (self._now() + self.policy.backoff_base_s, index, index),
             )
             return
         self.stats["quarantined"] += 1
@@ -706,8 +630,111 @@ class CellSupervisor:
                 job=cell.job,
                 kind="quarantined",
                 attempts=cell.attempts,
-                degraded=cell.degraded,
                 reason=reason,
                 error=error,
+                cause=cause,
             )
         )
+
+
+# --- the execution loop ------------------------------------------------------
+
+
+_OutcomeFn = Callable[[CellOutcome, bool], None]
+
+
+class JobRun:
+    """One job list through resume → dedupe → run → persist.
+
+    Construction is the resume pass: each distinct fingerprint is
+    looked up once in ``store`` (when there is one); what it cannot
+    serve becomes :attr:`pending`, and every repeat of a fingerprint
+    shares its first occurrence's result. :meth:`execute` runs the
+    pending jobs on a :class:`CellSupervisor` and puts each result the
+    moment it arrives, so an interruption loses at most the in-flight
+    cells. The one loop behind ``GridRunner.execute_jobs`` and
+    ``CampaignOrchestrator.run``.
+    """
+
+    def __init__(self, jobs: Sequence[Any], store: Optional[ResultStore]):
+        self.jobs = list(jobs)
+        self.store = store
+        self.fingerprints = [job.fingerprint for job in self.jobs]
+        self.reports: List[Optional[Any]] = [None] * len(self.jobs)
+        self.pending: List[int] = []
+        first: Dict[str, int] = {}
+        #: Per job, the index of the first job with its fingerprint.
+        self._source = [
+            first.setdefault(fingerprint, index)
+            for index, fingerprint in enumerate(self.fingerprints)
+        ]
+        for index in first.values():
+            cached = (
+                None if store is None
+                else store.get(self.fingerprints[index])
+            )
+            if cached is None:
+                self.pending.append(index)
+            else:
+                self.reports[index] = cached
+        #: Jobs served without executing: store hits and repeats.
+        self.resumed = len(self.jobs) - len(self.pending)
+        self.executed = 0
+        self.stats = dict.fromkeys(SUPERVISION_COUNTERS, 0)
+
+    def execute(
+        self,
+        policy: RetryPolicy,
+        on_outcome: _OutcomeFn,
+        **supervision: Any,
+    ) -> List[Optional[Any]]:
+        """Run the pending jobs; results in job order, ``None`` where
+        a job did not finish.
+
+        ``supervision`` (``workers``, ``cell_timeout_s``,
+        ``fault_plan``, ``shutdown``) configures the
+        :class:`CellSupervisor`, built only when a job is pending.
+        ``on_outcome(outcome, superseding)`` sees every resolved cell,
+        a finished one after its put; ``superseding`` says the put
+        overwrote a record already in the store (another writer's, or
+        this cell's own before a ``crash_after_put`` fault). An
+        exception from it ends the run. A put raising
+        :class:`InjectedFault` requeues its cell; any other put error
+        propagates.
+        """
+        if self.pending:
+            supervisor = CellSupervisor(policy, **supervision)
+            try:
+                for index in self.pending:
+                    supervisor.submit(index, self.jobs[index])
+                for outcome in iter(supervisor.next_outcome, None):
+                    superseding = False
+                    if outcome.kind == "done":
+                        try:
+                            superseding = self._put(outcome)
+                        except InjectedFault as fault:
+                            # The result may not be durable: the cell
+                            # goes around again.
+                            supervisor.requeue(
+                                outcome.index, "persist_fault",
+                                str(fault), fault,
+                            )
+                            continue
+                        self.reports[outcome.index] = outcome.report
+                        self.executed += 1
+                    on_outcome(outcome, superseding)
+            finally:
+                supervisor.close()
+                self.stats = dict(supervisor.stats)
+        return [self.reports[source] for source in self._source]
+
+    def _put(self, outcome: CellOutcome) -> bool:
+        """Persist a finished cell; True when it overwrote a record."""
+        if self.store is None:
+            return False
+        fingerprint = self.fingerprints[outcome.index]
+        superseding = fingerprint in self.store
+        self.store.put(
+            fingerprint, outcome.report, meta=outcome.job.store_meta()
+        )
+        return superseding

@@ -105,10 +105,12 @@ class CampaignError(ReproError):
 
 class PoisonCellError(CampaignError):
     """A cell exhausted its retry budget and ``on_poison="fail"`` is
-    set, or failed on a ``GridRunner(workers > 1)`` worker process.
+    set, or a ``GridRunner`` job (or its put) failed.
 
     Carries the cell index and fingerprint so operators can find the
-    quarantine record and the job that produced it.
+    quarantine record and the job that produced it. When the failing
+    attempt ran in the calling process, ``__cause__`` is its own
+    exception.
     """
 
     def __init__(self, message: str, index: int = -1, fingerprint: str = ""):
@@ -124,9 +126,9 @@ class InjectedFault(ReproError):
     """A deterministic fault fired from a :class:`repro.faults.FaultPlan`.
 
     Raised at the exact hook point the plan names (a simulated crash
-    around a store put, a compaction interrupt, a killed thread
-    worker); supervision layers catch it and exercise their recovery
-    path instead of aborting.
+    around a store put, a compaction interrupt, a ``kill_worker`` on a
+    cell running in the calling process); supervision layers catch it
+    and exercise their recovery path instead of aborting.
     """
 
     def __init__(self, message: str, kind: str = ""):

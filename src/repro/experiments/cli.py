@@ -408,8 +408,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     orchestrator = CampaignOrchestrator(
         spec,
         store,
-        process_workers=args.process_workers,
-        thread_workers=args.thread_workers,
+        process_workers=args.workers,
         progress=None if args.quiet else show,
         progress_interval_s=args.progress_interval,
         on_cell=on_cell,
@@ -456,14 +455,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                         "total": stats.total,
                         "executed": stats.executed,
                         "resumed": stats.resumed,
-                        "thread_cells": stats.thread_cells,
-                        "process_cells": stats.process_cells,
                         "wall_s": stats.wall_s,
                         "retried": stats.retried,
                         "timeouts": stats.timeouts,
                         "quarantined": stats.quarantined,
                         "pool_rebuilds": stats.pool_rebuilds,
-                        "degraded": stats.degraded,
                         "interrupted": stats.interrupted,
                     },
                     "quarantined": list(result.quarantined),
@@ -473,16 +469,16 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         )
         return exit_code
     print(
-        f"campaign complete: {stats.total} cells in {stats.wall_s:.1f}s "
-        f"(executed {stats.executed}: {stats.thread_cells} on threads, "
-        f"{stats.process_cells} on processes; resumed {stats.resumed} "
+        f"campaign {'interrupted' if stats.interrupted else 'complete'}: "
+        f"{stats.total} cells in {stats.wall_s:.1f}s "
+        f"(executed {stats.executed}; resumed {stats.resumed} "
         f"from {args.store})"
     )
     if stats.retried or stats.timeouts or stats.pool_rebuilds:
         print(
             f"  supervision: {stats.retried} retries, "
             f"{stats.timeouts} timeouts, {stats.pool_rebuilds} worker "
-            f"rebuilds, {stats.degraded} engine fallbacks"
+            f"rebuilds"
         )
     for record in result.quarantined:
         meta = record.get("meta", {})
@@ -842,8 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign_run = campaign_sub.add_parser(
         "run",
-        help="run a campaign on the mixed process+thread pool with "
-             "live progress and crash-resume",
+        help="run a campaign under supervision with live progress and "
+             "crash-resume",
     )
     campaign_run.add_argument("--store", required=True,
                               help="result store directory "
@@ -852,15 +848,13 @@ def build_parser() -> argparse.ArgumentParser:
                               help="JSON campaign spec (bare object or "
                                    "{\"campaign\": {...}})")
     _add_campaign_flags(campaign_run,
-                        engine_help="grid-cell engine (see `run --engine`); "
-                                    "object-engine cells route to process "
-                                    "workers, kernel cells to threads")
-    campaign_run.add_argument("--process-workers", type=int, default=1,
-                              help="process-pool workers for object-engine "
-                                   "cells (default: 1)")
-    campaign_run.add_argument("--thread-workers", type=int, default=1,
-                              help="thread-pool workers for kernel-engine "
-                                   "cells (default: 1)")
+                        engine_help="grid-cell engine (see `run --engine`)")
+    campaign_run.add_argument("--workers", "--process-workers",
+                              dest="workers", type=int, default=1,
+                              help="worker processes for cell fan-out "
+                                   "(default: 1, in this process unless "
+                                   "--cell-timeout needs a killable "
+                                   "worker)")
     campaign_run.add_argument("--progress-interval", type=float,
                               default=1.0,
                               help="seconds between progress lines "

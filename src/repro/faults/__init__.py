@@ -30,8 +30,9 @@ Fault kinds
     superseded duplicate).
 ``kill_worker``
     The worker executing the targeted cell dies — ``os._exit`` in a
-    process worker (real worker death, exercising pool rebuild),
-    :class:`InjectedFault` in a thread worker.
+    worker process (real worker death, exercising worker
+    replacement); :class:`InjectedFault` when the cell runs in the
+    calling process.
 ``slow_cell``
     The targeted cell sleeps ``delay_s`` before executing — pair with
     ``--cell-timeout`` to exercise the timeout/retry path.

@@ -5,8 +5,8 @@ each one hooks in. Two objects matter here:
 
 * :class:`FaultPlan` — the frozen description (JSON round-trippable,
   picklable into worker processes). Worker-side faults are pure
-  functions of ``(cell, attempt, engine)`` so a forked or spawned
-  worker evaluates them without shared state.
+  functions of ``(cell, attempt)`` so a forked or spawned worker
+  evaluates them without shared state.
 * :class:`FaultInjector` — the orchestrator-side stateful wrapper: it
   numbers store puts, fires the store/compaction hooks, and counts
   every fired fault in the ``repro_faults_injected_total{kind}``
@@ -52,18 +52,15 @@ KILL_WORKER_EXIT = 113
 class FaultSpec:
     """One fault: a kind plus the predicate selecting where it fires.
 
-    ``cell`` / ``attempt`` / ``engine`` select a campaign cell
-    (``attempt`` is 1-based; ``None`` matches every attempt; ``engine``
-    filters on the job's engine field, e.g. ``"auto"`` matches only
-    kernel-path attempts so an object-path fallback escapes the
-    fault). ``put_index`` selects the Nth put (0-based) on the store
-    the injector is armed on. ``delay_s`` is the ``slow_cell`` sleep.
+    ``cell`` / ``attempt`` select a campaign cell attempt
+    (``attempt`` is 1-based; ``None`` matches every attempt).
+    ``put_index`` selects the Nth put (0-based) on the store the
+    injector is armed on. ``delay_s`` is the ``slow_cell`` sleep.
     """
 
     kind: str
     cell: Optional[int] = None
     attempt: Optional[int] = 1
-    engine: Optional[str] = None
     put_index: Optional[int] = None
     delay_s: float = 0.0
 
@@ -82,12 +79,11 @@ class FaultSpec:
         if self.attempt is not None and self.attempt < 1:
             raise ConfigError("fault attempt numbers are 1-based")
 
-    def matches_cell(self, cell: int, attempt: int, engine: str) -> bool:
+    def matches_cell(self, cell: int, attempt: int) -> bool:
         return (
             self.kind in CELL_KINDS
             and self.cell == cell
             and (self.attempt is None or self.attempt == attempt)
-            and (self.engine is None or self.engine == engine)
         )
 
     def matches_put(self, put_index: int) -> bool:
@@ -95,7 +91,7 @@ class FaultSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"kind": self.kind}
-        for name in ("cell", "attempt", "engine", "put_index"):
+        for name in ("cell", "attempt", "put_index"):
             value = getattr(self, name)
             if value is not None and not (name == "attempt" and value == 1):
                 data[name] = value
@@ -111,7 +107,7 @@ class FaultSpec:
             raise ConfigError(
                 f"fault spec must be a JSON object, got {type(data).__name__}"
             )
-        known = {"kind", "cell", "attempt", "engine", "put_index", "delay_s"}
+        known = {"kind", "cell", "attempt", "put_index", "delay_s"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(
@@ -124,7 +120,6 @@ class FaultSpec:
             kind=data["kind"],
             cell=data.get("cell"),
             attempt=data.get("attempt", 1),
-            engine=data.get("engine"),
             put_index=data.get("put_index"),
             delay_s=float(data.get("delay_s", 0.0)),
         )
@@ -151,15 +146,13 @@ class FaultPlan:
 
     # --- worker-side (pure) -------------------------------------------------
 
-    def cell_fault(
-        self, cell: int, attempt: int, engine: str
-    ) -> Tuple[float, bool]:
+    def cell_fault(self, cell: int, attempt: int) -> Tuple[float, bool]:
         """``(delay_s, kill)`` for one cell attempt; ``(0.0, False)``
         when nothing fires. Pure — safe to evaluate in any process."""
         delay = 0.0
         kill = False
         for spec in self.faults:
-            if spec.matches_cell(cell, attempt, engine):
+            if spec.matches_cell(cell, attempt):
                 if spec.kind == "slow_cell":
                     delay += spec.delay_s
                 elif spec.kind == "kill_worker":

@@ -14,9 +14,10 @@ show. The package splits the old single-module harness into layers:
   contract the :class:`~repro.campaign.store.ShardedResultStore`
   fulfils;
 * :mod:`repro.harness.runner` — :class:`GridRunner` and the
-  ``run_grid`` façade tying them together; ``GridRunner(workers=n)``
-  fans cells out over the process workers of
-  :class:`repro.campaign.supervisor.CellSupervisor`.
+  ``run_grid`` façade tying them together. Jobs run through the
+  campaign's execution loop (:class:`repro.campaign.supervisor.
+  JobRun`): in this process with one worker, and over
+  ``CellSupervisor`` worker processes with ``GridRunner(workers=n)``.
 
 Quick start::
 

@@ -3,9 +3,10 @@
 ``GridRunner`` turns a (schemes x pec_points x workloads) request into
 an ordered list of independent cell jobs, satisfies as many as it can
 from its result store (a :class:`~repro.campaign.store.
-ShardedResultStore`), runs the rest — inline with one worker, on the
-process workers of a :class:`~repro.campaign.supervisor.
-CellSupervisor` with more — and assembles the
+ShardedResultStore`), runs the rest through the campaign's execution
+loop (:class:`~repro.campaign.supervisor.JobRun`) — in this process
+with one worker, on supervised worker processes with more — and
+assembles the
 :class:`~repro.harness.grid.EvaluationGrid` in the canonical
 pec -> workload -> scheme order regardless of completion order.
 
@@ -26,13 +27,12 @@ where it stopped.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SsdSpec
-from repro.errors import ConfigError, PoisonCellError
+from repro.errors import ConfigError
 from repro.experiments.registry import WORKLOADS
 from repro.harness.cache import cell_fingerprint
 from repro.harness.cells import (
@@ -166,9 +166,9 @@ def execute_job(job: Any) -> Any:
     Grid cells go through :func:`execute_cell`; any other family
     (e.g. :class:`repro.lifetime.spec.LifetimeJob`) must bring its own
     ``execute()``. Dispatching here keeps the harness importable
-    without the lifetime stack while letting the :class:`GridRunner`
-    and the campaign supervisor run mixed job lists through one entry
-    point.
+    without the lifetime stack; the campaign supervisor, which runs
+    every job of a :class:`GridRunner` or a campaign, calls it once
+    per attempt.
     """
     if isinstance(job, CellJob):
         return execute_cell(job)
@@ -253,6 +253,12 @@ class RunStats:
         return self.executed + self.cached
 
 
+def _raise_unfinished(outcome: Any, superseding: bool) -> None:
+    """``JobRun`` outcome hook: a job that did not finish ends the call."""
+    if outcome.kind != "done":
+        raise outcome.poison("failed") from outcome.cause
+
+
 class GridRunner:
     """Executes evaluation grids through a result store and workers."""
 
@@ -261,8 +267,8 @@ class GridRunner:
         workers: int = 1,
         cache: Optional[Union[ResultStore, str, Path]] = None,
     ):
-        """``workers`` is 1 to run jobs inline in this process, or the
-        number of supervised worker processes to fan them out over.
+        """``workers`` is 1 to run jobs in this process, or the number
+        of supervised worker processes to fan them out over.
         ``cache`` accepts any :class:`ResultStore` or a directory path,
         opened as a :class:`~repro.campaign.store.ShardedResultStore`
         (the same store ``campaign run`` uses).
@@ -313,76 +319,24 @@ class GridRunner:
         ``store_meta()``, and :func:`execute_job` support. Each
         distinct fingerprint runs at most once per call; its repeats
         share that result and count as cached in :attr:`stats`.
+
+        Jobs run through the campaign's loop
+        (:class:`~repro.campaign.supervisor.JobRun`) with retries off:
+        the first job that fails, or whose put fails, ends the call
+        with a :class:`PoisonCellError` naming it, whose ``__cause__``
+        is the job's own exception when it ran in this process.
         """
-        fingerprints = [job.fingerprint for job in jobs]
-        reports: List[Optional[Any]] = [None] * len(jobs)
-        first: Dict[str, int] = {}
-        pending: List[int] = []
-        for index, fingerprint in enumerate(fingerprints):
-            if fingerprint in first:
-                continue
-            first[fingerprint] = index
-            cached = (
-                None if self.cache is None else self.cache.get(fingerprint)
-            )
-            if cached is None:
-                pending.append(index)
-            else:
-                reports[index] = cached
-
-        # Persist each result the moment it arrives, so an interrupted
-        # campaign keeps every completed cell and resumes from there.
-        with contextlib.closing(self._execute(jobs, pending)) as fresh:
-            for index, report in fresh:
-                reports[index] = report
-                if self.cache is not None:
-                    self.cache.put(
-                        fingerprints[index], report,
-                        meta=jobs[index].store_meta(),
-                    )
-        reports = [reports[first[fp]] for fp in fingerprints]
-        self.stats = RunStats(
-            executed=len(pending), cached=len(jobs) - len(pending)
-        )
-        return reports
-
-    def _execute(
-        self, jobs: Sequence[Any], pending: List[int]
-    ) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(index, report)`` per pending job as it finishes.
-
-        One worker runs the jobs inline; more submit them to a
-        :class:`~repro.campaign.supervisor.CellSupervisor`'s process
-        workers with retries off, so a failing job ends the call as a
-        :class:`PoisonCellError` naming it.
-        """
-        if self.workers == 1:
-            for index in pending:
-                yield index, execute_job(jobs[index])
-            return
         # Imported here: the campaign package imports this module.
-        from repro.campaign.supervisor import CellSupervisor, RetryPolicy
+        from repro.campaign.supervisor import JobRun, RetryPolicy
 
-        supervisor = CellSupervisor(
-            policy=RetryPolicy(max_retries=0),
-            process_workers=self.workers,
-            engine_fallback=False,
+        run = JobRun(jobs, self.cache)
+        reports = run.execute(
+            RetryPolicy(max_retries=0),
+            on_outcome=_raise_unfinished,
+            workers=self.workers,
         )
-        try:
-            for index in pending:
-                supervisor.submit(index, jobs[index], "process")
-            for outcome in iter(supervisor.next_outcome, None):
-                if outcome.kind != "done":
-                    job = outcome.job
-                    raise PoisonCellError(
-                        f"cell {outcome.index} ({job.describe()}) failed "
-                        f"on a worker process: {outcome.error}",
-                        index=outcome.index,
-                        fingerprint=job.fingerprint,
-                    )
-                yield outcome.index, outcome.report
-        finally:
-            supervisor.close()
+        self.stats = RunStats(executed=run.executed, cached=run.resumed)
+        return reports
 
     def run(
         self,

@@ -58,17 +58,16 @@ def _registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
 class CampaignMetrics:
     planned: MetricFamily        # gauge
     cells: MetricFamily          # counter{outcome}
-    pool_pending: MetricFamily   # gauge{pool}
-    pool_inflight: MetricFamily  # gauge{pool}
-    pool_workers: MetricFamily   # gauge{pool}
+    pool_pending: MetricFamily   # gauge
+    pool_inflight: MetricFamily  # gauge
+    pool_workers: MetricFamily   # gauge
     cell_wall: MetricFamily      # histogram
     progress_fraction: MetricFamily  # gauge
     eta_seconds: MetricFamily    # gauge
     retries: MetricFamily        # counter{reason}
     timeouts: MetricFamily       # counter
     quarantined: MetricFamily    # counter
-    pool_rebuilds: MetricFamily  # counter{pool}
-    engine_fallbacks: MetricFamily  # counter
+    pool_rebuilds: MetricFamily  # counter
 
 
 def campaign_metrics(
@@ -88,19 +87,16 @@ def campaign_metrics(
         ),
         pool_pending=reg.gauge(
             "repro_campaign_pool_pending",
-            "Cells routed to the pool and not yet completed.",
-            labels=("pool",),
+            "Campaign cells to execute and not yet resolved.",
         ),
         pool_inflight=reg.gauge(
             "repro_campaign_pool_inflight",
-            "Cells concurrently executing in the pool "
+            "Cells concurrently executing "
             "(min(workers, pending) estimate).",
-            labels=("pool",),
         ),
         pool_workers=reg.gauge(
             "repro_campaign_pool_workers",
-            "Configured worker count of the pool.",
-            labels=("pool",),
+            "Configured worker count of the campaign.",
         ),
         cell_wall=reg.histogram(
             "repro_campaign_cell_wall_seconds",
@@ -133,12 +129,6 @@ def campaign_metrics(
         pool_rebuilds=reg.counter(
             "repro_campaign_pool_rebuilds_total",
             "Worker replacements after a worker died or was killed.",
-            labels=("pool",),
-        ),
-        engine_fallbacks=reg.counter(
-            "repro_campaign_engine_fallbacks_total",
-            "Kernel-engine cells degraded to the object engine after "
-            "exhausting kernel-path retries.",
         ),
     )
 

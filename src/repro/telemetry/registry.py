@@ -21,8 +21,8 @@ so results stay bit-identical with instrumentation enabled.
 
 Thread safety: family creation is serialized by a registry lock,
 child creation by a family lock, and every numeric update by a child
-lock, so thread workers and the metrics HTTP endpoint can hit one
-registry concurrently.
+lock, so a running campaign and the metrics HTTP endpoint's thread
+can hit one registry concurrently.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The contracts pinned here: membership == retrievability on the store,
 last-write-wins with crash-tolerant reads and compaction, a one-shot
 import of the earlier JSONL layout, campaign specs planning
-``GridRunner.plan``-identical jobs, and an interrupted campaign
-resuming from the store alone into a grid bit-identical to an
+``GridRunner.plan``-identical jobs, attempts running where the
+supervisor's worker count and timeout put them, and an interrupted
+campaign resuming from the store alone into a grid bit-identical to an
 uninterrupted serial run with no cell executed twice.
 """
 
@@ -14,6 +15,8 @@ import json
 import os
 import shutil
 import threading
+import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -21,8 +24,10 @@ import pytest
 from repro.campaign import (
     CampaignOrchestrator,
     CampaignSpec,
+    CellSupervisor,
+    MixedCampaignSpec,
+    RetryPolicy,
     ShardedResultStore,
-    cell_engine_kind,
     load_campaign_file,
     run_campaign,
 )
@@ -33,6 +38,7 @@ from repro.harness import (
     ResultStore,
     run_workload_cell,
 )
+from repro.lifetime.spec import LifetimeSpec
 
 SPEC = CampaignSpec(
     schemes=("baseline", "aero"),
@@ -406,27 +412,147 @@ def test_campaign_spec_size():
 
 def test_campaign_equals_serial_grid(tmp_path):
     reference = serial_grid(SPEC)
-    result = run_campaign(
-        SPEC, tmp_path, process_workers=2, thread_workers=2
-    )
+    result = run_campaign(SPEC, tmp_path, process_workers=2)
     assert result.stats.executed == SPEC.size
     assert result.stats.resumed == 0
     assert result.grid == reference
 
 
-def test_campaign_routes_engines_to_pools(tmp_path):
-    kernel_jobs = SPEC.jobs()
-    assert all(cell_engine_kind(job) == "kernel" for job in kernel_jobs)
-    object_spec = CampaignSpec(
-        schemes=("baseline",), pec_points=(500,), workloads=("hm",),
-        requests=120, seed=1234, engine="object",
+# Module-level probe jobs, so they pickle to worker processes.
+
+
+@dataclass(frozen=True)
+class WhereJob:
+    """A job whose report says which process and thread ran it."""
+
+    n: int = 0
+    engine: str = "auto"
+    family = "probe"
+
+    @property
+    def fingerprint(self) -> str:
+        return fake_key(1000 + self.n)
+
+    def describe(self) -> str:
+        return f"{type(self).__name__}/{self.n}"
+
+    def store_meta(self) -> dict:
+        return {"probe": self.n}
+
+    def execute(self):
+        return os.getpid(), threading.get_ident()
+
+
+class InterruptJob(WhereJob):
+    def execute(self):
+        raise KeyboardInterrupt
+
+
+class HangingJob(WhereJob):
+    def execute(self):
+        while True:
+            pass
+
+
+@dataclass(frozen=True)
+class ProbeSpec:
+    """The slice of a campaign spec the orchestrator reads."""
+
+    job: WhereJob
+    seed: int = 0
+    size: int = 1
+
+    def jobs(self):
+        return [self.job]
+
+
+def attempt_sites(**supervision):
+    supervisor = CellSupervisor(**supervision)
+    try:
+        for index in range(2):
+            supervisor.submit(index, WhereJob(index))
+        return [outcome.report for outcome in iter(
+            supervisor.next_outcome, None
+        )]
+    finally:
+        supervisor.close()
+
+
+def test_supervisor_runs_attempts_where_configured():
+    caller = (os.getpid(), threading.get_ident())
+    assert attempt_sites() == [caller, caller]
+    # a timeout needs a worker it can kill, and so does a fan-out
+    for supervision in ({"cell_timeout_s": 60.0}, {"workers": 2}):
+        pids = {pid for pid, _ in attempt_sites(**supervision)}
+        assert os.getpid() not in pids
+    # in-process attempts catch Exception only: Ctrl-C is not a
+    # failed attempt to retry
+    supervisor = CellSupervisor(policy=RetryPolicy(max_retries=2))
+    supervisor.submit(0, InterruptJob())
+    with pytest.raises(KeyboardInterrupt):
+        supervisor.next_outcome()
+    assert supervisor.stats["retried"] == 0
+
+
+def test_timed_out_cell_leaves_nothing_running(tmp_path):
+    before = set(threading.enumerate())
+    result = CampaignOrchestrator(
+        ProbeSpec(HangingJob()), tmp_path, cell_timeout_s=0.5,
+        max_retries=1,
+    ).run()
+    [record] = result.quarantined
+    assert record["reason"] == "timeout"
+    assert record["attempts"] == 2
+    cpu = time.process_time()
+    time.sleep(1.0)
+    assert time.process_time() - cpu < 0.2  # nothing spins on
+    started = [t for t in threading.enumerate() if t not in before]
+    assert [t.name for t in started if t.is_alive()] == []
+
+
+def test_campaign_runs_each_distinct_job_once(tmp_path):
+    spec = CampaignSpec(
+        schemes=("baseline", "aero", "aero"), pec_points=(500,),
+        workloads=("hm",), requests=40, seed=1,
     )
-    assert all(
-        cell_engine_kind(job) == "object" for job in object_spec.jobs()
+    result = run_campaign(spec, tmp_path / "grid")
+    assert (result.stats.executed, result.stats.resumed) == (2, 1)
+    assert result.reports[2] is result.reports[1]
+    assert ShardedResultStore(tmp_path / "grid").stats().superseded == 0
+
+    member = LifetimeSpec(
+        schemes=("aero",), block_count=8, step=200, max_pec=2000
     )
-    result = run_campaign(object_spec, tmp_path, process_workers=2)
-    assert result.stats.process_cells == object_spec.size
-    assert result.stats.thread_cells == 0
+    mixed = MixedCampaignSpec(members=(member, member))
+    result = run_campaign(mixed, tmp_path / "mixed")
+    assert result.stats.executed == 1
+    assert result.reports[1] is result.reports[0]
+    assert len(result.comparisons) == 2
+    assert result.comparisons[0] == result.comparisons[1]
+    assert ShardedResultStore(tmp_path / "mixed").stats().superseded == 0
+
+
+def test_shutdown_interrupts_pending_cells_then_resumes(tmp_path):
+    shutdown = threading.Event()
+
+    def stop(index, job, report):
+        shutdown.set()
+
+    result = run_campaign(SPEC, tmp_path, on_cell=stop, shutdown=shutdown)
+    assert result.stats.executed == 1
+    assert result.stats.interrupted == SPEC.size - 1
+    assert result.complete is False
+    resumed = run_campaign(SPEC, tmp_path)
+    assert resumed.stats.resumed == 1
+    assert resumed.stats.executed == SPEC.size - 1
+    assert resumed.grid == serial_grid(SPEC)
+    assert ShardedResultStore(tmp_path).stats().superseded == 0
+
+
+def test_thread_workers_keyword_must_be_one(tmp_path):
+    CampaignOrchestrator(SPEC, tmp_path, thread_workers=1)
+    with pytest.raises(ConfigError, match="process_workers"):
+        CampaignOrchestrator(SPEC, tmp_path, thread_workers=2)
 
 
 def test_campaign_object_engine_matches_serial(tmp_path):
@@ -458,14 +584,14 @@ def test_interrupted_campaign_resumes_bit_identical(tmp_path):
 
     with pytest.raises(Kill):
         CampaignOrchestrator(
-            SPEC, tmp_path, thread_workers=2, on_cell=bomb
+            SPEC, tmp_path, process_workers=2, on_cell=bomb
         ).run()
     # the killed run persisted exactly the cells completed before death
     interrupted = ShardedResultStore(tmp_path)
     assert len(interrupted) == kill_after
 
     # restart from the store alone: a brand-new orchestrator instance
-    resumed = CampaignOrchestrator(SPEC, tmp_path, thread_workers=2).run()
+    resumed = CampaignOrchestrator(SPEC, tmp_path, process_workers=2).run()
     assert resumed.stats.resumed == kill_after
     assert resumed.stats.executed == SPEC.size - kill_after
     assert resumed.grid == reference
@@ -487,7 +613,7 @@ def test_campaign_progress_reports(tmp_path):
     result = run_campaign(
         SPEC,
         tmp_path,
-        thread_workers=2,
+        process_workers=2,
         progress=snapshots.append,
         progress_interval_s=0.0,
     )
@@ -541,7 +667,7 @@ def _mp_writer(root, start, count, requests):
 
 
 def _mp_campaign(root):
-    run_campaign(SPEC, root, thread_workers=2)
+    run_campaign(SPEC, root, process_workers=2)
 
 
 def test_two_process_store_writers_lose_nothing(tmp_path):

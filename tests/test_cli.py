@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -237,8 +238,12 @@ def test_compare_fail_after_then_resume(tmp_path, capsys):
     store = str(tmp_path / "store")
     # the first curve is durable before the injected crash: exit 2
     assert main(COMPARE_ARGS + ["--store", store, "--fail-after", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "error: injected crash_after_put" in err
+    [line] = [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("error: ")
+    ]
+    assert line.startswith("error: cell 0 (")  # the PoisonCellError
+    assert "injected crash_after_put" in line
     assert ShardedResultStore(store).stats().keys == 1
     assert main(COMPARE_ARGS + ["--store", store]) == 0
     assert "curves executed: 1, served from cache: 1" in (
@@ -533,7 +538,7 @@ def test_campaign_run_quarantine_reported(tmp_path, capsys):
     assert main(CAMPAIGN_ARGS + [
         "--store", str(tmp_path / "store"),
         "--fault-plan", str(plan_path),
-        "--max-retries", "1", "--engine", "object",
+        "--max-retries", "1", "--workers", "2",
         "--quiet", "--json",
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -541,6 +546,55 @@ def test_campaign_run_quarantine_reported(tmp_path, capsys):
     assert payload["stats"]["executed"] == 1
     [record] = payload["quarantined"]
     assert record["reason"] == "worker_death"
+
+
+def test_campaign_run_sigterm_drains_then_resumes(tmp_path):
+    """SIGTERM mid-run: the running cell finishes and is stored, the
+    rest are reported as not started, the exit code is 128 + SIGTERM,
+    and the same command resumes without re-running a cell."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({
+        "faults": [{"kind": "slow_cell", "cell": 1, "delay_s": 1.0}],
+    }))
+    store = str(tmp_path / "store")
+    command = [
+        sys.executable, "-m", "repro", "campaign", "run",
+        "--store", store, "--schemes", "baseline,aero", "--pecs", "500",
+        "--workloads", "hm,ali.A,usr", "--requests", "120",
+        "--seed", "1234", "--progress-interval", "0",
+    ]
+    proc = subprocess.Popen(
+        command + ["--fault-plan", str(plan_path)],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    lines = []
+    for line in proc.stdout:
+        lines.append(line)
+        if "1/6 cells" in line:
+            proc.send_signal(signal.SIGTERM)  # cell 1 is sleeping
+            break
+    out = "".join(lines) + proc.communicate(timeout=300)[0]
+    assert proc.returncode == 128 + signal.SIGTERM
+    assert "caught SIGTERM" in out
+    assert "campaign interrupted: 6 cells" in out
+    [line] = [line for line in out.splitlines() if "interrupted:" in line
+              and "not started" in line]
+    not_started = int(line.split()[1])
+    assert 1 <= not_started <= 4
+    done = 6 - not_started
+    assert ShardedResultStore(store).stats().keys == done
+
+    resumed = subprocess.run(
+        command, capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert resumed.returncode == 0
+    assert "campaign complete: 6 cells" in resumed.stdout
+    assert f"(executed {not_started}; resumed {done} " in resumed.stdout
+    stats = ShardedResultStore(store).stats()
+    assert (stats.keys, stats.superseded) == (6, 0)
 
 
 def test_campaign_run_rejects_bad_fault_plan(tmp_path, capsys):

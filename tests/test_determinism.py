@@ -98,15 +98,18 @@ def test_failing_job_raises_inline_and_poisons_on_worker():
         spec=SsdSpec.small_test(seed=1), requests=120,
         erase_suspension=True, seed=1,
     )
-    with pytest.raises(ConfigError, match="no_such_scheme"):
+    with pytest.raises(PoisonCellError) as inline:
         GridRunner().execute_jobs([job])
+    assert isinstance(inline.value.__cause__, ConfigError)
+    assert "no_such_scheme" in str(inline.value.__cause__)
     with pytest.raises(PoisonCellError) as info:
         GridRunner(workers=2).execute_jobs([job])
-    message = str(info.value)
-    assert "no_such_scheme/500/hm" in message
-    assert "ConfigError: " in message
-    assert info.value.index == 0
-    assert info.value.fingerprint == job.fingerprint
+    for error in (inline.value, info.value):
+        message = str(error)
+        assert "no_such_scheme/500/hm" in message
+        assert "ConfigError: " in message
+        assert error.index == 0
+        assert error.fingerprint == job.fingerprint
 
 
 def test_repeated_job_runs_once_per_call(tmp_path):

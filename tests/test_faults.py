@@ -1,10 +1,10 @@
 """Deterministic fault injection and campaign supervision.
 
-The contract pinned here is the ISSUE's acceptance criterion: every
-fault kind a :class:`FaultPlan` can express is exercised by a test
-whose campaign *finishes* — the injected failure is retried,
-degraded, or quarantined, never allowed to abort the run — and the
-recovery shows up in telemetry.
+The contract pinned here: every fault kind a :class:`FaultPlan` can
+express is exercised by a test whose campaign *finishes* — the
+injected failure is retried or quarantined, never allowed to abort
+the run — and the recovery shows up in telemetry. Tests that need a
+real worker death ask for worker processes (``process_workers=2``).
 """
 
 import json
@@ -34,15 +34,6 @@ from repro.telemetry import parse_text_format, render_text, scoped_registry
 
 SPEC = CampaignSpec(
     schemes=("baseline", "aero"),
-    pec_points=(500,),
-    workloads=("hm",),
-    requests=40,
-    seed=1234,
-    engine="object",  # both cells on the killable process pool
-)
-
-KERNEL_SPEC = CampaignSpec(
-    schemes=("aero",),
     pec_points=(500,),
     workloads=("hm",),
     requests=40,
@@ -96,16 +87,19 @@ def test_fault_plan_json_round_trip(tmp_path):
 def test_cell_predicates_are_pure_and_filtered():
     plan = FaultPlan(
         faults=(
-            FaultSpec(kind="kill_worker", cell=2, attempt=None,
-                      engine="auto"),
+            FaultSpec(kind="kill_worker", cell=2, attempt=None),
             FaultSpec(kind="slow_cell", cell=2, attempt=1, delay_s=0.5),
         )
     )
-    assert plan.cell_fault(2, 1, "auto") == (0.5, True)
-    assert plan.cell_fault(2, 2, "auto") == (0.0, True)  # attempt=None
-    # the engine filter lets an object-path fallback escape the kill
-    assert plan.cell_fault(2, 3, "object") == (0.0, False)
-    assert plan.cell_fault(1, 1, "auto") == (0.0, False)
+    assert plan.cell_fault(2, 1) == (0.5, True)
+    assert plan.cell_fault(2, 2) == (0.0, True)  # attempt=None
+    assert plan.cell_fault(1, 1) == (0.0, False)
+    # cells are selected by index and attempt only; an engine filter
+    # is an unknown field
+    with pytest.raises(ConfigError, match="engine"):
+        FaultSpec.from_dict(
+            {"kind": "kill_worker", "cell": 2, "engine": "auto"}
+        )
 
 
 def test_torn_cut_is_deterministic_and_bounded():
@@ -191,7 +185,8 @@ def test_chaos_kill_worker_rebuilds_pool_and_finishes(tmp_path):
     )
     with scoped_registry() as registry:
         result = run_campaign(
-            SPEC, tmp_path / "store", fault_plan=plan, max_retries=2
+            SPEC, tmp_path / "store", fault_plan=plan, max_retries=2,
+            process_workers=2,
         )
     assert result.complete
     assert result.stats.retried == 1
@@ -200,9 +195,7 @@ def test_chaos_kill_worker_rebuilds_pool_and_finishes(tmp_path):
     assert families["repro_campaign_retries_total"].value(
         {"reason": "worker_death"}
     ) == 1
-    assert families["repro_campaign_pool_rebuilds_total"].value(
-        {"pool": "process"}
-    ) >= 1
+    assert families["repro_campaign_pool_rebuilds_total"].value() >= 1
     assert injected_count(registry, "kill_worker") == 1
 
 
@@ -267,7 +260,7 @@ def test_poison_cell_quarantines_and_campaign_finishes(tmp_path):
             tmp_path / "store",
             fault_plan=plan,
             max_retries=1,
-            engine_fallback=False,
+            process_workers=2,
         )
     assert not result.complete
     assert result.stats.quarantined == 1
@@ -297,54 +290,12 @@ def test_on_poison_fail_raises_poison_cell_error(tmp_path):
                 fault_plan=plan,
                 max_retries=0,
                 on_poison="fail",
-                engine_fallback=False,
+                process_workers=2,
             )
     assert excinfo.value.index == 0
     assert excinfo.value.fingerprint
     # even the failing mode leaves the quarantine record behind
     assert len(Quarantine(tmp_path / "store")) == 1
-
-
-def test_kernel_cell_degrades_to_object_engine(tmp_path):
-    """A kernel-path poison cell gets one object-engine attempt; the
-    engine filter on the fault lets that attempt through, and engines
-    being bit-identical makes the degraded result indistinguishable."""
-    plan = FaultPlan(
-        seed=3,
-        faults=(
-            FaultSpec(
-                kind="kill_worker", cell=0, attempt=None, engine="auto"
-            ),
-        ),
-    )
-    with scoped_registry() as registry:
-        result = run_campaign(
-            KERNEL_SPEC,
-            tmp_path / "store",
-            fault_plan=plan,
-            max_retries=1,
-        )
-    assert result.complete
-    assert result.stats.degraded == 1
-    assert result.stats.quarantined == 0
-    families = families_of(registry)
-    assert families["repro_campaign_engine_fallbacks_total"].value() == 1
-    with scoped_registry():
-        reference = run_campaign(
-            CampaignSpec(
-                schemes=KERNEL_SPEC.schemes,
-                pec_points=KERNEL_SPEC.pec_points,
-                workloads=KERNEL_SPEC.workloads,
-                requests=KERNEL_SPEC.requests,
-                seed=KERNEL_SPEC.seed,
-                engine="object",
-            ),
-            tmp_path / "ref",
-        )
-    assert (
-        result.reports[0].to_json_dict()
-        == reference.reports[0].to_json_dict()
-    )
 
 
 def test_quarantine_file_round_trips(tmp_path):

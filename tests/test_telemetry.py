@@ -663,9 +663,9 @@ def test_supervised_process_worker_forwards_child_telemetry(tmp_path):
         erase_suspension=True, seed=1,
     )
     with scoped_registry() as registry:
-        supervisor = CellSupervisor(process_workers=1, thread_workers=1)
+        supervisor = CellSupervisor(workers=2)
         try:
-            supervisor.submit(0, job, "process")
+            supervisor.submit(0, job)
             outcome = supervisor.next_outcome()
         finally:
             supervisor.close()
