@@ -74,9 +74,28 @@ class SsdSpec:
             raise ConfigError("overprovisioning must be in [0, 0.9)")
         if self.channel_mb_per_s <= 0:
             raise ConfigError("channel bandwidth must be positive")
-        usable_blocks = self.geometry.blocks_per_plane - self.gc.high_watermark
+        geometry = self.geometry
+        usable_blocks = geometry.blocks_per_plane - self.gc.high_watermark
         if usable_blocks < 4:
             raise ConfigError("geometry too small for the GC watermarks")
+        # Greedy GC runs with fewer than low_watermark free blocks, so at
+        # least blocks_per_plane - low_watermark - 1 blocks besides the
+        # open host and GC blocks are victim candidates. A plane's
+        # logical pages (LPNs stripe across planes) must fit in fewer
+        # pages than those candidates hold: then every victim has a free
+        # page to reclaim and every collection loop ends. Otherwise GC
+        # can move fully valid blocks forever.
+        plane_pages = -(-self.logical_pages // geometry.planes)
+        reclaimable = (
+            geometry.blocks_per_plane - self.gc.low_watermark - 1
+        ) * geometry.pages_per_block
+        if plane_pages >= reclaimable:
+            raise ConfigError(
+                f"logical space too large for GC: {plane_pages} logical "
+                f"pages per plane need fewer than the {reclaimable} pages "
+                "of (blocks_per_plane - low_watermark - 1) blocks; raise "
+                "overprovisioning or blocks_per_plane"
+            )
 
     # --- derived ---------------------------------------------------------------
 

@@ -161,8 +161,7 @@ class AeroEraseScheme(EraseScheme):
         if use_shallow:
             fail_bits = self._first_loop_shallow(block, state, result, rng)
         else:
-            self._pulse(state, result, 1, per_loop)
-            fail_bits = self._verify(state, result, rng)
+            fail_bits = self._step(state, result, rng, 1, per_loop)
             if state.passes(fail_bits):
                 result.completed = True
         if result.completed or result.accepted_under_erase:
@@ -174,8 +173,7 @@ class AeroEraseScheme(EraseScheme):
                 self._accept_under_erase(result, fail_bits, nispe=loop)
                 break
             pulses = self._maybe_inject_misprediction(pulses, reduced, rng)
-            self._pulse(state, result, loop, pulses)
-            fail_bits = self._verify(state, result, rng)
+            fail_bits = self._step(state, result, rng, loop, pulses)
             if self._settle_loop(
                 state, result, rng, reduced, aggressive, fail_bits
             ):
@@ -195,8 +193,7 @@ class AeroEraseScheme(EraseScheme):
         per_loop = self.profile.pulses_per_loop
         result.used_shallow_erase = True
         self.stats.shallow_probes += 1
-        self._pulse(state, result, 1, self.shallow_pulses)
-        fail_bits = self._verify(state, result, rng)
+        fail_bits = self._step(state, result, rng, 1, self.shallow_pulses)
         if state.passes(fail_bits):
             # Probe alone finished the job (very fresh block).
             result.completed = True
@@ -212,8 +209,7 @@ class AeroEraseScheme(EraseScheme):
             min(pulses, remainder_cap), reduced, rng
         )
         useful = (self.shallow_pulses + pulses) < per_loop
-        self._pulse(state, result, 1, pulses)
-        fail_bits = self._verify(state, result, rng)
+        fail_bits = self._step(state, result, rng, 1, pulses)
         self._settle_loop(state, result, rng, reduced, aggressive, fail_bits)
         self._record_shallow_outcome(block, result, useful=useful)
         return result.fail_bit_trace[-1]
@@ -268,8 +264,7 @@ class AeroEraseScheme(EraseScheme):
         result.mispredictions += 1
         self.stats.mispredictions += 1
         while state.pulses_in_loop < per_loop:
-            self._pulse(state, result, state.loop, 1)
-            fail_bits = self._verify(state, result, rng)
+            fail_bits = self._step(state, result, rng, state.loop, 1)
             if state.passes(fail_bits):
                 result.completed = True
                 return True

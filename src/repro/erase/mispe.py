@@ -57,8 +57,7 @@ class MIspeScheme(EraseScheme):
         max_pulses = self.profile.max_pulses
         for short_loop in range(max_pulses):
             voltage_loop = 1 + short_loop // per_loop
-            self._pulse(state, result, voltage_loop, 1)
-            fail_bits = self._verify(state, result, rng)
+            fail_bits = self._step(state, result, rng, voltage_loop, 1)
             if state.passes(fail_bits):
                 result.completed = True
                 result.loops = voltage_loop

@@ -106,11 +106,12 @@ class EraseScheme(ABC):
         self.profile = profile
         self.timing = NandTiming.from_profile(profile)
         # Frozen segments are shareable and a ladder draws from a handful
-        # of steps, so each scheme interns its erase-pulse segments by
-        # ``(loop, pulses)`` and its verify-read segments by loop instead
-        # of building ~5 fresh objects per erase.
-        self._pulse_segments: Dict[Tuple[int, int], EraseSegment] = {}
-        self._verify_segments: Dict[int, EraseSegment] = {}
+        # of steps, so each scheme interns one (erase-pulse, verify-read)
+        # segment pair per ``(loop, pulses)`` step instead of building
+        # ~10 fresh objects per erase.
+        self._steps: Dict[
+            Tuple[int, int], Tuple[EraseSegment, EraseSegment]
+        ] = {}
 
     def erase(
         self,
@@ -175,43 +176,36 @@ class EraseScheme(ABC):
 
     # --- shared helpers ---------------------------------------------------------
 
-    def _pulse(
-        self,
-        state: EraseState,
-        result: EraseOperationResult,
-        loop: int,
-        pulses: int,
-    ) -> None:
-        """Run one erase-pulse step of ``pulses`` quanta at ``loop``."""
-        if loop != state.loop:
-            state.start_loop(loop)
-        if pulses > 0:
-            state.apply_pulses(pulses)
-        segment = self._pulse_segments.get((loop, pulses))
-        if segment is None:
-            segment = self._pulse_segments[(loop, pulses)] = EraseSegment(
-                SegmentKind.ERASE_PULSE,
-                self.timing.erase_pulse_us(pulses),
-                loop,
-                pulses,
-            )
-        result.segments.append(segment)
-        result.total_pulses += pulses
-
-    def _verify(
+    def _step(
         self,
         state: EraseState,
         result: EraseOperationResult,
         rng: np.random.Generator,
+        loop: int,
+        pulses: int,
     ) -> int:
-        """Run one verify-read step; returns the measured fail-bit count."""
+        """Run one erase-pulse step of ``pulses`` quanta at ``loop`` and
+        its verify-read; returns the measured fail-bit count."""
+        if loop != state.loop:
+            state.start_loop(loop)
+        if pulses > 0:
+            state.apply_pulses(pulses)
         fail_bits = state.verify_read(rng)
-        segment = self._verify_segments.get(state.loop)
-        if segment is None:
-            segment = self._verify_segments[state.loop] = EraseSegment(
-                SegmentKind.VERIFY_READ, self.timing.t_vr_us, state.loop
+        pair = self._steps.get((loop, pulses))
+        if pair is None:
+            pair = self._steps[(loop, pulses)] = (
+                EraseSegment(
+                    SegmentKind.ERASE_PULSE,
+                    self.timing.erase_pulse_us(pulses),
+                    loop,
+                    pulses,
+                ),
+                EraseSegment(
+                    SegmentKind.VERIFY_READ, self.timing.t_vr_us, loop
+                ),
             )
-        result.segments.append(segment)
+        result.segments.extend(pair)
+        result.total_pulses += pulses
         result.fail_bit_trace.append(fail_bits)
         return fail_bits
 

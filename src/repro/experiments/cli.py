@@ -763,8 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
     _spec_flag(run, "--ssd", choices=["default", "small", "bench", "paper"],
                help="SSD preset (default: deterministic small SSD)")
     _spec_flag(run, "--engine", choices=list(ENGINES),
-               help="grid-cell engine: vectorized replay kernel "
-                    "when the scheme provides one (auto), or force "
+               help="grid-cell engine: lean event-loop replay kernel "
+                    "when the drive supports it (auto), or force "
                     "one path; results are identical either way")
     run.add_argument("--spec-file", default=None,
                      help="JSON file with one spec or a list of specs")

@@ -57,7 +57,7 @@ def run_workload_cell(
     ``scheme_params['mispredict_rate']`` wins).
 
     ``engine`` selects how the timed replay executes: ``object`` walks
-    the per-transaction event loop, ``kernel`` runs the vectorized cell
+    the per-transaction event loop, ``kernel`` runs the lean event-loop
     replay (identical report, pinned by tests), and ``auto`` picks the
     kernel whenever the built SSD supports it.
     """
@@ -89,8 +89,9 @@ def run_workload_cell(
             )
     footprint_pages = int(spec.logical_pages * precondition_fraction)
     if use_kernel:
-        # Defer the write-back: the replay kernel continues from the
-        # preconditioned lean state and restores the real FTL once.
+        # No write-back: the replay kernel continues from the
+        # preconditioned lean state, and the drive is dropped on return,
+        # so its page states, mapping and allocators are never restored.
         lean = precondition_kernel(ssd, footprint_pages, write_back=False)
     else:
         ssd.precondition(footprint_pages=footprint_pages)
@@ -105,6 +106,7 @@ def run_workload_cell(
     ).inc()
     if use_kernel:
         return run_trace_kernel(
-            ssd, trace, workload_name=workload.abbr, lean=lean
+            ssd, trace, workload_name=workload.abbr, lean=lean,
+            write_back=False,
         )
     return ssd.run_trace(trace, workload_name=workload.abbr)

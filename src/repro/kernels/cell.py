@@ -37,8 +37,13 @@ How identity is preserved:
 * **Mutable device state** — block wear, scheme memories, and erase
   statistics live on the real objects throughout; page states, the
   mapping table, the per-plane allocators, and the bulk ``FtlStats``
-  counters are tracked lean and written back at the end, leaving the
-  drive exactly as the object path would.
+  counters are tracked lean. Both kernels always flush the counters
+  into ``FtlStats`` before they return (so every report and
+  ``observe_replay`` read them current); only with ``write_back=True``
+  (the default) do they also restore the page states, mapping and
+  allocators, leaving the drive exactly as the object path would.
+  :func:`~repro.harness.cells.run_workload_cell` drops its drive on
+  return and passes ``write_back=False`` to both.
 
 ``kernel_replay_supported`` gates the fast path to configurations whose
 FTL bookkeeping the kernel replicates exactly (the two built-in FTL
@@ -74,7 +79,11 @@ _ADMIT, _CREDIT, _FINALIZE = 0, 1, 2
 # with kind/priority matching the TxnKind/TxnPriority values. ``req``
 # is a host-request list [total, done, submit_us, is_read]; ``gc`` is a
 # GC tracker list [plane, erase_txn, moves_remaining, erase_submitted].
+# Programs are the odd kinds, so one bit test picks them out.
 _READ, _PROGRAM, _GC_READ, _GC_PROGRAM, _ERASE = 0, 1, 2, 3, 4
+
+#: Heap-head time of an empty heap: later than any event.
+_NEVER = float("inf")
 
 
 class _Cursor:
@@ -175,19 +184,32 @@ class _Plane:
         "chip", "backlog", "pec_min", "pec_max",
     )
 
+    def take_free(self) -> int:
+        """Pop the plane's next free block (a new host or GC block)."""
+        if not self.free:
+            raise OutOfSpaceError(
+                f"plane {self.alloc.address} has no free blocks"
+            )
+        block = self.free.popleft()
+        self.free_set.discard(block)
+        return block
+
 
 class _LeanFtl:
-    """Flat snapshot of the FTL plus the lean write/GC fast path.
+    """Flat snapshot of the FTL plus the lean GC fast path.
 
     Shared by ``precondition_kernel`` and ``run_trace_kernel``: both
-    drive the same ``write``/GC closures and call ``write_back`` once
-    at the end to restore the real page states, mapping table,
-    allocators, and bulk ``FtlStats`` counters.
+    write host pages inline into these lists, run GC through
+    ``collect_one``, ``flush`` the bulk GC counters into ``FtlStats``
+    before they return, and call ``restore`` (only with
+    ``write_back=True``) to put the real page states, mapping table and
+    allocators back.
     """
 
     __slots__ = (
         "planes", "lmap", "blk_obj", "blk_wp", "blk_valid", "blk_lpns",
-        "blk_num", "write", "write_back",
+        "page_count", "low_wm", "high_wm", "program_scale", "collect_one",
+        "flush", "restore",
     )
 
 
@@ -202,8 +224,6 @@ def _lean_ftl(ftl) -> _LeanFtl:
     wl_gap = leveler.pec_gap_threshold
     wl_cold = wl_gap // 4
     erase_block = ftl._erase_block
-    default_scale = type(scheme).program_scale is EraseScheme.program_scale
-    program_scale = scheme.program_scale
 
     blk_obj: List = []
     blk_wp: List[int] = []
@@ -257,11 +277,9 @@ def _lean_ftl(ftl) -> _LeanFtl:
         lpn: (addr_to_idx[address.block_address], address.page)
         for lpn, address in ftl.mapping._map.items()
     }
-    lmap_get = lmap.get
 
-    # Bulk counters accumulate locally and flush in write_back (nothing
-    # reads them mid-run; per-erase stats update live via _erase_block).
-    n_host_writes = 0
+    # Bulk GC counters accumulate locally until ``flush`` (nothing reads
+    # them mid-run; per-erase stats update live via _erase_block).
     n_gc_moves = 0
     n_wl_moves = 0
     n_gc_jobs = 0
@@ -320,38 +338,27 @@ def _lean_ftl(ftl) -> _LeanFtl:
             if victim is None:
                 return None
         moves = 0
-        lpns = blk_lpns[victim]
         wp = blk_wp[victim]
-        # Cache the GC destination block's state in locals across the
-        # move loop (victim is never the GC block); flushed on block
-        # switch and at loop end. blk_valid[victim] is not decremented
-        # per move — nothing reads it before it is zeroed below.
+        # A victim slot holds an LPN exactly while the mapping points at
+        # it: every host overwrite and every GC move clears the old slot,
+        # so each non-empty slot is a live page to move. Cache the GC
+        # destination block's state in locals across the move loop
+        # (victim is never the GC block); flushed on block switch and at
+        # loop end. The victim's slots and valid count are reset wholesale
+        # below — nothing reads them mid-loop.
         gb = plane.active_gc
         if gb is not None:
             gwp = blk_wp[gb]
             gval = blk_valid[gb]
             glpns = blk_lpns[gb]
-        for i in range(wp):
-            lpn = lpns[i]
+        for lpn in blk_lpns[victim]:
             if lpn is None:
-                continue
-            location = lmap_get(lpn)
-            if location is None or location[0] != victim or location[1] != i:
-                # Stale copy: invalidate without moving.
-                lpns[i] = None
                 continue
             if gb is None or gwp >= page_count:
                 if gb is not None:
                     blk_wp[gb] = gwp
                     blk_valid[gb] = gval
-                free = plane.free
-                if not free:
-                    raise OutOfSpaceError(
-                        f"plane {plane.alloc.address} has no free blocks"
-                    )
-                gb = free.popleft()
-                free_set.discard(gb)
-                plane.active_gc = gb
+                gb = plane.active_gc = plane.take_free()
                 gwp = blk_wp[gb]
                 gval = blk_valid[gb]
                 glpns = blk_lpns[gb]
@@ -359,11 +366,11 @@ def _lean_ftl(ftl) -> _LeanFtl:
             lmap[lpn] = (gb, gwp)
             gwp += 1
             gval += 1
-            lpns[i] = None
             moves += 1
         if gb is not None:
             blk_wp[gb] = gwp
             blk_valid[gb] = gval
+        blk_lpns[victim] = [None] * page_count
         n_gc_moves += moves
         # Erase physics through the real FTL: scheme code, ftl.rng
         # draws, wear/SEF/feature accounting and per-erase stats all
@@ -387,50 +394,17 @@ def _lean_ftl(ftl) -> _LeanFtl:
         n_gc_jobs += 1
         return moves, [segment.duration_us for segment in result.segments]
 
-    def write(lpn):
-        """One host page write; returns (plane, block, scale, gc_jobs)."""
-        nonlocal n_host_writes
-        plane = planes[lpn % nplanes]
-        block = plane.active_host
-        if block is None or blk_wp[block] >= page_count:
-            free = plane.free
-            if not free:
-                raise OutOfSpaceError(
-                    f"plane {plane.alloc.address} has no free blocks"
-                )
-            block = free.popleft()
-            plane.free_set.discard(block)
-            plane.active_host = block
-        page = blk_wp[block]
-        blk_wp[block] = page + 1
-        blk_valid[block] += 1
-        blk_lpns[block][page] = lpn
-        previous = lmap_get(lpn)
-        lmap[lpn] = (block, page)
-        if previous is not None:
-            blk_valid[previous[0]] -= 1
-            blk_lpns[previous[0]][previous[1]] = None
-        n_host_writes += 1
-        scale = 1.0 if default_scale else program_scale(blk_obj[block])
-        jobs = None
-        free = plane.free
-        while len(free) < low_wm:
-            job = collect_one(plane)
-            if job is None:
-                break
-            if jobs is None:
-                jobs = []
-            jobs.append(job)
-            if len(free) >= high_wm:
-                break
-        return plane, block, scale, jobs
-
-    def write_back():
-        stats.host_writes += n_host_writes
+    def flush():
+        """Add the GC counters gathered since the last flush to the stats."""
+        nonlocal n_gc_moves, n_wl_moves, n_gc_jobs, n_interventions
         stats.gc_page_moves += n_gc_moves
         stats.wear_leveling_moves += n_wl_moves
         stats.gc_jobs += n_gc_jobs
         leveler.interventions += n_interventions
+        n_gc_moves = n_wl_moves = n_gc_jobs = n_interventions = 0
+
+    def restore():
+        """Write page states, mapping and allocators back to the drive."""
         for index, block in enumerate(blk_obj):
             wp = blk_wp[index]
             lpns = blk_lpns[index]
@@ -472,9 +446,18 @@ def _lean_ftl(ftl) -> _LeanFtl:
     lean.blk_wp = blk_wp
     lean.blk_valid = blk_valid
     lean.blk_lpns = blk_lpns
-    lean.blk_num = blk_num
-    lean.write = write
-    lean.write_back = write_back
+    lean.page_count = page_count
+    lean.low_wm = low_wm
+    lean.high_wm = high_wm
+    # None for the default 1.0 scale (every scheme but DPES).
+    lean.program_scale = (
+        None
+        if type(scheme).program_scale is EraseScheme.program_scale
+        else scheme.program_scale
+    )
+    lean.collect_one = collect_one
+    lean.flush = flush
+    lean.restore = restore
     return lean
 
 
@@ -508,11 +491,12 @@ def precondition_kernel(
     therefore the same ``ftl.rng``/wear stream) as the object path —
     only the per-page bookkeeping is lean.
 
-    Returns the lean FTL state. With ``write_back=False`` the real FTL
-    objects are left stale and the caller must hand the returned state
-    to :func:`run_trace_kernel` (via ``lean``), which writes everything
-    back after the replay — saving one restore/re-snapshot round trip
-    when the two kernels run back to back.
+    Returns the lean FTL state. The bulk ``FtlStats`` counters are
+    always flushed. With ``write_back=False`` the real page states,
+    mapping and allocators are left stale and the caller must hand the
+    returned state to :func:`run_trace_kernel` (via ``lean``) — saving
+    one restore/re-snapshot round trip when the two kernels run back to
+    back.
     """
     ftl = ssd.ftl
     spec = ssd.spec
@@ -520,17 +504,49 @@ def precondition_kernel(
         footprint_pages = spec.logical_pages
     if footprint_pages > spec.logical_pages:
         raise MappingError("footprint exceeds the logical space")
-    rng = derive_rng(spec.seed, "precondition")
     lean = _lean_ftl(ftl)
-    write = lean.write
-    for lpn in range(footprint_pages):
-        write(lpn)
+    # The sequential fill, then the random overwrites. The overwrite
+    # draw has its own stream, so drawing it before the fill's erases
+    # changes nothing.
+    lpns = list(range(footprint_pages))
     overwrites = int(footprint_pages * overwrite_fraction)
     if overwrites:
-        for lpn in rng.integers(0, footprint_pages, size=overwrites):
-            write(int(lpn))
+        rng = derive_rng(spec.seed, "precondition")
+        lpns += rng.integers(0, footprint_pages, size=overwrites).tolist()
+    planes = lean.planes
+    nplanes = len(planes)
+    lmap = lean.lmap
+    lmap_get = lmap.get
+    blk_wp = lean.blk_wp
+    blk_valid = lean.blk_valid
+    blk_lpns = lean.blk_lpns
+    page_count = lean.page_count
+    low_wm = lean.low_wm
+    high_wm = lean.high_wm
+    collect_one = lean.collect_one
+    for lpn in lpns:
+        # One host page write (same steps as ``PageLevelFtl.write``).
+        plane = planes[lpn % nplanes]
+        block = plane.active_host
+        if block is None or blk_wp[block] >= page_count:
+            block = plane.active_host = plane.take_free()
+        page = blk_wp[block]
+        blk_wp[block] = page + 1
+        blk_valid[block] += 1
+        blk_lpns[block][page] = lpn
+        previous = lmap_get(lpn)
+        lmap[lpn] = (block, page)
+        if previous is not None:
+            blk_valid[previous[0]] -= 1
+            blk_lpns[previous[0]][previous[1]] = None
+        free = plane.free
+        while len(free) < low_wm:
+            if collect_one(plane) is None or len(free) >= high_wm:
+                break
+    ftl.stats.host_writes += len(lpns)
+    lean.flush()
     if write_back:
-        lean.write_back()
+        lean.restore()
     return lean
 
 
@@ -540,6 +556,7 @@ def run_trace_kernel(
     max_requests: Optional[int] = None,
     workload_name: Optional[str] = None,
     lean: Optional[_LeanFtl] = None,
+    write_back: bool = True,
 ) -> PerfReport:
     """Replay ``trace`` with the lean cell kernel (report-identical).
 
@@ -547,7 +564,10 @@ def run_trace_kernel(
     docstring for how identity is maintained. The caller is expected to
     have checked :func:`kernel_replay_supported`. ``lean`` accepts the
     not-yet-written-back state returned by
-    ``precondition_kernel(..., write_back=False)``.
+    ``precondition_kernel(..., write_back=False)``. The bulk
+    ``FtlStats`` counters are always flushed before the report; with
+    ``write_back=False`` the drive's page states, mapping and
+    allocators are left stale (for a caller that drops the drive).
     """
     spec = ssd.spec
     ftl = ssd.ftl
@@ -565,8 +585,19 @@ def run_trace_kernel(
 
     if lean is None:
         lean = _lean_ftl(ftl)
-    lmap_get = lean.lmap.get
-    ftl_write = lean.write
+    planes = lean.planes
+    nplanes = len(planes)
+    lmap = lean.lmap
+    lmap_get = lmap.get
+    blk_wp = lean.blk_wp
+    blk_valid = lean.blk_valid
+    blk_lpns = lean.blk_lpns
+    blk_obj = lean.blk_obj
+    page_count = lean.page_count
+    low_wm = lean.low_wm
+    high_wm = lean.high_wm
+    program_scale = lean.program_scale
+    collect_one = lean.collect_one
     push = heappush
     pop = heappop
 
@@ -581,11 +612,10 @@ def run_trace_kernel(
         )
         chips.append(lean_chip)
         chip_map[(chip.channel, chip.chip)] = lean_chip
-    for plane in lean.planes:
+    blk_chip = [None] * len(blk_obj)
+    for plane in planes:
         address = plane.alloc.address
         plane.chip = chip_map[(address.channel, address.chip)]
-    blk_chip = [None] * len(lean.blk_obj)
-    for plane in lean.planes:
         for b in plane.blocks:
             blk_chip[b] = plane.chip
 
@@ -613,6 +643,7 @@ def run_trace_kernel(
     last_completion = 0.0
     now = 0.0
     n_host_reads = 0
+    n_host_writes = 0
     n_unmapped = 0
 
     def request_suspension(chip, cursor):
@@ -634,15 +665,7 @@ def run_trace_kernel(
         chip.busy = True
         chip.current = txn
         kind = txn[0]
-        if kind == _READ or kind == _GC_READ:
-            bus = chip.bus
-            cell_done = now + overhead + chip.t_r
-            until = bus.busy_until
-            start = cell_done if cell_done > until else until
-            tr = bus.tr
-            bus.busy_until = start + tr
-            fire = now + (chip.a_read + ((start - cell_done) + tr) + decode)
-        elif kind == _PROGRAM or kind == _GC_PROGRAM:
+        if kind & 1:  # host or GC program
             bus = chip.bus
             ready = now + overhead
             until = bus.busy_until
@@ -652,11 +675,19 @@ def run_trace_kernel(
             fire = now + (
                 overhead + ((start - ready) + tr) + chip.t_prog * txn[4]
             )
-        else:
+        elif kind == _ERASE:
             cursor = _Cursor(txn[5])
             chip.cursor = cursor
             chip.run_started = now
             fire = now + cursor.remaining()
+        else:  # host or GC read
+            bus = chip.bus
+            cell_done = now + overhead + chip.t_r
+            until = bus.busy_until
+            start = cell_done if cell_done > until else until
+            tr = bus.tr
+            bus.busy_until = start + tr
+            fire = now + (chip.a_read + ((start - cell_done) + tr) + decode)
         chip.fire = fire
         chip.fire_seq = seq
         seq += 1
@@ -735,10 +766,9 @@ def run_trace_kernel(
             chip.erases += 1
             chip.busy = False
             chip.current = None
-            gc = txn[6]
-            if gc is not None:
-                backlog = gc[0].backlog - 1
-                gc[0].backlog = backlog if backlog > 0 else 0
+            plane = txn[6][0]
+            backlog = plane.backlog - 1
+            plane.backlog = backlog if backlog > 0 else 0
             dispatch(chip)
             return
         cursor.count += 1
@@ -783,7 +813,7 @@ def run_trace_kernel(
             queue.append(prog_txn)
 
     def admit(request):
-        nonlocal seq, n_host_reads, n_unmapped
+        nonlocal seq, n_host_reads, n_host_writes, n_unmapped
         first = (request.lba * SECTOR_BYTES) // page_size
         last = (request.end_lba * SECTOR_BYTES - 1) // page_size
         if request.is_read:
@@ -822,17 +852,45 @@ def run_trace_kernel(
                         dispatch(chip)
         else:
             req = [last - first + 1, 0, now, False]
+            n_host_writes += last - first + 1
             for raw in range(first, last + 1):
-                plane, block, scale, jobs = ftl_write(raw % logical_pages)
+                # One host page write (same steps as PageLevelFtl.write).
+                lpn = raw % logical_pages
+                plane = planes[lpn % nplanes]
+                block = plane.active_host
+                if block is None or blk_wp[block] >= page_count:
+                    block = plane.active_host = plane.take_free()
+                page = blk_wp[block]
+                blk_wp[block] = page + 1
+                blk_valid[block] += 1
+                blk_lpns[block][page] = lpn
+                previous = lmap_get(lpn)
+                lmap[lpn] = (block, page)
+                if previous is not None:
+                    blk_valid[previous[0]] -= 1
+                    blk_lpns[previous[0]][previous[1]] = None
+                scale = (
+                    1.0 if program_scale is None
+                    else program_scale(blk_obj[block])
+                )
                 # submit_txn inlined for the user-program fast path
                 # (priority 1 never triggers suspension).
                 chip = plane.chip
                 chip.q1.append((_PROGRAM, 1, chip, req, scale, None, None))
                 if not chip.busy:
                     dispatch(chip)
-                if jobs:
-                    for moves, durs in jobs:
-                        enqueue_gc_job(plane, moves, durs)
+                # GC after the program is queued. Collecting touches only
+                # FTL state and queueing only the chips, so collecting
+                # and queueing each job in turn matches the object path's
+                # collect-all-then-queue order.
+                free = plane.free
+                while len(free) < low_wm:
+                    job = collect_one(plane)
+                    if job is None:
+                        break
+                    enqueue_gc_job(plane, *job)
+                    if len(free) >= high_wm:
+                        break
 
     # --- event loop -----------------------------------------------------------
     # The next event is the minimum over the heap head and the chips'
@@ -841,21 +899,22 @@ def run_trace_kernel(
     # of the heap removes a push+pop per transaction and makes
     # completion chaining implicit: the inlined execute below just
     # refills the chip's slot and the next iteration re-selects.
+    #
+    # Only heap events push onto the heap (a completion's follow-ups are
+    # GC txns at priority > 0, which never request a suspension), so the
+    # heap head is re-read only after a heap event; an empty heap reads
+    # as an infinitely late head.
+    head = heap[0] if heap else None
+    head_t = head[0] if head is not None else _NEVER
+    head_s = head[1] if head is not None else 0
     while True:
-        if heap:
-            head = heap[0]
-            best_t = head[0]
-            best_s = head[1]
-        else:
-            head = None
-            best_t = None
-            best_s = 0
+        best_t = head_t
+        best_s = head_s
         chip = None
         for candidate in chips:
             fire = candidate.fire
             if fire is not None and (
-                best_t is None
-                or fire < best_t
+                fire < best_t
                 or (fire == best_t and candidate.fire_seq < best_s)
             ):
                 best_t = fire
@@ -865,7 +924,7 @@ def run_trace_kernel(
             if head is None:
                 break
             pop(heap)
-            now = head[0]
+            now = head_t
             kind = head[2]
             if kind == _ADMIT:
                 admit(head[3])
@@ -873,6 +932,14 @@ def run_trace_kernel(
                 credit_request(head[3])
             else:
                 finalize_suspension(head[3])
+            if heap:
+                head = heap[0]
+                head_t = head[0]
+                head_s = head[1]
+            else:
+                head = None
+                head_t = _NEVER
+                head_s = 0
             continue
         # Completion on ``chip``.
         now = best_t
@@ -893,25 +960,25 @@ def run_trace_kernel(
                 completed += 1
                 last_completion = now
         else:
+            # GC read/program or erase: every non-host txn belongs to a
+            # GC job (``enqueue_gc_job`` makes them all).
+            chip.busy = False
+            chip.current = None
+            gc = txn[6]
             if txn[0] == _ERASE:
                 cursor = chip.cursor
                 if cursor is not None:
                     chip.erase_busy += cursor.advance(cursor.remaining())
                 chip.cursor = None
                 chip.erases += 1
-            chip.busy = False
-            chip.current = None
-            gc = txn[6]
-            if gc is not None:
-                if txn[0] == _ERASE:
-                    backlog = gc[0].backlog - 1
-                    gc[0].backlog = backlog if backlog > 0 else 0
-                else:
-                    gc[2] -= 1
-                    if gc[2] == 0 and not gc[3]:
-                        gc[3] = True
-                        erase_txn = gc[1]
-                        submit_txn(erase_txn[2], erase_txn)
+                backlog = gc[0].backlog - 1
+                gc[0].backlog = backlog if backlog > 0 else 0
+            else:
+                gc[2] -= 1
+                if gc[2] == 0 and not gc[3]:
+                    gc[3] = True
+                    erase_txn = gc[1]
+                    submit_txn(erase_txn[2], erase_txn)
         if chip.busy:
             continue
         if chip.q0:
@@ -932,15 +999,7 @@ def run_trace_kernel(
         chip.busy = True
         chip.current = nxt
         nkind = nxt[0]
-        if nkind == _READ or nkind == _GC_READ:
-            bus = chip.bus
-            cell_done = now + overhead + chip.t_r
-            until = bus.busy_until
-            start = cell_done if cell_done > until else until
-            tr = bus.tr
-            bus.busy_until = start + tr
-            fire = now + (chip.a_read + ((start - cell_done) + tr) + decode)
-        elif nkind == _PROGRAM or nkind == _GC_PROGRAM:
+        if nkind & 1:  # host or GC program
             bus = chip.bus
             ready = now + overhead
             until = bus.busy_until
@@ -950,21 +1009,33 @@ def run_trace_kernel(
             fire = now + (
                 overhead + ((start - ready) + tr) + chip.t_prog * nxt[4]
             )
-        else:
+        elif nkind == _ERASE:
             cursor = _Cursor(nxt[5])
             chip.cursor = cursor
             chip.run_started = now
             fire = now + cursor.remaining()
+        else:  # host or GC read
+            bus = chip.bus
+            cell_done = now + overhead + chip.t_r
+            until = bus.busy_until
+            start = cell_done if cell_done > until else until
+            tr = bus.tr
+            bus.busy_until = start + tr
+            fire = now + (chip.a_read + ((start - cell_done) + tr) + decode)
         chip.fire = fire
         chip.fire_seq = seq
         seq += 1
 
-    # Restore the real device (page states, mapping, allocators, bulk
-    # stats) before any report/exception, so the drive's state is
-    # current just as it always is on the object path.
+    # Flush the bulk counters (and, with write_back, restore the page
+    # states, mapping and allocators) before any report/exception, so
+    # the drive's state is current just as it always is on the object
+    # path.
     stats.host_reads += n_host_reads
+    stats.host_writes += n_host_writes
     stats.unmapped_reads += n_unmapped
-    lean.write_back()
+    lean.flush()
+    if write_back:
+        lean.restore()
 
     expected = len(requests)
     if completed != expected:

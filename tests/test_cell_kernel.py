@@ -3,10 +3,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.campaign import ShardedResultStore
-from repro.config import SsdSpec
+from repro.config import GcSpec, SsdSpec
 from repro.errors import ConfigError
+from repro.experiments.registry import SCHEMES, WORKLOADS
 from repro.harness.cache import CACHE_VERSION
 from repro.harness.cells import PAPER_SCHEMES, run_workload_cell
 from repro.harness.runner import CellJob
@@ -15,8 +17,12 @@ from repro.kernels import (
     precondition_kernel,
     run_trace_kernel,
 )
+from repro.nand.block import PageState
+from repro.nand.chip_types import MLC_3D_48L, TLC_2D_2XNM, TLC_3D_48L
+from repro.nand.geometry import NandGeometry
 from repro.rng import derive
 from repro.ssd.builder import build_ssd
+from repro.units import KIB, SECTOR_BYTES
 from repro.workloads.profiles import profile_by_abbr
 from repro.workloads.synthetic import SyntheticTraceGenerator
 
@@ -81,6 +87,135 @@ class TestEngineEquivalence:
             )
 
         assert final_stats("kernel") == final_stats("object")
+
+
+@st.composite
+def _random_specs(draw):
+    """Small random drives; specs ``SsdSpec`` rejects are assumed away."""
+    low = draw(st.integers(2, 3))
+    try:
+        spec = SsdSpec(
+            geometry=NandGeometry(
+                channels=draw(st.integers(1, 2)),
+                chips_per_channel=1,
+                planes_per_chip=draw(st.integers(1, 2)),
+                blocks_per_plane=draw(st.integers(16, 32)),
+                pages_per_block=draw(st.integers(16, 32)),
+                page_size=4 * KIB,
+            ),
+            profile=draw(
+                st.sampled_from((TLC_3D_48L, TLC_2D_2XNM, MLC_3D_48L))
+            ),
+            overprovisioning=draw(st.integers(15, 30)) / 100,
+            gc=GcSpec(
+                low_watermark=low,
+                high_watermark=low + draw(st.integers(1, 2)),
+            ),
+            seed=draw(st.integers(0, 2**16)),
+        )
+    except ConfigError:
+        spec = None
+    assume(spec is not None)
+    return spec
+
+
+def _replay_kept(spec, scheme, pec, workload, requests, engine):
+    """``run_workload_cell``'s steps on a drive the caller keeps; the
+    kernel replay restores the drive (``write_back=True``)."""
+    ssd = build_ssd(spec, scheme, pec_setpoint=pec)
+    footprint = int(spec.logical_pages * 0.9)
+    trace = SyntheticTraceGenerator(
+        profile_by_abbr(workload),
+        footprint_bytes=int(spec.logical_bytes * 0.85),
+        seed=derive(spec.seed, "trace", workload, pec),
+    ).generate(requests)
+    if engine == "kernel":
+        lean = precondition_kernel(ssd, footprint, write_back=False)
+        report = run_trace_kernel(
+            ssd, trace, workload_name=workload, lean=lean, write_back=True
+        )
+    else:
+        ssd.precondition(footprint_pages=footprint)
+        report = ssd.run_trace(trace, workload_name=workload)
+    page_size = spec.geometry.page_size
+    trace_writes = sum(
+        (r.end_lba * SECTOR_BYTES - 1) // page_size
+        - (r.lba * SECTOR_BYTES) // page_size + 1
+        for r in trace.requests
+        if not r.is_read
+    )
+    host_writes = footprint + int(footprint * 0.6) + trace_writes
+    return report, ssd, host_writes
+
+
+def _drive_state(ssd):
+    """Mapping, per-block pages and wear, allocators and ``FtlStats``,
+    after checking the FTL's bookkeeping invariants."""
+    ftl = ssd.ftl
+    ftl.check_consistency()
+    for _, address in ftl.mapping.items():
+        block = ftl.block_at(address.block_address)
+        assert block.page_state(address.page) is PageState.VALID
+    blocks = []
+    for allocator in ftl.planes:
+        for block in allocator.all_blocks:
+            states = [block.page_state(i) for i in range(block.page_count)]
+            assert states.count(PageState.VALID) == block.valid_count
+            assert states.count(PageState.FREE) == block.free_pages
+            blocks.append((
+                block.address, block.write_pointer, states,
+                [block.page_lpn(i) for i in range(block.page_count)],
+                block.wear, block.erase_count,
+            ))
+    allocators = [
+        (
+            [block.address for block in allocator._free],
+            {
+                stream: block.address if block is not None else None
+                for stream, block in allocator._active.items()
+            },
+        )
+        for allocator in ftl.planes
+    ]
+    return dict(ftl.mapping.items()), blocks, allocators, ftl.stats
+
+
+@settings(
+    max_examples=25,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    spec=_random_specs(),
+    scheme=st.sampled_from(SCHEMES.keys()),
+    workload=st.sampled_from(WORKLOADS.keys()),
+    pec=st.integers(0, 14).map(lambda k: 500 * k),
+    suspension=st.booleans(),
+    requests=st.integers(20, 250),
+)
+def test_kernel_matches_object_on_random_configurations(
+    spec, scheme, workload, pec, suspension, requests
+):
+    """Differential oracle: on random valid drives the kernel's report
+    (with or without the drive restore) equals the object path's, and
+    the restored drive equals the object path's drive."""
+    spec = spec.with_scheduler(erase_suspension=suspension)
+    obj, obj_ssd, host_writes = _replay_kept(
+        spec, scheme, pec, workload, requests, "object"
+    )
+    ker, ker_ssd, _ = _replay_kept(
+        spec, scheme, pec, workload, requests, "kernel"
+    )
+    dropped = run_workload_cell(
+        scheme, pec, workload, spec=spec, requests=requests,
+        erase_suspension=suspension, seed=spec.seed, engine="kernel",
+    )
+    assert ker.to_json_dict() == obj.to_json_dict()
+    assert dropped.to_json_dict() == obj.to_json_dict()
+    assert _drive_state(ker_ssd) == _drive_state(obj_ssd)
+    assert ker_ssd.ftl.stats.host_writes == host_writes
+    assert ker.extra["waf"] == (host_writes + ker.gc_page_moves) / host_writes
 
 
 class TestEngineGating:
