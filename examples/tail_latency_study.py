@@ -4,10 +4,9 @@
 Builds bench-scale SSDs at three wear points, replays a write-heavy
 datacenter workload (ali.A) and a mixed enterprise workload (hm), and
 reports read tail percentiles per scheme — with and without erase
-suspension. The campaign is described declaratively: one
-:class:`repro.ExperimentSpec` per cell, executed through
-``run_experiments`` so it fans out across worker processes and resumes
-from a result store; serial, parallel, and cached runs print identical
+suspension. Each campaign is one :class:`repro.harness.GridRunner`
+call, so it fans out across worker processes and resumes from a
+result store; serial, parallel, and cached runs print identical
 tables. The equivalent shell command is::
 
     python -m repro grid --schemes baseline,aero_cons,aero \\
@@ -20,9 +19,8 @@ Run:  python examples/tail_latency_study.py
 
 import argparse
 
-from repro import ExperimentSpec
 from repro.analysis.tables import format_table
-from repro.experiments import run_experiments
+from repro.harness import GridRunner
 
 
 SCHEMES = ("baseline", "aero_cons", "aero")
@@ -39,28 +37,22 @@ def main():
         help="worker processes for grid cells (default: serial)",
     )
     parser.add_argument(
-        "--store", "--cache-dir", dest="store", default=None,
+        "--store", default=None,
         help="result store: keep finished cells here and resume on re-run",
     )
     args = parser.parse_args()
 
     print("Replaying traces on bench-scale SSDs (a minute or so)...\n")
     for suspension in (True, False):
-        specs = [
-            ExperimentSpec(
-                scheme=scheme,
-                pec=pec,
-                workload=workload,
-                requests=REQUESTS,
-                seed=SEED,
-                erase_suspension=suspension,
-            )
-            for pec in PEC_POINTS
-            for workload in WORKLOADS
-            for scheme in SCHEMES
-        ]
-        result = run_experiments(specs, workers=args.workers, cache=args.store)
-        grid = result.grid
+        runner = GridRunner(workers=args.workers, cache=args.store)
+        grid = runner.run(
+            schemes=SCHEMES,
+            pec_points=PEC_POINTS,
+            workloads=WORKLOADS,
+            requests=REQUESTS,
+            seed=SEED,
+            erase_suspension=suspension,
+        )
         rows = []
         for workload in WORKLOADS:
             for pec in PEC_POINTS:
@@ -89,8 +81,8 @@ def main():
             )
         )
         print(
-            f"  (cells executed: {result.stats.executed}, "
-            f"loaded from cache: {result.stats.cached})"
+            f"  cells executed: {runner.stats.executed}, "
+            f"served from cache: {runner.stats.cached}"
         )
         print()
     print("AERO's shorter erases shrink the window in which a read can")

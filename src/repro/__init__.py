@@ -32,7 +32,7 @@ or, equivalently, from the shell::
 
 The lower layers remain importable directly — ``build_ssd`` for a live
 :class:`Ssd` object, ``make_scheme`` for a bare erase scheme,
-``repro.harness.run_grid`` for campaign grids.
+``repro.harness.GridRunner`` for campaign grids.
 """
 
 from repro.config import GcSpec, SchedulerSpec, SsdSpec
@@ -68,7 +68,6 @@ from repro.schemes import ALL_SCHEME_KEYS, SCHEME_KEYS, make_scheme
 from repro.ssd import Ssd, build_ssd
 from repro.experiments import SCHEMES, WORKLOADS
 from repro.experiments.spec import Experiment, ExperimentSpec
-from repro.experiments.runner import run_experiment, run_experiments
 
 __version__ = "1.1.0"
 
@@ -107,7 +106,5 @@ __all__ = [
     "make_scheme",
     "published_aggressive_table",
     "published_conservative_table",
-    "run_experiment",
-    "run_experiments",
     "__version__",
 ]

@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.campaign.quarantine import Quarantine
 from repro.campaign.spec import CampaignSpec
@@ -98,17 +98,30 @@ class CampaignProgress:
             parts.append(f"{rate:.2f} cells/s")
         eta = self.eta_s
         if eta is not None and self.remaining:
-            parts.append(f"ETA {_format_duration(eta)}")
+            parts.append(f"ETA {format_duration(eta)}")
         parts.append(f"executed {self.executed}, resumed {self.resumed}")
         return " · ".join(parts)
 
 
-def _format_duration(seconds: float) -> str:
-    if seconds >= 3600:
-        return f"{seconds / 3600:.1f}h"
-    if seconds >= 60:
-        return f"{seconds / 60:.1f}m"
+def format_duration(seconds: float) -> str:
+    """``30s``, ``1.5m``, ``2.0h`` or ``2.0d`` (ETAs, store-entry ages)."""
+    for unit, span in (("d", 86400.0), ("h", 3600.0), ("m", 60.0)):
+        if seconds >= span:
+            return f"{seconds / span:.1f}{unit}"
     return f"{seconds:.0f}s"
+
+
+def _family_counts(
+    jobs: Iterable[Any], done: Iterable[bool]
+) -> Dict[str, Dict[str, int]]:
+    """``{family: {"total": n, "done": m}}`` over jobs and their done flags."""
+    counts: Dict[str, Dict[str, int]] = {}
+    for job, finished in zip(jobs, done):
+        family = getattr(job, "family", "cell")
+        entry = counts.setdefault(family, {"total": 0, "done": 0})
+        entry["total"] += 1
+        entry["done"] += bool(finished)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -157,14 +170,9 @@ class CampaignResult:
 
     def family_counts(self) -> Dict[str, Dict[str, int]]:
         """``{family: {"total": n, "done": m}}`` across the job list."""
-        counts: Dict[str, Dict[str, int]] = {}
-        for job, report in zip(self.jobs, self.reports):
-            family = getattr(job, "family", "cell")
-            entry = counts.setdefault(family, {"total": 0, "done": 0})
-            entry["total"] += 1
-            if report is not None:
-                entry["done"] += 1
-        return counts
+        return _family_counts(
+            self.jobs, (report is not None for report in self.reports)
+        )
 
 
 _ProgressFn = Callable[[CampaignProgress], None]
@@ -246,24 +254,13 @@ class CampaignOrchestrator:
         cells; lifetime members emit :class:`LifetimeJob` orders)."""
         return self.spec.jobs()
 
-    def status(self) -> CampaignProgress:
-        """Resume status of the store, without executing anything."""
-        jobs = self.plan()
-        done = sum(1 for job in jobs if job.fingerprint in self.store)
-        return CampaignProgress(
-            total=len(jobs), executed=0, resumed=done, elapsed_s=0.0
-        )
-
     def family_status(self) -> Dict[str, Dict[str, int]]:
-        """Per-family resume counts (``campaign status --json``)."""
-        counts: Dict[str, Dict[str, int]] = {}
-        for job in self.plan():
-            family = getattr(job, "family", "cell")
-            entry = counts.setdefault(family, {"total": 0, "done": 0})
-            entry["total"] += 1
-            if job.fingerprint in self.store:
-                entry["done"] += 1
-        return counts
+        """Per-family resume counts of the store (``campaign status``),
+        in one pass and without executing anything."""
+        jobs = self.plan()
+        return _family_counts(
+            jobs, (job.fingerprint in self.store for job in jobs)
+        )
 
     def _member_ranges(self) -> List[Tuple[Any, int, int]]:
         """``(member, start, stop)`` job slices; single-family specs

@@ -10,9 +10,9 @@ registries, seed derivation, and cache fingerprints:
   :func:`~repro.harness.runner.plan_jobs` path ``GridRunner.plan``
   uses, so a campaign and an ad-hoc grid of the same shape share every
   cache/store entry;
-* ``spec.experiments()`` views the same campaign as a list of
-  :class:`ExperimentSpec` objects (each resolving to the identical
-  :class:`CellJob`), for code that speaks the per-cell API;
+* each of those jobs is the :class:`CellJob` an
+  :class:`ExperimentSpec` with the same fields resolves to, so a
+  ``python -m repro run`` of one cell shares its store entry;
 * both this class and :class:`MixedCampaignSpec` take their JSON codec
   (``to_dict``/``from_dict``, version and type checks) from
   :class:`~repro.experiments.spec.SpecBase`, and
@@ -30,12 +30,7 @@ from typing import Any, List, Mapping, Optional, Tuple, Union
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES, WORKLOADS
-from repro.experiments.spec import (
-    SSD_CODEC,
-    ExperimentSpec,
-    SpecBase,
-    read_spec_file,
-)
+from repro.experiments.spec import SSD_CODEC, SpecBase, read_spec_file
 from repro.harness.cells import PAPER_PEC_POINTS, PAPER_SCHEMES
 from repro.harness.runner import CellJob, plan_jobs
 from repro.kernels import ENGINES
@@ -118,29 +113,6 @@ class CampaignSpec(SpecBase):
             seed=self.seed,
             engine=self.engine,
         )
-
-    def experiments(self) -> List[ExperimentSpec]:
-        """The same campaign as per-cell :class:`ExperimentSpec` objects.
-
-        Each resolves to the identical :class:`CellJob` the planner
-        emits (pinned by tests), keeping the two declarative surfaces
-        interchangeable.
-        """
-        return [
-            ExperimentSpec(
-                scheme=scheme,
-                pec=pec,
-                workload=workload,
-                requests=self.requests,
-                seed=self.seed,
-                erase_suspension=self.erase_suspension,
-                ssd=self.ssd,
-                engine=self.engine,
-            )
-            for pec in self.pec_points
-            for workload in self.workloads
-            for scheme in self.schemes
-        ]
 
 
 def _members_from_json(members: Any) -> Tuple[Any, ...]:

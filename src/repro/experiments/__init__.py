@@ -1,4 +1,4 @@
-"""Declarative experiment API: registries, specs, builder, runner, CLI.
+"""Declarative experiment API: registries, specs, builder, CLI.
 
 The one way to describe and run an evaluation experiment:
 
@@ -10,13 +10,15 @@ The one way to describe and run an evaluation experiment:
   input;
 * :class:`Experiment` — fluent builder
   (``Experiment.aero().at_pec(2500).workload("ali.A").run()``);
-* :func:`run_experiments` — execute specs through the cached,
-  optionally parallel :class:`~repro.harness.runner.GridRunner`;
+* :class:`~repro.harness.runner.GridRunner` — the cached, optionally
+  parallel execution loop specs run through: ``ExperimentSpec.run``
+  for one spec, ``GridRunner(workers=n, cache=...).execute_jobs(
+  [spec.resolve() for spec in specs])`` for a batch;
 * ``python -m repro`` (:mod:`repro.experiments.cli`) — the same
   surface from the shell (``run``, ``grid``, ``compare``,
   ``campaign ls|compact``).
 
-Only the registries import eagerly here; the spec/runner/CLI layers
+Only the registries import eagerly here; the spec and CLI layers
 load on first attribute access, which keeps this package importable
 from the low-level modules (``repro.schemes``,
 ``repro.workloads.profiles``) that register their built-ins with it.
@@ -42,15 +44,11 @@ _LAZY = {
     "Experiment": "repro.experiments.spec",
     "SPEC_VERSION": "repro.experiments.spec",
     "load_spec_file": "repro.experiments.spec",
-    "ExperimentRun": "repro.experiments.runner",
-    "run_experiment": "repro.experiments.runner",
-    "run_experiments": "repro.experiments.runner",
     "main": "repro.experiments.cli",
 }
 
 __all__ = [
     "Experiment",
-    "ExperimentRun",
     "ExperimentSpec",
     "Registry",
     "SCHEMES",
@@ -60,8 +58,6 @@ __all__ = [
     "WorkloadRegistry",
     "load_spec_file",
     "main",
-    "run_experiment",
-    "run_experiments",
     "scheme_keys",
     "workload_keys",
 ]

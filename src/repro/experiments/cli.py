@@ -6,9 +6,7 @@ Five subcommands cover the paper's evaluation surface:
 * ``grid``     — a (schemes x PECs x workloads) campaign with the
   normalized read-tail table the figures use;
 * ``compare``  — the Figure 13 lifetime comparison across schemes
-  (flags or a ``--spec`` LifetimeSpec file; ``--store`` persists
-  curves for crash-resume, sharing cache entries with lifetime-family
-  campaigns);
+  (flags or a ``--spec-file`` LifetimeSpec file);
 * ``campaign`` — orchestrated large campaigns against the
   result store (``run`` with live progress/ETA and crash-resume,
   ``status``, ``ls``, ``compact``);
@@ -16,11 +14,14 @@ Five subcommands cover the paper's evaluation surface:
   the in-process registry, a ``--metrics-port`` endpoint via
   ``--url``, or a ``--metrics-json`` snapshot file).
 
-Everything resolves through the plugin registries, honours
+``run``, ``grid`` and ``compare`` only build jobs: each runs its
+spec's jobs through one ``GridRunner.execute_jobs`` call, honouring
 ``--workers`` (fan-out over supervised worker processes) and
-``--store`` (the result store, shared with the Python API;
-``--cache-dir`` is a second spelling), and exits 2 on configuration
-errors with the registry's rich unknown-key messages.
+``--store`` (the result store, shared with the Python API and
+``campaign run``), and ends with one ``<cells|curves> executed: X,
+served from cache: Y`` line. Everything resolves through the plugin
+registries and exits 2 on configuration errors with the registry's
+rich unknown-key messages.
 
 ``run``, ``grid``, ``compare`` and ``campaign run`` build their spec
 (:class:`ExperimentSpec`, :class:`CampaignSpec` or
@@ -33,19 +34,23 @@ the whole spec, so any spec flag given with one exits 2.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.tables import format_table
+from repro.campaign.orchestrator import CampaignOrchestrator, format_duration
 from repro.campaign.spec import CampaignSpec, load_campaign_file
+from repro.campaign.store import ShardedResultStore, is_store
 from repro.config import SsdSpec
-from repro.errors import ConfigError, ReproError
-from repro.experiments.runner import run_experiments
+from repro.errors import ConfigError, InjectedFault, ReproError
 from repro.experiments.spec import ExperimentSpec, load_spec_file
+from repro.faults import FaultInjector, FaultPlan, FaultSpec, load_fault_file
+from repro.harness.runner import GridRunner, grid_from_jobs
 from repro.kernels import ENGINES
 from repro.lifetime.spec import LifetimeSpec, load_lifetime_file
 
@@ -72,11 +77,16 @@ def _parse_age(text: str) -> float:
     return value * units.get(suffix, 1.0)
 
 
-def _format_age(seconds: float) -> str:
-    for unit, span in (("d", 86400.0), ("h", 3600.0), ("m", 60.0)):
-        if seconds >= span:
-            return f"{seconds / span:.1f}{unit}"
-    return f"{seconds:.0f}s"
+def _percentile(text: str) -> float:
+    """Parse ``grid --percentile``: a number within [0, 100]."""
+    try:
+        if 0.0 <= float(text) <= 100.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"percentile must be a number within [0, 100], got {text!r}"
+    )
 
 
 def _parse_param(text: str) -> tuple:
@@ -105,19 +115,7 @@ def _csv_ints(text: str) -> List[int]:
         ) from None
 
 
-def _add_store_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store", "--cache-dir", dest="store", default=None,
-        metavar="DIR",
-        help="result store: persist finished results here and "
-             "reuse them on re-run (shared with `campaign run --store`; "
-             "--cache-dir is a second spelling)",
-    )
-
-
-def _add_campaign_flags(
-    parser: argparse.ArgumentParser, engine_help: str
-) -> None:
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     """The :class:`CampaignSpec` flags ``grid`` and ``campaign run`` share."""
     _spec_flag(parser, "--schemes", type=_csv,
                help="comma-separated scheme keys (first = baseline)")
@@ -129,15 +127,20 @@ def _add_campaign_flags(
     _spec_flag(parser, "--seed", type=int)
     _spec_flag(parser, "--no-suspension", dest="erase_suspension",
                action="store_const", const=False)
-    _spec_flag(parser, "--engine", choices=list(ENGINES), help=engine_help)
+    _spec_flag(parser, "--engine", choices=list(ENGINES),
+               help="grid-cell engine (see `run --engine`)")
 
 
 def _add_execution_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for cell fan-out (default: 1, inline)",
+        help="worker processes to fan jobs out over (default: 1, inline)",
     )
-    _add_store_arg(parser)
+    parser.add_argument(
+        "--store", default=None, metavar="DIR",
+        help="result store: persist finished results here and reuse "
+             "them on re-run (shared with `campaign run --store`)",
+    )
 
 
 def _spec_flag(parser: argparse.ArgumentParser, *names: str, **kwargs) -> None:
@@ -190,32 +193,63 @@ def _experiments_from_flags(
     return [spec]
 
 
+def _check_fail_after(args: argparse.Namespace) -> None:
+    if args.fail_after is not None and args.fail_after < 1:
+        raise ConfigError("--fail-after must be >= 1")
+
+
+def _armed_store(store: Optional[str], plan: Optional[FaultPlan]) -> Any:
+    """The store at ``store``, with ``plan`` armed on its put and
+    compact hooks when there is one (crash and chaos testing)."""
+    if plan is None:
+        return store
+    return ShardedResultStore(store, fault_injector=FaultInjector(plan))
+
+
+def _execute(
+    args: argparse.Namespace,
+    jobs: Sequence[Any],
+    show: Callable[[List[Any]], None],
+    noun: str = "cells",
+    fault_plan: Optional[FaultPlan] = None,
+) -> int:
+    """Run ``jobs`` through one :class:`GridRunner` call, ``show`` the
+    results, and end with the executed/cached footer (not after
+    ``--json``)."""
+    runner = GridRunner(
+        workers=args.workers, cache=_armed_store(args.store, fault_plan)
+    )
+    show(runner.execute_jobs(jobs))
+    if not getattr(args, "json", False):
+        print(
+            f"  {noun} executed: {runner.stats.executed}, "
+            f"served from cache: {runner.stats.cached}"
+        )
+    return 0
+
+
 # --- run ---------------------------------------------------------------------
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    specs = [spec.validate() for spec in _spec_from_args(args)]
-    result = run_experiments(
-        specs,
-        workers=args.workers,
-        cache=args.store,
-    )
-    if args.json:
-        payload = [
-            {
-                "spec": spec.to_dict(),
-                "fingerprint": job.fingerprint,
-                "report": report.to_json_dict(),
-            }
-            for spec, job, report in zip(
-                result.specs, result.jobs, result.reports
-            )
-        ]
-        print(json.dumps(payload if len(payload) > 1 else payload[0], indent=2))
-        return 0
-    rows = []
-    for spec, report in zip(result.specs, result.reports):
-        rows.append(
+    specs = _spec_from_args(args)
+    jobs = [spec.resolve() for spec in specs]
+
+    def show(reports: List[Any]) -> None:
+        if args.json:
+            payload = [
+                {
+                    "spec": spec.to_dict(),
+                    "fingerprint": job.fingerprint,
+                    "report": report.to_json_dict(),
+                }
+                for spec, job, report in zip(specs, jobs, reports)
+            ]
+            print(json.dumps(
+                payload if len(payload) > 1 else payload[0], indent=2
+            ))
+            return
+        rows = [
             [
                 spec.scheme,
                 spec.pec,
@@ -226,121 +260,101 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{report.iops:,.0f}",
                 report.erases,
             ]
+            for spec, report in zip(specs, reports)
+        ]
+        print(
+            format_table(
+                ["scheme", "PEC", "workload", "requests",
+                 "read mean", "p99 read", "IOPS", "erases"],
+                rows,
+                title="Experiment results",
+            )
         )
-    print(
-        format_table(
-            ["scheme", "PEC", "workload", "requests",
-             "read mean", "p99 read", "IOPS", "erases"],
-            rows,
-            title="Experiment results",
-        )
-    )
-    print(
-        f"  cells executed: {result.stats.executed}, "
-        f"served from cache: {result.stats.cached}"
-    )
-    return 0
+
+    return _execute(args, jobs, show)
 
 
 # --- grid --------------------------------------------------------------------
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args).validate()
-    result = run_experiments(
-        spec.experiments(),
-        workers=args.workers,
-        cache=args.store,
-    )
-    grid = result.grid
+    spec = _spec_from_args(args)
+    jobs = spec.jobs()
     baseline = spec.schemes[0]
-    for pec in spec.pec_points:
-        rows = []
-        table = grid.normalized_read_tail(args.percentile, pec, baseline)
-        for workload in spec.workloads:
-            rows.append(
+
+    def show(reports: List[Any]) -> None:
+        grid = grid_from_jobs(jobs, reports)
+        for pec in spec.pec_points:
+            table = grid.normalized_read_tail(args.percentile, pec, baseline)
+            rows = [
                 [workload]
                 + [f"{table[workload][scheme]:.3f}" for scheme in spec.schemes]
+                for workload in spec.workloads
+            ]
+            geomean = grid.geomean_normalized(
+                lambda r: r.read_tail(args.percentile), pec, baseline
             )
-        geomean = grid.geomean_normalized(
-            lambda r: r.read_tail(args.percentile), pec, baseline
-        )
-        rows.append(
-            ["geomean"] + [f"{geomean[scheme]:.3f}" for scheme in spec.schemes]
-        )
-        print(
-            format_table(
-                ["workload"] + list(spec.schemes),
-                rows,
-                title=(
-                    f"p{args.percentile:g} read latency at {pec} PEC "
-                    "(normalized to first scheme column's baseline)"
-                ),
+            rows.append(
+                ["geomean"]
+                + [f"{geomean[scheme]:.3f}" for scheme in spec.schemes]
             )
-        )
-        print()
-    print(
-        f"  cells executed: {result.stats.executed}, "
-        f"served from cache: {result.stats.cached}"
-    )
-    return 0
+            print(
+                format_table(
+                    ["workload"] + list(spec.schemes),
+                    rows,
+                    title=(
+                        f"p{args.percentile:g} read latency at {pec} PEC "
+                        "(normalized to first scheme column's baseline)"
+                    ),
+                )
+            )
+            print()
+
+    return _execute(args, jobs, show)
 
 
 # --- compare -----------------------------------------------------------------
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.harness.runner import GridRunner
-    from repro.nand.chip_types import profile_by_name
-
-    spec = _spec_from_args(args).validate()
-    profile = profile_by_name(spec.profile)
-    store: Optional[Any] = args.store
+    spec = _spec_from_args(args)
+    jobs = spec.jobs()
+    _check_fail_after(args)
+    plan = None
     if args.fail_after is not None:
-        if store is None:
+        if args.store is None:
             raise ConfigError("--fail-after needs --store")
-        if args.fail_after < 1:
-            raise ConfigError("--fail-after must be >= 1")
-        from repro.campaign import ShardedResultStore
-        from repro.faults import FaultInjector, FaultPlan, FaultSpec
+        # The Nth curve is durable before the store's crash_after_put
+        # fault fires, so a rerun resumes past it.
+        plan = FaultPlan(faults=(
+            FaultSpec("crash_after_put", put_index=args.fail_after - 1),
+        ))
 
-        # Crash injection for the resume smoke: the Nth curve is
-        # durable before the store's crash_after_put fault fires, so a
-        # rerun resumes past it.
-        fault = FaultSpec("crash_after_put", put_index=args.fail_after - 1)
-        store = ShardedResultStore(
-            store, fault_injector=FaultInjector(FaultPlan(faults=(fault,)))
-        )
-    runner = GridRunner(workers=args.workers, cache=store)
-    comparison = spec.comparison(runner.execute_jobs(spec.jobs()))
-    baseline_key = spec.schemes[0]
-    base = comparison.curves[baseline_key].lifetime_pec
-    rows = []
-    for key in spec.schemes:
-        curve = comparison.curves[key]
-        lifetime = curve.lifetime_pec
-        if key == baseline_key or not base:
-            delta = "--"
-        elif lifetime is None:
-            delta = "never crossed"
-        else:
-            delta = f"{lifetime / base - 1:+.1%}"
-        if lifetime is None:
-            lifetime = f">{spec.max_pec}"
-        rows.append([key, lifetime, delta])
-    print(
-        format_table(
-            ["scheme", "lifetime (PEC)", f"vs {baseline_key}"],
-            rows,
-            title=f"Lifetime comparison on {profile.name}",
-        )
-    )
-    if runner.cache is not None:
+    def show(curves: List[Any]) -> None:
+        comparison = spec.comparison(curves)
+        baseline_key = spec.schemes[0]
+        base = comparison.curves[baseline_key].lifetime_pec
+        rows = []
+        for key in spec.schemes:
+            lifetime = comparison.curves[key].lifetime_pec
+            if key == baseline_key or not base:
+                delta = "--"
+            elif lifetime is None:
+                delta = "never crossed"
+            else:
+                delta = f"{lifetime / base - 1:+.1%}"
+            if lifetime is None:
+                lifetime = f">{spec.max_pec}"
+            rows.append([key, lifetime, delta])
         print(
-            f"curves executed: {runner.stats.executed}, "
-            f"served from cache: {runner.stats.cached}"
+            format_table(
+                ["scheme", "lifetime (PEC)", f"vs {baseline_key}"],
+                rows,
+                title=f"Lifetime comparison on {spec.profile}",
+            )
         )
-    return 0
+
+    return _execute(args, jobs, show, noun="curves", fault_plan=plan)
 
 
 # --- campaign ----------------------------------------------------------------
@@ -350,36 +364,22 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.campaign import CampaignOrchestrator, ShardedResultStore
-
     spec = _spec_from_args(args).validate()
-
-    def show(progress) -> None:
-        print(f"[campaign] {progress.format()}", flush=True)
-
+    _check_fail_after(args)
     on_cell = None
     if args.fail_after is not None:
         # Crash injection for resume testing (the CI kill+resume smoke
         # step): abort after N executed cells; everything persisted so
         # far resumes on the next run.
-        def on_cell(index, job, report, _seen=[0]):  # noqa: B006
-            _seen[0] += 1
-            if _seen[0] >= args.fail_after:
-                raise RuntimeError(
+        executed = itertools.count(1)
+
+        def on_cell(index, job, report) -> None:
+            if next(executed) >= args.fail_after:
+                raise InjectedFault(
                     f"injected failure after {args.fail_after} cells"
                 )
 
-    fault_plan = None
-    store = args.store
-    if args.fault_plan:
-        from repro.faults import FaultInjector, load_fault_file
-
-        fault_plan = load_fault_file(args.fault_plan)
-        # One injector drives both hook sites: the store's put/compact
-        # hooks and the supervisor's cell faults share put ordinals.
-        store = ShardedResultStore(
-            args.store, fault_injector=FaultInjector(fault_plan)
-        )
+    fault_plan = load_fault_file(args.fault_plan) if args.fault_plan else None
 
     # Graceful shutdown: the first SIGINT/SIGTERM stops admitting
     # cells and drains in-flight ones; a second signal gives up
@@ -407,9 +407,14 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
     orchestrator = CampaignOrchestrator(
         spec,
-        store,
+        # The plan's put/compact faults fire on the store; its cell
+        # faults on the supervisor.
+        _armed_store(args.store, fault_plan),
         process_workers=args.workers,
-        progress=None if args.quiet else show,
+        progress=None if args.quiet else (
+            lambda progress: print(f"[campaign] {progress.format()}",
+                                   flush=True)
+        ),
         progress_interval_s=args.progress_interval,
         on_cell=on_cell,
         cell_timeout_s=args.cell_timeout,
@@ -447,26 +452,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     stats = result.stats
     exit_code = 128 + caught["signum"] if caught else 0
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "spec": spec.to_dict(),
-                    "stats": {
-                        "total": stats.total,
-                        "executed": stats.executed,
-                        "resumed": stats.resumed,
-                        "wall_s": stats.wall_s,
-                        "retried": stats.retried,
-                        "timeouts": stats.timeouts,
-                        "quarantined": stats.quarantined,
-                        "pool_rebuilds": stats.pool_rebuilds,
-                        "interrupted": stats.interrupted,
-                    },
-                    "quarantined": list(result.quarantined),
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({
+            "spec": spec.to_dict(),
+            "stats": asdict(stats),
+            "quarantined": list(result.quarantined),
+        }, indent=2))
         return exit_code
     print(
         f"campaign {'interrupted' if stats.interrupted else 'complete'}: "
@@ -481,18 +471,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             f"rebuilds"
         )
     for record in result.quarantined:
-        meta = record.get("meta", {})
-        if meta.get("family") == "lifetime":
-            label = f"{meta.get('scheme')}@{meta.get('profile')}"
-        else:
-            label = (
-                f"{meta.get('scheme')}/{meta.get('pec')}/"
-                f"{meta.get('workload')}"
-            )
         print(
             f"  quarantined cell {record['index']} "
-            f"({label}): {record['reason']} after "
-            f"{record['attempts']} attempts — {record['error']}"
+            f"({result.jobs[record['index']].describe()}): "
+            f"{record['reason']} after {record['attempts']} attempts — "
+            f"{record['error']}"
         )
     if stats.interrupted:
         print(
@@ -504,8 +487,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 def _open_store(store_dir: str):
     """Open an existing store; status/ls/compact never create one."""
-    from repro.campaign.store import ShardedResultStore, is_store
-
     if not Path(store_dir).is_dir():
         raise ConfigError(f"no such store directory: {store_dir}")
     if not is_store(store_dir):
@@ -514,8 +495,6 @@ def _open_store(store_dir: str):
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignOrchestrator
-
     spec = None
     if args.spec_file:
         # Report a malformed spec file before looking at the store.
@@ -534,28 +513,26 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             "families": dict(stats.families),
         },
     }
-    progress = None
-    family_status: Dict[str, Dict[str, int]] = {}
     if spec is not None:
-        orchestrator = CampaignOrchestrator(spec, store)
-        progress = orchestrator.status()
-        family_status = orchestrator.family_status()
+        families = CampaignOrchestrator(spec, store).family_status()
+        total = sum(counts["total"] for counts in families.values())
+        done = sum(counts["done"] for counts in families.values())
         payload["campaign"] = {
             "family": spec.family,
-            "total": progress.total,
-            "done": progress.done,
-            "remaining": progress.remaining,
-            "families": family_status,
+            "total": total,
+            "done": done,
+            "remaining": total - done,
+            "families": families,
         }
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
-    if progress is not None:
+    if spec is not None:
         print(
-            f"campaign: {progress.done}/{progress.total} cells done "
-            f"({progress.fraction:.1%}), {progress.remaining} pending"
+            f"campaign: {done}/{total} cells done "
+            f"({done / total:.1%}), {total - done} pending"
         )
-        for family, counts in sorted(family_status.items()):
+        for family, counts in sorted(families.items()):
             print(
                 f"  {family}: {counts['done']}/{counts['total']} done"
             )
@@ -606,7 +583,7 @@ def _cmd_campaign_ls(args: argparse.Namespace) -> int:
     rows = [
         [
             entry.key[:12],
-            _format_age(entry.age_seconds(now)),
+            format_duration(entry.age_seconds(now)),
             f"{entry.size:,} B",
             entry.summary(),
         ]
@@ -733,6 +710,15 @@ def _cmd_metrics_dump(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _command(sub, name: str, summary: str, func, **defaults) -> Any:
+    """Add subcommand ``name`` that runs ``func``; ``defaults`` (e.g.
+    ``build_spec``/``load_spec``) land on its namespace. Every option
+    has one spelling, so no prefix of it is accepted either."""
+    parser = sub.add_parser(name, help=summary, allow_abbrev=False)
+    parser.set_defaults(func=func, **defaults)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -741,9 +727,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser(
-        "run", help="run one experiment from flags or a JSON spec file"
-    )
+    run = _command(sub, "run", "run one experiment from flags or a JSON "
+                   "spec file", _cmd_run,
+                   build_spec=_experiments_from_flags,
+                   load_spec=load_spec_file)
     _spec_flag(run, "--scheme",
                help="erase scheme key (see the scheme registry)")
     _spec_flag(run, "--pec", type=int, help="P/E-cycle wear setpoint")
@@ -771,22 +758,19 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true",
                      help="emit spec + report as JSON")
     _add_execution_args(run)
-    run.set_defaults(func=_cmd_run, build_spec=_experiments_from_flags,
-                     load_spec=load_spec_file)
 
-    grid = sub.add_parser(
-        "grid", help="run a (schemes x PECs x workloads) campaign"
-    )
-    _add_campaign_flags(grid,
-                        engine_help="grid-cell engine (see `run --engine`)")
-    grid.add_argument("--percentile", type=float, default=99.0,
-                      help="read-tail percentile to tabulate (default: 99)")
+    grid = _command(sub, "grid", "run a (schemes x PECs x workloads) "
+                    "campaign", _cmd_grid, build_spec=CampaignSpec)
+    _add_campaign_flags(grid)
+    grid.add_argument("--percentile", type=_percentile, default=99.0,
+                      help="read-tail percentile to tabulate, 0-100 "
+                           "(default: 99)")
     _add_execution_args(grid)
-    grid.set_defaults(func=_cmd_grid, build_spec=CampaignSpec)
 
-    compare = sub.add_parser(
-        "compare", help="lifetime comparison across schemes (Figure 13)"
-    )
+    compare = _command(sub, "compare", "lifetime comparison across "
+                       "schemes (Figure 13)", _cmd_compare,
+                       build_spec=LifetimeSpec,
+                       load_spec=load_lifetime_file)
     _spec_flag(compare, "--profile", help="chip profile name")
     _spec_flag(compare, "--schemes", type=_csv,
                help="comma-separated scheme keys (first = baseline)")
@@ -803,142 +787,99 @@ def build_parser() -> argparse.ArgumentParser:
     _spec_flag(compare, "--engine", choices=list(ENGINES),
                help="lifetime engine: vectorized batch kernel when the "
                     "scheme provides one (auto), or force one path")
-    compare.add_argument("--workers", type=int, default=1,
-                         help="worker processes, one scheme each "
-                              "(default: 1, inline)")
-    compare.add_argument("--spec", "--spec-file", dest="spec_file",
-                         default=None, metavar="PATH",
+    compare.add_argument("--spec-file", default=None, metavar="PATH",
                          help="JSON LifetimeSpec file; fully describes the "
                               "comparison, so the sweep flags above "
                               "conflict with it")
-    _add_store_arg(compare)
+    _add_execution_args(compare)
     compare.add_argument("--fail-after", type=int, default=None,
                          metavar="N",
                          help="crash injection: abort after N curves "
                               "persisted (resume smoke testing; needs "
                               "--store)")
-    compare.set_defaults(func=_cmd_compare, build_spec=LifetimeSpec,
-                         load_spec=load_lifetime_file)
 
-    bench = sub.add_parser(
-        "bench", help="time the hot campaigns, write the perf artifact"
-    )
     from repro.harness.bench import add_bench_arguments, run_from_args
 
-    add_bench_arguments(bench)
-    bench.set_defaults(func=run_from_args)
+    add_bench_arguments(_command(
+        sub, "bench", "time the hot campaigns, write the perf artifact",
+        run_from_args,
+    ))
 
     campaign = sub.add_parser(
-        "campaign",
-        help="orchestrated campaigns on the result store",
+        "campaign", help="orchestrated campaigns on the result store"
     )
     campaign_sub = campaign.add_subparsers(
         dest="campaign_command", required=True
     )
 
-    campaign_run = campaign_sub.add_parser(
-        "run",
-        help="run a campaign under supervision with live progress and "
-             "crash-resume",
-    )
-    campaign_run.add_argument("--store", required=True,
-                              help="result store directory "
-                                   "(created if missing)")
-    campaign_run.add_argument("--spec-file", default=None,
-                              help="JSON campaign spec (bare object or "
-                                   "{\"campaign\": {...}})")
-    _add_campaign_flags(campaign_run,
-                        engine_help="grid-cell engine (see `run --engine`)")
-    campaign_run.add_argument("--workers", "--process-workers",
-                              dest="workers", type=int, default=1,
-                              help="worker processes for cell fan-out "
-                                   "(default: 1, in this process unless "
-                                   "--cell-timeout needs a killable "
-                                   "worker)")
-    campaign_run.add_argument("--progress-interval", type=float,
-                              default=1.0,
-                              help="seconds between progress lines "
-                                   "(default: 1.0)")
-    campaign_run.add_argument("--quiet", action="store_true",
-                              help="suppress progress lines")
-    campaign_run.add_argument("--fail-after", type=int, default=None,
-                              help="abort after N executed cells "
-                                   "(crash-injection for resume testing)")
-    campaign_run.add_argument("--cell-timeout", type=float, default=None,
-                              metavar="SECONDS",
-                              help="kill and retry any cell attempt "
-                                   "running longer than this")
-    campaign_run.add_argument("--max-retries", type=int, default=2,
-                              help="retry attempts per failing cell "
-                                   "before quarantine (default: 2)")
-    campaign_run.add_argument("--on-poison", choices=["skip", "fail"],
-                              default="skip",
-                              help="quarantined cell handling: record "
-                                   "and continue (skip, default) or "
-                                   "abort the campaign (fail)")
-    campaign_run.add_argument("--fault-plan", default=None, metavar="PATH",
-                              help="JSON fault plan to arm on the store "
-                                   "and workers (deterministic chaos "
-                                   "testing; see repro.faults)")
-    campaign_run.add_argument("--json", action="store_true",
-                              help="emit spec + run stats as JSON")
-    campaign_run.add_argument("--metrics-port", type=int, default=None,
-                              metavar="PORT",
-                              help="serve /metrics (Prometheus text) and "
-                                   "/metrics.json on this port for the "
-                                   "duration of the run; 0 = ephemeral")
-    campaign_run.add_argument("--metrics-json", default=None,
-                              metavar="PATH",
-                              help="write a JSON metrics snapshot here "
-                                   "when the run ends (even on a crash)")
-    campaign_run.add_argument("--metrics-linger", type=float, default=0.0,
-                              metavar="SECONDS",
-                              help="keep the --metrics-port endpoint up "
-                                   "this long after the run (scrape "
-                                   "window for CI)")
-    campaign_run.set_defaults(func=_cmd_campaign_run, build_spec=CampaignSpec,
-                              load_spec=load_campaign_file)
+    campaign_run = _command(campaign_sub, "run", "run a campaign under "
+                            "supervision with live progress and "
+                            "crash-resume", _cmd_campaign_run,
+                            build_spec=CampaignSpec,
+                            load_spec=load_campaign_file)
+    add = campaign_run.add_argument
+    add("--store", required=True,
+        help="result store directory (created if missing)")
+    add("--spec-file", default=None,
+        help='JSON campaign spec (bare object or {"campaign": {...}})')
+    _add_campaign_flags(campaign_run)
+    add("--workers", type=int, default=1,
+        help="worker processes for cell fan-out (default: 1, in this "
+             "process unless --cell-timeout needs a killable worker)")
+    add("--progress-interval", type=float, default=1.0,
+        help="seconds between progress lines (default: 1.0)")
+    add("--quiet", action="store_true", help="suppress progress lines")
+    add("--fail-after", type=int, default=None, metavar="N",
+        help="abort after N executed cells (crash-injection for resume "
+             "testing)")
+    add("--cell-timeout", type=float, default=None, metavar="SECONDS",
+        help="kill and retry any cell attempt running longer than this")
+    add("--max-retries", type=int, default=2,
+        help="retry attempts per failing cell before quarantine "
+             "(default: 2)")
+    add("--on-poison", choices=["skip", "fail"], default="skip",
+        help="quarantined cell handling: record and continue (skip, "
+             "default) or abort the campaign (fail)")
+    add("--fault-plan", default=None, metavar="PATH",
+        help="JSON fault plan to arm on the store and workers "
+             "(deterministic chaos testing; see repro.faults)")
+    add("--json", action="store_true", help="emit spec + run stats as JSON")
+    add("--metrics-port", type=int, default=None, metavar="PORT",
+        help="serve /metrics (Prometheus text) and /metrics.json on this "
+             "port for the duration of the run; 0 = ephemeral")
+    add("--metrics-json", default=None, metavar="PATH",
+        help="write a JSON metrics snapshot here when the run ends (even "
+             "on a crash)")
+    add("--metrics-linger", type=float, default=0.0, metavar="SECONDS",
+        help="keep the --metrics-port endpoint up this long after the run "
+             "(scrape window for CI)")
 
-    campaign_status = campaign_sub.add_parser(
-        "status", help="report store contents and campaign completion"
-    )
-    campaign_status.add_argument("--store", required=True)
-    campaign_status.add_argument("--json", action="store_true",
-                                 help="machine-readable status: store "
-                                      "stats (incl. per-family entry "
-                                      "counts) plus per-family campaign "
-                                      "progress when --spec-file is given")
-    campaign_status.add_argument("--spec-file", default=None,
-                                 help="campaign spec to report done/total "
-                                      "against")
-    campaign_status.set_defaults(func=_cmd_campaign_status)
+    add = _command(campaign_sub, "status", "report store contents and "
+                   "campaign completion", _cmd_campaign_status).add_argument
+    add("--store", required=True)
+    add("--json", action="store_true",
+        help="machine-readable status: store stats (incl. per-family "
+             "entry counts) plus per-family campaign progress when "
+             "--spec-file is given")
+    add("--spec-file", default=None,
+        help="campaign spec to report done/total against")
 
-    campaign_ls = campaign_sub.add_parser(
-        "ls", help="list the store's entries, oldest first"
-    )
-    campaign_ls.add_argument("--store", required=True)
-    campaign_ls.add_argument("--json", action="store_true")
-    campaign_ls.set_defaults(func=_cmd_campaign_ls)
+    add = _command(campaign_sub, "ls", "list the store's entries, oldest "
+                   "first", _cmd_campaign_ls).add_argument
+    add("--store", required=True)
+    add("--json", action="store_true")
 
-    campaign_compact = campaign_sub.add_parser(
-        "compact",
-        help="drop dead records and vacuum (gc knobs supported)",
-    )
-    campaign_compact.add_argument("--store", required=True)
-    campaign_compact.add_argument("--max-entries", type=int, default=None,
-                                  help="keep only the newest N healthy "
-                                       "entries")
-    campaign_compact.add_argument("--older-than", type=_parse_age,
-                                  default=None, metavar="AGE",
-                                  help="drop entries older than AGE "
-                                       "(e.g. 12h, 7d)")
-    campaign_compact.add_argument("--keep-corrupt", action="store_true",
-                                  help="do not prune corrupt/stale entries "
-                                       "(needs --max-entries or "
-                                       "--older-than)")
-    campaign_compact.add_argument("--dry-run", action="store_true",
-                                  help="report without deleting")
-    campaign_compact.set_defaults(func=_cmd_campaign_compact)
+    add = _command(campaign_sub, "compact", "drop dead records and vacuum "
+                   "(gc knobs supported)", _cmd_campaign_compact).add_argument
+    add("--store", required=True)
+    add("--max-entries", type=int, default=None,
+        help="keep only the newest N healthy entries")
+    add("--older-than", type=_parse_age, default=None, metavar="AGE",
+        help="drop entries older than AGE (e.g. 12h, 7d)")
+    add("--keep-corrupt", action="store_true",
+        help="do not prune corrupt/stale entries (needs --max-entries or "
+             "--older-than)")
+    add("--dry-run", action="store_true", help="report without deleting")
 
     metrics = sub.add_parser(
         "metrics", help="dump and validate telemetry expositions"
@@ -946,27 +887,21 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_sub = metrics.add_subparsers(
         dest="metrics_command", required=True
     )
-    metrics_dump = metrics_sub.add_parser(
-        "dump",
-        help="print one exposition (validated) from the in-process "
-             "registry, a live /metrics endpoint, or a snapshot file",
-    )
-    metrics_dump.add_argument("--url", default=None,
-                              help="scrape this /metrics endpoint "
-                                   "(from `campaign run --metrics-port`)")
-    metrics_dump.add_argument("--from-json", default=None, metavar="PATH",
-                              help="render a --metrics-json snapshot file")
-    metrics_dump.add_argument("--format", choices=["text", "json"],
-                              default="text",
-                              help="output format (default: text)")
-    metrics_dump.add_argument("--require", action="append", default=None,
-                              metavar="NAME",
-                              help="fail unless this metric family is "
-                                   "present (repeatable)")
-    metrics_dump.add_argument("--timeout", type=float, default=5.0,
-                              help="scrape timeout in seconds "
-                                   "(default: 5)")
-    metrics_dump.set_defaults(func=_cmd_metrics_dump)
+    add = _command(metrics_sub, "dump", "print one exposition (validated) "
+                   "from the in-process registry, a live /metrics "
+                   "endpoint, or a snapshot file",
+                   _cmd_metrics_dump).add_argument
+    add("--url", default=None,
+        help="scrape this /metrics endpoint (from `campaign run "
+             "--metrics-port`)")
+    add("--from-json", default=None, metavar="PATH",
+        help="render a --metrics-json snapshot file")
+    add("--format", choices=["text", "json"], default="text",
+        help="output format (default: text)")
+    add("--require", action="append", default=None, metavar="NAME",
+        help="fail unless this metric family is present (repeatable)")
+    add("--timeout", type=float, default=5.0,
+        help="scrape timeout in seconds (default: 5)")
 
     return parser
 

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 from repro.config import GcSpec, SchedulerSpec, SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES, WORKLOADS
-from repro.harness.runner import CellJob
+from repro.harness.runner import CellJob, GridRunner
 from repro.kernels import ENGINES
 from repro.nand.chip_types import profile_by_name
 from repro.nand.geometry import NandGeometry
@@ -406,9 +406,8 @@ class ExperimentSpec(SpecBase):
     def run(self, cache: Any = None):
         """Run this one experiment; returns its PerfReport. ``cache``
         is a result store or a store directory path."""
-        from repro.experiments.runner import run_experiments
-
-        return run_experiments([self], cache=cache).reports[0]
+        [report] = GridRunner(cache=cache).execute_jobs(self.jobs())
+        return report
 
 
 def load_spec_file(path: Union[str, Path]) -> List[ExperimentSpec]:

@@ -13,11 +13,11 @@ show. The package splits the old single-module harness into layers:
 * :mod:`repro.harness.store` — :class:`ResultStore`, the persistence
   contract the :class:`~repro.campaign.store.ShardedResultStore`
   fulfils;
-* :mod:`repro.harness.runner` — :class:`GridRunner` and the
-  ``run_grid`` façade tying them together. Jobs run through the
-  campaign's execution loop (:class:`repro.campaign.supervisor.
-  JobRun`): in this process with one worker, and over
-  ``CellSupervisor`` worker processes with ``GridRunner(workers=n)``.
+* :mod:`repro.harness.runner` — :class:`GridRunner` tying them
+  together. Jobs run through the campaign's execution loop
+  (:class:`repro.campaign.supervisor.JobRun`): in this process with
+  one worker, and over ``CellSupervisor`` worker processes with
+  ``GridRunner(workers=n)``.
 
 Quick start::
 
@@ -32,8 +32,7 @@ Quick start::
 Parallel, cached, and serial runs of the same campaign are
 bit-identical: cell seeds derive deterministically from the campaign
 seed via :func:`repro.rng.derive`, and each cell is a pure function of
-its inputs. ``from repro.harness import run_grid, run_workload_cell``
-keeps working exactly as it did when the harness was one module.
+its inputs.
 """
 
 from repro.harness.cache import CACHE_VERSION, cell_fingerprint
@@ -47,10 +46,8 @@ from repro.harness.runner import (
     CellJob,
     GridRunner,
     RunStats,
-    execute_cell,
     grid_from_jobs,
     plan_jobs,
-    run_grid,
 )
 from repro.harness.store import ResultStore
 
@@ -66,9 +63,7 @@ __all__ = [
     "ResultStore",
     "RunStats",
     "cell_fingerprint",
-    "execute_cell",
     "grid_from_jobs",
     "plan_jobs",
-    "run_grid",
     "run_workload_cell",
 ]

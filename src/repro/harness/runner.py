@@ -99,6 +99,20 @@ class CellJob:
         """Short label for logs and quarantine records."""
         return f"{self.scheme}/{self.pec}/{self.workload}"
 
+    def execute(self) -> PerfReport:
+        """Replay the cell (a pure function of the job)."""
+        return run_workload_cell(
+            self.scheme,
+            self.pec,
+            self.profile if self.profile is not None else self.workload,
+            spec=self.spec,
+            requests=self.requests,
+            erase_suspension=self.erase_suspension,
+            seed=self.seed,
+            scheme_params=dict(self.scheme_params),
+            engine=self.engine,
+        )
+
     @property
     def fingerprint(self) -> str:
         # mispredict_rate keeps its dedicated fingerprint slot (and the
@@ -128,9 +142,9 @@ def grid_from_jobs(
 ) -> EvaluationGrid:
     """Assemble an :class:`EvaluationGrid` from jobs and their reports.
 
-    Shared by :meth:`GridRunner.run` and
-    :func:`repro.experiments.run_experiments`, so the two entry points
-    cannot drift in how cells are keyed.
+    Shared by :meth:`GridRunner.run`, the campaign orchestrator and
+    ``python -m repro grid``, so they cannot drift in how cells are
+    keyed.
     """
     grid = EvaluationGrid()
     for job, report in zip(jobs, reports):
@@ -145,40 +159,14 @@ def grid_from_jobs(
     return grid
 
 
-def execute_cell(job: CellJob) -> PerfReport:
-    """Run one cell job (module-level so worker processes can import it)."""
-    return run_workload_cell(
-        job.scheme,
-        job.pec,
-        job.profile if job.profile is not None else job.workload,
-        spec=job.spec,
-        requests=job.requests,
-        erase_suspension=job.erase_suspension,
-        seed=job.seed,
-        scheme_params=dict(job.scheme_params),
-        engine=job.engine,
-    )
-
-
 def execute_job(job: Any) -> Any:
-    """Run one job of either campaign family (module-level, picklable).
+    """Run one job of any campaign family (module-level, picklable).
 
-    Grid cells go through :func:`execute_cell`; any other family
-    (e.g. :class:`repro.lifetime.spec.LifetimeJob`) must bring its own
-    ``execute()``. Dispatching here keeps the harness importable
-    without the lifetime stack; the campaign supervisor, which runs
-    every job of a :class:`GridRunner` or a campaign, calls it once
-    per attempt.
+    Every job brings its own ``execute()``; the campaign supervisor,
+    which runs every job of a :class:`GridRunner` or a campaign, calls
+    this once per attempt.
     """
-    if isinstance(job, CellJob):
-        return execute_cell(job)
-    execute = getattr(job, "execute", None)
-    if execute is None:
-        raise ConfigError(
-            f"job of type {type(job).__name__} is neither a CellJob "
-            "nor provides execute()"
-        )
-    return execute()
+    return job.execute()
 
 
 def plan_jobs(
@@ -308,15 +296,14 @@ class GridRunner:
     def execute_jobs(self, jobs: Sequence[Any]) -> List[Any]:
         """Execute jobs, results in job order; cache-aware.
 
-        The reusable core of :meth:`run` — the declarative experiment
-        layer (:func:`repro.experiments.run_experiments`) feeds
-        :class:`CellJob` lists resolved from ``ExperimentSpec`` objects
-        through the same cache-then-workers path, so CLI runs, spec
-        files, and grid campaigns share cache entries. Jobs of any
-        campaign family run here — lifetime jobs
+        The reusable core of :meth:`run`, and the one call behind
+        ``python -m repro run``/``grid``/``compare`` and
+        :meth:`ExperimentSpec.run <repro.experiments.spec.ExperimentSpec.run>`,
+        so CLI runs, spec files, and grid campaigns share cache
+        entries. Jobs of any campaign family run here — lifetime jobs
         (:class:`repro.lifetime.spec.LifetimeJob`) interleave freely
         with grid cells; each needs only ``fingerprint``,
-        ``store_meta()``, and :func:`execute_job` support. Each
+        ``store_meta()``, ``describe()`` and ``execute()``. Each
         distinct fingerprint runs at most once per call; its repeats
         share that result and count as cached in :attr:`stats`.
 
@@ -356,32 +343,3 @@ class GridRunner:
         )
         return grid_from_jobs(jobs, self.execute_jobs(jobs))
 
-
-def run_grid(
-    schemes: Sequence[str] = PAPER_SCHEMES,
-    pec_points: Sequence[int] = PAPER_PEC_POINTS,
-    workloads: Sequence[Union[str, WorkloadProfile]] = ("ali.A", "hm", "usr"),
-    requests: int = 1200,
-    spec: Optional[SsdSpec] = None,
-    erase_suspension: bool = True,
-    seed: int = 0xAE20,
-    engine: str = "auto",
-    cache: Optional[Union[ResultStore, str, Path]] = None,
-) -> EvaluationGrid:
-    """Run a (scheme x pec x workload) grid.
-
-    The one-call façade over a serial :class:`GridRunner`: pass
-    ``cache`` (a store or a directory path) to persist/reuse finished
-    cells; ``GridRunner(workers=n).run(...)`` fans cells out.
-    """
-    runner = GridRunner(cache=cache)
-    return runner.run(
-        schemes=schemes,
-        pec_points=pec_points,
-        workloads=workloads,
-        requests=requests,
-        spec=spec,
-        erase_suspension=erase_suspension,
-        seed=seed,
-        engine=engine,
-    )

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.experiments.registry import SCHEMES
-from repro.lifetime.simulator import LifetimeCurve, LifetimeSimulator
+from repro.harness.runner import GridRunner
+from repro.lifetime.simulator import LifetimeCurve
 from repro.nand.chip_types import ChipProfile, profile_by_name
 from repro.schemes import SCHEME_KEYS
 
@@ -64,20 +64,41 @@ class SchemeComparison:
         )
 
 
-def _builtin_profile_name(profile: ChipProfile) -> Optional[str]:
-    """The registry name of ``profile``, or None for ad-hoc profiles.
+def _builtin_profile_name(profile: ChipProfile) -> str:
+    """The registry name of ``profile``.
 
-    The unified cached path carries profiles *by name* (so jobs stay
-    small and specs stay registry-validated); a caller-constructed
-    profile that differs from the built-in registered under its name
-    falls back to the direct, uncached path.
+    Lifetime jobs carry profiles *by name*, so jobs stay small, specs
+    stay registry-validated and fingerprints stay stable. A
+    caller-constructed profile that differs from the built-in
+    registered under its name has none of that: it is a
+    :class:`ConfigError`, and its curves run on
+    :class:`~repro.lifetime.simulator.LifetimeSimulator` directly.
     """
     try:
         if profile_by_name(profile.name) == profile:
             return profile.name
     except ConfigError:
         pass
-    return None
+    raise ConfigError(
+        f"profile {profile.name!r} is not a built-in chip profile; run "
+        "curves for an ad-hoc profile on LifetimeSimulator directly"
+    )
+
+
+def _sweep(points: Dict[Any, Any], cache: Optional[Any]) -> Dict[Any, Any]:
+    """Every point's :class:`~repro.lifetime.spec.LifetimeSpec` jobs in
+    one :meth:`~repro.harness.runner.GridRunner.execute_jobs` call, so a
+    curve shared by several points runs once; one
+    :class:`SchemeComparison` per point."""
+    curves = iter(
+        GridRunner(cache=cache).execute_jobs(
+            [job for spec in points.values() for job in spec.jobs()]
+        )
+    )
+    return {
+        point: spec.comparison([next(curves) for _ in spec.schemes])
+        for point, spec in points.items()
+    }
 
 
 def compare_schemes(
@@ -95,20 +116,18 @@ def compare_schemes(
 ) -> SchemeComparison:
     """Run the Figure 13 campaign: one block set per erase scheme.
 
-    A thin shim over the unified spec path: for a built-in chip
-    profile the call builds a :class:`~repro.lifetime.spec.
-    LifetimeSpec` and runs its jobs through
-    :meth:`~repro.harness.runner.GridRunner.execute_jobs`, so flag
-    calls, ``compare --spec`` files, and orchestrated campaigns share
-    one cache entry per (scheme, profile) fingerprint. Pass ``cache``
-    (any :class:`~repro.harness.store.ResultStore`, or a store
-    directory path) to persist curves and crash-resume, or a pre-built
-    ``runner`` to share its cache and stats across calls — each
-    scheme's block set cycles independently, so
+    A thin shim over the unified spec path: the call builds a
+    :class:`~repro.lifetime.spec.LifetimeSpec` and runs its jobs
+    through :meth:`~repro.harness.runner.GridRunner.execute_jobs`, so
+    flag calls, ``compare --spec-file`` files, and orchestrated
+    campaigns share one cache entry per (scheme, profile) fingerprint.
+    Pass ``cache`` (any :class:`~repro.harness.store.ResultStore`, or a
+    store directory path) to persist curves and crash-resume, or a
+    pre-built ``runner`` to share its cache and stats across calls —
+    each scheme's block set cycles independently, so
     ``runner=GridRunner(workers=n)`` runs schemes concurrently, with
-    results identical to the serial run. Ad-hoc :class:`ChipProfile`
-    objects keep the direct, serial path (no cache — an unnamed
-    profile has no stable fingerprint).
+    results identical to the serial run. ``profile`` must be a
+    built-in chip profile (see :func:`_builtin_profile_name`).
 
     Scheme keys resolve through :data:`repro.experiments.SCHEMES`, so
     registered plugin schemes compare alongside the built-ins; unknown
@@ -120,48 +139,22 @@ def compare_schemes(
     object erases otherwise; ``object``/``kernel`` force one path
     (``kernel`` raises for schemes without a kernel).
     """
-    for key in scheme_keys:
-        SCHEMES.get(key)
-    profile_name = _builtin_profile_name(profile)
-    if profile_name is not None:
-        # Unified path: LifetimeSpec -> LifetimeJob -> GridRunner.
-        from repro.harness.runner import GridRunner
-        from repro.lifetime.spec import LifetimeSpec
+    from repro.lifetime.spec import LifetimeSpec
 
-        spec = LifetimeSpec(
-            schemes=tuple(scheme_keys),
-            profile=profile_name,
-            block_count=block_count,
-            step=step,
-            seed=seed,
-            max_pec=max_pec,
-            requirement=requirement,
-            mispredict_rate=float(mispredict_rate),
-            engine=engine,
-        )
-        if runner is None:
-            runner = GridRunner(cache=cache)
-        return spec.comparison(runner.execute_jobs(spec.jobs()))
-    if cache is not None or runner is not None:
-        raise ConfigError(
-            f"profile {profile.name!r} is not a built-in chip profile; "
-            "curves for ad-hoc profiles cannot be cached or run on a "
-            "GridRunner"
-        )
-    comparison = SchemeComparison(profile_name=profile.name)
-    for key in scheme_keys:
-        simulator = LifetimeSimulator(
-            profile,
-            key,
-            block_count=block_count,
-            step=step,
-            seed=seed,
-            mispredict_rate=mispredict_rate if key.startswith("aero") else 0.0,
-            requirement=requirement,
-            engine=engine,
-        )
-        comparison.curves[key] = simulator.run(max_pec=max_pec)
-    return comparison
+    spec = LifetimeSpec(
+        schemes=tuple(scheme_keys),
+        profile=_builtin_profile_name(profile),
+        block_count=block_count,
+        step=step,
+        seed=seed,
+        max_pec=max_pec,
+        requirement=requirement,
+        mispredict_rate=float(mispredict_rate),
+        engine=engine,
+    )
+    if runner is None:
+        runner = GridRunner(cache=cache)
+    return spec.comparison(runner.execute_jobs(spec.jobs()))
 
 
 def misprediction_sensitivity(
@@ -180,51 +173,33 @@ def misprediction_sensitivity(
     verify-read; the paper finds AERO keeps ~40 % of its benefits even
     at a 20 % misprediction rate.
 
-    Runs through the cached :class:`~repro.lifetime.spec.LifetimeJob`
-    path for built-in profiles, all sweep points in one
+    All sweep points run on the cached
+    :class:`~repro.lifetime.spec.LifetimeJob` path in one
     :meth:`~repro.harness.runner.GridRunner.execute_jobs` call: jobs
     whose fingerprints coincide across sweep points (the misprediction
     rate only perturbs the aero schemes, so every non-aero curve is
     shared) execute once and serve every rate; pass ``cache`` (a store
     or a directory path) to also reuse curves across runs.
     """
-    if _builtin_profile_name(profile) is None:
-        results: Dict[float, Dict[str, LifetimeCurve]] = {}
-        for rate in rates:
-            results[rate] = {}
-            for key in scheme_keys:
-                simulator = LifetimeSimulator(
-                    profile,
-                    key,
-                    block_count=block_count,
-                    step=step,
-                    seed=seed,
-                    mispredict_rate=rate,
-                    engine=engine,
-                )
-                results[rate][key] = simulator.run()
-        return results
-    from repro.harness.runner import GridRunner
     from repro.lifetime.spec import LifetimeSpec
 
-    point_jobs = {
+    name = _builtin_profile_name(profile)
+    points = {
         rate: LifetimeSpec(
             schemes=tuple(scheme_keys),
-            profile=profile.name,
+            profile=name,
             block_count=block_count,
             step=step,
             seed=seed,
             mispredict_rate=float(rate),
             engine=engine,
-        ).jobs()
+        )
         for rate in rates
     }
-    curves = iter(
-        GridRunner(cache=cache).execute_jobs(
-            [job for jobs in point_jobs.values() for job in jobs]
-        )
-    )
-    return {rate: dict(zip(scheme_keys, curves)) for rate in point_jobs}
+    return {
+        rate: comparison.curves
+        for rate, comparison in _sweep(points, cache).items()
+    }
 
 
 def requirement_sensitivity(
@@ -244,32 +219,27 @@ def requirement_sensitivity(
     requirement — Baseline and AEROcons lose lifetime too, exactly as
     the paper notes.
 
-    For built-in profiles every point runs through one shared
-    :class:`~repro.harness.runner.GridRunner` on the cached
-    :class:`~repro.lifetime.spec.LifetimeJob` path, so re-running a
-    sweep (or widening it) against a ``cache`` only computes the curves
-    it has never seen.
+    Every point runs in one
+    :meth:`~repro.harness.runner.GridRunner.execute_jobs` call on the
+    cached :class:`~repro.lifetime.spec.LifetimeJob` path, so re-running
+    a sweep (or widening it) against a ``cache`` only computes the
+    curves it has never seen.
     """
-    runner = None
-    if _builtin_profile_name(profile) is not None:
-        from repro.harness.runner import GridRunner
+    from repro.lifetime.spec import LifetimeSpec
 
-        runner = GridRunner(cache=cache)
-    elif cache is not None:
-        raise ConfigError(
-            f"profile {profile.name!r} is not a built-in chip profile; "
-            "curves for ad-hoc profiles cannot be cached"
-        )
-    results: Dict[int, SchemeComparison] = {}
-    for requirement in requirements:
-        results[requirement] = compare_schemes(
-            profile,
-            scheme_keys=scheme_keys,
-            block_count=block_count,
-            step=step,
-            seed=seed,
-            requirement=requirement,
-            engine=engine,
-            runner=runner,
-        )
-    return results
+    name = _builtin_profile_name(profile)
+    return _sweep(
+        {
+            requirement: LifetimeSpec(
+                schemes=tuple(scheme_keys),
+                profile=name,
+                block_count=block_count,
+                step=step,
+                seed=seed,
+                requirement=requirement,
+                engine=engine,
+            )
+            for requirement in requirements
+        },
+        cache,
+    )

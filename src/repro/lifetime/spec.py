@@ -216,6 +216,8 @@ class LifetimeSpec(SpecBase):
             raise ConfigError("block count and step must be positive")
         if self.max_pec <= 0:
             raise ConfigError("max_pec must be positive")
+        if self.requirement is not None and self.requirement <= 0:
+            raise ConfigError("requirement must be positive")
         if not 0.0 <= float(self.mispredict_rate) <= 1.0:
             raise ConfigError("mispredict_rate must be within [0, 1]")
         if self.engine not in ENGINES:
@@ -279,8 +281,8 @@ def load_lifetime_file(path: Union[str, Path]) -> LifetimeSpec:
     """Load a lifetime spec from a JSON file.
 
     Accepts either a bare spec object or the campaign wrapper
-    ``{"campaign": {...}}`` (so one file feeds both ``compare --spec``
-    and ``campaign run --spec-file``); the family, when present, must
+    ``{"campaign": {...}}`` (so one file feeds both ``compare
+    --spec-file`` and ``campaign run --spec-file``); the family, when present, must
     be ``lifetime``.
     """
     return LifetimeSpec.from_dict(read_spec_file(path, "campaign"))

@@ -31,6 +31,7 @@ from repro.erase.iispe import IntelligentIspeScheme
 from repro.erase.ispe import BaselineIspeScheme
 from repro.erase.mispe import MIspeScheme
 from repro.erase.scheme import EraseScheme
+from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES
 from repro.nand.chip_types import ChipProfile
 from repro.nand.rber import RberModel
@@ -91,6 +92,10 @@ def _build_aero(
     mispredict_rate: float,
     rber_requirement: Optional[int],
 ) -> EraseScheme:
+    if rber_requirement is not None and rber_requirement <= 0:
+        raise ConfigError(
+            f"rber_requirement must be positive, got {rber_requirement}"
+        )
     conservative = published_conservative_table(profile)
     aggressive_table = None
     if aggressive:

@@ -31,6 +31,22 @@ def test_config_validation(profile):
         AeroEraseScheme(profile, shallow_pulses=7)
 
 
+@pytest.mark.parametrize("key", ["aero", "aero_cons"])
+def test_rber_requirement_must_be_positive(profile, key):
+    from repro.experiments import ExperimentSpec
+    from repro.schemes import make_scheme
+
+    for requirement in (0, -3):
+        with pytest.raises(ConfigError, match="rber_requirement must be"):
+            make_scheme(profile, key, rber_requirement=requirement)
+    make_scheme(profile, key, rber_requirement=40)
+    # Valid specs keep their fingerprints (computed before the check).
+    spec = ExperimentSpec(scheme="aero", scheme_params={"rber_requirement": 40})
+    assert spec.fingerprint == (
+        "368e07e526bfa901de6e5b65c7ae41b52aa33060c6941f8b40191bc3b74b7ff3"
+    )
+
+
 def test_shallow_erasure_on_fresh_block(aero_cons, profile, rng):
     """Single-loop erase optimized via the 1 ms probe (Figure 6b)."""
     block = make_block(profile, age_kilocycles=0.1)

@@ -32,6 +32,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.errors import ConfigError
+from repro.experiments import ExperimentSpec
 from repro.harness import (
     CACHE_VERSION,
     GridRunner,
@@ -374,9 +375,17 @@ def test_campaign_jobs_match_grid_runner_plan():
 
 
 def test_campaign_experiments_resolve_to_same_jobs():
-    jobs = SPEC.jobs()
-    resolved = [spec.resolve() for spec in SPEC.experiments()]
-    assert resolved == jobs
+    # `run` of one cell and a campaign of the same shape share jobs.
+    resolved = [
+        ExperimentSpec(
+            scheme=scheme, pec=pec, workload=workload,
+            requests=SPEC.requests, seed=SPEC.seed,
+        ).resolve()
+        for pec in SPEC.pec_points
+        for workload in SPEC.workloads
+        for scheme in SPEC.schemes
+    ]
+    assert resolved == SPEC.jobs()
 
 
 def test_campaign_spec_json_round_trip(tmp_path):
@@ -631,11 +640,12 @@ def test_campaign_progress_reports(tmp_path):
 
 def test_campaign_status_without_executing(tmp_path):
     orchestrator = CampaignOrchestrator(SPEC, tmp_path)
-    status = orchestrator.status()
-    assert status.total == SPEC.size
-    assert status.done == 0
+    status = orchestrator.family_status()
+    assert status == {"cell": {"total": SPEC.size, "done": 0}}
     run_campaign(SPEC, tmp_path)
-    assert CampaignOrchestrator(SPEC, tmp_path).status().done == SPEC.size
+    assert CampaignOrchestrator(SPEC, tmp_path).family_status() == {
+        "cell": {"total": SPEC.size, "done": SPEC.size}
+    }
 
 
 def test_worker_exception_propagates(tmp_path):

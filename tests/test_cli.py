@@ -10,8 +10,9 @@ import time
 import pytest
 
 from repro.campaign import ShardedResultStore
+from repro.campaign.orchestrator import format_duration
 from repro.experiments import ExperimentSpec
-from repro.experiments.cli import _format_age, _parse_age, main
+from repro.experiments.cli import _parse_age, main
 from repro.harness.cache import CACHE_VERSION
 
 RUN_ARGS = [
@@ -37,13 +38,22 @@ def test_run_executes_then_caches(warm_cache, capsys):
     assert "cells executed: 0" in out
 
 
-def test_cache_dir_is_a_second_spelling_of_store(tmp_path, capsys):
-    store = str(tmp_path / "store")
-    assert main(RUN_ARGS + ["--cache-dir", store]) == 0
-    assert "cells executed: 1" in capsys.readouterr().out
-    assert main(RUN_ARGS + ["--store", store]) == 0
-    assert "served from cache: 1" in capsys.readouterr().out
-    assert ShardedResultStore(store).stats().keys == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        RUN_ARGS + ["--cache-dir", "unused"],
+        ["campaign", "run", "--store", "unused", "--process-workers", "2"],
+        ["compare", "--spec", "unused.json"],
+        ["run", "--spec", "unused.json"],  # a prefix of --spec-file
+    ],
+)
+def test_every_option_has_one_spelling(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cache_ls_sees_the_entry(warm_cache, capsys):
@@ -128,7 +138,7 @@ def test_spec_flag_at_its_default_value_conflicts(tmp_path, capsys, argv,
 @pytest.mark.parametrize(
     "argv, data, field",
     [
-        (["compare", "--spec"], {"block_count": "many"}, "block_count"),
+        (["compare", "--spec-file"], {"block_count": "many"}, "block_count"),
         (["run", "--spec-file"], {"scheme": "aero", "pec": "high"}, "pec"),
         (["campaign", "run", "--store", "s", "--spec-file"],
          {"requests": "10"}, "requests"),
@@ -136,7 +146,7 @@ def test_spec_flag_at_its_default_value_conflicts(tmp_path, capsys, argv,
          {"family": "mixed", "members": [
              {"family": "lifetime", "mispredict_rate": "x"}]},
          "mispredict_rate"),
-        (["compare", "--spec"], {"schemes": "aero"}, "schemes"),
+        (["compare", "--spec-file"], {"schemes": "aero"}, "schemes"),
     ],
 )
 def test_wrongly_typed_spec_field_exits_2(tmp_path, capsys, monkeypatch,
@@ -217,6 +227,48 @@ def test_grid_without_literal_baseline_scheme(tmp_path, capsys):
 def test_grid_rejects_empty_axis(capsys):
     assert main(["grid", "--schemes", ","]) == 2
     assert "at least one of schemes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("percentile", ["150", "-1", "nan", "p99"])
+def test_grid_rejects_a_percentile_outside_0_100_before_any_cell(
+    tmp_path, capsys, percentile
+):
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["grid", "--schemes", "baseline", "--pecs", "500",
+              "--workloads", "hm", "--requests", "80",
+              "--percentile", percentile, "--store", str(store)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "percentile must be a number within [0, 100]" in captured.err
+    assert captured.out == ""
+    assert not store.exists()  # no store opened, so no cell ran
+
+
+def test_spec_commands_print_one_footer(tmp_path, capsys):
+    store = str(tmp_path / "store")
+    commands = [
+        (RUN_ARGS, "cells", 1),
+        (["grid", "--schemes", "baseline,aero", "--pecs", "500",
+          "--workloads", "hm", "--requests", "80", "--seed", "7"], "cells", 2),
+        (["compare", "--schemes", "baseline,aero", "--blocks", "4",
+          "--step", "500", "--max-pec", "2000"], "curves", 2),
+    ]
+    for argv, noun, count in commands:
+        for executed, cached in ((count, 0), (0, count)):  # fresh, warm
+            assert main(argv + ["--store", store]) == 0
+            [footer] = [
+                line for line in capsys.readouterr().out.splitlines()
+                if "served from cache" in line
+            ]
+            assert footer == (
+                f"  {noun} executed: {executed}, served from cache: {cached}"
+            ), argv
+    # compare prints the footer without a store too.
+    assert main(commands[2][0]) == 0
+    assert "  curves executed: 2, served from cache: 0" in (
+        capsys.readouterr().out.splitlines()
+    )
 
 
 def test_compare_smoke(capsys):
@@ -347,10 +399,11 @@ def test_parse_age_units():
 
 
 def test_format_age_units():
-    assert _format_age(30) == "30s"
-    assert _format_age(90) == "1.5m"
-    assert _format_age(7200) == "2.0h"
-    assert _format_age(2 * 86400) == "2.0d"
+    # One formatter serves store-entry ages and campaign ETAs.
+    assert format_duration(30) == "30s"
+    assert format_duration(90) == "1.5m"
+    assert format_duration(7200) == "2.0h"
+    assert format_duration(2 * 86400) == "2.0d"
 
 
 def test_python_dash_m_entry_point():
@@ -437,14 +490,17 @@ def test_campaign_spec_file_rejects_conflicting_flags(tmp_path, capsys):
 
 def test_campaign_fail_after_then_resume(tmp_path, capsys):
     store = str(tmp_path / "store")
-    with pytest.raises(RuntimeError, match="injected failure"):
-        main(CAMPAIGN_ARGS + ["--store", store, "--fail-after", "1",
-                              "--quiet"])
-    capsys.readouterr()
+    # The injected crash exits 2 with one error line, like compare's.
+    assert main(CAMPAIGN_ARGS + ["--store", store, "--fail-after", "1",
+                                 "--quiet"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: injected failure after 1 cells"
     assert main(CAMPAIGN_ARGS + ["--store", store]) == 0
     out = capsys.readouterr().out
     assert "resumed 1" in out
     assert "executed 1" in out
+    assert main(CAMPAIGN_ARGS + ["--store", store, "--fail-after", "0"]) == 2
+    assert "--fail-after must be >= 1" in capsys.readouterr().err
 
 
 def test_campaign_compact_reports(tmp_path, capsys):

@@ -15,7 +15,6 @@ from repro.harness import (
     CellJob,
     GridRunner,
     cell_fingerprint,
-    run_grid,
     run_workload_cell,
 )
 from repro.config import SsdSpec
@@ -171,9 +170,9 @@ def test_cache_ignores_corrupt_entries(tmp_path, damage_row):
 
 
 def test_cached_grid_equals_uncached_grid(tmp_path):
-    plain = run_grid(**GRID_KWARGS)
-    cached = run_grid(**GRID_KWARGS, cache=tmp_path)
-    reloaded = run_grid(**GRID_KWARGS, cache=tmp_path)
+    plain = GridRunner().run(**GRID_KWARGS)
+    cached = GridRunner(cache=tmp_path).run(**GRID_KWARGS)
+    reloaded = GridRunner(cache=tmp_path).run(**GRID_KWARGS)
     assert plain == cached == reloaded
 
 

@@ -12,11 +12,10 @@ from repro.experiments import (
     SCHEMES,
     WORKLOADS,
     load_spec_file,
-    run_experiments,
 )
 from repro.experiments.registry import Registry, SchemeRegistry
 from repro.config import SsdSpec
-from repro.harness.runner import GridRunner
+from repro.harness.runner import GridRunner, grid_from_jobs
 from repro.lifetime import LifetimeSpec
 from repro.nand.chip_types import TLC_3D_48L
 from repro.schemes import ALL_SCHEME_KEYS, SCHEME_KEYS, make_scheme
@@ -364,37 +363,36 @@ def test_builder_unknown_scheme_attr():
 
 
 def test_run_experiments_executes_and_caches(tmp_path):
+    # A batch of specs is their resolved jobs through one GridRunner.
     specs = [
         ExperimentSpec(scheme=scheme, pec=500, workload="hm",
                        requests=150, seed=9)
         for scheme in ("baseline", "aero")
     ]
-    first = run_experiments(specs, cache=tmp_path)
-    assert first.stats.executed == 2 and first.stats.cached == 0
-    assert len(first.reports) == 2
-    second = run_experiments(specs, cache=tmp_path)
-    assert second.stats.executed == 0 and second.stats.cached == 2
+    jobs = [spec.resolve() for spec in specs]
+    runner = GridRunner(cache=tmp_path)
+    first = runner.execute_jobs(jobs)
+    assert runner.stats.executed == 2 and runner.stats.cached == 0
+    assert len(first) == 2
+    second = runner.execute_jobs(jobs)
+    assert runner.stats.executed == 0 and runner.stats.cached == 2
     # Cached replay is bit-identical.
-    for a, b in zip(first.reports, second.reports):
+    for a, b in zip(first, second):
         assert a.reads.mean_us == b.reads.mean_us
         assert a.makespan_us == b.makespan_us
     # The grid view indexes the same reports.
-    assert first.grid.report("aero", 500, "hm") is first.reports[1]
+    assert grid_from_jobs(jobs, first).report("aero", 500, "hm") is first[1]
 
 
 def test_run_experiments_shares_cache_with_grid_runner(tmp_path):
+    # A `run` cell (ExperimentSpec.run) and a grid cell share one entry.
     spec = ExperimentSpec(scheme="baseline", pec=500, workload="hm",
                           requests=150, seed=9)
-    run_experiments([spec], cache=tmp_path)
+    spec.run(cache=tmp_path)
     runner = GridRunner(cache=tmp_path)
     runner.run(schemes=("baseline",), pec_points=(500,), workloads=("hm",),
                requests=150, seed=9)
     assert runner.stats.cached == 1 and runner.stats.executed == 0
-
-
-def test_run_experiments_rejects_empty():
-    with pytest.raises(ConfigError):
-        run_experiments([])
 
 
 def test_spec_run_convenience(tmp_path):

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.harness import EvaluationGrid, GridCell, run_grid, run_workload_cell
+from repro.harness import EvaluationGrid, GridCell, GridRunner, run_workload_cell
 
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return run_grid(
+    return GridRunner().run(
         schemes=("baseline", "aero"),
         pec_points=(500,),
         workloads=("hm",),

@@ -26,6 +26,8 @@ from repro.lifetime import (
     SchemeComparison,
     compare_schemes,
     load_lifetime_file,
+    misprediction_sensitivity,
+    requirement_sensitivity,
 )
 from repro.nand.chip_types import profile_by_name
 
@@ -175,14 +177,39 @@ def test_flag_and_spec_paths_share_cache_entries(tmp_path):
     assert runner.stats.cached == len(SPEC.schemes)
 
 
-def test_adhoc_profile_cannot_cache():
+def test_adhoc_profile_cannot_cache(tmp_path, monkeypatch):
+    # An ad-hoc profile has no stable fingerprint: the lifetime façades
+    # refuse it, with or without a store, before opening one.
     import dataclasses
 
+    monkeypatch.chdir(tmp_path)
     adhoc = dataclasses.replace(
         profile_by_name(SPEC.profile), name="tweaked"
     )
-    with pytest.raises(ConfigError, match="built-in"):
-        compare_schemes(adhoc, scheme_keys=("baseline",), cache="x")
+    calls = [
+        lambda **kw: compare_schemes(adhoc, scheme_keys=("baseline",), **kw),
+        lambda **kw: misprediction_sensitivity(adhoc, rates=(0.1,), **kw),
+        lambda **kw: requirement_sensitivity(adhoc, requirements=(40,),
+                                             **kw),
+    ]
+    for call in calls:
+        for options in ({}, {"cache": "x"}):
+            with pytest.raises(ConfigError, match="built-in.*Simulator"):
+                call(**options)
+    assert not (tmp_path / "x").exists()
+
+
+def test_lifetime_spec_rejects_a_non_positive_requirement():
+    for requirement in (0, -5):
+        with pytest.raises(ConfigError, match="requirement must be positive"):
+            LifetimeSpec(requirement=requirement)
+    # Valid specs keep their fingerprints (computed before the check).
+    spec = LifetimeSpec(schemes=("baseline", "aero"), requirement=40,
+                        block_count=8)
+    assert spec.fingerprints() == [
+        "2761b72fdc483c0a9dfc193213e0fbaf4fde7d7d1295082753546ccb9782d190",
+        "4c5185528d9a672819fc406c806acece8c86f37eef0644eef81a4db502d83062",
+    ]
 
 
 # --- mixed-family campaigns --------------------------------------------------
