@@ -213,6 +213,19 @@ def write_artifact(payload: Dict[str, object], path: str) -> None:
     )
 
 
+def _count(text: str) -> int:
+    """Parse a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the bench flags (shared by the CLI and the script)."""
     defaults = BenchConfig()
@@ -228,10 +241,10 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                         help=f"blocks per scheme set (default: {defaults.blocks})")
     parser.add_argument("--step", type=int, default=None)
     parser.add_argument("--max-pec", type=int, default=None)
-    parser.add_argument("--repeats", type=int, default=None,
+    parser.add_argument("--repeats", type=_count, default=None,
                         help="timed repetitions per measurement (median wins)")
-    parser.add_argument("--grid-requests", type=int, default=None)
-    parser.add_argument("--grid-repeats", type=int, default=None,
+    parser.add_argument("--grid-requests", type=_count, default=None)
+    parser.add_argument("--grid-repeats", type=_count, default=None,
                         help="interleaved object/kernel repetitions per "
                              "engine for the grid cell (median wins)")
     parser.add_argument("--seed", type=int, default=defaults.seed)

@@ -7,6 +7,26 @@ pure function of its arguments — the same arguments always produce the
 same :class:`~repro.ssd.metrics.PerfReport` — which is what makes grid
 cells safe to cache on disk and to fan out across worker processes.
 
+A grid point's cells share their scheme-independent setup. Every
+scheme of one (PEC, workload) point replays the same trace on the same
+drive (the grid derives one seed per point), and the canonical
+pec -> workload -> scheme order runs a point's cells back to back. So
+consecutive cells share, through one-entry module-level memos, the
+trace (``_TRACE`` below, keyed by profile, footprint bytes, derived
+seed and request count), the drive's per-block process-variation draws
+(:class:`~repro.nand.erase_model.BlockEraseModel`) and, on the kernel
+engine, the preconditioned FTL layout
+(:func:`~repro.kernels.cell.precondition_kernel`, which then replays
+only this scheme's erases). This is safe because each share is a pure
+function of its key: the key holds every input of the step it
+memoises, so a hit returns exactly what a miss would compute, and no
+report depends on cell order, process or which cell ran first. Each
+cell still builds its own drive, FTL, scheme and RNG streams. The
+memos live at module level because no caller-owned object spans a
+point's cells (a ``GridRunner.run`` per cell, pickled jobs on process
+workers); each is one tuple, read once and replaced whole, so they need
+no lock: a thread that loses a race only misses a share.
+
 Scheme keys and workload abbreviations resolve through the plugin
 registries (:data:`repro.experiments.SCHEMES` /
 :data:`repro.experiments.WORKLOADS`), so registered third-party
@@ -15,7 +35,7 @@ schemes and workloads run through the same cell path as the built-ins.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.config import SsdSpec
 from repro.errors import ConfigError
@@ -27,12 +47,17 @@ from repro.ssd.metrics import PerfReport
 from repro.telemetry.instruments import kernel_metrics
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.synthetic import SyntheticTraceGenerator
+from repro.workloads.trace import Trace
 
 #: The paper's evaluation PEC setpoints (Figure 14).
 PAPER_PEC_POINTS = (500, 2500, 4500)
 
 #: The paper's comparison schemes, in presentation order.
 PAPER_SCHEMES = ("baseline", "iispe", "dpes", "aero_cons", "aero")
+
+#: The last synthesised trace, as one ``((profile, footprint bytes,
+#: derived seed, requests), trace)`` tuple. Neither replay mutates it.
+_TRACE: Tuple[Optional[tuple], Optional[Trace]] = (None, None)
 
 
 def run_workload_cell(
@@ -61,6 +86,7 @@ def run_workload_cell(
     replay (identical report, pinned by tests), and ``auto`` picks the
     kernel whenever the built SSD supports it.
     """
+    global _TRACE
     if engine not in ENGINES:
         raise ConfigError(
             f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}"
@@ -95,12 +121,15 @@ def run_workload_cell(
         lean = precondition_kernel(ssd, footprint_pages, write_back=False)
     else:
         ssd.precondition(footprint_pages=footprint_pages)
-    generator = SyntheticTraceGenerator(
-        workload,
-        footprint_bytes=int(spec.logical_bytes * footprint_fraction),
-        seed=derive(seed, "trace", workload.abbr, pec),
-    )
-    trace = generator.generate(requests)
+    footprint_bytes = int(spec.logical_bytes * footprint_fraction)
+    trace_seed = derive(seed, "trace", workload.abbr, pec)
+    trace_key = (workload, footprint_bytes, trace_seed, requests)
+    cached_key, trace = _TRACE
+    if cached_key != trace_key:
+        trace = SyntheticTraceGenerator(
+            workload, footprint_bytes=footprint_bytes, seed=trace_seed
+        ).generate(requests)
+        _TRACE = (trace_key, trace)
     kernel_metrics().engine_cells.labels(
         site="cell", engine="kernel" if use_kernel else "object"
     ).inc()

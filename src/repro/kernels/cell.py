@@ -44,6 +44,12 @@ How identity is preserved:
   allocators, leaving the drive exactly as the object path would.
   :func:`~repro.harness.cells.run_workload_cell` drops its drive on
   return and passes ``write_back=False`` to both.
+* **Shared preconditioning layout** — the fill's page placement and
+  GC choices do not depend on the scheme, so ``precondition_kernel``
+  keeps the last fresh drive's lean layout and the next fresh drive
+  with the same starting state copies it and replays only the recorded
+  erases through its own ``ftl._erase_block``, in order (see its
+  docstring).
 
 ``kernel_replay_supported`` gates the fast path to configurations whose
 FTL bookkeeping the kernel replicates exactly (the two built-in FTL
@@ -55,7 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.erase.scheme import EraseScheme
 from repro.errors import MappingError, OutOfSpaceError, SimulationError
@@ -203,25 +209,33 @@ class _LeanFtl:
     ``collect_one``, ``flush`` the bulk GC counters into ``FtlStats``
     before they return, and call ``restore`` (only with
     ``write_back=True``) to put the real page states, mapping table and
-    allocators back.
+    allocators back. ``collect_one`` logs each erase's ``(block, write
+    pointer)`` in ``erased``.
     """
 
     __slots__ = (
         "planes", "lmap", "blk_obj", "blk_wp", "blk_valid", "blk_lpns",
-        "page_count", "low_wm", "high_wm", "program_scale", "collect_one",
-        "flush", "restore",
+        "blk_pec", "erased", "page_count", "low_wm", "high_wm",
+        "program_scale", "collect_one", "flush", "restore",
     )
+
+
+def _add_gc_counts(ftl, moves, wl_moves, jobs, interventions) -> None:
+    """Add bulk GC counters to the FTL's stats and wear leveler."""
+    stats = ftl.stats
+    stats.gc_page_moves += moves
+    stats.wear_leveling_moves += wl_moves
+    stats.gc_jobs += jobs
+    ftl.leveler.interventions += interventions
 
 
 def _lean_ftl(ftl) -> _LeanFtl:
     spec = ftl.spec
-    stats = ftl.stats
     scheme = ftl.scheme
     page_count = spec.geometry.pages_per_block
     low_wm = spec.gc.low_watermark
     high_wm = spec.gc.high_watermark
-    leveler = ftl.leveler
-    wl_gap = leveler.pec_gap_threshold
+    wl_gap = ftl.leveler.pec_gap_threshold
     wl_cold = wl_gap // 4
     erase_block = ftl._erase_block
 
@@ -231,6 +245,7 @@ def _lean_ftl(ftl) -> _LeanFtl:
     blk_lpns: List[List[Optional[int]]] = []
     blk_num: List[int] = []
     blk_pec: List[int] = []
+    erased: List[Tuple[int, int]] = []
     planes: List[_Plane] = []
     addr_to_idx = {}
     id_to_idx = {}
@@ -379,6 +394,7 @@ def _lean_ftl(ftl) -> _LeanFtl:
         # pages up to it).
         block = blk_obj[victim]
         block.write_pointer = wp
+        erased.append((victim, wp))
         result = erase_block(block)
         old_pec = blk_pec[victim]
         new_pec = block.wear.pec
@@ -395,13 +411,13 @@ def _lean_ftl(ftl) -> _LeanFtl:
         return moves, [segment.duration_us for segment in result.segments]
 
     def flush():
-        """Add the GC counters gathered since the last flush to the stats."""
+        """Add the GC counters gathered since the last flush to the
+        stats; returns them."""
         nonlocal n_gc_moves, n_wl_moves, n_gc_jobs, n_interventions
-        stats.gc_page_moves += n_gc_moves
-        stats.wear_leveling_moves += n_wl_moves
-        stats.gc_jobs += n_gc_jobs
-        leveler.interventions += n_interventions
+        counts = (n_gc_moves, n_wl_moves, n_gc_jobs, n_interventions)
+        _add_gc_counts(ftl, *counts)
         n_gc_moves = n_wl_moves = n_gc_jobs = n_interventions = 0
+        return counts
 
     def restore():
         """Write page states, mapping and allocators back to the drive."""
@@ -446,6 +462,8 @@ def _lean_ftl(ftl) -> _LeanFtl:
     lean.blk_wp = blk_wp
     lean.blk_valid = blk_valid
     lean.blk_lpns = blk_lpns
+    lean.blk_pec = blk_pec
+    lean.erased = erased
     lean.page_count = page_count
     lean.low_wm = low_wm
     lean.high_wm = high_wm
@@ -479,40 +497,87 @@ def kernel_replay_supported(ssd) -> bool:
     return True
 
 
-def precondition_kernel(
-    ssd,
-    footprint_pages: Optional[int] = None,
-    overwrite_fraction: float = 0.6,
-    write_back: bool = True,
-) -> _LeanFtl:
-    """Lean twin of :meth:`Ssd.precondition` (identical end state).
+#: The last fresh drive's preconditioned layout, as one ``(key,
+#: layout)`` tuple (see :func:`precondition_kernel`).
+_LAYOUT: Tuple[Optional[tuple], Optional["_Layout"]] = (None, None)
 
-    Same write sequence, same GC decisions, same real erases (and
-    therefore the same ``ftl.rng``/wear stream) as the object path —
-    only the per-page bookkeeping is lean.
 
-    Returns the lean FTL state. The bulk ``FtlStats`` counters are
-    always flushed. With ``write_back=False`` the real page states,
-    mapping and allocators are left stale and the caller must hand the
-    returned state to :func:`run_trace_kernel` (via ``lean``) — saving
-    one restore/re-snapshot round trip when the two kernels run back to
-    back.
-    """
-    ftl = ssd.ftl
-    spec = ssd.spec
-    if footprint_pages is None:
-        footprint_pages = spec.logical_pages
-    if footprint_pages > spec.logical_pages:
-        raise MappingError("footprint exceeds the logical space")
-    lean = _lean_ftl(ftl)
-    # The sequential fill, then the random overwrites. The overwrite
-    # draw has its own stream, so drawing it before the fill's erases
-    # changes nothing.
-    lpns = list(range(footprint_pages))
-    overwrites = int(footprint_pages * overwrite_fraction)
-    if overwrites:
-        rng = derive_rng(spec.seed, "precondition")
-        lpns += rng.integers(0, footprint_pages, size=overwrites).tolist()
+class _Layout:
+    """A fresh drive's lean state after the preconditioning fill, plus
+    the ``(block, write pointer)`` of each of the fill's erases, in
+    order, and the bulk GC counters the fill added."""
+
+    __slots__ = (
+        "wp", "valid", "lpns", "pec", "lmap", "planes", "counts", "erased",
+    )
+
+    def __init__(self, lean: _LeanFtl, counts: Tuple[int, int, int, int]):
+        self.wp = tuple(lean.blk_wp)
+        self.valid = tuple(lean.blk_valid)
+        self.lpns = tuple(map(tuple, lean.blk_lpns))
+        self.pec = list(lean.blk_pec)
+        self.lmap = dict(lean.lmap)
+        self.planes = tuple(
+            (
+                tuple(plane.free), plane.active_host, plane.active_gc,
+                plane.pec_min, plane.pec_max,
+            )
+            for plane in lean.planes
+        )
+        self.counts = counts
+        self.erased = tuple(lean.erased)
+
+    def load(self, lean: _LeanFtl, ftl) -> None:
+        """Copy the layout into a fresh drive's ``lean`` snapshot, replay
+        the recorded erases on its blocks through ``ftl._erase_block``
+        and add the fill's GC counters to ``ftl``."""
+        lean.blk_wp[:] = self.wp
+        lean.blk_valid[:] = self.valid
+        lean.blk_lpns[:] = map(list, self.lpns)
+        lean.blk_pec[:] = self.pec
+        lean.lmap.update(self.lmap)
+        for plane, (free, host, gc_active, pec_min, pec_max) in zip(
+            lean.planes, self.planes
+        ):
+            plane.free = deque(free)
+            plane.free_set = set(free)
+            plane.active_host = host
+            plane.active_gc = gc_active
+            plane.pec_min = pec_min
+            plane.pec_max = pec_max
+        blk_obj = lean.blk_obj
+        erase_block = ftl._erase_block
+        for victim, wp in self.erased:
+            block = blk_obj[victim]
+            block.write_pointer = wp
+            erase_block(block)
+        if [block.wear.pec for block in blk_obj] != self.pec:
+            raise SimulationError(
+                "shared preconditioning layout: this drive's erases left "
+                "other P/E counts than the recorded fill"
+            )
+        _add_gc_counts(ftl, *self.counts)
+
+
+def _layout_key(
+    lean: _LeanFtl, ftl, footprint_pages: int, overwrite_fraction: float
+) -> Optional[tuple]:
+    """What a fresh drive's fill depends on, or None if the drive holds
+    data (a mapped page or a non-zero write pointer)."""
+    if lean.lmap or any(lean.blk_wp):
+        return None
+    return (
+        ftl.spec, footprint_pages, overwrite_fraction,
+        ftl.leveler.pec_gap_threshold, tuple(lean.blk_pec),
+        tuple(
+            (tuple(plane.free), plane.active_host, plane.active_gc)
+            for plane in lean.planes
+        ),
+    )
+
+
+def _fill(lean: _LeanFtl, lpns: List[int]) -> None:
+    """Write ``lpns`` in order, collecting garbage as the FTL would."""
     planes = lean.planes
     nplanes = len(planes)
     lmap = lean.lmap
@@ -543,8 +608,73 @@ def precondition_kernel(
         while len(free) < low_wm:
             if collect_one(plane) is None or len(free) >= high_wm:
                 break
-    ftl.stats.host_writes += len(lpns)
-    lean.flush()
+
+
+def precondition_kernel(
+    ssd,
+    footprint_pages: Optional[int] = None,
+    overwrite_fraction: float = 0.6,
+    write_back: bool = True,
+) -> _LeanFtl:
+    """Lean twin of :meth:`Ssd.precondition` (identical end state).
+
+    Same write sequence, same GC decisions, same real erases (and
+    therefore the same ``ftl.rng``/wear stream) as the object path —
+    only the per-page bookkeeping is lean.
+
+    Returns the lean FTL state. The bulk ``FtlStats`` counters are
+    always flushed. With ``write_back=False`` the real page states,
+    mapping and allocators are left stale and the caller must hand the
+    returned state to :func:`run_trace_kernel` (via ``lean``) — saving
+    one restore/re-snapshot round trip when the two kernels run back to
+    back.
+
+    **Layout share.** Where each page lands, which blocks GC picks and
+    in what order do not depend on the erase scheme: the fill's writes,
+    the greedy and wear-leveling victim choices and every erase's +1
+    P/E cycle (``EraseScheme.erase`` accounts one cycle per erase) are
+    the same for every scheme, and only the erases' physics (latency,
+    pulses, wear age, ``ftl.rng`` draws) differs. So
+    the lean layout a fresh drive ends with is a pure function of its
+    starting FTL state (free-block order, open blocks, P/E counts), the
+    spec, the wear-leveling gap and the fill parameters. The last one
+    is kept in one module-level ``(key, layout)`` memo; the next fresh
+    drive with the same key — the next scheme of the same grid point —
+    copies the layout instead of refilling, replays the recorded erases
+    on its own blocks through ``ftl._erase_block`` in the recorded
+    order with the recorded write pointers (so its erase physics, RNG
+    stream, wear and erase statistics are what a refill would give), and
+    raises :class:`SimulationError` if any block's P/E count then
+    differs from the recording. A drive that already holds data (a
+    mapped page or a non-zero write pointer) neither reads nor replaces
+    the memo. :meth:`Ssd.precondition` keeps no such share.
+    """
+    global _LAYOUT
+    ftl = ssd.ftl
+    spec = ssd.spec
+    if footprint_pages is None:
+        footprint_pages = spec.logical_pages
+    if footprint_pages > spec.logical_pages:
+        raise MappingError("footprint exceeds the logical space")
+    lean = _lean_ftl(ftl)
+    overwrites = int(footprint_pages * overwrite_fraction)
+    key = _layout_key(lean, ftl, footprint_pages, overwrite_fraction)
+    cached_key, layout = _LAYOUT
+    if key is not None and key == cached_key:
+        layout.load(lean, ftl)
+    else:
+        # The sequential fill, then the random overwrites. The overwrite
+        # draw has its own stream, so drawing it before the fill's
+        # erases changes nothing.
+        lpns = list(range(footprint_pages))
+        if overwrites:
+            rng = derive_rng(spec.seed, "precondition")
+            lpns += rng.integers(0, footprint_pages, size=overwrites).tolist()
+        _fill(lean, lpns)
+        counts = lean.flush()
+        if key is not None:
+            _LAYOUT = (key, _Layout(lean, counts))
+    ftl.stats.host_writes += footprint_pages + overwrites
     if write_back:
         lean.restore()
     return lean

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.errors import EraseSchemeError
 from repro.nand.chip_types import ChipProfile
-from repro.rng import derive_rng, truncated_normal
+from repro.rng import derive, derive_rng, make_rng, truncated_normal
 
 #: Fraction of wear-age accumulation attributed to erase stress
 #: (Hong et al. [11]: erase accounts for ~80 % of cell stress).
@@ -243,6 +243,13 @@ def _skip_stress(profile: ChipProfile) -> float:
     return profile.wear.skip_stress_factor if profile.is_3d else 0.1
 
 
+#: The last ``(profile, seed)`` pair's per-block draws, as one
+#: ``((profile, seed), {str(keys): (base, rate, jitter_seed)})`` tuple.
+_DRAWS: Tuple[tuple, Dict[Tuple[str, ...], Tuple[float, float, int]]] = (
+    (None, None), {},
+)
+
+
 class BlockEraseModel:
     """Static per-block erase characteristics (process variation draw).
 
@@ -250,19 +257,47 @@ class BlockEraseModel:
     block's identity (chip id, block id) and the campaign seed fully
     determine its parameters, so experiments are reproducible and
     block populations are stable under resampling.
+
+    The draws are a pure function of ``(profile, seed, keys)``, and the
+    same blocks are built again and again: every scheme cell of a grid
+    point builds the same drive, and the characterization platform
+    clones the same test blocks. So the models of the last ``(profile,
+    seed)`` pair share one table of ``base``/``rate`` draws and derived
+    jitter seeds, filled by the first model of each block; a new pair
+    replaces the table (lifetime block sets, one seed per block, never
+    hit). Each model still gets its own fresh jitter generator, so
+    every jitter stream stays per model and independent.
     """
 
     def __init__(self, profile: ChipProfile, seed: int, *keys: object):
+        global _DRAWS
         self.profile = profile
-        rng = derive_rng(seed, "erase-model", *keys)
-        work = profile.erase_work
-        self.base = truncated_normal(
-            rng, work.base_mean, work.base_std, work.base_low, work.base_high
-        )
-        self.rate = truncated_normal(
-            rng, work.rate_mean, work.rate_std, work.rate_low, work.rate_high
-        )
-        self._jitter_rng = derive_rng(seed, "erase-jitter", *keys)
+        memo_key, draws = _DRAWS
+        if memo_key[0] is not profile or memo_key[1] != seed:
+            if memo_key != (profile, seed):
+                draws = {}
+            # An equal profile object (one unpickled on a worker) keeps
+            # the table, and the rest of the drive compares by identity.
+            _DRAWS = ((profile, seed), draws)
+        # derive() hashes each key's str(), so that is the table key.
+        names = tuple(map(str, keys))
+        entry = draws.get(names)
+        if entry is None:
+            rng = derive_rng(seed, "erase-model", *keys)
+            work = profile.erase_work
+            base = truncated_normal(
+                rng, work.base_mean, work.base_std, work.base_low,
+                work.base_high,
+            )
+            rate = truncated_normal(
+                rng, work.rate_mean, work.rate_std, work.rate_low,
+                work.rate_high,
+            )
+            entry = draws[names] = (
+                base, rate, derive(seed, "erase-jitter", *keys),
+            )
+        self.base, self.rate, jitter_seed = entry
+        self._jitter_rng = make_rng(jitter_seed)
 
     # --- required work ---------------------------------------------------------
 

@@ -5,9 +5,10 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import repro.kernels.cell as kernel_cell
 from repro.campaign import ShardedResultStore
 from repro.config import GcSpec, SsdSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.experiments.registry import SCHEMES, WORKLOADS
 from repro.harness.cache import CACHE_VERSION
 from repro.harness.cells import PAPER_SCHEMES, run_workload_cell
@@ -216,6 +217,59 @@ def test_kernel_matches_object_on_random_configurations(
     assert _drive_state(ker_ssd) == _drive_state(obj_ssd)
     assert ker_ssd.ftl.stats.host_writes == host_writes
     assert ker.extra["waf"] == (host_writes + ker.gc_page_moves) / host_writes
+
+
+def test_shared_precondition_layout_equals_the_object_fill(monkeypatch):
+    """Fresh drives of one point share one recorded fill (each copies
+    the layout and replays its own erases), and a drive that holds data
+    refills without touching the share; each ends equal to the object
+    path's preconditioned drive."""
+    spec = SsdSpec.small_test(seed=21)
+    footprint = int(spec.logical_pages * 0.9)
+    fills = []
+    fill = kernel_cell._fill
+    monkeypatch.setattr(
+        kernel_cell, "_fill", lambda *args: fills.append(1) or fill(*args)
+    )
+
+    def kernel_drive(scheme, ssd=None):
+        ssd = ssd or build_ssd(spec, scheme, pec_setpoint=2500)
+        precondition_kernel(ssd, footprint, write_back=True)
+        return ssd
+
+    def object_drive(scheme, times=1):
+        ssd = build_ssd(spec, scheme, pec_setpoint=2500)
+        for _ in range(times):
+            ssd.precondition(footprint_pages=footprint)
+        return ssd
+
+    def state(ssd):
+        return _drive_state(ssd), ssd.ftl.leveler.interventions
+
+    precondition_kernel(
+        build_ssd(spec, "baseline", pec_setpoint=500), footprint
+    )  # the share now holds another point
+    del fills[:]
+    for scheme in ("baseline", "aero"):
+        assert state(kernel_drive(scheme)) == state(object_drive(scheme))
+    assert len(fills) == 1  # the aero drive copied the baseline layout
+    held = kernel_drive("dpes", ssd=object_drive("dpes"))
+    assert state(held) == state(object_drive("dpes", times=2))
+    assert len(fills) == 2
+    assert state(kernel_drive("iispe")) == state(object_drive("iispe"))
+    assert len(fills) == 2  # the held drive left the share in place
+
+
+def test_shared_precondition_layout_checks_p_e_counts():
+    spec = SsdSpec.small_test(seed=22)
+    footprint = int(spec.logical_pages * 0.9)
+    precondition_kernel(build_ssd(spec, "baseline", pec_setpoint=500), footprint)
+    ssd = build_ssd(spec, "baseline", pec_setpoint=500)
+    erase = ssd.ftl.scheme.erase
+    # An erase that accounts two P/E cycles departs from the recording.
+    ssd.ftl.scheme.erase = lambda block, rng: erase(block, rng, cycles=2)
+    with pytest.raises(SimulationError, match="P/E counts"):
+        precondition_kernel(ssd, footprint)
 
 
 class TestEngineGating:

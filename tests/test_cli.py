@@ -339,6 +339,26 @@ def test_bench_smoke_writes_artifact(tmp_path, capsys):
     assert payload["config"]["smoke"] is True
 
 
+@pytest.mark.parametrize("flag", ["--repeats", "--grid-repeats", "--grid-requests"])
+def test_bench_rejects_a_non_positive_count_before_any_work(
+    tmp_path, capsys, flag
+):
+    artifact = tmp_path / "BENCH_smoke.json"
+    for value in ("0", "-2"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--smoke", "--out", str(artifact), flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        [error] = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert error.endswith(
+            f"argument {flag}: must be a positive integer, got '{value}'"
+        )
+        assert captured.out == ""
+    assert not artifact.exists()
+
+
 def test_cache_gc_prunes_and_reports(tmp_path, capsys):
     store = str(tmp_path)
     for seed in (1, 2):

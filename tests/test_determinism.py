@@ -7,11 +7,17 @@ cell-for-cell, cached report == recomputed report, and a warm store
 replays a campaign without executing anything.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import pytest
 
+import repro.kernels.cell as kernel_cell
 from repro.campaign import ShardedResultStore, open_store
 from repro.harness import (
     CACHE_VERSION,
+    PAPER_SCHEMES,
     CellJob,
     GridRunner,
     cell_fingerprint,
@@ -19,8 +25,13 @@ from repro.harness import (
 )
 from repro.config import SsdSpec
 from repro.errors import ConfigError, PoisonCellError
+from repro.nand.chip_types import TLC_3D_48L
+from repro.nand.erase_model import BlockEraseModel
+from repro.rng import derive
 from repro.ssd.metrics import LatencyRecorder, PerfReport
 from repro.telemetry import parse_text_format, render_text, scoped_registry
+from repro.workloads.profiles import profile_by_abbr
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
 GRID_KWARGS = dict(
     schemes=("baseline", "aero"),
@@ -241,6 +252,149 @@ def test_custom_workload_profile_runs_and_gets_own_cache_key(tmp_path):
     runner.run(workloads=(profile_by_abbr("hm"),), **kwargs)
     assert runner.stats.executed == 0
     assert runner.stats.cached == 1
+
+
+# --- per-point setup shares ---------------------------------------------------
+#
+# Consecutive cells of one (PEC, workload) point share their trace, the
+# drive's process-variation draws and (kernel engine) the preconditioned
+# layout through one-entry memos. None of it may show in a report.
+
+#: Two grid points, each with the seed the grid planner derives for it.
+POINT = (2500, "ali.A", derive(7, "grid", 2500, "ali.A"))
+OTHER = (500, "hm", derive(7, "grid", 500, "hm"))
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls to ``owner.name`` (a miss of the share before it)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _point_cell(scheme, point, engine="auto", **overrides):
+    pec, workload, seed = point
+    kwargs = dict(spec=SsdSpec.small_test(seed=seed), requests=100, seed=seed)
+    kwargs.update(overrides)
+    return run_workload_cell(
+        scheme, pec, workload, engine=engine, **kwargs
+    ).to_json_dict()
+
+
+def test_point_shares_never_show_in_reports(monkeypatch):
+    generated = _counted(monkeypatch, SyntheticTraceGenerator, "generate")
+    fills = _counted(monkeypatch, kernel_cell, "_fill")
+    _point_cell("baseline", OTHER)  # the memos now hold another point
+    del generated[:], fills[:]
+    canonical = [_point_cell(scheme, POINT) for scheme in PAPER_SCHEMES]
+    assert (len(generated), len(fills)) == (1, 1)  # four cells hit
+    alternating = []
+    for scheme in PAPER_SCHEMES:
+        _point_cell(scheme, OTHER)
+        alternating.append(_point_cell(scheme, POINT))
+    assert (len(generated), len(fills)) == (11, 11)  # every lookup missed
+    objects = [
+        _point_cell(scheme, POINT, engine="object") for scheme in PAPER_SCHEMES
+    ]
+    assert canonical == alternating == objects
+    assert len(fills) == 11  # the object path shares no layout
+
+
+def test_trace_share_keys_every_input(monkeypatch):
+    stock = profile_by_abbr("ali.A")
+    spec = SsdSpec.small_test(seed=POINT[2])
+    variants = {
+        "tweaked profile": dict(workload=replace(stock, read_ratio=0.5)),
+        "requests": dict(requests=101),
+        "spec": dict(spec=replace(spec, overprovisioning=0.25)),
+    }
+
+    def cell(workload=stock, **overrides):
+        point = (POINT[0], workload, POINT[2])
+        return _point_cell("aero", point, **overrides)
+
+    generated = _counted(monkeypatch, SyntheticTraceGenerator, "generate")
+    for name, variant in variants.items():
+        _point_cell("baseline", OTHER)
+        first = cell(**variant)
+        stock_report = cell()
+        del generated[:]
+        assert cell(**variant) == first, name
+        assert len(generated) == 1, name  # its own trace, not the stock one
+        assert first != stock_report, name
+
+
+def test_erase_model_draw_share_keeps_jitter_per_model():
+    address = (0, 0, 1, 3)
+    tweaked = replace(
+        TLC_3D_48L, erase_work=replace(TLC_3D_48L.erase_work, base_mean=5.5)
+    )
+    BlockEraseModel(TLC_3D_48L, 8, *address)  # the memo holds another seed
+    tweaked_first = BlockEraseModel(tweaked, 9, *address)
+    one = BlockEraseModel(TLC_3D_48L, 9, *address)
+    two = BlockEraseModel(TLC_3D_48L, 9, *address)
+    assert (one.base, one.rate) == (two.base, two.rate)
+    # Each model has its own fresh jitter stream: drawing from one does
+    # not advance the other.
+    drawn = one.jitter_batch(6).tolist()
+    assert two.jitter_batch(6).tolist() == drawn
+    assert BlockEraseModel(TLC_3D_48L, 9, *address).jitter_batch(6).tolist() \
+        == drawn
+    # A profile that shares the cached seed gets its own draws.
+    tweaked_again = BlockEraseModel(tweaked, 9, *address)
+    assert (tweaked_again.base, tweaked_again.rate) == (
+        tweaked_first.base, tweaked_first.rate
+    )
+    assert tweaked_again.base != one.base
+
+
+def test_point_shares_hold_across_threads():
+    """The memos take no lock: a thread that loses a race only misses a
+    share. Cells of two points on more threads than cores, switching
+    often, report exactly what they report one at a time."""
+    jobs = [
+        (scheme, point)
+        for point in (POINT, OTHER)
+        for scheme in ("baseline", "aero")
+    ] * 3
+    expected = {job: _point_cell(*job, requests=60) for job in set(jobs)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(_point_cell, *job, requests=60) for job in jobs
+            ]
+            reports = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [expected[job] for job in jobs]
+
+
+@pytest.mark.parametrize("engine", ["object", "kernel"])
+def test_replays_leave_the_shared_trace_unchanged(monkeypatch, engine):
+    traces = []
+    original = SyntheticTraceGenerator.generate
+
+    def generate(self, count):
+        traces.append(original(self, count))
+        return traces[-1]
+
+    monkeypatch.setattr(SyntheticTraceGenerator, "generate", generate)
+    _point_cell("baseline", OTHER)
+    _point_cell("baseline", POINT, engine=engine)
+    [_, trace] = traces
+    before = (trace.name, list(trace.requests))
+    for scheme in ("iispe", "aero"):
+        _point_cell(scheme, POINT, engine=engine)
+    assert len(traces) == 2  # every replay above used that one trace
+    assert (trace.name, list(trace.requests)) == before
 
 
 def test_fingerprint_sensitivity():
