@@ -20,17 +20,32 @@ each registry lazily imports that module on first lookup (``populate``
 below), so ``SCHEMES.create("aero", ...)`` works even when
 :mod:`repro.schemes` has not been imported yet. Unknown keys raise
 :class:`~repro.errors.ConfigError` listing every valid key.
+
+A key that a populate module registered is built in: it can be neither
+replaced nor unregistered. Result fingerprints hash a built-in key, not
+what it resolves to, so replacing one would let a store serve reports
+of the stock entry for the replacement.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import sys
 from typing import Any, Dict, Iterator, Sequence, Tuple
 
 from repro.errors import ConfigError
 
 _MISSING = object()
+
+
+def _calling_module() -> Any:
+    """Name of the module whose code called into this one (the first
+    frame outside it)."""
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame = frame.f_back
+    return frame.f_globals.get("__name__") if frame is not None else None
 
 
 class Registry:
@@ -45,6 +60,7 @@ class Registry:
         self.kind = kind
         self._populate_modules = tuple(populate)
         self._entries: Dict[str, Any] = {}
+        self._builtin: set = set()
         self._populated = not self._populate_modules
 
     # --- population ---------------------------------------------------------
@@ -74,18 +90,22 @@ class Registry:
         ``@registry.register("key")`` registers the decorated object
         and returns it unchanged; ``registry.register("key", obj)``
         registers directly. Re-registering an existing key raises
-        :class:`ConfigError` unless ``replace=True``.
+        :class:`ConfigError` unless ``replace=True``; a built-in key
+        always does.
         """
         if not key or not isinstance(key, str):
             raise ConfigError(f"{self.kind} key must be a non-empty string")
 
         def _add(obj: Any) -> Any:
+            self._refuse_builtin(key)
             if not replace and key in self._entries:
                 raise ConfigError(
                     f"{self.kind} {key!r} is already registered; "
                     f"pass replace=True to override"
                 )
             self._entries[key] = obj
+            if _calling_module() in self._populate_modules:
+                self._builtin.add(key)
             return obj
 
         if entry is _MISSING:
@@ -93,8 +113,17 @@ class Registry:
         return _add(entry)
 
     def unregister(self, key: str) -> None:
-        """Remove ``key`` (no-op if absent) — mainly for tests/plugins."""
+        """Remove ``key`` (no-op if absent) — mainly for tests/plugins;
+        a built-in key raises :class:`ConfigError`."""
+        self._refuse_builtin(key)
         self._entries.pop(key, None)
+
+    def _refuse_builtin(self, key: str) -> None:
+        if key in self._builtin:
+            raise ConfigError(
+                f"{self.kind} {key!r} is built in and cannot be replaced "
+                "or unregistered; register the variant under a new key"
+            )
 
     # --- lookup -------------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Times the two hot campaign shapes — the five-scheme Figure 13 lifetime
 sweep (object vs kernel engine, equal block count and step) and one
 evaluation-grid cell (object event loop vs lean replay kernel,
-bit-identical reports) — as median-of-N wall times, and writes a JSON
+bit-identical reports, each timed repeat cold: no per-point share
+hit) — as median-of-N wall times, and writes a JSON
 artifact future PRs can diff to catch regressions. ``--out`` names the
 artifact and its stem is the artifact's ``label`` (``BENCH_smoke.json``
 is labelled ``BENCH_smoke``). Exposed as ``python -m repro bench`` and
@@ -149,33 +150,51 @@ def bench_lifetime_sweep(config: BenchConfig) -> Dict[str, object]:
     return result
 
 
+def _other_point(config: BenchConfig) -> Dict[str, object]:
+    """A cell of another (PEC, workload) point, with its own seed."""
+    return {
+        "pec": config.grid_pec + 500,
+        "workload": "hm" if config.grid_workload != "hm" else "ali.A",
+        "seed": config.seed + 1,
+    }
+
+
 def bench_grid_cell(config: BenchConfig) -> Dict[str, object]:
-    """Time one evaluation-grid cell on both replay engines.
+    """Time one evaluation-grid cell on both replay engines, cold.
 
     The same (scheme, PEC, workload) cell is replayed by the object
     event loop and by the lean cell kernel — the two produce
     bit-identical reports (pinned by tests), so the speedup compares
     strictly equal work. Runs are interleaved object/kernel so slow
     drift (thermal, cache, background load) hits both engines alike.
+
+    Consecutive cells of one point share their trace and draws (both
+    engines) and their preconditioned layout and replay log (kernel
+    only; see :mod:`repro.harness.cells`), so an untimed cell of
+    another point runs before each timed repeat on the same engine: no
+    timed cell hits a share, and the artifact records ``cold``.
     """
     from repro.harness.cells import run_workload_cell
 
-    def cell(engine):
+    def cell(engine, pec=config.grid_pec, workload=config.grid_workload,
+             seed=config.seed):
         return run_workload_cell(
             config.grid_scheme,
-            config.grid_pec,
-            config.grid_workload,
+            pec,
+            workload,
             requests=config.grid_requests,
-            seed=config.seed,
+            seed=seed,
             engine=engine,
         )
 
+    other = _other_point(config)
     # Warm-up (trace synthesis, registry population, kernel import).
     cell("object")
     cell("kernel")
     times: Dict[str, List[float]] = {"object": [], "kernel": []}
     for _ in range(config.grid_repeats):
         for engine in ("object", "kernel"):
+            cell(engine, **other)  # the shares now hold another point
             times[engine] += _time_repeats(lambda: cell(engine), 1)
     medians = {
         engine: statistics.median(values) for engine, values in times.items()
@@ -184,12 +203,14 @@ def bench_grid_cell(config: BenchConfig) -> Dict[str, object]:
         "engine_object": _summary(times["object"]),
         "engine_kernel": _summary(times["kernel"]),
         "speedup": round(medians["object"] / medians["kernel"], 2),
+        "cold": True,
         "cell": {
             "scheme": config.grid_scheme,
             "pec": config.grid_pec,
             "workload": config.grid_workload,
             "requests": config.grid_requests,
         },
+        "between_repeats": other,
     }
 
 
@@ -290,7 +311,8 @@ def run_from_args(args: argparse.Namespace) -> int:
         cell = payload["grid_cell"]
         print(
             f"grid cell ({config.grid_scheme}@{config.grid_pec} "
-            f"{config.grid_workload}, {config.grid_requests} requests): "
+            f"{config.grid_workload}, {config.grid_requests} requests, "
+            f"cold): "
             f"object {cell['engine_object']['median_s']:.3f}s, "
             f"kernel {cell['engine_kernel']['median_s']:.3f}s "
             f"-> {cell['speedup']:.1f}x"

@@ -15,11 +15,12 @@ consecutive cells share, through one-entry module-level memos, the
 trace (``_TRACE`` below, keyed by profile, footprint bytes, derived
 seed and request count), the drive's per-block process-variation draws
 (:class:`~repro.nand.erase_model.BlockEraseModel`) and, on the kernel
-engine, the preconditioned FTL layout
-(:func:`~repro.kernels.cell.precondition_kernel`, which then replays
-only this scheme's erases). This is safe because each share is a pure
-function of its key: the key holds every input of the step it
-memoises, so a hit returns exactly what a miss would compute, and no
+engine, the preconditioned FTL layout and the replay's FTL log (the
+mapping and GC trajectory, in :mod:`repro.kernels.cell`), so such a
+cell runs only its own erase physics and event loop. This is safe
+because each share is a pure function of its key: the key holds every
+input of the step it memoises, so a hit returns exactly what a miss
+would compute, and no
 report depends on cell order, process or which cell ran first. Each
 cell still builds its own drive, FTL, scheme and RNG streams. The
 memos live at module level because no caller-owned object spans a

@@ -11,7 +11,34 @@ page-state objects) with flat locals, tuples, and lists on one merged
 heap. ``precondition_kernel`` is the matching fast path for the
 untimed steady-state fill that precedes the replay.
 
-How identity is preserved:
+Both run in passes, where the object path interleaves everything:
+
+1. **FTL pass** (:func:`_map_pages`, via :func:`_fill` and
+   :func:`_ftl_pass`) — maps each host page, looks up each read and
+   runs GC's victim choice and page moves on the lean state, and logs
+   the trajectory (:class:`_Log`): each read's and write's block, the
+   GC jobs each write ran as (plane index, moves, victim, write
+   pointer), the counters and the P/E counts it leaves. Each erase
+   adds the one P/E cycle every ``EraseScheme.erase`` accounts.
+2. **Physics pass** (:func:`_physics_pass`) — walks the log in order:
+   reads ``program_scale`` for each host write (only when the scheme
+   overrides it) and erases each victim at its logged write pointer
+   through the real ``ftl._erase_block``, then raises
+   :class:`~repro.errors.SimulationError` if the real P/E counts differ
+   from the log.
+3. **Event loop** (the replay only) — times the logged transactions;
+   ``admit`` only reads the log.
+
+Why this order is exact: the FTL pass reads nothing an erase decides
+(GC picks victims by valid and P/E counts, and every erase adds one P/E
+cycle, which the physics pass checks); erase outcomes never depend on
+simulated time; ``ftl.rng`` has no consumer but erases; and each
+scheme's program scale reads only the block's P/E count, which the
+physics pass reads between the same erases as the object path. So
+every erase sees the object path's inputs, RNG draws and scheme state,
+in the object path's order, and the event loop sees its durations.
+
+How the event loop preserves identity:
 
 * **Event order** — the heap holds ``(time, seq, kind, payload)``
   tuples and every schedule operation allocates the next ``seq`` in the
@@ -27,8 +54,8 @@ How identity is preserved:
   shapes (association order included), so every timestamp and every
   ``erase_busy_us`` increment is the same float.
 * **Erase physics and RNG** — erases are not re-implemented at all:
-  the kernel syncs the victim block's write pointer and calls the real
-  ``ftl._erase_block``, so scheme code, ``ftl.rng`` draws, wear
+  the physics pass syncs each victim block's write pointer and calls
+  the real ``ftl._erase_block``, so scheme code, ``ftl.rng`` draws, wear
   accounting, SEF/feature-command bookkeeping, and per-erase
   ``FtlStats`` counters are the object path's own, in the same order.
   Erase telemetry is flushed at the replay boundary
@@ -44,12 +71,19 @@ How identity is preserved:
   allocators, leaving the drive exactly as the object path would.
   :func:`~repro.harness.cells.run_workload_cell` drops its drive on
   return and passes ``write_back=False`` to both.
-* **Shared preconditioning layout** — the fill's page placement and
-  GC choices do not depend on the scheme, so ``precondition_kernel``
-  keeps the last fresh drive's lean layout and the next fresh drive
-  with the same starting state copies it and replays only the recorded
-  erases through its own ``ftl._erase_block``, in order (see its
-  docstring).
+
+**Point share.** The FTL pass depends on no scheme, so the cells of one
+grid point (every scheme on one trace and drive) need it once. One
+module-level entry, ``_POINT``, holds the last fresh drive's fill —
+keyed by everything the fill reads: the spec, the fill parameters, the
+wear-leveling gap and the drive's starting free-block order, open
+blocks and P/E counts — and beside it the log of the most recent
+replay from that fill, keyed by the replayed request list, compared by
+value against a held copy. A drive of the same point copies the fill's
+end state and replays the log; only its physics pass and event loop
+run. A drive that already holds data, or a replay without the fill's
+``lean`` state, runs its own passes and touches no share (see
+:func:`precondition_kernel` and :func:`run_trace_kernel`).
 
 ``kernel_replay_supported`` gates the fast path to configurations whose
 FTL bookkeeping the kernel replicates exactly (the two built-in FTL
@@ -59,6 +93,7 @@ path via ``engine="auto"``.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from heapq import heappop, heappush
 from typing import List, Optional, Tuple
@@ -205,18 +240,18 @@ class _LeanFtl:
     """Flat snapshot of the FTL plus the lean GC fast path.
 
     Shared by ``precondition_kernel`` and ``run_trace_kernel``: both
-    write host pages inline into these lists, run GC through
-    ``collect_one``, ``flush`` the bulk GC counters into ``FtlStats``
-    before they return, and call ``restore`` (only with
+    apply host pages to these lists in an FTL pass (:func:`_map_pages`,
+    which runs GC through ``collect_one`` and gathers the bulk GC
+    counters through ``take_counts``) and call ``restore`` (only with
     ``write_back=True``) to put the real page states, mapping table and
-    allocators back. ``collect_one`` logs each erase's ``(block, write
-    pointer)`` in ``erased``.
+    allocators back. ``fill`` is the shared fill log whose end state
+    the snapshot holds, until a replay consumes it (None otherwise).
     """
 
     __slots__ = (
         "planes", "lmap", "blk_obj", "blk_wp", "blk_valid", "blk_lpns",
-        "blk_pec", "erased", "page_count", "low_wm", "high_wm",
-        "program_scale", "collect_one", "flush", "restore",
+        "blk_pec", "page_count", "low_wm", "high_wm", "program_scale",
+        "collect_one", "take_counts", "restore", "fill",
     )
 
 
@@ -237,7 +272,6 @@ def _lean_ftl(ftl) -> _LeanFtl:
     high_wm = spec.gc.high_watermark
     wl_gap = ftl.leveler.pec_gap_threshold
     wl_cold = wl_gap // 4
-    erase_block = ftl._erase_block
 
     blk_obj: List = []
     blk_wp: List[int] = []
@@ -245,7 +279,6 @@ def _lean_ftl(ftl) -> _LeanFtl:
     blk_lpns: List[List[Optional[int]]] = []
     blk_num: List[int] = []
     blk_pec: List[int] = []
-    erased: List[Tuple[int, int]] = []
     planes: List[_Plane] = []
     addr_to_idx = {}
     id_to_idx = {}
@@ -293,8 +326,8 @@ def _lean_ftl(ftl) -> _LeanFtl:
         for lpn, address in ftl.mapping._map.items()
     }
 
-    # Bulk GC counters accumulate locally until ``flush`` (nothing reads
-    # them mid-run; per-erase stats update live via _erase_block).
+    # Bulk GC counters accumulate locally until ``take_counts`` (nothing
+    # reads them mid-pass; the physics pass adds them to the stats).
     n_gc_moves = 0
     n_wl_moves = 0
     n_gc_jobs = 0
@@ -387,18 +420,12 @@ def _lean_ftl(ftl) -> _LeanFtl:
             blk_valid[gb] = gval
         blk_lpns[victim] = [None] * page_count
         n_gc_moves += moves
-        # Erase physics through the real FTL: scheme code, ftl.rng
-        # draws, wear/SEF/feature accounting and per-erase stats all
-        # happen on the real objects, in object-path order.
-        # finish_erase only needs the write pointer synced (it resets
-        # pages up to it).
-        block = blk_obj[victim]
-        block.write_pointer = wp
-        erased.append((victim, wp))
-        result = erase_block(block)
+        # No erase physics here: the physics pass erases the victim at
+        # this write pointer later. Every ``EraseScheme.erase`` accounts
+        # one P/E cycle, which is all the FTL's choices read of it (the
+        # physics pass checks the count).
         old_pec = blk_pec[victim]
-        new_pec = block.wear.pec
-        blk_pec[victim] = new_pec
+        new_pec = blk_pec[victim] = old_pec + 1
         if new_pec > plane.pec_max:
             plane.pec_max = new_pec
         if old_pec == plane.pec_min:
@@ -408,14 +435,12 @@ def _lean_ftl(ftl) -> _LeanFtl:
         plane.free.append(victim)
         free_set.add(victim)
         n_gc_jobs += 1
-        return moves, [segment.duration_us for segment in result.segments]
+        return moves, victim, wp
 
-    def flush():
-        """Add the GC counters gathered since the last flush to the
-        stats; returns them."""
+    def take_counts():
+        """The GC counters gathered since the last call (then reset)."""
         nonlocal n_gc_moves, n_wl_moves, n_gc_jobs, n_interventions
         counts = (n_gc_moves, n_wl_moves, n_gc_jobs, n_interventions)
-        _add_gc_counts(ftl, *counts)
         n_gc_moves = n_wl_moves = n_gc_jobs = n_interventions = 0
         return counts
 
@@ -463,7 +488,6 @@ def _lean_ftl(ftl) -> _LeanFtl:
     lean.blk_valid = blk_valid
     lean.blk_lpns = blk_lpns
     lean.blk_pec = blk_pec
-    lean.erased = erased
     lean.page_count = page_count
     lean.low_wm = low_wm
     lean.high_wm = high_wm
@@ -474,8 +498,9 @@ def _lean_ftl(ftl) -> _LeanFtl:
         else scheme.program_scale
     )
     lean.collect_one = collect_one
-    lean.flush = flush
+    lean.take_counts = take_counts
     lean.restore = restore
+    lean.fill = None
     return lean
 
 
@@ -497,25 +522,25 @@ def kernel_replay_supported(ssd) -> bool:
     return True
 
 
-#: The last fresh drive's preconditioned layout, as one ``(key,
-#: layout)`` tuple (see :func:`precondition_kernel`).
-_LAYOUT: Tuple[Optional[tuple], Optional["_Layout"]] = (None, None)
+#: The last fresh drive's point share, as one ``(layout key, fill log,
+#: replay log)`` tuple (see :func:`precondition_kernel` and
+#: :func:`run_trace_kernel`).
+_POINT: Tuple[Optional[tuple], Optional["_Log"], Optional["_Log"]] = (
+    None, None, None
+)
 
 
-class _Layout:
-    """A fresh drive's lean state after the preconditioning fill, plus
-    the ``(block, write pointer)`` of each of the fill's erases, in
-    order, and the bulk GC counters the fill added."""
+class _State:
+    """The lean FTL state the fill leaves: what a later drive of the
+    point copies instead of running the fill itself."""
 
-    __slots__ = (
-        "wp", "valid", "lpns", "pec", "lmap", "planes", "counts", "erased",
-    )
+    __slots__ = ("wp", "valid", "lpns", "pec", "lmap", "planes")
 
-    def __init__(self, lean: _LeanFtl, counts: Tuple[int, int, int, int]):
+    def __init__(self, lean: _LeanFtl):
         self.wp = tuple(lean.blk_wp)
         self.valid = tuple(lean.blk_valid)
         self.lpns = tuple(map(tuple, lean.blk_lpns))
-        self.pec = list(lean.blk_pec)
+        self.pec = tuple(lean.blk_pec)
         self.lmap = dict(lean.lmap)
         self.planes = tuple(
             (
@@ -524,13 +549,9 @@ class _Layout:
             )
             for plane in lean.planes
         )
-        self.counts = counts
-        self.erased = tuple(lean.erased)
 
-    def load(self, lean: _LeanFtl, ftl) -> None:
-        """Copy the layout into a fresh drive's ``lean`` snapshot, replay
-        the recorded erases on its blocks through ``ftl._erase_block``
-        and add the fill's GC counters to ``ftl``."""
+    def load(self, lean: _LeanFtl) -> None:
+        """Copy the state into a fresh drive's ``lean`` snapshot."""
         lean.blk_wp[:] = self.wp
         lean.blk_valid[:] = self.valid
         lean.blk_lpns[:] = map(list, self.lpns)
@@ -545,18 +566,26 @@ class _Layout:
             plane.active_gc = gc_active
             plane.pec_min = pec_min
             plane.pec_max = pec_max
-        blk_obj = lean.blk_obj
-        erase_block = ftl._erase_block
-        for victim, wp in self.erased:
-            block = blk_obj[victim]
-            block.write_pointer = wp
-            erase_block(block)
-        if [block.wear.pec for block in blk_obj] != self.pec:
-            raise SimulationError(
-                "shared preconditioning layout: this drive's erases left "
-                "other P/E counts than the recorded fill"
-            )
-        _add_gc_counts(ftl, *self.counts)
+
+
+class _Log:
+    """One FTL pass's trajectory, in the order the pass made it.
+
+    ``reads`` and ``writes`` hold each host read and write page's block
+    (-1 for a read of a never-written page); GC job ``j`` ran after host
+    write ``gc_at[j]`` on plane ``gc_plane[j]`` (an index, so any drive
+    of the point can replay it), moved ``gc_moves[j]`` pages and erased
+    block ``victims[j]`` at write pointer ``wps[j]``. ``pec`` holds the
+    P/E counts the pass leaves, ``counts`` the bulk GC counters it adds
+    and ``unmapped`` its reads of never-written pages. A shared fill log
+    also holds ``state``, the lean state the fill leaves, and a shared
+    replay log ``requests``, a copy of the request list it is keyed by.
+    """
+
+    __slots__ = (
+        "reads", "writes", "gc_at", "gc_plane", "gc_moves", "victims",
+        "wps", "pec", "counts", "unmapped", "state", "requests",
+    )
 
 
 def _layout_key(
@@ -576,8 +605,11 @@ def _layout_key(
     )
 
 
-def _fill(lean: _LeanFtl, lpns: List[int]) -> None:
-    """Write ``lpns`` in order, collecting garbage as the FTL would."""
+def _map_pages(lean: _LeanFtl, pages: List[int]) -> _Log:
+    """The FTL pass: apply host pages to ``lean`` in order, as the FTL
+    would, and log the trajectory. A page ``lpn`` writes that LPN and
+    then collects garbage while the plane is below its low watermark;
+    ``~lpn`` reads it."""
     planes = lean.planes
     nplanes = len(planes)
     lmap = lean.lmap
@@ -589,9 +621,22 @@ def _fill(lean: _LeanFtl, lpns: List[int]) -> None:
     low_wm = lean.low_wm
     high_wm = lean.high_wm
     collect_one = lean.collect_one
-    for lpn in lpns:
+    log = _Log()
+    reads = log.reads = array("i")
+    writes = log.writes = array("i")
+    gc_at = log.gc_at = array("i")
+    gc_plane = log.gc_plane = array("i")
+    gc_moves = log.gc_moves = array("i")
+    victims = log.victims = array("i")
+    wps = log.wps = array("i")
+    for lpn in pages:
+        if lpn < 0:
+            location = lmap_get(~lpn)
+            reads.append(-1 if location is None else location[0])
+            continue
         # One host page write (same steps as ``PageLevelFtl.write``).
-        plane = planes[lpn % nplanes]
+        index = lpn % nplanes
+        plane = planes[index]
         block = plane.active_host
         if block is None or blk_wp[block] >= page_count:
             block = plane.active_host = plane.take_free()
@@ -604,10 +649,98 @@ def _fill(lean: _LeanFtl, lpns: List[int]) -> None:
         if previous is not None:
             blk_valid[previous[0]] -= 1
             blk_lpns[previous[0]][previous[1]] = None
+        writes.append(block)
         free = plane.free
         while len(free) < low_wm:
-            if collect_one(plane) is None or len(free) >= high_wm:
+            job = collect_one(plane)
+            if job is None:
                 break
+            gc_at.append(len(writes) - 1)
+            gc_plane.append(index)
+            gc_moves.append(job[0])
+            victims.append(job[1])
+            wps.append(job[2])
+            if len(free) >= high_wm:
+                break
+    log.pec = tuple(lean.blk_pec)
+    log.counts = lean.take_counts()
+    log.unmapped = reads.count(-1)
+    log.state = log.requests = None
+    return log
+
+
+def _fill(
+    lean: _LeanFtl, seed: int, footprint_pages: int, overwrites: int
+) -> _Log:
+    """The preconditioning FTL pass: the sequential fill, then the
+    random overwrites (drawn from their own stream)."""
+    lpns = list(range(footprint_pages))
+    if overwrites:
+        rng = derive_rng(seed, "precondition")
+        lpns += rng.integers(0, footprint_pages, size=overwrites).tolist()
+    return _map_pages(lean, lpns)
+
+
+def _ftl_pass(
+    lean: _LeanFtl, requests, page_size: int, logical_pages: int
+) -> _Log:
+    """The replay's FTL pass: every request's pages in request order,
+    which is the order the event loop admits them in."""
+    pages: List[int] = []
+    for request in requests:
+        first = (request.lba * SECTOR_BYTES) // page_size
+        last = (request.end_lba * SECTOR_BYTES - 1) // page_size
+        lpns = [raw % logical_pages for raw in range(first, last + 1)]
+        pages += [~lpn for lpn in lpns] if request.is_read else lpns
+    return _map_pages(lean, pages)
+
+
+def _physics_pass(lean: _LeanFtl, ftl, log: _Log, timed: bool = True):
+    """Erase physics for ``log`` on this drive.
+
+    Erases each logged victim through the real ``ftl._erase_block`` at
+    its logged write pointer, in log order, so scheme code, ``ftl.rng``
+    draws, wear, SEF/feature accounting and per-erase stats are the
+    object path's own, in its order. For a ``timed`` log (the replay's)
+    it also collects what the event loop times: each GC job's erase
+    segment durations and, for a scheme that overrides
+    ``program_scale``, each host write's scale, read just before the
+    erases its GC ran (the scale reads the block's P/E count, which
+    earlier erases advanced). Raises :class:`SimulationError` if the
+    erases leave other P/E counts than the log, then adds the log's
+    bulk GC counters to the stats.
+
+    Returns ``(scales, durs)``: the per-write program scales (None for
+    the default 1.0) and the per-job durations (empty unless ``timed``).
+    """
+    blk_obj = lean.blk_obj
+    erase_block = ftl._erase_block
+    program_scale = lean.program_scale if timed else None
+    scales = None if program_scale is None else []
+    writes = log.writes
+    gc_at = log.gc_at
+    wps = log.wps
+    durs = []
+    for job, victim in enumerate(log.victims):
+        if scales is not None:
+            while len(scales) <= gc_at[job]:
+                scales.append(program_scale(blk_obj[writes[len(scales)]]))
+        # finish_erase only needs the write pointer synced (it resets
+        # pages up to it).
+        block = blk_obj[victim]
+        block.write_pointer = wps[job]
+        result = erase_block(block)
+        if timed:
+            durs.append([segment.duration_us for segment in result.segments])
+    if scales is not None:
+        scales += [program_scale(blk_obj[b]) for b in writes[len(scales):]]
+    if tuple(block.wear.pec for block in blk_obj) != log.pec:
+        raise SimulationError(
+            "FTL log: this drive's erases left other P/E counts than "
+            "the logged pass"
+        )
+    _add_gc_counts(ftl, *log.counts)
+    return scales, durs
 
 
 def precondition_kernel(
@@ -620,7 +753,9 @@ def precondition_kernel(
 
     Same write sequence, same GC decisions, same real erases (and
     therefore the same ``ftl.rng``/wear stream) as the object path —
-    only the per-page bookkeeping is lean.
+    only the per-page bookkeeping is lean: an FTL pass (:func:`_fill`)
+    places the pages and picks the victims, then a physics pass erases
+    them on this drive.
 
     Returns the lean FTL state. The bulk ``FtlStats`` counters are
     always flushed. With ``write_back=False`` the real page states,
@@ -634,22 +769,18 @@ def precondition_kernel(
     the greedy and wear-leveling victim choices and every erase's +1
     P/E cycle (``EraseScheme.erase`` accounts one cycle per erase) are
     the same for every scheme, and only the erases' physics (latency,
-    pulses, wear age, ``ftl.rng`` draws) differs. So
-    the lean layout a fresh drive ends with is a pure function of its
-    starting FTL state (free-block order, open blocks, P/E counts), the
-    spec, the wear-leveling gap and the fill parameters. The last one
-    is kept in one module-level ``(key, layout)`` memo; the next fresh
+    pulses, wear age, ``ftl.rng`` draws) differs. So the fill's log and
+    the lean state it leaves are a pure function of the drive's starting
+    FTL state (free-block order, open blocks, P/E counts), the spec, the
+    wear-leveling gap and the fill parameters. The last fresh drive's
+    fill is kept in the module-level ``_POINT`` share; the next fresh
     drive with the same key — the next scheme of the same grid point —
-    copies the layout instead of refilling, replays the recorded erases
-    on its own blocks through ``ftl._erase_block`` in the recorded
-    order with the recorded write pointers (so its erase physics, RNG
-    stream, wear and erase statistics are what a refill would give), and
-    raises :class:`SimulationError` if any block's P/E count then
-    differs from the recording. A drive that already holds data (a
-    mapped page or a non-zero write pointer) neither reads nor replaces
-    the memo. :meth:`Ssd.precondition` keeps no such share.
+    copies its state instead of running the pass, and the physics pass
+    is the same on a hit as on a miss. A drive that already holds data
+    (a mapped page or a non-zero write pointer) neither reads nor
+    replaces the share. :meth:`Ssd.precondition` keeps no such share.
     """
-    global _LAYOUT
+    global _POINT
     ftl = ssd.ftl
     spec = ssd.spec
     if footprint_pages is None:
@@ -659,21 +790,17 @@ def precondition_kernel(
     lean = _lean_ftl(ftl)
     overwrites = int(footprint_pages * overwrite_fraction)
     key = _layout_key(lean, ftl, footprint_pages, overwrite_fraction)
-    cached_key, layout = _LAYOUT
+    cached_key, fill, _ = _POINT
     if key is not None and key == cached_key:
-        layout.load(lean, ftl)
+        fill.state.load(lean)
     else:
-        # The sequential fill, then the random overwrites. The overwrite
-        # draw has its own stream, so drawing it before the fill's
-        # erases changes nothing.
-        lpns = list(range(footprint_pages))
-        if overwrites:
-            rng = derive_rng(spec.seed, "precondition")
-            lpns += rng.integers(0, footprint_pages, size=overwrites).tolist()
-        _fill(lean, lpns)
-        counts = lean.flush()
+        fill = _fill(lean, spec.seed, footprint_pages, overwrites)
         if key is not None:
-            _LAYOUT = (key, _Layout(lean, counts))
+            fill.state = _State(lean)
+            _POINT = (key, fill, None)
+    if key is not None:
+        lean.fill = fill
+    _physics_pass(lean, ftl, fill, timed=False)
     ftl.stats.host_writes += footprint_pages + overwrites
     if write_back:
         lean.restore()
@@ -698,7 +825,22 @@ def run_trace_kernel(
     ``FtlStats`` counters are always flushed before the report; with
     ``write_back=False`` the drive's page states, mapping and
     allocators are left stale (for a caller that drops the drive).
+
+    **Replay-log share.** The replay runs in three passes: an FTL pass
+    (:func:`_ftl_pass`) maps every request's pages and runs GC, a
+    physics pass (:func:`_physics_pass`) erases the logged victims on
+    this drive, and the event loop times the logged transactions. The
+    FTL pass reads nothing the scheme decides, so a ``lean`` state that
+    still holds the shared fill of :func:`precondition_kernel` replays
+    the log that the share keeps beside that fill when the replayed
+    request list equals (by value) the held copy the log is keyed by,
+    and otherwise runs its own pass and keeps it there. A hit with
+    ``write_back=True`` runs the pass once more, unlogged, only to
+    restore the drive. Without ``lean``, or with a state that holds
+    other data, the replay runs its own pass and touches no share.
+    :meth:`Ssd.run_trace` keeps no such share.
     """
+    global _POINT
     spec = ssd.spec
     ftl = ssd.ftl
     stats = ftl.stats
@@ -713,21 +855,39 @@ def run_trace_kernel(
     overhead = spec.controller_overhead_us
     decode = spec.profile.ecc.decode_latency_us
 
+    fill = None
     if lean is None:
         lean = _lean_ftl(ftl)
+    else:
+        # A replay consumes the shared fill: its end state is not the
+        # fill's any more.
+        fill, lean.fill = lean.fill, None
+    requests = trace.requests
+    if max_requests is not None:
+        requests = requests[:max_requests]
+    key, shared, log = _POINT
+    hit = (
+        fill is not None and fill is shared and log is not None
+        and log.requests == requests
+    )
+    if not hit:
+        log = _ftl_pass(lean, requests, page_size, logical_pages)
+        if fill is not None and fill is shared:
+            log.requests = list(requests)
+            _POINT = (key, fill, log)
+    scales, durs = _physics_pass(lean, ftl, log)
+    stats.host_reads += len(log.reads)
+    stats.host_writes += len(log.writes)
+    stats.unmapped_reads += log.unmapped
+
     planes = lean.planes
-    nplanes = len(planes)
-    lmap = lean.lmap
-    lmap_get = lmap.get
-    blk_wp = lean.blk_wp
-    blk_valid = lean.blk_valid
-    blk_lpns = lean.blk_lpns
     blk_obj = lean.blk_obj
-    page_count = lean.page_count
-    low_wm = lean.low_wm
-    high_wm = lean.high_wm
-    program_scale = lean.program_scale
-    collect_one = lean.collect_one
+    read_blocks = log.reads
+    write_blocks = log.writes
+    gc_at = log.gc_at
+    gc_plane = log.gc_plane
+    gc_moves = log.gc_moves
+    njobs = len(gc_at)
     push = heappush
     pop = heappop
 
@@ -749,9 +909,6 @@ def run_trace_kernel(
         for b in plane.blocks:
             blk_chip[b] = plane.chip
 
-    requests = trace.requests
-    if max_requests is not None:
-        requests = requests[:max_requests]
     # Makespan floor: the replayed slice's horizon (same rule as the
     # object path).
     horizon = requests[-1].arrival_us if requests else 0.0
@@ -772,9 +929,12 @@ def run_trace_kernel(
     completed = 0
     last_completion = 0.0
     now = 0.0
-    n_host_reads = 0
-    n_host_writes = 0
-    n_unmapped = 0
+    # Log cursors: the next host read and write page, the next GC job
+    # and the host write that ran it (-1 once every job is queued).
+    next_read = 0
+    next_write = 0
+    next_job = 0
+    job_at = gc_at[0] if njobs else -1
 
     def request_suspension(chip, cursor):
         nonlocal seq
@@ -943,26 +1103,25 @@ def run_trace_kernel(
             queue.append(prog_txn)
 
     def admit(request):
-        nonlocal seq, n_host_reads, n_host_writes, n_unmapped
+        nonlocal seq, next_read, next_write, next_job, job_at
         first = (request.lba * SECTOR_BYTES) // page_size
         last = (request.end_lba * SECTOR_BYTES - 1) // page_size
         if request.is_read:
             req = [last - first + 1, 0, now, True]
-            n_host_reads += last - first + 1
+            start = next_read
+            next_read = start + (last - first + 1)
             # One txn tuple per chip serves every page of the request
             # (read txns are value-identical, never identity-compared).
             read_txns = {}
-            for raw in range(first, last + 1):
-                location = lmap_get(raw % logical_pages)
-                if location is None:
+            for block in read_blocks[start:next_read]:
+                if block < 0:
                     # Never-written page: answered from the mapping
                     # table after the controller overhead.
-                    n_unmapped += 1
                     push(heap, (now + overhead, seq, _CREDIT, req))
                     seq += 1
                 else:
                     # submit_txn inlined for the user-read fast path.
-                    chip = blk_chip[location[0]]
+                    chip = blk_chip[block]
                     txn = read_txns.get(chip)
                     if txn is None:
                         txn = (_READ, 0, chip, req, 1.0, None, None)
@@ -982,45 +1141,28 @@ def run_trace_kernel(
                         dispatch(chip)
         else:
             req = [last - first + 1, 0, now, False]
-            n_host_writes += last - first + 1
-            for raw in range(first, last + 1):
-                # One host page write (same steps as PageLevelFtl.write).
-                lpn = raw % logical_pages
-                plane = planes[lpn % nplanes]
-                block = plane.active_host
-                if block is None or blk_wp[block] >= page_count:
-                    block = plane.active_host = plane.take_free()
-                page = blk_wp[block]
-                blk_wp[block] = page + 1
-                blk_valid[block] += 1
-                blk_lpns[block][page] = lpn
-                previous = lmap_get(lpn)
-                lmap[lpn] = (block, page)
-                if previous is not None:
-                    blk_valid[previous[0]] -= 1
-                    blk_lpns[previous[0]][previous[1]] = None
-                scale = (
-                    1.0 if program_scale is None
-                    else program_scale(blk_obj[block])
-                )
+            start = next_write
+            next_write = start + (last - first + 1)
+            for write in range(start, next_write):
                 # submit_txn inlined for the user-program fast path
                 # (priority 1 never triggers suspension).
-                chip = plane.chip
-                chip.q1.append((_PROGRAM, 1, chip, req, scale, None, None))
+                chip = blk_chip[write_blocks[write]]
+                chip.q1.append((
+                    _PROGRAM, 1, chip, req,
+                    1.0 if scales is None else scales[write], None, None,
+                ))
                 if not chip.busy:
                     dispatch(chip)
-                # GC after the program is queued. Collecting touches only
-                # FTL state and queueing only the chips, so collecting
-                # and queueing each job in turn matches the object path's
-                # collect-all-then-queue order.
-                free = plane.free
-                while len(free) < low_wm:
-                    job = collect_one(plane)
-                    if job is None:
-                        break
-                    enqueue_gc_job(plane, *job)
-                    if len(free) >= high_wm:
-                        break
+                # The GC jobs this write ran, queued after its program
+                # in collection order (the object path collects them
+                # all, then queues each in turn).
+                while write == job_at:
+                    enqueue_gc_job(
+                        planes[gc_plane[next_job]], gc_moves[next_job],
+                        durs[next_job],
+                    )
+                    next_job += 1
+                    job_at = gc_at[next_job] if next_job < njobs else -1
 
     # --- event loop -----------------------------------------------------------
     # The next event is the minimum over the heap head and the chips'
@@ -1156,15 +1298,15 @@ def run_trace_kernel(
         chip.fire_seq = seq
         seq += 1
 
-    # Flush the bulk counters (and, with write_back, restore the page
-    # states, mapping and allocators) before any report/exception, so
-    # the drive's state is current just as it always is on the object
-    # path.
-    stats.host_reads += n_host_reads
-    stats.host_writes += n_host_writes
-    stats.unmapped_reads += n_unmapped
-    lean.flush()
+    # With write_back, restore the page states, mapping and allocators
+    # (the counters went in with the physics pass) before any
+    # report/exception, so the drive's state is current just as it
+    # always is on the object path.
     if write_back:
+        if hit:
+            # The log keeps no end state (a cell drops its drive): reach
+            # it by running the pass on the fill's state.
+            _ftl_pass(lean, requests, page_size, logical_pages)
         lean.restore()
 
     expected = len(requests)

@@ -26,6 +26,7 @@ from repro.ssd.builder import build_ssd
 from repro.units import KIB, SECTOR_BYTES
 from repro.workloads.profiles import profile_by_abbr
 from repro.workloads.synthetic import SyntheticTraceGenerator
+from repro.workloads.trace import Trace
 
 
 def _cell(scheme, workload, engine, requests=200):
@@ -120,16 +121,22 @@ def _random_specs(draw):
     return spec
 
 
-def _replay_kept(spec, scheme, pec, workload, requests, engine):
-    """``run_workload_cell``'s steps on a drive the caller keeps; the
-    kernel replay restores the drive (``write_back=True``)."""
-    ssd = build_ssd(spec, scheme, pec_setpoint=pec)
-    footprint = int(spec.logical_pages * 0.9)
-    trace = SyntheticTraceGenerator(
+def _trace(spec, pec, workload, requests):
+    return SyntheticTraceGenerator(
         profile_by_abbr(workload),
         footprint_bytes=int(spec.logical_bytes * 0.85),
         seed=derive(spec.seed, "trace", workload, pec),
     ).generate(requests)
+
+
+def _replay_kept(spec, scheme, pec, workload, requests, engine, erases=None):
+    """``run_workload_cell``'s steps on a drive the caller keeps; the
+    kernel replay restores the drive (``write_back=True``). On the
+    object path, ``erases`` collects the ``(block address, write
+    pointer)`` of each erase the replay makes."""
+    ssd = build_ssd(spec, scheme, pec_setpoint=pec)
+    footprint = int(spec.logical_pages * 0.9)
+    trace = _trace(spec, pec, workload, requests)
     if engine == "kernel":
         lean = precondition_kernel(ssd, footprint, write_back=False)
         report = run_trace_kernel(
@@ -137,6 +144,14 @@ def _replay_kept(spec, scheme, pec, workload, requests, engine):
         )
     else:
         ssd.precondition(footprint_pages=footprint)
+        if erases is not None:
+            erase_block = ssd.ftl._erase_block
+
+            def recorded(block):
+                erases.append((block.address, block.write_pointer))
+                return erase_block(block)
+
+            ssd.ftl._erase_block = recorded
         report = ssd.run_trace(trace, workload_name=workload)
     page_size = spec.geometry.page_size
     trace_writes = sum(
@@ -199,8 +214,9 @@ def test_kernel_matches_object_on_random_configurations(
     spec, scheme, workload, pec, suspension, requests
 ):
     """Differential oracle: on random valid drives the kernel's report
-    (with or without the drive restore) equals the object path's, and
-    the restored drive equals the object path's drive."""
+    (with or without the drive restore, from its own FTL pass or from
+    the shared replay log) equals the object path's, and the restored
+    drive equals the object path's drive."""
     spec = spec.with_scheduler(erase_suspension=suspension)
     obj, obj_ssd, host_writes = _replay_kept(
         spec, scheme, pec, workload, requests, "object"
@@ -208,15 +224,70 @@ def test_kernel_matches_object_on_random_configurations(
     ker, ker_ssd, _ = _replay_kept(
         spec, scheme, pec, workload, requests, "kernel"
     )
+    log = kernel_cell._POINT[2]
+    hit, hit_ssd, _ = _replay_kept(
+        spec, scheme, pec, workload, requests, "kernel"
+    )
+    assert kernel_cell._POINT[2] is log  # the second replay hit the log
     dropped = run_workload_cell(
         scheme, pec, workload, spec=spec, requests=requests,
         erase_suspension=suspension, seed=spec.seed, engine="kernel",
     )
     assert ker.to_json_dict() == obj.to_json_dict()
+    assert hit.to_json_dict() == obj.to_json_dict()
     assert dropped.to_json_dict() == obj.to_json_dict()
     assert _drive_state(ker_ssd) == _drive_state(obj_ssd)
+    assert _drive_state(hit_ssd) == _drive_state(obj_ssd)
     assert ker_ssd.ftl.stats.host_writes == host_writes
     assert ker.extra["waf"] == (host_writes + ker.gc_page_moves) / host_writes
+
+
+@settings(
+    max_examples=4,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    spec=_random_specs(),
+    workload=st.sampled_from(WORKLOADS.keys()),
+    pec=st.integers(0, 14).map(lambda k: 500 * k),
+    requests=st.integers(20, 250),
+)
+def test_schemes_share_one_ftl_trajectory(spec, workload, pec, requests):
+    """On random valid drives, every scheme and both suspension modes
+    erase the shared replay log's victims at its write pointers, in its
+    order, on the object path; and every kernel replay that hits the
+    log reports what the object path reports and, restored, leaves the
+    object path's drive."""
+    shared = None
+    for suspension in (False, True):
+        mode = spec.with_scheduler(erase_suspension=suspension)
+        for index, scheme in enumerate(SCHEMES.keys()):
+            erases = []
+            obj, obj_ssd, _ = _replay_kept(
+                mode, scheme, pec, workload, requests, "object", erases
+            )
+            log = kernel_cell._POINT[2]
+            ker, ker_ssd, _ = _replay_kept(
+                mode, scheme, pec, workload, requests, "kernel"
+            )
+            if index:
+                assert kernel_cell._POINT[2] is log  # a log hit
+            if shared is None:
+                log = kernel_cell._POINT[2]
+                addresses = [
+                    block.address
+                    for allocator in obj_ssd.ftl.planes
+                    for block in allocator.all_blocks
+                ]
+                shared = [
+                    (addresses[victim], wp)
+                    for victim, wp in zip(log.victims, log.wps)
+                ]
+            assert erases == shared, (scheme, suspension)
+            assert ker.to_json_dict() == obj.to_json_dict()
+            assert _drive_state(ker_ssd) == _drive_state(obj_ssd)
 
 
 def test_shared_precondition_layout_equals_the_object_fill(monkeypatch):
@@ -270,6 +341,109 @@ def test_shared_precondition_layout_checks_p_e_counts():
     ssd.ftl.scheme.erase = lambda block, rng: erase(block, rng, cycles=2)
     with pytest.raises(SimulationError, match="P/E counts"):
         precondition_kernel(ssd, footprint)
+
+
+# --- the replay-log share -----------------------------------------------------
+# A point's kernel replays share one FTL pass: the log sits beside the
+# shared fill, keyed by the replayed request list.
+
+_SPEC = SsdSpec.small_test(seed=23)
+
+
+def _kernel_report(trace, scheme="baseline", pec=2500, spec=_SPEC, **kwargs):
+    """``run_workload_cell``'s kernel steps on a fresh drive of ``spec``."""
+    ssd = build_ssd(spec, scheme, pec_setpoint=pec)
+    lean = precondition_kernel(
+        ssd, int(spec.logical_pages * 0.9), write_back=False
+    )
+    return run_trace_kernel(
+        ssd, trace, lean=lean, write_back=False, **kwargs
+    ).to_json_dict()
+
+
+def _other_point():
+    """Leave another point in the share."""
+    _kernel_report(_trace(_SPEC, 500, "hm", 60), pec=500)
+
+
+@pytest.fixture
+def ftl_passes(monkeypatch):
+    passes = []
+    ftl_pass = kernel_cell._ftl_pass
+    monkeypatch.setattr(
+        kernel_cell, "_ftl_pass",
+        lambda *args: passes.append(1) or ftl_pass(*args),
+    )
+    return passes
+
+
+def test_replay_log_is_keyed_by_the_request_list(ftl_passes):
+    """A request list that differs in one request, and a shorter slice of
+    the same trace, each run their own FTL pass at the same point and
+    report what they report when they run first."""
+    stock = _trace(_SPEC, 2500, "ali.A", 150)
+    requests = list(stock.requests)
+    requests[75] = dataclasses.replace(
+        requests[75], is_read=not requests[75].is_read
+    )
+    variants = {
+        "one request": dict(trace=Trace(requests, name=stock.name)),
+        "max_requests": dict(trace=stock, max_requests=120),
+    }
+    for name, variant in variants.items():
+        _other_point()
+        first = _kernel_report(**variant)
+        stock_report = _kernel_report(stock)
+        del ftl_passes[:]
+        assert _kernel_report(**variant) == first, name
+        assert len(ftl_passes) == 1, name  # its own pass, not the stock log
+        assert first != stock_report, name
+    _kernel_report(stock)
+    del ftl_passes[:]
+    _kernel_report(Trace(list(stock.requests)), scheme="aero")
+    assert not ftl_passes  # an equal request list hits
+
+
+def test_replay_log_untouched_by_a_drive_that_holds_data(ftl_passes):
+    """A drive the object path filled, replayed without ``lean`` or after
+    a kernel refill, runs its own FTL pass and leaves the share alone."""
+    trace = _trace(_SPEC, 2500, "ali.A", 150)
+    _kernel_report(trace)
+    share = kernel_cell._POINT
+    footprint = int(_SPEC.logical_pages * 0.9)
+    for fills in (1, 2):
+        ssd = build_ssd(_SPEC, "baseline", pec_setpoint=2500)
+        ssd.precondition(footprint_pages=footprint)
+        lean = None
+        if fills == 2:
+            lean = precondition_kernel(ssd, footprint, write_back=False)
+        oracle = build_ssd(_SPEC, "baseline", pec_setpoint=2500)
+        for _ in range(fills):
+            oracle.precondition(footprint_pages=footprint)
+        del ftl_passes[:]
+        report = run_trace_kernel(ssd, trace, lean=lean, write_back=False)
+        assert len(ftl_passes) == 1, fills
+        assert kernel_cell._POINT is share, fills
+        assert report.to_json_dict() == oracle.run_trace(trace).to_json_dict()
+    del ftl_passes[:]
+    _kernel_report(trace, scheme="dpes")
+    assert not ftl_passes  # the share still holds the fresh drive's log
+
+
+def test_replay_log_hit_checks_p_e_counts(ftl_passes):
+    trace = _trace(_SPEC, 2500, "ali.A", 150)
+    _kernel_report(trace)
+    ssd = build_ssd(_SPEC, "baseline", pec_setpoint=2500)
+    lean = precondition_kernel(
+        ssd, int(_SPEC.logical_pages * 0.9), write_back=False
+    )
+    erase = ssd.ftl.scheme.erase
+    # An erase that accounts two P/E cycles departs from the log.
+    ssd.ftl.scheme.erase = lambda block, rng: erase(block, rng, cycles=2)
+    del ftl_passes[:]
+    with pytest.raises(SimulationError, match="P/E counts"):
+        run_trace_kernel(ssd, trace, lean=lean, write_back=False)
+    assert not ftl_passes  # it was a log hit
 
 
 class TestEngineGating:

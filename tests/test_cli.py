@@ -336,7 +336,45 @@ def test_bench_smoke_writes_artifact(tmp_path, capsys):
     assert cell["engine_object"]["median_s"] > 0
     assert cell["engine_kernel"]["median_s"] > 0
     assert cell["speedup"] > 0
+    assert cell["cold"] is True
     assert payload["config"]["smoke"] is True
+
+
+def test_bench_grid_cell_times_cold_cells(monkeypatch):
+    """Every timed repeat misses the point shares: its engine builds the
+    trace, and on the kernel engine runs the fill and the replay's FTL
+    pass, exactly once."""
+    import repro.harness.bench as bench
+    import repro.kernels.cell as kernel_cell
+    from repro.workloads.synthetic import SyntheticTraceGenerator
+
+    calls = []
+    for owner, name in (
+        (SyntheticTraceGenerator, "generate"),
+        (kernel_cell, "_fill"),
+        (kernel_cell, "_ftl_pass"),
+    ):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    timed = []
+    time_repeats = bench._time_repeats
+
+    def counting_time_repeats(fn, repeats):
+        before = len(calls)
+        times = time_repeats(fn, repeats)
+        timed.append(sorted(calls[before:]))
+        return times
+
+    monkeypatch.setattr(bench, "_time_repeats", counting_time_repeats)
+    config = bench.BenchConfig.smoke_config()
+    result = bench.bench_grid_cell(config)
+    assert result["cold"] is True
+    assert timed == [
+        ["generate"], ["_fill", "_ftl_pass", "generate"]
+    ] * config.grid_repeats
 
 
 @pytest.mark.parametrize("flag", ["--repeats", "--grid-repeats", "--grid-requests"])

@@ -258,7 +258,8 @@ def test_custom_workload_profile_runs_and_gets_own_cache_key(tmp_path):
 #
 # Consecutive cells of one (PEC, workload) point share their trace, the
 # drive's process-variation draws and (kernel engine) the preconditioned
-# layout through one-entry memos. None of it may show in a report.
+# layout and the replay log through one-entry memos. None of it may
+# show in a report.
 
 #: Two grid points, each with the seed the grid planner derives for it.
 POINT = (2500, "ali.A", derive(7, "grid", 2500, "ali.A"))
@@ -290,20 +291,24 @@ def _point_cell(scheme, point, engine="auto", **overrides):
 def test_point_shares_never_show_in_reports(monkeypatch):
     generated = _counted(monkeypatch, SyntheticTraceGenerator, "generate")
     fills = _counted(monkeypatch, kernel_cell, "_fill")
+    passes = _counted(monkeypatch, kernel_cell, "_ftl_pass")
     _point_cell("baseline", OTHER)  # the memos now hold another point
-    del generated[:], fills[:]
+    del generated[:], fills[:], passes[:]
     canonical = [_point_cell(scheme, POINT) for scheme in PAPER_SCHEMES]
-    assert (len(generated), len(fills)) == (1, 1)  # four cells hit
+    # Four cells hit the trace, the layout and the replay log.
+    assert (len(generated), len(fills), len(passes)) == (1, 1, 1)
     alternating = []
     for scheme in PAPER_SCHEMES:
         _point_cell(scheme, OTHER)
         alternating.append(_point_cell(scheme, POINT))
-    assert (len(generated), len(fills)) == (11, 11)  # every lookup missed
+    # Every lookup missed.
+    assert (len(generated), len(fills), len(passes)) == (11, 11, 11)
     objects = [
         _point_cell(scheme, POINT, engine="object") for scheme in PAPER_SCHEMES
     ]
     assert canonical == alternating == objects
-    assert len(fills) == 11  # the object path shares no layout
+    # The object path shares no layout and no replay log.
+    assert (len(fills), len(passes)) == (11, 11)
 
 
 def test_trace_share_keys_every_input(monkeypatch):

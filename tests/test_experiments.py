@@ -1,5 +1,6 @@
 """Declarative experiment API: registries, specs, builder, runner."""
 
+import dataclasses
 import json
 
 import pytest
@@ -99,6 +100,39 @@ def test_plugin_scheme_visible_to_global_surface():
         assert spec.scheme == "test_plugin"
     finally:
         SCHEMES.unregister("test_plugin")
+
+
+def test_builtin_keys_refuse_replacement():
+    """Fingerprints hash a built-in key, not what it resolves to, so a
+    replaced built-in would let a store serve the stock entry's reports
+    (the tweaked ``hm`` probe); built-in keys refuse it."""
+    stock = WORKLOADS.resolve("hm")
+    tweaked = dataclasses.replace(stock, read_ratio=0.05)
+    with pytest.raises(ConfigError, match="built in"):
+        WORKLOADS.register("hm", tweaked, replace=True)
+    with pytest.raises(ConfigError, match="built in"):
+        WORKLOADS.unregister("hm")
+    assert WORKLOADS.resolve("hm") is stock
+    factory = SCHEMES.get("aero")
+    with pytest.raises(ConfigError, match="built in"):
+        SCHEMES.register("aero", factory, replace=True)
+    with pytest.raises(ConfigError, match="built in"):
+        SCHEMES.unregister("aero")
+    assert SCHEMES.get("aero") is factory
+    # The probe's cell hashes as it did before built-ins were guarded.
+    assert ExperimentSpec(
+        scheme="baseline", pec=500, workload="hm", requests=120, seed=7
+    ).fingerprint == (
+        "a78bc3c3eb0ae983a6545256bbcdea2c51e311b4d20b8fc29c31c6627fe9b3b7"
+    )
+    # A variant still registers, replaces and unregisters under a new key.
+    WORKLOADS.register("hm.tweaked", tweaked)
+    try:
+        WORKLOADS.register("hm.tweaked", stock, replace=True)
+        assert WORKLOADS.resolve("hm.tweaked") is stock
+    finally:
+        WORKLOADS.unregister("hm.tweaked")
+    assert "hm.tweaked" not in WORKLOADS
 
 
 def test_scheme_rejecting_params_raises_config_error():
