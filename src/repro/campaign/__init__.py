@@ -25,9 +25,8 @@ processes with crash-resume". Four layers:
 * :mod:`repro.campaign.supervisor` — :class:`CellSupervisor`, the
   fault-tolerance layer under the orchestrator: per-cell wall-clock
   timeouts, retry with seeded exponential backoff, worker replacement
-  when one dies, and poison-cell quarantine
-  (:mod:`repro.campaign.quarantine`, one JSONL record per given-up
-  cell next to the store); and
+  when one dies, and poison-cell quarantine (one row per given-up
+  cell in the store's ``quarantine`` table); and
   :class:`~repro.campaign.supervisor.JobRun`, the one resume → dedupe
   → run → persist loop that ``GridRunner.execute_jobs`` shares with
   the orchestrator.
@@ -50,10 +49,9 @@ Store layout
 ::
 
     <root>/
-        results.sqlite          the one table, ``results``
+        results.sqlite          tables ``results`` and ``quarantine``
         results.sqlite-wal      write-ahead log (while a handle is open)
         results.sqlite-shm      WAL index (while a handle is open)
-        quarantine.jsonl        given-up cells (orchestrator sidecar)
 
 Each row of ``results`` is one finished result, keyed by its job
 fingerprint::
@@ -72,6 +70,11 @@ overwrites its row and bumps ``writes``, which ``StoreStats.superseded``
 sums). A ``get`` or ``in`` is one primary-key SELECT that serves the
 row only when its version is current and its CRC matches, so
 membership and retrievability agree by construction.
+
+Each row of ``quarantine`` is one cell a campaign gave up on after
+exhausting its retries: ``key``, ``cell`` (its index in the plan),
+``attempts``, ``reason``, ``error``, ``meta`` (JSON) and ``ts``. The
+table is created on open when missing, and compaction leaves it alone.
 
 Compaction (``gc``/``compact``, surfaced as ``python -m repro campaign
 compact``, whose ``--max-entries``/``--older-than`` knobs select
@@ -96,7 +99,6 @@ from repro.campaign.orchestrator import (
     CampaignStats,
     run_campaign,
 )
-from repro.campaign.quarantine import Quarantine
 from repro.campaign.spec import (
     CAMPAIGN_FAMILIES,
     CampaignSpec,
@@ -131,7 +133,6 @@ __all__ = [
     "CompactionStats",
     "GcResult",
     "MixedCampaignSpec",
-    "Quarantine",
     "RetryPolicy",
     "ShardedResultStore",
     "StoreStats",

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.campaign.quarantine import Quarantine
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import open_store
 from repro.campaign.supervisor import CellOutcome, JobRun, RetryPolicy
@@ -215,7 +214,8 @@ class CampaignOrchestrator:
         Supervision: ``cell_timeout_s`` bounds each attempt's wall
         clock; a failing cell is retried up to ``max_retries`` times
         with seeded exponential backoff, then quarantined — skipped
-        with a record (``on_poison="skip"``) or fatal
+        with a record in the store's ``quarantine`` table
+        (``on_poison="skip"``) or fatal
         (``on_poison="fail"`` →
         :class:`~repro.errors.PoisonCellError`).
         ``fault_plan`` arms deterministic chaos (worker kills, slow
@@ -245,7 +245,6 @@ class CampaignOrchestrator:
         self.on_poison = on_poison
         self.fault_plan = fault_plan or FaultPlan()
         self.shutdown = shutdown
-        self.quarantine = Quarantine(getattr(self.store, "root", None))
 
     # --- planning helpers ---------------------------------------------------
 
@@ -341,7 +340,7 @@ class CampaignOrchestrator:
                 if self.on_cell is not None:
                     self.on_cell(outcome.index, job, outcome.report)
             elif outcome.kind == "quarantined":
-                record = self.quarantine.record(
+                record = self.store.quarantine(
                     key=job.fingerprint,
                     index=outcome.index,
                     attempts=outcome.attempts,

@@ -10,7 +10,9 @@ one row of ``<root>/results.sqlite`` (layout documented in
 :mod:`repro.campaign`): a ``put`` is one UPSERT, and a ``get`` or
 ``in`` is one indexed SELECT. This module alone knows the on-disk
 format; :class:`CacheEntry` and :class:`GcResult` describe its rows to
-``campaign ls`` and ``campaign compact``.
+``campaign ls`` and ``campaign compact``. Cells a campaign gave up on
+are rows of a second table, ``quarantine``
+(:meth:`ShardedResultStore.quarantine`).
 
 Durability and concurrency: the database runs in WAL mode with
 ``synchronous=NORMAL`` and a busy timeout, so threads and processes
@@ -87,6 +89,14 @@ _UPSERT = _INSERT + (
     " RETURNING writes"
 )
 _SELECT_ONE = "SELECT version, report, crc, family FROM results WHERE key = ?"
+#: Cells given up after exhausting their retries, one row each.
+_QUARANTINE_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS quarantine (key TEXT NOT NULL,"
+    " cell INTEGER NOT NULL, attempts INTEGER NOT NULL, reason TEXT NOT NULL,"
+    " error TEXT NOT NULL, meta TEXT NOT NULL, ts REAL NOT NULL)"
+)
+_QUARANTINE_FIELDS = ("key", "index", "attempts", "reason", "error", "meta",
+                      "ts")
 _SELECT_ALL = (
     "SELECT key, version, report, crc, family, writes, ts, meta FROM results"
 )
@@ -184,6 +194,7 @@ def _connect(root: Path) -> sqlite3.Connection:
         ).fetchone() is None
         if fresh:
             db.execute(_SCHEMA)
+        db.execute(_QUARANTINE_SCHEMA)
         legacy = fresh and _is_legacy(root)
         if legacy:
             _import_legacy(root, db)
@@ -391,6 +402,33 @@ class ShardedResultStore:
             if writes > 1:
                 metrics.superseded.inc()
             self._faults.after_put(ordinal, key)
+
+    # --- quarantine ---------------------------------------------------------
+
+    def quarantine(self, key: str, index: int, attempts: int, reason: str,
+                   error: str = "", meta: Optional[Dict[str, Any]] = None,
+                   ) -> Dict[str, Any]:
+        """Record one cell given up after ``attempts`` failed attempts;
+        returns the record, as :meth:`quarantined` lists it."""
+        meta, ts = meta or {}, time.time()
+        with self._lock:
+            self._db().execute(
+                "INSERT INTO quarantine VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (key, index, attempts, reason, error, json.dumps(meta), ts),
+            )
+        return dict(zip(_QUARANTINE_FIELDS,
+                        (key, index, attempts, reason, error, meta, ts)))
+
+    def quarantined(self) -> List[Dict[str, Any]]:
+        """Every quarantine record, oldest first."""
+        with self._lock:
+            rows = self._db().execute(
+                "SELECT * FROM quarantine ORDER BY rowid"
+            ).fetchall()
+        return [
+            {**dict(zip(_QUARANTINE_FIELDS, row)), "meta": json.loads(row[5])}
+            for row in rows
+        ]
 
     # --- inspection ---------------------------------------------------------
 

@@ -4,7 +4,9 @@ Each driver reproduces one measurement campaign from the paper's
 Section 5, returning a structured result the benchmarks render and
 assert on. All campaigns use the m-ISPE methodology (0.5 ms loops,
 voltage step every 7 loops) to observe minimum erase latencies and
-fail-bit trajectories, exactly as the paper does.
+fail-bit trajectories, exactly as the paper does, and measure each
+PEC point's block population in one batch through the m-ISPE batch
+kernel (:class:`~repro.kernels.MispeBatchKernel`).
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import numpy as np
 from repro.characterization.fitting import GammaDeltaFit, fit_gamma_delta
 from repro.characterization.platform import TestPlatform
 from repro.core.ept import FelpSample
-from repro.erase.mispe import MIspeScheme
 from repro.errors import ConfigError
-from repro.kernels import BlockArrayState, resolve_kernel
+from repro.kernels import BlockArrayState, MispeBatchKernel
 from repro.nand.block import Block
 from repro.rng import derive_rng
 
@@ -62,38 +63,24 @@ def erase_latency_cdf(
     platform: TestPlatform,
     pec_points: Sequence[int] = (0, 1000, 2000, 3000, 4000, 5000),
     blocks_per_point: int = 200,
-    engine: str = "auto",
 ) -> EraseLatencyCdfResult:
     """Measure mtBERS across the population at each PEC point (m-ISPE).
 
-    ``engine="auto"`` (default) measures the whole population per PEC
-    point through the vectorized m-ISPE batch kernel — the headline
-    quantities (NISPE, mtBERS) are deterministic in each block's
-    required-work draw, so kernel and object results are identical;
-    ``engine="object"`` keeps the per-block loop.
+    The headline quantities (NISPE, mtBERS) are deterministic in each
+    block's required-work draw, so the batch kernel's values equal
+    per-block :meth:`~repro.erase.mispe.MIspeScheme.measure` results.
     """
-    scheme = MIspeScheme(platform.profile)
-    kernel = resolve_kernel(scheme, engine)
-    rng = derive_rng(platform.seed, "fig4")
+    kernel = MispeBatchKernel(platform.profile)
     result = EraseLatencyCdfResult(pec_points=list(pec_points))
     for pec in pec_points:
         histogram: Dict[int, int] = {}
-        if kernel is not None:
-            state = BlockArrayState.from_blocks(
-                platform.sample_blocks(pec, blocks_per_point)
-            )
-            _, nispe, mtbers_us = kernel.measure_batch(state)
-            values = list(mtbers_us / 1000.0)
-            for loops, count in zip(*np.unique(nispe, return_counts=True)):
-                histogram[int(loops)] = int(count)
-        else:
-            values = []
-            for block in platform.sample_blocks(pec, blocks_per_point):
-                measurement = scheme.measure(block, rng)
-                values.append(measurement.min_t_bers_ms)
-                histogram[measurement.nispe] = (
-                    histogram.get(measurement.nispe, 0) + 1
-                )
+        state = BlockArrayState.from_blocks(
+            platform.sample_blocks(pec, blocks_per_point)
+        )
+        _, nispe, mtbers_us = kernel.measure_batch(state)
+        values = list(mtbers_us / 1000.0)
+        for loops, count in zip(*np.unique(nispe, return_counts=True)):
+            histogram[int(loops)] = int(count)
         result.mtbers_ms[pec] = sorted(values)
         result.nispe_histogram[pec] = histogram
     return result
@@ -119,40 +106,28 @@ def failbit_linearity(
     platform: TestPlatform,
     pec_points: Sequence[int] = (2000, 3000, 4000, 5000),
     blocks_per_point: int = 120,
-    engine: str = "auto",
 ) -> FailbitLinearityResult:
     """Reproduce Figure 7: F falls by ~delta per 0.5 ms, floors at gamma.
 
-    ``engine="auto"`` (default) generates each PEC point's fail-bit
-    traces in one vectorized batch through the m-ISPE kernel (same
-    verify-read model, kernel-local noise stream); ``engine="object"``
-    replays the per-block measurement loop.
+    Each PEC point's fail-bit traces come from one batch through the
+    m-ISPE kernel (the per-block verify-read model, on a kernel-local
+    noise stream).
     """
-    scheme = MIspeScheme(platform.profile)
-    kernel = resolve_kernel(scheme, engine)
+    kernel = MispeBatchKernel(platform.profile)
     rng = derive_rng(platform.seed, "fig7")
     per_loop = platform.profile.pulses_per_loop
     traces_by_nispe: Dict[int, List[List[int]]] = {}
     for pec in pec_points:
-        if kernel is not None:
-            state = BlockArrayState.from_blocks(
-                platform.sample_blocks(pec, blocks_per_point)
-            )
-            required, traces = kernel.trace_batch(state, rng)
-            nispe = (required + per_loop - 1) // per_loop
-            for index in range(state.count):
-                if nispe[index] < 2:
-                    continue
-                traces_by_nispe.setdefault(int(nispe[index]), []).append(
-                    traces[index, : required[index]].tolist()
-                )
-            continue
-        for block in platform.sample_blocks(pec, blocks_per_point):
-            measurement = scheme.measure(block, rng)
-            if measurement.nispe < 2:
+        state = BlockArrayState.from_blocks(
+            platform.sample_blocks(pec, blocks_per_point)
+        )
+        required, traces = kernel.trace_batch(state, rng)
+        nispe = (required + per_loop - 1) // per_loop
+        for index in range(state.count):
+            if nispe[index] < 2:
                 continue
-            traces_by_nispe.setdefault(measurement.nispe, []).append(
-                measurement.fail_bits_per_pulse
+            traces_by_nispe.setdefault(int(nispe[index]), []).append(
+                traces[index, : required[index]].tolist()
             )
     if not traces_by_nispe:
         raise ConfigError("no multi-loop blocks found; raise the PEC points")
@@ -222,36 +197,24 @@ def felp_accuracy(
     platform: TestPlatform,
     pec_points: Sequence[int] = (1000, 2000, 3000, 4000, 5000),
     blocks_per_point: int = 160,
-    engine: str = "auto",
 ) -> FelpAccuracyResult:
     """Reproduce Figure 8: F(N-1) conservatively predicts mtEP(N).
 
-    ``engine="auto"`` (default) draws each PEC point's fail-bit traces
-    in one vectorized batch through the m-ISPE kernel (same verify-read
-    model, kernel-local noise stream, like the Figure 7 campaign);
-    ``engine="object"`` keeps the per-block measurement loop.
+    Each PEC point's fail-bit traces come from one batch through the
+    m-ISPE kernel, as in the Figure 7 campaign.
     """
-    scheme = MIspeScheme(platform.profile)
-    kernel = resolve_kernel(scheme, engine)
+    kernel = MispeBatchKernel(platform.profile)
     rng = derive_rng(platform.seed, "fig8")
     profile = platform.profile
     per_loop = profile.pulses_per_loop
     joint: Dict[int, Dict[int, Dict[int, int]]] = {}
     samples: List[FelpSample] = []
     for pec in pec_points:
-        blocks = platform.sample_blocks(pec, blocks_per_point)
-        if kernel is not None:
-            state = BlockArrayState.from_blocks(blocks)
-            required, traces = kernel.trace_batch(state, rng)
-            measurements = [
-                (int(required[i]), traces[i]) for i in range(state.count)
-            ]
-        else:
-            measurements = [
-                (m.short_loops, m.fail_bits_per_pulse)
-                for m in (scheme.measure(block, rng) for block in blocks)
-            ]
-        for work, trace in measurements:
+        state = BlockArrayState.from_blocks(
+            platform.sample_blocks(pec, blocks_per_point)
+        )
+        required, traces = kernel.trace_batch(state, rng)
+        for work, trace in zip(required.tolist(), traces):
             nispe = (work + per_loop - 1) // per_loop
             if nispe >= 2:
                 f_prev = int(trace[per_loop * (nispe - 1) - 1])
@@ -297,22 +260,18 @@ def shallow_erasure_sweep(
     tse_pulses_options: Sequence[int] = (1, 2, 3, 4),
     pec_points: Sequence[int] = (100, 500),
     blocks_per_point: int = 200,
-    engine: str = "auto",
 ) -> ShallowErasureResult:
     """Reproduce Figure 9: sweep the shallow-probe length.
 
     For each block the campaign measures F(0) after ``tSE`` and the
     single-loop erase latency achievable with the conservative
     remainder prediction: ``tSE + tVR + tRE + tVR`` (capped at the
-    default loop when no reduction is possible).
-
-    ``engine="auto"`` (default) draws each (tSE, PEC) population's
-    fail-bit traces in one vectorized batch through the m-ISPE kernel;
-    ``engine="object"`` keeps the per-block measurement loop.
+    default loop when no reduction is possible). Each (tSE, PEC)
+    population's fail-bit traces come from one batch through the m-ISPE
+    kernel.
     """
     profile = platform.profile
-    scheme = MIspeScheme(profile)
-    kernel = resolve_kernel(scheme, engine)
+    kernel = MispeBatchKernel(profile)
     rng = derive_rng(platform.seed, "fig9")
     per_loop = profile.pulses_per_loop
     quantum_ms = profile.pulse_quantum_us / 1000.0
@@ -330,20 +289,12 @@ def shallow_erasure_sweep(
             histogram: Dict[int, int] = {}
             latencies: List[float] = []
             reduced_count = 0
-            blocks = platform.sample_blocks(pec, blocks_per_point)
-            if kernel is not None:
-                state = BlockArrayState.from_blocks(blocks)
-                required, traces = kernel.trace_batch(state, rng)
-                measurements = [
-                    (int(required[i]), traces[i, : int(required[i])])
-                    for i in range(state.count)
-                ]
-            else:
-                measurements = [
-                    (m.short_loops, m.fail_bits_per_pulse)
-                    for m in (scheme.measure(block, rng) for block in blocks)
-                ]
-            for work, trace in measurements:
+            state = BlockArrayState.from_blocks(
+                platform.sample_blocks(pec, blocks_per_point)
+            )
+            required, traces = kernel.trace_batch(state, rng)
+            for work, trace in zip(required.tolist(), traces):
+                trace = trace[:work]
                 if work <= tse:
                     # Probe alone completes the erase.
                     f0 = int(trace[-1])
@@ -368,7 +319,7 @@ def shallow_erasure_sweep(
             key = (tse, pec)
             f0_ranges[key] = histogram
             avg_tbers[key] = float(np.mean(latencies))
-            reduced[key] = reduced_count / len(blocks)
+            reduced[key] = reduced_count / state.count
     return ShallowErasureResult(
         f0_ranges=f0_ranges, avg_tbers_ms=avg_tbers, reduced_fraction=reduced
     )
@@ -410,7 +361,6 @@ def reliability_margin(
     pec_points: Sequence[int] = (500, 1500, 2500, 3500, 4500),
     blocks_per_point: int = 150,
     requirement: Optional[int] = None,
-    engine: str = "auto",
 ) -> ReliabilityMarginResult:
     """Reproduce Figure 10: the margin left for aggressive reduction.
 
@@ -419,16 +369,13 @@ def reliability_margin(
     (only NISPE-1 loops, leaving F(N-1) fail bits). Both then take the
     reference 1-year retention bake and report MRBER.
 
-    ``engine="auto"`` (default) draws the insufficient branch's
-    residual fail-bit counts per PEC point in one vectorized batch
-    through the m-ISPE kernel (reading F(N-1) off the batch trace
-    instead of looping verify reads); the erase physics and MRBER bake
-    stay on the real block clones either way. ``engine="object"``
-    keeps the fully per-block loop.
+    The insufficient branch's residual fail-bit counts come from one
+    batch per PEC point through the m-ISPE kernel (F(N-1) read off the
+    batch trace); the erase physics and MRBER bake run on the real
+    block clones.
     """
     profile = platform.profile
-    scheme = MIspeScheme(profile)
-    kernel = resolve_kernel(scheme, engine)
+    kernel = MispeBatchKernel(profile)
     ecc = profile.ecc
     requirement = requirement if requirement is not None else ecc.requirement_bits_per_kib
     rng = derive_rng(platform.seed, "fig10")
@@ -440,15 +387,13 @@ def reliability_margin(
             (index * 7) % platform.block_count
             for index in range(blocks_per_point)
         ]
-        traces = None
-        if kernel is not None:
-            # Probe clones feed the batch; the jitter stream of each
-            # model restarts per clone, so the probes' required work
-            # matches the per-block clones erased below.
-            probes = [platform.block_at(i, pec) for i in indices]
-            _, traces = kernel.trace_batch(
-                BlockArrayState.from_blocks(probes), rng
-            )
+        # Probe clones feed the batch; the jitter stream of each model
+        # restarts per clone, so the probes' required work matches the
+        # per-block clones erased below.
+        probes = [platform.block_at(i, pec) for i in indices]
+        _, traces = kernel.trace_batch(
+            BlockArrayState.from_blocks(probes), rng
+        )
         for position, block_index in enumerate(indices):
             # --- complete erasure -------------------------------------
             complete = platform.block_at(block_index, pec)
@@ -461,17 +406,10 @@ def reliability_margin(
                 continue
             insufficient = platform.block_at(block_index, pec)
             state = insufficient.begin_erase()
-            if traces is not None:
-                fail_bits = int(traces[position, per_loop * (nispe - 1) - 1])
-                for loop in range(1, nispe):
-                    state.start_loop(loop)
-                    state.apply_pulses(per_loop)
-            else:
-                fail_bits = 0
-                for loop in range(1, nispe):
-                    state.start_loop(loop)
-                    state.apply_pulses(per_loop)
-                    fail_bits = state.verify_read(rng)
+            fail_bits = int(traces[position, per_loop * (nispe - 1) - 1])
+            for loop in range(1, nispe):
+                state.start_loop(loop)
+                state.apply_pulses(per_loop)
             insufficient.finish_erase(
                 state, residual_fail_bits=fail_bits, nispe=nispe
             )

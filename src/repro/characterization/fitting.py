@@ -9,7 +9,7 @@ to implement FELP on a new chip type (Section 5.2 conclusion).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -80,23 +80,3 @@ def fit_gamma_delta(
         r_squared=r_squared,
         samples=len(gamma_samples),
     )
-
-
-def linearity_by_group(
-    traces: Sequence[Sequence[int]],
-    group_sizes: Sequence[int],
-) -> List[Tuple[int, GammaDeltaFit]]:
-    """Fit gamma/delta separately per group (e.g. per NISPE).
-
-    ``group_sizes`` partitions ``traces`` in order; used to verify the
-    paper's claim that the fitted values are consistent across loop
-    counts (Figure 7's four panels).
-    """
-    fits: List[Tuple[int, GammaDeltaFit]] = []
-    start = 0
-    for group_index, size in enumerate(group_sizes):
-        subset = traces[start : start + size]
-        start += size
-        if subset:
-            fits.append((group_index, fit_gamma_delta(subset)))
-    return fits

@@ -81,15 +81,6 @@ class EraseOperationResult:
         """Total erase latency tBERS (us)."""
         return sum(segment.duration_us for segment in self.segments)
 
-    @property
-    def pulse_latency_us(self) -> float:
-        """Erase-pulse time only (excludes verify reads)."""
-        return sum(
-            segment.duration_us
-            for segment in self.segments
-            if segment.kind is SegmentKind.ERASE_PULSE
-        )
-
 
 class EraseScheme(ABC):
     """Base class for erase schemes.
@@ -208,26 +199,3 @@ class EraseScheme(ABC):
         result.total_pulses += pulses
         result.fail_bit_trace.append(fail_bits)
         return fail_bits
-
-
-def default_loop_pulses(profile: ChipProfile) -> int:
-    """Pulse quanta in one default-latency EP step (7 on the paper's chips)."""
-    return profile.pulses_per_loop
-
-
-@dataclass(frozen=True)
-class SchemeDescription:
-    """Catalog entry used by builders and benchmark harnesses."""
-
-    key: str
-    label: str
-    description: str
-
-
-SCHEME_CATALOG = (
-    SchemeDescription("baseline", "Baseline", "Conventional ISPE (fixed tEP)"),
-    SchemeDescription("iispe", "i-ISPE", "Skip to memorized final loop [16]"),
-    SchemeDescription("dpes", "DPES", "Erase-voltage scaling [29-31]"),
-    SchemeDescription("aero_cons", "AEROcons", "AERO without ECC-margin use"),
-    SchemeDescription("aero", "AERO", "Full AERO (FELP + shallow + margin)"),
-)

@@ -35,10 +35,6 @@ class CommandError(NandError):
     """
 
 
-class WornOutError(NandError):
-    """A block exceeded its endurance limit and can no longer be used."""
-
-
 class FeatureError(NandError):
     """An unknown or read-only ONFI feature register was accessed."""
 

@@ -466,11 +466,6 @@ class Experiment(metaclass=_ExperimentMeta):
         SCHEMES.get(key)
         return cls(ExperimentSpec(scheme=key, scheme_params=scheme_params))
 
-    @classmethod
-    def from_spec(cls, spec: ExperimentSpec) -> "Experiment":
-        """Wrap an existing spec for further tweaking."""
-        return cls(spec)
-
     def _evolve(self, **changes: Any) -> "Experiment":
         return Experiment(replace(self._spec, **changes))
 

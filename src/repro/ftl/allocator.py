@@ -86,12 +86,3 @@ class PlaneAllocator:
             and not block.retired
             and block.write_pointer > 0
         ]
-
-    @property
-    def total_free_pages(self) -> int:
-        """Free pages across pool and active blocks (capacity headroom)."""
-        pages = sum(b.free_pages for b in self._free)
-        for block in self._active.values():
-            if block is not None:
-                pages += block.free_pages
-        return pages

@@ -26,7 +26,7 @@ from repro.ftl.stats import FtlStats
 from repro.ftl.wear_leveling import WearLeveler
 from repro.nand.block import Block
 from repro.nand.chip import NandChip
-from repro.nand.geometry import BlockAddress, PageAddress, PlaneAddress
+from repro.nand.geometry import BlockAddress, PageAddress
 from repro.rng import derive_rng
 
 
@@ -74,9 +74,6 @@ class PageLevelFtl:
                     self.planes.append(
                         PlaneAllocator(plane.address, list(plane.blocks))
                     )
-        self._planes_by_address: Dict[PlaneAddress, PlaneAllocator] = {
-            allocator.address: allocator for allocator in self.planes
-        }
 
     # --- lookups ---------------------------------------------------------------
 
@@ -85,9 +82,6 @@ class PageLevelFtl:
 
     def block_at(self, address: BlockAddress) -> Block:
         return self.chip_at(address.channel, address.chip).block(address)
-
-    def plane_allocator(self, address: PlaneAddress) -> PlaneAllocator:
-        return self._planes_by_address[address]
 
     def plane_for_lpn(self, lpn: int) -> PlaneAllocator:
         """Static page-granularity striping across planes."""
@@ -205,11 +199,6 @@ class PageLevelFtl:
                 self.write(int(lpn))
 
     # --- diagnostics --------------------------------------------------------------------
-
-    def free_block_histogram(self) -> Dict[str, int]:
-        return {
-            str(alloc.address): alloc.free_blocks for alloc in self.planes
-        }
 
     def check_consistency(self) -> None:
         """Invariant check used by tests: mapping <-> block states agree."""

@@ -44,14 +44,6 @@ class GcJob:
     #: the plane's backlog forced it (the "can no longer delay" case).
     escalated: bool = False
 
-    @property
-    def move_count(self) -> int:
-        return len(self.moves)
-
-    @property
-    def erase_latency_us(self) -> float:
-        return self.erase_result.latency_us if self.erase_result else 0.0
-
 
 class GreedyVictimSelector:
     """Pick the closed block with the fewest valid pages."""
@@ -61,7 +53,3 @@ class GreedyVictimSelector:
         if not candidates:
             return None
         return min(candidates, key=lambda block: (block.valid_count, block.address))
-
-    def reclaimable_pages(self, allocator: PlaneAllocator) -> int:
-        """Invalid pages reclaimable right now (diagnostics)."""
-        return sum(block.invalid_count for block in allocator.gc_candidates())

@@ -44,10 +44,3 @@ class WearLeveler:
             return None
         self.interventions += 1
         return min(candidates, key=lambda b: (b.wear.pec, b.address))
-
-    def wear_gap(self, allocator: PlaneAllocator) -> int:
-        """Current max-min P/E gap (diagnostics)."""
-        blocks = [b for b in allocator.all_blocks if not b.retired]
-        if not blocks:
-            return 0
-        return max(b.wear.pec for b in blocks) - min(b.wear.pec for b in blocks)

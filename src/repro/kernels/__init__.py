@@ -3,10 +3,11 @@
 The package holds the structure-of-arrays block state
 (:class:`BlockArrayState`) and one batch erase kernel per built-in
 scheme. Schemes opt in by overriding
-:meth:`repro.erase.scheme.EraseScheme.batch_kernel`; campaign drivers
-call :func:`kernel_for_scheme` and fall back to the per-block object
-path when it returns ``None`` (third-party schemes keep working
-unchanged).
+:meth:`repro.erase.scheme.EraseScheme.batch_kernel`; the lifetime
+simulator resolves its engine through :func:`resolve_kernel` and
+falls back to the per-block object path when a scheme has no kernel
+(third-party schemes keep working unchanged). The characterization
+campaigns always measure through the m-ISPE kernel.
 
 :mod:`repro.kernels.cell` adds the grid-cell replay kernel behind the
 ``engine`` knob of :func:`repro.harness.cells.run_workload_cell`:
@@ -43,8 +44,7 @@ def resolve_kernel(scheme, engine: str, scheme_name: str | None = None):
     ``"auto"`` with a kernel-less scheme); raises
     :class:`~repro.errors.ConfigError` for unknown engine values and
     for ``engine="kernel"`` on a scheme that provides no kernel. The
-    one place every engine knob (lifetime simulator, characterization
-    campaigns, CLI) resolves through.
+    lifetime simulator's engine knob resolves here.
     """
     if engine not in ENGINES:
         raise ConfigError(

@@ -231,10 +231,3 @@ class RberModel:
     def margin(self, sample: RberSample) -> float:
         """Reliability margin: requirement minus measured MRBER (Fig. 10)."""
         return self.profile.ecc.requirement_bits_per_kib - sample.total
-
-    def baseline_lifetime_age(self) -> float:
-        """Wear age (kilocycles) at which a complete-erase block fails.
-
-        By calibration this equals ``target_baseline_lifetime_pec/1000``.
-        """
-        return self.profile.wear.target_baseline_lifetime_pec / 1000.0

@@ -206,9 +206,3 @@ class SsdController:
                 (tracker.erase_txn.channel, tracker.erase_txn.chip)
             ]
             executor.submit(tracker.erase_txn)
-
-    # --- diagnostics ------------------------------------------------------------------
-
-    @property
-    def outstanding_gc_jobs(self) -> int:
-        return len(self._gc_trackers)

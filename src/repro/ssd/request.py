@@ -80,10 +80,6 @@ class PageTransaction:
     gc_job: Optional[GcJob] = None
     enqueue_us: float = 0.0
 
-    @property
-    def is_user(self) -> bool:
-        return self.priority in (TxnPriority.USER_READ, TxnPriority.USER_WRITE)
-
 
 @dataclass
 class GcJobTracker:

@@ -10,9 +10,10 @@ The subsystem has four small parts:
   uses to validate them);
 * :mod:`repro.telemetry.httpd` — an optional stdlib ``/metrics``
   endpoint on a daemon thread;
-* :mod:`repro.telemetry.instruments` — the metric families each
+* :mod:`repro.telemetry.instruments` — one table declaring every
+  metric family once, and the accessors through which each
   instrumented subsystem (campaigns, stores, the SSD replay path,
-  kernels) declares and feeds at execution boundaries.
+  kernels) feeds its families at execution boundaries.
 
 A process-global default registry serves the common case (the CLI's
 ``--metrics-port`` / ``--metrics-json`` and ``metrics dump`` read it);

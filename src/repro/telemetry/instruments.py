@@ -1,14 +1,19 @@
 """Shared metric families for the instrumented subsystems.
 
-Every instrumented layer (campaign orchestrator, result stores, the
-SSD replay path, the kernels) declares its series here, through one
-accessor per subsystem returning a namespace of family handles bound
-to a registry (the process-global default unless one is injected).
-Accessors are get-or-create and cheap — a couple of dict lookups —
-so call sites fetch handles at instrumentation *boundaries* (one store
-put, one finished cell, one completed replay) rather than caching
-global state at import time; injecting a fresh registry in a test
-immediately redirects every subsystem.
+Every ``repro_*`` series is declared once, as one row of
+:data:`FAMILIES`: the subsystem that feeds it, the attribute its
+handle goes by, and its type, name, HELP text, labels and buckets.
+One accessor per subsystem (:func:`campaign_metrics`,
+:func:`store_metrics`, ...) returns a namespace of that subsystem's
+handles, bound to a registry (the process-global default unless one is
+injected). The first call for a registry declares the subsystem's
+families there and keeps the handles on that registry, so later calls
+are one dict lookup; call sites fetch handles at instrumentation
+*boundaries* (one store put, one finished cell, one completed replay),
+and injecting a fresh registry, or entering
+:func:`~repro.telemetry.scoped_registry`, immediately redirects every
+subsystem. Name validation, re-declaration conflicts and bucket checks
+stay with :class:`~repro.telemetry.registry.MetricsRegistry`.
 
 Naming follows Prometheus conventions: ``repro_`` prefix, ``_total``
 counters, base-unit (seconds/bytes) histograms and gauges.
@@ -16,10 +21,12 @@ counters, base-unit (seconds/bytes) histograms and gauges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from types import SimpleNamespace
+from typing import NamedTuple, Optional, Tuple
 
-from repro.telemetry.registry import MetricFamily, MetricsRegistry
+from repro.telemetry import get_default_registry
+from repro.telemetry.registry import MetricsRegistry
 
 #: Replay latency buckets (seconds): flash reads land around 50-500 us,
 #: suspended-erase tails run into tens of milliseconds.
@@ -43,320 +50,204 @@ CELL_WALL_BUCKETS = (
 BATCH_SIZE_BUCKETS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
 
-def _registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    if registry is not None:
-        return registry
-    from repro.telemetry import get_default_registry
+class Family(NamedTuple):
+    """One declared family: which handle feeds it, and its schema."""
 
-    return get_default_registry()
-
-
-# --- campaign ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CampaignMetrics:
-    planned: MetricFamily        # gauge
-    cells: MetricFamily          # counter{outcome}
-    pool_pending: MetricFamily   # gauge
-    pool_inflight: MetricFamily  # gauge
-    pool_workers: MetricFamily   # gauge
-    cell_wall: MetricFamily      # histogram
-    progress_fraction: MetricFamily  # gauge
-    eta_seconds: MetricFamily    # gauge
-    retries: MetricFamily        # counter{reason}
-    timeouts: MetricFamily       # counter
-    quarantined: MetricFamily    # counter
-    pool_rebuilds: MetricFamily  # counter
+    subsystem: str
+    attr: str
+    kind: str
+    name: str
+    help: str
+    labels: Tuple[str, ...] = ()
+    buckets: Optional[Tuple[float, ...]] = None
 
 
-def campaign_metrics(
-    registry: Optional[MetricsRegistry] = None,
-) -> CampaignMetrics:
-    reg = _registry(registry)
-    return CampaignMetrics(
-        planned=reg.gauge(
-            "repro_campaign_cells_planned",
-            "Cells in the campaign plan.",
-        ),
-        cells=reg.counter(
-            "repro_campaign_cells_total",
-            "Campaign cells by provenance: executed fresh, resumed "
-            "from the store, or superseding an existing store record.",
-            labels=("outcome",),
-        ),
-        pool_pending=reg.gauge(
-            "repro_campaign_pool_pending",
-            "Campaign cells to execute and not yet resolved.",
-        ),
-        pool_inflight=reg.gauge(
-            "repro_campaign_pool_inflight",
-            "Cells concurrently executing "
-            "(min(workers, pending) estimate).",
-        ),
-        pool_workers=reg.gauge(
-            "repro_campaign_pool_workers",
-            "Configured worker count of the campaign.",
-        ),
-        cell_wall=reg.histogram(
-            "repro_campaign_cell_wall_seconds",
-            "Wall-clock execution time of one campaign cell.",
-            buckets=CELL_WALL_BUCKETS,
-        ),
-        progress_fraction=reg.gauge(
-            "repro_campaign_progress_fraction",
-            "Completed fraction of the running campaign.",
-        ),
-        eta_seconds=reg.gauge(
-            "repro_campaign_eta_seconds",
-            "Projected seconds until the campaign finishes.",
-        ),
-        retries=reg.counter(
-            "repro_campaign_retries_total",
-            "Cell attempts re-queued after a recoverable failure, "
-            "by reason (error, timeout, worker_death, persist_fault).",
-            labels=("reason",),
-        ),
-        timeouts=reg.counter(
-            "repro_campaign_timeouts_total",
-            "Cell attempts killed for exceeding the wall-clock "
-            "cell timeout.",
-        ),
-        quarantined=reg.counter(
-            "repro_campaign_quarantined_total",
-            "Poison cells quarantined after exhausting retries.",
-        ),
-        pool_rebuilds=reg.counter(
-            "repro_campaign_pool_rebuilds_total",
-            "Worker replacements after a worker died or was killed.",
-        ),
-    )
+_BACKEND = ("backend",)
+
+#: Every ``repro_*`` family the library feeds, grouped by subsystem.
+FAMILIES = (
+    Family("campaign", "planned", "gauge", "repro_campaign_cells_planned",
+           "Cells in the campaign plan."),
+    Family("campaign", "cells", "counter", "repro_campaign_cells_total",
+           "Campaign cells by provenance: executed fresh, resumed "
+           "from the store, or superseding an existing store record.",
+           ("outcome",)),
+    Family("campaign", "pool_pending", "gauge",
+           "repro_campaign_pool_pending",
+           "Campaign cells to execute and not yet resolved."),
+    Family("campaign", "pool_inflight", "gauge",
+           "repro_campaign_pool_inflight",
+           "Cells concurrently executing "
+           "(min(workers, pending) estimate)."),
+    Family("campaign", "pool_workers", "gauge",
+           "repro_campaign_pool_workers",
+           "Configured worker count of the campaign."),
+    Family("campaign", "cell_wall", "histogram",
+           "repro_campaign_cell_wall_seconds",
+           "Wall-clock execution time of one campaign cell.",
+           buckets=CELL_WALL_BUCKETS),
+    Family("campaign", "progress_fraction", "gauge",
+           "repro_campaign_progress_fraction",
+           "Completed fraction of the running campaign."),
+    Family("campaign", "eta_seconds", "gauge", "repro_campaign_eta_seconds",
+           "Projected seconds until the campaign finishes."),
+    Family("campaign", "retries", "counter", "repro_campaign_retries_total",
+           "Cell attempts re-queued after a recoverable failure, "
+           "by reason (error, timeout, worker_death, persist_fault).",
+           ("reason",)),
+    Family("campaign", "timeouts", "counter",
+           "repro_campaign_timeouts_total",
+           "Cell attempts killed for exceeding the wall-clock "
+           "cell timeout."),
+    Family("campaign", "quarantined", "counter",
+           "repro_campaign_quarantined_total",
+           "Poison cells quarantined after exhausting retries."),
+    Family("campaign", "pool_rebuilds", "counter",
+           "repro_campaign_pool_rebuilds_total",
+           "Worker replacements after a worker died or was killed."),
+    Family("store", "puts", "counter", "repro_store_puts_total",
+           "Finished cell reports persisted.", _BACKEND),
+    Family("store", "gets", "counter", "repro_store_gets_total",
+           "Store lookups by outcome (hit or miss).",
+           ("backend", "outcome")),
+    Family("store", "bad_entries", "counter",
+           "repro_store_bad_entries_total",
+           "Gets that found an unusable record: stale cache version, "
+           "torn report bytes, or a checksum mismatch.",
+           ("backend", "reason")),
+    Family("store", "superseded", "counter", "repro_store_superseded_total",
+           "Puts that overwrote an existing record for the same key.",
+           _BACKEND),
+    Family("store", "compactions", "counter",
+           "repro_store_compactions_total",
+           "Completed compaction passes.", _BACKEND),
+    Family("store", "reclaimed_bytes", "counter",
+           "repro_store_reclaimed_bytes_total",
+           "Bytes reclaimed by compaction.", _BACKEND),
+    Family("store", "gc_removed", "counter", "repro_store_gc_removed_total",
+           "Entries removed by garbage collection or compaction.",
+           _BACKEND),
+    Family("store", "data_bytes", "gauge", "repro_store_data_bytes",
+           "Size of the store's database, pages in use and free.",
+           _BACKEND),
+    Family("store", "bytes_written", "counter",
+           "repro_store_bytes_written_total",
+           "Report bytes written by puts.", _BACKEND),
+    Family("faults", "injected", "counter", "repro_faults_injected_total",
+           "Deterministic faults fired from the armed fault plan, "
+           "by kind.", ("kind",)),
+    Family("ssd", "replays", "counter", "repro_ssd_replays_total",
+           "Completed timed trace replays (either engine)."),
+    Family("ssd", "requests", "counter", "repro_ssd_requests_total",
+           "Host requests completed during timed replays.", ("op",)),
+    Family("ssd", "latency", "histogram", "repro_ssd_latency_seconds",
+           "Host request latency during timed replays.", ("op",),
+           LATENCY_BUCKETS),
+    Family("ssd", "suspensions", "counter",
+           "repro_ssd_erase_suspensions_total",
+           "Erase operations suspended for a user read."),
+    Family("ssd", "resumes", "counter", "repro_ssd_erase_resumes_total",
+           "Suspended erase operations resumed to completion."),
+    Family("ssd", "host_reads", "counter", "repro_ssd_host_reads_total",
+           "Host page reads the FTL served (WAF denominator context)."),
+    Family("ssd", "host_writes", "counter", "repro_ssd_host_writes_total",
+           "Host page writes the FTL accepted (WAF denominator)."),
+    Family("ssd", "gc_page_moves", "counter",
+           "repro_ssd_gc_page_moves_total",
+           "Valid pages relocated by garbage collection "
+           "(WAF numerator component)."),
+    Family("ssd", "gc_jobs", "counter", "repro_ssd_gc_jobs_total",
+           "Garbage-collection victim erasures performed."),
+    Family("ssd", "waf", "gauge", "repro_ssd_waf",
+           "Write amplification factor of the most recent replay."),
+    Family("ftl_erase", "erases", "counter", "repro_ssd_erases_total",
+           "Block erases performed through the FTL."),
+    Family("ftl_erase", "pulses", "counter", "repro_ssd_erase_pulses_total",
+           "Erase pulses issued across all FTL block erases."),
+    Family("ftl_erase", "latency", "histogram",
+           "repro_ssd_erase_latency_seconds",
+           "Per-erase latency through the FTL (scheme-shaped).",
+           buckets=ERASE_LATENCY_BUCKETS),
+    Family("kernel", "engine_cells", "counter", "repro_kernel_engine_total",
+           "Engine selections by site: grid-cell replays and "
+           "lifetime runs, on the vectorized kernel or object path.",
+           ("site", "engine")),
+    Family("kernel", "batch_blocks", "histogram",
+           "repro_kernel_batch_blocks",
+           "Blocks per batch-kernel erase step.",
+           buckets=BATCH_SIZE_BUCKETS),
+)
 
 
-# --- result stores -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StoreMetrics:
-    puts: MetricFamily        # counter
-    gets: MetricFamily        # counter{outcome}
-    bad_entries: MetricFamily  # counter{reason}
-    superseded: MetricFamily  # counter
-    compactions: MetricFamily  # counter
-    reclaimed_bytes: MetricFamily  # counter
-    gc_removed: MetricFamily  # counter
-    data_bytes: MetricFamily  # gauge
-    bytes_written: MetricFamily  # counter
-
-
-def store_metrics(
-    backend: str, registry: Optional[MetricsRegistry] = None
-) -> "_BoundStoreMetrics":
-    """Handles for one store backend (``sharded``)."""
-    reg = _registry(registry)
-    labels = ("backend",)
-    families = StoreMetrics(
-        puts=reg.counter(
-            "repro_store_puts_total",
-            "Finished cell reports persisted.",
-            labels=labels,
-        ),
-        gets=reg.counter(
-            "repro_store_gets_total",
-            "Store lookups by outcome (hit or miss).",
-            labels=("backend", "outcome"),
-        ),
-        bad_entries=reg.counter(
-            "repro_store_bad_entries_total",
-            "Gets that found an unusable record: stale cache version, "
-            "torn report bytes, or a checksum mismatch.",
-            labels=("backend", "reason"),
-        ),
-        superseded=reg.counter(
-            "repro_store_superseded_total",
-            "Puts that overwrote an existing record for the same key.",
-            labels=labels,
-        ),
-        compactions=reg.counter(
-            "repro_store_compactions_total",
-            "Completed compaction passes.",
-            labels=labels,
-        ),
-        reclaimed_bytes=reg.counter(
-            "repro_store_reclaimed_bytes_total",
-            "Bytes reclaimed by compaction.",
-            labels=labels,
-        ),
-        gc_removed=reg.counter(
-            "repro_store_gc_removed_total",
-            "Entries removed by garbage collection or compaction.",
-            labels=labels,
-        ),
-        data_bytes=reg.gauge(
-            "repro_store_data_bytes",
-            "Size of the store's database, pages in use and free.",
-            labels=labels,
-        ),
-        bytes_written=reg.counter(
-            "repro_store_bytes_written_total",
-            "Report bytes written by puts.",
-            labels=labels,
-        ),
-    )
-    return _BoundStoreMetrics(families, backend)
-
-
-class _BoundStoreMetrics:
-    """StoreMetrics with the ``backend`` label pre-applied."""
-
-    __slots__ = (
-        "puts", "superseded", "compactions", "reclaimed_bytes",
-        "gc_removed", "data_bytes", "bytes_written", "_gets",
-        "_bad_entries", "_backend",
-    )
-
-    def __init__(self, families: StoreMetrics, backend: str):
-        self.puts = families.puts.labels(backend=backend)
-        self.superseded = families.superseded.labels(backend=backend)
-        self.compactions = families.compactions.labels(backend=backend)
-        self.reclaimed_bytes = families.reclaimed_bytes.labels(
-            backend=backend
-        )
-        self.gc_removed = families.gc_removed.labels(backend=backend)
-        self.data_bytes = families.data_bytes.labels(backend=backend)
-        self.bytes_written = families.bytes_written.labels(
-            backend=backend
-        )
-        self._gets = families.gets
-        self._bad_entries = families.bad_entries
-        self._backend = backend
+class _StoreHandles(SimpleNamespace):
+    """Store handles for one ``backend``: families labeled by backend
+    alone are its children; the two with a second label take it here."""
 
     def get_outcome(self, hit: bool):
-        return self._gets.labels(
-            backend=self._backend, outcome="hit" if hit else "miss"
-        )
+        return self.gets(outcome="hit" if hit else "miss")
 
     def bad_entry(self, reason: str):
-        return self._bad_entries.labels(
-            backend=self._backend, reason=reason
-        )
+        return self.bad_entries(reason=reason)
 
 
-# --- fault injection ---------------------------------------------------------
+#: Namespace type per subsystem; the default is a plain namespace.
+_HANDLES = {"store": _StoreHandles}
 
 
-@dataclass(frozen=True)
-class FaultMetrics:
-    injected: MetricFamily  # counter{kind}
+def _bind(subsystem: str, registry: Optional[MetricsRegistry],
+          **preset: str) -> SimpleNamespace:
+    """``subsystem``'s handles on ``registry`` (default: the process
+    registry), built from :data:`FAMILIES` on first use and kept there.
+
+    ``preset`` label values are applied up front: a family labeled by
+    them alone becomes that child, one with more labels a partial of
+    ``labels``.
+    """
+    registry = registry if registry is not None else get_default_registry()
+    key = (subsystem, *preset.values())
+    handles = registry.bindings.get(key)
+    if handles is None:
+        handles = _HANDLES.get(subsystem, SimpleNamespace)()
+        for row in FAMILIES:
+            if row.subsystem != subsystem:
+                continue
+            family = registry.declare(
+                row.name, row.help, row.kind, row.labels, row.buckets
+            )
+            if preset and row.labels == tuple(preset):
+                family = family.labels(**preset)
+            elif preset:
+                family = partial(family.labels, **preset)
+            setattr(handles, row.attr, family)
+        # Two racing first calls both build (declare is idempotent);
+        # setdefault keeps one namespace for both.
+        handles = registry.bindings.setdefault(key, handles)
+    return handles
 
 
-def fault_metrics(
-    registry: Optional[MetricsRegistry] = None,
-) -> FaultMetrics:
-    reg = _registry(registry)
-    return FaultMetrics(
-        injected=reg.counter(
-            "repro_faults_injected_total",
-            "Deterministic faults fired from the armed fault plan, "
-            "by kind.",
-            labels=("kind",),
-        ),
-    )
+def campaign_metrics(registry: Optional[MetricsRegistry] = None):
+    return _bind("campaign", registry)
 
 
-# --- SSD replay / FTL --------------------------------------------------------
+def store_metrics(backend: str, registry: Optional[MetricsRegistry] = None):
+    """Handles for one store backend (``sharded``)."""
+    return _bind("store", registry, backend=backend)
 
 
-@dataclass(frozen=True)
-class SsdMetrics:
-    replays: MetricFamily        # counter
-    requests: MetricFamily       # counter{op}
-    latency: MetricFamily        # histogram{op}
-    suspensions: MetricFamily    # counter
-    resumes: MetricFamily        # counter
-    host_reads: MetricFamily     # counter
-    host_writes: MetricFamily    # counter
-    gc_page_moves: MetricFamily  # counter
-    gc_jobs: MetricFamily        # counter
-    waf: MetricFamily            # gauge
+def fault_metrics(registry: Optional[MetricsRegistry] = None):
+    return _bind("faults", registry)
 
 
-def ssd_metrics(registry: Optional[MetricsRegistry] = None) -> SsdMetrics:
-    reg = _registry(registry)
-    return SsdMetrics(
-        replays=reg.counter(
-            "repro_ssd_replays_total",
-            "Completed timed trace replays (either engine).",
-        ),
-        requests=reg.counter(
-            "repro_ssd_requests_total",
-            "Host requests completed during timed replays.",
-            labels=("op",),
-        ),
-        latency=reg.histogram(
-            "repro_ssd_latency_seconds",
-            "Host request latency during timed replays.",
-            labels=("op",),
-            buckets=LATENCY_BUCKETS,
-        ),
-        suspensions=reg.counter(
-            "repro_ssd_erase_suspensions_total",
-            "Erase operations suspended for a user read.",
-        ),
-        resumes=reg.counter(
-            "repro_ssd_erase_resumes_total",
-            "Suspended erase operations resumed to completion.",
-        ),
-        host_reads=reg.counter(
-            "repro_ssd_host_reads_total",
-            "Host page reads the FTL served (WAF denominator context).",
-        ),
-        host_writes=reg.counter(
-            "repro_ssd_host_writes_total",
-            "Host page writes the FTL accepted (WAF denominator).",
-        ),
-        gc_page_moves=reg.counter(
-            "repro_ssd_gc_page_moves_total",
-            "Valid pages relocated by garbage collection "
-            "(WAF numerator component).",
-        ),
-        gc_jobs=reg.counter(
-            "repro_ssd_gc_jobs_total",
-            "Garbage-collection victim erasures performed.",
-        ),
-        waf=reg.gauge(
-            "repro_ssd_waf",
-            "Write amplification factor of the most recent replay.",
-        ),
-    )
+def ssd_metrics(registry: Optional[MetricsRegistry] = None):
+    return _bind("ssd", registry)
 
 
-@dataclass(frozen=True)
-class FtlEraseMetrics:
-    erases: MetricFamily   # counter
-    pulses: MetricFamily   # counter
-    latency: MetricFamily  # histogram
+def ftl_erase_metrics(registry: Optional[MetricsRegistry] = None):
+    return _bind("ftl_erase", registry)
 
 
-def ftl_erase_metrics(
-    registry: Optional[MetricsRegistry] = None,
-) -> FtlEraseMetrics:
-    reg = _registry(registry)
-    return FtlEraseMetrics(
-        erases=reg.counter(
-            "repro_ssd_erases_total",
-            "Block erases performed through the FTL.",
-        ),
-        pulses=reg.counter(
-            "repro_ssd_erase_pulses_total",
-            "Erase pulses issued across all FTL block erases.",
-        ),
-        latency=reg.histogram(
-            "repro_ssd_erase_latency_seconds",
-            "Per-erase latency through the FTL (scheme-shaped).",
-            buckets=ERASE_LATENCY_BUCKETS,
-        ),
-    )
+def kernel_metrics(registry: Optional[MetricsRegistry] = None):
+    return _bind("kernel", registry)
 
 
 def observe_replay(report, stats, registry=None) -> None:
@@ -415,32 +306,4 @@ def observe_replay(report, stats, registry=None) -> None:
         pending.clear()
     metrics.waf.set(
         report.extra.get("waf", stats.write_amplification)
-    )
-
-
-# --- kernels -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelMetrics:
-    engine_cells: MetricFamily  # counter{site, engine}
-    batch_blocks: MetricFamily  # histogram
-
-
-def kernel_metrics(
-    registry: Optional[MetricsRegistry] = None,
-) -> KernelMetrics:
-    reg = _registry(registry)
-    return KernelMetrics(
-        engine_cells=reg.counter(
-            "repro_kernel_engine_total",
-            "Engine selections by site: grid-cell replays and "
-            "lifetime runs, on the vectorized kernel or object path.",
-            labels=("site", "engine"),
-        ),
-        batch_blocks=reg.histogram(
-            "repro_kernel_batch_blocks",
-            "Blocks per batch-kernel erase step.",
-            buckets=BATCH_SIZE_BUCKETS,
-        ),
     )

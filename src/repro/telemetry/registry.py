@@ -371,8 +371,8 @@ def _le_value(text: str) -> float:
 class MetricsRegistry:
     """A named collection of metric families with get-or-create access.
 
-    ``counter``/``gauge``/``histogram`` are idempotent: asking twice
-    for the same name returns the same family (so every subsystem can
+    ``declare`` (and its typed forms ``counter``/``gauge``/``histogram``)
+    is idempotent: asking twice for the same name returns the same family (so every subsystem can
     declare its metrics at the call site without import-order
     coupling), while re-declaring a name with a different type, label
     schema, or bucket layout is a :class:`~repro.errors.ConfigError`.
@@ -381,8 +381,11 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, MetricFamily] = {}
+        #: Handle namespaces :mod:`repro.telemetry.instruments` built
+        #: for this registry, one per subsystem (and store backend).
+        self.bindings: Dict[Tuple[str, ...], Any] = {}
 
-    def _get_or_create(
+    def declare(
         self,
         name: str,
         help: str,
@@ -426,12 +429,12 @@ class MetricsRegistry:
     def counter(
         self, name: str, help: str, labels: Sequence[str] = ()
     ) -> MetricFamily:
-        return self._get_or_create(name, help, "counter", labels)
+        return self.declare(name, help, "counter", labels)
 
     def gauge(
         self, name: str, help: str, labels: Sequence[str] = ()
     ) -> MetricFamily:
-        return self._get_or_create(name, help, "gauge", labels)
+        return self.declare(name, help, "gauge", labels)
 
     def histogram(
         self,
@@ -440,7 +443,7 @@ class MetricsRegistry:
         labels: Sequence[str] = (),
         buckets: Optional[Sequence[float]] = None,
     ) -> MetricFamily:
-        return self._get_or_create(
+        return self.declare(
             name, help, "histogram", labels, buckets=buckets
         )
 

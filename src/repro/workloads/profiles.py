@@ -50,10 +50,6 @@ class WorkloadProfile:
         """Mean inter-arrival gap after acceleration (microseconds)."""
         return self.avg_inter_arrival_ms * 1000.0 / self.acceleration
 
-    @property
-    def write_ratio(self) -> float:
-        return 1.0 - self.read_ratio
-
 
 ALL_PROFILES: Tuple[WorkloadProfile, ...] = (
     WorkloadProfile("alibaba", "ali_32", "ali.A", 0.07, 54.0, 16.3),

@@ -3,7 +3,9 @@
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, Phase, assume, given, settings, strategies as st,
+)
 
 import repro.kernels.cell as kernel_cell
 from repro.campaign import ShardedResultStore
@@ -89,6 +91,11 @@ class TestEngineEquivalence:
             )
 
         assert final_stats("kernel") == final_stats("object")
+
+
+#: Hypothesis phases without shrinking: a failing replay example is
+#: reported as drawn, since shrinking one takes many minutes.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 @st.composite
@@ -201,6 +208,7 @@ def _drive_state(ssd):
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    phases=NO_SHRINK,
 )
 @given(
     spec=_random_specs(),
@@ -247,6 +255,7 @@ def test_kernel_matches_object_on_random_configurations(
     derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    phases=NO_SHRINK,
 )
 @given(
     spec=_random_specs(),

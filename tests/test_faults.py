@@ -10,16 +10,18 @@ real worker death ask for worker processes (``process_workers=2``).
 import json
 import os
 import signal
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 from repro.campaign import (
     CampaignSpec,
-    Quarantine,
     RetryPolicy,
     ShardedResultStore,
     run_campaign,
 )
+from repro.campaign.store import DB_NAME
 from repro.errors import ConfigError, InjectedFault, PoisonCellError
 from repro.faults import (
     FAULT_KINDS,
@@ -271,10 +273,9 @@ def test_poison_cell_quarantines_and_campaign_finishes(tmp_path):
     assert record["attempts"] == 2
     families = families_of(registry)
     assert families["repro_campaign_quarantined_total"].value() == 1
-    # the quarantine record is durable next to the store
-    quarantine = Quarantine(tmp_path / "store")
-    assert record["key"] in quarantine
-    assert quarantine.entries()[0]["meta"]["scheme"] == "baseline"
+    # the quarantine record is durable in the store's database
+    assert ShardedResultStore(tmp_path / "store").quarantined() == [record]
+    assert record["meta"]["scheme"] == "baseline"
 
 
 def test_on_poison_fail_raises_poison_cell_error(tmp_path):
@@ -295,22 +296,22 @@ def test_on_poison_fail_raises_poison_cell_error(tmp_path):
     assert excinfo.value.index == 0
     assert excinfo.value.fingerprint
     # even the failing mode leaves the quarantine record behind
-    assert len(Quarantine(tmp_path / "store")) == 1
+    assert len(ShardedResultStore(tmp_path / "store").quarantined()) == 1
 
 
-def test_quarantine_file_round_trips(tmp_path):
-    quarantine = Quarantine(tmp_path)
-    quarantine.record(
+def test_quarantine_file_round_trips(tmp_path, report):
+    # a store created before the quarantine table gains it on open
+    ShardedResultStore(tmp_path).put("a" * 64, report)
+    with closing(sqlite3.connect(tmp_path / DB_NAME)) as db:
+        db.execute("DROP TABLE quarantine")
+    record = ShardedResultStore(tmp_path).quarantine(
         "f" * 64, index=3, attempts=4, reason="timeout",
         error="exceeded 1s", meta={"scheme": "aero"},
     )
-    reopened = Quarantine(tmp_path)
-    assert "f" * 64 in reopened
-    [entry] = reopened.entries()
+    [entry] = ShardedResultStore(tmp_path).quarantined()
+    assert entry == record and entry["key"] == "f" * 64
     assert entry["attempts"] == 4 and entry["reason"] == "timeout"
-    memory_only = Quarantine()
-    memory_only.record("a" * 64, index=0, attempts=1, reason="error")
-    assert len(memory_only) == 1
+    assert entry["meta"] == {"scheme": "aero"}
 
 
 def test_no_faults_injector_is_inert(tmp_path, report):

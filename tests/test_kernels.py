@@ -258,20 +258,33 @@ def test_mrber_batch_matches_scalar_model():
 
 
 def test_erase_latency_cdf_kernel_matches_object():
+    from collections import Counter
+
     from repro.characterization import TestPlatform
     from repro.characterization.experiments import erase_latency_cdf
+    from repro.erase.mispe import MIspeScheme
+    from repro.rng import derive_rng
 
     platform = TestPlatform(TLC_3D_48L, chips=4, blocks_per_chip=10, seed=2)
     kernel = erase_latency_cdf(
-        platform, pec_points=(0, 3000), blocks_per_point=40, engine="kernel"
+        platform, pec_points=(0, 3000), blocks_per_point=40
     )
-    objectp = erase_latency_cdf(
-        platform, pec_points=(0, 3000), blocks_per_point=40, engine="object"
-    )
+    # The object reference: per-block m-ISPE measurements of the same
+    # sampled blocks.
+    scheme = MIspeScheme(platform.profile)
+    rng = derive_rng(platform.seed, "fig4")
     for pec in (0, 3000):
-        assert kernel.nispe_histogram[pec] == objectp.nispe_histogram[pec]
+        measurements = [
+            scheme.measure(block, rng)
+            for block in platform.sample_blocks(pec, 40)
+        ]
+        assert kernel.nispe_histogram[pec] == Counter(
+            measurement.nispe for measurement in measurements
+        )
         np.testing.assert_allclose(
-            kernel.mtbers_ms[pec], objectp.mtbers_ms[pec], atol=1e-9
+            kernel.mtbers_ms[pec],
+            sorted(m.min_t_bers_ms for m in measurements),
+            atol=1e-9,
         )
 
 
@@ -281,7 +294,7 @@ def test_failbit_linearity_kernel_fits_regularities():
 
     platform = TestPlatform(TLC_3D_48L, chips=4, blocks_per_chip=10, seed=2)
     result = failbit_linearity(
-        platform, pec_points=(3000, 4000), blocks_per_point=40, engine="kernel"
+        platform, pec_points=(3000, 4000), blocks_per_point=40
     )
     profile = platform.profile
     assert abs(result.overall.delta - profile.delta) / profile.delta < 0.2

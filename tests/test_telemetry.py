@@ -17,6 +17,7 @@ import urllib.error
 import urllib.request
 import zlib
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,14 @@ from repro.telemetry import (
     scoped_registry,
 )
 from repro.telemetry.httpd import MetricsServer
+from repro.telemetry.instruments import (
+    campaign_metrics,
+    fault_metrics,
+    ftl_erase_metrics,
+    kernel_metrics,
+    ssd_metrics,
+    store_metrics,
+)
 from repro.workloads.profiles import profile_by_abbr
 from repro.workloads.synthetic import SyntheticTraceGenerator
 
@@ -672,3 +681,105 @@ def test_supervised_process_worker_forwards_child_telemetry(tmp_path):
         assert outcome.kind == "done"
         replays = registry.get("repro_ssd_replays_total")
         assert replays is not None and replays.value == 1
+
+
+# --- golden exposition -------------------------------------------------------
+#
+# Every ``repro_*`` family's name, HELP text, type, labels and bucket
+# layout, pinned byte for byte. A deliberate change regenerates the two
+# fixture files by running this file as a script.
+
+GOLDEN = Path(__file__).parent / "fixtures" / "telemetry_golden"
+
+ACCESSORS = {
+    "campaign_metrics": campaign_metrics,
+    "store_metrics": lambda registry: store_metrics("sharded", registry),
+    "fault_metrics": fault_metrics,
+    "ssd_metrics": ssd_metrics,
+    "ftl_erase_metrics": ftl_erase_metrics,
+    "kernel_metrics": kernel_metrics,
+}
+
+
+def _touch_every_family():
+    """Touch each family through its accessor in the default registry:
+    fixed label values for labeled families, fixed observations for
+    histograms."""
+    campaign = campaign_metrics()
+    campaign.planned.set(12)
+    campaign.cells.labels(outcome="executed").inc(3)
+    campaign.pool_pending.set(4)
+    campaign.pool_inflight.set(2)
+    campaign.pool_workers.set(2)
+    campaign.cell_wall.observe_many([0.07, 0.3, 4.0, 200.0])
+    campaign.progress_fraction.set(0.25)
+    campaign.eta_seconds.set(90.5)
+    campaign.retries.labels(reason="timeout").inc()
+    campaign.timeouts.inc()
+    campaign.quarantined.inc()
+    campaign.pool_rebuilds.inc(2)
+    store = store_metrics("sharded")
+    store.puts.inc(5)
+    store.get_outcome(hit=True).inc(4)
+    store.get_outcome(hit=False).inc()
+    store.bad_entry("torn").inc()
+    store.superseded.inc()
+    store.compactions.inc()
+    store.reclaimed_bytes.inc(4096)
+    store.gc_removed.inc(2)
+    store.data_bytes.set(65536)
+    store.bytes_written.inc(1234)
+    fault_metrics().injected.labels(kind="kill_worker").inc()
+    ssd = ssd_metrics()
+    ssd.replays.inc()
+    ssd.requests.labels(op="read").inc(7)
+    ssd.latency.labels(op="read").observe_many([80e-6, 300e-6, 0.03, 2.0])
+    ssd.latency.labels(op="write").observe(600e-6)
+    ssd.suspensions.inc(2)
+    ssd.resumes.inc(2)
+    ssd.host_reads.inc(7)
+    ssd.host_writes.inc(9)
+    ssd.gc_page_moves.inc(11)
+    ssd.gc_jobs.inc(3)
+    ssd.waf.set(2.25)
+    erase = ftl_erase_metrics()
+    erase.erases.inc(3)
+    erase.pulses.inc(21)
+    erase.latency.observe_many([1.5e-3, 4e-3, 60e-3])
+    kernel = kernel_metrics()
+    kernel.engine_cells.labels(site="cell", engine="kernel").inc()
+    kernel.batch_blocks.observe(128.0)
+
+
+def _golden():
+    """``(text exposition, JSON payload)`` of every family touched, plus
+    what each accessor's first call alone leaves in a fresh registry."""
+    with scoped_registry() as registry:
+        _touch_every_family()
+        snapshot = registry.snapshot()
+    first_call = {}
+    for name, accessor in ACCESSORS.items():
+        registry = MetricsRegistry()
+        accessor(registry)
+        first_call[name] = render_text(registry)
+        accessor(registry)  # a second call declares nothing new
+        assert render_text(registry) == first_call[name], name
+    payload = {"snapshot": snapshot, "first_call": first_call}
+    return render_text(snapshot), json.dumps(payload, indent=1) + "\n"
+
+
+def test_exposition_matches_golden():
+    with scoped_registry():
+        _touch_every_family()  # handles bound here must not leak below
+    text, payload = _golden()
+    assert text == GOLDEN.with_suffix(".prom").read_text(encoding="utf-8")
+    expected = json.loads(
+        GOLDEN.with_suffix(".json").read_text(encoding="utf-8")
+    )
+    assert json.loads(payload) == expected
+
+
+if __name__ == "__main__":
+    text, payload = _golden()
+    GOLDEN.with_suffix(".prom").write_text(text, encoding="utf-8")
+    GOLDEN.with_suffix(".json").write_text(payload, encoding="utf-8")
