@@ -61,9 +61,19 @@ fingerprint::
     family   TEXT               result family ("cell", "lifetime")
     ts       REAL               epoch seconds of the last put
     meta     TEXT               JSON: what ``campaign ls`` describes
-    report   BLOB               the result's compact JSON bytes
+    report   BLOB               the result's compact JSON bytes,
+                                float lists packed (below)
     crc      INTEGER            CRC32 over exactly those report bytes
     writes   INTEGER            puts since the last gc or compaction
+
+In ``report``, each non-empty list of floats (a cell's latency
+samples, a curve's mean RBERs) is stored as a one-key object
+``{"<f8": "..."}`` holding base64 of the list's little-endian IEEE-754
+float64 bytes; every other value is plain JSON. A ``get`` unpacks
+them bit for bit, so the served result equals the one put. Rows
+written before packing, with plain float lists, are served as they
+are. An older checkout reads a packed row as a miss and recomputes it
+(its put then rewrites the row in plain JSON).
 
 A ``put`` is one UPSERT (committed on return; a re-put of a key
 overwrites its row and bumps ``writes``, which ``StoreStats.superseded``

@@ -23,6 +23,16 @@ tail that the next open discards. Each handle opens its connection
 lazily, once per process id, because a connection must not cross a
 fork, and closes it when the handle is dropped.
 
+Record format: a row's ``report`` is one compact-JSON BLOB in which
+each non-empty list of floats is packed as ``{"<f8": base64 of its
+little-endian float64 bytes}`` (:func:`_encode`); :func:`_decode`
+unpacks them through a ``json.loads`` object hook, bit for bit, and
+serves rows written before packing (plain float lists) as they are.
+Packing shrinks a grid-cell record by ~40% and replaces parsing ~900
+float literals per cell with one base64 decode. The canonical JSON of
+a result (``to_json_dict``, which digests hash) is unchanged. An older
+checkout reads a packed row as a miss and recomputes it.
+
 Integrity: each row carries a CRC32 over its stored report bytes.
 Rows whose CRC no longer matches (bit rot, a torn write) or that were
 written under another :data:`~repro.harness.cache.CACHE_VERSION` read
@@ -44,13 +54,16 @@ one-branch no-op default.
 
 from __future__ import annotations
 
+import binascii
 import contextlib
 import json
 import os
 import sqlite3
+import sys
 import threading
 import time
 import zlib
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,9 +115,54 @@ _SELECT_ALL = (
 )
 
 
+#: Key of the one-key JSON object a packed float list is stored as. No
+#: result's JSON form holds a one-key object with a string value, so
+#: the decoder cannot mistake one for a packed list.
+_PACKED = "<f8"
+#: Packed floats are little-endian whatever the host byte order.
+_SWAP = sys.byteorder != "little"
+
+
+def _pack(value: Any) -> Any:
+    """``value`` with each non-empty list of floats replaced by
+    ``{"<f8": base64 of its little-endian IEEE-754 float64 bytes}``;
+    lists holding anything else (ints, bools, mixed) stay lists."""
+    if isinstance(value, dict):
+        return {key: _pack(item) for key, item in value.items()}
+    if isinstance(value, list):
+        if value and set(map(type, value)) == {float}:
+            floats = array("d", value)
+            if _SWAP:
+                floats.byteswap()
+            return {_PACKED: binascii.b2a_base64(
+                floats.tobytes(), newline=False).decode("ascii")}
+        return [_pack(item) for item in value]
+    return value
+
+
+def _unpack(obj: Dict[str, Any]) -> Any:
+    """``json.loads`` object hook: a packed float list back to a list
+    of floats, bit for bit; every other object as it is."""
+    if len(obj) == 1 and type(obj.get(_PACKED)) is str:
+        floats = array("d", binascii.a2b_base64(obj[_PACKED]))
+        if _SWAP:
+            floats.byteswap()
+        return floats.tolist()
+    return obj
+
+
 def _encode(report_dict: Any) -> bytes:
-    """The stored form of a report: compact JSON bytes."""
-    return json.dumps(report_dict, separators=(",", ":")).encode("utf-8")
+    """The stored form of a report: compact JSON bytes, float lists
+    packed (:func:`_pack`)."""
+    return json.dumps(
+        _pack(report_dict), separators=(",", ":")
+    ).encode("utf-8")
+
+
+def _decode(payload: bytes) -> Any:
+    """A report's JSON form from its stored bytes, packed float lists
+    unpacked; rows with plain float lists decode as they are."""
+    return json.loads(payload, object_hook=_unpack)
 
 
 def _row_state(version: int, report: bytes, crc: int) -> Optional[str]:
@@ -373,7 +431,7 @@ class ShardedResultStore:
                 with contextlib.suppress(
                     ValueError, KeyError, TypeError, ConfigError
                 ):
-                    report = result_from_json_dict(row[3], json.loads(row[1]))
+                    report = result_from_json_dict(row[3], _decode(row[1]))
         metrics.get_outcome(hit=report is not None).inc()
         return report
 

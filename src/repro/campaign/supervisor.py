@@ -38,6 +38,7 @@ import itertools
 import multiprocessing as mp
 import os
 import queue
+import sys
 import threading
 import time
 import traceback
@@ -221,6 +222,9 @@ def _run_cell_task(task: Tuple[int, int, bool, Any, FaultPlan]):
     if plan:
         delay, kill = plan.cell_fault(index, attempt)
         if delay > 0:
+            # One line as the sleep starts: the cell is now in flight.
+            print(f"[fault] slow_cell: cell {index} attempt {attempt} "
+                  f"sleeps {delay:g}s", file=sys.stderr, flush=True)
             time.sleep(delay)
         if kill:
             if in_child:

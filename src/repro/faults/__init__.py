@@ -35,7 +35,10 @@ Fault kinds
     calling process.
 ``slow_cell``
     The targeted cell sleeps ``delay_s`` before executing — pair with
-    ``--cell-timeout`` to exercise the timeout/retry path.
+    ``--cell-timeout`` to exercise the timeout/retry path. It writes
+    one ``[fault] slow_cell: cell N attempt A ...`` line to stderr as
+    the sleep starts, so a process watching stderr can tell when the
+    cell is in flight.
 ``compact_interrupt``
     :class:`InjectedFault` is raised inside the compaction (or gc)
     transaction, after its ``DELETE`` and before ``COMMIT``; the

@@ -4,7 +4,8 @@ Times the two hot campaign shapes — the five-scheme Figure 13 lifetime
 sweep (object vs kernel engine, equal block count and step) and one
 evaluation-grid cell (object event loop vs lean replay kernel,
 bit-identical reports, each timed repeat cold: no per-point share
-hit) — as median-of-N wall times, and writes a JSON
+hit) — as median-of-N wall times, plus the result store's ``put``,
+``get`` and ``in`` per record, and writes a JSON
 artifact future PRs can diff to catch regressions. ``--out`` names the
 artifact and its stem is the artifact's ``label`` (``BENCH_smoke.json``
 is labelled ``BENCH_smoke``). Exposed as ``python -m repro bench`` and
@@ -17,16 +18,23 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import platform as _platform
 import statistics
+import tempfile
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-#: Bump when the artifact layout changes.
+#: Bump when the artifact layout changes (adding keys does not).
 ARTIFACT_VERSION = 1
+
+#: Grid-cell records the store section puts, reads and tests
+#: (full run, ``--smoke``).
+STORE_RECORDS = 1000
+SMOKE_STORE_RECORDS = 50
 
 
 @dataclass(frozen=True)
@@ -214,6 +222,69 @@ def bench_grid_cell(config: BenchConfig) -> Dict[str, object]:
     }
 
 
+def _quartiles_us(times_ns: Sequence[int]) -> Dict[str, float]:
+    """Median and quartiles of per-operation times, in µs."""
+    q1, median, q3 = statistics.quantiles(times_ns, n=4)
+    return {"p25": round(q1 / 1e3, 1), "p50": round(median / 1e3, 1),
+            "p75": round(q3 / 1e3, 1)}
+
+
+def _time_each(fn: Callable[[str], object], keys: Sequence[str]) -> List[int]:
+    """perf_counter_ns of ``fn(key)`` per key, GC disabled throughout."""
+    times = []
+    gc.collect()
+    gc.disable()
+    try:
+        for key in keys:
+            start = time.perf_counter_ns()
+            fn(key)
+            times.append(time.perf_counter_ns() - start)
+    finally:
+        gc.enable()
+    return times
+
+
+def bench_store(config: BenchConfig) -> Dict[str, object]:
+    """Time the result store per record: ``put``, ``get`` and ``in``.
+
+    The ``grid_cell`` cell's report is put under :data:`STORE_RECORDS`
+    distinct keys (:data:`SMOKE_STORE_RECORDS` under ``--smoke``) into
+    a fresh store; a handle opened anew, as a resumed campaign opens
+    one, then reads (``get``) and tests (``in``) every key. Each
+    operation is timed alone; ``bytes_per_record`` is the database's
+    size over its records.
+    """
+    from repro.campaign.store import ShardedResultStore
+    from repro.harness.cells import run_workload_cell
+
+    report = run_workload_cell(
+        config.grid_scheme, config.grid_pec, config.grid_workload,
+        requests=config.grid_requests, seed=config.seed,
+    )
+    records = SMOKE_STORE_RECORDS if config.smoke else STORE_RECORDS
+    # Keys shaped like fingerprints, arriving in no particular order.
+    keys = [hashlib.sha256(str(n).encode()).hexdigest()
+            for n in range(records)]
+    with tempfile.TemporaryDirectory() as root:
+        writer = ShardedResultStore(root)
+        puts = _time_each(lambda key: writer.put(key, report), keys)
+        reader = ShardedResultStore(root)
+        gets = _time_each(reader.get, keys)
+        contains = _time_each(reader.__contains__, keys)
+        stats = reader.stats()
+        # A miss would time as a fast get: check what was served.
+        if stats.keys != records or reader.get(keys[-1]) != report:
+            raise RuntimeError("the store did not serve the reports put")
+        del writer, reader  # close both connections before the cleanup
+    return {
+        "records": records,
+        "put_us": _quartiles_us(puts),
+        "get_us": _quartiles_us(gets),
+        "in_us": _quartiles_us(contains),
+        "bytes_per_record": round(stats.data_bytes / stats.keys, 1),
+    }
+
+
 def run_bench(config: BenchConfig, label: str) -> Dict[str, object]:
     """Run the full bench and assemble the artifact payload."""
     return {
@@ -225,6 +296,7 @@ def run_bench(config: BenchConfig, label: str) -> Dict[str, object]:
         "config": asdict(config),
         "lifetime_sweep": bench_lifetime_sweep(config),
         "grid_cell": bench_grid_cell(config),
+        "store": bench_store(config),
     }
 
 
@@ -316,6 +388,14 @@ def run_from_args(args: argparse.Namespace) -> int:
             f"object {cell['engine_object']['median_s']:.3f}s, "
             f"kernel {cell['engine_kernel']['median_s']:.3f}s "
             f"-> {cell['speedup']:.1f}x"
+        )
+        store = payload["store"]
+        print(
+            f"store ({store['records']} grid-cell records, p50): "
+            f"put {store['put_us']['p50']:.0f}us, "
+            f"get {store['get_us']['p50']:.0f}us, "
+            f"in {store['in_us']['p50']:.0f}us, "
+            f"{store['bytes_per_record']:.0f} bytes/record"
         )
     print(f"wrote {args.out}")
     return 0

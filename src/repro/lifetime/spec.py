@@ -80,6 +80,22 @@ def _resolved_engine(scheme: str, profile: str, engine: str) -> str:
     return "kernel"
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _seed_trajectory(seed: int, scheme: str, block_count: int) -> str:
+    """Digest of every derived stream a curve consumes: the object-path
+    scheme RNG, the kernel-path RNG and each per-block seed (see the
+    module docstring). Memoized, because a fingerprint is read on every
+    store lookup and this is ~130 SHA-256 calls per curve; bounded, as
+    a long sweep's seeds would otherwise accumulate."""
+    trajectory = hashlib.sha256()
+    trajectory.update(str(derive(seed, "lifetime", scheme)).encode())
+    trajectory.update(str(derive(seed, "lifetime", scheme, "kernel")).encode())
+    for index in range(block_count):
+        trajectory.update(b"/")
+        trajectory.update(str(derive(seed, "lifetime-block", index)).encode())
+    return trajectory.hexdigest()
+
+
 @dataclass(frozen=True)
 class LifetimeJob:
     """Picklable work order for one (scheme, profile) lifetime curve.
@@ -120,16 +136,7 @@ class LifetimeJob:
         kernel curves match the object path only statistically, so the
         two paths must not share cache entries.
         """
-        trajectory = hashlib.sha256()
-        trajectory.update(str(derive(self.seed, "lifetime", self.scheme)).encode())
-        trajectory.update(
-            str(derive(self.seed, "lifetime", self.scheme, "kernel")).encode()
-        )
-        for index in range(self.block_count):
-            trajectory.update(b"/")
-            trajectory.update(
-                str(derive(self.seed, "lifetime-block", index)).encode()
-            )
+        trajectory = _seed_trajectory(self.seed, self.scheme, self.block_count)
         lines = [
             f"family={LIFETIME_FAMILY}",
             f"version={CACHE_VERSION}",
@@ -142,7 +149,7 @@ class LifetimeJob:
             f"requirement={self.requirement!r}",
             f"mispredict_rate={float(self.mispredict_rate)!r}",
             f"engine={self.resolved_engine}",
-            f"seed_trajectory={trajectory.hexdigest()}",
+            f"seed_trajectory={trajectory}",
         ]
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

@@ -82,7 +82,7 @@ class LatencyRecorder:
         cls, name: str, values: Iterable[float]
     ) -> "LatencyRecorder":
         recorder = cls(name)
-        recorder._values = [float(v) for v in values]
+        recorder._values = list(map(float, values))
         return recorder
 
     @classmethod

@@ -2,24 +2,32 @@
 
 The contracts pinned here: membership == retrievability on the store,
 last-write-wins with crash-tolerant reads and compaction, a one-shot
-import of the earlier JSONL layout, campaign specs planning
-``GridRunner.plan``-identical jobs, attempts running where the
-supervisor's worker count and timeout put them, and an interrupted
-campaign resuming from the store alone into a grid bit-identical to an
-uninterrupted serial run with no cell executed twice.
+import of the earlier JSONL layout, bit-exact packed float lists in
+stored records (rows written before packing still served), campaign
+specs planning ``GridRunner.plan``-identical jobs, attempts running
+where the supervisor's worker count and timeout put them, and an
+interrupted campaign resuming from the store alone into a grid
+bit-identical to an uninterrupted serial run with no cell executed
+twice.
 """
 
 import gc
 import hashlib
 import json
+import math
 import os
 import shutil
+import sqlite3
+import struct
 import threading
 import time
+import zlib
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.campaign import (
     CampaignOrchestrator,
@@ -31,6 +39,7 @@ from repro.campaign import (
     load_campaign_file,
     run_campaign,
 )
+from repro.campaign.store import DB_NAME, _decode, _encode
 from repro.errors import ConfigError
 from repro.experiments import ExperimentSpec
 from repro.harness import (
@@ -39,7 +48,7 @@ from repro.harness import (
     ResultStore,
     run_workload_cell,
 )
-from repro.lifetime.spec import LifetimeSpec
+from repro.lifetime.spec import LifetimeJob, LifetimeSpec
 
 SPEC = CampaignSpec(
     schemes=("baseline", "aero"),
@@ -316,6 +325,76 @@ def test_jsonl_store_is_imported_on_first_open(tmp_path):
     store.gc(max_entries=1)
     shutil.copytree(JSONL_STORE, root, dirs_exist_ok=True)
     assert len(ShardedResultStore(root)) == 1
+
+
+# --- record format -----------------------------------------------------------
+
+#: -0.0, infinities, NaN, the smallest subnormals, a mid-range
+#: subnormal and the largest decades of the float64 range.
+FLOAT_EDGES = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               1.1125369292536007e-308, 1e308, -1e308]
+
+
+def float_bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
+@settings(max_examples=200, deadline=None)
+@example(values=FLOAT_EDGES)
+@given(values=st.lists(st.floats(), min_size=1))
+def test_packed_float_lists_round_trip_bit_exact(values):
+    stored = _encode({"values": values, "nested": {"values": values}})
+    assert stored.count(b'"<f8"') == 2  # packed, not float literals
+    decoded = _decode(stored)
+    assert float_bits(decoded["values"]) == float_bits(values)
+    assert float_bits(decoded["nested"]["values"]) == float_bits(values)
+
+
+NOT_ALL_FLOATS = st.one_of(
+    st.just([]),
+    st.lists(st.integers(), min_size=1),
+    st.lists(st.booleans(), min_size=1),
+    st.lists(
+        st.one_of(st.floats(allow_nan=False), st.integers(), st.booleans(),
+                  st.none(), st.text()),
+        min_size=2,
+    ).filter(lambda values: len(set(map(type, values))) > 1),
+)
+
+
+@given(values=NOT_ALL_FLOATS)
+def test_lists_not_all_floats_stay_plain_json(values):
+    record = {"values": values}
+    stored = _encode(record)
+    assert stored == json.dumps(record, separators=(",", ":")).encode()
+    assert _decode(stored) == record
+
+
+def test_rows_with_plain_float_lists_are_served(tmp_path, report):
+    """Rows written before float packing (plain float lists under
+    their CRC) are served as they are: one cell report and one
+    lifetime curve, inserted the way such a store holds them."""
+    curve = LifetimeJob("aero", "3D-TLC-48L", block_count=8, step=200,
+                        max_pec=2000).execute()
+    rows = {fake_key(60): ("cell", report), fake_key(61): ("lifetime", curve)}
+    assert len(ShardedResultStore(tmp_path)) == 0  # creates the table
+    with closing(sqlite3.connect(tmp_path / DB_NAME)) as db:
+        with db:
+            for key, (family, result) in rows.items():
+                payload = json.dumps(
+                    result.to_json_dict(), separators=(",", ":")
+                ).encode()
+                assert b'"<f8"' not in payload
+                db.execute(
+                    "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, 1)",
+                    (key, CACHE_VERSION, family, time.time(), "{}", payload,
+                     zlib.crc32(payload)),
+                )
+    store = ShardedResultStore(tmp_path)
+    for key, (_, result) in rows.items():
+        assert key in store
+        assert store.get(key) == result
+    assert store.stats().keys == 2
 
 
 def test_grid_runner_accepts_sharded_store(tmp_path):

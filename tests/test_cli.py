@@ -682,22 +682,24 @@ def test_campaign_run_sigterm_drains_then_resumes(tmp_path):
     ]
     proc = subprocess.Popen(
         command + ["--fault-plan", str(plan_path)],
-        stdout=subprocess.PIPE, text=True, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
-    lines = []
-    for line in proc.stdout:
-        lines.append(line)
-        if "1/6 cells" in line:
-            proc.send_signal(signal.SIGTERM)  # cell 1 is sleeping
+    # Signal only once cell 1 is in flight: its slow_cell fault writes
+    # one stderr line as its sleep starts.
+    for line in proc.stderr:
+        if "slow_cell: cell 1 " in line:
+            proc.send_signal(signal.SIGTERM)
             break
-    out = "".join(lines) + proc.communicate(timeout=300)[0]
+    out = proc.communicate(timeout=300)[0]
     assert proc.returncode == 128 + signal.SIGTERM
+    assert "1/6 cells" in out
     assert "caught SIGTERM" in out
     assert "campaign interrupted: 6 cells" in out
     [line] = [line for line in out.splitlines() if "interrupted:" in line
               and "not started" in line]
     not_started = int(line.split()[1])
-    assert 1 <= not_started <= 4
+    # cell 1 was running when the signal came: it drains, 2..5 never start
+    assert not_started == 4
     done = 6 - not_started
     assert ShardedResultStore(store).stats().keys == done
 

@@ -22,6 +22,7 @@ from repro.errors import ConfigError
 from repro.harness import GridRunner
 from repro.lifetime import (
     LifetimeCurve,
+    LifetimeJob,
     LifetimeSpec,
     SchemeComparison,
     compare_schemes,
@@ -29,6 +30,7 @@ from repro.lifetime import (
     misprediction_sensitivity,
     requirement_sensitivity,
 )
+from repro.lifetime.spec import _seed_trajectory
 from repro.nand.chip_types import profile_by_name
 
 # Small enough to cycle in well under a second per scheme.
@@ -85,6 +87,28 @@ def test_fingerprint_pins_resolved_engine():
     # statistically equivalent and must not.
     assert auto.fingerprints() == kernel.fingerprints()
     assert auto.fingerprints() != obj.fingerprints()
+
+
+def test_seed_trajectory_memo_keys_on_seed_scheme_and_block_count():
+    # The trajectory digest is memoized per (seed, scheme, block_count).
+    # Evaluated in this order, a memo missing any of the three would
+    # serve the first job's digest to a later job. Pins computed by the
+    # fingerprint code before the memo existed.
+    _seed_trajectory.cache_clear()
+    pins = [
+        (("aero", 8, 1),
+         "2558141dd7f99d3045c43e2e83c9883e06b86e9ffa12b63e61c8a94e4c79c1eb"),
+        (("aero", 8, 2),
+         "d08636f5c3afef10f951359cfe6699758cccb997f479aa0f7567e8ab26beac75"),
+        (("baseline", 8, 1),
+         "42c5a5541f4a0a1723700b9ad9acc944d4c18551c72271c193da5e472270a2dc"),
+        (("aero", 16, 1),
+         "913398edbea6f316d3fb8e87d2b82cd6be8e69e93e87a463f0c03b3ee19c8150"),
+    ]
+    for (scheme, block_count, seed), pin in pins + pins:  # misses, then hits
+        job = LifetimeJob(scheme, "3D-TLC-48L", block_count=block_count,
+                          seed=seed)
+        assert job.fingerprint == pin, (scheme, block_count, seed)
 
 
 # --- JSON round-trip ---------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.orchestrator import CampaignProgress
-from repro.campaign.store import DB_NAME
+from repro.campaign.store import DB_NAME, _decode
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.cli import main
@@ -345,7 +345,9 @@ def test_store_records_carry_verifiable_crc(tmp_path, report):
             "SELECT report, crc FROM results WHERE key = ?", (key,)
         ).fetchall()
     assert crc == zlib.crc32(stored)
-    assert json.loads(stored) == report.to_json_dict()
+    # the stored bytes pack float lists; the store's decoder restores
+    # the report's canonical JSON form
+    assert _decode(stored) == report.to_json_dict()
 
 
 def test_checksum_mismatch_reads_as_miss_and_counts(
