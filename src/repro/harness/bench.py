@@ -3,10 +3,11 @@
 Times the two hot campaign shapes — the five-scheme Figure 13 lifetime
 sweep (object vs kernel engine, equal block count and step) and one
 evaluation-grid cell (object event loop vs lean replay kernel,
-bit-identical reports, each timed repeat cold: no per-point share
-hit) — as median-of-N wall times, plus the result store's ``put``,
-``get`` and ``in`` per record, and writes a JSON
-artifact future PRs can diff to catch regressions. ``--out`` names the
+bit-identical reports), each timed repeat starting cold (no share
+holds its cell or block set) and the engines alternating — as
+median-of-N wall times with their quartiles, plus the result store's
+``put``, ``get`` and ``in`` per record, and writes a JSON artifact
+future PRs can diff to catch regressions. ``--out`` names the
 artifact and its stem is the artifact's ``label`` (``BENCH_smoke.json``
 is labelled ``BENCH_smoke``). Exposed as ``python -m repro bench`` and
 as the standalone ``benchmarks/perf_bench.py`` script; CI runs it in
@@ -89,67 +90,84 @@ def _time_repeats(fn: Callable[[], object], repeats: int) -> List[float]:
     return times
 
 
+def _quartiles(times: Sequence[float]) -> List[float]:
+    """``[p25, p75]`` of ``times`` (a single time is both)."""
+    if len(times) < 2:
+        return [round(times[0], 6)] * 2
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return [round(q1, 6), round(q3, 6)]
+
+
 def _summary(times: Sequence[float]) -> Dict[str, object]:
     return {
         "times_s": [round(value, 6) for value in times],
         "median_s": round(statistics.median(times), 6),
+        "quartiles_s": _quartiles(times),
     }
 
 
 def bench_lifetime_sweep(config: BenchConfig) -> Dict[str, object]:
-    """Time the Figure 13 sweep on both engines at equal work.
+    """Time the Figure 13 sweep on both engines at equal work, cold.
 
     Both engines cycle the same block sets with the same seeds, so the
     produced curves (recorded in the payload for cross-checking) cover
     the same P/E range — the speedup ratio compares equal work.
+
+    Consecutive kernel curves of one block set share its draws and
+    jitter table (see :mod:`repro.lifetime.simulator`), so an untimed
+    kernel curve of another seed runs before each timed sweep and each
+    per-scheme repeat: every timed kernel sweep draws its block set, as
+    a first sweep does, and the artifact records ``cold``. The engines
+    alternate repeat by repeat, as in :func:`bench_grid_cell`.
     """
     from repro.lifetime.comparison import compare_schemes
     from repro.nand.chip_types import profile_by_name
 
     profile = profile_by_name(config.profile)
 
-    def sweep(engine: str):
+    def sweep(engine: str, schemes=config.schemes, seed=config.seed):
         return compare_schemes(
             profile,
-            scheme_keys=config.schemes,
+            scheme_keys=schemes,
             block_count=config.blocks,
             step=config.step,
-            seed=config.seed,
+            seed=seed,
             max_pec=config.max_pec,
             engine=engine,
         )
 
+    def timed(schemes: Tuple[str, ...]) -> Dict[str, List[float]]:
+        times: Dict[str, List[float]] = {"object": [], "kernel": []}
+        for _ in range(config.repeats):
+            for engine in times:
+                # Leave another seed's set in the block-set share.
+                sweep("kernel", schemes[:1], config.seed + 1)
+                times[engine] += _time_repeats(
+                    lambda: sweep(engine, schemes), 1
+                )
+        return times
+
     result: Dict[str, object] = {}
-    medians: Dict[str, float] = {}
-    for engine in ("object", "kernel"):
-        comparison = sweep(engine)  # warm-up + lifetime capture
-        times = _time_repeats(lambda: sweep(engine), config.repeats)
-        medians[engine] = statistics.median(times)
+    # Warm-up + lifetime capture.
+    comparisons = {engine: sweep(engine) for engine in ("object", "kernel")}
+    times = timed(config.schemes)
+    for engine, comparison in comparisons.items():
         result[f"engine_{engine}"] = {
-            **_summary(times),
+            **_summary(times[engine]),
             "lifetime_pec": {
                 key: curve.lifetime_pec
                 for key, curve in comparison.curves.items()
             },
         }
+    medians = {engine: statistics.median(t) for engine, t in times.items()}
     result["speedup"] = round(medians["object"] / medians["kernel"], 2)
+    result["cold"] = True
     per_scheme: Dict[str, object] = {}
     for key in config.schemes:
         scheme_times = {}
-        for engine in ("object", "kernel"):
-            times = _time_repeats(
-                lambda: compare_schemes(
-                    profile,
-                    scheme_keys=(key,),
-                    block_count=config.blocks,
-                    step=config.step,
-                    seed=config.seed,
-                    max_pec=config.max_pec,
-                    engine=engine,
-                ),
-                config.repeats,
-            )
-            scheme_times[f"{engine}_s"] = round(statistics.median(times), 6)
+        for engine, values in timed((key,)).items():
+            scheme_times[f"{engine}_s"] = round(statistics.median(values), 6)
+            scheme_times[f"{engine}_quartiles_s"] = _quartiles(values)
         scheme_times["speedup"] = round(
             scheme_times["object_s"] / scheme_times["kernel_s"], 2
         )
@@ -375,7 +393,7 @@ def run_from_args(args: argparse.Namespace) -> int:
     else:
         print(
             f"lifetime sweep ({len(config.schemes)} schemes, "
-            f"{config.blocks} blocks, step {config.step}): "
+            f"{config.blocks} blocks, step {config.step}, cold): "
             f"object {sweep['engine_object']['median_s']:.3f}s, "
             f"kernel {sweep['engine_kernel']['median_s']:.3f}s "
             f"-> {sweep['speedup']:.1f}x"

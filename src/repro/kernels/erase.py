@@ -10,12 +10,16 @@ object scheme in :mod:`repro.erase` / :mod:`repro.core.aero`:
   ``~gamma`` fail bits, far above FPASS), so their kernels reproduce
   the object path's damage trajectory exactly, pulse for pulse.
 * ``aero`` / ``aero_cons`` replay the full FELP ladder — shallow probe,
-  EPT prediction, aggressive acceptance, misprediction repair — with
-  masked array steps, reading the scheme's own FELP decision table
-  (:attr:`~repro.core.felp.FelpPredictor.table`). Verify-read noise is
-  drawn from the kernel's own generator (vectorized draws cannot
-  interleave with the object path's shared stream), so trajectories
-  match statistically, not bit for bit; the equivalence suite pins
+  EPT prediction, aggressive acceptance, misprediction repair — reading
+  the scheme's own FELP decision table
+  (:attr:`~repro.core.felp.FelpPredictor.table`). Each ladder stage
+  steps only its live blocks: it gathers them by index, works on those
+  short arrays and scatters the outcome back, so a stage's NumPy calls
+  do not grow with the blocks already erased or accepted. Verify-read
+  noise is drawn from the kernel's own generator (vectorized draws
+  cannot interleave with the object path's shared stream), one draw
+  per verified block in block order, so trajectories match the object
+  path statistically, not bit for bit; the equivalence suite pins
   lifetime PEC and trajectory tolerance.
 
 Kernels are stateful where the schemes are (i-ISPE loop memory, AERO
@@ -75,6 +79,17 @@ class BatchEraseResult:
     used_shallow_erase: np.ndarray
 
 
+#: The :class:`BatchEraseResult` fields a kernel may leave at zero.
+_DEFAULT_FIELDS = (
+    ("residual_fail_bits", np.int64),
+    ("residual_nispe", np.int64),
+    ("rber_offset", np.float64),
+    ("mispredictions", np.int64),
+    ("accepted_under_erase", bool),
+    ("used_shallow_erase", bool),
+)
+
+
 class BatchEraseKernel:
     """Base class: wear accounting shared by every scheme kernel."""
 
@@ -97,10 +112,9 @@ class BatchEraseKernel:
         damage, with the under-erase residuals of accepted blocks.
         """
         result = self._run_batch(state, rng)
+        loops = np.maximum(result.loops, 1)
         nispe = np.where(
-            result.accepted_under_erase,
-            result.residual_nispe,
-            np.maximum(1, result.loops),
+            result.accepted_under_erase, result.residual_nispe, loops
         )
         state.record_erase(
             result.damage,
@@ -112,9 +126,7 @@ class BatchEraseKernel:
         self.stats.erases += state.count
         self.stats.pulses_applied += int(result.total_pulses.sum())
         self.stats.pulses_saved_vs_baseline += int(
-            np.maximum(
-                0, per_loop * np.maximum(result.loops, 1) - result.total_pulses
-            ).sum()
+            np.maximum(0, per_loop * loops - result.total_pulses).sum()
         )
         return result
 
@@ -133,21 +145,15 @@ class BatchEraseKernel:
     ) -> BatchEraseResult:
         """Assemble a result with all-zero stochastic fields by default."""
         n = state.count
-        fields = dict(
-            residual_fail_bits=np.zeros(n, dtype=np.int64),
-            residual_nispe=np.zeros(n, dtype=np.int64),
-            rber_offset=np.zeros(n, dtype=np.float64),
-            mispredictions=np.zeros(n, dtype=np.int64),
-            accepted_under_erase=np.zeros(n, dtype=bool),
-            used_shallow_erase=np.zeros(n, dtype=bool),
-        )
-        fields.update(overrides)
+        for name, dtype in _DEFAULT_FIELDS:
+            if name not in overrides:
+                overrides[name] = np.zeros(n, dtype=dtype)
         return BatchEraseResult(
             scheme=self.scheme_key,
             damage=damage,
-            loops=loops.astype(np.int64),
-            total_pulses=total_pulses.astype(np.int64),
-            **fields,
+            loops=loops.astype(np.int64, copy=False),
+            total_pulses=total_pulses.astype(np.int64, copy=False),
+            **overrides,
         )
 
 
@@ -201,6 +207,7 @@ class MispeBatchKernel(BatchEraseKernel):
         )
         #: ``damage_by_pulses[p]`` = damage of the first ``p`` sub-pulses.
         self.damage_by_pulses = np.concatenate(([0.0], np.cumsum(per_pulse)))
+        self._failbits = _FailbitModel(profile)
 
     def _run_batch(self, state, rng):
         per_loop = self.profile.pulses_per_loop
@@ -244,7 +251,7 @@ class MispeBatchKernel(BatchEraseKernel):
         width = int(required.max())
         pulses = np.arange(1, width + 1)
         remaining = required[:, None] - pulses[None, :]
-        traces = _failbit_model(self.profile, remaining, rng)
+        traces = self._failbits(remaining, rng)
         return required, traces
 
 
@@ -302,56 +309,53 @@ class IispeBatchKernel(BatchEraseKernel):
         return self._result(state, damage, final, total_pulses)
 
 
-def _failbit_model(
-    profile: ChipProfile,
-    remaining: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
+class _FailbitModel:
     """Vectorized Figure 7 fail-bit model, shape-generic over ``remaining``.
 
     Mirrors :meth:`EraseState.verify_read`: ~``gamma`` with one pulse
     left, ``gamma + delta*(r-1)`` plus the bin-composition offset with
     ``r`` left, saturation near ``8*delta``, multiplicative measurement
     noise. Works elementwise on any array shape (1-D verify steps, 2-D
-    whole-trace matrices).
+    whole-trace matrices); ``remaining`` at or below zero reads as a
+    finished block.
+
+    The three branches share one form, ``A + B * (C + D * u)``, with
+    ``(A, B, C, D)`` looked up per pulses-remaining count: ``(0,
+    0.6*FPASS, 0, 1)`` for a finished block, ``(0, gamma, 0.85, 0.30)``
+    with one pulse left and ``(gamma + delta*(r-1), delta, -0.65,
+    0.80)`` with ``r > 1``. Adding zero and scaling by one are exact,
+    so each branch yields the floats of its direct formula.
     """
-    shape = remaining.shape
-    u = rng.random(shape)
-    gamma, delta = profile.gamma, profile.delta
-    true_count = np.where(
-        remaining <= 0,
-        0.6 * profile.f_pass * u,
-        np.where(
-            remaining == 1,
-            gamma * (0.85 + 0.30 * u),
-            gamma + delta * (remaining - 1) + (-0.65 + 0.80 * u) * delta,
-        ),
-    )
-    saturation = FAILBIT_SATURATION_DELTAS * delta
-    true_count = np.minimum(
-        true_count, saturation * (0.97 + 0.06 * rng.random(shape))
-    )
-    measured = true_count * (
-        1.0 + rng.normal(0.0, profile.failbit_noise, shape)
-    )
-    return np.maximum(0, np.rint(measured)).astype(np.int64)
 
+    def __init__(self, profile: ChipProfile):
+        gamma, delta = profile.gamma, profile.delta
+        rows = np.arange(profile.max_pulses + 1)
+        coefficients = np.empty((rows.size, 4))
+        coefficients[0] = (0.0, 0.6 * profile.f_pass, 0.0, 1.0)
+        coefficients[1] = (0.0, gamma, 0.85, 0.30)
+        coefficients[2:, 0] = gamma + delta * (rows[2:] - 1)
+        coefficients[2:, 1:] = (delta, -0.65, 0.80)
+        self._coefficients = coefficients
+        self._saturation = FAILBIT_SATURATION_DELTAS * delta
+        self._noise = profile.failbit_noise
 
-def _verify_batch(
-    profile: ChipProfile,
-    required: np.ndarray,
-    progress: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized :meth:`EraseState.verify_read` at the current progress."""
-    remaining = np.maximum(
-        0, np.ceil(required - progress - 1e-9).astype(np.int64)
-    )
-    return _failbit_model(profile, remaining, rng)
+    def __call__(
+        self, remaining: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        shape = remaining.shape
+        u = rng.random(shape)
+        row = self._coefficients.take(remaining, axis=0, mode="clip")
+        true_count = row[..., 0] + row[..., 1] * (row[..., 2] + row[..., 3] * u)
+        true_count = np.minimum(
+            true_count,
+            self._saturation * (0.97 + 0.06 * rng.random(shape)),
+        )
+        measured = true_count * (1.0 + rng.normal(0.0, self._noise, shape))
+        return np.maximum(0, np.rint(measured)).astype(np.int64)
 
 
 class AeroBatchKernel(BatchEraseKernel):
-    """AERO / AEROcons: the FELP ladder as masked array steps."""
+    """AERO / AEROcons: the FELP ladder, stepping only live blocks."""
 
     def __init__(self, scheme):
         """Bind the kernel to a configured :class:`AeroEraseScheme`."""
@@ -369,6 +373,7 @@ class AeroBatchKernel(BatchEraseKernel):
         self._edges = np.asarray(
             scheme.profile.failbit_range_edges(), dtype=np.int64
         )
+        self._failbits = _FailbitModel(scheme.profile)
         self._shallow: Optional[np.ndarray] = None
 
     # --- FELP prediction ------------------------------------------------------
@@ -379,7 +384,7 @@ class AeroBatchKernel(BatchEraseKernel):
         """Vectorized FELP lookup: ``(pulses, reduced, aggressive)`` arrays."""
         row = min(loop, self._felp.shape[0]) - 1
         decisions = self._felp[
-            row, np.searchsorted(self._edges, fail_bits, side="left")
+            row, self._edges.searchsorted(fail_bits, side="left")
         ]
         return (
             decisions[:, 0],
@@ -391,18 +396,26 @@ class AeroBatchKernel(BatchEraseKernel):
         self,
         pulses: np.ndarray,
         reduced: np.ndarray,
-        mask: np.ndarray,
+        index: np.ndarray,
+        count: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Vectorized misprediction injection (Figure 16 sensitivity)."""
+        """Vectorized misprediction injection (Figure 16 sensitivity).
+
+        ``pulses``/``reduced`` belong to the blocks ``index`` of a
+        ``count``-block population; one uniform is drawn per block of
+        the population, pulsed or not, so the stream does not depend on
+        how many blocks a loop pulses.
+        """
         if self.mispredict_rate <= 0.0:
             return pulses
-        candidates = mask & reduced & (pulses > 0)
-        hits = candidates & (
-            rng.random(pulses.shape[0]) < self.mispredict_rate
+        hits = (
+            reduced
+            & (pulses > 0)
+            & (rng.random(count)[index] < self.mispredict_rate)
         )
-        self.stats.injected_mispredictions += int(hits.sum())
-        return np.where(hits, pulses - 1, pulses)
+        self.stats.injected_mispredictions += int(np.count_nonzero(hits))
+        return pulses - hits
 
     # --- scheme body ----------------------------------------------------------
 
@@ -416,148 +429,143 @@ class AeroBatchKernel(BatchEraseKernel):
             raise ConfigError(
                 "AERO kernel is bound to a different block population"
             )
-        required = state.required_pulses().astype(np.float64)
+        stats = self.stats
+        failbits = self._failbits
+        threshold = self._threshold
+        required = state.required_pulses()
         pulse_damage = state.pulse_damage_lut
 
-        progress = np.zeros(n)
-        pulses_in_loop = np.zeros(n, dtype=np.int64)
-        total_pulses = np.zeros(n, dtype=np.int64)
-        damage = np.zeros(n)
-        completed = np.zeros(n, dtype=bool)
         accepted = np.zeros(n, dtype=bool)
         residual_fail = np.zeros(n, dtype=np.int64)
         residual_nispe = np.zeros(n, dtype=np.int64)
         mispredictions = np.zeros(n, dtype=np.int64)
-        fail_bits = np.zeros(n, dtype=np.int64)
         last_loop = np.ones(n, dtype=np.int64)
-        used_shallow = self._shallow.copy()
-        shallow_useful = np.zeros(n, dtype=bool)
 
-        def apply_pulses(mask: np.ndarray, loop: int, counts) -> None:
-            applied = np.where(mask, counts, 0)
-            progress[...] = np.where(
-                mask, np.minimum(per_loop * loop, progress + applied), progress
-            )
-            pulses_in_loop[...] = pulses_in_loop + applied
-            total_pulses[...] = total_pulses + applied
-            damage[...] = damage + applied * pulse_damage[loop]
-
-        def verify(mask: np.ndarray) -> None:
-            fail_bits[mask] = _verify_batch(
-                profile, required[mask], progress[mask], rng
-            )
-
-        def accept(mask: np.ndarray, loop: int) -> None:
-            if not mask.any():
-                return
-            accepted[mask] = True
-            residual_fail[mask] = fail_bits[mask]
-            residual_nispe[mask] = loop
-            self.stats.aggressive_accepts += int(mask.sum())
-
-        def settle(
-            mask: np.ndarray,
-            loop: int,
-            reduced: np.ndarray,
-            aggressive: np.ndarray,
-        ) -> None:
-            """Vectorized :meth:`AeroEraseScheme._settle_loop`."""
-            passed = mask & (progress >= required)
-            completed[passed] = True
-            live = mask & ~passed
-            acceptable = (
-                live
-                & aggressive
-                & (fail_bits <= self._threshold)
-                & (pulses_in_loop < per_loop)
-            )
-            accept(acceptable, loop)
-            repair = live & ~acceptable & reduced
-            if not repair.any():
-                return
-            count = int(repair.sum())
-            mispredictions[repair] += 1
-            self.stats.mispredictions += count
-            while True:
-                repair = repair & (pulses_in_loop < per_loop)
-                if not repair.any():
-                    break
-                apply_pulses(repair, loop, 1)
-                verify(repair)
-                done = repair & (progress >= required)
-                completed[done] = True
-                repair &= ~done
-                acceptable = (
-                    repair
-                    & aggressive
-                    & (fail_bits <= self._threshold)
-                    & (pulses_in_loop < per_loop)
-                )
-                accept(acceptable, loop)
-                repair &= ~acceptable
+        def accept(index: np.ndarray, fail_bits: np.ndarray, loop: int) -> None:
+            accepted[index] = True
+            residual_fail[index] = fail_bits
+            residual_nispe[index] = loop
+            stats.aggressive_accepts += index.size
 
         # --- loop 1: shallow probe or full default pulse ----------------------
-        self.stats.shallow_probes += int(used_shallow.sum())
-        everyone = np.ones(n, dtype=bool)
-        apply_pulses(
-            everyone, 1, np.where(used_shallow, self.shallow_pulses, per_loop)
-        )
-        verify(everyone)
-        passed = progress >= required
-        completed[passed] = True
-        shallow_useful |= used_shallow & passed
+        # Every block pulses once; the first pulses never reach past
+        # loop 1's ceiling, so progress is the pulses applied.
+        used_shallow = self._shallow
+        shallow_useful = used_shallow.copy()
+        stats.shallow_probes += int(np.count_nonzero(used_shallow))
+        progress = np.where(used_shallow, self.shallow_pulses, per_loop)
+        total_pulses = progress.copy()
+        damage = progress * pulse_damage[1]
+        fail_bits = failbits(required - progress, rng)
+        #: Blocks neither erased nor accepted yet.
+        live = progress < required
+        shallow_useful &= ~live
 
-        continued = used_shallow & ~passed
-        if continued.any():
-            pulses, reduced, aggressive = self._predict(1, fail_bits)
-            skip_accept = continued & aggressive & (pulses == 0)
-            accept(skip_accept, 1)
-            shallow_useful |= skip_accept
-            go = continued & ~skip_accept
-            if go.any():
-                remainder_cap = per_loop - self.shallow_pulses
-                capped = np.minimum(pulses, remainder_cap)
-                capped = self._inject(capped, reduced, go, rng)
-                shallow_useful |= go & (
-                    (self.shallow_pulses + capped) < per_loop
+        def run_loop(loop: int, index: np.ndarray) -> None:
+            """One ladder loop over the live blocks ``index``.
+
+            Vectorized FELP decision, then :meth:`AeroEraseScheme._step`
+            and ``_settle_loop``: pulse, verify, and pass, accept or
+            repair with single pulses at the same voltage. Loop 1 here
+            is the remainder after a shallow probe that did not pass.
+            """
+            fail = fail_bits[index]
+            pulses, reduced, aggressive = self._predict(loop, fail)
+            skip = aggressive & (pulses == 0)
+            if skip.any():
+                accept(index[skip], fail[skip], loop)
+                live[index[skip]] = False
+                if loop == 1:
+                    shallow_useful[index[skip]] = True
+                go = ~skip
+                index = index[go]
+                if not index.size:
+                    return
+                pulses, reduced, aggressive = (
+                    pulses[go], reduced[go], aggressive[go]
                 )
-                apply_pulses(go, 1, capped)
-                verify(go)
-                settle(go, 1, reduced, aggressive)
+            if loop == 1:
+                pulses = self._inject(
+                    np.minimum(pulses, per_loop - self.shallow_pulses),
+                    reduced, index, n, rng,
+                )
+                shallow_useful[index] = self.shallow_pulses + pulses < per_loop
+                reached = progress[index]
+                in_loop = reached
+            else:
+                pulses = self._inject(pulses, reduced, index, n, rng)
+                last_loop[index] = loop
+                # Entering the loop: continuous escalation tops progress
+                # up to the previous loop's ceiling; the budget resets.
+                reached = np.maximum(progress[index], per_loop * (loop - 1))
+                in_loop = 0
+            ceiling = per_loop * loop
+            need = required[index]
+            reached = np.minimum(ceiling, reached + pulses)
+            in_loop = in_loop + pulses
+            spent = damage[index] + pulses * pulse_damage[loop]
+            fail = failbits(need - reached, rng)
+            still = reached < need
+            acceptable = (
+                still & aggressive & (fail <= threshold) & (in_loop < per_loop)
+            )
+            if acceptable.any():
+                accept(index[acceptable], fail[acceptable], loop)
+                still &= ~acceptable
+            # Misprediction repair: single pulses while the budget lasts.
+            repair = (still & reduced).nonzero()[0]
+            if repair.size:
+                mispredictions[index[repair]] += 1
+                stats.mispredictions += repair.size
+            while repair.size:
+                repair = repair[in_loop[repair] < per_loop]
+                if not repair.size:
+                    break
+                in_loop[repair] += 1
+                spent[repair] += pulse_damage[loop]
+                reached[repair] = step = np.minimum(ceiling, reached[repair] + 1)
+                fail[repair] = fail_r = failbits(need[repair] - step, rng)
+                done = step >= need[repair]
+                acceptable = (
+                    ~done
+                    & aggressive[repair]
+                    & (fail_r <= threshold)
+                    & (in_loop[repair] < per_loop)
+                )
+                if acceptable.any():
+                    accept(index[repair[acceptable]], fail_r[acceptable], loop)
+                    done |= acceptable
+                still[repair[done]] = False
+                repair = repair[~done]
+            progress[index] = reached
+            fail_bits[index] = fail
+            damage[index] = spent
+            if loop == 1:  # in_loop counts the probe's pulses too
+                total_pulses[index] = in_loop
+            else:
+                total_pulses[index] += in_loop
+            live[index] = still
 
-        # Persist the SEF outcome for blocks that ran the probe.
-        self._shallow = np.where(used_shallow, shallow_useful, self._shallow)
-        self.stats.shallow_useful += int((used_shallow & shallow_useful).sum())
+        continued = (used_shallow & live).nonzero()[0]
+        if continued.size:
+            run_loop(1, continued)
+        # Persist the SEF outcome for blocks that ran the probe; a block
+        # that skipped it keeps its False flag.
+        self._shallow = shallow_useful
+        stats.shallow_useful += int(np.count_nonzero(shallow_useful))
 
         # --- loops 2..max: predict, pulse, settle -----------------------------
         for loop in range(2, profile.max_loops + 1):
-            active = ~completed & ~accepted
-            if not active.any():
+            index = live.nonzero()[0]
+            if not index.size:
                 break
-            pulses, reduced, aggressive = self._predict(loop, fail_bits)
-            skip_accept = active & aggressive & (pulses == 0)
-            accept(skip_accept, loop)
-            go = active & ~skip_accept
-            if not go.any():
-                continue
-            injected = self._inject(pulses, reduced, go, rng)
-            last_loop[go] = loop
-            # Entering the loop: continuous escalation tops progress up
-            # to the previous loop's ceiling and resets the pulse budget.
-            progress[...] = np.where(
-                go, np.maximum(progress, per_loop * (loop - 1)), progress
-            )
-            pulses_in_loop[...] = np.where(go, 0, pulses_in_loop)
-            apply_pulses(go, loop, injected)
-            verify(go)
-            settle(go, loop, reduced, aggressive)
+            run_loop(loop, index)
 
-        unresolved = ~completed & ~accepted
-        if unresolved.any():
+        if live.any():
             raise EraseFailure(
                 f"{self.scheme_key} batch kernel failed to erase "
-                f"{int(unresolved.sum())} blocks",
-                fail_bits=int(fail_bits[unresolved].max()),
+                f"{int(np.count_nonzero(live))} blocks",
+                fail_bits=int(fail_bits[live].max()),
                 loops=profile.max_loops,
             )
 
@@ -567,7 +575,7 @@ class AeroBatchKernel(BatchEraseKernel):
             damage,
             loops_final,
             total_pulses,
-            residual_fail_bits=np.where(accepted, residual_fail, 0),
+            residual_fail_bits=residual_fail,
             residual_nispe=residual_nispe,
             mispredictions=mispredictions,
             accepted_under_erase=accepted,

@@ -9,19 +9,27 @@ instead of one Python object per block. The batch erase kernels in
 which is what turns the lifetime and characterization hot loops from
 O(blocks) Python into a handful of vectorized operations.
 
-Bit-compatibility: the arrays are initialized *from* the existing
-:class:`~repro.nand.erase_model.BlockEraseModel` instances (same seed
-derivation, same truncated-normal draws), and the per-erase jitter is
-drawn from each model's own jitter stream in buffered batches — NumPy
+Bit-compatibility: the ``base``/``rate`` draws are those of the
+blocks' :class:`~repro.nand.erase_model.BlockEraseModel` instances
+(same seed derivation, same truncated-normal draws), and the per-erase
+jitter is read from a :class:`JitterTable`, which fills each block's
+row from that block's own jitter stream in chunks — NumPy
 ``Generator`` array fills consume the stream exactly like repeated
 scalar draws, so the kernel path sees the same required-pulse sequence
-as the object path. The wear-age update mirrors
-:meth:`~repro.nand.erase_model.WearState.record_erase` term for term.
+as the object path. :meth:`BlockArrayState.from_blocks` gives a state
+its own table; on the lifetime kernel path every curve of one block
+set reads one shared table instead (see
+:mod:`repro.lifetime.simulator`), so no ``Block`` is built there. The
+wear-age update mirrors
+:meth:`~repro.nand.erase_model.WearState.record_erase` term for term,
+with the wear term evaluated once per step for both the jittered
+required work and the Baseline reference.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import threading
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +42,7 @@ from repro.nand.erase_model import (
     BlockEraseModel,
 )
 
-#: Jitter draws buffered per refill (one column is consumed per erase).
+#: Jitter columns a table draws per fill (one column is read per erase).
 _JITTER_CHUNK = 64
 
 #: Ladder headroom beyond ``max_loops`` covered by the damage lookup
@@ -42,25 +50,79 @@ _JITTER_CHUNK = 64
 _LOOP_HEADROOM = 4
 
 
+class JitterTable:
+    """Append-only table of each block's erase-to-erase jitter prefix.
+
+    Row ``i`` is the start of block ``i``'s own jitter stream
+    (:meth:`BlockEraseModel.jitter_batch`) and column ``j`` is every
+    block's ``j``-th erase; the table draws :data:`_JITTER_CHUNK` more
+    columns whenever a reader asks past its end. The table is a pure
+    function of the models' streams, so any number of states can read
+    one table from column 0 and see the same draws. Fills hold a lock:
+    two threads drawing at once would interleave the streams.
+    """
+
+    def __init__(self, models: Sequence[BlockEraseModel]):
+        self._models = list(models)
+        self._chunks: List[np.ndarray] = []
+        self._lock = threading.Lock()
+
+    def column(self, index: int) -> np.ndarray:
+        """Every block's ``index``-th jitter draw (filling as needed)."""
+        chunk, offset = divmod(index, _JITTER_CHUNK)
+        if chunk >= len(self._chunks):
+            with self._lock:
+                while chunk >= len(self._chunks):
+                    drawn = np.stack(
+                        [m.jitter_batch(_JITTER_CHUNK) for m in self._models]
+                    )
+                    drawn.flags.writeable = False  # readers share it
+                    self._chunks.append(drawn)
+        return self._chunks[chunk][:, offset]
+
+    @property
+    def columns(self) -> int:
+        """Jitter columns drawn so far."""
+        return _JITTER_CHUNK * len(self._chunks)
+
+
+def block_draws(
+    models: Sequence[BlockEraseModel],
+) -> Tuple[np.ndarray, np.ndarray, JitterTable]:
+    """The ``(base, rate, jitter)`` of :class:`BlockArrayState` for
+    ``models``: read-only draw arrays and a jitter table of their own."""
+    base = np.array([m.base for m in models], dtype=np.float64)
+    rate = np.array([m.rate for m in models], dtype=np.float64)
+    base.flags.writeable = rate.flags.writeable = False
+    return base, rate, JitterTable(models)
+
+
 class BlockArrayState:
     """Per-block state of a block population, stored as arrays.
 
     Mutable wear quantities (``age``, ``pec``, ``damage_total``,
     ``residual_fail_bits``, ``residual_nispe``) advance through
-    :meth:`record_erase`; the static process-variation draws
-    (``base``, ``rate``, ``sensitivity``) are fixed at construction.
+    :meth:`record_erase`, which assigns new arrays; the static
+    process-variation draws (``base``, ``rate``, ``sensitivity``) are
+    fixed at construction. The ``k``-th required-work draw of block
+    ``i`` reads column ``k`` of ``jitter``, row ``i``.
     """
 
-    def __init__(self, profile: ChipProfile, models: Sequence[BlockEraseModel]):
-        if not models:
+    def __init__(
+        self,
+        profile: ChipProfile,
+        base: np.ndarray,
+        rate: np.ndarray,
+        jitter: JitterTable,
+    ):
+        n = base.shape[0]
+        if not n:
             raise ConfigError("block array needs at least one block")
         self.profile = profile
-        self.models: List[BlockEraseModel] = list(models)
-        n = len(self.models)
         self.count = n
-        self.base = np.array([m.base for m in self.models], dtype=np.float64)
-        self.rate = np.array([m.rate for m in self.models], dtype=np.float64)
-        self.sensitivity = self.rate / profile.erase_work.rate_mean
+        self.base = base
+        self.rate = rate
+        self.sensitivity = rate / profile.erase_work.rate_mean
         self.age = np.zeros(n, dtype=np.float64)
         self.pec = np.zeros(n, dtype=np.int64)
         self.damage_total = np.zeros(n, dtype=np.float64)
@@ -76,17 +138,25 @@ class BlockArrayState:
         )
         #: ``cum_loop_damage[k]`` = sum of pulse_damage over loops 1..k.
         self.cum_loop_damage = np.cumsum(self.pulse_damage_lut)
-        self._jitter_buf: np.ndarray | None = None
-        self._jitter_pos = 0
+        self.jitter = jitter
+        self._drawn = 0
+        #: ``(age, (wear, floor))`` of the last :meth:`_wear` evaluation.
+        self._wear_memo: tuple = (None, None)
 
     # --- construction ---------------------------------------------------------
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Block]) -> "BlockArrayState":
-        """Mirror a list of ``Block`` objects, wear state included."""
+        """Mirror a list of ``Block`` objects, wear state included.
+
+        The state reads jitter from a table of its own, drawn from the
+        blocks' jitter streams.
+        """
         if not blocks:
             raise ConfigError("block array needs at least one block")
-        state = cls(blocks[0].profile, [b.erase_model for b in blocks])
+        state = cls(
+            blocks[0].profile, *block_draws([b.erase_model for b in blocks])
+        )
         state.age = np.array([b.wear.age_kilocycles for b in blocks])
         state.pec = np.array([b.wear.pec for b in blocks], dtype=np.int64)
         state.damage_total = np.array([b.wear.damage_total for b in blocks])
@@ -101,52 +171,48 @@ class BlockArrayState:
     # --- required erase work --------------------------------------------------
 
     def draw_jitter(self) -> np.ndarray:
-        """One erase-to-erase jitter draw per block (buffered refills).
+        """One erase-to-erase jitter draw per block: the next column.
 
-        Consumes each block's own jitter stream, so the sequence seen
-        by block ``i`` is identical to what ``required_pulses`` on the
-        corresponding :class:`BlockEraseModel` would have drawn.
+        Block ``i`` sees its own jitter stream in order, identical to
+        what ``required_pulses`` on the corresponding
+        :class:`BlockEraseModel` would have drawn.
         """
-        if self._jitter_buf is None or self._jitter_pos >= self._jitter_buf.shape[1]:
-            self._jitter_buf = np.stack(
-                [m.jitter_batch(_JITTER_CHUNK) for m in self.models], axis=0
-            )
-            self._jitter_pos = 0
-        column = self._jitter_buf[:, self._jitter_pos]
-        self._jitter_pos += 1
+        column = self.jitter.column(self._drawn)
+        self._drawn += 1
         return column
 
-    def _floor_pulses(self, age: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`EraseWorkModel.floor_pulses` (same rounding)."""
-        pec = np.rint(age * 1000.0)
-        return np.interp(pec / 1000.0, self._floor_x, self._floor_y)
+    def _wear(self) -> tuple:
+        """``(base + rate * age**exponent, floor(age))`` at the current age.
 
-    def _pulses(self, jitter: np.ndarray | float) -> np.ndarray:
-        work = self.profile.erase_work
-        raw = self.base + self.rate * self.age ** work.pec_exponent + jitter
-        bounded = np.maximum(raw, self._floor_pulses(self.age))
-        clipped = np.clip(np.rint(bounded), 1, self.profile.max_pulses)
+        Vectorized :meth:`BlockEraseModel._work` (same rounding of the
+        floor's PEC), evaluated once per age array: the required-work
+        draw and :meth:`record_erase`'s Baseline reference of one step
+        share it. The memo is keyed by the age array's identity, so
+        ages change by assigning a new array, never by writing into it.
+        """
+        age, terms = self._wear_memo
+        if age is not self.age:
+            work = self.profile.erase_work
+            pec = np.rint(self.age * 1000.0)
+            terms = (
+                self.base + self.rate * self.age ** work.pec_exponent,
+                np.interp(pec / 1000.0, self._floor_x, self._floor_y),
+            )
+            self._wear_memo = (self.age, terms)
+        return terms
+
+    def _clamp(self, raw: np.ndarray, floor: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`BlockEraseModel._clamp`."""
+        bounded = np.rint(np.maximum(raw, floor))
+        clipped = np.minimum(np.maximum(bounded, 1), self.profile.max_pulses)
         return clipped.astype(np.int64)
 
     def required_pulses(self, jitter: np.ndarray | None = None) -> np.ndarray:
         """Sample each block's required pulses for one erase."""
         if jitter is None:
             jitter = self.draw_jitter()
-        return self._pulses(jitter)
-
-    def deterministic_pulses(self) -> np.ndarray:
-        """Required pulses at the current wear, without operation jitter."""
-        return self._pulses(0.0)
-
-    def nispe(self) -> np.ndarray:
-        """Loops a standard ISPE erase needs per block at current wear."""
-        per_loop = self.profile.pulses_per_loop
-        return (self.deterministic_pulses() + per_loop - 1) // per_loop
-
-    def baseline_damage(self) -> np.ndarray:
-        """Damage a Baseline ISPE erase would inflict per block."""
-        loops = self.nispe()
-        return self.profile.pulses_per_loop * self.cum_loop_damage[loops]
+        wear, floor = self._wear()
+        return self._clamp(wear + jitter, floor)
 
     # --- wear accounting ------------------------------------------------------
 
@@ -160,10 +226,13 @@ class BlockArrayState:
         """Account one batch erase (``cycles`` coarse-step cycles each).
 
         Mirrors :meth:`WearState.record_erase`: damage is normalized by
-        the Baseline reference at the *pre-erase* wear age, so Baseline
-        cycling ages every block by exactly one cycle per erase.
+        the Baseline reference at the *pre-erase* wear age (the jitter-free
+        required work, laddered in full loops), so Baseline cycling ages
+        every block by exactly one cycle per erase.
         """
-        baseline = self.baseline_damage()
+        per_loop = self.profile.pulses_per_loop
+        loops = (self._clamp(*self._wear()) + per_loop - 1) // per_loop
+        baseline = per_loop * self.cum_loop_damage[loops]
         ratio = np.where(baseline > 0, damage / baseline, 1.0)
         step = (PROGRAM_WEAR_SHARE + ERASE_WEAR_SHARE * ratio) / 1000.0
         self.age = self.age + step * cycles

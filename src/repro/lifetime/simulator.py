@@ -12,12 +12,19 @@ gating) against the block's erase physics — in coarse steps: one
 representative erase is simulated per ``step`` cycles and accounted
 ``step`` times, which keeps trajectories faithful while making a full
 five-scheme sweep take seconds.
+
+Only the object engine builds :class:`~repro.nand.block.Block` objects.
+The kernel path cycles a
+:class:`~repro.kernels.state.BlockArrayState` whose ``base``/``rate``
+draws and jitter table come from one module-level share of the last
+``(profile, seed, block_count)`` block set: every scheme curve of a
+figure cycles the same blocks, so consecutive curves draw them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +35,8 @@ from repro.nand.geometry import BlockAddress
 from repro.nand.rber import RberModel
 from repro.experiments.registry import SCHEMES
 from repro.kernels import BlockArrayState, resolve_kernel
+from repro.kernels.state import JitterTable, block_draws
+from repro.nand.erase_model import BlockEraseModel
 from repro.rng import derive, derive_rng
 from repro.telemetry.instruments import kernel_metrics
 
@@ -82,6 +91,41 @@ class LifetimeCurve:
         )
 
 
+#: The last kernel-path block set, as one ``((profile, seed,
+#: block_count), (base, rate, jitter))`` tuple (see :func:`_block_set`).
+_BLOCK_SET: Tuple[tuple, Optional[tuple]] = ((None, None, None), None)
+
+
+def _block_set(
+    profile: ChipProfile, seed: int, block_count: int
+) -> Tuple[np.ndarray, np.ndarray, JitterTable]:
+    """``(base, rate, jitter)`` of the block set the object engine builds.
+
+    Block ``index`` is the erase model of ``Block(BlockAddress(0, 0, 0,
+    index), profile, seed=derive(seed, "lifetime-block", index))``, so
+    the draws are a pure function of ``(profile, seed, block_count)``.
+    The last set's read-only arrays and append-only jitter table are
+    kept (:func:`~repro.kernels.state.block_draws`): each curve reads
+    the table from column 0, extending it past the longest curve so
+    far. The profile compares as
+    :class:`BlockEraseModel`'s draw table compares it, by identity and
+    then by value, never by name.
+    """
+    global _BLOCK_SET
+    key, shared = _BLOCK_SET
+    if (
+        key[0] is not profile or key[1:] != (seed, block_count)
+    ) and key != (profile, seed, block_count):
+        shared = block_draws([
+            BlockEraseModel(
+                profile, derive(seed, "lifetime-block", index), 0, 0, 0, index
+            )
+            for index in range(block_count)
+        ])
+        _BLOCK_SET = ((profile, seed, block_count), shared)
+    return shared
+
+
 class LifetimeSimulator:
     """Cycles one block set with one erase scheme until failure."""
 
@@ -114,20 +158,22 @@ class LifetimeSimulator:
             mispredict_rate=mispredict_rate,
             rber_requirement=requirement,
         )
-        self.rng = derive_rng(seed, "lifetime", scheme_key)
         self.seed = seed
-        self.blocks: List[Block] = [
-            Block(
-                address=BlockAddress(0, 0, 0, index),
-                profile=profile,
-                pages=8,
-                seed=derive(seed, "lifetime-block", index),
-            )
-            for index in range(block_count)
-        ]
+        self.block_count = block_count
         self.kernel = resolve_kernel(self.scheme, engine, scheme_name=scheme_key)
-        #: Per-block extra MRBER from the last erase (DPES window).
-        self._extra_rber: Dict[int, float] = {}
+        if self.kernel is None:
+            self.rng = derive_rng(seed, "lifetime", scheme_key)
+            self.blocks: List[Block] = [
+                Block(
+                    address=BlockAddress(0, 0, 0, index),
+                    profile=profile,
+                    pages=8,
+                    seed=derive(seed, "lifetime-block", index),
+                )
+                for index in range(block_count)
+            ]
+            #: Per-block extra MRBER from the last erase (DPES window).
+            self._extra_rber: Dict[int, float] = {}
 
     def run(self, max_pec: int = 12000, record_every: int = 250) -> LifetimeCurve:
         """Cycle until the average MRBER crosses the requirement."""
@@ -157,17 +203,19 @@ class LifetimeSimulator:
     def _run_kernel(self, max_pec: int, record_every: int) -> LifetimeCurve:
         """Vectorized run: one batch-kernel step per coarse erase.
 
-        The block array initializes from the same :class:`Block` set
-        (same seed derivation, same jitter streams), so schemes whose
-        ladder is deterministic in the required-work draw — baseline,
-        DPES, i-ISPE, m-ISPE — reproduce the object path's trajectory
-        exactly; AERO's verify-noise draws come from a kernel-local
-        generator and match statistically.
+        The block array holds the object engine's block set (same seed
+        derivation, same jitter streams, see :func:`_block_set`), so
+        schemes whose ladder is deterministic in the required-work
+        draw — baseline, DPES, i-ISPE, m-ISPE — reproduce the object
+        path's trajectory exactly; AERO's verify-noise draws come from
+        a kernel-local generator and match statistically.
         """
         curve = LifetimeCurve(
             scheme=self.scheme.name, requirement=float(self.requirement)
         )
-        state = BlockArrayState.from_blocks(self.blocks)
+        state = BlockArrayState(
+            self.profile, *_block_set(self.profile, self.seed, self.block_count)
+        )
         kernel_rng = derive_rng(self.seed, "lifetime", self.scheme_key, "kernel")
         extra_rber = np.zeros(state.count)
         batch_blocks = kernel_metrics().batch_blocks

@@ -331,6 +331,7 @@ def test_bench_smoke_writes_artifact(tmp_path, capsys):
     assert payload["label"] == "BENCH_smoke"
     sweep = payload["lifetime_sweep"]
     assert sweep["speedup"] > 0
+    assert sweep["cold"] is True
     assert set(sweep["per_scheme"]) == {"baseline", "aero"}
     cell = payload["grid_cell"]
     assert cell["engine_object"]["median_s"] > 0
@@ -375,6 +376,57 @@ def test_bench_grid_cell_times_cold_cells(monkeypatch):
     assert timed == [
         ["generate"], ["_fill", "_ftl_pass", "generate"]
     ] * config.grid_repeats
+
+
+def test_bench_lifetime_sweep_times_cold_alternating_sweeps(monkeypatch):
+    """Every timed kernel sweep draws its block set (its first curve
+    misses the block-set share), the engines alternate repeat by
+    repeat, and quartiles sit beside each median."""
+    from dataclasses import replace
+
+    import repro.harness.bench as bench
+    import repro.lifetime.comparison as comparison
+    from repro.kernels.state import JitterTable
+
+    events = []
+    table_init = JitterTable.__init__
+
+    def counting_init(self, models):
+        events.append("draw")
+        table_init(self, models)
+
+    compare = comparison.compare_schemes
+
+    def recording(*args, engine, **kwargs):
+        events.append(engine)
+        return compare(*args, engine=engine, **kwargs)
+
+    monkeypatch.setattr(JitterTable, "__init__", counting_init)
+    monkeypatch.setattr(comparison, "compare_schemes", recording)
+    timed = []
+    time_repeats = bench._time_repeats
+
+    def counting_time_repeats(fn, repeats):
+        before = len(events)
+        times = time_repeats(fn, repeats)
+        timed.append(events[before:])
+        return times
+
+    monkeypatch.setattr(bench, "_time_repeats", counting_time_repeats)
+    config = replace(
+        bench.BenchConfig.smoke_config(), schemes=("baseline", "aero")
+    )
+    result = bench.bench_lifetime_sweep(config)
+    assert result["cold"] is True
+    sweeps = 1 + len(config.schemes)  # the full sweep, then each scheme
+    assert timed == [["object"], ["kernel", "draw"]] * config.repeats * sweeps
+    for engine in ("object", "kernel"):
+        summary = result[f"engine_{engine}"]
+        low, high = summary["quartiles_s"]
+        assert low <= summary["median_s"] <= high
+        for key in config.schemes:
+            low, high = result["per_scheme"][key][f"{engine}_quartiles_s"]
+            assert low <= result["per_scheme"][key][f"{engine}_s"] <= high
 
 
 @pytest.mark.parametrize("flag", ["--repeats", "--grid-repeats", "--grid-requests"])

@@ -1,22 +1,36 @@
 """Golden digests of the shared erase physics.
 
-Both replay engines, the lifetime object path and the characterization
-campaigns all erase through ``EraseScheme.erase``, so engine-equivalence
-tests cannot notice a change to it. These SHA-256 digests pin its exact
-outcomes: every segment, fail-bit count, damage value and post-erase
-wear figure of each built-in scheme on a fixed block set and generator,
-plus one short cell report per paper scheme. A deliberate physics change
-must regenerate them (run this file as a script to print fresh values).
+Both replay engines and the lifetime object path erase through
+``EraseScheme.erase``. The lifetime kernel path erases through the batch
+kernels of :mod:`repro.kernels.erase`, and the characterization
+campaigns measure through the m-ISPE batch kernel (Figure 10 through
+``Block.begin_erase`` on real clones). Engine-equivalence tests cannot
+notice a change to either path, so these SHA-256 digests pin their
+exact outcomes:
+
+* every segment, fail-bit count, damage value and post-erase wear
+  figure of each built-in scheme on a fixed block set and generator;
+* every :class:`~repro.kernels.erase.BatchEraseResult` field, the block
+  state's arrays after each step, the kernel's counters and the
+  generator's end state of each batch kernel on 1-, 7- and 128-block
+  states, plus the m-ISPE kernel's ``measure_batch``/``trace_batch``;
+* one short cell report per paper scheme.
+
+A deliberate physics change must regenerate them (run this file as a
+script to print fresh values).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.harness.cells import PAPER_SCHEMES, run_workload_cell
+from repro.kernels import BlockArrayState, MispeBatchKernel
 from repro.nand.block import Block
 from repro.nand.chip_types import TLC_3D_48L
 from repro.nand.geometry import BlockAddress
@@ -60,6 +74,50 @@ ERASE_DIGESTS = {
     ("aero", 0.2):
         "f5b4b0c7648f3cb785291e03baf3edae6ba4161dc5564b61817c412cd47365d7",
 }
+
+#: Block counts and starting wear ages (kilocycles) of the kernel corpus.
+KERNEL_SIZES = (1, 7, 128)
+KERNEL_AGES = (0.0, 1.6, 4.2)
+#: ``erase_batch`` steps per state, each accounted as a coarse step.
+KERNEL_STEPS = 40
+KERNEL_CYCLES = 50
+#: ``(scheme key, mispredict_rate, rber_requirement)`` kernel cases.
+KERNEL_CASES = (
+    ("baseline", 0.0, None),
+    ("iispe", 0.0, None),
+    ("dpes", 0.0, None),
+    ("mispe", 0.0, None),
+    ("aero_cons", 0.0, None),
+    ("aero", 0.0, None),
+    ("aero", 0.1, None),
+    ("aero", 0.2, None),
+    ("aero", 0.0, 40),
+)
+
+KERNEL_DIGESTS = {
+    ("baseline", 0.0, None):
+        "5b4ea35e35fd8a429c146f74c2f2de55feb9a413ddb5800f60ba54f08e8c5a89",
+    ("iispe", 0.0, None):
+        "37a489cebf1b4dad20f17067bb81b43d29f4af951a61203ca7d5c6b2d471de18",
+    ("dpes", 0.0, None):
+        "c5b03d032429fd786e270a9b22951be41ba37b43b896b364a08f045e457eb1db",
+    ("mispe", 0.0, None):
+        "45fdeadf11e735af47944183c87149178c693d5fd12007a0306b9c7914ee254f",
+    ("aero_cons", 0.0, None):
+        "ea6fb08bb18d72d383ed491ceb738acbadac6f33b5027acbb096729a5439ae40",
+    ("aero", 0.0, None):
+        "ad2284b75d0ccc1c76972a7fdcac7f79b834ae48032b7048f6527a9ac83ea70e",
+    ("aero", 0.1, None):
+        "43f898007acf5a9ac182d48e2a2e1311a9ec5c367a37ea0195e975b3f93c0250",
+    ("aero", 0.2, None):
+        "27e039a549ab4318816bbae0513e91008d186545e0f5e1bd6fccf6bee0d9aa3f",
+    ("aero", 0.0, 40):
+        "a587443bdf9bfab5fb041b81b13de5c8ab0855078fba4caf14588d027383bde0",
+}
+
+MISPE_PROBE_DIGEST = (
+    "1d1efe2d20fc3712edbaa010e30c1b99b5fcde63960c71a9f072c33dc31bf6e6"
+)
 
 CELL_DIGESTS = {
     "baseline":
@@ -138,6 +196,90 @@ def erase_digest(key: str, mispredict_rate: float) -> str:
     return _digest(outcomes)
 
 
+def _kernel_state(count: int, start: float) -> BlockArrayState:
+    """``count`` blocks aged from ``start`` kilocycles, a few apart."""
+    blocks = []
+    for index in range(count):
+        block = Block(
+            address=BlockAddress(0, 0, 0, index),
+            profile=TLC_3D_48L,
+            pages=4,
+            seed=2024,
+        )
+        block.wear.age_kilocycles = start + 0.05 * (index % 7)
+        block.wear.pec = int(round(block.wear.age_kilocycles * 1000))
+        blocks.append(block)
+    return BlockArrayState.from_blocks(blocks)
+
+
+def _hash_arrays(digest, *arrays) -> None:
+    """Feed each array's dtype, shape and raw bytes into ``digest``."""
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+
+
+def _hash_json(digest, payload) -> None:
+    digest.update(json.dumps(payload, sort_keys=True).encode())
+
+
+def _hash_state(digest, state: BlockArrayState) -> None:
+    _hash_arrays(
+        digest, state.age, state.pec, state.damage_total,
+        state.residual_fail_bits, state.residual_nispe,
+    )
+
+
+def kernel_digest(
+    key: str, mispredict_rate: float, requirement: int | None
+) -> str:
+    """Digest of ``KERNEL_STEPS`` batch erases of every corpus state."""
+    digest = hashlib.sha256()
+    for count in KERNEL_SIZES:
+        for start in KERNEL_AGES:
+            scheme = make_scheme(
+                TLC_3D_48L, key, mispredict_rate=mispredict_rate,
+                rber_requirement=requirement,
+            )
+            kernel = scheme.batch_kernel()
+            state = _kernel_state(count, start)
+            rng = make_rng(99)
+            for _ in range(KERNEL_STEPS):
+                result = kernel.erase_batch(state, rng, cycles=KERNEL_CYCLES)
+                digest.update(result.scheme.encode())
+                _hash_arrays(digest, *(
+                    getattr(result, field.name)
+                    for field in dataclasses.fields(result)
+                    if field.name != "scheme"
+                ))
+                _hash_state(digest, state)
+            _hash_json(digest, dataclasses.asdict(kernel.stats))
+            _hash_json(digest, rng.bit_generator.state)
+    return digest.hexdigest()
+
+
+def mispe_probe_digest() -> str:
+    """Digest of m-ISPE ``measure_batch``/``trace_batch`` on every state.
+
+    Each call reads one jitter column, so 35 rounds read past the jitter
+    table's first 64-column fill; ``trace_batch`` runs the fail-bit
+    model on 2-D arrays whose ``remaining`` goes negative past each
+    block's need.
+    """
+    digest = hashlib.sha256()
+    for count in KERNEL_SIZES:
+        for start in KERNEL_AGES:
+            kernel = MispeBatchKernel(TLC_3D_48L)
+            state = _kernel_state(count, start)
+            rng = make_rng(7)
+            for _ in range(35):
+                _hash_arrays(digest, *kernel.measure_batch(state))
+                _hash_arrays(digest, *kernel.trace_batch(state, rng))
+            _hash_json(digest, rng.bit_generator.state)
+    return digest.hexdigest()
+
+
 def cell_digest(scheme: str) -> str:
     report = run_workload_cell(scheme, 2500, "ali.A", requests=200, seed=11)
     return _digest(report.to_json_dict())
@@ -152,6 +294,15 @@ def test_erase_outcomes_match_golden(key, mispredict_rate):
     ]
 
 
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda value: str(value))
+def test_batch_kernel_outcomes_match_golden(case):
+    assert kernel_digest(*case) == KERNEL_DIGESTS[case]
+
+
+def test_mispe_probes_match_golden():
+    assert mispe_probe_digest() == MISPE_PROBE_DIGEST
+
+
 @pytest.mark.parametrize("scheme", PAPER_SCHEMES)
 def test_cell_report_matches_golden(scheme):
     assert cell_digest(scheme) == CELL_DIGESTS[scheme]
@@ -160,5 +311,8 @@ def test_cell_report_matches_golden(scheme):
 if __name__ == "__main__":
     for case in ERASE_CASES:
         print(f"{case!r}: {erase_digest(*case)}")
+    for case in KERNEL_CASES:
+        print(f"{case!r}: {kernel_digest(*case)}")
+    print(f"mispe probes: {mispe_probe_digest()}")
     for scheme in PAPER_SCHEMES:
         print(f"{scheme!r}: {cell_digest(scheme)}")
