@@ -16,13 +16,11 @@ result store shared by the Python API and the ``python -m repro`` CLI.
 
 Quick start::
 
-    from repro import Experiment
+    from repro import ExperimentSpec
 
-    report = (Experiment.aero()
-              .at_pec(2500)
-              .workload("ali.A")
-              .requests(5000)
-              .run(cache=".repro-store"))
+    spec = ExperimentSpec(scheme="aero", pec=2500, workload="ali.A",
+                          requests=5000)
+    report = spec.run(cache=".repro-store")
     print(report.reads.percentile(99.99))
 
 or, equivalently, from the shell::
@@ -67,7 +65,7 @@ from repro.nand import (
 from repro.schemes import ALL_SCHEME_KEYS, SCHEME_KEYS, make_scheme
 from repro.ssd import Ssd, build_ssd
 from repro.experiments import SCHEMES, WORKLOADS
-from repro.experiments.spec import Experiment, ExperimentSpec
+from repro.experiments.spec import ExperimentSpec
 
 __version__ = "1.1.0"
 
@@ -81,7 +79,6 @@ __all__ = [
     "EraseOperationResult",
     "EraseScheme",
     "EraseTimingTable",
-    "Experiment",
     "ExperimentSpec",
     "FelpPredictor",
     "GcSpec",

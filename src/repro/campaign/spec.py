@@ -33,7 +33,7 @@ from repro.experiments.registry import SCHEMES, WORKLOADS
 from repro.experiments.spec import SSD_CODEC, SpecBase, read_spec_file
 from repro.harness.cells import PAPER_PEC_POINTS, PAPER_SCHEMES
 from repro.harness.runner import CellJob, plan_jobs
-from repro.kernels import ENGINES
+from repro.kernels import check_engine
 from repro.rng import DEFAULT_SEED
 
 #: The ``family`` values a campaign file may declare.
@@ -74,11 +74,7 @@ class CampaignSpec(SpecBase):
             raise ConfigError("pec_points must be non-negative integers")
         if self.requests <= 0:
             raise ConfigError("requests must be positive")
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; choose from "
-                f"{', '.join(ENGINES)}"
-            )
+        check_engine(self.engine)
 
     # --- derived ------------------------------------------------------------
 

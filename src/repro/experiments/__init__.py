@@ -1,15 +1,16 @@
-"""Declarative experiment API: registries, specs, builder, CLI.
+"""Declarative experiment API: registries, specs, CLI.
 
 The one way to describe and run an evaluation experiment:
 
 * :data:`SCHEMES` / :data:`WORKLOADS` — plugin registries every string
   key in the library resolves through (``@SCHEMES.register("key")``
-  adds a scheme without touching core files);
+  adds a scheme without touching core files; a registered key never
+  re-binds);
 * :class:`ExperimentSpec` — frozen, JSON-round-trippable description
   of one (scheme, PEC, workload) cell, the canonical cache-fingerprint
-  input;
-* :class:`Experiment` — fluent builder
-  (``Experiment.aero().at_pec(2500).workload("ali.A").run()``);
+  input. Build one with its keyword arguments and vary it with
+  ``dataclasses.replace``
+  (``ExperimentSpec(scheme="aero", pec=2500, workload="ali.A").run()``);
 * :class:`~repro.harness.runner.GridRunner` — the cached, optionally
   parallel execution loop specs run through: ``ExperimentSpec.run``
   for one spec, ``GridRunner(workers=n, cache=...).execute_jobs(
@@ -35,20 +36,16 @@ from repro.experiments.registry import (
     SCHEMES,
     WorkloadRegistry,
     WORKLOADS,
-    scheme_keys,
-    workload_keys,
 )
 
 _LAZY = {
     "ExperimentSpec": "repro.experiments.spec",
-    "Experiment": "repro.experiments.spec",
     "SPEC_VERSION": "repro.experiments.spec",
     "load_spec_file": "repro.experiments.spec",
     "main": "repro.experiments.cli",
 }
 
 __all__ = [
-    "Experiment",
     "ExperimentSpec",
     "Registry",
     "SCHEMES",
@@ -58,8 +55,6 @@ __all__ = [
     "WorkloadRegistry",
     "load_spec_file",
     "main",
-    "scheme_keys",
-    "workload_keys",
 ]
 
 

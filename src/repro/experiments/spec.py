@@ -1,9 +1,10 @@
-"""Declarative specs: the shared codec, ``ExperimentSpec`` and its builder.
+"""Declarative specs: the shared codec and ``ExperimentSpec``.
 
-:class:`SpecBase` is the one JSON codec of all four frozen spec
-classes (:class:`ExperimentSpec` here, ``CampaignSpec`` and
+:class:`SpecBase` is the one JSON codec of every frozen spec class
+(:class:`ExperimentSpec` here, ``CampaignSpec`` and
 ``MixedCampaignSpec`` in :mod:`repro.campaign.spec`, ``LifetimeSpec``
-in :mod:`repro.lifetime.spec`). Its ``to_dict``/``from_dict`` walk
+in :mod:`repro.lifetime.spec`, and the fault plan classes in
+:mod:`repro.faults.plan`). Its ``to_dict``/``from_dict`` walk
 ``dataclasses.fields`` under one :data:`SPEC_VERSION`; a wrongly typed
 JSON value is a :class:`~repro.errors.ConfigError` naming its field,
 and an absent field keeps its dataclass default, so every default is
@@ -23,13 +24,12 @@ the campaign seed. It is the one currency every consumer trades in:
 * ``spec.to_dict()`` / ``ExperimentSpec.from_dict`` round-trip through
   JSON without losing fingerprint identity — the dict is the on-disk
   spec-file format;
-* :class:`Experiment` is the fluent builder over it::
+* the constructor is the one way to build one, and
+  ``dataclasses.replace`` the one way to vary it::
 
-      report = (Experiment.aero()
-                .at_pec(2500)
-                .workload("ali.A")
-                .requests(5000)
-                .run())
+      spec = ExperimentSpec(scheme="aero", pec=2500, workload="ali.A",
+                            requests=5000)
+      report = dataclasses.replace(spec, pec=500).run()
 
 Scheme keys and workload refs resolve through the plugin registries,
 so specs describe third-party schemes/workloads with no core changes.
@@ -38,7 +38,7 @@ so specs describe third-party schemes/workloads with no core changes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -46,7 +46,7 @@ from repro.config import GcSpec, SchedulerSpec, SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES, WORKLOADS
 from repro.harness.runner import CellJob, GridRunner
-from repro.kernels import ENGINES
+from repro.kernels import check_engine
 from repro.nand.chip_types import profile_by_name
 from repro.nand.geometry import NandGeometry
 from repro.rng import DEFAULT_SEED, derive
@@ -342,11 +342,7 @@ class ExperimentSpec(SpecBase):
             raise ConfigError("requests must be positive")
         if self.pec < 0:
             raise ConfigError("pec setpoint must be >= 0")
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; choose from "
-                f"{', '.join(ENGINES)}"
-            )
+        check_engine(self.engine)
 
     # --- derived ------------------------------------------------------------
 
@@ -424,89 +420,3 @@ def load_spec_file(path: Union[str, Path]) -> List[ExperimentSpec]:
             f"spec file {path} must hold a spec object or a non-empty list"
         )
     return [ExperimentSpec.from_dict(item) for item in data]
-
-
-class _ExperimentMeta(type):
-    """Exposes every registered scheme key as a builder entry point.
-
-    ``Experiment.aero(...)``, ``Experiment.baseline()``, and any plugin
-    key registered with :data:`SCHEMES` — resolved dynamically so new
-    schemes get builder sugar for free.
-    """
-
-    def __getattr__(cls, name: str):
-        if not name.startswith("_") and name in SCHEMES:
-            def _start(**scheme_params: Any):
-                return cls.scheme(name, **scheme_params)
-
-            _start.__name__ = name
-            _start.__doc__ = f"Start an experiment using the {name!r} scheme."
-            return _start
-        raise AttributeError(
-            f"type 'Experiment' has no attribute {name!r} "
-            f"(registered schemes: {', '.join(SCHEMES.keys())})"
-        )
-
-
-@dataclass(frozen=True)
-class Experiment(metaclass=_ExperimentMeta):
-    """Small fluent builder over :class:`ExperimentSpec`.
-
-    Every step returns a new immutable builder; ``spec()`` yields the
-    finished :class:`ExperimentSpec` and ``run()`` executes it. The
-    builder is sugar only — ``Experiment.aero().at_pec(2500).spec()``
-    equals ``ExperimentSpec(scheme="aero", pec=2500)`` exactly.
-    """
-
-    _spec: ExperimentSpec = ExperimentSpec()
-
-    @classmethod
-    def scheme(cls, key: str, **scheme_params: Any) -> "Experiment":
-        """Start a builder for scheme ``key`` (validated immediately)."""
-        SCHEMES.get(key)
-        return cls(ExperimentSpec(scheme=key, scheme_params=scheme_params))
-
-    def _evolve(self, **changes: Any) -> "Experiment":
-        return Experiment(replace(self._spec, **changes))
-
-    def at_pec(self, pec: int) -> "Experiment":
-        """Set the P/E-cycle wear setpoint."""
-        return self._evolve(pec=pec)
-
-    def workload(self, ref: str) -> "Experiment":
-        """Set the workload by registry abbreviation (validated)."""
-        WORKLOADS.resolve(ref)
-        return self._evolve(workload=ref)
-
-    def requests(self, count: int) -> "Experiment":
-        """Set how many trace requests to replay."""
-        return self._evolve(requests=count)
-
-    def seed(self, seed: int) -> "Experiment":
-        """Set the campaign seed."""
-        return self._evolve(seed=seed)
-
-    def ssd(self, spec: SsdSpec) -> "Experiment":
-        """Pin an explicit SSD configuration."""
-        return self._evolve(ssd=spec)
-
-    def suspension(self, enabled: bool = True) -> "Experiment":
-        """Enable/disable erase suspension in the scheduler."""
-        return self._evolve(erase_suspension=enabled)
-
-    def engine(self, engine: str) -> "Experiment":
-        """Select the cell engine (``auto``/``object``/``kernel``)."""
-        return self._evolve(engine=engine)
-
-    def params(self, **scheme_params: Any) -> "Experiment":
-        """Merge extra scheme params into the spec."""
-        merged = {**self._spec.params, **scheme_params}
-        return self._evolve(scheme_params=merged)
-
-    def spec(self) -> ExperimentSpec:
-        """The finished, validated experiment spec."""
-        return self._spec.validate()
-
-    def run(self, cache: Any = None):
-        """Build the spec and run it; returns its PerfReport."""
-        return self.spec().run(cache=cache)

@@ -8,6 +8,13 @@ attempt number, put ordinal) plus a seed — no wall clocks, no real
 randomness — a chaos run reproduces byte-for-byte: CI replays every
 failure mode the suite pins.
 
+:class:`FaultPlan` and :class:`FaultSpec` are spec classes: they read
+and write JSON through the codec every spec shares
+(:class:`~repro.experiments.spec.SpecBase`), and plan files through
+its one file reader. Every field is typed, so ``"cell": "0"`` or
+``"seed": 3.7`` is a :class:`~repro.errors.ConfigError` naming the
+field, never a silently coerced plan.
+
 Hook points are threaded through the store and orchestrator behind a
 no-op default (:data:`NO_FAULTS`), so production paths pay one branch
 per boundary call. ``python -m repro campaign run --fault-plan

@@ -3,10 +3,13 @@
 See :mod:`repro.faults` for the catalogue of fault kinds and where
 each one hooks in. Two objects matter here:
 
-* :class:`FaultPlan` — the frozen description (JSON round-trippable,
-  picklable into worker processes). Worker-side faults are pure
-  functions of ``(cell, attempt)`` so a forked or spawned worker
-  evaluates them without shared state.
+* :class:`FaultPlan` — the frozen description, picklable into worker
+  processes. It and :class:`FaultSpec` read and write JSON through the
+  spec classes' shared codec (:class:`~repro.experiments.spec.SpecBase`),
+  so a wrongly typed field is a :class:`~repro.errors.ConfigError`
+  naming it. Worker-side faults are pure functions of
+  ``(cell, attempt)`` so a forked or spawned worker evaluates them
+  without shared state.
 * :class:`FaultInjector` — the orchestrator-side stateful wrapper: it
   numbers store puts, fires the store/compaction hooks, and counts
   every fired fault in the ``repro_faults_injected_total{kind}``
@@ -15,13 +18,13 @@ each one hooks in. Two objects matter here:
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 from repro.errors import ConfigError, InjectedFault
+from repro.experiments.spec import SpecBase, read_spec_file
 from repro.rng import derive
 
 #: Every fault kind a plan may name.
@@ -49,7 +52,7 @@ KILL_WORKER_EXIT = 113
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(SpecBase):
     """One fault: a kind plus the predicate selecting where it fires.
 
     ``cell`` / ``attempt`` select a campaign cell attempt
@@ -58,13 +61,17 @@ class FaultSpec:
     injector is armed on. ``delay_s`` is the ``slow_cell`` sleep.
     """
 
-    kind: str
+    kind: str = ""
     cell: Optional[int] = None
     attempt: Optional[int] = 1
     put_index: Optional[int] = None
     delay_s: float = 0.0
 
+    label = "fault spec"
+
     def __post_init__(self) -> None:
+        if not self.kind:
+            raise ConfigError("fault spec needs a kind")
         if self.kind not in FAULT_KINDS:
             raise ConfigError(
                 f"unknown fault kind {self.kind!r}; choose from "
@@ -89,44 +96,19 @@ class FaultSpec:
     def matches_put(self, put_index: int) -> bool:
         return self.kind in PUT_KINDS and self.put_index == put_index
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"kind": self.kind}
-        for name in ("cell", "attempt", "put_index"):
-            value = getattr(self, name)
-            if value is not None and not (name == "attempt" and value == 1):
-                data[name] = value
-        if self.attempt is None:
-            data["attempt"] = None
-        if self.delay_s:
-            data["delay_s"] = self.delay_s
-        return data
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"fault spec must be a JSON object, got {type(data).__name__}"
-            )
-        known = {"kind", "cell", "attempt", "put_index", "delay_s"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown fault spec fields {unknown}; "
-                f"known: {', '.join(sorted(known))}"
-            )
-        if "kind" not in data:
-            raise ConfigError("fault spec needs a kind")
-        return cls(
-            kind=data["kind"],
-            cell=data.get("cell"),
-            attempt=data.get("attempt", 1),
-            put_index=data.get("put_index"),
-            delay_s=float(data.get("delay_s", 0.0)),
+def _faults_from_json(value: Any) -> Tuple[FaultSpec, ...]:
+    """Decode ``faults``: a JSON list of fault spec objects."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(
+            f"fault plan field 'faults' must be a list of fault specs, "
+            f"got {value!r}"
         )
+    return tuple(FaultSpec.from_dict(item) for item in value)
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(SpecBase):
     """A seeded set of faults; empty plan == no faults anywhere.
 
     ``seed`` feeds the deterministic details of a fault's *shape*
@@ -137,6 +119,14 @@ class FaultPlan:
 
     seed: int = 0
     faults: Tuple[FaultSpec, ...] = ()
+
+    label = "fault plan"
+    codecs = {
+        "faults": (
+            lambda faults: [spec.to_dict() for spec in faults],
+            _faults_from_json,
+        ),
+    }
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
@@ -175,62 +165,13 @@ class FaultPlan:
             return 1
         return 1 + derive(self.seed, "torn", put_index) % (length - 2)
 
-    # --- serialization ------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "faults": [spec.to_dict() for spec in self.faults],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"fault plan must be a JSON object, got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - {"seed", "faults"})
-        if unknown:
-            raise ConfigError(
-                f"unknown fault plan fields {unknown}; known: faults, seed"
-            )
-        faults = data.get("faults", [])
-        if not isinstance(faults, (list, tuple)):
-            raise ConfigError("fault plan 'faults' must be a list")
-        return cls(
-            seed=int(data.get("seed", 0)),
-            faults=tuple(FaultSpec.from_dict(item) for item in faults),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"invalid fault plan JSON: {exc}") from exc
-        return cls.from_dict(data)
-
 
 def load_fault_file(path: Union[str, Path]) -> FaultPlan:
     """Load a fault plan from a JSON file.
 
     Accepts the bare plan object or ``{"fault_plan": {...}}``.
     """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read fault plan {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(
-            f"invalid JSON in fault plan {path}: {exc}"
-        ) from exc
-    if isinstance(data, Mapping) and "fault_plan" in data:
-        data = data["fault_plan"]
-    return FaultPlan.from_dict(data)
+    return FaultPlan.from_dict(read_spec_file(path, "fault_plan"))
 
 
 class FaultInjector:

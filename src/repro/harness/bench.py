@@ -91,10 +91,11 @@ def _time_repeats(fn: Callable[[], object], repeats: int) -> List[float]:
 
 
 def _quartiles(times: Sequence[float]) -> List[float]:
-    """``[p25, p75]`` of ``times`` (a single time is both)."""
+    """``[p25, p75]`` of ``times``, interpolated within the sample as
+    NumPy's default percentiles are (a single time is both)."""
     if len(times) < 2:
         return [round(times[0], 6)] * 2
-    q1, _, q3 = statistics.quantiles(times, n=4)
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
     return [round(q1, 6), round(q3, 6)]
 
 
@@ -214,7 +215,7 @@ def bench_grid_cell(config: BenchConfig) -> Dict[str, object]:
         )
 
     other = _other_point(config)
-    # Warm-up (trace synthesis, registry population, kernel import).
+    # Warm-up (trace synthesis, kernel import).
     cell("object")
     cell("kernel")
     times: Dict[str, List[float]] = {"object": [], "kernel": []}
@@ -242,7 +243,7 @@ def bench_grid_cell(config: BenchConfig) -> Dict[str, object]:
 
 def _quartiles_us(times_ns: Sequence[int]) -> Dict[str, float]:
     """Median and quartiles of per-operation times, in µs."""
-    q1, median, q3 = statistics.quantiles(times_ns, n=4)
+    q1, median, q3 = statistics.quantiles(times_ns, n=4, method="inclusive")
     return {"p25": round(q1 / 1e3, 1), "p50": round(median / 1e3, 1),
             "p75": round(q3 / 1e3, 1)}
 

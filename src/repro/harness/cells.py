@@ -41,7 +41,7 @@ from typing import Any, Mapping, Optional, Tuple
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import WORKLOADS
-from repro.kernels import ENGINES
+from repro.kernels import check_engine
 from repro.rng import derive
 from repro.ssd.builder import build_ssd
 from repro.ssd.metrics import PerfReport
@@ -88,10 +88,7 @@ def run_workload_cell(
     kernel whenever the built SSD supports it.
     """
     global _TRACE
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}"
-        )
+    check_engine(engine)
     if isinstance(workload, str):
         workload = WORKLOADS.resolve(workload)
     if spec is None:

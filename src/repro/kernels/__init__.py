@@ -37,6 +37,16 @@ from repro.kernels.state import BlockArrayState
 ENGINES = ("auto", "object", "kernel")
 
 
+def check_engine(engine: str) -> str:
+    """Return ``engine``; :class:`~repro.errors.ConfigError` unless it
+    is one of :data:`ENGINES`. Every engine knob is checked here."""
+    if engine not in ENGINES:
+        raise ConfigError(
+            f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}"
+        )
+    return engine
+
+
 def resolve_kernel(scheme, engine: str, scheme_name: str | None = None):
     """Validate ``engine`` and resolve the kernel the campaign should use.
 
@@ -46,11 +56,7 @@ def resolve_kernel(scheme, engine: str, scheme_name: str | None = None):
     for ``engine="kernel"`` on a scheme that provides no kernel. The
     lifetime simulator's engine knob resolves here.
     """
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
-        )
-    if engine == "object":
+    if check_engine(engine) == "object":
         return None
     kernel = kernel_for_scheme(scheme)
     if engine == "kernel" and kernel is None:
@@ -102,6 +108,7 @@ __all__ = [
     "IispeBatchKernel",
     "KernelStats",
     "MispeBatchKernel",
+    "check_engine",
     "kernel_for_scheme",
     "kernel_replay_supported",
     "precondition_kernel",

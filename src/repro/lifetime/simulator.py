@@ -36,7 +36,7 @@ from repro.nand.rber import RberModel
 from repro.experiments.registry import SCHEMES
 from repro.kernels import BlockArrayState, resolve_kernel
 from repro.kernels.state import JitterTable, block_draws
-from repro.nand.erase_model import BlockEraseModel
+from repro.nand import erase_model
 from repro.rng import derive, derive_rng
 from repro.telemetry.instruments import kernel_metrics
 
@@ -116,12 +116,17 @@ def _block_set(
     if (
         key[0] is not profile or key[1:] != (seed, block_count)
     ) and key != (profile, seed, block_count):
+        # Each block has its own seed, so every model below would
+        # replace the erase model's draw table; put back the one it
+        # held (a grid point's drive) for the point's next cell.
+        held = erase_model._DRAWS
         shared = block_draws([
-            BlockEraseModel(
+            erase_model.BlockEraseModel(
                 profile, derive(seed, "lifetime-block", index), 0, 0, 0, index
             )
             for index in range(block_count)
         ])
+        erase_model._DRAWS = held
         _BLOCK_SET = ((profile, seed, block_count), shared)
     return shared
 
@@ -163,6 +168,7 @@ class LifetimeSimulator:
         self.kernel = resolve_kernel(self.scheme, engine, scheme_name=scheme_key)
         if self.kernel is None:
             self.rng = derive_rng(seed, "lifetime", scheme_key)
+            held = erase_model._DRAWS  # as in _block_set
             self.blocks: List[Block] = [
                 Block(
                     address=BlockAddress(0, 0, 0, index),
@@ -172,6 +178,7 @@ class LifetimeSimulator:
                 )
                 for index in range(block_count)
             ]
+            erase_model._DRAWS = held
             #: Per-block extra MRBER from the last erase (DPES window).
             self._extra_rber: Dict[int, float] = {}
 

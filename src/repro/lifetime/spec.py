@@ -42,7 +42,7 @@ from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES
 from repro.experiments.spec import SpecBase, read_spec_file
 from repro.harness.cache import CACHE_VERSION
-from repro.kernels import ENGINES, kernel_for_scheme
+from repro.kernels import check_engine, resolve_kernel
 from repro.lifetime.comparison import SchemeComparison
 from repro.lifetime.simulator import LifetimeCurve, LifetimeSimulator
 from repro.nand.chip_types import profile_by_name
@@ -63,19 +63,10 @@ def _resolved_engine(scheme: str, profile: str, engine: str) -> str:
     Unknown engines and ``kernel`` for kernel-less schemes fail fast
     here, before any cycling.
     """
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}"
-        )
-    if engine == "object":
+    if check_engine(engine) == "object":
         return "object"
-    kernel = kernel_for_scheme(SCHEMES.create(scheme, profile_by_name(profile)))
-    if kernel is None:
-        if engine == "kernel":
-            raise ConfigError(
-                f"scheme {scheme!r} provides no batch kernel; "
-                "use engine='auto' or 'object'"
-            )
+    instance = SCHEMES.create(scheme, profile_by_name(profile))
+    if resolve_kernel(instance, engine, scheme) is None:
         return "object"
     return "kernel"
 
@@ -227,11 +218,7 @@ class LifetimeSpec(SpecBase):
             raise ConfigError("requirement must be positive")
         if not 0.0 <= float(self.mispredict_rate) <= 1.0:
             raise ConfigError("mispredict_rate must be within [0, 1]")
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; "
-                f"choose from {', '.join(ENGINES)}"
-            )
+        check_engine(self.engine)
 
     @property
     def size(self) -> int:

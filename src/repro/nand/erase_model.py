@@ -265,7 +265,8 @@ class BlockEraseModel:
     seed)`` pair share one table of ``base``/``rate`` draws and derived
     jitter seeds, filled by the first model of each block; a new pair
     replaces the table (lifetime block sets, one seed per block, never
-    hit). Each model still gets its own fresh jitter generator, so
+    hit, so the lifetime simulator puts the table back after building
+    one). Each model still gets its own fresh jitter generator, so
     every jitter stream stays per model and independent.
     """
 

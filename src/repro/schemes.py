@@ -3,7 +3,7 @@
 The six evaluated schemes — ``baseline``, ``iispe``, ``dpes``,
 ``mispe``, ``aero_cons``, ``aero`` — register themselves with
 :data:`repro.experiments.SCHEMES` when this module is imported; the
-registry lazily imports this module, so looking a key up anywhere
+registry module imports this one, so looking a key up anywhere
 (``make_scheme``, ``build_ssd``, :class:`~repro.experiments.ExperimentSpec`,
 the ``python -m repro`` CLI) always sees all six. Third-party schemes
 plug in the same way without editing this file::
@@ -140,13 +140,8 @@ def _build_aero_full(
 
 #: Every registered scheme key at import time (the six built-ins, in
 #: registration order). Plugins registered later are visible through
-#: ``SCHEMES.keys()`` / :func:`all_scheme_keys`, which stay live.
+#: ``SCHEMES.keys()``, which stays live.
 ALL_SCHEME_KEYS: Tuple[str, ...] = SCHEMES.keys()
-
-
-def all_scheme_keys() -> Tuple[str, ...]:
-    """Currently registered scheme keys (built-ins plus plugins)."""
-    return SCHEMES.keys()
 
 
 def make_scheme(

@@ -75,8 +75,7 @@ PROFILES_BY_ABBR: Dict[str, WorkloadProfile] = {
 # add workloads with WORKLOADS.register(...) / WORKLOADS.add(...)
 # without touching this file.
 for _profile in ALL_PROFILES:
-    if _profile.abbr not in WORKLOADS:
-        WORKLOADS.add(_profile)
+    WORKLOADS.add(_profile)
 del _profile
 
 

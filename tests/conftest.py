@@ -56,6 +56,16 @@ def block_factory():
 
 
 @pytest.fixture
+def isolated_registries(monkeypatch):
+    """Keys a test registers vanish after it: for the test's length the
+    process-wide registries hold copies of their entries."""
+    from repro.experiments import SCHEMES, WORKLOADS
+
+    for registry in (SCHEMES, WORKLOADS):
+        monkeypatch.setattr(registry, "_entries", dict(registry._entries))
+
+
+@pytest.fixture
 def damage_row():
     """``damage_row(root, key, "version = ?", 1)`` runs one UPDATE on
     the stored row of ``key`` — the way bit rot, a torn write or an

@@ -341,6 +341,18 @@ def test_bench_smoke_writes_artifact(tmp_path, capsys):
     assert payload["config"]["smoke"] is True
 
 
+def test_bench_quartiles_interpolate_within_the_sample():
+    """Quartiles are NumPy's default (inclusive) percentiles: never
+    the sample's extremes for three times, never outside it for two."""
+    import repro.harness.bench as bench
+
+    assert bench._quartiles([2.321, 3.027, 2.938]) == [2.6295, 2.9825]
+    assert bench._quartiles([1.0, 2.0]) == [1.25, 1.75]
+    assert bench._quartiles_us([1000, 3000]) == {
+        "p25": 1.5, "p50": 2.0, "p75": 2.5,
+    }
+
+
 def test_bench_grid_cell_times_cold_cells(monkeypatch):
     """Every timed repeat misses the point shares: its engine builds the
     trace, and on the kernel engine runs the fill and the replay's FTL
@@ -780,3 +792,13 @@ def test_campaign_run_rejects_bad_fault_plan(tmp_path, capsys):
         "--fault-plan", str(tmp_path / "missing.json"),
     ]) == 2
     assert "error:" in capsys.readouterr().err
+    # "0" is no cell index: the plan is refused before any store
+    # exists, instead of running a campaign that injects nothing.
+    plan_path.write_text(json.dumps({
+        "fault_plan": {"faults": [{"kind": "kill_worker", "cell": "0"}]},
+    }))
+    assert main(CAMPAIGN_ARGS + [
+        "--store", str(tmp_path / "store3"), "--fault-plan", str(plan_path),
+    ]) == 2
+    assert "error: fault spec field 'cell'" in capsys.readouterr().err
+    assert not (tmp_path / "store3").exists()

@@ -1,4 +1,4 @@
-"""Declarative experiment API: registries, specs, builder, runner."""
+"""Declarative experiment API: registries, specs, runner."""
 
 import dataclasses
 import json
@@ -8,7 +8,6 @@ import pytest
 from repro.campaign import CampaignSpec
 from repro.errors import ConfigError
 from repro.experiments import (
-    Experiment,
     ExperimentSpec,
     SCHEMES,
     WORKLOADS,
@@ -81,58 +80,59 @@ def test_register_decorator_and_unregister():
     assert registry.create("custom", TLC_3D_48L) == ("custom-scheme", TLC_3D_48L)
     with pytest.raises(ConfigError, match="already registered"):
         registry.register("custom", _build)
-    registry.register("custom", _build, replace=True)
-    registry.unregister("custom")
-    assert "custom" not in registry
+    # A key stays bound for the life of the process: nothing removes it.
+    assert not hasattr(registry, "unregister")
+    assert registry.get("custom") is _build
 
 
-def test_plugin_scheme_visible_to_global_surface():
+def test_plugin_scheme_visible_to_global_surface(isolated_registries):
     @SCHEMES.register("test_plugin")
     def _build(profile, *, mispredict_rate=0.0, rber_requirement=None):
         return make_scheme(profile, "baseline")
 
-    try:
-        assert "test_plugin" in SCHEMES.keys()
-        scheme = make_scheme(TLC_3D_48L, "test_plugin")
-        assert scheme.name == "baseline"
-        # The fluent builder grows an entry point automatically.
-        spec = Experiment.test_plugin().spec()
-        assert spec.scheme == "test_plugin"
-    finally:
-        SCHEMES.unregister("test_plugin")
+    assert "test_plugin" in SCHEMES.keys()
+    scheme = make_scheme(TLC_3D_48L, "test_plugin")
+    assert scheme.name == "baseline"
+    spec = ExperimentSpec(scheme="test_plugin").validate()
+    assert spec.resolve().scheme == "test_plugin"
 
 
-def test_builtin_keys_refuse_replacement():
-    """Fingerprints hash a built-in key, not what it resolves to, so a
-    replaced built-in would let a store serve the stock entry's reports
-    (the tweaked ``hm`` probe); built-in keys refuse it."""
+def test_builtin_keys_refuse_replacement(isolated_registries):
+    """Fingerprints hash a key, not what it resolves to, so a re-bound
+    key would let a store serve the first entry's reports (the tweaked
+    ``hm`` probe); no key re-binds, built in or plugin."""
     stock = WORKLOADS.resolve("hm")
     tweaked = dataclasses.replace(stock, read_ratio=0.05)
-    with pytest.raises(ConfigError, match="built in"):
+    with pytest.raises(ConfigError, match="already registered"):
+        WORKLOADS.register("hm", tweaked)
+    with pytest.raises(ConfigError, match="already registered"):
+        WORKLOADS.add(tweaked)
+    with pytest.raises(TypeError):  # there is no replace option
         WORKLOADS.register("hm", tweaked, replace=True)
-    with pytest.raises(ConfigError, match="built in"):
-        WORKLOADS.unregister("hm")
     assert WORKLOADS.resolve("hm") is stock
-    factory = SCHEMES.get("aero")
-    with pytest.raises(ConfigError, match="built in"):
-        SCHEMES.register("aero", factory, replace=True)
-    with pytest.raises(ConfigError, match="built in"):
-        SCHEMES.unregister("aero")
-    assert SCHEMES.get("aero") is factory
+    for registry in (SCHEMES, WORKLOADS):
+        for key in registry.keys():
+            entry = registry.get(key)
+            with pytest.raises(ConfigError, match="already registered"):
+                registry.register(key, object())
+            assert registry.get(key) is entry
     # The probe's cell hashes as it did before built-ins were guarded.
     assert ExperimentSpec(
         scheme="baseline", pec=500, workload="hm", requests=120, seed=7
     ).fingerprint == (
         "a78bc3c3eb0ae983a6545256bbcdea2c51e311b4d20b8fc29c31c6627fe9b3b7"
     )
-    # A variant still registers, replaces and unregisters under a new key.
-    WORKLOADS.register("hm.tweaked", tweaked)
-    try:
-        WORKLOADS.register("hm.tweaked", stock, replace=True)
-        assert WORKLOADS.resolve("hm.tweaked") is stock
-    finally:
-        WORKLOADS.unregister("hm.tweaked")
-    assert "hm.tweaked" not in WORKLOADS
+    # A variant registers under a new key, which then stays bound too.
+    variant = dataclasses.replace(tweaked, abbr="hm.tweaked")
+    WORKLOADS.add(variant)
+    with pytest.raises(ConfigError, match="already registered"):
+        WORKLOADS.register("hm.tweaked", stock)
+    assert WORKLOADS.resolve("hm.tweaked") is variant
+    factory = SCHEMES.get("baseline")
+    SCHEMES.register("baseline.plugin", factory)
+    with pytest.raises(ConfigError, match="already registered"):
+        SCHEMES.register("baseline.plugin")(factory)
+    assert SCHEMES.get("baseline.plugin") is factory
 
 
 def test_scheme_rejecting_params_raises_config_error():
@@ -143,15 +143,6 @@ def test_scheme_rejecting_params_raises_config_error():
 def test_registry_key_must_be_string():
     with pytest.raises(ConfigError):
         Registry("thing").register("", object())
-
-
-def test_failed_populate_import_is_not_sticky():
-    registry = Registry("thing", populate=("no.such.module",))
-    with pytest.raises(ModuleNotFoundError):
-        registry.keys()
-    # The failure must re-raise on retry, not silently read as empty.
-    with pytest.raises(ModuleNotFoundError):
-        registry.keys()
 
 
 def test_factory_internal_type_errors_propagate():
@@ -177,14 +168,11 @@ def test_null_and_integer_default_params_share_fingerprint():
     ).fingerprint == plain.fingerprint
 
 
-def test_workload_registry_plugin_roundtrip():
+def test_workload_registry_plugin_roundtrip(isolated_registries):
     custom = WorkloadProfile("synthetic", "unit_test", "unit.test",
                              0.5, 16.0, 10.0)
     WORKLOADS.add(custom)
-    try:
-        assert WORKLOADS.resolve("unit.test") is custom
-    finally:
-        WORKLOADS.unregister("unit.test")
+    assert WORKLOADS.resolve("unit.test") is custom
 
 
 # --- ExperimentSpec ----------------------------------------------------------
@@ -337,60 +325,6 @@ def test_from_dict_loads_json_integers_into_float_fields():
     spec = LifetimeSpec.from_dict({"mispredict_rate": 0})
     assert spec.mispredict_rate == 0.0
     assert isinstance(spec.mispredict_rate, float)
-
-
-# --- fluent builder ----------------------------------------------------------
-
-
-def test_builder_equals_kwargs():
-    built = (
-        Experiment.aero()
-        .at_pec(2500)
-        .workload("ali.A")
-        .requests(5000)
-        .spec()
-    )
-    assert built == ExperimentSpec(
-        scheme="aero", pec=2500, workload="ali.A", requests=5000
-    )
-
-
-def test_builder_full_surface():
-    ssd = SsdSpec.small_test(seed=3)
-    built = (
-        Experiment.aero_cons(mispredict_rate=0.1)
-        .at_pec(500)
-        .workload("hm")
-        .requests(800)
-        .seed(42)
-        .ssd(ssd)
-        .suspension(False)
-        .params(rber_requirement=50)
-        .spec()
-    )
-    assert built == ExperimentSpec(
-        scheme="aero_cons",
-        pec=500,
-        workload="hm",
-        requests=800,
-        seed=42,
-        ssd=ssd,
-        erase_suspension=False,
-        scheme_params={"mispredict_rate": 0.1, "rber_requirement": 50},
-    )
-
-
-def test_builder_steps_are_immutable():
-    base = Experiment.baseline()
-    assert base.at_pec(500) is not base
-    assert base.spec().pec == ExperimentSpec().pec
-
-
-def test_builder_unknown_scheme_attr():
-    with pytest.raises(AttributeError, match="registered schemes"):
-        Experiment.not_a_scheme
-    with pytest.raises(ConfigError, match="unknown workload"):
-        Experiment.aero().workload("bogus")
 
 
 # --- runner ------------------------------------------------------------------

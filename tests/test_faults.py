@@ -68,8 +68,44 @@ def test_fault_spec_validation():
         FaultSpec(kind="kill_worker", cell=0, attempt=0)  # 1-based
 
 
+#: One valid fault per kind, each with a non-default field.
+ONE_OF_EACH_KIND = (
+    FaultSpec(kind="torn_tail", put_index=7),
+    FaultSpec(kind="corrupt_checksum", put_index=0, attempt=None),
+    FaultSpec(kind="crash_before_put", put_index=2),
+    FaultSpec(kind="crash_after_put", put_index=3, attempt=2),
+    FaultSpec(kind="kill_worker", cell=3, attempt=None),
+    FaultSpec(kind="slow_cell", cell=1, delay_s=0.25),
+    FaultSpec(kind="compact_interrupt"),
+)
+
+
 def test_fault_plan_json_round_trip(tmp_path):
-    plan = FaultPlan(
+    assert {spec.kind for spec in ONE_OF_EACH_KIND} == set(FAULT_KINDS)
+    plan = FaultPlan(seed=99, faults=ONE_OF_EACH_KIND)
+    assert FaultPlan.from_json(plan.to_json()) == plan
+    for spec in ONE_OF_EACH_KIND:
+        assert FaultSpec.from_json(spec.to_json()) == spec
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"fault_plan": plan.to_dict()}))
+    assert load_fault_file(path) == plan
+    with pytest.raises(ConfigError):
+        FaultPlan.from_dict({"faults": [{"kind": "torn_tail"}], "typo": 1})
+
+
+def test_fault_plan_in_the_earlier_layout_loads_equal(tmp_path):
+    # The layout plans were written in before they shared the spec
+    # codec: no version, defaults omitted, "attempt": null spelled out.
+    earlier = {
+        "seed": 99,
+        "faults": [
+            {"kind": "kill_worker", "cell": 3, "attempt": None},
+            {"kind": "slow_cell", "cell": 1, "delay_s": 0.25},
+            {"kind": "torn_tail", "put_index": 7},
+            {"kind": "compact_interrupt"},
+        ],
+    }
+    assert FaultPlan.from_dict(earlier) == FaultPlan(
         seed=99,
         faults=(
             FaultSpec(kind="kill_worker", cell=3, attempt=None),
@@ -78,12 +114,55 @@ def test_fault_plan_json_round_trip(tmp_path):
             FaultSpec(kind="compact_interrupt"),
         ),
     )
-    assert FaultPlan.from_json(plan.to_json()) == plan
-    path = tmp_path / "plan.json"
-    path.write_text(json.dumps({"fault_plan": plan.to_dict()}))
-    assert load_fault_file(path) == plan
-    with pytest.raises(ConfigError):
-        FaultPlan.from_dict({"faults": [{"kind": "torn_tail"}], "typo": 1})
+    # CI's chaos plan, as its smoke step writes it.
+    path = tmp_path / "chaos-plan.json"
+    path.write_text(
+        '{"fault_plan": {"seed": 3, "faults": ['
+        '{"kind": "kill_worker", "cell": 0, "attempt": 1},'
+        '{"kind": "torn_tail", "put_index": 1}]}}'
+    )
+    assert load_fault_file(path) == FaultPlan(
+        seed=3,
+        faults=(
+            FaultSpec(kind="kill_worker", cell=0),
+            FaultSpec(kind="torn_tail", put_index=1),
+        ),
+    )
+
+
+#: A valid fault around each integer field, to put a wrong type in.
+_AROUND = {
+    "cell": {"kind": "kill_worker"},
+    "attempt": {"kind": "kill_worker", "cell": 0},
+    "put_index": {"kind": "torn_tail"},
+}
+WRONG_TYPES = [
+    pytest.param(
+        {"faults": [{**_AROUND[name], name: value}]}, "fault spec", name,
+        id=f"{name}={value!r}",
+    )
+    for name in _AROUND
+    for value in ("0", True, 1.5)
+] + [
+    pytest.param(
+        {"faults": [{"kind": "slow_cell", "cell": 0, "delay_s": "abc"}]},
+        "fault spec", "delay_s", id="delay_s='abc'",
+    ),
+    pytest.param({"seed": 3.7}, "fault plan", "seed", id="seed=3.7"),
+    pytest.param({"seed": "x"}, "fault plan", "seed", id="seed='x'"),
+    pytest.param(
+        {"faults": {"kind": "kill_worker", "cell": 0}}, "fault plan",
+        "faults", id="faults=object",
+    ),
+]
+
+
+@pytest.mark.parametrize("data, label, name", WRONG_TYPES)
+def test_wrongly_typed_fault_field_names_the_field(data, label, name):
+    # A value of the wrong JSON type is refused, never coerced: "0"
+    # would otherwise select no cell and 3.7 would become seed 3.
+    with pytest.raises(ConfigError, match=f"^{label} field '{name}' must be"):
+        FaultPlan.from_dict(data)
 
 
 def test_cell_predicates_are_pure_and_filtered():

@@ -124,7 +124,7 @@ def test_kernel_misprediction_injection_counts():
     assert stats.mispredictions > 0
 
 
-def test_engine_validation_and_fallback():
+def test_engine_validation_and_fallback(isolated_registries):
     with pytest.raises(ConfigError):
         LifetimeSimulator(TLC_3D_48L, "baseline", engine="warp")
 
@@ -142,17 +142,41 @@ def test_engine_validation_and_fallback():
     def _build(profile, *, mispredict_rate=0.0, rber_requirement=None):
         return KernellessScheme(profile)
 
-    try:
-        with pytest.raises(ConfigError):
-            LifetimeSimulator(TLC_3D_48L, "kernelless", engine="kernel")
-        # auto falls back to the object path and still runs.
-        simulator = LifetimeSimulator(
-            TLC_3D_48L, "kernelless", block_count=4, step=200, engine="auto"
-        )
-        assert simulator.kernel is None
-        assert simulator.run(max_pec=400).pec_points
-    finally:
-        SCHEMES.unregister("kernelless")
+    with pytest.raises(ConfigError):
+        LifetimeSimulator(TLC_3D_48L, "kernelless", engine="kernel")
+    # auto falls back to the object path and still runs.
+    simulator = LifetimeSimulator(
+        TLC_3D_48L, "kernelless", block_count=4, step=200, engine="auto"
+    )
+    assert simulator.kernel is None
+    assert simulator.run(max_pec=400).pec_points
+
+
+def test_every_engine_entry_point_gives_one_message():
+    from repro.campaign import CampaignSpec
+    from repro.experiments import ExperimentSpec
+    from repro.harness import run_workload_cell
+    from repro.kernels import resolve_kernel
+    from repro.lifetime import LifetimeSpec
+    from repro.lifetime.spec import _resolved_engine
+
+    entry_points = (
+        lambda: ExperimentSpec(engine="warp"),
+        lambda: CampaignSpec(engine="warp"),
+        lambda: LifetimeSpec(engine="warp"),
+        lambda: _resolved_engine("aero", TLC_3D_48L.name, "warp"),
+        lambda: resolve_kernel(make_scheme(TLC_3D_48L, "aero"), "warp"),
+        lambda: run_workload_cell("aero", 500, "hm", requests=40,
+                                  engine="warp"),
+    )
+    messages = []
+    for call in entry_points:
+        with pytest.raises(ConfigError) as excinfo:
+            call()
+        messages.append(str(excinfo.value))
+    assert messages == [
+        "unknown engine 'warp'; choose from auto, object, kernel"
+    ] * len(entry_points)
 
 
 def test_kernel_for_scheme_resolution():

@@ -220,6 +220,32 @@ def test_only_the_object_engine_builds_blocks(key, monkeypatch):
     assert _curve_digest(kernel_curve) == FRESH_CURVE_DIGESTS[("kernel", key)]
 
 
+@pytest.mark.parametrize("engine", ("kernel", "object"))
+def test_block_set_keeps_a_grid_points_draws(engine, monkeypatch):
+    """A curve of a new block set leaves the erase model's draw table
+    as the last grid cell left it, so the point's next cell draws
+    nothing again."""
+    from repro.harness import run_workload_cell
+    from repro.nand import erase_model
+
+    run_workload_cell("baseline", 500, "hm", requests=40, seed=7)
+    _empty_share(monkeypatch)
+    LifetimeSimulator(
+        TLC_3D_48L, "baseline", block_count=16, step=100, seed=11,
+        engine=engine,
+    ).run(max_pec=400)
+    draws = []
+    original = erase_model.truncated_normal
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(erase_model, "truncated_normal", counting)
+    run_workload_cell("aero", 500, "hm", requests=40, seed=7)
+    assert not draws
+
+
 def test_block_set_share_holds_across_threads(monkeypatch):
     """Curves of one block set started together on more threads than
     cores, switching often, equal the curve run alone: concurrent fills
