@@ -14,8 +14,8 @@ registries, seed derivation, and cache fingerprints:
   :class:`ExperimentSpec` with the same fields resolves to, so a
   ``python -m repro run`` of one cell shares its store entry;
 * both this class and :class:`MixedCampaignSpec` take their JSON codec
-  (``to_dict``/``from_dict``, version and type checks) from
-  :class:`~repro.experiments.spec.SpecBase`, and
+  (``to_dict``/``from_dict``, version and type checks) and
+  ``fingerprints()`` from :class:`~repro.experiments.spec.JobSpec`, and
   :func:`load_campaign_file` reads the ``campaign.json`` files the CLI
   takes through the shared
   :func:`~repro.experiments.spec.read_spec_file`.
@@ -30,7 +30,7 @@ from typing import Any, List, Mapping, Optional, Tuple, Union
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES, WORKLOADS
-from repro.experiments.spec import SSD_CODEC, SpecBase, read_spec_file
+from repro.experiments.spec import SSD_CODEC, JobSpec, read_spec_file
 from repro.harness.cells import PAPER_PEC_POINTS, PAPER_SCHEMES
 from repro.harness.runner import CellJob, plan_jobs
 from repro.kernels import check_engine
@@ -41,7 +41,7 @@ CAMPAIGN_FAMILIES = ("cell", "lifetime", "mixed")
 
 
 @dataclass(frozen=True)
-class CampaignSpec(SpecBase):
+class CampaignSpec(JobSpec):
     """Frozen description of one (schemes x PECs x workloads) campaign."""
 
     schemes: Tuple[str, ...] = PAPER_SCHEMES
@@ -124,7 +124,7 @@ def _members_to_json(members: Tuple[Any, ...]) -> List[Any]:
 
 
 @dataclass(frozen=True)
-class MixedCampaignSpec(SpecBase):
+class MixedCampaignSpec(JobSpec):
     """A campaign whose members span both families.
 
     ``members`` is an ordered tuple of :class:`CampaignSpec` and

@@ -26,12 +26,16 @@ fork, and closes it when the handle is dropped.
 Record format: a row's ``report`` is one compact-JSON BLOB in which
 each non-empty list of floats is packed as ``{"<f8": base64 of its
 little-endian float64 bytes}`` (:func:`_encode`); :func:`_decode`
-unpacks them through a ``json.loads`` object hook, bit for bit, and
-serves rows written before packing (plain float lists) as they are.
-Packing shrinks a grid-cell record by ~40% and replaces parsing ~900
-float literals per cell with one base64 decode. The canonical JSON of
-a result (``to_json_dict``, which digests hash) is unchanged. An older
-checkout reads a packed row as a miss and recomputes it.
+unpacks each, bit for bit, into an ``array("d")`` through a JSON
+object hook, and serves rows written before packing (plain float
+lists) as they are. Packing shrinks a grid-cell record by ~40% and
+replaces parsing ~900 float literals per cell with one base64 decode;
+the decoded samples stay packed, since
+:class:`~repro.ssd.metrics.LatencyRecorder` holds an ``array("d")``
+and copies the decoded one by memcpy, so no Python float is built per
+sample. The canonical JSON of a result (``to_json_dict``, which
+digests hash) is unchanged. An older checkout reads a packed row as a
+miss and recomputes it.
 
 Integrity: each row carries a CRC32 over its stored report bytes.
 Rows whose CRC no longer matches (bit rot, a torn write) or that were
@@ -141,13 +145,14 @@ def _pack(value: Any) -> Any:
 
 
 def _unpack(obj: Dict[str, Any]) -> Any:
-    """``json.loads`` object hook: a packed float list back to a list
-    of floats, bit for bit; every other object as it is."""
+    """``json.loads`` object hook: a packed float list back to an
+    ``array("d")`` of the same floats, bit for bit (no Python float per
+    sample); every other object as it is."""
     if len(obj) == 1 and type(obj.get(_PACKED)) is str:
         floats = array("d", binascii.a2b_base64(obj[_PACKED]))
         if _SWAP:
             floats.byteswap()
-        return floats.tolist()
+        return floats
     return obj
 
 
@@ -159,10 +164,16 @@ def _encode(report_dict: Any) -> bytes:
     ).encode("utf-8")
 
 
+#: One decoder for every row: ``json.loads`` with a hook would build a
+#: new decoder per call.
+_DECODER = json.JSONDecoder(object_hook=_unpack)
+
+
 def _decode(payload: bytes) -> Any:
-    """A report's JSON form from its stored bytes, packed float lists
-    unpacked; rows with plain float lists decode as they are."""
-    return json.loads(payload, object_hook=_unpack)
+    """A report's JSON form from its stored (UTF-8) bytes, each packed
+    float list as an ``array("d")``; rows with plain float lists decode
+    as they are."""
+    return _DECODER.decode(payload.decode("utf-8"))
 
 
 def _row_state(version: int, report: bytes, crc: int) -> Optional[str]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
-from repro.nand.chip_types import ChipProfile, TLC_3D_48L
+from repro.nand.chip_types import ChipProfile, TLC_3D_48L, repr_once
 from repro.nand.geometry import NandGeometry
 from repro.units import KIB
 
@@ -52,9 +52,15 @@ class GcSpec:
             raise ConfigError("need 1 <= low_watermark < high_watermark")
 
 
+@repr_once
 @dataclass(frozen=True)
 class SsdSpec:
-    """Complete description of one simulated SSD."""
+    """Complete description of one simulated SSD.
+
+    Its ``repr`` is rendered once per instance (:func:`repr_once`): a
+    grid point's jobs share one spec, so their fingerprints format it
+    once.
+    """
 
     geometry: NandGeometry = field(default_factory=NandGeometry)
     profile: ChipProfile = TLC_3D_48L

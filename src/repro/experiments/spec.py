@@ -9,7 +9,8 @@ in :mod:`repro.lifetime.spec`, and the fault plan classes in
 JSON value is a :class:`~repro.errors.ConfigError` naming its field,
 and an absent field keeps its dataclass default, so every default is
 defined once, on its class. :func:`read_spec_file` is the one reader
-of spec files.
+of spec files. The four job-spec classes also take :class:`JobSpec`,
+which derives ``fingerprints()`` from their ``jobs()``.
 
 An :class:`ExperimentSpec` is the canonical, frozen description of one
 evaluation cell — scheme key plus scheme params, the SSD under test,
@@ -179,6 +180,15 @@ class SpecBase:
             raise ConfigError(f"invalid {cls.label} JSON: {exc}") from exc
         return cls.from_dict(data)
 
+
+class JobSpec(SpecBase):
+    """A spec that plans jobs: the four job-spec classes, not the fault
+    plan classes, which share only the codec."""
+
+    def jobs(self) -> List[Any]:
+        """The work orders this spec describes, in canonical order."""
+        raise NotImplementedError
+
     def fingerprints(self) -> List[str]:
         """Cache keys of every job, in job order."""
         return [job.fingerprint for job in self.jobs()]
@@ -292,7 +302,7 @@ SSD_CODEC = (_ssd_to_dict, _ssd_from_dict)
 
 
 @dataclass(frozen=True)
-class ExperimentSpec(SpecBase):
+class ExperimentSpec(JobSpec):
     """Frozen description of one (scheme, PEC, workload) experiment.
 
     ``ssd=None`` means "the deterministic small test SSD seeded from

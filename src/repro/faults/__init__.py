@@ -13,7 +13,8 @@ and write JSON through the codec every spec shares
 (:class:`~repro.experiments.spec.SpecBase`), and plan files through
 its one file reader. Every field is typed, so ``"cell": "0"`` or
 ``"seed": 3.7`` is a :class:`~repro.errors.ConfigError` naming the
-field, never a silently coerced plan.
+field, never a silently coerced plan; so is a field the fault's kind
+ignores, such as ``"attempt": 2`` on a put fault.
 
 Hook points are threaded through the store and orchestrator behind a
 no-op default (:data:`NO_FAULTS`), so production paths pay one branch

@@ -58,7 +58,9 @@ class FaultSpec(SpecBase):
     ``cell`` / ``attempt`` select a campaign cell attempt
     (``attempt`` is 1-based; ``None`` matches every attempt).
     ``put_index`` selects the Nth put (0-based) on the store the
-    injector is armed on. ``delay_s`` is the ``slow_cell`` sleep.
+    injector is armed on. ``delay_s`` is the ``slow_cell`` sleep. A
+    field the kind ignores must keep its default (``attempt`` may also
+    be ``None``), so a plan never reads as targeting more than it does.
     """
 
     kind: str = ""
@@ -83,6 +85,18 @@ class FaultSpec(SpecBase):
             raise ConfigError(f"{self.kind} fault needs a put_index")
         if self.kind == "slow_cell" and self.delay_s <= 0:
             raise ConfigError("slow_cell fault needs delay_s > 0")
+        cell_kind = self.kind in CELL_KINDS
+        for name, applies, unset in (
+            ("cell", cell_kind, self.cell is None),
+            ("attempt", cell_kind, self.attempt in (1, None)),
+            ("put_index", self.kind in PUT_KINDS, self.put_index is None),
+            ("delay_s", self.kind == "slow_cell", self.delay_s == 0),
+        ):
+            if not (applies or unset):
+                raise ConfigError(
+                    f"fault spec field {name!r} does not apply to a "
+                    f"{self.kind} fault"
+                )
         if self.attempt is not None and self.attempt < 1:
             raise ConfigError("fault attempt numbers are 1-based")
 

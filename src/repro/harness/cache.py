@@ -9,6 +9,14 @@ request count, derived cell seed, and the remaining
 input yields a different key, so one store can be shared across
 campaigns and machines without collisions.
 
+Every lookup of a resumed cell computes its fingerprint, so the spec
+text is rendered once per ``SsdSpec`` and ``ChipProfile`` instance
+(:func:`~repro.nand.chip_types.repr_once`) and reused: a grid point's
+jobs share one spec, and profiles are module constants. The memo is
+per instance, never per value, because equal specs can render apart:
+``controller_overhead_us=3`` and ``3.0`` compare and hash equal, yet
+their texts, and so their fingerprints, differ.
+
 Finished cells persist in a
 :class:`~repro.campaign.store.ShardedResultStore` (one SQLite table
 keyed by fingerprint): the runner consults it before executing a cell

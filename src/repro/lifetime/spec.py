@@ -23,8 +23,8 @@ canonicalizes to the path actually taken, so ``auto`` and an explicit
 ``kernel`` share one cache entry).
 
 :class:`LifetimeSpec` takes its JSON codec (``to_dict``/``from_dict``,
-version, family and type checks) from
-:class:`~repro.experiments.spec.SpecBase`, so a wrongly typed field
+version, family and type checks) and ``fingerprints()`` from
+:class:`~repro.experiments.spec.JobSpec`, so a wrongly typed field
 such as ``"block_count": 8.7`` is an error, not a silent coercion;
 :func:`load_lifetime_file` reads spec files through the shared
 :func:`~repro.experiments.spec.read_spec_file`.
@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES
-from repro.experiments.spec import SpecBase, read_spec_file
+from repro.experiments.spec import JobSpec, read_spec_file
 from repro.harness.cache import CACHE_VERSION
 from repro.kernels import check_engine, resolve_kernel
 from repro.lifetime.comparison import SchemeComparison
@@ -181,7 +181,7 @@ class LifetimeJob:
 
 
 @dataclass(frozen=True)
-class LifetimeSpec(SpecBase):
+class LifetimeSpec(JobSpec):
     """Frozen, registry-validated description of a lifetime campaign.
 
     Mirrors :class:`~repro.experiments.spec.ExperimentSpec` /

@@ -27,6 +27,31 @@ from repro.errors import ConfigError
 from repro.units import ms, us
 
 
+def repr_once(cls: type) -> type:
+    """Make a frozen dataclass render its generated ``repr`` once per
+    instance; later calls return the same text.
+
+    Cache fingerprints hash this text (:mod:`repro.harness.cache`) and
+    a resume pass fingerprints every job, so without the memo each job
+    re-formats its grid point's shared ``SsdSpec`` and the module-level
+    chip profile inside it. The memo lives on the instance and is never
+    keyed by value: ``==``-equal specs can render differently
+    (``controller_overhead_us=3`` vs ``3.0``) and so fingerprint
+    differently. Apply it above ``@dataclass(frozen=True)``.
+    """
+    generated = cls.__repr__
+
+    def __repr__(self) -> str:
+        memo = vars(self)
+        text = memo.get("_repr")
+        if text is None:
+            text = memo["_repr"] = generated(self)
+        return text
+
+    cls.__repr__ = __repr__
+    return cls
+
+
 @dataclass(frozen=True)
 class EraseWorkModel:
     """Parameters of the per-block required-erase-work distribution.
@@ -151,6 +176,7 @@ class EccSpec:
     retry_rber_factor: float = 0.55
 
 
+@repr_once
 @dataclass(frozen=True)
 class ChipProfile:
     """Complete calibrated description of one NAND chip family."""

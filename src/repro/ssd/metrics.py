@@ -5,12 +5,20 @@ serialized to a JSON-compatible dict and reconstructed exactly —
 ``PerfReport.from_json_dict(report.to_json_dict()) == report`` — which
 is what lets the evaluation harness cache finished grid cells on disk
 and resume interrupted campaigns (see :mod:`repro.campaign.store`).
+
+A recorder keeps its samples packed in one ``array("d")`` of float64s,
+so ``values`` is that array, not a list (compare it with a list
+through ``list(...)``). The store decodes a record's packed samples
+straight into such an array, and :meth:`LatencyRecorder.from_values`
+copies it with one memcpy, so serving a stored report builds no Python
+float per sample.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +34,7 @@ class LatencyRecorder:
 
     def __init__(self, name: str):
         self.name = name
-        self._values: List[float] = []
+        self._values = array("d")
 
     def record(self, latency_us: float) -> None:
         if latency_us < 0:
@@ -75,14 +83,16 @@ class LatencyRecorder:
 
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-compatible form preserving every recorded sample."""
-        return {"name": self.name, "values": list(self._values)}
+        return {"name": self.name, "values": self._values.tolist()}
 
     @classmethod
     def from_values(
         cls, name: str, values: Iterable[float]
     ) -> "LatencyRecorder":
+        """A recorder holding ``values`` as float64s, each equal to its
+        ``float()``; an ``array("d")`` is copied by one memcpy."""
         recorder = cls(name)
-        recorder._values = list(map(float, values))
+        recorder._values = array("d", values)
         return recorder
 
     @classmethod

@@ -16,16 +16,19 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import shutil
 import sqlite3
 import struct
 import threading
 import time
 import zlib
+from array import array
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -49,6 +52,7 @@ from repro.harness import (
     run_workload_cell,
 )
 from repro.lifetime.spec import LifetimeJob, LifetimeSpec
+from repro.ssd.metrics import LatencyRecorder, PerfReport
 
 SPEC = CampaignSpec(
     schemes=("baseline", "aero"),
@@ -370,6 +374,20 @@ def test_lists_not_all_floats_stay_plain_json(values):
     assert _decode(stored) == record
 
 
+def insert_plain_row(root, key, family, result):
+    """Store ``result`` as a row written before float packing held it:
+    plain float lists under their CRC."""
+    payload = json.dumps(result.to_json_dict(), separators=(",", ":")).encode()
+    assert b'"<f8"' not in payload
+    with closing(sqlite3.connect(root / DB_NAME)) as db:
+        with db:
+            db.execute(
+                "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, 1)",
+                (key, CACHE_VERSION, family, time.time(), "{}", payload,
+                 zlib.crc32(payload)),
+            )
+
+
 def test_rows_with_plain_float_lists_are_served(tmp_path, report):
     """Rows written before float packing (plain float lists under
     their CRC) are served as they are: one cell report and one
@@ -378,23 +396,64 @@ def test_rows_with_plain_float_lists_are_served(tmp_path, report):
                         max_pec=2000).execute()
     rows = {fake_key(60): ("cell", report), fake_key(61): ("lifetime", curve)}
     assert len(ShardedResultStore(tmp_path)) == 0  # creates the table
-    with closing(sqlite3.connect(tmp_path / DB_NAME)) as db:
-        with db:
-            for key, (family, result) in rows.items():
-                payload = json.dumps(
-                    result.to_json_dict(), separators=(",", ":")
-                ).encode()
-                assert b'"<f8"' not in payload
-                db.execute(
-                    "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, 1)",
-                    (key, CACHE_VERSION, family, time.time(), "{}", payload,
-                     zlib.crc32(payload)),
-                )
+    for key, (family, result) in rows.items():
+        insert_plain_row(tmp_path, key, family, result)
     store = ShardedResultStore(tmp_path)
     for key, (_, result) in rows.items():
         assert key in store
         assert store.get(key) == result
     assert store.stats().keys == 2
+
+
+#: Samples of every type a recorder is built from: ints (2**53 + 1
+#: rounds), floats, NumPy float64 scalars and arrays, and the
+#: ``array("d")`` the store decodes.
+SAMPLES = {
+    "ints": [0, 3, 2**53 + 1],
+    "floats": [0.1, -0.0, 5e-324, 1e308],
+    "mixed": [1, 0.1, 2],
+    "numpy_scalars": list(np.array([0.1, 2.5, 1e-300])),
+    "numpy_array": np.array([0.1, 2.5, 1e-300]),
+    "array": array("d", [0.1, 2.5, 1e-300]),
+}
+
+
+@pytest.mark.parametrize("kind", SAMPLES)
+def test_recorder_holds_float64_samples_equal_to_float(kind):
+    values = SAMPLES[kind]
+    floats = [float(value) for value in values]
+    recorder = LatencyRecorder.from_values("read", values)
+    assert type(recorder.values) is array
+    assert recorder.values.typecode == "d"
+    assert float_bits(recorder.values) == float_bits(floats)
+    listed = recorder.to_json_dict()["values"]
+    assert type(listed) is list and float_bits(listed) == float_bits(floats)
+    assert {type(value) for value in listed} == {float}
+    if isinstance(values, array):  # a copy, not the decoder's array
+        assert recorder.values is not values
+        values[0] += 1.0
+        assert recorder.values[0] == floats[0]
+        values[0] -= 1.0
+
+
+def test_report_round_trips_through_json_pickle_and_store(tmp_path, report):
+    canonical = json.dumps(report.to_json_dict(), sort_keys=True)
+    store = ShardedResultStore(tmp_path)
+    store.put(fake_key(70), report)
+    insert_plain_row(tmp_path, fake_key(71), "cell", report)
+    clones = {
+        "json": PerfReport.from_json_dict(json.loads(canonical)),
+        "pickle": pickle.loads(pickle.dumps(report)),
+        "store": store.get(fake_key(70)),
+        "plain row": ShardedResultStore(tmp_path).get(fake_key(71)),
+    }
+    for how, clone in clones.items():
+        assert clone == report, how
+        assert json.dumps(clone.to_json_dict(), sort_keys=True) == canonical
+        for op in ("reads", "writes"):
+            values = getattr(clone, op).values
+            assert type(values) is array, how
+            assert float_bits(values) == float_bits(getattr(report, op).values)
 
 
 def test_grid_runner_accepts_sharded_store(tmp_path):

@@ -1,10 +1,13 @@
 """SSD configuration objects."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.config import GcSpec, SchedulerSpec, SsdSpec
 from repro.errors import ConfigError
-from repro.nand.chip_types import MLC_3D_48L
+from repro.nand.chip_types import MLC_3D_48L, TLC_2D_2XNM, TLC_3D_48L
 from repro.nand.geometry import NandGeometry
 from repro.units import KIB
 
@@ -92,3 +95,59 @@ def test_scheduler_spec_defaults():
     assert scheduler.user_priority
     assert scheduler.suspend_overhead_us >= 0
     assert scheduler.gc_escalation_backlog >= 1
+
+
+def _generated_text(value):
+    """The text a dataclass-generated ``repr`` renders, rebuilt from
+    ``dataclasses.fields`` (nested dataclasses the same way)."""
+    if not dataclasses.is_dataclass(value):
+        return repr(value)
+    inner = ", ".join(
+        f"{field.name}={_generated_text(getattr(value, field.name))}"
+        for field in dataclasses.fields(value)
+        if field.repr
+    )
+    return f"{type(value).__qualname__}({inner})"
+
+
+#: Every chip profile and canned drive a fingerprint renders.
+SPEC_TEXTS = {
+    "TLC_3D_48L": TLC_3D_48L,
+    "TLC_2D_2XNM": TLC_2D_2XNM,
+    "MLC_3D_48L": MLC_3D_48L,
+    "SsdSpec()": SsdSpec(),
+    "small_test": SsdSpec.small_test(),
+    "bench": SsdSpec.bench(),
+}
+
+
+@pytest.mark.parametrize("name", SPEC_TEXTS)
+def test_spec_text_renders_once_per_instance(name):
+    spec = SPEC_TEXTS[name]
+    expected = _generated_text(spec)
+    fresh = dataclasses.replace(spec)  # an equal instance, not rendered yet
+    first = repr(fresh)
+    assert first == expected
+    assert repr(fresh) is first  # later calls return the rendered text
+    assert repr(spec) == expected
+    assert repr(pickle.loads(pickle.dumps(fresh))) == expected
+    assert repr(pickle.loads(pickle.dumps(spec))) == expected
+    # A replaced copy renders its own text, never its source's.
+    if isinstance(spec, SsdSpec):
+        changed = dataclasses.replace(spec, seed=spec.seed + 1)
+    else:
+        changed = dataclasses.replace(spec, name=spec.name + "-copy")
+    assert repr(changed) == _generated_text(changed) != expected
+
+
+@pytest.mark.parametrize("first", ["float", "int"])
+def test_equal_specs_render_their_own_text(first):
+    """``3`` and ``3.0`` are equal and hash alike but render apart, so a
+    memo keyed by value would hand one spec the other's text."""
+    spec = SsdSpec.small_test(seed=1)
+    twin = dataclasses.replace(spec, controller_overhead_us=3)
+    assert spec == twin and hash(spec) == hash(twin)
+    for value in ((spec, twin) if first == "float" else (twin, spec)):
+        assert repr(value) == _generated_text(value)
+    assert "controller_overhead_us=3.0," in repr(spec)
+    assert "controller_overhead_us=3," in repr(twin)

@@ -1,11 +1,12 @@
 """Declarative experiment API: registries, specs, runner."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from repro.campaign import CampaignSpec
+from repro.campaign import CampaignSpec, MixedCampaignSpec
 from repro.errors import ConfigError
 from repro.experiments import (
     ExperimentSpec,
@@ -14,6 +15,7 @@ from repro.experiments import (
     load_spec_file,
 )
 from repro.experiments.registry import Registry, SchemeRegistry
+from repro.faults import FaultPlan, FaultSpec
 from repro.config import SsdSpec
 from repro.harness.runner import GridRunner, grid_from_jobs
 from repro.lifetime import LifetimeSpec
@@ -248,6 +250,59 @@ def test_spec_fingerprint_sensitivity():
                        scheme_params={"rber_requirement": 40}),
     ):
         assert other.fingerprint != base.fingerprint
+
+
+@pytest.mark.parametrize("twin_first", [False, True])
+def test_equal_ssd_specs_keep_their_own_fingerprints(twin_first):
+    """``controller_overhead_us=3`` and ``3.0`` make equal, hash-equal
+    specs that fingerprint apart, whichever renders first (values
+    computed before spec text was memoized)."""
+    spec = SsdSpec.small_test(seed=1)
+    twin = dataclasses.replace(spec, controller_overhead_us=3)
+    assert spec == twin and hash(spec) == hash(twin)
+    order = (twin, spec) if twin_first else (spec, twin)
+    keys = {id(ssd): ExperimentSpec(ssd=ssd).fingerprint for ssd in order}
+    assert keys[id(spec)] == (
+        "4a830dd8b96cd23cb53c8652180dbb166f354e634bf56f687ded82f15dfe5f96"
+    )
+    assert keys[id(twin)] == (
+        "dc3c765aa9c6c2e613523ce44b97908be1e77381cdc34d37b6713f4feed39832"
+    )
+
+
+#: SHA-256 over the space-joined fingerprints of each job-spec class's
+#: default spec (a mixed campaign needs members: one of each family),
+#: computed before ``fingerprints()`` moved to ``JobSpec``.
+DEFAULT_FINGERPRINTS = {
+    "ExperimentSpec": (
+        1, "67cecefcbffe18cdd331795c769e806de5fd9d0e9435cdaf36d4027116cd659b"
+    ),
+    "CampaignSpec": (
+        45, "8094b4c4ac05930a69edb67870d92146a264d3339972bcee74311a64dd37a809"
+    ),
+    "LifetimeSpec": (
+        5, "010c989f3634e360828240bf42a1c00b848bf6a985a61353f1bcc46161247990"
+    ),
+    "MixedCampaignSpec": (
+        50, "2c91ed224f8628399c65827ca80a2d2623d2a8239b73cf1770ff4d561bfe5a09"
+    ),
+}
+
+
+def test_job_specs_alone_have_fingerprints():
+    specs = [ExperimentSpec(), CampaignSpec(), LifetimeSpec(),
+             MixedCampaignSpec(members=(CampaignSpec(), LifetimeSpec()))]
+    for spec in specs:
+        fingerprints = spec.fingerprints()
+        assert fingerprints == [job.fingerprint for job in spec.jobs()]
+        digest = hashlib.sha256(" ".join(fingerprints).encode()).hexdigest()
+        assert (len(fingerprints), digest) == (
+            DEFAULT_FINGERPRINTS[type(spec).__name__]
+        )
+    # The fault plan classes share the codec, not the job protocol.
+    for cls in (FaultPlan, FaultSpec):
+        assert not hasattr(cls, "fingerprints")
+        assert not hasattr(cls, "jobs")
 
 
 def test_scheme_params_tuple_values_roundtrip_fingerprint_stably():

@@ -73,7 +73,7 @@ ONE_OF_EACH_KIND = (
     FaultSpec(kind="torn_tail", put_index=7),
     FaultSpec(kind="corrupt_checksum", put_index=0, attempt=None),
     FaultSpec(kind="crash_before_put", put_index=2),
-    FaultSpec(kind="crash_after_put", put_index=3, attempt=2),
+    FaultSpec(kind="crash_after_put", put_index=3),
     FaultSpec(kind="kill_worker", cell=3, attempt=None),
     FaultSpec(kind="slow_cell", cell=1, delay_s=0.25),
     FaultSpec(kind="compact_interrupt"),
@@ -163,6 +163,41 @@ def test_wrongly_typed_fault_field_names_the_field(data, label, name):
     # would otherwise select no cell and 3.7 would become seed 3.
     with pytest.raises(ConfigError, match=f"^{label} field '{name}' must be"):
         FaultPlan.from_dict(data)
+
+
+#: Faults that name a field their kind ignores, with that field.
+IGNORED_FIELDS = [
+    pytest.param({"kind": "crash_after_put", "put_index": 1, "attempt": 2},
+                 "attempt", id="put-kind-attempt"),
+    pytest.param({"kind": "kill_worker", "cell": 0, "put_index": 5,
+                  "delay_s": 9.0}, "put_index", id="cell-kind-put_index"),
+    pytest.param({"kind": "kill_worker", "cell": 0, "delay_s": 9.0},
+                 "delay_s", id="kill_worker-delay_s"),
+    pytest.param({"kind": "torn_tail", "put_index": 0, "cell": 2}, "cell",
+                 id="put-kind-cell"),
+    pytest.param({"kind": "corrupt_checksum", "put_index": 0,
+                  "delay_s": 0.5}, "delay_s", id="put-kind-delay_s"),
+    pytest.param({"kind": "slow_cell", "cell": 1, "delay_s": 0.5,
+                  "put_index": 0}, "put_index", id="slow_cell-put_index"),
+    pytest.param({"kind": "compact_interrupt", "attempt": 3}, "attempt",
+                 id="compact-attempt"),
+    pytest.param({"kind": "compact_interrupt", "cell": 0}, "cell",
+                 id="compact-cell"),
+]
+
+
+@pytest.mark.parametrize("data, name", IGNORED_FIELDS)
+def test_fault_field_its_kind_ignores_is_refused(data, name):
+    # Loaded silently, such a field reads as narrowing the fault while
+    # it fires regardless (attempt 2 of a put fault still hits put 1).
+    # At its default (or a null attempt) it loads: ONE_OF_EACH_KIND
+    # round-trips through to_dict, which writes every field.
+    with pytest.raises(
+        ConfigError,
+        match=f"^fault spec field '{name}' does not apply to a "
+        f"{data['kind']} fault$",
+    ):
+        FaultPlan.from_dict({"faults": [data]})
 
 
 def test_cell_predicates_are_pure_and_filtered():

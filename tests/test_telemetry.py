@@ -16,6 +16,7 @@ import sqlite3
 import urllib.error
 import urllib.request
 import zlib
+from array import array
 from contextlib import closing
 from pathlib import Path
 
@@ -346,8 +347,13 @@ def test_store_records_carry_verifiable_crc(tmp_path, report):
         ).fetchall()
     assert crc == zlib.crc32(stored)
     # the stored bytes pack float lists; the store's decoder restores
-    # the report's canonical JSON form
-    assert _decode(stored) == report.to_json_dict()
+    # each as an array("d"), which holds the report's canonical JSON
+    # form once turned back into a list
+    decoded = _decode(stored)
+    for op in ("reads", "writes"):
+        assert type(decoded[op]["values"]) is array
+        decoded[op]["values"] = decoded[op]["values"].tolist()
+    assert decoded == report.to_json_dict()
 
 
 def test_checksum_mismatch_reads_as_miss_and_counts(
