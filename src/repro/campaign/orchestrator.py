@@ -116,8 +116,7 @@ def _family_counts(
     """``{family: {"total": n, "done": m}}`` over jobs and their done flags."""
     counts: Dict[str, Dict[str, int]] = {}
     for job, finished in zip(jobs, done):
-        family = getattr(job, "family", "cell")
-        entry = counts.setdefault(family, {"total": 0, "done": 0})
+        entry = counts.setdefault(job.family, {"total": 0, "done": 0})
         entry["total"] += 1
         entry["done"] += bool(finished)
     return counts
@@ -346,7 +345,7 @@ class CampaignOrchestrator:
                     attempts=outcome.attempts,
                     reason=outcome.reason,
                     error=outcome.error,
-                    meta={**job.store_meta(), "engine": job.engine},
+                    meta=job.store_meta(),
                 )
                 quarantined_records.append(record)
                 emit()
@@ -369,7 +368,7 @@ class CampaignOrchestrator:
             (job, report)
             for job, report in zip(jobs, reports)
             if report is not None
-            and getattr(job, "family", "cell") == "cell"
+            and job.family == "cell"
         ]
         grid = grid_from_jobs(
             [job for job, _ in finished],

@@ -80,6 +80,7 @@ from repro.harness.results import (
     FAMILY_CELL, result_family, result_from_json_dict, result_to_json_dict,
 )
 from repro.harness.store import ResultStore
+from repro.telemetry import get_default_registry
 from repro.telemetry.instruments import store_metrics
 
 #: The database file inside a store directory.
@@ -393,6 +394,7 @@ class ShardedResultStore:
         self._lock = threading.RLock()
         self._conn: Optional[sqlite3.Connection] = None
         self._conn_pid: Optional[int] = None
+        self._bound: Tuple[Any, Any] = (None, None)
 
     def __del__(self) -> None:
         # A connection lives in a reference cycle with its statement
@@ -408,6 +410,14 @@ class ShardedResultStore:
             self._conn = _connect(self.root)
             self._conn_pid = os.getpid()
         return self._conn
+
+    def _metrics(self) -> Any:
+        """The store handles of the current default registry, bound
+        again only when that registry changes (``scoped_registry``)."""
+        bound, registry = self._bound, get_default_registry()
+        if bound[0] is not registry:
+            bound = self._bound = (registry, store_metrics("sharded", registry))
+        return bound[1]
 
     def set_fault_injector(self, injector: FaultInjector) -> None:
         """Arm (or disarm, with :data:`~repro.faults.NO_FAULTS`) the
@@ -431,7 +441,7 @@ class ShardedResultStore:
         Deserialization dispatches on the row's ``family``, so one
         store holds grid-cell reports and lifetime curves side by side.
         """
-        metrics = store_metrics("sharded")
+        metrics = self._metrics()
         row = self._select(key)
         report = None
         if row is not None:
@@ -451,7 +461,7 @@ class ShardedResultStore:
         """Persist one finished result; one UPSERT, committed on return."""
         family = result_family(report)
         payload = _encode(result_to_json_dict(report))
-        metrics = store_metrics("sharded")
+        metrics = self._metrics()
         with self._lock:
             # Fault hooks (no-op branch by default): a crash-flavoured
             # fault raises InjectedFault before anything is durable; a
@@ -545,7 +555,7 @@ class ShardedResultStore:
                 "SELECT page_count * page_size"
                 " FROM pragma_page_count(), pragma_page_size()"
             ).fetchall()
-        store_metrics("sharded").data_bytes.set(data_bytes)
+        self._metrics().data_bytes.set(data_bytes)
         states = Counter(state for _, state, *_ in rows)
         families = Counter(
             family for _, state, family, *_ in rows if state is None
@@ -624,7 +634,7 @@ class ShardedResultStore:
                     # leaves an uncommitted WAL tail the next open drops.
                     self._faults.on_compact("before-commit")
         if not dry_run:
-            store_metrics("sharded").gc_removed.inc(len(doomed))
+            self._metrics().gc_removed.inc(len(doomed))
         return GcResult(removed=tuple(doomed), kept=len(survivors) - extra)
 
     def compact(self, dry_run: bool = False) -> CompactionStats:
@@ -639,7 +649,7 @@ class ShardedResultStore:
                 db.execute("VACUUM")
                 db.execute("PRAGMA wal_checkpoint(TRUNCATE)")
                 after = self.stats()
-                metrics = store_metrics("sharded")
+                metrics = self._metrics()
                 metrics.compactions.inc()
                 metrics.reclaimed_bytes.inc(
                     max(0, before.data_bytes - after.data_bytes)

@@ -26,13 +26,6 @@ class GammaDeltaFit:
     r_squared: float
     samples: int
 
-    def within(self, gamma_tol: float, delta_tol: float, profile) -> bool:
-        """Whether the fit matches the profile within tolerances."""
-        return (
-            abs(self.gamma - profile.gamma) <= gamma_tol * profile.gamma
-            and abs(self.delta - profile.delta) <= delta_tol * profile.delta
-        )
-
 
 def fit_gamma_delta(
     traces: Sequence[Sequence[int]],

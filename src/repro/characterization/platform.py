@@ -11,7 +11,7 @@ Figure 10).
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 from repro.errors import ConfigError
 from repro.nand.block import Block
@@ -30,6 +30,10 @@ class TestPlatform:
     the RBER model's reference bake (see
     :mod:`repro.characterization.bake` for the Arrhenius equivalence).
     """
+
+    #: Not a test case, though pytest collects ``Test*`` classes that
+    #: test modules import.
+    __test__ = False
 
     #: Pages per test block (only relevant for program/read bookkeeping).
     PAGES_PER_BLOCK = 64
@@ -77,12 +81,6 @@ class TestPlatform:
         clone.wear.age_kilocycles = pec / 1000.0
         clone.wear.pec = pec
         return clone
-
-    def iter_blocks(self, pec: int, count: int | None = None) -> Iterator[Block]:
-        """Yield pre-cycled clones of the first ``count`` test blocks."""
-        total = self.block_count if count is None else min(count, self.block_count)
-        for index in range(total):
-            yield self.block_at(index, pec)
 
     def sample_blocks(self, pec: int, count: int) -> List[Block]:
         """Evenly sample ``count`` pre-cycled blocks across all chips."""

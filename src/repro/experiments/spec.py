@@ -39,18 +39,18 @@ so specs describe third-party schemes/workloads with no core changes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.config import GcSpec, SchedulerSpec, SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES, WORKLOADS
-from repro.harness.runner import CellJob, GridRunner
+from repro.harness.runner import CellJob, GridRunner, plan_jobs
 from repro.kernels import check_engine
 from repro.nand.chip_types import profile_by_name
 from repro.nand.geometry import NandGeometry
-from repro.rng import DEFAULT_SEED, derive
+from repro.rng import DEFAULT_SEED
 
 #: Version of every spec dict layout; bump when one changes incompatibly.
 SPEC_VERSION = 1
@@ -306,8 +306,8 @@ class ExperimentSpec(JobSpec):
     """Frozen description of one (scheme, PEC, workload) experiment.
 
     ``ssd=None`` means "the deterministic small test SSD seeded from
-    the derived cell seed" — exactly what :class:`GridRunner` builds
-    when no spec is passed, keeping fingerprints aligned.
+    the derived cell seed" — :meth:`resolve` plans it with
+    :class:`GridRunner`'s planner, keeping fingerprints aligned.
     ``scheme_params`` is stored as sorted ``(key, value)`` pairs with
     values canonicalized to their JSON shape (tuples become lists), so
     the repr/fingerprint survives a save/load cycle; pass a plain
@@ -361,17 +361,6 @@ class ExperimentSpec(JobSpec):
         """The scheme params as a plain dict."""
         return dict(self.scheme_params)
 
-    @property
-    def cell_seed(self) -> int:
-        """Per-cell seed, derived exactly like ``GridRunner.plan``."""
-        return derive(self.seed, "grid", self.pec, self.workload)
-
-    def resolved_ssd(self) -> SsdSpec:
-        """The SSD actually built: explicit spec or the default small one."""
-        if self.ssd is not None:
-            return self.ssd
-        return SsdSpec.small_test(seed=self.cell_seed)
-
     # --- resolution ---------------------------------------------------------
 
     def validate(self) -> "ExperimentSpec":
@@ -383,22 +372,17 @@ class ExperimentSpec(JobSpec):
     def resolve(self) -> CellJob:
         """Yield the ready-to-run cell job this spec describes.
 
-        The job's seed, SSD, and fingerprint match what
-        ``GridRunner.plan`` produces for an equivalent campaign, so
-        results cached by either path serve the other.
+        It is planned by :func:`~repro.harness.runner.plan_jobs`, the
+        planner behind ``GridRunner.plan``, so its seed, SSD and
+        fingerprint match an equivalent campaign's and results cached
+        by either path serve the other.
         """
         self.validate()
-        return CellJob(
-            scheme=self.scheme,
-            pec=self.pec,
-            workload=self.workload,
-            spec=self.resolved_ssd(),
-            requests=self.requests,
-            erase_suspension=self.erase_suspension,
-            seed=self.cell_seed,
-            scheme_params=self.scheme_params,
-            engine=self.engine,
+        [job] = plan_jobs(
+            (self.scheme,), (self.pec,), (self.workload,), self.requests,
+            self.ssd, self.erase_suspension, self.seed, engine=self.engine,
         )
+        return replace(job, scheme_params=self.scheme_params)
 
     def jobs(self) -> List[CellJob]:
         """The one cell job this spec describes."""

@@ -8,8 +8,9 @@ show. The package splits the old single-module harness into layers:
   (``run_workload_cell``);
 * :mod:`repro.harness.grid` — :class:`EvaluationGrid` with an O(1)
   ``(scheme, pec, workload)`` index and figure-shaped projections;
-* :mod:`repro.harness.cache` — :func:`cell_fingerprint`, the key a
-  finished cell is stored under;
+* :mod:`repro.harness.cache` — :class:`~repro.harness.cache.Job`, the
+  protocol that derives the key a finished job is stored under, its
+  store meta and its label from one payload;
 * :mod:`repro.harness.store` — :class:`ResultStore`, the persistence
   contract the :class:`~repro.campaign.store.ShardedResultStore`
   fulfils;
@@ -35,7 +36,7 @@ seed via :func:`repro.rng.derive`, and each cell is a pure function of
 its inputs.
 """
 
-from repro.harness.cache import CACHE_VERSION, cell_fingerprint
+from repro.harness.cache import CACHE_VERSION
 from repro.harness.cells import (
     PAPER_PEC_POINTS,
     PAPER_SCHEMES,
@@ -62,7 +63,6 @@ __all__ = [
     "PAPER_SCHEMES",
     "ResultStore",
     "RunStats",
-    "cell_fingerprint",
     "grid_from_jobs",
     "plan_jobs",
     "run_workload_cell",

@@ -1,15 +1,24 @@
-"""Grid-cell fingerprints: the keys every result store files cells under.
+"""The job protocol: cache keys, store meta and labels from one payload.
 
-The fingerprint is a SHA-256 over everything that determines a cell's
-outcome — the resolved :class:`~repro.config.SsdSpec` (via its
-dataclass ``repr``, deterministic because every nested field is a
-frozen dataclass of plain values), the scheme, PEC setpoint, workload,
-request count, derived cell seed, and the remaining
-``run_workload_cell`` knobs — plus a format version. Any change to any
-input yields a different key, so one store can be shared across
-campaigns and machines without collisions.
+Every unit of work a store files — a grid cell
+(:class:`~repro.harness.runner.CellJob`) or a lifetime curve
+(:class:`~repro.lifetime.spec.LifetimeJob`) — is a frozen dataclass
+on :class:`Job`. A job states its fields, its :meth:`Job.payload` and
+its ``execute()``; the base derives, each by one rule, what the store,
+the supervisor and the orchestrator read:
 
-Every lookup of a resumed cell computes its fingerprint, so the spec
+* ``fingerprint`` — SHA-256 over the payload's ``name=value`` lines,
+  joined by newlines. The payload holds everything that determines the
+  result (the resolved :class:`~repro.config.SsdSpec` or chip-profile
+  name, scheme, seeds, request count, the remaining knobs) plus
+  :data:`CACHE_VERSION`, so any change to any input yields a different
+  key and one store can be shared across campaigns and machines;
+* ``store_meta()`` — the job's family and its plain fields, the
+  provenance a stored record carries (``campaign ls --json``);
+* ``describe()`` — the class's ``label`` formatted over its fields,
+  for logs, quarantine records and trace spans.
+
+Every lookup of a resumed job computes its fingerprint, so the spec
 text is rendered once per ``SsdSpec`` and ``ChipProfile`` instance
 (:func:`~repro.nand.chip_types.repr_once`) and reused: a grid point's
 jobs share one spec, and profiles are module constants. The memo is
@@ -17,19 +26,18 @@ per instance, never per value, because equal specs can render apart:
 ``controller_overhead_us=3`` and ``3.0`` compare and hash equal, yet
 their texts, and so their fingerprints, differ.
 
-Finished cells persist in a
+Finished jobs persist in a
 :class:`~repro.campaign.store.ShardedResultStore` (one SQLite table
-keyed by fingerprint): the runner consults it before executing a cell
-and writes each finished report back immediately, so a campaign killed
-halfway resumes from its last completed cell on the next run.
+keyed by fingerprint): the runner consults it before executing a job
+and writes each finished result back immediately, so a campaign killed
+halfway resumes from its last completed job on the next run.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Tuple
-
-from repro.config import SsdSpec
+from dataclasses import fields
+from typing import Any, Dict
 
 #: Bump when the cell-execution semantics or record format change; old
 #: records then miss instead of returning stale results.
@@ -38,41 +46,42 @@ from repro.config import SsdSpec
 CACHE_VERSION = 2
 
 
-def cell_fingerprint(
-    spec: SsdSpec,
-    scheme: str,
-    pec: int,
-    workload: str,
-    requests: int,
-    seed: int,
-    erase_suspension: bool = True,
-    footprint_fraction: float = 0.85,
-    precondition_fraction: float = 0.9,
-    mispredict_rate: float = 0.0,
-    scheme_params: Tuple[Tuple[str, Any], ...] = (),
-) -> str:
-    """Stable hash of every input that determines a cell's report.
+class Job:
+    """Base of the frozen job dataclasses (picklable work orders)."""
 
-    ``scheme_params`` carries any extra scheme knobs beyond
-    ``mispredict_rate`` (e.g. ``rber_requirement``) as sorted
-    ``(key, value)`` pairs; it is folded into the payload only when
-    non-empty, so fingerprints of parameterless cells are unchanged
-    across library versions and existing caches stay valid.
-    """
-    lines = [
-        f"version={CACHE_VERSION}",
-        f"spec={spec!r}",
-        f"scheme={scheme}",
-        f"pec={pec}",
-        f"workload={workload}",
-        f"requests={requests}",
-        f"seed={seed}",
-        f"erase_suspension={erase_suspension}",
-        f"footprint_fraction={footprint_fraction!r}",
-        f"precondition_fraction={precondition_fraction!r}",
-        f"mispredict_rate={mispredict_rate!r}",
-    ]
-    if scheme_params:
-        lines.append(f"scheme_params={tuple(sorted(scheme_params))!r}")
-    payload = "\n".join(lines)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    #: Family discriminator for the campaign layer and result stores.
+    family = ""
+    #: ``str.format`` template over the fields: the :meth:`describe` text.
+    label = ""
+
+    def payload(self) -> Dict[str, Any]:
+        """Every input of the result, in fingerprint-line order; each
+        value renders its line with ``str``."""
+        raise NotImplementedError
+
+    def execute(self) -> Any:
+        """Compute the result (a pure function of the job)."""
+        raise NotImplementedError
+
+    @property
+    def fingerprint(self) -> str:
+        """The cache key: SHA-256 of the payload's ``name=value`` lines."""
+        lines = [f"{name}={value}" for name, value in self.payload().items()]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    def store_meta(self) -> Dict[str, Any]:
+        """Provenance stored beside the result: the family and every
+        field holding a JSON scalar, with a tuple of pairs as an object;
+        ``None``, empty tuples and objects are left out."""
+        meta: Dict[str, Any] = {"family": self.family}
+        for job_field in fields(self):
+            value = getattr(self, job_field.name)
+            if isinstance(value, tuple) and value:
+                meta[job_field.name] = dict(value)
+            elif isinstance(value, (str, int, float)):
+                meta[job_field.name] = value
+        return meta
+
+    def describe(self) -> str:
+        """Short label for logs, quarantine records and trace spans."""
+        return self.label.format_map(vars(self))

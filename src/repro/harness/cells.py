@@ -56,6 +56,12 @@ PAPER_PEC_POINTS = (500, 2500, 4500)
 #: The paper's comparison schemes, in presentation order.
 PAPER_SCHEMES = ("baseline", "iispe", "dpes", "aero_cons", "aero")
 
+#: Share of the logical space preconditioning writes, and share the
+#: trace addresses. Cell fingerprints carry both
+#: (:meth:`~repro.harness.runner.CellJob.payload`).
+PRECONDITION_FRACTION = 0.9
+FOOTPRINT_FRACTION = 0.85
+
 #: The last synthesised trace, as one ``((profile, footprint bytes,
 #: derived seed, requests), trace)`` tuple. Neither replay mutates it.
 _TRACE: Tuple[Optional[tuple], Optional[Trace]] = (None, None)
@@ -67,8 +73,6 @@ def run_workload_cell(
     workload: WorkloadProfile | str,
     spec: Optional[SsdSpec] = None,
     requests: int = 1200,
-    footprint_fraction: float = 0.85,
-    precondition_fraction: float = 0.9,
     erase_suspension: bool = True,
     seed: int = 0xAE20,
     mispredict_rate: float = 0.0,
@@ -111,7 +115,7 @@ def run_workload_cell(
                 f"scheme {scheme!r} / SSD configuration has no kernel "
                 "replay; use engine='auto' or 'object'"
             )
-    footprint_pages = int(spec.logical_pages * precondition_fraction)
+    footprint_pages = int(spec.logical_pages * PRECONDITION_FRACTION)
     if use_kernel:
         # No write-back: the replay kernel continues from the
         # preconditioned lean state, and the drive is dropped on return,
@@ -119,7 +123,7 @@ def run_workload_cell(
         lean = precondition_kernel(ssd, footprint_pages, write_back=False)
     else:
         ssd.precondition(footprint_pages=footprint_pages)
-    footprint_bytes = int(spec.logical_bytes * footprint_fraction)
+    footprint_bytes = int(spec.logical_bytes * FOOTPRINT_FRACTION)
     trace_seed = derive(seed, "trace", workload.abbr, pec)
     trace_key = (workload, footprint_bytes, trace_seed, requests)
     cached_key, trace = _TRACE

@@ -29,15 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import WORKLOADS
-from repro.harness.cache import cell_fingerprint
+from repro.harness.cache import CACHE_VERSION, Job
 from repro.harness.cells import (
+    FOOTPRINT_FRACTION,
     PAPER_PEC_POINTS,
     PAPER_SCHEMES,
+    PRECONDITION_FRACTION,
     run_workload_cell,
 )
 from repro.harness.grid import EvaluationGrid, GridCell
@@ -48,7 +50,7 @@ from repro.workloads.profiles import WorkloadProfile
 
 
 @dataclass(frozen=True)
-class CellJob:
+class CellJob(Job):
     """Self-contained work order for one grid cell (picklable).
 
     ``workload`` is the abbreviation used for labels and seed
@@ -77,27 +79,33 @@ class CellJob:
     #: cache entry per cell.
     engine: str = "auto"
 
-    #: Family discriminator for the campaign layer and result stores;
-    #: lifetime jobs (:class:`repro.lifetime.spec.LifetimeJob`) carry
-    #: ``"lifetime"``.
     family = "cell"
+    label = "{scheme}/{pec}/{workload}"
 
-    def store_meta(self) -> dict:
-        """Human-readable provenance stored alongside the report."""
-        meta: dict = {
+    def payload(self) -> Dict[str, Any]:
+        # mispredict_rate keeps its dedicated line (and the remaining
+        # params are folded in only when present) so caches written
+        # before scheme_params existed remain valid. float() keeps an
+        # integer-spelled rate (0 vs 0.0) from splitting the key.
+        params = dict(self.scheme_params)
+        payload = {
+            "version": CACHE_VERSION,
+            "spec": self.spec,
             "scheme": self.scheme,
             "pec": self.pec,
-            "workload": self.workload,
+            "workload": (
+                self.workload if self.profile is None else repr(self.profile)
+            ),
             "requests": self.requests,
             "seed": self.seed,
+            "erase_suspension": self.erase_suspension,
+            "footprint_fraction": FOOTPRINT_FRACTION,
+            "precondition_fraction": PRECONDITION_FRACTION,
+            "mispredict_rate": float(params.pop("mispredict_rate", 0.0)),
         }
-        if self.scheme_params:
-            meta["scheme_params"] = dict(self.scheme_params)
-        return meta
-
-    def describe(self) -> str:
-        """Short label for logs and quarantine records."""
-        return f"{self.scheme}/{self.pec}/{self.workload}"
+        if params:
+            payload["scheme_params"] = tuple(sorted(params.items()))
+        return payload
 
     def execute(self) -> PerfReport:
         """Replay the cell (a pure function of the job)."""
@@ -111,29 +119,6 @@ class CellJob:
             seed=self.seed,
             scheme_params=dict(self.scheme_params),
             engine=self.engine,
-        )
-
-    @property
-    def fingerprint(self) -> str:
-        # mispredict_rate keeps its dedicated fingerprint slot (and the
-        # remaining params are folded in only when present) so caches
-        # written before scheme_params existed remain valid. float()
-        # keeps an integer-spelled rate (0 vs 0.0) from splitting the
-        # fingerprint via its repr.
-        params = dict(self.scheme_params)
-        mispredict_rate = float(params.pop("mispredict_rate", 0.0))
-        return cell_fingerprint(
-            spec=self.spec,
-            scheme=self.scheme,
-            pec=self.pec,
-            workload=(
-                self.workload if self.profile is None else repr(self.profile)
-            ),
-            requests=self.requests,
-            seed=self.seed,
-            erase_suspension=self.erase_suspension,
-            mispredict_rate=mispredict_rate,
-            scheme_params=tuple(sorted(params.items())),
         )
 
 
@@ -302,8 +287,9 @@ class GridRunner:
         so CLI runs, spec files, and grid campaigns share cache
         entries. Jobs of any campaign family run here — lifetime jobs
         (:class:`repro.lifetime.spec.LifetimeJob`) interleave freely
-        with grid cells; each needs only ``fingerprint``,
-        ``store_meta()``, ``describe()`` and ``execute()``. Each
+        with grid cells; each is a :class:`~repro.harness.cache.Job`,
+        read through ``fingerprint``, ``store_meta()``, ``describe()``
+        and ``execute()``. Each
         distinct fingerprint runs at most once per call; its repeats
         share that result and count as cached in :attr:`stats`.
 

@@ -25,10 +25,9 @@ from typing import Any, Dict, Optional, Protocol, runtime_checkable
 class ResultStore(Protocol):
     """Keyed, atomic persistence of finished campaign results.
 
-    Keys are job fingerprints — cell fingerprints
-    (:func:`~repro.harness.cache.cell_fingerprint`) for grid cells,
-    :attr:`~repro.lifetime.spec.LifetimeJob.fingerprint` for lifetime
-    curves; the stored value is the matching result type
+    Keys are job fingerprints (:class:`~repro.harness.cache.Job`) of
+    grid cells and lifetime curves; the stored value is the matching
+    result type
     (:class:`~repro.ssd.metrics.PerfReport` /
     :class:`~repro.lifetime.simulator.LifetimeCurve` — see
     :mod:`repro.harness.results` for the family dispatch).

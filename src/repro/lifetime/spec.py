@@ -7,10 +7,13 @@ registry-validated spec that round-trips through JSON with a stable
 fingerprint per job, so lifetime sweeps cache, crash-resume, and ride
 the campaign orchestrator exactly like replay grids.
 
-Fingerprints pin the *seed trajectory*, not just the seed: the
+A :class:`LifetimeJob` states its cache key once, as its
+:meth:`~LifetimeJob.payload`; the :class:`~repro.harness.cache.Job`
+base hashes it into the fingerprint and derives the store meta and
+label. The payload pins the *seed trajectory*, not just the seed: the
 per-block seeds come from :func:`repro.rng.derive` (changed
-deliberately in the kernels PR), and the fingerprint folds in a digest
-of every derived stream a curve consumes — per-block seeds, the
+deliberately in the kernels PR), and the payload carries a digest of
+every derived stream a curve consumes — per-block seeds, the
 object-path scheme RNG, and the kernel-path RNG. If the derivation
 scheme ever changes again, every cached curve misses instead of
 silently serving stale trajectories.
@@ -18,7 +21,7 @@ silently serving stale trajectories.
 Unlike grid cells — where the kernel replay is bit-identical to the
 object path and the fingerprint deliberately excludes the engine —
 AERO's lifetime kernels match the object path only statistically, so
-the lifetime fingerprint includes the *resolved* engine (``auto``
+the lifetime payload includes the *resolved* engine (``auto``
 canonicalizes to the path actually taken, so ``auto`` and an explicit
 ``kernel`` share one cache entry).
 
@@ -41,7 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES
 from repro.experiments.spec import JobSpec, read_spec_file
-from repro.harness.cache import CACHE_VERSION
+from repro.harness.cache import CACHE_VERSION, Job
 from repro.kernels import check_engine, resolve_kernel
 from repro.lifetime.comparison import SchemeComparison
 from repro.lifetime.simulator import LifetimeCurve, LifetimeSimulator
@@ -88,7 +91,7 @@ def _seed_trajectory(seed: int, scheme: str, block_count: int) -> str:
 
 
 @dataclass(frozen=True)
-class LifetimeJob:
+class LifetimeJob(Job):
     """Picklable work order for one (scheme, profile) lifetime curve.
 
     The lifetime-family counterpart of
@@ -110,39 +113,33 @@ class LifetimeJob:
     mispredict_rate: float = 0.0
     engine: str = "auto"
 
-    #: Family discriminator for the campaign layer and result stores.
     family = LIFETIME_FAMILY
+    label = "{scheme}@{profile}"
 
     @property
     def resolved_engine(self) -> str:
         """The concrete path (``kernel``/``object``) this job takes."""
         return _resolved_engine(self.scheme, self.profile, self.engine)
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable cache key over everything the curve depends on.
-
-        Includes a digest of the full derived-seed trajectory (see
-        module docstring) and the resolved engine — aero/aero_cons
-        kernel curves match the object path only statistically, so the
-        two paths must not share cache entries.
-        """
-        trajectory = _seed_trajectory(self.seed, self.scheme, self.block_count)
-        lines = [
-            f"family={LIFETIME_FAMILY}",
-            f"version={CACHE_VERSION}",
-            f"scheme={self.scheme}",
-            f"profile={self.profile}",
-            f"block_count={self.block_count}",
-            f"step={self.step}",
-            f"seed={self.seed}",
-            f"max_pec={self.max_pec}",
-            f"requirement={self.requirement!r}",
-            f"mispredict_rate={float(self.mispredict_rate)!r}",
-            f"engine={self.resolved_engine}",
-            f"seed_trajectory={trajectory}",
-        ]
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    def payload(self) -> Dict[str, Any]:
+        # ``requirement`` is carried as its repr, which a NumPy integer
+        # renders apart from a plain int, as the key always has.
+        return {
+            "family": LIFETIME_FAMILY,
+            "version": CACHE_VERSION,
+            "scheme": self.scheme,
+            "profile": self.profile,
+            "block_count": self.block_count,
+            "step": self.step,
+            "seed": self.seed,
+            "max_pec": self.max_pec,
+            "requirement": repr(self.requirement),
+            "mispredict_rate": float(self.mispredict_rate),
+            "engine": self.resolved_engine,
+            "seed_trajectory": _seed_trajectory(
+                self.seed, self.scheme, self.block_count
+            ),
+        }
 
     def execute(self) -> LifetimeCurve:
         """Cycle the block set to failure (pure function of the job)."""
@@ -157,27 +154,6 @@ class LifetimeJob:
             engine=self.engine,
         )
         return simulator.run(max_pec=self.max_pec)
-
-    def store_meta(self) -> Dict[str, Any]:
-        """Human-readable provenance stored alongside the curve."""
-        meta: Dict[str, Any] = {
-            "family": LIFETIME_FAMILY,
-            "scheme": self.scheme,
-            "profile": self.profile,
-            "block_count": self.block_count,
-            "step": self.step,
-            "seed": self.seed,
-            "max_pec": self.max_pec,
-        }
-        if self.requirement is not None:
-            meta["requirement"] = self.requirement
-        if self.mispredict_rate:
-            meta["mispredict_rate"] = float(self.mispredict_rate)
-        return meta
-
-    def describe(self) -> str:
-        """Short label for logs and quarantine records."""
-        return f"{self.scheme}@{self.profile}"
 
 
 @dataclass(frozen=True)

@@ -164,10 +164,6 @@ class BlockAddress:
     plane: int
     block: int
 
-    @property
-    def plane_address(self) -> PlaneAddress:
-        return PlaneAddress(self.channel, self.chip, self.plane)
-
     def page(self, page: int) -> "PageAddress":
         """Address of page ``page`` within this block."""
         return PageAddress(self.channel, self.chip, self.plane, self.block, page)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SchedulingError
 
@@ -52,11 +52,6 @@ class Simulator:
     def events_fired(self) -> int:
         """Number of callbacks executed so far."""
         return self._fired
-
-    @property
-    def pending(self) -> int:
-        """Events still queued (including cancelled placeholders)."""
-        return len(self._heap)
 
     def at(self, time: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute time ``time``."""

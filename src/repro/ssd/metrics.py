@@ -127,24 +127,6 @@ class PerfReport:
     def read_tail(self, pct: float) -> float:
         return self.reads.percentile(pct)
 
-    def as_dict(self) -> Dict[str, float]:
-        out = {
-            "workload": self.workload,
-            "scheme": self.scheme,
-            "requests": self.requests_completed,
-            "iops": self.iops,
-            "makespan_us": self.makespan_us,
-            "erases": self.erases,
-            "erase_suspensions": self.erase_suspensions,
-            "gc_jobs": self.gc_jobs,
-            "gc_page_moves": self.gc_page_moves,
-        }
-        for key, value in self.reads.summary().items():
-            out[f"read_{key}"] = value
-        for key, value in self.writes.summary().items():
-            out[f"write_{key}"] = value
-        return out
-
     # --- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, Any]:

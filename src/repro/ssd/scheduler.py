@@ -73,9 +73,6 @@ class ChipExecutor:
             self._request_erase_suspension()
         self._dispatch()
 
-    def queued(self) -> int:
-        return sum(len(q) for q in self.queues.values())
-
     # --- dispatch loop ----------------------------------------------------------------
 
     def _dispatch(self) -> None:

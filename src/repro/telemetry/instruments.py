@@ -184,7 +184,13 @@ class _StoreHandles(SimpleNamespace):
     alone are its children; the two with a second label take it here."""
 
     def get_outcome(self, hit: bool):
-        return self.gets(outcome="hit" if hit else "miss")
+        """The ``gets`` child of one outcome, resolved once per registry
+        (a resume pass makes one get per job)."""
+        outcomes = self.__dict__.setdefault("outcomes", {})
+        child = outcomes.get(hit)
+        if child is None:
+            child = outcomes[hit] = self.gets(outcome="hit" if hit else "miss")
+        return child
 
     def bad_entry(self, reason: str):
         return self.bad_entries(reason=reason)

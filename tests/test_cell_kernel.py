@@ -92,6 +92,39 @@ class TestEngineEquivalence:
 
         assert final_stats("kernel") == final_stats("object")
 
+    @pytest.mark.parametrize("suspension", [True, False])
+    def test_reads_of_never_written_pages(self, suspension):
+        """A trace over 95% of the logical space after a 30% fill reads
+        pages nothing wrote; the kernel answers them after the
+        controller overhead (its ``_CREDIT`` events), as the object
+        path does. A grid cell never gets here: its fill covers more of
+        the space than its trace addresses."""
+        spec = SsdSpec.small_test(seed=7).with_scheduler(
+            erase_suspension=suspension
+        )
+        footprint = int(spec.logical_pages * 0.3)
+        trace = SyntheticTraceGenerator(
+            profile_by_abbr("usr"),
+            footprint_bytes=int(spec.logical_bytes * 0.95),
+            seed=derive(7, "trace", "usr", 2500),
+        ).generate(400)
+        reports, unmapped = [], []
+        for engine in ("object", "kernel"):
+            ssd = build_ssd(spec, "aero", pec_setpoint=2500)
+            if engine == "kernel":
+                lean = precondition_kernel(ssd, footprint, write_back=False)
+                report = run_trace_kernel(
+                    ssd, trace, workload_name="usr", lean=lean,
+                    write_back=False,
+                )
+            else:
+                ssd.precondition(footprint_pages=footprint)
+                report = ssd.run_trace(trace, workload_name="usr")
+            reports.append(report.to_json_dict())
+            unmapped.append(ssd.ftl.stats.unmapped_reads)
+        assert reports[0] == reports[1]
+        assert unmapped[0] == unmapped[1] > 0
+
 
 #: Hypothesis phases without shrinking: a failing replay example is
 #: reported as drawn, since shrinking one takes many minutes.

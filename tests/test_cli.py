@@ -80,6 +80,22 @@ def test_run_json_output(warm_cache, capsys):
     assert spec.fingerprint == payload["fingerprint"]
 
 
+def test_run_param_keys_the_cell_like_the_spec(capsys):
+    """``--param`` values decode as JSON into the spec's
+    ``scheme_params``, so the CLI files the cell under the key the
+    equivalent ``ExperimentSpec`` computes."""
+    spec = ExperimentSpec(scheme="aero", pec=500, workload="hm",
+                          requests=40, seed=5,
+                          scheme_params={"rber_requirement": 40})
+    assert main(["run", "--scheme", "aero", "--pec", "500", "--workload",
+                 "hm", "--requests", "40", "--seed", "5",
+                 "--param", "rber_requirement=40", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["spec"]["scheme_params"] == {"rber_requirement": 40}
+    assert ExperimentSpec.from_dict(payload["spec"]) == spec
+    assert payload["fingerprint"] == spec.fingerprint
+
+
 def test_run_from_spec_file(tmp_path, capsys):
     spec = ExperimentSpec(scheme="baseline", pec=500, workload="hm",
                           requests=100, seed=3)

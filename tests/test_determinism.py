@@ -20,7 +20,6 @@ from repro.harness import (
     PAPER_SCHEMES,
     CellJob,
     GridRunner,
-    cell_fingerprint,
     run_workload_cell,
 )
 from repro.config import SsdSpec
@@ -404,12 +403,12 @@ def test_replays_leave_the_shared_trace_unchanged(monkeypatch, engine):
 
 def test_fingerprint_sensitivity():
     spec = SsdSpec.small_test(seed=1)
-    base = dict(
+    base = CellJob(
         spec=spec, scheme="aero", pec=500, workload="hm",
-        requests=100, seed=1,
+        requests=100, erase_suspension=True, seed=1,
     )
-    reference = cell_fingerprint(**base)
-    assert cell_fingerprint(**base) == reference
+    reference = base.fingerprint
+    assert replace(base).fingerprint == reference
     for change in (
         {"scheme": "baseline"},
         {"pec": 2500},
@@ -418,8 +417,8 @@ def test_fingerprint_sensitivity():
         {"seed": 2},
         {"spec": SsdSpec.small_test(seed=2)},
     ):
-        assert cell_fingerprint(**{**base, **change}) != reference
-    assert cell_fingerprint(**base, erase_suspension=False) != reference
+        assert replace(base, **change).fingerprint != reference
+    assert replace(base, erase_suspension=False).fingerprint != reference
 
 
 # --- cache correctness regressions ------------------------------------------

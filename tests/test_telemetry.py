@@ -334,6 +334,36 @@ def test_crash_resume_metrics_reconcile(tmp_path):
     assert result.grid == reference
 
 
+def test_store_gets_count_into_the_registry_current_at_each_get(
+    tmp_path, report
+):
+    """A store keeps its handles per registry, so gets made after a
+    ``scoped_registry`` swap (a test, a process worker) count into the
+    swapped-in registry, and into the outer one again once it exits;
+    ``store_metrics`` resolves the very children the store increments."""
+
+    def gets(registry):
+        family = families_of(registry)["repro_store_gets_total"]
+        return [
+            family.value({"backend": "sharded", "outcome": outcome})
+            for outcome in ("hit", "miss")
+        ]
+
+    with scoped_registry() as outer:
+        store = ShardedResultStore(tmp_path)
+        store.put("a" * 64, report)
+        assert store.get("a" * 64) is not None
+        with scoped_registry() as inner:
+            assert store.get("a" * 64) is not None
+            assert store.get("b" * 64) is None
+            assert store.get("b" * 64) is None
+            assert store_metrics("sharded").get_outcome(hit=False).value == 2
+        assert store.get("b" * 64) is None
+        assert gets(inner) == [1, 2]
+        assert gets(outer) == [1, 1]
+        assert store_metrics("sharded").get_outcome(hit=True).value == 1
+
+
 # --- store checksums ---------------------------------------------------------
 
 
