@@ -48,7 +48,9 @@ How the event loop preserves identity:
   skip the heap entirely: they live in per-chip ``fire``/``fire_seq``
   slots the event loop merges with the heap head under the same
   ``(time, seq)`` order, and cancellation (erase suspension revoking a
-  completion) just clears the slot.
+  completion) just clears the slot. Two chips' completions at one
+  instant compare as the object path's seqs would even where runs
+  (below) took their seqs early: see rule (e).
 * **Float arithmetic** — durations, bus reservations, and the
   suspend/resume segment cursor reproduce the object path's expression
   shapes (association order included), so every timestamp and every
@@ -71,6 +73,57 @@ How the event loop preserves identity:
   allocators, leaving the drive exactly as the object path would.
   :func:`~repro.harness.cells.run_workload_cell` drops its drive on
   return and passes ``write_back=False`` to both.
+
+**Runs off the event loop.** Where each chip has a bus to itself, a
+chip that starts a *run* — the next page moves of one GC job (GC read,
+GC program, ...), or the next pages of one read request on the chip —
+completes it in one tight loop (``run_ahead``), up to the next *heap
+event* (an admission, a credit or a suspension finalize: the only
+events that change a chip's queues from outside it). The run's
+completion times step by the read and program durations the loop's
+expressions give on a free bus; the chip, its bus, its queue and the
+job's or request's counter are then updated once, and the loop sees
+only the run's last completion. Why this is exact:
+
+* (a) Private bus only: chips that share a bus stay on the loop,
+  decided per drive by ``chips_per_channel``. On a private bus a
+  completion reads and writes only its chip; a completion pushes no
+  heap entry, and the one transaction a completion submits, a GC job's
+  erase, goes to the same chip. So between heap events a chip's
+  completions follow from its own queues alone. Its previous transfer
+  always ends at least ``_Chip.margin`` before it starts the next one,
+  so a run's steps are the free-bus durations (a drive whose margin is
+  within rounding of its times runs none).
+* (b) A run holds only completions strictly before the heap head's
+  time: no heap event can see the chip mid-run, and every heap entry a
+  run's seqs are compared with was pushed before the run was built or
+  after its internal completions, so against heap entries those seqs
+  order as the object path's.
+* (c) A completion that records or submits stays on the loop: a GC
+  job's last move (it submits the erase) and a request's last page on
+  the chip (it may complete the request). So a run records nothing; the
+  request's counter takes the run's pages in one addition (it cannot
+  reach the request's total while the run's last page is in flight) and
+  the job's counter takes them in one subtraction.
+* (d) ``seq`` advances by the number of executes the run makes, taken
+  as one block when the run is built.
+* (e) Same-instant order. The object path orders two completions at
+  one instant by seq, that is by execution order: executes at different
+  instants by the instant, executes at one instant by the order of what
+  executed them. A run takes its seqs ahead of other chips' executes in
+  its span, so the seqs alone no longer give that order. Each in-flight
+  completion therefore also keeps ``fire_at`` (when the object path
+  executes it) and ``fire_trig`` (what executed it: the heap entry, the
+  chip's previous completion, or the run transaction before it), and two
+  chips' completions at one instant compare by ``fire_at``, then by
+  their triggers, recursively (``_earlier``); only transactions executed
+  by one heap event compare by seq. That is the object path's order
+  whichever seq was taken first, lockstep included (one admission
+  starting the same reads on both chips, whose completions then tie at
+  every step). A completion's trigger is kept in full only where another
+  chip completes at the same instant (in flight, already on the loop, or
+  inside its run); otherwise only a heap event can share that instant,
+  and seqs order the two.
 
 **Point share.** The FTL pass depends on no scheme, so the cells of one
 grid point (every scheme on one trace and drive) need it once. One
@@ -95,7 +148,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from bisect import bisect_left
 from heapq import heappop, heappush
+from itertools import accumulate, cycle, islice, repeat
 from typing import List, Optional, Tuple
 
 from repro.erase.scheme import EraseScheme
@@ -119,12 +174,20 @@ _ADMIT, _CREDIT, _FINALIZE = 0, 1, 2
 #   (kind, priority, chip, req, scale, durs, gc)
 # with kind/priority matching the TxnKind/TxnPriority values. ``req``
 # is a host-request list [total, done, submit_us, is_read]; ``gc`` is a
-# GC tracker list [plane, erase_txn, moves_remaining, erase_submitted].
-# Programs are the odd kinds, so one bit test picks them out.
-_READ, _PROGRAM, _GC_READ, _GC_PROGRAM, _ERASE = 0, 1, 2, 3, 4
+# GC tracker list [plane, erase_txn, moves_remaining, erase_submitted,
+# read_txn, program_txn, moves_queued]. A job's page moves (a GC read
+# then a GC program, per page) wait in their queue as one ``_MOVES``
+# entry, taken one transaction at a time (``_next_move``). Programs are
+# the odd kinds, so one bit test picks them out.
+_READ, _PROGRAM, _GC_READ, _GC_PROGRAM, _ERASE, _MOVES = 0, 1, 2, 3, 4, 6
 
 #: Heap-head time of an empty heap: later than any event.
 _NEVER = float("inf")
+
+#: A run steps by constant durations only while its chip's bus margin
+#: exceeds this multiple of its last completion time, far above the
+#: rounding of the loop's bus arithmetic (see ``_Chip.margin``).
+_ULPS = 2.0 ** -48
 
 
 class _Cursor:
@@ -191,12 +254,16 @@ class _Bus:
 class _Chip:
     __slots__ = (
         "q0", "q1", "q2", "q3", "busy", "current", "cursor", "run_started",
-        "susp_txn", "susp_cursor", "susp_pending", "fire", "fire_seq",
-        "suspensions", "erases", "erase_busy", "bus", "t_r", "t_prog",
-        "a_read",
+        "susp_txn", "susp_cursor", "susp_pending", "fire", "fire_at",
+        "fire_seq", "fire_trig", "run", "run_hi", "others",
+        "suspensions", "erases", "erase_busy",
+        "bus", "t_r", "t_prog", "a_read", "d_read", "d_prog", "margin",
     )
 
-    def __init__(self, bus: _Bus, t_r: float, t_prog: float, overhead: float):
+    def __init__(
+        self, bus: _Bus, t_r: float, t_prog: float, overhead: float,
+        decode: float,
+    ):
         self.q0 = deque()
         self.q1 = deque()
         self.q2 = deque()
@@ -209,7 +276,14 @@ class _Chip:
         self.susp_cursor: Optional[_Cursor] = None
         self.susp_pending = False
         self.fire: Optional[float] = None  # in-flight completion time
+        self.fire_at = 0.0  # when the object path executes it
         self.fire_seq = 0
+        self.fire_trig = None  # what executed it (``trigger``)
+        # The chip's last run (see ``run_ahead``): ``(t0, s1, trig,
+        # times)``, and its last internal completion time.
+        self.run: Optional[tuple] = None
+        self.run_hi = -_NEVER
+        self.others: Tuple["_Chip", ...] = ()  # other chips, if runs apply
         self.suspensions = 0
         self.erases = 0
         self.erase_busy = 0.0
@@ -217,6 +291,13 @@ class _Chip:
         self.t_r = t_r
         self.t_prog = t_prog
         self.a_read = overhead + t_r
+        # A read's and a GC program's duration when the bus is free at
+        # its start, by the loop's expressions. On a bus of its own the
+        # chip's previous transfer ends at least ``margin`` before it
+        # next starts one, so a run steps by these constants.
+        self.d_read = (self.a_read + bus.tr) + decode
+        self.d_prog = (overhead + bus.tr) + t_prog
+        self.margin = overhead + min(decode, t_prog)
 
 
 class _Plane:
@@ -502,6 +583,67 @@ def _lean_ftl(ftl) -> _LeanFtl:
     lean.restore = restore
     lean.fill = None
     return lean
+
+
+def _next_move(queue, entry) -> tuple:
+    """Take the next page move of the GC job that ``entry``, just taken
+    from the front of ``queue``, stands for."""
+    gc = entry[6]
+    queued = gc[6]
+    gc[6] = queued - 1
+    if queued > 1:
+        queue.appendleft(entry)
+    return gc[4] if queued & 1 == 0 else gc[5]  # a read first
+
+
+def _key(trig) -> tuple:
+    """``(at, seq, trig)`` of the execute ``trig`` names (a trigger:
+    see ``run_trace_kernel``); ``at`` is None for a heap entry or a
+    bare seq."""
+    if type(trig) is int:
+        return None, trig, None
+    if len(trig) == 4:  # a heap entry
+        return None, trig[1], None
+    if len(trig) == 3:  # a completion's full key
+        return trig
+    run, k = trig  # T_k of a run
+    t0, s1, trig1, times = run
+    if k == 1:
+        return t0, s1, trig1
+    return times[k - 2], s1 + k - 1, (run, k - 1)
+
+
+def _earlier(x: "_Chip", y: "_Chip") -> bool:
+    """Whether chip ``x``'s in-flight completion precedes chip ``y``'s
+    in the object path's order, when both fall at the same instant and
+    were executed at the same instant (rule (e) in the module
+    docstring). Two transactions the loop executed took their seqs in
+    the object path's order; otherwise the one whose trigger was
+    processed first comes first, recursively."""
+    sx, sy = x.fire_seq, y.fire_seq
+    tx, ty = x.fire_trig, y.fire_trig
+    while tx is not ty:
+        in_x = type(tx) is tuple and len(tx) == 2
+        in_y = type(ty) is tuple and len(ty) == 2
+        if not (in_x or in_y):
+            break  # neither was executed inside a run
+        if in_x and in_y:
+            # Both inside runs: step back while their times agree.
+            (rx, i), (ry, j) = tx, ty
+            times_x, times_y = rx[3], ry[3]
+            while i > 1 and j > 1 and times_x[i - 2] == times_y[j - 2]:
+                i -= 1
+                j -= 1
+            tx, ty = (rx, i), (ry, j)
+        ax, sx, tx = _key(tx)
+        ay, sy, ty = _key(ty)
+        if ax is None or ay is None:
+            # A heap event, or a completion no other chip's completion
+            # shares an instant with: seqs order them.
+            break
+        if ax != ay:
+            return ax < ay
+    return sx < sy
 
 
 def kernel_replay_supported(ssd) -> bool:
@@ -898,10 +1040,15 @@ def run_trace_kernel(
     for chip in ssd.chips:
         lean_chip = _Chip(
             buses[chip.channel], chip.timing.t_r_us, chip.timing.t_prog_us,
-            overhead,
+            overhead, decode,
         )
         chips.append(lean_chip)
         chip_map[(chip.channel, chip.chip)] = lean_chip
+    # Runs apply only where each chip has a bus to itself (rule (a)).
+    runs = geometry.chips_per_channel == 1
+    if runs:
+        for lean_chip in chips:
+            lean_chip.others = tuple(c for c in chips if c is not lean_chip)
     blk_chip = [None] * len(blk_obj)
     for plane in planes:
         address = plane.alloc.address
@@ -935,6 +1082,13 @@ def run_trace_kernel(
     next_write = 0
     next_job = 0
     job_at = gc_at[0] if njobs else -1
+
+    # What a transaction executed now hangs off (its trigger, kept as
+    # ``_Chip.fire_trig`` for rule (e)): the heap entry being processed;
+    # the completion's full key ``(at, seq, trig)`` where another chip
+    # completes at the same instant, else its bare seq; or ``(run, k)``
+    # for a run's transaction T_k.
+    trigger = None
 
     def request_suspension(chip, cursor):
         nonlocal seq
@@ -979,7 +1133,9 @@ def run_trace_kernel(
             bus.busy_until = start + tr
             fire = now + (chip.a_read + ((start - cell_done) + tr) + decode)
         chip.fire = fire
+        chip.fire_at = now
         chip.fire_seq = seq
+        chip.fire_trig = trigger
         seq += 1
 
     def resume_erase(chip):
@@ -994,8 +1150,73 @@ def run_trace_kernel(
         chip.cursor = cursor
         chip.run_started = now
         chip.fire = now + cursor.remaining()
+        chip.fire_at = now
         chip.fire_seq = seq
+        chip.fire_trig = trigger
         seq += 1
+
+    def run_ahead(chip, txn, head_t):
+        """``chip`` just executed ``txn``, a GC move or a host read page
+        that is not the last on the chip: complete the run it starts
+        (see the module docstring)."""
+        nonlocal seq
+        kind = txn[0]
+        if kind == _READ:
+            queue = chip.q0
+            left = 1  # the request's pages on this chip, from txn on
+            for queued in queue:
+                if queued is not txn:
+                    break
+                left += 1
+            steps = repeat(chip.d_read, left - 1)
+        else:
+            left = txn[6][2]  # the job's moves not yet completed
+            queue = chip.q1 if txn[1] == 1 else chip.q2
+            steps = islice(cycle(
+                (chip.d_prog, chip.d_read) if kind == _GC_READ
+                else (chip.d_read, chip.d_prog)
+            ), left - 1)
+        t = chip.fire
+        if t >= head_t:
+            return
+        # T_k completes off the loop while it neither records nor
+        # submits (k < left) and precedes the heap head (rules (b),
+        # (c)); T_{k+1} executes at its completion.
+        times = list(accumulate(steps, initial=t))
+        n = bisect_left(times, head_t) + 1
+        if n < left:
+            del times[n:]
+        else:
+            n = left
+        if n < 2 or chip.margin <= times[-1] * _ULPS:
+            return
+        if kind == _READ:
+            nxt = txn
+            txn[3][1] += n - 1
+            popleft = queue.popleft
+            for _ in repeat(None, n - 1):
+                popleft()
+        else:
+            gc = txn[6]
+            nxt = txn if n & 1 else gc[5] if kind == _GC_READ else gc[4]
+            gc[2] -= n - 1
+            gc[6] -= n - 1
+            if not gc[6]:
+                queue.popleft()
+        s1 = chip.fire_seq
+        run = chip.run = (now, s1, chip.fire_trig, times)
+        chip.run_hi = times[-2]
+        chip.current = nxt
+        chip.fire = times[-1]
+        chip.fire_at = times[-2]
+        chip.fire_seq = s1 + n - 1
+        chip.fire_trig = (run, n - 1)
+        seq += n - 1
+        bus = chip.bus
+        start = times[-2] + overhead
+        if not nxt[0] & 1:
+            start = start + chip.t_r
+        bus.busy_until = start + bus.tr
 
     def dispatch(chip):
         if chip.busy:
@@ -1003,9 +1224,12 @@ def run_trace_kernel(
         if chip.q0:
             execute(chip, chip.q0.popleft())
         elif chip.q1:
-            execute(chip, chip.q1.popleft())
+            txn = chip.q1.popleft()
+            if txn[0] == _MOVES:
+                txn = _next_move(chip.q1, txn)
+            execute(chip, txn)
         elif chip.q2:
-            execute(chip, chip.q2.popleft())
+            execute(chip, _next_move(chip.q2, chip.q2.popleft()))
         elif chip.susp_txn is not None:
             # Resume the suspended erase before starting a new one
             # (same anti-starvation rule as ChipExecutor._dispatch).
@@ -1075,32 +1299,28 @@ def run_trace_kernel(
         escalated = backlog >= gc_escal
         plane.backlog = backlog + 1
         chip = plane.chip
-        gc = [plane, None, 2 * moves, False]
+        gc = [plane, None, 2 * moves, False, None, None, 2 * moves]
         erase_txn = (_ERASE, 1 if escalated else 3, chip, None, 1.0, durs, gc)
         gc[1] = erase_txn
         if moves == 0:
             gc[3] = True
             submit_txn(chip, erase_txn)
             return
-        # GC moves never trigger suspension (priority > 0), so submits
-        # inline to queue-append + dispatch-if-idle. Move txns are
-        # value-identical and never compared by identity, so one tuple
-        # per kind serves the whole job; and once the first dispatch
-        # runs the chip stays busy until a heap event fires, so the
-        # object path's remaining per-submit dispatches are no-ops.
+        # GC moves never trigger suspension (priority > 0), so their
+        # submits inline to queue-append + dispatch-if-idle; and once
+        # the first dispatch runs, the chip stays busy until a heap
+        # event fires, so the object path's remaining per-submit
+        # dispatches are no-ops. Move txns are value-identical and
+        # never compared by identity, so one tuple per kind serves the
+        # whole job.
         priority = 1 if escalated else 2
-        queue = chip.q1 if escalated else chip.q2
-        read_txn = (_GC_READ, priority, chip, None, 1.0, None, gc)
-        prog_txn = (_GC_PROGRAM, priority, chip, None, 1.0, None, gc)
-        queue.append(read_txn)
+        gc[4] = (_GC_READ, priority, chip, None, 1.0, None, gc)
+        gc[5] = (_GC_PROGRAM, priority, chip, None, 1.0, None, gc)
+        (chip.q1 if escalated else chip.q2).append(
+            (_MOVES, priority, chip, None, 1.0, None, gc)
+        )
         if not chip.busy:
             dispatch(chip)
-        queue.append(prog_txn)
-        if not chip.busy:
-            dispatch(chip)
-        for _ in range(moves - 1):
-            queue.append(read_txn)
-            queue.append(prog_txn)
 
     def admit(request):
         nonlocal seq, next_read, next_write, next_job, job_at
@@ -1179,6 +1399,7 @@ def run_trace_kernel(
     head = heap[0] if heap else None
     head_t = head[0] if head is not None else _NEVER
     head_s = head[1] if head is not None else 0
+    last_done = -_NEVER  # the instant of the last completion on the loop
     while True:
         best_t = head_t
         best_s = head_s
@@ -1187,7 +1408,12 @@ def run_trace_kernel(
             fire = candidate.fire
             if fire is not None and (
                 fire < best_t
-                or (fire == best_t and candidate.fire_seq < best_s)
+                or fire == best_t and (
+                    candidate.fire_seq < best_s if chip is None
+                    else candidate.fire_at < chip.fire_at
+                    or candidate.fire_at == chip.fire_at
+                    and _earlier(candidate, chip)
+                )
             ):
                 best_t = fire
                 best_s = candidate.fire_seq
@@ -1197,6 +1423,7 @@ def run_trace_kernel(
                 break
             pop(heap)
             now = head_t
+            trigger = head
             kind = head[2]
             if kind == _ADMIT:
                 admit(head[3])
@@ -1213,9 +1440,27 @@ def run_trace_kernel(
                 head_t = _NEVER
                 head_s = 0
             continue
-        # Completion on ``chip``.
+        # Completion on ``chip``. What it executes next hangs off it:
+        # by its full key where another chip completes at this instant
+        # too, else by its seq alone (see ``_earlier``).
         now = best_t
         chip.fire = None
+        trigger = chip.fire_seq
+        if now == last_done and runs:
+            # Another chip's completion at this instant came first.
+            trigger = (chip.fire_at, trigger, chip.fire_trig)
+        else:
+            for other in chip.others:
+                if other.fire == now:
+                    trigger = (chip.fire_at, trigger, chip.fire_trig)
+                    break
+                if now <= other.run_hi:
+                    run = other.run
+                    times = run[3]
+                    if now > run[0] and times[bisect_left(times, now)] == now:
+                        trigger = (chip.fire_at, trigger, chip.fire_trig)
+                        break
+        last_done = now
         txn = chip.current
         req = txn[3]
         if req is not None:
@@ -1257,8 +1502,10 @@ def run_trace_kernel(
             nxt = chip.q0.popleft()
         elif chip.q1:
             nxt = chip.q1.popleft()
+            if nxt[0] == _MOVES:
+                nxt = _next_move(chip.q1, nxt)
         elif chip.q2:
-            nxt = chip.q2.popleft()
+            nxt = _next_move(chip.q2, chip.q2.popleft())
         elif chip.susp_txn is not None:
             resume_erase(chip)
             continue
@@ -1295,8 +1542,20 @@ def run_trace_kernel(
             bus.busy_until = start + tr
             fire = now + (chip.a_read + ((start - cell_done) + tr) + decode)
         chip.fire = fire
+        chip.fire_at = now
         chip.fire_seq = seq
+        chip.fire_trig = trigger
         seq += 1
+        if runs:
+            if nkind == _GC_READ or nkind == _GC_PROGRAM:
+                if nxt[6][2] > 1:
+                    run_ahead(chip, nxt, head_t)
+                    continue
+            elif nkind == _READ:
+                q0 = chip.q0
+                if q0 and q0[0] is nxt:
+                    run_ahead(chip, nxt, head_t)
+                    continue
 
     # With write_back, restore the page states, mapping and allocators
     # (the counters went in with the physics pass) before any

@@ -12,15 +12,14 @@ O(blocks) Python into a handful of vectorized operations.
 Bit-compatibility: the ``base``/``rate`` draws are those of the
 blocks' :class:`~repro.nand.erase_model.BlockEraseModel` instances
 (same seed derivation, same truncated-normal draws), and the per-erase
-jitter is read from a :class:`JitterTable`, which fills each block's
-row from that block's own jitter stream in chunks — NumPy
-``Generator`` array fills consume the stream exactly like repeated
-scalar draws, so the kernel path sees the same required-pulse sequence
-as the object path. :meth:`BlockArrayState.from_blocks` gives a state
-its own table; on the lifetime kernel path every curve of one block
-set reads one shared table instead (see
-:mod:`repro.lifetime.simulator`), so no ``Block`` is built there. The
-wear-age update mirrors
+jitter is read from a :class:`JitterTable`, whose rows are the blocks'
+own jitter rows (:class:`~repro.nand.erase_model.JitterRow`, the one
+place a jitter stream is drawn), so the kernel path sees the same
+required-pulse sequence as the object path.
+:meth:`BlockArrayState.from_blocks` gives a state its own table; on
+the lifetime kernel path every curve of one block set reads one shared
+table instead (see :mod:`repro.lifetime.simulator`), so no ``Block``
+is built there. The wear-age update mirrors
 :meth:`~repro.nand.erase_model.WearState.record_erase` term for term,
 with the wear term evaluated once per step for both the jittered
 required work and the Baseline reference.
@@ -38,12 +37,10 @@ from repro.nand.block import Block
 from repro.nand.chip_types import ChipProfile
 from repro.nand.erase_model import (
     ERASE_WEAR_SHARE,
+    JITTER_CHUNK,
     PROGRAM_WEAR_SHARE,
     BlockEraseModel,
 )
-
-#: Jitter columns a table draws per fill (one column is read per erase).
-_JITTER_CHUNK = 64
 
 #: Ladder headroom beyond ``max_loops`` covered by the damage lookup
 #: table (i-ISPE may escalate past the datasheet budget).
@@ -53,12 +50,14 @@ _LOOP_HEADROOM = 4
 class JitterTable:
     """Append-only table of each block's erase-to-erase jitter prefix.
 
-    Row ``i`` is the start of block ``i``'s own jitter stream
-    (:meth:`BlockEraseModel.jitter_batch`) and column ``j`` is every
-    block's ``j``-th erase; the table draws :data:`_JITTER_CHUNK` more
-    columns whenever a reader asks past its end. The table is a pure
-    function of the models' streams, so any number of states can read
-    one table from column 0 and see the same draws. Fills hold a lock:
+    Row ``i`` is block ``i``'s jitter stream from its model's cursor on
+    (:meth:`BlockEraseModel.jitter_batch`, which reads the block's
+    :class:`~repro.nand.erase_model.JitterRow`) and column ``j`` is
+    every block's ``j``-th erase; the table takes
+    :data:`~repro.nand.erase_model.JITTER_CHUNK` more columns whenever
+    a reader asks past its end. The table is a pure function of the
+    models' streams, so any number of states can read one table from
+    column 0 and see the same draws. Fills hold a lock:
     two threads drawing at once would interleave the streams.
     """
 
@@ -69,12 +68,12 @@ class JitterTable:
 
     def column(self, index: int) -> np.ndarray:
         """Every block's ``index``-th jitter draw (filling as needed)."""
-        chunk, offset = divmod(index, _JITTER_CHUNK)
+        chunk, offset = divmod(index, JITTER_CHUNK)
         if chunk >= len(self._chunks):
             with self._lock:
                 while chunk >= len(self._chunks):
                     drawn = np.stack(
-                        [m.jitter_batch(_JITTER_CHUNK) for m in self._models]
+                        [m.jitter_batch(JITTER_CHUNK) for m in self._models]
                     )
                     drawn.flags.writeable = False  # readers share it
                     self._chunks.append(drawn)
@@ -83,7 +82,7 @@ class JitterTable:
     @property
     def columns(self) -> int:
         """Jitter columns drawn so far."""
-        return _JITTER_CHUNK * len(self._chunks)
+        return JITTER_CHUNK * len(self._chunks)
 
 
 def block_draws(

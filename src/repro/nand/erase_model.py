@@ -38,6 +38,8 @@ equals PEC/1000 and the characterization figures calibrate directly.
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -243,11 +245,48 @@ def _skip_stress(profile: ChipProfile) -> float:
     return profile.wear.skip_stress_factor if profile.is_3d else 0.1
 
 
+#: Jitter values a :class:`JitterRow` draws per fill.
+JITTER_CHUNK = 64
+
+
+class JitterRow:
+    """One block's erase-to-erase jitter stream, kept as it is drawn.
+
+    The row is append-only: it draws :data:`JITTER_CHUNK` values at a
+    time from the block's own generator (made at the first fill) and
+    keeps them, so every reader of the row sees the same stream from
+    its start, each through a cursor of its own. NumPy ``Generator``
+    array fills consume the stream exactly like repeated scalar draws,
+    so value ``j`` is the ``j``-th ``required_pulses`` draw. Fills hold
+    a lock: two threads drawing at once would interleave the stream.
+    """
+
+    __slots__ = ("seed", "values", "_rng", "_lock")
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.values = array("d")
+        self._rng: Optional[np.random.Generator] = None
+        self._lock = threading.Lock()
+
+    def upto(self, count: int) -> array:
+        """The row, drawn to at least ``count`` values."""
+        values = self.values
+        if len(values) < count:
+            with self._lock:
+                if self._rng is None:
+                    self._rng = make_rng(self.seed)
+                while len(values) < count:
+                    values.frombytes(self._rng.normal(
+                        0.0, ERASE_JITTER_STD, size=JITTER_CHUNK
+                    ).tobytes())
+        return values
+
+
 #: The last ``(profile, seed)`` pair's per-block draws, as one
-#: ``((profile, seed), {str(keys): (base, rate, jitter_seed)})`` tuple.
-_DRAWS: Tuple[tuple, Dict[Tuple[str, ...], Tuple[float, float, int]]] = (
-    (None, None), {},
-)
+#: ``((profile, seed), {str(keys): (base, rate, jitter_row)})`` tuple.
+_DRAWS: Tuple[tuple, Dict[Tuple[str, ...], Tuple[float, float, JitterRow]]]
+_DRAWS = ((None, None), {})
 
 
 class BlockEraseModel:
@@ -262,12 +301,13 @@ class BlockEraseModel:
     same blocks are built again and again: every scheme cell of a grid
     point builds the same drive, and the characterization platform
     clones the same test blocks. So the models of the last ``(profile,
-    seed)`` pair share one table of ``base``/``rate`` draws and derived
-    jitter seeds, filled by the first model of each block; a new pair
-    replaces the table (lifetime block sets, one seed per block, never
-    hit, so the lifetime simulator puts the table back after building
-    one). Each model still gets its own fresh jitter generator, so
-    every jitter stream stays per model and independent.
+    seed)`` pair share one table of ``base``/``rate`` draws and jitter
+    rows, filled by the first model of each block; a new pair replaces
+    the table (lifetime block sets, one seed per block, never hit, so
+    the lifetime simulator puts the table back after building one).
+    Each model reads its block's :class:`JitterRow` through a cursor of
+    its own, so every model sees the block's jitter stream from its
+    start, and a later model of the block builds no generator.
     """
 
     def __init__(self, profile: ChipProfile, seed: int, *keys: object):
@@ -295,10 +335,10 @@ class BlockEraseModel:
                 work.rate_high,
             )
             entry = draws[names] = (
-                base, rate, derive(seed, "erase-jitter", *keys),
+                base, rate, JitterRow(derive(seed, "erase-jitter", *keys)),
             )
-        self.base, self.rate, jitter_seed = entry
-        self._jitter_rng = make_rng(jitter_seed)
+        self.base, self.rate, self._row = entry
+        self._cursor = 0  # this model's next jitter value in the row
 
     # --- required work ---------------------------------------------------------
 
@@ -312,19 +352,24 @@ class BlockEraseModel:
         return self._clamp(raw + self._jitter(), floor)
 
     def jitter_batch(self, count: int) -> np.ndarray:
-        """Draw ``count`` erase-to-erase jitter values from this block's stream.
+        """The next ``count`` erase-to-erase jitter values of this block.
 
-        NumPy generators fill arrays by repeating the scalar sampler, so
-        ``jitter_batch(k)`` consumes the stream exactly like ``k``
-        successive :meth:`required_pulses` calls would — the batch
-        kernels buffer these draws and stay jitter-identical to the
-        object path (see :mod:`repro.kernels.state`).
+        They are the values ``count`` successive :meth:`required_pulses`
+        calls would draw, read from the block's row — the batch kernels
+        buffer these draws and stay jitter-identical to the object path
+        (see :mod:`repro.kernels.state`).
         """
-        return self._jitter_rng.normal(0.0, ERASE_JITTER_STD, size=int(count))
+        start = self._cursor
+        self._cursor = end = start + int(count)
+        return np.array(self._row.upto(end)[start:end], dtype=np.float64)
 
     def _jitter(self) -> float:
-        # NumPy defines ``normal(0, scale)`` as ``scale * standard_normal()``.
-        return ERASE_JITTER_STD * self._jitter_rng.standard_normal()
+        cursor = self._cursor
+        self._cursor = cursor + 1
+        values = self._row.values
+        if cursor >= len(values):
+            values = self._row.upto(cursor + 1)
+        return values[cursor]
 
     def _work(self, age_kilocycles: float) -> Tuple[float, float]:
         """``(base + rate * x^exponent, floor(x))`` at wear age ``x``."""

@@ -28,7 +28,7 @@ from repro.ssd.builder import build_ssd
 from repro.units import KIB, SECTOR_BYTES
 from repro.workloads.profiles import profile_by_abbr
 from repro.workloads.synthetic import SyntheticTraceGenerator
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, TraceRequest
 
 
 def _cell(scheme, workload, engine, requests=200):
@@ -139,7 +139,7 @@ def _random_specs(draw):
         spec = SsdSpec(
             geometry=NandGeometry(
                 channels=draw(st.integers(1, 2)),
-                chips_per_channel=1,
+                chips_per_channel=draw(st.integers(1, 2)),
                 planes_per_chip=draw(st.integers(1, 2)),
                 blocks_per_plane=draw(st.integers(16, 32)),
                 pages_per_block=draw(st.integers(16, 32)),
@@ -281,6 +281,90 @@ def test_kernel_matches_object_on_random_configurations(
     assert _drive_state(hit_ssd) == _drive_state(obj_ssd)
     assert ker_ssd.ftl.stats.host_writes == host_writes
     assert ker.extra["waf"] == (host_writes + ker.gc_page_moves) / host_writes
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "aero"])
+def test_shared_bus_chips_stay_on_the_event_loop(scheme):
+    """Two chips on one channel share its bus, so a chip's transfer
+    start depends on the other's: runs off the event loop do not apply
+    there (rule (a) in ``repro.kernels.cell``). A kernel that ran them
+    anyway reports other latencies on this drive than the object
+    path."""
+    base = SsdSpec.small_test(seed=1)
+    spec = dataclasses.replace(
+        base,
+        geometry=dataclasses.replace(
+            base.geometry, channels=1, chips_per_channel=2
+        ),
+    )
+    reports = [
+        run_workload_cell(
+            scheme, 2500, "ali.A", spec=spec, requests=60, seed=1,
+            engine=engine,
+        ).to_json_dict()
+        for engine in ("object", "kernel")
+    ]
+    assert reports[0] == reports[1]
+
+
+def test_same_instant_completions_follow_their_triggers():
+    """On this read-heavy drive, completions of both chips fall at one
+    instant after runs took their seqs out of execution order; they
+    must be ordered by what executed them (``_earlier``), not by seq.
+    A kernel that compared seqs there reports other latencies."""
+    spec = SsdSpec.small_test(seed=3)
+    reports = [
+        run_workload_cell(
+            "baseline", 2500, "ali.E", spec=spec, requests=600, seed=3,
+            engine=engine,
+        ).to_json_dict()
+        for engine in ("object", "kernel")
+    ]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("suspension", [False, True])
+def test_lockstep_read_runs_match_object(suspension, monkeypatch):
+    """Each request reads 8 pages, 4 on each chip of a two-channel
+    drive, while both chips are idle: one admission starts the same
+    read run on both, whose completions then fall at the same instants
+    (rule (e)'s lockstep). The kernel orders them as the object path
+    does, down to the request that completes last."""
+    spec = SsdSpec.small_test(seed=5).with_scheduler(
+        erase_suspension=suspension
+    )
+    sectors = spec.geometry.page_size // SECTOR_BYTES
+    trace = Trace(
+        [
+            TraceRequest(
+                arrival_us=20_000.0 * i, lba=8 * i * sectors,
+                sectors=8 * sectors, is_read=True,
+            )
+            for i in range(40)
+        ],
+        name="lockstep",
+    )
+    deep = []
+    earlier = kernel_cell._earlier
+
+    def counting(x, y):
+        deep.append((x.fire_at, y.fire_at))
+        return earlier(x, y)
+
+    monkeypatch.setattr(kernel_cell, "_earlier", counting)
+    reports = []
+    for engine in ("object", "kernel"):
+        ssd = build_ssd(spec, "aero", pec_setpoint=2500)
+        footprint = int(spec.logical_pages * 0.9)
+        if engine == "kernel":
+            lean = precondition_kernel(ssd, footprint, write_back=False)
+            report = run_trace_kernel(ssd, trace, lean=lean, write_back=False)
+        else:
+            ssd.precondition(footprint_pages=footprint)
+            report = ssd.run_trace(trace)
+        reports.append(report.to_json_dict())
+    assert reports[0] == reports[1]
+    assert deep  # same-instant completions, ordered by their runs
 
 
 @settings(

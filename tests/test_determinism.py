@@ -334,6 +334,35 @@ def test_trace_share_keys_every_input(monkeypatch):
         assert first != stock_report, name
 
 
+def test_point_cells_build_no_per_block_generators(monkeypatch):
+    """After a grid point's first cell, each cell of the point builds
+    only its own four streams (two chip streams, the aging stream and
+    the FTL stream): the per-block draws and jitter rows are shared."""
+    import numpy as np
+
+    built = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    run_workload_cell("baseline", 500, "hm", requests=100, seed=3)
+    counts = []
+    for scheme in PAPER_SCHEMES:
+        del built[:]
+        run_workload_cell(scheme, 2500, "ali.A", requests=300, seed=1)
+        counts.append(len(built))
+    geometry = SsdSpec.small_test().geometry
+    blocks = (
+        geometry.channels * geometry.chips_per_channel
+        * geometry.planes_per_chip * geometry.blocks_per_plane
+    )
+    assert counts[0] > 2 * blocks  # draws and jitter, per block
+    assert counts[1:] == [4] * (len(PAPER_SCHEMES) - 1)
+
+
 def test_erase_model_draw_share_keeps_jitter_per_model():
     address = (0, 0, 1, 3)
     tweaked = replace(

@@ -235,13 +235,13 @@ def test_block_array_required_pulses_matches_objects():
 
 def test_jitter_batch_consumes_stream_like_scalars():
     from repro.nand.erase_model import ERASE_JITTER_STD
+    from repro.rng import derive, make_rng
 
     model = BlockEraseModel(TLC_3D_48L, 123, "jitter-test")
-    clone = BlockEraseModel(TLC_3D_48L, 123, "jitter-test")
     batch = model.jitter_batch(16)
+    stream = make_rng(derive(123, "erase-jitter", "jitter-test"))
     scalars = [
-        float(clone._jitter_rng.normal(0.0, ERASE_JITTER_STD))
-        for _ in range(16)
+        float(stream.normal(0.0, ERASE_JITTER_STD)) for _ in range(16)
     ]
     np.testing.assert_array_equal(batch, scalars)
 
