@@ -596,7 +596,8 @@ class ShardedResultStore:
         """
         if max_entries is not None and max_entries < 0:
             raise ConfigError("max_entries must be >= 0")
-        if older_than_s is not None and older_than_s < 0:
+        # ``not >=`` refuses NaN too: every comparison with NaN is false.
+        if older_than_s is not None and not older_than_s >= 0:
             raise ConfigError("older_than_s must be >= 0")
         now = time.time() if now is None else now
         doomed, survivors = [], []

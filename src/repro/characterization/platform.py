@@ -53,6 +53,7 @@ class TestPlatform:
         self.seed = seed
         self.rber = RberModel(profile)
         self.rng = derive_rng(seed, "platform", profile.name)
+        self._draws: dict = {}  # the clones' per-block draws
 
     @property
     def block_count(self) -> int:
@@ -77,6 +78,7 @@ class TestPlatform:
             profile=self.profile,
             pages=self.PAGES_PER_BLOCK,
             seed=self.seed,
+            draws=self._draws,
         )
         clone.wear.age_kilocycles = pec / 1000.0
         clone.wear.pec = pec

@@ -72,7 +72,7 @@ def _parse_age(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"invalid age {text!r}; use e.g. 90, 90s, 15m, 2h, or 7d"
         ) from None
-    if value < 0:
+    if not value >= 0:  # refuses NaN too: it compares false with all
         raise argparse.ArgumentTypeError("age must be >= 0")
     return value * units.get(suffix, 1.0)
 

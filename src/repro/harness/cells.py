@@ -7,26 +7,28 @@ pure function of its arguments — the same arguments always produce the
 same :class:`~repro.ssd.metrics.PerfReport` — which is what makes grid
 cells safe to cache on disk and to fan out across worker processes.
 
-A grid point's cells share their scheme-independent setup. Every
+A grid point's cells share their scheme-independent work. Every
 scheme of one (PEC, workload) point replays the same trace on the same
 drive (the grid derives one seed per point), and the canonical
 pec -> workload -> scheme order runs a point's cells back to back. So
-consecutive cells share, through one-entry module-level memos, the
-trace (``_TRACE`` below, keyed by profile, footprint bytes, derived
-seed and request count), the drive's per-block process-variation draws
-(:class:`~repro.nand.erase_model.BlockEraseModel`) and, on the kernel
-engine, the preconditioned FTL layout and the replay's FTL log (the
-mapping and GC trajectory, in :mod:`repro.kernels.cell`), so such a
-cell runs only its own erase physics and event loop. This is safe
-because each share is a pure function of its key: the key holds every
-input of the step it memoises, so a hit returns exactly what a miss
-would compute, and no
-report depends on cell order, process or which cell ran first. Each
-cell still builds its own drive, FTL, scheme and RNG streams. The
-memos live at module level because no caller-owned object spans a
-point's cells (a ``GridRunner.run`` per cell, pickled jobs on process
-workers); each is one tuple, read once and replaced whole, so they need
-no lock: a thread that loses a race only misses a share.
+the cell keys its point once, by its inputs minus the scheme-only ones
+(scheme, scheme parameters, erase suspension, engine), and keeps the
+last point's :class:`Point`: the trace, the drive's per-block
+process-variation draws (:class:`~repro.nand.erase_model.BlockEraseModel`)
+and, on the kernel engine, the preconditioning fill's FTL log and end
+state and the replay's FTL log (the mapping and GC trajectory, in
+:mod:`repro.kernels.cell`), so a later cell of the point runs only its
+own erase physics and event loop. Erase suspension changes only the
+replay's timing, never its FTL trajectory, so both suspension modes
+share one point. This is safe because each part of a point is a pure
+function of its key: a cell that fills one in stores exactly what any
+other cell of the point would compute, and no report depends on cell
+order, process or which cell ran first. Each cell still builds its own
+drive, FTL, scheme and RNG streams. The point lives at module level
+because no caller-owned object spans a point's cells (a
+``GridRunner.run`` per cell, pickled jobs on process workers); it is
+one tuple, read once and replaced whole, so it needs no lock: a thread
+that loses a race only misses a share.
 
 Scheme keys and workload abbreviations resolve through the plugin
 registries (:data:`repro.experiments.SCHEMES` /
@@ -62,9 +64,23 @@ PAPER_SCHEMES = ("baseline", "iispe", "dpes", "aero_cons", "aero")
 PRECONDITION_FRACTION = 0.9
 FOOTPRINT_FRACTION = 0.85
 
-#: The last synthesised trace, as one ``((profile, footprint bytes,
-#: derived seed, requests), trace)`` tuple. Neither replay mutates it.
-_TRACE: Tuple[Optional[tuple], Optional[Trace]] = (None, None)
+
+class Point:
+    """One grid point's shared state, each part set by the first cell
+    that builds it: ``trace``, the ``draws`` table of the point's drives,
+    ``fill`` (the fill's log with its end state) and ``replay`` (the
+    replay's log); see the module docstring."""
+
+    __slots__ = ("trace", "draws", "fill", "replay")
+
+    def __init__(self):
+        self.trace: Optional[Trace] = None
+        self.draws: dict = {}
+        self.fill = self.replay = None
+
+
+#: The last grid point, as one ``(key, Point)`` tuple.
+_POINT: Tuple[Optional[tuple], Optional[Point]] = (None, None)
 
 
 def run_workload_cell(
@@ -91,16 +107,23 @@ def run_workload_cell(
     replay (identical report, pinned by tests), and ``auto`` picks the
     kernel whenever the built SSD supports it.
     """
-    global _TRACE
+    global _POINT
     check_engine(engine)
     if isinstance(workload, str):
         workload = WORKLOADS.resolve(workload)
     if spec is None:
         spec = SsdSpec.small_test(seed=seed)
+    key = (spec, pec, workload, requests, seed)
+    held, point = _POINT
+    if held != key:
+        point = Point()
+        _POINT = (key, point)
     spec = spec.with_scheduler(erase_suspension=erase_suspension)
     params = dict(scheme_params or {})
     params.setdefault("mispredict_rate", mispredict_rate)
-    ssd = build_ssd(spec, scheme, pec_setpoint=pec, **params)
+    ssd = build_ssd(
+        spec, scheme, pec_setpoint=pec, draws=point.draws, **params
+    )
     use_kernel = False
     if engine != "object":
         from repro.kernels.cell import (
@@ -117,27 +140,21 @@ def run_workload_cell(
             )
     footprint_pages = int(spec.logical_pages * PRECONDITION_FRACTION)
     if use_kernel:
-        # No write-back: the replay kernel continues from the
-        # preconditioned lean state, and the drive is dropped on return,
-        # so its page states, mapping and allocators are never restored.
-        lean = precondition_kernel(ssd, footprint_pages, write_back=False)
+        lean = precondition_kernel(ssd, footprint_pages, point=point)
     else:
         ssd.precondition(footprint_pages=footprint_pages)
-    footprint_bytes = int(spec.logical_bytes * FOOTPRINT_FRACTION)
-    trace_seed = derive(seed, "trace", workload.abbr, pec)
-    trace_key = (workload, footprint_bytes, trace_seed, requests)
-    cached_key, trace = _TRACE
-    if cached_key != trace_key:
-        trace = SyntheticTraceGenerator(
-            workload, footprint_bytes=footprint_bytes, seed=trace_seed
+    trace = point.trace
+    if trace is None:
+        trace = point.trace = SyntheticTraceGenerator(
+            workload,
+            footprint_bytes=int(spec.logical_bytes * FOOTPRINT_FRACTION),
+            seed=derive(seed, "trace", workload.abbr, pec),
         ).generate(requests)
-        _TRACE = (trace_key, trace)
     kernel_metrics().engine_cells.labels(
         site="cell", engine="kernel" if use_kernel else "object"
     ).inc()
     if use_kernel:
         return run_trace_kernel(
-            ssd, trace, workload_name=workload.abbr, lean=lean,
-            write_back=False,
+            ssd, trace, workload_name=workload.abbr, lean=lean, point=point
         )
     return ssd.run_trace(trace, workload_name=workload.abbr)

@@ -66,24 +66,23 @@ How the event loop preserves identity:
 * **Mutable device state** — block wear, scheme memories, and erase
   statistics live on the real objects throughout; page states, the
   mapping table, the per-plane allocators, and the bulk ``FtlStats``
-  counters are tracked lean. Both kernels always flush the counters
-  into ``FtlStats`` before they return (so every report and
-  ``observe_replay`` read them current); only with ``write_back=True``
-  (the default) do they also restore the page states, mapping and
-  allocators, leaving the drive exactly as the object path would.
+  counters are tracked lean. Both kernels flush the counters into
+  ``FtlStats`` before they return (so every report and
+  ``observe_replay`` read them current). Nothing writes the page
+  states, mapping or allocators back: from the fill on, the lean state
+  (:class:`_LeanFtl`) is the drive's FTL view, and
   :func:`~repro.harness.cells.run_workload_cell` drops its drive on
-  return and passes ``write_back=False`` to both.
+  return.
 
 **Runs off the event loop.** Where each chip has a bus to itself, a
 chip that starts a *run* — the next page moves of one GC job (GC read,
-GC program, ...), or the next pages of one read request on the chip —
-completes it in one tight loop (``run_ahead``), up to the next *heap
-event* (an admission, a credit or a suspension finalize: the only
-events that change a chip's queues from outside it). The run's
-completion times step by the read and program durations the loop's
-expressions give on a free bus; the chip, its bus, its queue and the
-job's or request's counter are then updated once, and the loop sees
-only the run's last completion. Why this is exact:
+GC program, ...) — completes it in one tight loop (``run_ahead``), up
+to the next *heap event* (an admission, a credit or a suspension
+finalize: the only events that change a chip's queues from outside
+it). The run's completion times step by the read and program
+durations the loop's expressions give on a free bus; the chip, its
+bus, its queue and the job's counter are then updated once, and the
+loop sees only the run's last completion. Why this is exact:
 
 * (a) Private bus only: chips that share a bus stay on the loop,
   decided per drive by ``chips_per_channel``. On a private bus a
@@ -99,12 +98,9 @@ only the run's last completion. Why this is exact:
   run's seqs are compared with was pushed before the run was built or
   after its internal completions, so against heap entries those seqs
   order as the object path's.
-* (c) A completion that records or submits stays on the loop: a GC
-  job's last move (it submits the erase) and a request's last page on
-  the chip (it may complete the request). So a run records nothing; the
-  request's counter takes the run's pages in one addition (it cannot
-  reach the request's total while the run's last page is in flight) and
-  the job's counter takes them in one subtraction.
+* (c) A completion that submits stays on the loop: a GC job's last
+  move (it submits the erase). A run records nothing, and the job's
+  counter takes its moves in one subtraction.
 * (d) ``seq`` advances by the number of executes the run makes, taken
   as one block when the run is built.
 * (e) Same-instant order. The object path orders two completions at
@@ -119,24 +115,21 @@ only the run's last completion. Why this is exact:
   their triggers, recursively (``_earlier``); only transactions executed
   by one heap event compare by seq. That is the object path's order
   whichever seq was taken first, lockstep included (one admission
-  starting the same reads on both chips, whose completions then tie at
-  every step). A completion's trigger is kept in full only where another
+  starting GC runs on two chips, whose completions then tie at every
+  step). A completion's trigger is kept in full only where another
   chip completes at the same instant (in flight, already on the loop, or
   inside its run); otherwise only a heap event can share that instant,
   and seqs order the two.
 
-**Point share.** The FTL pass depends on no scheme, so the cells of one
-grid point (every scheme on one trace and drive) need it once. One
-module-level entry, ``_POINT``, holds the last fresh drive's fill —
-keyed by everything the fill reads: the spec, the fill parameters, the
-wear-leveling gap and the drive's starting free-block order, open
-blocks and P/E counts — and beside it the log of the most recent
-replay from that fill, keyed by the replayed request list, compared by
-value against a held copy. A drive of the same point copies the fill's
-end state and replays the log; only its physics pass and event loop
-run. A drive that already holds data, or a replay without the fill's
-``lean`` state, runs its own passes and touches no share (see
-:func:`precondition_kernel` and :func:`run_trace_kernel`).
+**Point share.** The FTL passes depend on no scheme, so the cells of
+one grid point (every scheme on one trace and drive) need them once.
+:func:`~repro.harness.cells.run_workload_cell` passes both kernels its
+point (``point``, a :class:`~repro.harness.cells.Point`): the point's
+first fresh drive stores the fill's log and end state as
+``point.fill`` and the replay's log as ``point.replay``, and a later
+drive of the point copies the fill's end state and replays the log, so
+only its physics pass and event loop run. Without ``point`` each
+kernel runs its own passes and shares nothing.
 
 ``kernel_replay_supported`` gates the fast path to configurations whose
 FTL bookkeeping the kernel replicates exactly (the two built-in FTL
@@ -150,7 +143,7 @@ from array import array
 from collections import deque
 from bisect import bisect_left
 from heapq import heappop, heappush
-from itertools import accumulate, cycle, islice, repeat
+from itertools import accumulate, cycle, islice
 from typing import List, Optional, Tuple
 
 from repro.erase.scheme import EraseScheme
@@ -323,16 +316,14 @@ class _LeanFtl:
     Shared by ``precondition_kernel`` and ``run_trace_kernel``: both
     apply host pages to these lists in an FTL pass (:func:`_map_pages`,
     which runs GC through ``collect_one`` and gathers the bulk GC
-    counters through ``take_counts``) and call ``restore`` (only with
-    ``write_back=True``) to put the real page states, mapping table and
-    allocators back. ``fill`` is the shared fill log whose end state
-    the snapshot holds, until a replay consumes it (None otherwise).
+    counters through ``take_counts``). The lists are the drive's FTL
+    view from then on: nothing writes them back to its objects.
     """
 
     __slots__ = (
         "planes", "lmap", "blk_obj", "blk_wp", "blk_valid", "blk_lpns",
         "blk_pec", "page_count", "low_wm", "high_wm", "program_scale",
-        "collect_one", "take_counts", "restore", "fill",
+        "collect_one", "take_counts",
     )
 
 
@@ -525,42 +516,6 @@ def _lean_ftl(ftl) -> _LeanFtl:
         n_gc_moves = n_wl_moves = n_gc_jobs = n_interventions = 0
         return counts
 
-    def restore():
-        """Write page states, mapping and allocators back to the drive."""
-        for index, block in enumerate(blk_obj):
-            wp = blk_wp[index]
-            lpns = blk_lpns[index]
-            states = block._page_states
-            stored = block._page_lpns
-            for i in range(wp):
-                lpn = lpns[i]
-                if lpn is not None:
-                    states[i] = PageState.VALID
-                    stored[i] = lpn
-                else:
-                    states[i] = PageState.INVALID
-                    stored[i] = None
-            for i in range(wp, page_count):
-                states[i] = PageState.FREE
-                stored[i] = None
-            block.write_pointer = wp
-            block.valid_count = blk_valid[index]
-        ftl.mapping._map = {
-            lpn: blk_obj[block].address.page(page)
-            for lpn, (block, page) in lmap.items()
-        }
-        for plane in planes:
-            allocator = plane.alloc
-            allocator._free = deque(blk_obj[b] for b in plane.free)
-            allocator._active[WriteStream.HOST] = (
-                blk_obj[plane.active_host]
-                if plane.active_host is not None else None
-            )
-            allocator._active[WriteStream.GC] = (
-                blk_obj[plane.active_gc]
-                if plane.active_gc is not None else None
-            )
-
     lean = _LeanFtl()
     lean.planes = planes
     lean.lmap = lmap
@@ -580,8 +535,6 @@ def _lean_ftl(ftl) -> _LeanFtl:
     )
     lean.collect_one = collect_one
     lean.take_counts = take_counts
-    lean.restore = restore
-    lean.fill = None
     return lean
 
 
@@ -664,14 +617,6 @@ def kernel_replay_supported(ssd) -> bool:
     return True
 
 
-#: The last fresh drive's point share, as one ``(layout key, fill log,
-#: replay log)`` tuple (see :func:`precondition_kernel` and
-#: :func:`run_trace_kernel`).
-_POINT: Tuple[Optional[tuple], Optional["_Log"], Optional["_Log"]] = (
-    None, None, None
-)
-
-
 class _State:
     """The lean FTL state the fill leaves: what a later drive of the
     point copies instead of running the fill itself."""
@@ -719,31 +664,13 @@ class _Log:
     of the point can replay it), moved ``gc_moves[j]`` pages and erased
     block ``victims[j]`` at write pointer ``wps[j]``. ``pec`` holds the
     P/E counts the pass leaves, ``counts`` the bulk GC counters it adds
-    and ``unmapped`` its reads of never-written pages. A shared fill log
-    also holds ``state``, the lean state the fill leaves, and a shared
-    replay log ``requests``, a copy of the request list it is keyed by.
+    and ``unmapped`` its reads of never-written pages. A point's fill
+    log also holds ``state``, the lean state the fill leaves.
     """
 
     __slots__ = (
         "reads", "writes", "gc_at", "gc_plane", "gc_moves", "victims",
-        "wps", "pec", "counts", "unmapped", "state", "requests",
-    )
-
-
-def _layout_key(
-    lean: _LeanFtl, ftl, footprint_pages: int, overwrite_fraction: float
-) -> Optional[tuple]:
-    """What a fresh drive's fill depends on, or None if the drive holds
-    data (a mapped page or a non-zero write pointer)."""
-    if lean.lmap or any(lean.blk_wp):
-        return None
-    return (
-        ftl.spec, footprint_pages, overwrite_fraction,
-        ftl.leveler.pec_gap_threshold, tuple(lean.blk_pec),
-        tuple(
-            (tuple(plane.free), plane.active_host, plane.active_gc)
-            for plane in lean.planes
-        ),
+        "wps", "pec", "counts", "unmapped", "state",
     )
 
 
@@ -807,7 +734,7 @@ def _map_pages(lean: _LeanFtl, pages: List[int]) -> _Log:
     log.pec = tuple(lean.blk_pec)
     log.counts = lean.take_counts()
     log.unmapped = reads.count(-1)
-    log.state = log.requests = None
+    log.state = None
     return log
 
 
@@ -889,9 +816,10 @@ def precondition_kernel(
     ssd,
     footprint_pages: Optional[int] = None,
     overwrite_fraction: float = 0.6,
-    write_back: bool = True,
+    point=None,
 ) -> _LeanFtl:
-    """Lean twin of :meth:`Ssd.precondition` (identical end state).
+    """Lean twin of :meth:`Ssd.precondition` (identical end state, held
+    lean).
 
     Same write sequence, same GC decisions, same real erases (and
     therefore the same ``ftl.rng``/wear stream) as the object path —
@@ -899,30 +827,23 @@ def precondition_kernel(
     places the pages and picks the victims, then a physics pass erases
     them on this drive.
 
-    Returns the lean FTL state. The bulk ``FtlStats`` counters are
-    always flushed. With ``write_back=False`` the real page states,
-    mapping and allocators are left stale and the caller must hand the
-    returned state to :func:`run_trace_kernel` (via ``lean``) — saving
-    one restore/re-snapshot round trip when the two kernels run back to
-    back.
+    Returns the lean FTL state: the drive's FTL view after the fill,
+    which :func:`run_trace_kernel` continues from (via ``lean``). The
+    bulk ``FtlStats`` counters are flushed; the drive's page states,
+    mapping and allocators are not written back.
 
     **Layout share.** Where each page lands, which blocks GC picks and
     in what order do not depend on the erase scheme: the fill's writes,
     the greedy and wear-leveling victim choices and every erase's +1
     P/E cycle (``EraseScheme.erase`` accounts one cycle per erase) are
     the same for every scheme, and only the erases' physics (latency,
-    pulses, wear age, ``ftl.rng`` draws) differs. So the fill's log and
-    the lean state it leaves are a pure function of the drive's starting
-    FTL state (free-block order, open blocks, P/E counts), the spec, the
-    wear-leveling gap and the fill parameters. The last fresh drive's
-    fill is kept in the module-level ``_POINT`` share; the next fresh
-    drive with the same key — the next scheme of the same grid point —
-    copies its state instead of running the pass, and the physics pass
-    is the same on a hit as on a miss. A drive that already holds data
-    (a mapped page or a non-zero write pointer) neither reads nor
-    replaces the share. :meth:`Ssd.precondition` keeps no such share.
+    pulses, wear age, ``ftl.rng`` draws) differs. So on a fresh drive of
+    ``point`` the fill's log and the lean state it leaves are the
+    point's: the first such drive stores them as ``point.fill`` and a
+    later one copies the state instead of running the pass. The physics
+    pass is the same either way. Without ``point`` the fill runs and is
+    shared with nothing, as in :meth:`Ssd.precondition`.
     """
-    global _POINT
     ftl = ssd.ftl
     spec = ssd.spec
     if footprint_pages is None:
@@ -931,58 +852,49 @@ def precondition_kernel(
         raise MappingError("footprint exceeds the logical space")
     lean = _lean_ftl(ftl)
     overwrites = int(footprint_pages * overwrite_fraction)
-    key = _layout_key(lean, ftl, footprint_pages, overwrite_fraction)
-    cached_key, fill, _ = _POINT
-    if key is not None and key == cached_key:
-        fill.state.load(lean)
-    else:
+    fill = None if point is None else point.fill
+    if fill is None:
         fill = _fill(lean, spec.seed, footprint_pages, overwrites)
-        if key is not None:
+        if point is not None:
             fill.state = _State(lean)
-            _POINT = (key, fill, None)
-    if key is not None:
-        lean.fill = fill
+            point.fill = fill
+    else:
+        fill.state.load(lean)
     _physics_pass(lean, ftl, fill, timed=False)
     ftl.stats.host_writes += footprint_pages + overwrites
-    if write_back:
-        lean.restore()
     return lean
 
 
 def run_trace_kernel(
     ssd,
     trace,
-    max_requests: Optional[int] = None,
     workload_name: Optional[str] = None,
     lean: Optional[_LeanFtl] = None,
-    write_back: bool = True,
+    point=None,
 ) -> PerfReport:
     """Replay ``trace`` with the lean cell kernel (report-identical).
 
     Mirrors :meth:`repro.ssd.ssd.Ssd.run_trace` exactly; see the module
     docstring for how identity is maintained. The caller is expected to
-    have checked :func:`kernel_replay_supported`. ``lean`` accepts the
-    not-yet-written-back state returned by
-    ``precondition_kernel(..., write_back=False)``. The bulk
-    ``FtlStats`` counters are always flushed before the report; with
-    ``write_back=False`` the drive's page states, mapping and
-    allocators are left stale (for a caller that drops the drive).
+    have checked :func:`kernel_replay_supported`. ``lean`` is the state
+    :func:`precondition_kernel` returned for this drive; without it the
+    replay snapshots the drive's objects (as :meth:`Ssd.precondition`
+    leaves them). The bulk ``FtlStats`` counters are flushed before the
+    report; the drive's page states, mapping and allocators are not
+    written back. After a replay that ran its own FTL pass, ``lean`` is
+    the drive's FTL view after the replay.
 
     **Replay-log share.** The replay runs in three passes: an FTL pass
     (:func:`_ftl_pass`) maps every request's pages and runs GC, a
     physics pass (:func:`_physics_pass`) erases the logged victims on
     this drive, and the event loop times the logged transactions. The
-    FTL pass reads nothing the scheme decides, so a ``lean`` state that
-    still holds the shared fill of :func:`precondition_kernel` replays
-    the log that the share keeps beside that fill when the replayed
-    request list equals (by value) the held copy the log is keyed by,
-    and otherwise runs its own pass and keeps it there. A hit with
-    ``write_back=True`` runs the pass once more, unlogged, only to
-    restore the drive. Without ``lean``, or with a state that holds
-    other data, the replay runs its own pass and touches no share.
-    :meth:`Ssd.run_trace` keeps no such share.
+    FTL pass reads nothing the scheme decides, so a fresh drive of
+    ``point``, preconditioned with that point and replaying its trace,
+    replays ``point.replay`` if a drive of the point has logged it, and
+    otherwise runs the pass and stores its log there. Without ``point``
+    the replay runs its own pass and shares nothing, as
+    :meth:`Ssd.run_trace` does.
     """
-    global _POINT
     spec = ssd.spec
     ftl = ssd.ftl
     stats = ftl.stats
@@ -997,26 +909,14 @@ def run_trace_kernel(
     overhead = spec.controller_overhead_us
     decode = spec.profile.ecc.decode_latency_us
 
-    fill = None
     if lean is None:
         lean = _lean_ftl(ftl)
-    else:
-        # A replay consumes the shared fill: its end state is not the
-        # fill's any more.
-        fill, lean.fill = lean.fill, None
     requests = trace.requests
-    if max_requests is not None:
-        requests = requests[:max_requests]
-    key, shared, log = _POINT
-    hit = (
-        fill is not None and fill is shared and log is not None
-        and log.requests == requests
-    )
-    if not hit:
+    log = None if point is None else point.replay
+    if log is None:
         log = _ftl_pass(lean, requests, page_size, logical_pages)
-        if fill is not None and fill is shared:
-            log.requests = list(requests)
-            _POINT = (key, fill, log)
+        if point is not None:
+            point.replay = log
     scales, durs = _physics_pass(lean, ftl, log)
     stats.host_reads += len(log.reads)
     stats.host_writes += len(log.writes)
@@ -1156,33 +1056,23 @@ def run_trace_kernel(
         seq += 1
 
     def run_ahead(chip, txn, head_t):
-        """``chip`` just executed ``txn``, a GC move or a host read page
-        that is not the last on the chip: complete the run it starts
-        (see the module docstring)."""
+        """``chip`` just executed ``txn``, a GC move that is not its
+        job's last: complete the run it starts (see the module
+        docstring)."""
         nonlocal seq
-        kind = txn[0]
-        if kind == _READ:
-            queue = chip.q0
-            left = 1  # the request's pages on this chip, from txn on
-            for queued in queue:
-                if queued is not txn:
-                    break
-                left += 1
-            steps = repeat(chip.d_read, left - 1)
-        else:
-            left = txn[6][2]  # the job's moves not yet completed
-            queue = chip.q1 if txn[1] == 1 else chip.q2
-            steps = islice(cycle(
-                (chip.d_prog, chip.d_read) if kind == _GC_READ
-                else (chip.d_read, chip.d_prog)
-            ), left - 1)
         t = chip.fire
         if t >= head_t:
             return
-        # T_k completes off the loop while it neither records nor
-        # submits (k < left) and precedes the heap head (rules (b),
-        # (c)); T_{k+1} executes at its completion.
-        times = list(accumulate(steps, initial=t))
+        kind = txn[0]
+        gc = txn[6]
+        left = gc[2]  # the job's moves not yet completed
+        # T_k completes off the loop while it does not submit (k <
+        # left) and precedes the heap head (rules (b), (c)); T_{k+1}
+        # executes at its completion.
+        times = list(accumulate(islice(cycle(
+            (chip.d_prog, chip.d_read) if kind == _GC_READ
+            else (chip.d_read, chip.d_prog)
+        ), left - 1), initial=t))
         n = bisect_left(times, head_t) + 1
         if n < left:
             del times[n:]
@@ -1190,19 +1080,11 @@ def run_trace_kernel(
             n = left
         if n < 2 or chip.margin <= times[-1] * _ULPS:
             return
-        if kind == _READ:
-            nxt = txn
-            txn[3][1] += n - 1
-            popleft = queue.popleft
-            for _ in repeat(None, n - 1):
-                popleft()
-        else:
-            gc = txn[6]
-            nxt = txn if n & 1 else gc[5] if kind == _GC_READ else gc[4]
-            gc[2] -= n - 1
-            gc[6] -= n - 1
-            if not gc[6]:
-                queue.popleft()
+        nxt = txn if n & 1 else gc[5] if kind == _GC_READ else gc[4]
+        gc[2] -= n - 1
+        gc[6] -= n - 1
+        if not gc[6]:
+            (chip.q1 if txn[1] == 1 else chip.q2).popleft()
         s1 = chip.fire_seq
         run = chip.run = (now, s1, chip.fire_trig, times)
         chip.run_hi = times[-2]
@@ -1546,27 +1428,10 @@ def run_trace_kernel(
         chip.fire_seq = seq
         chip.fire_trig = trigger
         seq += 1
-        if runs:
-            if nkind == _GC_READ or nkind == _GC_PROGRAM:
-                if nxt[6][2] > 1:
-                    run_ahead(chip, nxt, head_t)
-                    continue
-            elif nkind == _READ:
-                q0 = chip.q0
-                if q0 and q0[0] is nxt:
-                    run_ahead(chip, nxt, head_t)
-                    continue
-
-    # With write_back, restore the page states, mapping and allocators
-    # (the counters went in with the physics pass) before any
-    # report/exception, so the drive's state is current just as it
-    # always is on the object path.
-    if write_back:
-        if hit:
-            # The log keeps no end state (a cell drops its drive): reach
-            # it by running the pass on the fill's state.
-            _ftl_pass(lean, requests, page_size, logical_pages)
-        lean.restore()
+        if runs and (nkind == _GC_READ or nkind == _GC_PROGRAM) and (
+            nxt[6][2] > 1
+        ):
+            run_ahead(chip, nxt, head_t)
 
     expected = len(requests)
     if completed != expected:

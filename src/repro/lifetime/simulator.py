@@ -19,6 +19,8 @@ The kernel path cycles a
 draws and jitter table come from one module-level share of the last
 ``(profile, seed, block_count)`` block set: every scheme curve of a
 figure cycles the same blocks, so consecutive curves draw them once.
+Every lifetime block has its own seed, so its erase model takes no
+draw table (a table serves blocks of one seed).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.nand.rber import RberModel
 from repro.experiments.registry import SCHEMES
 from repro.kernels import BlockArrayState, resolve_kernel
 from repro.kernels.state import JitterTable, block_draws
-from repro.nand import erase_model
+from repro.nand.erase_model import BlockEraseModel
 from repro.rng import derive, derive_rng
 from repro.telemetry.instruments import kernel_metrics
 
@@ -107,26 +109,18 @@ def _block_set(
     The last set's read-only arrays and append-only jitter table are
     kept (:func:`~repro.kernels.state.block_draws`): each curve reads
     the table from column 0, extending it past the longest curve so
-    far. The profile compares as
-    :class:`BlockEraseModel`'s draw table compares it, by identity and
-    then by value, never by name.
+    far. The key compares as one tuple, so the profile compares by
+    identity and then by value, never by name.
     """
     global _BLOCK_SET
     key, shared = _BLOCK_SET
-    if (
-        key[0] is not profile or key[1:] != (seed, block_count)
-    ) and key != (profile, seed, block_count):
-        # Each block has its own seed, so every model below would
-        # replace the erase model's draw table; put back the one it
-        # held (a grid point's drive) for the point's next cell.
-        held = erase_model._DRAWS
+    if key != (profile, seed, block_count):
         shared = block_draws([
-            erase_model.BlockEraseModel(
+            BlockEraseModel(
                 profile, derive(seed, "lifetime-block", index), 0, 0, 0, index
             )
             for index in range(block_count)
         ])
-        erase_model._DRAWS = held
         _BLOCK_SET = ((profile, seed, block_count), shared)
     return shared
 
@@ -168,7 +162,6 @@ class LifetimeSimulator:
         self.kernel = resolve_kernel(self.scheme, engine, scheme_name=scheme_key)
         if self.kernel is None:
             self.rng = derive_rng(seed, "lifetime", scheme_key)
-            held = erase_model._DRAWS  # as in _block_set
             self.blocks: List[Block] = [
                 Block(
                     address=BlockAddress(0, 0, 0, index),
@@ -178,7 +171,6 @@ class LifetimeSimulator:
                 )
                 for index in range(block_count)
             ]
-            erase_model._DRAWS = held
             #: Per-block extra MRBER from the last erase (DPES window).
             self._extra_rber: Dict[int, float] = {}
 

@@ -38,12 +38,14 @@ class Block:
         profile: ChipProfile,
         pages: int,
         seed: int,
+        draws: Optional[dict] = None,
     ):
         self.address = address
         self.profile = profile
         self.page_count = pages
         self.erase_model = BlockEraseModel(
-            profile, seed, address.channel, address.chip, address.plane, address.block
+            profile, seed, address.channel, address.chip, address.plane,
+            address.block, draws=draws,
         )
         self.wear = WearState()
         self._page_states: List[PageState] = [PageState.FREE] * pages

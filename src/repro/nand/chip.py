@@ -8,7 +8,7 @@ platform, which doesn't care about wall-clock interleaving).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -34,6 +34,7 @@ class NandChip:
         blocks_per_plane: int,
         pages_per_block: int,
         seed: int,
+        draws: Optional[dict] = None,
     ):
         self.channel = channel
         self.chip = chip
@@ -50,6 +51,7 @@ class NandChip:
                 blocks=blocks_per_plane,
                 pages_per_block=pages_per_block,
                 seed=seed,
+                draws=draws,
             )
             for plane in range(planes)
         ]

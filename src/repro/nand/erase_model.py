@@ -283,12 +283,6 @@ class JitterRow:
         return values
 
 
-#: The last ``(profile, seed)`` pair's per-block draws, as one
-#: ``((profile, seed), {str(keys): (base, rate, jitter_row)})`` tuple.
-_DRAWS: Tuple[tuple, Dict[Tuple[str, ...], Tuple[float, float, JitterRow]]]
-_DRAWS = ((None, None), {})
-
-
 class BlockEraseModel:
     """Static per-block erase characteristics (process variation draw).
 
@@ -297,32 +291,25 @@ class BlockEraseModel:
     determine its parameters, so experiments are reproducible and
     block populations are stable under resampling.
 
-    The draws are a pure function of ``(profile, seed, keys)``, and the
-    same blocks are built again and again: every scheme cell of a grid
-    point builds the same drive, and the characterization platform
-    clones the same test blocks. So the models of the last ``(profile,
-    seed)`` pair share one table of ``base``/``rate`` draws and jitter
-    rows, filled by the first model of each block; a new pair replaces
-    the table (lifetime block sets, one seed per block, never hit, so
-    the lifetime simulator puts the table back after building one).
+    The draws are a pure function of ``(profile, seed, keys)``, and some
+    blocks are built again and again: every scheme cell of a grid point
+    builds the same drive, and the characterization platform clones the
+    same test blocks. Their owner (the grid point, the platform) passes
+    one ``draws`` table for its blocks, all of one ``(profile, seed)``:
+    a model reads its block's ``(base, rate, JitterRow)`` entry there,
+    or draws it and fills it in. Without a table a model draws its own.
     Each model reads its block's :class:`JitterRow` through a cursor of
     its own, so every model sees the block's jitter stream from its
     start, and a later model of the block builds no generator.
     """
 
-    def __init__(self, profile: ChipProfile, seed: int, *keys: object):
-        global _DRAWS
+    def __init__(
+        self, profile: ChipProfile, seed: int, *keys: object,
+        draws: Optional[dict] = None,
+    ):
         self.profile = profile
-        memo_key, draws = _DRAWS
-        if memo_key[0] is not profile or memo_key[1] != seed:
-            if memo_key != (profile, seed):
-                draws = {}
-            # An equal profile object (one unpickled on a worker) keeps
-            # the table, and the rest of the drive compares by identity.
-            _DRAWS = ((profile, seed), draws)
-        # derive() hashes each key's str(), so that is the table key.
-        names = tuple(map(str, keys))
-        entry = draws.get(names)
+        draws = {} if draws is None else draws
+        entry = draws.get(keys)
         if entry is None:
             rng = derive_rng(seed, "erase-model", *keys)
             work = profile.erase_work
@@ -334,7 +321,7 @@ class BlockEraseModel:
                 rng, work.rate_mean, work.rate_std, work.rate_low,
                 work.rate_high,
             )
-            entry = draws[names] = (
+            entry = draws[keys] = (
                 base, rate, JitterRow(derive(seed, "erase-jitter", *keys)),
             )
         self.base, self.rate, self._row = entry

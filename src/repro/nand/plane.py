@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.errors import AddressError
 from repro.nand.block import Block
@@ -25,6 +25,7 @@ class Plane:
         blocks: int,
         pages_per_block: int,
         seed: int,
+        draws: Optional[dict] = None,
     ):
         self.address = address
         self.profile = profile
@@ -34,6 +35,7 @@ class Plane:
                 profile=profile,
                 pages=pages_per_block,
                 seed=seed,
+                draws=draws,
             )
             for index in range(blocks)
         ]

@@ -27,6 +27,7 @@ def build_ssd(
     pec_setpoint: int = 0,
     mispredict_rate: float = 0.0,
     rber_requirement: Optional[int] = None,
+    draws: Optional[dict] = None,
     **scheme_params,
 ) -> Ssd:
     """Build an SSD whose blocks sit at ``pec_setpoint`` P/E cycles.
@@ -34,7 +35,9 @@ def build_ssd(
     ``scheme_key`` resolves through the scheme registry
     (:data:`repro.experiments.SCHEMES`), so registered plugin schemes
     build the same way as the six built-ins; extra keyword arguments
-    are passed through to the scheme factory.
+    are passed through to the scheme factory. ``draws`` is the per-block
+    draw table of the drives of ``spec`` that its owner builds again
+    (see :class:`~repro.nand.erase_model.BlockEraseModel`).
     """
     geometry = spec.geometry
     chips = [
@@ -46,6 +49,7 @@ def build_ssd(
             blocks_per_plane=geometry.blocks_per_plane,
             pages_per_block=geometry.pages_per_block,
             seed=spec.seed,
+            draws=draws,
         )
         for channel in range(geometry.channels)
         for chip in range(geometry.chips_per_channel)

@@ -176,6 +176,17 @@ def test_store_compaction_squashes_and_prunes(tmp_path, report, damage_row):
         assert reopened.get(key) == report
 
 
+@pytest.mark.parametrize("age", [float("nan"), -1.0])
+def test_store_gc_refuses_a_nan_or_negative_age(tmp_path, report, age):
+    """NaN compares false with everything, so it must be refused like a
+    negative age rather than prune nothing."""
+    store = ShardedResultStore(tmp_path)
+    store.put(fake_key(0), report)
+    with pytest.raises(ConfigError, match="older_than_s must be >= 0"):
+        store.gc(older_than_s=age)
+    assert len(store) == 1
+
+
 def test_store_gc_matches_cache_semantics(tmp_path, report, damage_row):
     store = ShardedResultStore(tmp_path)
     keys = [fake_key(n) for n in range(5)]

@@ -13,7 +13,8 @@ from repro.config import GcSpec, SsdSpec
 from repro.errors import ConfigError, SimulationError
 from repro.experiments.registry import SCHEMES, WORKLOADS
 from repro.harness.cache import CACHE_VERSION
-from repro.harness.cells import PAPER_SCHEMES, run_workload_cell
+import repro.harness.cells as cells
+from repro.harness.cells import PAPER_SCHEMES, Point, run_workload_cell
 from repro.harness.runner import CellJob
 from repro.kernels import (
     kernel_replay_supported,
@@ -57,40 +58,20 @@ class TestEngineEquivalence:
         obj = _cell("aero", "ali.A", "object", requests=120)
         assert auto.to_json_dict() == obj.to_json_dict()
 
-    def test_device_state_written_back(self):
-        """After a kernel replay the real FTL holds the final mapping."""
+    def test_lean_end_state_equals_the_object_drive(self):
+        """After a kernel replay the lean state holds the object path's
+        final mapping, pages and allocators, and the real drive its
+        wear, erase counts and stats."""
         spec = SsdSpec.small_test(seed=0xAE20)
         spec = spec.with_scheduler(erase_suspension=True)
-
-        def final_stats(engine):
-            ssd = build_ssd(spec, "aero", pec_setpoint=2500)
-            footprint = int(spec.logical_pages * 0.9)
-            generator = SyntheticTraceGenerator(
-                profile_by_abbr("ali.A"),
-                footprint_bytes=int(spec.logical_bytes * 0.85),
-                seed=derive(0xAE20, "trace", "ali.A", 2500),
-            )
-            trace = generator.generate(200)
-            if engine == "kernel":
-                lean = precondition_kernel(ssd, footprint, write_back=False)
-                run_trace_kernel(ssd, trace, lean=lean)
-            else:
-                ssd.precondition(footprint_pages=footprint)
-                ssd.run_trace(trace)
-            stats = ssd.ftl.stats
-            mapping = [
-                ssd.ftl.mapping.lookup(lpn)
-                for lpn in range(spec.logical_pages)
-            ]
-            return (
-                mapping,
-                stats.host_writes,
-                stats.gc_page_moves,
-                stats.erases,
-                stats.host_reads,
-            )
-
-        assert final_stats("kernel") == final_stats("object")
+        _, kernel_ssd, kernel_state, _ = _replay_kept(
+            spec, "aero", 2500, "ali.A", 200, "kernel"
+        )
+        _, object_ssd, object_state, _ = _replay_kept(
+            spec, "aero", 2500, "ali.A", 200, "object"
+        )
+        assert kernel_state == object_state
+        assert _real_state(kernel_ssd) == _real_state(object_ssd)
 
     @pytest.mark.parametrize("suspension", [True, False])
     def test_reads_of_never_written_pages(self, suspension):
@@ -112,10 +93,9 @@ class TestEngineEquivalence:
         for engine in ("object", "kernel"):
             ssd = build_ssd(spec, "aero", pec_setpoint=2500)
             if engine == "kernel":
-                lean = precondition_kernel(ssd, footprint, write_back=False)
+                lean = precondition_kernel(ssd, footprint)
                 report = run_trace_kernel(
-                    ssd, trace, workload_name="usr", lean=lean,
-                    write_back=False,
+                    ssd, trace, workload_name="usr", lean=lean
                 )
             else:
                 ssd.precondition(footprint_pages=footprint)
@@ -169,19 +149,27 @@ def _trace(spec, pec, workload, requests):
     ).generate(requests)
 
 
-def _replay_kept(spec, scheme, pec, workload, requests, engine, erases=None):
-    """``run_workload_cell``'s steps on a drive the caller keeps; the
-    kernel replay restores the drive (``write_back=True``). On the
-    object path, ``erases`` collects the ``(block address, write
-    pointer)`` of each erase the replay makes."""
+def _replay_kept(
+    spec, scheme, pec, workload, requests, engine, erases=None, point=None
+):
+    """``run_workload_cell``'s steps on a drive the caller keeps.
+
+    Returns the report, the drive, its end FTL state (see
+    :func:`_lean_state`: the kernels' lean state, which a replay that
+    hits ``point``'s log leaves at the fill's end, or a snapshot of the
+    object path's drive after its checks) and the host writes the steps
+    made. On the object path, ``erases`` collects the ``(block address,
+    write pointer)`` of each erase the replay makes.
+    """
     ssd = build_ssd(spec, scheme, pec_setpoint=pec)
     footprint = int(spec.logical_pages * 0.9)
     trace = _trace(spec, pec, workload, requests)
     if engine == "kernel":
-        lean = precondition_kernel(ssd, footprint, write_back=False)
+        lean = precondition_kernel(ssd, footprint, point=point)
         report = run_trace_kernel(
-            ssd, trace, workload_name=workload, lean=lean, write_back=True
+            ssd, trace, workload_name=workload, lean=lean, point=point
         )
+        state = _lean_state(lean)
     else:
         ssd.precondition(footprint_pages=footprint)
         if erases is not None:
@@ -193,6 +181,7 @@ def _replay_kept(spec, scheme, pec, workload, requests, engine, erases=None):
 
             ssd.ftl._erase_block = recorded
         report = ssd.run_trace(trace, workload_name=workload)
+        state = _object_state(ssd)
     page_size = spec.geometry.page_size
     trace_writes = sum(
         (r.end_lba * SECTOR_BYTES - 1) // page_size
@@ -201,39 +190,51 @@ def _replay_kept(spec, scheme, pec, workload, requests, engine, erases=None):
         if not r.is_read
     )
     host_writes = footprint + int(footprint * 0.6) + trace_writes
-    return report, ssd, host_writes
+    return report, ssd, state, host_writes
 
 
-def _drive_state(ssd):
-    """Mapping, per-block pages and wear, allocators and ``FtlStats``,
-    after checking the FTL's bookkeeping invariants."""
+def _lean_state(lean):
+    """The mapping; each block's write pointer, valid count, slot LPNs
+    and P/E count; and each plane's free order and open blocks."""
+    return (
+        dict(lean.lmap),
+        list(zip(
+            lean.blk_wp, lean.blk_valid, map(tuple, lean.blk_lpns),
+            lean.blk_pec,
+        )),
+        [
+            (tuple(plane.free), plane.active_host, plane.active_gc)
+            for plane in lean.planes
+        ],
+    )
+
+
+def _object_state(ssd):
+    """:func:`_lean_state` of an object-path drive, after checking the
+    FTL's bookkeeping invariants on its pages."""
     ftl = ssd.ftl
     ftl.check_consistency()
     for _, address in ftl.mapping.items():
         block = ftl.block_at(address.block_address)
         assert block.page_state(address.page) is PageState.VALID
-    blocks = []
     for allocator in ftl.planes:
         for block in allocator.all_blocks:
             states = [block.page_state(i) for i in range(block.page_count)]
             assert states.count(PageState.VALID) == block.valid_count
             assert states.count(PageState.FREE) == block.free_pages
-            blocks.append((
-                block.address, block.write_pointer, states,
-                [block.page_lpn(i) for i in range(block.page_count)],
-                block.wear, block.erase_count,
-            ))
-    allocators = [
-        (
-            [block.address for block in allocator._free],
-            {
-                stream: block.address if block is not None else None
-                for stream, block in allocator._active.items()
-            },
-        )
+    return _lean_state(kernel_cell._lean_ftl(ftl))
+
+
+def _real_state(ssd):
+    """What the kernels keep on the real drive: each block's wear and
+    erase count, the ``FtlStats`` and the wear leveler's interventions."""
+    ftl = ssd.ftl
+    blocks = [
+        (block.address, block.wear, block.erase_count)
         for allocator in ftl.planes
+        for block in allocator.all_blocks
     ]
-    return dict(ftl.mapping.items()), blocks, allocators, ftl.stats
+    return blocks, ftl.stats, ftl.leveler.interventions
 
 
 @settings(
@@ -255,21 +256,22 @@ def test_kernel_matches_object_on_random_configurations(
     spec, scheme, workload, pec, suspension, requests
 ):
     """Differential oracle: on random valid drives the kernel's report
-    (with or without the drive restore, from its own FTL pass or from
-    the shared replay log) equals the object path's, and the restored
-    drive equals the object path's drive."""
+    (from its own FTL passes, from a point's shared fill and replay log,
+    or through ``run_workload_cell``) equals the object path's; the
+    kernel's end lean state equals the object path's drive, and its real
+    drive holds the object path's wear and stats."""
     spec = spec.with_scheduler(erase_suspension=suspension)
-    obj, obj_ssd, host_writes = _replay_kept(
+    point = Point()
+    obj, obj_ssd, obj_state, host_writes = _replay_kept(
         spec, scheme, pec, workload, requests, "object"
     )
-    ker, ker_ssd, _ = _replay_kept(
-        spec, scheme, pec, workload, requests, "kernel"
+    ker, ker_ssd, ker_state, _ = _replay_kept(
+        spec, scheme, pec, workload, requests, "kernel", point=point
     )
-    log = kernel_cell._POINT[2]
-    hit, hit_ssd, _ = _replay_kept(
-        spec, scheme, pec, workload, requests, "kernel"
+    assert point.fill is not None and point.replay is not None
+    hit, hit_ssd, _, _ = _replay_kept(  # hits the fill and the log
+        spec, scheme, pec, workload, requests, "kernel", point=point
     )
-    assert kernel_cell._POINT[2] is log  # the second replay hit the log
     dropped = run_workload_cell(
         scheme, pec, workload, spec=spec, requests=requests,
         erase_suspension=suspension, seed=spec.seed, engine="kernel",
@@ -277,8 +279,9 @@ def test_kernel_matches_object_on_random_configurations(
     assert ker.to_json_dict() == obj.to_json_dict()
     assert hit.to_json_dict() == obj.to_json_dict()
     assert dropped.to_json_dict() == obj.to_json_dict()
-    assert _drive_state(ker_ssd) == _drive_state(obj_ssd)
-    assert _drive_state(hit_ssd) == _drive_state(obj_ssd)
+    assert ker_state == obj_state
+    assert _real_state(ker_ssd) == _real_state(obj_ssd)
+    assert _real_state(hit_ssd) == _real_state(obj_ssd)
     assert ker_ssd.ftl.stats.host_writes == host_writes
     assert ker.extra["waf"] == (host_writes + ker.gc_page_moves) / host_writes
 
@@ -324,12 +327,13 @@ def test_same_instant_completions_follow_their_triggers():
 
 
 @pytest.mark.parametrize("suspension", [False, True])
-def test_lockstep_read_runs_match_object(suspension, monkeypatch):
+def test_lockstep_reads_on_two_chips_match_object(suspension, monkeypatch):
     """Each request reads 8 pages, 4 on each chip of a two-channel
     drive, while both chips are idle: one admission starts the same
-    read run on both, whose completions then fall at the same instants
-    (rule (e)'s lockstep). The kernel orders them as the object path
-    does, down to the request that completes last."""
+    reads on both, whose completions then tie at the same instants, so
+    the kernel compares same-instant completions of two chips
+    (``_earlier``). It orders them as the object path does, down to the
+    request that completes last."""
     spec = SsdSpec.small_test(seed=5).with_scheduler(
         erase_suspension=suspension
     )
@@ -357,8 +361,8 @@ def test_lockstep_read_runs_match_object(suspension, monkeypatch):
         ssd = build_ssd(spec, "aero", pec_setpoint=2500)
         footprint = int(spec.logical_pages * 0.9)
         if engine == "kernel":
-            lean = precondition_kernel(ssd, footprint, write_back=False)
-            report = run_trace_kernel(ssd, trace, lean=lean, write_back=False)
+            lean = precondition_kernel(ssd, footprint)
+            report = run_trace_kernel(ssd, trace, lean=lean)
         else:
             ssd.precondition(footprint_pages=footprint)
             report = ssd.run_trace(trace)
@@ -382,26 +386,26 @@ def test_lockstep_read_runs_match_object(suspension, monkeypatch):
 )
 def test_schemes_share_one_ftl_trajectory(spec, workload, pec, requests):
     """On random valid drives, every scheme and both suspension modes
-    erase the shared replay log's victims at its write pointers, in its
-    order, on the object path; and every kernel replay that hits the
-    log reports what the object path reports and, restored, leaves the
-    object path's drive."""
+    erase the point's replay log's victims at its write pointers, in its
+    order, on the object path; and every kernel replay of the point
+    reports what the object path reports and leaves its wear and stats.
+    The first replay runs the point's passes (and ends in the object
+    path's lean state); the other nine hit them, suspension flips
+    included."""
+    point = Point()
     shared = None
     for suspension in (False, True):
         mode = spec.with_scheduler(erase_suspension=suspension)
-        for index, scheme in enumerate(SCHEMES.keys()):
+        for scheme in SCHEMES.keys():
             erases = []
-            obj, obj_ssd, _ = _replay_kept(
+            obj, obj_ssd, obj_state, _ = _replay_kept(
                 mode, scheme, pec, workload, requests, "object", erases
             )
-            log = kernel_cell._POINT[2]
-            ker, ker_ssd, _ = _replay_kept(
-                mode, scheme, pec, workload, requests, "kernel"
+            ker, ker_ssd, ker_state, _ = _replay_kept(
+                mode, scheme, pec, workload, requests, "kernel", point=point
             )
-            if index:
-                assert kernel_cell._POINT[2] is log  # a log hit
             if shared is None:
-                log = kernel_cell._POINT[2]
+                log = point.replay
                 addresses = [
                     block.address
                     for allocator in obj_ssd.ftl.planes
@@ -411,16 +415,18 @@ def test_schemes_share_one_ftl_trajectory(spec, workload, pec, requests):
                     (addresses[victim], wp)
                     for victim, wp in zip(log.victims, log.wps)
                 ]
+                assert ker_state == obj_state
             assert erases == shared, (scheme, suspension)
             assert ker.to_json_dict() == obj.to_json_dict()
-            assert _drive_state(ker_ssd) == _drive_state(obj_ssd)
+            assert _real_state(ker_ssd) == _real_state(obj_ssd)
 
 
 def test_shared_precondition_layout_equals_the_object_fill(monkeypatch):
     """Fresh drives of one point share one recorded fill (each copies
-    the layout and replays its own erases), and a drive that holds data
-    refills without touching the share; each ends equal to the object
-    path's preconditioned drive."""
+    the layout and replays its own erases), and a fill without the
+    point, on a fresh drive or on one that holds data, runs its own pass
+    and leaves the point's fill alone; each ends with the object path's
+    layout, wear and stats."""
     spec = SsdSpec.small_test(seed=21)
     footprint = int(spec.logical_pages * 0.9)
     fills = []
@@ -428,11 +434,11 @@ def test_shared_precondition_layout_equals_the_object_fill(monkeypatch):
     monkeypatch.setattr(
         kernel_cell, "_fill", lambda *args: fills.append(1) or fill(*args)
     )
+    point = Point()
 
-    def kernel_drive(scheme, ssd=None):
+    def kernel_drive(scheme, ssd=None, point=point):
         ssd = ssd or build_ssd(spec, scheme, pec_setpoint=2500)
-        precondition_kernel(ssd, footprint, write_back=True)
-        return ssd
+        return ssd, precondition_kernel(ssd, footprint, point=point)
 
     def object_drive(scheme, times=1):
         ssd = build_ssd(spec, scheme, pec_setpoint=2500)
@@ -440,56 +446,61 @@ def test_shared_precondition_layout_equals_the_object_fill(monkeypatch):
             ssd.precondition(footprint_pages=footprint)
         return ssd
 
-    def state(ssd):
-        return _drive_state(ssd), ssd.ftl.leveler.interventions
+    def assert_same(kernel, ssd):
+        kernel_ssd, lean = kernel
+        assert _lean_state(lean) == _object_state(ssd)
+        assert _real_state(kernel_ssd) == _real_state(ssd)
 
-    precondition_kernel(
-        build_ssd(spec, "baseline", pec_setpoint=500), footprint
-    )  # the share now holds another point
-    del fills[:]
     for scheme in ("baseline", "aero"):
-        assert state(kernel_drive(scheme)) == state(object_drive(scheme))
+        assert_same(kernel_drive(scheme), object_drive(scheme))
     assert len(fills) == 1  # the aero drive copied the baseline layout
-    held = kernel_drive("dpes", ssd=object_drive("dpes"))
-    assert state(held) == state(object_drive("dpes", times=2))
-    assert len(fills) == 2
-    assert state(kernel_drive("iispe")) == state(object_drive("iispe"))
-    assert len(fills) == 2  # the held drive left the share in place
+    held = point.fill
+    assert_same(kernel_drive("dpes", point=None), object_drive("dpes"))
+    assert_same(
+        kernel_drive("dpes", ssd=object_drive("dpes"), point=None),
+        object_drive("dpes", times=2),
+    )
+    assert len(fills) == 3 and point.fill is held
+    assert_same(kernel_drive("iispe"), object_drive("iispe"))
+    assert len(fills) == 3  # the point's fill served the iispe drive
 
 
-def test_shared_precondition_layout_checks_p_e_counts():
+def test_shared_precondition_layout_checks_p_e_counts(monkeypatch):
     spec = SsdSpec.small_test(seed=22)
     footprint = int(spec.logical_pages * 0.9)
-    precondition_kernel(build_ssd(spec, "baseline", pec_setpoint=500), footprint)
+    point = Point()
+    precondition_kernel(
+        build_ssd(spec, "baseline", pec_setpoint=500), footprint, point=point
+    )
     ssd = build_ssd(spec, "baseline", pec_setpoint=500)
     erase = ssd.ftl.scheme.erase
     # An erase that accounts two P/E cycles departs from the recording.
     ssd.ftl.scheme.erase = lambda block, rng: erase(block, rng, cycles=2)
+    fills = []
+    fill = kernel_cell._fill
+    monkeypatch.setattr(
+        kernel_cell, "_fill", lambda *args: fills.append(1) or fill(*args)
+    )
     with pytest.raises(SimulationError, match="P/E counts"):
-        precondition_kernel(ssd, footprint)
+        precondition_kernel(ssd, footprint, point=point)
+    assert not fills  # it copied the point's fill
 
 
 # --- the replay-log share -----------------------------------------------------
-# A point's kernel replays share one FTL pass: the log sits beside the
-# shared fill, keyed by the replayed request list.
+# A point's kernel replays share one FTL pass: the point holds its log.
 
 _SPEC = SsdSpec.small_test(seed=23)
 
 
-def _kernel_report(trace, scheme="baseline", pec=2500, spec=_SPEC, **kwargs):
+def _kernel_report(trace, scheme="baseline", pec=2500, spec=_SPEC, point=None):
     """``run_workload_cell``'s kernel steps on a fresh drive of ``spec``."""
     ssd = build_ssd(spec, scheme, pec_setpoint=pec)
     lean = precondition_kernel(
-        ssd, int(spec.logical_pages * 0.9), write_back=False
+        ssd, int(spec.logical_pages * 0.9), point=point
     )
     return run_trace_kernel(
-        ssd, trace, lean=lean, write_back=False, **kwargs
+        ssd, trace, lean=lean, point=point
     ).to_json_dict()
-
-
-def _other_point():
-    """Leave another point in the share."""
-    _kernel_report(_trace(_SPEC, 500, "hm", 60), pec=500)
 
 
 @pytest.fixture
@@ -503,72 +514,71 @@ def ftl_passes(monkeypatch):
     return passes
 
 
-def test_replay_log_is_keyed_by_the_request_list(ftl_passes):
-    """A request list that differs in one request, and a shorter slice of
-    the same trace, each run their own FTL pass at the same point and
-    report what they report when they run first."""
-    stock = _trace(_SPEC, 2500, "ali.A", 150)
-    requests = list(stock.requests)
-    requests[75] = dataclasses.replace(
-        requests[75], is_read=not requests[75].is_read
-    )
-    variants = {
-        "one request": dict(trace=Trace(requests, name=stock.name)),
-        "max_requests": dict(trace=stock, max_requests=120),
-    }
-    for name, variant in variants.items():
-        _other_point()
-        first = _kernel_report(**variant)
-        stock_report = _kernel_report(stock)
-        del ftl_passes[:]
-        assert _kernel_report(**variant) == first, name
-        assert len(ftl_passes) == 1, name  # its own pass, not the stock log
-        assert first != stock_report, name
-    _kernel_report(stock)
+def test_replay_log_is_keyed_by_the_point(ftl_passes):
+    """A cell whose point differs from the held one only in its request
+    count runs its own FTL pass and reports what it reports when it runs
+    first; a cell of the held point, of another scheme, hits its log."""
+
+    def cell(scheme="baseline", requests=150):
+        return run_workload_cell(
+            scheme, 2500, "ali.A", spec=_SPEC, requests=requests,
+            seed=_SPEC.seed, engine="kernel",
+        ).to_json_dict()
+
+    first = cell(requests=120)
+    stock = cell()  # the held point is now the stock one
     del ftl_passes[:]
-    _kernel_report(Trace(list(stock.requests)), scheme="aero")
-    assert not ftl_passes  # an equal request list hits
+    assert cell(requests=120) == first
+    assert len(ftl_passes) == 1  # its own pass, not the stock log
+    assert first != stock
+    cell()
+    del ftl_passes[:]
+    cell(scheme="aero")
+    assert not ftl_passes  # the held point's log hits
 
 
 def test_replay_log_untouched_by_a_drive_that_holds_data(ftl_passes):
     """A drive the object path filled, replayed without ``lean`` or after
-    a kernel refill, runs its own FTL pass and leaves the share alone."""
+    a kernel refill, and without a point, runs its own FTL pass and
+    touches neither a point it was not given nor the cells' point."""
     trace = _trace(_SPEC, 2500, "ali.A", 150)
-    _kernel_report(trace)
-    share = kernel_cell._POINT
+    point = Point()
+    _kernel_report(trace, point=point)
+    held = (point.fill, point.replay, cells._POINT)
     footprint = int(_SPEC.logical_pages * 0.9)
     for fills in (1, 2):
         ssd = build_ssd(_SPEC, "baseline", pec_setpoint=2500)
         ssd.precondition(footprint_pages=footprint)
         lean = None
         if fills == 2:
-            lean = precondition_kernel(ssd, footprint, write_back=False)
+            lean = precondition_kernel(ssd, footprint)
         oracle = build_ssd(_SPEC, "baseline", pec_setpoint=2500)
         for _ in range(fills):
             oracle.precondition(footprint_pages=footprint)
         del ftl_passes[:]
-        report = run_trace_kernel(ssd, trace, lean=lean, write_back=False)
+        report = run_trace_kernel(ssd, trace, lean=lean)
         assert len(ftl_passes) == 1, fills
-        assert kernel_cell._POINT is share, fills
+        assert (point.fill, point.replay, cells._POINT) == held, fills
         assert report.to_json_dict() == oracle.run_trace(trace).to_json_dict()
     del ftl_passes[:]
-    _kernel_report(trace, scheme="dpes")
-    assert not ftl_passes  # the share still holds the fresh drive's log
+    _kernel_report(trace, scheme="dpes", point=point)
+    assert not ftl_passes  # the point still holds the fresh drive's log
 
 
 def test_replay_log_hit_checks_p_e_counts(ftl_passes):
     trace = _trace(_SPEC, 2500, "ali.A", 150)
-    _kernel_report(trace)
+    point = Point()
+    _kernel_report(trace, point=point)
     ssd = build_ssd(_SPEC, "baseline", pec_setpoint=2500)
     lean = precondition_kernel(
-        ssd, int(_SPEC.logical_pages * 0.9), write_back=False
+        ssd, int(_SPEC.logical_pages * 0.9), point=point
     )
     erase = ssd.ftl.scheme.erase
     # An erase that accounts two P/E cycles departs from the log.
     ssd.ftl.scheme.erase = lambda block, rng: erase(block, rng, cycles=2)
     del ftl_passes[:]
     with pytest.raises(SimulationError, match="P/E counts"):
-        run_trace_kernel(ssd, trace, lean=lean, write_back=False)
+        run_trace_kernel(ssd, trace, lean=lean, point=point)
     assert not ftl_passes  # it was a log hit
 
 

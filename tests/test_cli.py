@@ -532,8 +532,26 @@ def test_parse_age_units():
     assert _parse_age("15m") == 900.0
     assert _parse_age("2h") == 7200.0
     assert _parse_age("7d") == 7 * 86400.0
+    assert _parse_age("inf") == float("inf")  # valid: removes nothing by age
     with pytest.raises(Exception):
         _parse_age("soon")
+
+
+@pytest.mark.parametrize("age", ["nan", "-1"])
+def test_compact_refuses_a_nan_or_negative_age(tmp_path, capsys, age):
+    """Every comparison with NaN is false, so a ``< 0`` check alone let
+    ``--older-than nan`` through to prune nothing and exit 0."""
+    store = str(tmp_path)
+    assert main([
+        "run", "--scheme", "baseline", "--pec", "500", "--workload", "hm",
+        "--requests", "80", "--seed", "1", "--store", store,
+    ]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "compact", "--store", store, "--older-than", age])
+    assert exit_info.value.code == 2
+    assert "age must be >= 0" in capsys.readouterr().err
+    assert len(ShardedResultStore(store).entries()) == 1
 
 
 def test_format_age_units():

@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 import repro.kernels.cell as kernel_cell
+from repro.nand import erase_model
 from repro.campaign import ShardedResultStore, open_store
 from repro.harness import (
     CACHE_VERSION,
@@ -257,8 +258,8 @@ def test_custom_workload_profile_runs_and_gets_own_cache_key(tmp_path):
 #
 # Consecutive cells of one (PEC, workload) point share their trace, the
 # drive's process-variation draws and (kernel engine) the preconditioned
-# layout and the replay log through one-entry memos. None of it may
-# show in a report.
+# layout and the replay log through one point, keyed by the cell's
+# inputs minus the scheme-only ones. None of it may show in a report.
 
 #: Two grid points, each with the seed the grid planner derives for it.
 POINT = (2500, "ali.A", derive(7, "grid", 2500, "ali.A"))
@@ -310,28 +311,96 @@ def test_point_shares_never_show_in_reports(monkeypatch):
     assert (len(fills), len(passes)) == (11, 11)
 
 
-def test_trace_share_keys_every_input(monkeypatch):
-    stock = profile_by_abbr("ali.A")
-    spec = SsdSpec.small_test(seed=POINT[2])
-    variants = {
-        "tweaked profile": dict(workload=replace(stock, read_ratio=0.5)),
-        "requests": dict(requests=101),
-        "spec": dict(spec=replace(spec, overprovisioning=0.25)),
+def _share_calls(monkeypatch):
+    """Count each point share's misses: trace syntheses, fills, replay
+    FTL passes and per-block draws."""
+    return {
+        "trace": _counted(monkeypatch, SyntheticTraceGenerator, "generate"),
+        "fill": _counted(monkeypatch, kernel_cell, "_fill"),
+        "ftl pass": _counted(monkeypatch, kernel_cell, "_ftl_pass"),
+        "draws": _counted(monkeypatch, erase_model, "truncated_normal"),
     }
 
-    def cell(workload=stock, **overrides):
-        point = (POINT[0], workload, POINT[2])
-        return _point_cell("aero", point, **overrides)
 
-    generated = _counted(monkeypatch, SyntheticTraceGenerator, "generate")
-    for name, variant in variants.items():
+#: One variant per input of the point key (each misses the point) and
+#: per scheme-only input (each hits it), against an aero cell of POINT.
+POINT_KEY_VARIANTS = {
+    "spec": dict(spec=replace(
+        SsdSpec.small_test(seed=POINT[2]), overprovisioning=0.25
+    )),
+    "pec": dict(pec=3000),
+    "workload": dict(
+        workload=replace(profile_by_abbr("ali.A"), read_ratio=0.5)
+    ),
+    "requests": dict(requests=101),
+    "seed": dict(seed=POINT[2] + 1),
+}
+SCHEME_ONLY_VARIANTS = {
+    "scheme": dict(scheme="dpes"),
+    "scheme params": dict(scheme_params={"rber_requirement": 40}),
+    "mispredict rate": dict(mispredict_rate=0.1),
+    "suspension": dict(erase_suspension=False),
+    "engine": dict(engine="object"),
+}
+
+
+def test_point_key_holds_every_input_but_the_scheme_only_ones(monkeypatch):
+    """A cell that changes one input of the point key misses every
+    share of the held point (its trace, fill, FTL pass and draws); one
+    that changes a scheme-only input hits them all. Either way it
+    reports what it reports when it runs first."""
+    stock = dict(
+        scheme="aero", pec=POINT[0], workload="ali.A",
+        spec=SsdSpec.small_test(seed=POINT[2]), requests=100, seed=POINT[2],
+    )
+
+    def cell(**kwargs):
+        return run_workload_cell(**kwargs).to_json_dict()
+
+    calls = _share_calls(monkeypatch)
+    for part, change in {**POINT_KEY_VARIANTS, **SCHEME_ONLY_VARIANTS}.items():
+        variant = {**stock, **change}
         _point_cell("baseline", OTHER)
-        first = cell(**variant)
-        stock_report = cell()
-        del generated[:]
-        assert cell(**variant) == first, name
-        assert len(generated) == 1, name  # its own trace, not the stock one
-        assert first != stock_report, name
+        cold = cell(**variant)
+        stock_report = cell(**stock)  # the point now holds the stock inputs
+        for made in calls.values():
+            del made[:]
+        assert cell(**variant) == cold, part
+        misses = {name: len(made) for name, made in calls.items()}
+        if part in POINT_KEY_VARIANTS:
+            assert cold != stock_report, part
+            assert misses.pop("draws") > 0, part
+            assert misses == {"trace": 1, "fill": 1, "ftl pass": 1}, part
+        else:
+            assert misses == dict.fromkeys(calls, 0), part
+
+
+def test_suspension_modes_share_one_point(monkeypatch):
+    """Erase suspension changes a replay's timing, not its FTL
+    trajectory, so a point's cells alternating suspension on and off
+    run one trace synthesis, one fill and one replay FTL pass, and each
+    reports what its mode's cold cell reports."""
+    cells = [
+        (scheme, suspension)
+        for scheme in ("baseline", "aero") for suspension in (True, False)
+    ]
+    cold = {}
+    for scheme, suspension in cells:
+        _point_cell("baseline", OTHER)
+        cold[scheme, suspension] = _point_cell(
+            scheme, POINT, erase_suspension=suspension
+        )
+    assert cold["aero", True]["erase_suspensions"] > 0
+    _point_cell("baseline", OTHER)
+    calls = _share_calls(monkeypatch)
+    reports = [
+        _point_cell(scheme, POINT, erase_suspension=suspension)
+        for scheme, suspension in cells
+    ]
+    assert reports == [cold[cell] for cell in cells]
+    assert [len(calls[name]) for name in ("fill", "ftl pass", "trace")] == [
+        1, 1, 1
+    ]
 
 
 def test_point_cells_build_no_per_block_generators(monkeypatch):
@@ -364,31 +433,28 @@ def test_point_cells_build_no_per_block_generators(monkeypatch):
 
 
 def test_erase_model_draw_share_keeps_jitter_per_model():
+    """Models of one block that share a draw table read one entry, and
+    each reads the block's jitter row from its start through a cursor
+    of its own; a model without the table draws the same values."""
     address = (0, 0, 1, 3)
-    tweaked = replace(
-        TLC_3D_48L, erase_work=replace(TLC_3D_48L.erase_work, base_mean=5.5)
-    )
-    BlockEraseModel(TLC_3D_48L, 8, *address)  # the memo holds another seed
-    tweaked_first = BlockEraseModel(tweaked, 9, *address)
-    one = BlockEraseModel(TLC_3D_48L, 9, *address)
-    two = BlockEraseModel(TLC_3D_48L, 9, *address)
+    draws = {}
+    one = BlockEraseModel(TLC_3D_48L, 9, *address, draws=draws)
+    two = BlockEraseModel(TLC_3D_48L, 9, *address, draws=draws)
+    assert list(draws) == [address]
     assert (one.base, one.rate) == (two.base, two.rate)
-    # Each model has its own fresh jitter stream: drawing from one does
-    # not advance the other.
+    # Drawing from one model does not advance the other.
     drawn = one.jitter_batch(6).tolist()
     assert two.jitter_batch(6).tolist() == drawn
-    assert BlockEraseModel(TLC_3D_48L, 9, *address).jitter_batch(6).tolist() \
-        == drawn
-    # A profile that shares the cached seed gets its own draws.
-    tweaked_again = BlockEraseModel(tweaked, 9, *address)
-    assert (tweaked_again.base, tweaked_again.rate) == (
-        tweaked_first.base, tweaked_first.rate
-    )
-    assert tweaked_again.base != one.base
+    three = BlockEraseModel(TLC_3D_48L, 9, *address, draws=draws)
+    assert three.jitter_batch(6).tolist() == drawn
+    alone = BlockEraseModel(TLC_3D_48L, 9, *address)
+    assert (alone.base, alone.rate) == (one.base, one.rate)
+    assert alone.jitter_batch(6).tolist() == drawn
+    assert list(draws) == [address]
 
 
 def test_point_shares_hold_across_threads():
-    """The memos take no lock: a thread that loses a race only misses a
+    """The point takes no lock: a thread that loses a race only misses a
     share. Cells of two points on more threads than cores, switching
     often, report exactly what they report one at a time."""
     jobs = [

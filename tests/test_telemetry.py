@@ -489,13 +489,14 @@ def test_erase_telemetry_flushed_once_per_replay(engine):
         ssd, footprint, traces = _drive_and_traces(2)
         stats = ssd.ftl.stats
         if engine == "kernel":
-            precondition_kernel(ssd, footprint)
+            # Each replay continues from the lean state it leaves.
+            lean = precondition_kernel(ssd, footprint)
         else:
             ssd.precondition(footprint_pages=footprint)
         assert stats.erases > 0
         for trace in traces:
             if engine == "kernel":
-                run_trace_kernel(ssd, trace)
+                run_trace_kernel(ssd, trace, lean=lean)
             else:
                 ssd.run_trace(trace)
             families = families_of(registry)
@@ -515,7 +516,7 @@ def test_kernel_replay_calls_erase_boundaries_once_per_erase():
     ``stats.record_erase`` see exactly one call per erase of a kernel
     replay (the per-erase call boundaries stay where tracing hooks in)."""
     ssd, footprint, (trace,) = _drive_and_traces(1)
-    lean = precondition_kernel(ssd, footprint, write_back=False)
+    lean = precondition_kernel(ssd, footprint)
     scheme, stats = ssd.ftl.scheme, ssd.ftl.stats
     calls = {"erase": 0, "record_erase": 0}
 
