@@ -166,12 +166,6 @@ class CampaignResult:
     def complete(self) -> bool:
         return all(report is not None for report in self.reports)
 
-    def family_counts(self) -> Dict[str, Dict[str, int]]:
-        """``{family: {"total": n, "done": m}}`` across the job list."""
-        return _family_counts(
-            self.jobs, (report is not None for report in self.reports)
-        )
-
 
 _ProgressFn = Callable[[CampaignProgress], None]
 _CellFn = Callable[[int, Any, Any], None]

@@ -419,11 +419,6 @@ class ShardedResultStore:
             bound = self._bound = (registry, store_metrics("sharded", registry))
         return bound[1]
 
-    def set_fault_injector(self, injector: FaultInjector) -> None:
-        """Arm (or disarm, with :data:`~repro.faults.NO_FAULTS`) the
-        store's fault hooks after construction."""
-        self._faults = injector
-
     # --- ResultStore contract -----------------------------------------------
 
     def _select(self, key: str) -> Optional[Tuple[int, bytes, int, str]]:

@@ -2,15 +2,12 @@
 
 Substitutes the paper's FPGA testing platform + 160 physical chips with
 the statistical device model, exposing the same experimental surface:
-pulse-granular erase control, fail-bit readout, accelerated retention
-bakes, and per-block measurement campaigns behind Figures 4 and 7-11.
+pulse-granular erase control, fail-bit readout, the MRBER after the
+reference retention time, and per-block measurement campaigns behind
+Figures 4 and 7-11.
 """
 
 from repro.characterization.platform import TestPlatform
-from repro.characterization.bake import (
-    arrhenius_acceleration,
-    bake_hours_for_retention,
-)
 from repro.characterization.experiments import (
     EraseLatencyCdfResult,
     FailbitLinearityResult,
@@ -33,8 +30,6 @@ __all__ = [
     "ReliabilityMarginResult",
     "ShallowErasureResult",
     "TestPlatform",
-    "arrhenius_acceleration",
-    "bake_hours_for_retention",
     "erase_latency_cdf",
     "failbit_linearity",
     "felp_accuracy",

@@ -4,9 +4,9 @@ Stand-in for the paper's FPGA-based test infrastructure: a population
 of virtual chips whose blocks can be sampled at any P/E-cycle point
 (blocks are "pre-cycled" with Baseline ISPE, under which wear age
 equals PEC/1000 by construction), erased with pulse-granular control,
-and baked for retention. Identical block *clones* can be produced for
-paired experiments (erase the same block completely vs insufficiently,
-Figure 10).
+and read for MRBER after the reference retention time. Identical block
+*clones* can be produced for paired experiments (erase the same block
+completely vs insufficiently, Figure 10).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ class TestPlatform:
     ``chips * blocks_per_chip`` blocks are addressable; the paper's
     main study uses 160 chips x 120 blocks = 19,200 blocks. The
     temperature controller is implicit: retention is applied through
-    the RBER model's reference bake (see
-    :mod:`repro.characterization.bake` for the Arrhenius equivalence).
+    the RBER model's reference 1-year retention term.
     """
 
     #: Not a test case, though pytest collects ``Test*`` classes that

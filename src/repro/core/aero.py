@@ -24,7 +24,7 @@ latency to be just long enough:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -59,9 +59,6 @@ class AeroStats:
     injected_mispredictions: int = 0
     pulses_applied: int = 0
     pulses_saved_vs_baseline: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
 
 
 class AeroEraseScheme(EraseScheme):
@@ -133,9 +130,6 @@ class AeroEraseScheme(EraseScheme):
     def shallow_enabled(self, block: Block) -> bool:
         """Whether the internal SEF would use shallow erasure on ``block``."""
         return self._shallow_flags.get(block.address, True)
-
-    def reset_stats(self) -> None:
-        self.stats = AeroStats()
 
     # --- scheme body ------------------------------------------------------------
 

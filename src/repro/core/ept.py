@@ -25,7 +25,7 @@ largest pulse skip whose projected MRBER stays within the requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import ConfigError
 from repro.nand.chip_types import ChipProfile
@@ -102,11 +102,6 @@ class EraseTimingTable:
         if index >= len(row):
             return self.default_pulses
         return row[index]
-
-    def to_milliseconds(self, profile: ChipProfile) -> List[List[float]]:
-        """Render the table in milliseconds (for reports / Table 1)."""
-        quantum_ms = profile.pulse_quantum_us / 1000.0
-        return [[pulses * quantum_ms for pulses in row] for row in self.rows]
 
 
 # --- published Table 1 -----------------------------------------------------------

@@ -35,11 +35,6 @@ class PulsePrediction:
     #: True when the aggressive (ECC-margin) table produced the value.
     aggressive: bool
 
-    @property
-    def skipped_entirely(self) -> bool:
-        """True when the loop can be skipped outright (t2 = 0)."""
-        return self.pulses == 0
-
 
 #: One FELP decision: ``(pulses, reduced, aggressive)``.
 Decision = Tuple[int, bool, bool]
@@ -101,10 +96,6 @@ class FelpPredictor:
     @property
     def f_high(self) -> int:
         return self.profile.f_high
-
-    def can_reduce(self, fail_bits: int) -> bool:
-        """Whether any tEP reduction is possible (FPASS < F <= FHIGH)."""
-        return self.f_pass < fail_bits <= self.f_high
 
     def predict(
         self,

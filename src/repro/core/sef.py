@@ -39,23 +39,10 @@ class ShallowEraseFlags:
         """Mark shallow erasure useless for this block (raw bit -> 1)."""
         self._raw[block_index] = True
 
-    def enable_shallow(self, block_index: int) -> None:
-        """Re-enable shallow erasure (e.g. after block re-purposing)."""
-        self._raw[block_index] = False
-
-    def reset(self) -> None:
-        """Fresh-drive state: every block gets shallow erasure."""
-        self._raw[:] = False
-
     @property
     def enabled_count(self) -> int:
         """Blocks still using shallow erasure."""
         return int((~self._raw).sum())
-
-    @property
-    def disabled_count(self) -> int:
-        """Blocks whose first loop runs at full length."""
-        return int(self._raw.sum())
 
     @property
     def storage_bytes(self) -> int:

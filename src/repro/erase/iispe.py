@@ -66,7 +66,3 @@ class IntelligentIspeScheme(EraseScheme):
             loop += 1
         result.loops = state.loop
         self._memorized_loop[block.address] = state.loop
-
-    def reset_memory(self) -> None:
-        """Forget all per-block loop history (fresh-drive state)."""
-        self._memorized_loop.clear()

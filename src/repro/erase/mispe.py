@@ -31,10 +31,6 @@ class MIspeMeasurement:
     min_t_bers_us: float
     fail_bits_per_pulse: List[int]
 
-    @property
-    def min_t_bers_ms(self) -> float:
-        return self.min_t_bers_us / 1000.0
-
 
 class MIspeScheme(EraseScheme):
     """Characterization scheme: 0.5 ms loops, voltage step every 7 loops."""

@@ -12,57 +12,50 @@ reports when the operation finishes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import SimulationError
-from repro.erase.scheme import EraseOperationResult, EraseSegment
 
 
 class SegmentCursor:
-    """Replays an erase operation's segments with suspend/resume.
+    """Replays an erase operation's segment durations with suspend/resume.
 
-    The cursor is a pure time-accounting object: it never touches block
-    state (already mutated). The SSD scheduler drives it with absolute
-    simulator timestamps.
+    The cursor is a pure time-accounting object over the operation's
+    segment durations (us): it never touches block state (already
+    mutated). Both replay engines drive it with simulator time: the
+    object path's :class:`~repro.ssd.scheduler.ChipExecutor` through
+    :meth:`suspend`/:meth:`resume`, the cell kernel on its fields
+    directly (``count`` and ``pending``), so the two share every float.
     """
 
-    def __init__(
-        self,
-        result: EraseOperationResult,
-        suspend_overhead_us: float = 40.0,
-    ):
-        self.result = result
-        self.suspend_overhead_us = suspend_overhead_us
-        self._segments: List[EraseSegment] = list(result.segments)
-        self._segment_index = 0
-        self._consumed_in_segment = 0.0
-        self._suspended = False
-        self._pending_overhead = 0.0
-        self.suspend_count = 0
-        self.total_overhead_us = 0.0
+    __slots__ = ("durs", "idx", "consumed", "pending", "count", "suspended")
 
-    # --- queries ------------------------------------------------------------
+    def __init__(self, durs: List[float]):
+        self.durs = durs
+        self.idx = 0  # segment now elapsing
+        self.consumed = 0.0  # of that segment
+        self.pending = 0.0  # ramp overhead still to run
+        self.count = 0  # suspensions so far
+        self.suspended = False
 
     @property
     def finished(self) -> bool:
         """True when every segment has fully elapsed."""
-        return self._segment_index >= len(self._segments)
+        return self.idx >= len(self.durs)
 
-    @property
-    def suspended(self) -> bool:
-        return self._suspended
-
-    def remaining_us(self) -> float:
+    def remaining(self) -> float:
         """Time still needed to finish (excludes future suspensions)."""
-        remaining = self._pending_overhead
-        for index in range(self._segment_index, len(self._segments)):
-            duration = self._segments[index].duration_us
-            if index == self._segment_index:
-                duration -= self._consumed_in_segment
+        remaining = self.pending
+        durs = self.durs
+        idx = self.idx
+        for index in range(idx, len(durs)):
+            duration = durs[index]
+            if index == idx:
+                duration -= self.consumed
             remaining += duration
         return remaining
 
-    def time_to_segment_boundary(self) -> float:
+    def boundary(self) -> float:
         """Run time until the current segment completes.
 
         Practical erase suspension can only take effect at a pulse /
@@ -70,70 +63,59 @@ class SegmentCursor:
         partially-stressed cells); pending ramp overhead counts toward
         the boundary.
         """
-        if self.finished:
+        if self.idx >= len(self.durs):
             return 0.0
-        boundary = self._pending_overhead
-        boundary += (
-            self._segments[self._segment_index].duration_us
-            - self._consumed_in_segment
-        )
-        return boundary
+        return self.pending + (self.durs[self.idx] - self.consumed)
 
-    # --- driving ------------------------------------------------------------
-
-    def advance(self, elapsed_us: float) -> float:
-        """Consume up to ``elapsed_us`` of run time; returns time used.
+    def advance(self, elapsed: float) -> float:
+        """Consume up to ``elapsed`` of run time; returns time used.
 
         The cursor must be running (not suspended). The returned value
-        is less than ``elapsed_us`` only when the operation finishes
-        early.
+        is less than ``elapsed`` only when the operation finishes early.
         """
-        if self._suspended:
+        if self.suspended:
             raise SimulationError("cannot advance a suspended operation")
-        if elapsed_us < 0:
+        if elapsed < 0:
             raise SimulationError("cannot advance by negative time")
         used = 0.0
-        budget = elapsed_us
-        if self._pending_overhead > 0.0:
-            step = min(self._pending_overhead, budget)
-            self._pending_overhead -= step
+        budget = elapsed
+        if self.pending > 0.0:
+            step = min(self.pending, budget)
+            self.pending -= step
             used += step
             budget -= step
-        while budget > 1e-12 and not self.finished:
-            segment = self._segments[self._segment_index]
-            left_in_segment = segment.duration_us - self._consumed_in_segment
-            step = min(left_in_segment, budget)
-            self._consumed_in_segment += step
+        durs = self.durs
+        idx = self.idx
+        consumed = self.consumed
+        while budget > 1e-12 and idx < len(durs):
+            duration = durs[idx]
+            step = min(duration - consumed, budget)
+            consumed += step
             used += step
             budget -= step
-            if self._consumed_in_segment >= segment.duration_us - 1e-12:
-                self._segment_index += 1
-                self._consumed_in_segment = 0.0
+            if consumed >= duration - 1e-12:
+                idx += 1
+                consumed = 0.0
+        self.idx = idx
+        self.consumed = consumed
         return used
 
     def suspend(self) -> None:
         """Pause the operation immediately (mid-pulse allowed).
 
-        Resume pays ``suspend_overhead_us`` of voltage ramping before
-        useful progress continues (practical erase suspension).
+        Resume pays the ramp overhead before useful progress continues
+        (practical erase suspension).
         """
         if self.finished:
             raise SimulationError("cannot suspend a finished operation")
-        if self._suspended:
+        if self.suspended:
             raise SimulationError("operation already suspended")
-        self._suspended = True
-        self.suspend_count += 1
+        self.suspended = True
+        self.count += 1
 
-    def resume(self) -> None:
-        """Resume after a suspension, charging the ramp overhead."""
-        if not self._suspended:
+    def resume(self, overhead_us: float) -> None:
+        """Resume after a suspension, charging ``overhead_us`` of ramp."""
+        if not self.suspended:
             raise SimulationError("operation is not suspended")
-        self._suspended = False
-        self._pending_overhead += self.suspend_overhead_us
-        self.total_overhead_us += self.suspend_overhead_us
-
-    def current_segment(self) -> Optional[EraseSegment]:
-        """The segment currently elapsing (None when finished)."""
-        if self.finished:
-            return None
-        return self._segments[self._segment_index]
+        self.suspended = False
+        self.pending += overhead_us

@@ -35,10 +35,6 @@ class CommandError(NandError):
     """
 
 
-class FeatureError(NandError):
-    """An unknown or read-only ONFI feature register was accessed."""
-
-
 # --- erase schemes ----------------------------------------------------------
 
 
@@ -49,8 +45,8 @@ class EraseSchemeError(ReproError):
 class EraseFailure(EraseSchemeError):
     """An erase operation could not complete within the loop budget.
 
-    Carries the fail-bit count observed at the last verify-read so the
-    caller (FTL) can decide whether to retire the block.
+    Carries the fail-bit count observed at the last verify-read and the
+    number of loops run.
     """
 
     def __init__(self, message: str, fail_bits: int = 0, loops: int = 0):

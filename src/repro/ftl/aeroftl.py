@@ -8,11 +8,12 @@ structures:
 * the **Shallow Erasure Flags** bitmap, one bit per block, deciding
   whether the next erase of a block starts with the shallow probe.
 
-The FTL drives the chip exactly as the paper describes (Figure 12):
+The FTL follows the erase sequence the paper describes (Figure 12):
 consult the SEF, SET FEATURE the pulse length for each EP step, GET
 FEATURE the fail-bit count after each VR step, and flip the SEF bit
-when remainder erasure can no longer shorten the first loop. Command
-traffic is accounted so the overhead analysis can be reproduced.
+when remainder erasure can no longer shorten the first loop. The
+scheme drives the block's erase state directly; the FTL counts the
+command traffic so the overhead analysis can be reproduced.
 """
 
 from __future__ import annotations

@@ -55,9 +55,6 @@ class PlaneAllocator:
 
     # --- page allocation -----------------------------------------------------------
 
-    def active_block(self, stream: WriteStream) -> Optional[Block]:
-        return self._active[stream]
-
     def allocate_page(self, stream: WriteStream, lpn: Optional[int]) -> PageAddress:
         """Program-allocate the next page of the stream's active block.
 
@@ -75,7 +72,7 @@ class PlaneAllocator:
     # --- GC candidate enumeration -----------------------------------------------------
 
     def gc_candidates(self) -> List[Block]:
-        """Blocks eligible as GC victims: closed, programmed, not retired."""
+        """Blocks eligible as GC victims: closed and programmed."""
         active = {id(b) for b in self._active.values() if b is not None}
         free = {id(b) for b in self._free}
         return [
@@ -83,6 +80,5 @@ class PlaneAllocator:
             for block in self.all_blocks
             if id(block) not in active
             and id(block) not in free
-            and not block.retired
             and block.write_pointer > 0
         ]

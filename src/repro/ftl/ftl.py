@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.config import SsdSpec
 from repro.erase.scheme import EraseOperationResult, EraseScheme
-from repro.errors import MappingError, OutOfSpaceError
+from repro.errors import MappingError
 from repro.ftl.allocator import PlaneAllocator, WriteStream
 from repro.ftl.gc import GcJob, GreedyVictimSelector, PageMove
 from repro.ftl.mapping import PageMappingTable
@@ -113,12 +113,6 @@ class PageLevelFtl:
         )
         plan.gc_jobs = self._maybe_collect(allocator)
         return plan
-
-    def trim(self, lpn: int) -> None:
-        """Drop a logical page (invalidates its physical copy)."""
-        previous = self.mapping.remove(lpn)
-        if previous is not None:
-            self._invalidate(previous)
 
     def _invalidate(self, address: PageAddress) -> None:
         """Mark the physical copy at ``address`` stale."""

@@ -37,7 +37,7 @@ class PageMappingTable:
             )
 
     def lookup(self, lpn: int) -> Optional[PageAddress]:
-        """Physical location of ``lpn`` (None if never written/trimmed)."""
+        """Physical location of ``lpn`` (None if never written)."""
         self.check_lpn(lpn)
         return self._map.get(lpn)
 
@@ -47,11 +47,6 @@ class PageMappingTable:
         previous = self._map.get(lpn)
         self._map[lpn] = address
         return previous
-
-    def remove(self, lpn: int) -> Optional[PageAddress]:
-        """Drop the mapping (trim); returns the previous location."""
-        self.check_lpn(lpn)
-        return self._map.pop(lpn, None)
 
     def points_at(self, lpn: int, address: PageAddress) -> bool:
         """Whether ``lpn`` currently maps to ``address`` (GC guard)."""

@@ -29,7 +29,7 @@ class WearLeveler:
 
     def pick_cold_victim(self, allocator: PlaneAllocator) -> Optional[Block]:
         """Return a cold block to recycle, or None if wear is balanced."""
-        blocks = [b for b in allocator.all_blocks if not b.retired]
+        blocks = allocator.all_blocks
         if len(blocks) < 2:
             return None
         min_pec = min(b.wear.pec for b in blocks)

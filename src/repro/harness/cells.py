@@ -20,7 +20,10 @@ state and the replay's FTL log (the mapping and GC trajectory, in
 :mod:`repro.kernels.cell`), so a later cell of the point runs only its
 own erase physics and event loop. Erase suspension changes only the
 replay's timing, never its FTL trajectory, so both suspension modes
-share one point. This is safe because each part of a point is a pure
+share one point. The draws depend only on the spec's profile and seed
+(and the block keys), so a new point takes over the last point's draw
+table when their specs share both, as every point of a grid on one
+explicit spec does. This is safe because each part of a point is a pure
 function of its key: a cell that fills one in stores exactly what any
 other cell of the point would compute, and no report depends on cell
 order, process or which cell ran first. Each cell still builds its own
@@ -67,15 +70,16 @@ FOOTPRINT_FRACTION = 0.85
 
 class Point:
     """One grid point's shared state, each part set by the first cell
-    that builds it: ``trace``, the ``draws`` table of the point's drives,
-    ``fill`` (the fill's log with its end state) and ``replay`` (the
-    replay's log); see the module docstring."""
+    that builds it: ``trace``, the ``draws`` table of the point's drives
+    (or the last point's table, passed in when it serves this point
+    too), ``fill`` (the fill's log with its end state) and ``replay``
+    (the replay's log); see the module docstring."""
 
     __slots__ = ("trace", "draws", "fill", "replay")
 
-    def __init__(self):
+    def __init__(self, draws: Optional[dict] = None):
         self.trace: Optional[Trace] = None
-        self.draws: dict = {}
+        self.draws: dict = {} if draws is None else draws
         self.fill = self.replay = None
 
 
@@ -116,7 +120,10 @@ def run_workload_cell(
     key = (spec, pec, workload, requests, seed)
     held, point = _POINT
     if held != key:
-        point = Point()
+        same_draws = point is not None and (
+            held[0].profile, held[0].seed
+        ) == (spec.profile, spec.seed)
+        point = Point(point.draws if same_draws else None)
         _POINT = (key, point)
     spec = spec.with_scheduler(erase_suspension=erase_suspension)
     params = dict(scheme_params or {})

@@ -51,10 +51,11 @@ How the event loop preserves identity:
   completion) just clears the slot. Two chips' completions at one
   instant compare as the object path's seqs would even where runs
   (below) took their seqs early: see rule (e).
-* **Float arithmetic** — durations, bus reservations, and the
-  suspend/resume segment cursor reproduce the object path's expression
-  shapes (association order included), so every timestamp and every
-  ``erase_busy_us`` increment is the same float.
+* **Float arithmetic** — durations and bus reservations reproduce the
+  object path's expression shapes (association order included), and
+  erases are timed by the object path's own
+  :class:`~repro.erase.suspension.SegmentCursor`, so every timestamp
+  and every ``erase_busy_us`` increment is the same float.
 * **Erase physics and RNG** — erases are not re-implemented at all:
   the physics pass syncs each victim block's write pointer and calls
   the real ``ftl._erase_block``, so scheme code, ``ftl.rng`` draws, wear
@@ -133,8 +134,8 @@ kernel runs its own passes and shares nothing.
 
 ``kernel_replay_supported`` gates the fast path to configurations whose
 FTL bookkeeping the kernel replicates exactly (the two built-in FTL
-classes, no retired blocks); anything else falls back to the object
-path via ``engine="auto"``.
+classes); anything else falls back to the object path via
+``engine="auto"``.
 """
 
 from __future__ import annotations
@@ -147,6 +148,7 @@ from itertools import accumulate, cycle, islice
 from typing import List, Optional, Tuple
 
 from repro.erase.scheme import EraseScheme
+from repro.erase.suspension import SegmentCursor
 from repro.errors import MappingError, OutOfSpaceError, SimulationError
 from repro.ftl.aeroftl import AeroFtl
 from repro.ftl.allocator import WriteStream
@@ -183,59 +185,6 @@ _NEVER = float("inf")
 _ULPS = 2.0 ** -48
 
 
-class _Cursor:
-    """Lean :class:`~repro.erase.suspension.SegmentCursor` (same floats)."""
-
-    __slots__ = ("durs", "idx", "consumed", "pending", "count")
-
-    def __init__(self, durs: List[float]):
-        self.durs = durs
-        self.idx = 0
-        self.consumed = 0.0
-        self.pending = 0.0
-        self.count = 0  # suspensions so far
-
-    def remaining(self) -> float:
-        remaining = self.pending
-        durs = self.durs
-        idx = self.idx
-        for index in range(idx, len(durs)):
-            duration = durs[index]
-            if index == idx:
-                duration -= self.consumed
-            remaining += duration
-        return remaining
-
-    def boundary(self) -> float:
-        if self.idx >= len(self.durs):
-            return 0.0
-        return self.pending + (self.durs[self.idx] - self.consumed)
-
-    def advance(self, elapsed: float) -> float:
-        used = 0.0
-        budget = elapsed
-        if self.pending > 0.0:
-            step = min(self.pending, budget)
-            self.pending -= step
-            used += step
-            budget -= step
-        durs = self.durs
-        idx = self.idx
-        consumed = self.consumed
-        while budget > 1e-12 and idx < len(durs):
-            duration = durs[idx]
-            step = min(duration - consumed, budget)
-            consumed += step
-            used += step
-            budget -= step
-            if consumed >= duration - 1e-12:
-                idx += 1
-                consumed = 0.0
-        self.idx = idx
-        self.consumed = consumed
-        return used
-
-
 class _Bus:
     __slots__ = ("busy_until", "tr")
 
@@ -263,10 +212,10 @@ class _Chip:
         self.q3 = deque()
         self.busy = False
         self.current = None
-        self.cursor: Optional[_Cursor] = None
+        self.cursor: Optional[SegmentCursor] = None
         self.run_started = 0.0
         self.susp_txn = None
-        self.susp_cursor: Optional[_Cursor] = None
+        self.susp_cursor: Optional[SegmentCursor] = None
         self.susp_pending = False
         self.fire: Optional[float] = None  # in-flight completion time
         self.fire_at = 0.0  # when the object path executes it
@@ -604,17 +553,9 @@ def kernel_replay_supported(ssd) -> bool:
 
     The kernels replicate the page/mapping/allocator bookkeeping of the
     two built-in FTL classes; a subclassed FTL may override any of it,
-    so only exact types qualify. Retired blocks never occur in grid
-    cells (no lifetime cycling) and the lean GC does not model them.
+    so only exact types qualify.
     """
-    ftl = ssd.ftl
-    if type(ftl) not in (PageLevelFtl, AeroFtl):
-        return False
-    for allocator in ftl.planes:
-        for block in allocator.all_blocks:
-            if block.retired:
-                return False
-    return True
+    return type(ssd.ftl) in (PageLevelFtl, AeroFtl)
 
 
 class _State:
@@ -868,21 +809,23 @@ def precondition_kernel(
 def run_trace_kernel(
     ssd,
     trace,
+    lean: _LeanFtl,
     workload_name: Optional[str] = None,
-    lean: Optional[_LeanFtl] = None,
     point=None,
 ) -> PerfReport:
     """Replay ``trace`` with the lean cell kernel (report-identical).
 
     Mirrors :meth:`repro.ssd.ssd.Ssd.run_trace` exactly; see the module
     docstring for how identity is maintained. The caller is expected to
-    have checked :func:`kernel_replay_supported`. ``lean`` is the state
-    :func:`precondition_kernel` returned for this drive; without it the
-    replay snapshots the drive's objects (as :meth:`Ssd.precondition`
-    leaves them). The bulk ``FtlStats`` counters are flushed before the
-    report; the drive's page states, mapping and allocators are not
-    written back. After a replay that ran its own FTL pass, ``lean`` is
-    the drive's FTL view after the replay.
+    have checked :func:`kernel_replay_supported`. ``lean`` is the
+    drive's FTL view: the state :func:`precondition_kernel` returned
+    for it, or :func:`_lean_ftl` of a drive that
+    :meth:`Ssd.precondition` filled. It is required, since a kernel
+    fill writes nothing back to the drive's objects and a snapshot of
+    them would replay a stale drive. The bulk ``FtlStats`` counters are
+    flushed before the report; the drive's page states, mapping and
+    allocators are not written back. After a replay that ran its own
+    FTL pass, ``lean`` is the drive's FTL view after the replay.
 
     **Replay-log share.** The replay runs in three passes: an FTL pass
     (:func:`_ftl_pass`) maps every request's pages and runs GC, a
@@ -909,8 +852,6 @@ def run_trace_kernel(
     overhead = spec.controller_overhead_us
     decode = spec.profile.ecc.decode_latency_us
 
-    if lean is None:
-        lean = _lean_ftl(ftl)
     requests = trace.requests
     log = None if point is None else point.replay
     if log is None:
@@ -1020,7 +961,7 @@ def run_trace_kernel(
                 overhead + ((start - ready) + tr) + chip.t_prog * txn[4]
             )
         elif kind == _ERASE:
-            cursor = _Cursor(txn[5])
+            cursor = SegmentCursor(txn[5])
             chip.cursor = cursor
             chip.run_started = now
             fire = now + cursor.remaining()
@@ -1411,7 +1352,7 @@ def run_trace_kernel(
                 overhead + ((start - ready) + tr) + chip.t_prog * nxt[4]
             )
         elif nkind == _ERASE:
-            cursor = _Cursor(nxt[5])
+            cursor = SegmentCursor(nxt[5])
             chip.cursor = cursor
             chip.run_started = now
             fire = now + cursor.remaining()

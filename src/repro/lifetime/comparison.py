@@ -9,7 +9,7 @@ misprediction rate (Figure 16, lifetime panel) and RBER requirement
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.harness.runner import GridRunner
@@ -34,13 +34,6 @@ class SchemeComparison:
     def improvement(self, key: str, baseline_key: str = "baseline") -> float:
         """Relative lifetime change of ``key`` vs the baseline scheme."""
         return self.curves[key].improvement_over(self.curves[baseline_key])
-
-    def ranking(self) -> List[str]:
-        """Scheme keys sorted by lifetime, best first."""
-        return sorted(
-            self.curves,
-            key=lambda k: -(self.curves[k].lifetime_pec or 0),
-        )
 
     def to_json_dict(self) -> Dict[str, Any]:
         """Serialize to plain JSON types; exact round-trip via

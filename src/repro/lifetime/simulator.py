@@ -53,10 +53,6 @@ class LifetimeCurve:
     lifetime_pec: Optional[int] = None
     requirement: float = 63.0
 
-    @property
-    def initial_mrber(self) -> float:
-        return self.avg_mrber[0] if self.avg_mrber else 0.0
-
     def mrber_at(self, pec: int) -> float:
         """Average MRBER at the recorded point nearest to ``pec``."""
         if not self.pec_points:

@@ -2,9 +2,9 @@
 
 This package is the substitute for the paper's 160 real 3D TLC chips: a
 statistical device model that reproduces the erase characteristics the
-authors measured (Figures 4 and 7-11) and exposes the same control
-surface an FTL sees (read/program/erase commands, pulse-granular erase
-control, ONFI-style GET/SET FEATURE registers, fail-bit readout).
+authors measured (Figures 4 and 7-11): per-block page state, the
+pulse-granular erase physics with its fail-bit readout, the RBER model
+and the datasheet timing the SSD model schedules with.
 """
 
 from repro.nand.geometry import (
@@ -23,7 +23,6 @@ from repro.nand.chip_types import (
 from repro.nand.erase_model import BlockEraseModel, EraseState
 from repro.nand.timing import NandTiming
 from repro.nand.rber import RberModel, RberSample
-from repro.nand.features import FeatureAddress, FeatureRegisterFile
 from repro.nand.block import Block, PageState
 from repro.nand.plane import Plane
 from repro.nand.chip import NandChip
@@ -34,8 +33,6 @@ __all__ = [
     "BlockEraseModel",
     "ChipProfile",
     "EraseState",
-    "FeatureAddress",
-    "FeatureRegisterFile",
     "MLC_3D_48L",
     "NandChip",
     "NandGeometry",

@@ -52,8 +52,6 @@ class Block:
         self._page_lpns: List[Optional[int]] = [None] * pages
         self.write_pointer = 0
         self.valid_count = 0
-        self.erase_count = 0
-        self.retired = False
 
     @property
     def rber_sensitivity(self) -> float:
@@ -102,8 +100,6 @@ class Block:
         Returns the physical page index used. ``lpn`` may be ``None``
         for metadata/padding writes.
         """
-        if self.retired:
-            raise CommandError(f"block {self.address} is retired")
         if self.is_full:
             raise CommandError(f"block {self.address} has no free pages")
         page = self.write_pointer
@@ -114,7 +110,7 @@ class Block:
         return page
 
     def invalidate(self, page: int) -> None:
-        """Mark a previously valid page stale (overwrite or trim)."""
+        """Mark a previously valid page stale (overwritten or moved by GC)."""
         if self._page_states[page] is not PageState.VALID:
             raise CommandError(
                 f"page {page} of {self.address} is not valid (state "
@@ -124,17 +120,10 @@ class Block:
         self._page_lpns[page] = None
         self.valid_count -= 1
 
-    def check_readable(self, page: int) -> None:
-        """Raise unless ``page`` holds programmed data."""
-        if self._page_states[page] is PageState.FREE:
-            raise CommandError(f"page {page} of {self.address} was never programmed")
-
     # --- erase lifecycle ---------------------------------------------------------
 
     def begin_erase(self) -> EraseState:
         """Start an erase operation at the block's current wear age."""
-        if self.retired:
-            raise CommandError(f"block {self.address} is retired")
         return self.erase_model.begin_erase(self.wear.age_kilocycles)
 
     def finish_erase(
@@ -162,7 +151,6 @@ class Block:
             cycles=cycles,
             baseline=state.baseline_damage,
         )
-        self.erase_count += cycles
         # Reset the page lists in place, and only up to the write
         # pointer — pages past it were never programmed since the last
         # erase, so they are already FREE/None.
@@ -171,10 +159,6 @@ class Block:
         self._page_lpns[:wp] = [None] * wp
         self.write_pointer = 0
         self.valid_count = 0
-
-    def retire(self) -> None:
-        """Take the block out of service (endurance exhausted)."""
-        self.retired = True
 
     def __repr__(self) -> str:
         return (

@@ -210,7 +210,7 @@ class ChipProfile:
     f_high_deltas: int = 7
     #: Relative measurement noise on fail-bit counts.
     failbit_noise: float = 0.04
-    #: Endurance limit used by the FTL for block retirement.
+    #: Rated endurance (P/E cycles); informational, no model reads it.
     endurance_pec: int = 10000
     erase_work: EraseWorkModel = field(default_factory=EraseWorkModel)
     wear: WearModel = field(default_factory=WearModel)

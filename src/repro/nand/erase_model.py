@@ -41,7 +41,7 @@ import math
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -460,47 +460,3 @@ class WearState:
         self.residual_fail_bits = residual_fail_bits
         self.residual_nispe = nispe
 
-
-class BlockPopulation:
-    """A reproducible population of block erase models.
-
-    Used by the characterization campaign (stand-in for "120 blocks
-    evenly selected from each of 160 chips") and by the lifetime and
-    SSD simulations, which assign these models to simulated blocks the
-    way the paper assigns measured per-block metadata to MQSim blocks.
-    """
-
-    def __init__(self, profile: ChipProfile, count: int, seed: int):
-        if count <= 0:
-            raise EraseSchemeError("population must contain at least one block")
-        self.profile = profile
-        self.seed = seed
-        self.models: List[BlockEraseModel] = [
-            BlockEraseModel(profile, seed, "population", index)
-            for index in range(count)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.models)
-
-    def __iter__(self):
-        return iter(self.models)
-
-    def __getitem__(self, index: int) -> BlockEraseModel:
-        return self.models[index]
-
-    def nispe_histogram(self, age_kilocycles: float) -> Dict[int, int]:
-        """Histogram of NISPE across the population at a wear age."""
-        histogram: Dict[int, int] = {}
-        for model in self.models:
-            loops = model.nispe(age_kilocycles)
-            histogram[loops] = histogram.get(loops, 0) + 1
-        return histogram
-
-    def min_t_bers_ms(self, age_kilocycles: float) -> List[float]:
-        """Sorted ``mtBERS`` values (ms) across the population (Fig. 4)."""
-        values = [
-            model.min_t_bers_us(age_kilocycles) / 1000.0
-            for model in self.models
-        ]
-        return sorted(values)

@@ -67,11 +67,6 @@ class NandGeometry:
         return self.blocks * self.pages_per_block
 
     @property
-    def block_bytes(self) -> int:
-        """Capacity of one block in bytes."""
-        return self.pages_per_block * self.page_size
-
-    @property
     def capacity_bytes(self) -> int:
         """Raw capacity in bytes (before overprovisioning)."""
         return self.pages * self.page_size
@@ -88,21 +83,7 @@ class NandGeometry:
         ):
             raise AddressError(f"block address {addr} outside geometry {self}")
 
-    def check_page(self, addr: "PageAddress") -> None:
-        """Raise :class:`AddressError` if ``addr`` is outside this geometry."""
-        self.check_block(addr.block_address)
-        if not 0 <= addr.page < self.pages_per_block:
-            raise AddressError(f"page address {addr} outside geometry {self}")
-
-    # --- address enumeration ---------------------------------------------------
-
-    def iter_block_addresses(self):
-        """Yield every :class:`BlockAddress` in channel-major order."""
-        for channel in range(self.channels):
-            for chip in range(self.chips_per_channel):
-                for plane in range(self.planes_per_chip):
-                    for block in range(self.blocks_per_plane):
-                        yield BlockAddress(channel, chip, plane, block)
+    # --- address indexing ------------------------------------------------------
 
     def block_index(self, addr: "BlockAddress") -> int:
         """Dense [0, blocks) index for a block address."""
@@ -116,31 +97,12 @@ class NandGeometry:
             + addr.block
         )
 
-    def block_from_index(self, index: int) -> "BlockAddress":
-        """Inverse of :meth:`block_index`."""
-        if not 0 <= index < self.blocks:
-            raise AddressError(f"block index {index} outside geometry")
-        per_chip = self.planes_per_chip * self.blocks_per_plane
-        per_channel = self.chips_per_channel * per_chip
-        channel, rem = divmod(index, per_channel)
-        chip, rem = divmod(rem, per_chip)
-        plane, block = divmod(rem, self.blocks_per_plane)
-        return BlockAddress(channel, chip, plane, block)
-
     def page_index(self, addr: "PageAddress") -> int:
         """Dense [0, pages) index for a page address."""
         return (
             self.block_index(addr.block_address) * self.pages_per_block
             + addr.page
         )
-
-    def page_from_index(self, index: int) -> "PageAddress":
-        """Inverse of :meth:`page_index`."""
-        if not 0 <= index < self.pages:
-            raise AddressError(f"page index {index} outside geometry")
-        block_index, page = divmod(index, self.pages_per_block)
-        block = self.block_from_index(block_index)
-        return PageAddress(block.channel, block.chip, block.plane, block.block, page)
 
 
 @dataclass(frozen=True, order=True)
@@ -185,10 +147,6 @@ class PageAddress:
     @property
     def block_address(self) -> BlockAddress:
         return BlockAddress(self.channel, self.chip, self.plane, self.block)
-
-    @property
-    def plane_address(self) -> PlaneAddress:
-        return PlaneAddress(self.channel, self.chip, self.plane)
 
     def __str__(self) -> str:
         return (

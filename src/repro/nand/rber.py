@@ -224,10 +224,6 @@ class RberModel:
             under_erase_penalty=penalty,
         )
 
-    def meets_requirement(self, sample: RberSample) -> bool:
-        """Whether the block is still usable (MRBER within requirement)."""
-        return sample.total <= self.profile.ecc.requirement_bits_per_kib
-
     def margin(self, sample: RberSample) -> float:
         """Reliability margin: requirement minus measured MRBER (Fig. 10)."""
         return self.profile.ecc.requirement_bits_per_kib - sample.total

@@ -8,7 +8,7 @@ fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.nand.chip_types import ChipProfile
@@ -54,16 +54,6 @@ class NandTiming:
     def pulses_per_loop(self) -> int:
         """Pulse quanta per default-latency erase-pulse step."""
         return int(round(self.t_ep_us / self.pulse_quantum_us))
-
-    def with_program_latency(self, t_prog_us: float) -> "NandTiming":
-        """Copy with a different program latency (DPES write penalty)."""
-        return replace(self, t_prog_us=t_prog_us)
-
-    def with_program_scale(self, factor: float) -> "NandTiming":
-        """Copy with program latency scaled by ``factor``."""
-        if factor <= 0:
-            raise ConfigError("program scale must be positive")
-        return replace(self, t_prog_us=self.t_prog_us * factor)
 
     def erase_pulse_us(self, pulses: int) -> float:
         """Duration of an erase-pulse step of ``pulses`` quanta."""

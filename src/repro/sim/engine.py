@@ -25,10 +25,6 @@ class Event:
     sequence: int
     _entry: list = field(repr=False, compare=False)
 
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[3] is None
-
     def cancel(self) -> None:
         """Cancel the event (no-op if it already fired)."""
         self._entry[3] = None
@@ -41,17 +37,11 @@ class Simulator:
         self._heap: List[list] = []
         self._sequence = itertools.count()
         self._now = 0.0
-        self._fired = 0
 
     @property
     def now(self) -> float:
         """Current simulation time (us)."""
         return self._now
-
-    @property
-    def events_fired(self) -> int:
-        """Number of callbacks executed so far."""
-        return self._fired
 
     def at(self, time: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute time ``time``."""
@@ -78,7 +68,6 @@ class Simulator:
             if callback is None:
                 continue  # cancelled
             self._now = time
-            self._fired += 1
             callback()
             return True
         return False
@@ -112,7 +101,6 @@ class Simulator:
                 return
             time, _, __, callback = heapq.heappop(heap)
             self._now = time
-            self._fired += 1
             callback()
             fired += 1
         if until is not None:

@@ -22,7 +22,6 @@ class ChannelBus:
         self.transfer_us_per_page = transfer_us_per_page
         self._busy_until = 0.0
         self.transfers = 0
-        self.busy_total_us = 0.0
 
     def reserve(self, now: float, pages: int = 1) -> float:
         """Reserve a transfer starting at/after ``now``.
@@ -34,14 +33,8 @@ class ChannelBus:
         start = max(now, self._busy_until)
         self._busy_until = start + duration
         self.transfers += pages
-        self.busy_total_us += duration
         return (start - now) + duration
 
     @property
     def busy_until(self) -> float:
         return self._busy_until
-
-    def utilization(self, elapsed_us: float) -> float:
-        if elapsed_us <= 0:
-            return 0.0
-        return min(1.0, self.busy_total_us / elapsed_us)

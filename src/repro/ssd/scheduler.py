@@ -126,14 +126,11 @@ class ChipExecutor:
         if txn.erase_result is None:
             raise SimulationError("erase transaction without a result payload")
         cursor = SegmentCursor(
-            txn.erase_result,
-            suspend_overhead_us=self.spec.scheduler.suspend_overhead_us,
+            [segment.duration_us for segment in txn.erase_result.segments]
         )
         self._erase_cursor = cursor
         self._erase_run_started = self.sim.now
-        self._completion = self.sim.after(
-            cursor.remaining_us(), self._complete
-        )
+        self._completion = self.sim.after(cursor.remaining(), self._complete)
 
     def _erase_in_flight(self) -> bool:
         return (
@@ -158,7 +155,7 @@ class ChipExecutor:
         cursor = self._erase_cursor
         if cursor is None:
             raise SimulationError("no erase to suspend")
-        if cursor.suspend_count >= self.spec.scheduler.max_suspensions_per_erase:
+        if cursor.count >= self.spec.scheduler.max_suspensions_per_erase:
             return
         elapsed = self.sim.now - self._erase_run_started
         consumed = cursor.advance(elapsed)
@@ -167,7 +164,7 @@ class ChipExecutor:
         if self._completion is not None:
             self._completion.cancel()
             self._completion = None
-        boundary = cursor.time_to_segment_boundary()
+        boundary = cursor.boundary()
         self._suspend_pending = True
         self.sim.after(boundary, self._finalize_suspension)
 
@@ -206,14 +203,12 @@ class ChipExecutor:
             raise SimulationError("no suspended erase to resume")
         self._suspended_txn = None
         self._suspended_cursor = None
-        cursor.resume()
+        cursor.resume(self.spec.scheduler.suspend_overhead_us)
         self.busy = True
         self.current = txn
         self._erase_cursor = cursor
         self._erase_run_started = self.sim.now
-        self._completion = self.sim.after(
-            cursor.remaining_us(), self._complete
-        )
+        self._completion = self.sim.after(cursor.remaining(), self._complete)
 
     # --- completion -------------------------------------------------------------------
 
@@ -224,7 +219,7 @@ class ChipExecutor:
         if txn.kind is TxnKind.ERASE:
             cursor = self._erase_cursor
             if cursor is not None:
-                consumed = cursor.advance(cursor.remaining_us())
+                consumed = cursor.advance(cursor.remaining())
                 self.erase_busy_us += consumed
             self._erase_cursor = None
             self.erases_completed += 1

@@ -50,7 +50,6 @@ class Ssd:
     def run_trace(
         self,
         trace: Trace,
-        max_requests: Optional[int] = None,
         workload_name: Optional[str] = None,
     ) -> PerfReport:
         """Replay ``trace`` on the event clock and report performance.
@@ -82,12 +81,6 @@ class Ssd:
         controller_holder.append(controller)
 
         requests = trace.requests
-        if max_requests is not None:
-            requests = requests[:max_requests]
-        # Makespan floor: the replayed slice's horizon, not the full
-        # trace's — a truncated replay must not inherit the arrival time
-        # of requests that were never submitted.
-        horizon_us = requests[-1].arrival_us if requests else 0.0
         for trace_request in requests:
             sim.at(
                 trace_request.arrival_us,
@@ -107,7 +100,7 @@ class Ssd:
             reads=controller.reads,
             writes=controller.writes,
             requests_completed=controller.requests_completed,
-            makespan_us=max(controller.last_completion_us, horizon_us),
+            makespan_us=max(controller.last_completion_us, trace.duration_us),
             erases=sum(e.erases_completed for e in executors.values()),
             erase_busy_us=sum(e.erase_busy_us for e in executors.values()),
             erase_suspensions=sum(

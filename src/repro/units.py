@@ -1,4 +1,4 @@
-"""Time, size, and rate units used throughout the library.
+"""Time and size units used throughout the library.
 
 All simulator time is kept in **microseconds** (float). NAND datasheets
 mix microseconds (``tR``, ``tPROG``) and milliseconds (``tBERS``), so the
@@ -16,10 +16,6 @@ from __future__ import annotations
 
 US = 1.0
 MS = 1000.0
-SEC = 1_000_000.0
-
-#: One hour, in microseconds. Used by the retention bake model.
-HOUR = 3600.0 * SEC
 
 
 def us(value: float) -> float:
@@ -32,46 +28,9 @@ def ms(value: float) -> float:
     return value * MS
 
 
-def sec(value: float) -> float:
-    """Express ``value`` seconds in simulator time units."""
-    return value * SEC
-
-
-def to_ms(time_us: float) -> float:
-    """Convert simulator time (microseconds) to milliseconds."""
-    return time_us / MS
-
-
-def to_sec(time_us: float) -> float:
-    """Convert simulator time (microseconds) to seconds."""
-    return time_us / SEC
-
-
 # --- sizes ----------------------------------------------------------------
 
 KIB = 1024
-MIB = 1024 * KIB
-GIB = 1024 * MIB
 
 #: Logical sector size used by block traces (bytes).
 SECTOR_BYTES = 512
-
-
-def kib(value: float) -> int:
-    """Express ``value`` KiB in bytes."""
-    return int(value * KIB)
-
-
-def mib(value: float) -> int:
-    """Express ``value`` MiB in bytes."""
-    return int(value * MIB)
-
-
-def gib(value: float) -> int:
-    """Express ``value`` GiB in bytes."""
-    return int(value * GIB)
-
-
-def sectors_for(byte_count: int) -> int:
-    """Number of 512-byte sectors needed to hold ``byte_count`` bytes."""
-    return (byte_count + SECTOR_BYTES - 1) // SECTOR_BYTES

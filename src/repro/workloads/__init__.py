@@ -8,8 +8,8 @@ from repro.workloads.profiles import (
     profile_by_abbr,
 )
 from repro.workloads.synthetic import SyntheticTraceGenerator
-from repro.workloads.msrc import load_msrc_csv, save_msrc_csv
-from repro.workloads.alibaba import load_alibaba_csv, save_alibaba_csv
+from repro.workloads.msrc import load_msrc_csv
+from repro.workloads.alibaba import load_alibaba_csv
 
 __all__ = [
     "ALL_PROFILES",
@@ -21,6 +21,4 @@ __all__ = [
     "load_alibaba_csv",
     "load_msrc_csv",
     "profile_by_abbr",
-    "save_alibaba_csv",
-    "save_msrc_csv",
 ]

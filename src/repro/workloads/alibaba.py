@@ -55,19 +55,3 @@ def load_alibaba_csv(
     requests.sort(key=lambda r: r.arrival_us)
     return Trace(requests, name=name or path.stem)
 
-
-def save_alibaba_csv(trace: Trace, path: Union[str, Path], device_id: int = 0) -> None:
-    """Write a trace in Alibaba CSV format (round-trips with the loader)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        for request in trace:
-            writer.writerow(
-                [
-                    device_id,
-                    "R" if request.is_read else "W",
-                    request.lba * SECTOR_BYTES,
-                    request.sectors * SECTOR_BYTES,
-                    int(round(request.arrival_us)),
-                ]
-            )

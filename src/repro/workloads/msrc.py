@@ -54,21 +54,3 @@ def load_msrc_csv(path: Union[str, Path], name: str | None = None) -> Trace:
     requests.sort(key=lambda r: r.arrival_us)
     return Trace(requests, name=name or path.stem)
 
-
-def save_msrc_csv(trace: Trace, path: Union[str, Path], hostname: str = "synth") -> None:
-    """Write a trace in MSRC CSV format (round-trips with the loader)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        for request in trace:
-            writer.writerow(
-                [
-                    int(round(request.arrival_us * _TICKS_PER_US)),
-                    hostname,
-                    0,
-                    "Read" if request.is_read else "Write",
-                    request.lba * SECTOR_BYTES,
-                    request.sectors * SECTOR_BYTES,
-                    0,
-                ]
-            )

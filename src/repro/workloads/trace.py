@@ -8,7 +8,7 @@ the paper evaluates with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.errors import TraceError
 from repro.units import SECTOR_BYTES
@@ -72,60 +72,13 @@ class Trace:
         return sum(1 for r in self.requests if r.is_read) / len(self.requests)
 
     @property
-    def avg_request_bytes(self) -> float:
-        """Mean request size in bytes."""
-        if not self.requests:
-            return 0.0
-        return sum(r.bytes for r in self.requests) / len(self.requests)
-
-    @property
-    def avg_inter_arrival_us(self) -> float:
-        """Mean inter-arrival gap in microseconds."""
-        if len(self.requests) < 2:
-            return 0.0
-        span = self.requests[-1].arrival_us - self.requests[0].arrival_us
-        return span / (len(self.requests) - 1)
-
-    @property
     def duration_us(self) -> float:
         """Arrival time of the last request."""
         if not self.requests:
             return 0.0
         return self.requests[-1].arrival_us
 
-    @property
-    def max_lba(self) -> int:
-        """Highest sector addressed (exclusive)."""
-        return max((r.end_lba for r in self.requests), default=0)
-
-    def accelerated(self, factor: float, name: str | None = None) -> "Trace":
-        """Copy with inter-arrival times divided by ``factor``.
-
-        The paper accelerates the MSRC traces by 10x, as is common
-        practice for evaluating modern SSDs against decade-old traces.
-        """
-        if factor <= 0:
-            raise TraceError("acceleration factor must be positive")
-        scaled = [
-            TraceRequest(
-                arrival_us=r.arrival_us / factor,
-                lba=r.lba,
-                sectors=r.sectors,
-                is_read=r.is_read,
-            )
-            for r in self.requests
-        ]
-        return Trace(scaled, name=name or f"{self.name}-x{factor:g}")
-
     def head(self, count: int) -> "Trace":
         """First ``count`` requests (scaled-down benchmark runs)."""
         return Trace(self.requests[:count], name=self.name)
 
-
-def merge_traces(traces: Iterable[Trace], name: str = "merged") -> Trace:
-    """Time-merge several traces into one (multi-tenant experiments)."""
-    merged = sorted(
-        (request for trace in traces for request in trace),
-        key=lambda r: r.arrival_us,
-    )
-    return Trace(merged, name=name)

@@ -1,5 +1,7 @@
 """AERO erase scheme: FELP-driven reduction, shallow erasure, margins."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.aero import AeroEraseScheme
@@ -140,11 +142,10 @@ def test_misprediction_injection_and_repair(profile, rng):
 
 
 def test_stats_accumulate(aero, profile, rng):
-    aero.reset_stats()
     for index in range(5):
         block = make_block(profile, age_kilocycles=1.0, seed=300 + index)
         aero.erase(block, rng)
-    stats = aero.stats.as_dict()
+    stats = dataclasses.asdict(aero.stats)
     assert stats["erases"] == 5
     assert stats["shallow_probes"] >= 1
     assert stats["pulses_saved_vs_baseline"] > 0

@@ -1,4 +1,4 @@
-"""Block state machine: pages, erase lifecycle, retirement."""
+"""Block state machine: pages and erase lifecycle."""
 
 import pytest
 
@@ -55,13 +55,6 @@ def test_iter_valid_pages(block):
     assert list(block.iter_valid_pages()) == [(0, 10), (2, 12)]
 
 
-def test_check_readable(block):
-    with pytest.raises(CommandError):
-        block.check_readable(0)
-    block.program(lpn=1)
-    block.check_readable(0)  # no raise
-
-
 def test_erase_resets_pages(block, rng):
     for index in range(4):
         block.program(lpn=index)
@@ -71,7 +64,6 @@ def test_erase_resets_pages(block, rng):
     block.finish_erase(state)
     assert block.free_pages == 8
     assert block.valid_count == 0
-    assert block.erase_count == 1
     assert block.wear.pec == 1
     assert block.wear.age_kilocycles > 0
 
@@ -83,14 +75,6 @@ def test_erase_with_residual_and_nispe_override(block):
     block.finish_erase(state, residual_fail_bits=6000, nispe=3)
     assert block.wear.residual_fail_bits == 6000
     assert block.wear.residual_nispe == 3
-
-
-def test_retired_block_rejects_operations(block):
-    block.retire()
-    with pytest.raises(CommandError):
-        block.program(lpn=1)
-    with pytest.raises(CommandError):
-        block.begin_erase()
 
 
 def test_rber_sensitivity_normalized(profile):

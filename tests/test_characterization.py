@@ -4,15 +4,12 @@ import pytest
 
 from repro.characterization import (
     TestPlatform,
-    arrhenius_acceleration,
-    bake_hours_for_retention,
     erase_latency_cdf,
     failbit_linearity,
     felp_accuracy,
     reliability_margin,
     shallow_erasure_sweep,
 )
-from repro.characterization.bake import retention_scale
 from repro.characterization.fitting import fit_gamma_delta
 from repro.errors import ConfigError
 from repro.nand.chip_types import TLC_3D_48L
@@ -21,26 +18,6 @@ from repro.nand.chip_types import TLC_3D_48L
 @pytest.fixture(scope="module")
 def platform():
     return TestPlatform(TLC_3D_48L, chips=6, blocks_per_chip=12, seed=99)
-
-
-class TestBake:
-    def test_paper_equivalence_13_hours(self):
-        """1-year at 30 C == ~13 h at 85 C with Ea = 1.1 eV (Section 5.1)."""
-        hours = bake_hours_for_retention()
-        assert 11.0 <= hours <= 16.0
-
-    def test_acceleration_monotonic_in_temp(self):
-        assert arrhenius_acceleration(85.0) > arrhenius_acceleration(60.0) > 1.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            arrhenius_acceleration(20.0)  # cooler than reference
-        with pytest.raises(ConfigError):
-            bake_hours_for_retention(retention_hours=0.0)
-
-    def test_retention_scale_reference(self):
-        assert retention_scale(365 * 24.0) == pytest.approx(1.0)
-        assert retention_scale(0.0) == 0.0
 
 
 class TestPlatformFixture:

@@ -1,11 +1,12 @@
-"""NAND chip command surface and feature registers."""
+"""NAND chip structure and timing."""
+
+import dataclasses
 
 import pytest
 
-from repro.errors import AddressError, CommandError, FeatureError
+from repro.errors import AddressError, ConfigError
 from repro.nand.chip import NandChip
-from repro.nand.features import FeatureAddress, FeatureRegisterFile
-from repro.nand.geometry import BlockAddress, PageAddress
+from repro.nand.geometry import BlockAddress
 from repro.nand.timing import NandTiming
 
 
@@ -34,70 +35,9 @@ def test_block_resolution(chip):
 
 
 def test_program_then_read_timing(chip, profile):
-    address = PageAddress(0, 0, 0, 0, 0)
-    latency = chip.program_page(address, lpn=9)
-    assert latency == profile.t_prog_us
-    assert chip.read_page(address) == profile.t_r_us
-
-
-def test_out_of_order_program_rejected(chip):
-    with pytest.raises(CommandError):
-        chip.program_page(PageAddress(0, 0, 0, 0, 3))
-
-
-def test_read_unwritten_page_rejected(chip):
-    with pytest.raises(CommandError):
-        chip.read_page(PageAddress(0, 0, 0, 0, 0))
-
-
-def test_erase_primitives_latch_features(chip, rng):
-    block = chip.block(BlockAddress(0, 0, 0, 0))
-    state = block.begin_erase()
-    duration = chip.erase_pulse(block, state, loop=1, pulses=3)
-    assert duration == 3 * chip.timing.pulse_quantum_us
-    assert chip.features.get_feature(FeatureAddress.ERASE_LOOP_INDEX) == 1
-    t_vr, fail_bits = chip.verify_read(block, state)
-    assert t_vr == chip.timing.t_vr_us
-    assert chip.features.get_feature(FeatureAddress.FAIL_BIT_COUNT) == fail_bits
-    assert chip.features.get_feature(FeatureAddress.VERIFY_READ_COUNT) == 1
-
-
-class TestFeatureRegisterFile:
-    def test_defaults(self):
-        regs = FeatureRegisterFile(default_pulse_quanta=7)
-        assert regs.erase_pulse_quanta == 7
-
-    def test_set_and_restore(self):
-        regs = FeatureRegisterFile(default_pulse_quanta=7)
-        regs.set_feature(FeatureAddress.ERASE_PULSE_QUANTA, 2)
-        assert regs.erase_pulse_quanta == 2
-        regs.restore_default_pulse()
-        assert regs.erase_pulse_quanta == 7
-
-    def test_read_only_registers(self):
-        regs = FeatureRegisterFile(default_pulse_quanta=7)
-        with pytest.raises(FeatureError):
-            regs.set_feature(FeatureAddress.FAIL_BIT_COUNT, 1)
-
-    def test_unknown_address(self):
-        regs = FeatureRegisterFile(default_pulse_quanta=7)
-        with pytest.raises(FeatureError):
-            regs.get_feature(0x01)
-        with pytest.raises(FeatureError):
-            regs.set_feature(0x01, 5)
-
-    def test_negative_value_rejected(self):
-        regs = FeatureRegisterFile(default_pulse_quanta=7)
-        with pytest.raises(FeatureError):
-            regs.set_feature(FeatureAddress.ERASE_PULSE_QUANTA, -1)
-
-    def test_reset_erase_state(self):
-        regs = FeatureRegisterFile(default_pulse_quanta=7)
-        regs.latch_verify_read(500)
-        regs.latch_erase_loop(3)
-        regs.reset_erase_state()
-        assert regs.get_feature(FeatureAddress.ERASE_LOOP_INDEX) == 0
-        assert regs.get_feature(FeatureAddress.VERIFY_READ_COUNT) == 0
+    """The chip schedules with its profile's datasheet latencies."""
+    assert chip.timing.t_prog_us == profile.t_prog_us
+    assert chip.timing.t_r_us == profile.t_r_us
 
 
 class TestNandTiming:
@@ -106,23 +46,14 @@ class TestNandTiming:
         assert timing.t_ep_us == profile.t_ep_us
         assert timing.pulses_per_loop == profile.pulses_per_loop
 
-    def test_program_scaling(self, profile):
-        timing = NandTiming.from_profile(profile)
-        scaled = timing.with_program_scale(1.3)
-        assert scaled.t_prog_us == pytest.approx(profile.t_prog_us * 1.3)
-        fixed = timing.with_program_latency(455.0)
-        assert fixed.t_prog_us == 455.0
-
     def test_erase_pulse_duration(self, profile):
         timing = NandTiming.from_profile(profile)
         assert timing.erase_pulse_us(7) == profile.t_ep_us
         assert timing.erase_pulse_us(0) == 0.0
 
     def test_validation(self, profile):
-        from repro.errors import ConfigError
-
         timing = NandTiming.from_profile(profile)
         with pytest.raises(ConfigError):
-            timing.with_program_scale(0.0)
+            dataclasses.replace(timing, t_prog_us=0.0)
         with pytest.raises(ConfigError):
             timing.erase_pulse_us(-1)

@@ -85,14 +85,3 @@ def test_incomplete_replay_detected():
     # replaying an empty trace and asserting zero-requests still works.
     report = ssd.run_trace(Trace([]))
     assert report.requests_completed == 0
-
-
-def test_max_requests_truncation():
-    spec, ssd = make_ssd()
-    page_sectors = spec.geometry.page_size // 512
-    requests = [
-        TraceRequest(i * 100.0, i * page_sectors, page_sectors, False)
-        for i in range(50)
-    ]
-    report = ssd.run_trace(Trace(requests), max_requests=10)
-    assert report.requests_completed == 10

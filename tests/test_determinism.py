@@ -345,8 +345,9 @@ SCHEME_ONLY_VARIANTS = {
 
 
 def test_point_key_holds_every_input_but_the_scheme_only_ones(monkeypatch):
-    """A cell that changes one input of the point key misses every
-    share of the held point (its trace, fill, FTL pass and draws); one
+    """A cell that changes one input of the point key misses the held
+    point's trace, fill and FTL pass, and keeps its draws, which depend
+    only on the spec's profile and seed (no variant changes those); one
     that changes a scheme-only input hits them all. Either way it
     reports what it reports when it runs first."""
     stock = dict(
@@ -369,8 +370,9 @@ def test_point_key_holds_every_input_but_the_scheme_only_ones(monkeypatch):
         misses = {name: len(made) for name, made in calls.items()}
         if part in POINT_KEY_VARIANTS:
             assert cold != stock_report, part
-            assert misses.pop("draws") > 0, part
-            assert misses == {"trace": 1, "fill": 1, "ftl pass": 1}, part
+            assert misses == {
+                "trace": 1, "fill": 1, "ftl pass": 1, "draws": 0,
+            }, part
         else:
             assert misses == dict.fromkeys(calls, 0), part
 
@@ -405,8 +407,8 @@ def test_suspension_modes_share_one_point(monkeypatch):
 
 def test_point_cells_build_no_per_block_generators(monkeypatch):
     """After a grid point's first cell, each cell of the point builds
-    only its own four streams (two chip streams, the aging stream and
-    the FTL stream): the per-block draws and jitter rows are shared."""
+    only its own two streams (the aging stream and the FTL stream): the
+    per-block draws and jitter rows are shared."""
     import numpy as np
 
     built = []
@@ -429,7 +431,31 @@ def test_point_cells_build_no_per_block_generators(monkeypatch):
         * geometry.planes_per_chip * geometry.blocks_per_plane
     )
     assert counts[0] > 2 * blocks  # draws and jitter, per block
-    assert counts[1:] == [4] * (len(PAPER_SCHEMES) - 1)
+    assert counts[1:] == [2] * (len(PAPER_SCHEMES) - 1)
+
+
+def test_points_of_one_explicit_spec_share_its_draws(monkeypatch):
+    """A grid on one explicit spec draws its per-block table once: the
+    table depends only on the spec's profile and seed, so a cell at a
+    new PEC point builds no per-block generator (no base/rate draw, no
+    jitter row), and reports what it reports when it runs first."""
+    spec = SsdSpec.small_test(seed=11)
+
+    def cell(pec):
+        return run_workload_cell(
+            "baseline", pec, "ali.A", spec=spec, requests=300, seed=3
+        ).to_json_dict()
+
+    _point_cell("baseline", OTHER)
+    cold = cell(4500)
+    _point_cell("baseline", OTHER)  # a table of another seed
+    cell(2500)
+    built = {
+        "draws": _counted(monkeypatch, erase_model, "derive_rng"),
+        "jitter rows": _counted(monkeypatch, erase_model, "make_rng"),
+    }
+    assert cell(4500) == cold
+    assert built == {"draws": [], "jitter rows": []}
 
 
 def test_erase_model_draw_share_keeps_jitter_per_model():

@@ -53,13 +53,6 @@ def test_lookup_within_ranges(profile):
     assert table.lookup_pulses(profile, 3, 3 * profile.delta) == 4
 
 
-def test_to_milliseconds(profile):
-    table = published_conservative_table(profile)
-    ms_rows = table.to_milliseconds(profile)
-    assert ms_rows[1][0] == pytest.approx(0.5)
-    assert ms_rows[1][6] == pytest.approx(3.5)
-
-
 def test_table_validation(profile):
     with pytest.raises(ConfigError):
         EraseTimingTable(profile_name="x", rows=(), default_pulses=7)

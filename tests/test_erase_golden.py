@@ -14,7 +14,10 @@ exact outcomes:
   state's arrays after each step, the kernel's counters and the
   generator's end state of each batch kernel on 1-, 7- and 128-block
   states, plus the m-ISPE kernel's ``measure_batch``/``trace_batch``;
-* one short cell report per paper scheme.
+* one short cell report per paper scheme, with erase suspension on
+  and off: both replay engines time erases through one
+  :class:`~repro.erase.suspension.SegmentCursor`, so comparing them
+  cannot notice a change to it either.
 
 A deliberate physics change must regenerate them (run this file as a
 script to print fresh values).
@@ -130,6 +133,20 @@ CELL_DIGESTS = {
         "6daf82def43f990d055302442768c0641b17bfee1c2b68aa7ec49540daf2b317",
     "aero":
         "f49268b2b1c31ccc4edf898a87322f05b6e24f1c39978f3404c491b7be9a51c6",
+}
+
+#: The same cells with erase suspension off.
+CELL_DIGESTS_NO_SUSPENSION = {
+    "baseline":
+        "7f25313011c097ecaafb3907b0639b887aed2a9a5f48e951f8b44bfe1d5e6827",
+    "iispe":
+        "2fc65a268b97c388986338d5584d40566aab3d6326451676b96c53c52d744be5",
+    "dpes":
+        "a9235700c8c0126d0173e2d92061fa0ced0d0eb39fe4fdadf08fe30237c8e394",
+    "aero_cons":
+        "3904d4b12e5e06c1b7a09a95c6b7c05d98e6a84f8a26c70f5047c3fca0cec904",
+    "aero":
+        "c7f18fc795d6a20413dd694929925e71db3a8b8df40e1d15afa21c72afb14fb8",
 }
 
 
@@ -280,8 +297,11 @@ def mispe_probe_digest() -> str:
     return digest.hexdigest()
 
 
-def cell_digest(scheme: str) -> str:
-    report = run_workload_cell(scheme, 2500, "ali.A", requests=200, seed=11)
+def cell_digest(scheme: str, erase_suspension: bool = True) -> str:
+    report = run_workload_cell(
+        scheme, 2500, "ali.A", requests=200, seed=11,
+        erase_suspension=erase_suspension,
+    )
     return _digest(report.to_json_dict())
 
 
@@ -308,6 +328,13 @@ def test_cell_report_matches_golden(scheme):
     assert cell_digest(scheme) == CELL_DIGESTS[scheme]
 
 
+@pytest.mark.parametrize("scheme", PAPER_SCHEMES)
+def test_cell_report_without_suspension_matches_golden(scheme):
+    assert cell_digest(scheme, erase_suspension=False) == (
+        CELL_DIGESTS_NO_SUSPENSION[scheme]
+    )
+
+
 if __name__ == "__main__":
     for case in ERASE_CASES:
         print(f"{case!r}: {erase_digest(*case)}")
@@ -316,3 +343,5 @@ if __name__ == "__main__":
     print(f"mispe probes: {mispe_probe_digest()}")
     for scheme in PAPER_SCHEMES:
         print(f"{scheme!r}: {cell_digest(scheme)}")
+    for scheme in PAPER_SCHEMES:
+        print(f"{scheme!r}, no suspension: {cell_digest(scheme, False)}")

@@ -7,7 +7,6 @@ from repro.errors import EraseSchemeError
 from repro.nand.chip_types import TLC_3D_48L
 from repro.nand.erase_model import (
     BlockEraseModel,
-    BlockPopulation,
     EraseState,
     WearState,
 )
@@ -47,30 +46,43 @@ def test_nispe_and_mtep_consistent(model, profile):
         )
 
 
+def _population(profile, count=600, seed=7):
+    return [
+        BlockEraseModel(profile, seed, "population", index)
+        for index in range(count)
+    ]
+
+
+def _nispe(population, age):
+    return [model.nispe(age) for model in population]
+
+
+def _min_t_bers_ms(population, age):
+    return [model.min_t_bers_us(age) / 1000.0 for model in population]
+
+
 def test_population_figure4_shape(profile):
     """Key Figure 4 observations hold over the population."""
-    population = BlockPopulation(profile, 600, seed=7)
+    population = _population(profile)
     # PEC 0: every block erases in a single loop.
-    assert set(population.nispe_histogram(0.0)) == {1}
+    assert set(_nispe(population, 0.0)) == {1}
     # PEC 1K: most blocks still single-loop (paper: 76.5 %).
-    hist_1k = population.nispe_histogram(1.0)
-    single = hist_1k.get(1, 0) / 600
+    single = _nispe(population, 1.0).count(1) / 600
     assert 0.60 <= single <= 0.95
     # PEC 2K: every block needs at least two loops.
-    assert 1 not in population.nispe_histogram(2.0)
+    assert 1 not in _nispe(population, 2.0)
     # PEC 5K: loop counts reach 4-5.
-    assert population.nispe_histogram(5.0).get(5, 0) > 0
+    assert 5 in _nispe(population, 5.0)
     # mtBERS spread grows with PEC (paper: sigma 2.7 ms at 3.5K).
-    std_35 = float(np.std(population.min_t_bers_ms(3.5)))
-    std_05 = float(np.std(population.min_t_bers_ms(0.5)))
+    std_35 = float(np.std(_min_t_bers_ms(population, 3.5)))
+    std_05 = float(np.std(_min_t_bers_ms(population, 0.5)))
     assert std_35 > std_05
     assert 1.5 <= std_35 <= 4.0
 
 
 def test_population_majority_under_default_tep_at_pec0(profile):
     """Paper: >70 % of fresh blocks fully erase within 2.5 ms."""
-    population = BlockPopulation(profile, 600, seed=7)
-    values = population.min_t_bers_ms(0.0)
+    values = _min_t_bers_ms(_population(profile), 0.0)
     frac = sum(1 for v in values if v <= 2.5 + 0.1) / len(values)
     assert frac >= 0.6
 

@@ -114,13 +114,6 @@ class TestIntelligentIspe:
         damage_b = BaselineIspeScheme(profile).erase(block_b, rng).damage
         assert damage_i > damage_b
 
-    def test_reset_memory(self, profile, rng):
-        scheme = IntelligentIspeScheme(profile)
-        block = make_block(profile)
-        scheme.erase(block, rng)
-        scheme.reset_memory()
-        assert scheme.memorized_loop(block) == 1
-
 
 class TestDpes:
     def test_active_reduces_damage(self, profile, rng):

@@ -346,10 +346,10 @@ def test_chaos_compact_interrupt_is_recoverable(tmp_path, report):
         keys.append(key)
         store.put(key, report)
         store.put(key, report)  # superseded duplicate: compaction work
-    store.set_fault_injector(FaultInjector(plan))
+    armed = ShardedResultStore(tmp_path, fault_injector=FaultInjector(plan))
     with scoped_registry() as registry:
         with pytest.raises(InjectedFault):
-            store.compact()
+            armed.compact()
         assert injected_count(registry, "compact_interrupt") == 1
     # The interrupt hit the documented crash window: the compaction's
     # delete staged but not committed, so it rolled back. Recovery is
@@ -448,9 +448,11 @@ class _Sigkill(FaultInjector):
 
 
 def _compact_and_die(root):
-    store = ShardedResultStore(root)
-    store.set_fault_injector(
-        _Sigkill(FaultPlan(faults=(FaultSpec(kind="compact_interrupt"),)))
+    store = ShardedResultStore(
+        root,
+        fault_injector=_Sigkill(
+            FaultPlan(faults=(FaultSpec(kind="compact_interrupt"),))
+        ),
     )
     store.compact()
 

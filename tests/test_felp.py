@@ -26,13 +26,6 @@ def test_above_fhigh_no_reduction(predictor, profile):
     assert not prediction.aggressive
 
 
-def test_reduction_band(predictor, profile):
-    assert predictor.can_reduce(profile.gamma)
-    assert predictor.can_reduce(profile.f_high)
-    assert not predictor.can_reduce(profile.f_pass)
-    assert not predictor.can_reduce(profile.f_high + 1)
-
-
 def test_conservative_prediction(predictor, profile):
     prediction = predictor.predict(2, profile.delta)
     assert prediction.pulses == 2
@@ -44,7 +37,6 @@ def test_aggressive_prediction(predictor, profile):
     prediction = predictor.predict(2, profile.delta, use_margin=True)
     assert prediction.pulses == 0
     assert prediction.aggressive
-    assert prediction.skipped_entirely
 
 
 def test_aggressive_equal_to_conservative_not_flagged(predictor, profile):

@@ -9,7 +9,7 @@ from repro.ftl.allocator import WriteStream
 from repro.ftl.ftl import PageLevelFtl
 from repro.ftl.mapping import PageMappingTable
 from repro.nand.chip import NandChip
-from repro.nand.geometry import PageAddress
+from repro.nand.geometry import PageAddress, PlaneAddress
 
 
 def build_ftl(spec: SsdSpec):
@@ -28,6 +28,10 @@ def build_ftl(spec: SsdSpec):
         for chip in range(geometry.chips_per_channel)
     ]
     return PageLevelFtl(spec, chips, BaselineIspeScheme(spec.profile))
+
+
+def plane_of(address: PageAddress) -> PlaneAddress:
+    return PlaneAddress(address.channel, address.chip, address.plane)
 
 
 @pytest.fixture
@@ -52,14 +56,6 @@ class TestMappingTable:
         table.update(5, first)
         assert table.update(5, second) == first
         assert table.lookup(5) == second
-
-    def test_remove(self):
-        table = PageMappingTable(100)
-        address = PageAddress(0, 0, 0, 1, 2)
-        table.update(5, address)
-        assert table.remove(5) == address
-        assert table.lookup(5) is None
-        assert table.remove(5) is None
 
     def test_lpn_bounds(self):
         table = PageMappingTable(10)
@@ -92,14 +88,8 @@ class TestWritePath:
         ftl.check_consistency()
 
     def test_striping_spreads_planes(self, ftl):
-        planes = {ftl.write(lpn).destination.plane_address for lpn in range(8)}
+        planes = {plane_of(ftl.write(lpn).destination) for lpn in range(8)}
         assert len(planes) == len(ftl.planes)
-
-    def test_trim(self, ftl):
-        ftl.write(9)
-        ftl.trim(9)
-        assert ftl.read(9) is None
-        ftl.check_consistency()
 
 
 class TestGarbageCollection:
@@ -135,8 +125,8 @@ class TestGarbageCollection:
         assert moved, "expected at least one GC job with live moves"
         for job in moved:
             for move in job.moves:
-                assert move.source.plane_address == job.plane
-                assert move.destination.plane_address == job.plane
+                assert plane_of(move.source) == job.plane
+                assert plane_of(move.destination) == job.plane
                 # Moved data is readable at its new location.
                 assert ftl.read(move.lpn) is not None
         assert ftl.stats.gc_page_moves == sum(len(j.moves) for j in jobs)
@@ -180,7 +170,7 @@ class TestAllocator:
 
     def test_gc_candidates_exclude_active_and_free(self, ftl):
         allocator = ftl.planes[0]
-        allocator.allocate_page(WriteStream.HOST, 1)
-        active = allocator.active_block(WriteStream.HOST)
+        page = allocator.allocate_page(WriteStream.HOST, 1)
+        active = ftl.block_at(page.block_address)
         candidates = allocator.gc_candidates()
         assert active not in candidates

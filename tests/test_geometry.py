@@ -1,9 +1,11 @@
 """NAND geometry and addressing."""
 
+from itertools import product
+
 import pytest
 
 from repro.errors import AddressError, ConfigError
-from repro.nand.geometry import BlockAddress, NandGeometry, PageAddress, PlaneAddress
+from repro.nand.geometry import BlockAddress, NandGeometry, PageAddress
 
 
 @pytest.fixture
@@ -35,7 +37,6 @@ def test_derived_counts(geometry):
     assert geometry.planes == 8
     assert geometry.blocks == 32
     assert geometry.pages == 256
-    assert geometry.block_bytes == 8 * 4096
 
 
 def test_rejects_nonpositive_fields():
@@ -46,36 +47,35 @@ def test_rejects_nonpositive_fields():
 
 
 def test_block_index_round_trip(geometry):
-    seen = set()
-    for address in geometry.iter_block_addresses():
-        index = geometry.block_index(address)
-        assert geometry.block_from_index(index) == address
-        seen.add(index)
-    assert seen == set(range(geometry.blocks))
+    """Channel-major addresses index [0, blocks) in order."""
+    addresses = [
+        BlockAddress(*fields)
+        for fields in product(range(2), range(2), range(2), range(4))
+    ]
+    indices = [geometry.block_index(address) for address in addresses]
+    assert indices == list(range(geometry.blocks))
 
 
 def test_page_index_round_trip(geometry):
     address = PageAddress(1, 0, 1, 3, 7)
-    index = geometry.page_index(address)
-    assert geometry.page_from_index(index) == address
+    block = geometry.block_index(address.block_address)
+    assert block == 16 + 4 + 3
+    assert geometry.page_index(address) == block * 8 + 7
 
 
 def test_out_of_range_rejected(geometry):
     with pytest.raises(AddressError):
         geometry.check_block(BlockAddress(2, 0, 0, 0))
     with pytest.raises(AddressError):
-        geometry.check_page(PageAddress(0, 0, 0, 0, 8))
+        geometry.block_index(BlockAddress(0, 0, 0, 4))
     with pytest.raises(AddressError):
-        geometry.block_from_index(geometry.blocks)
-    with pytest.raises(AddressError):
-        geometry.page_from_index(-1)
+        geometry.page_index(PageAddress(0, 2, 0, 0, 0))
 
 
 def test_address_navigation():
     block = BlockAddress(1, 0, 2, 3)
     page = block.page(5)
     assert page.block_address == block
-    assert page.plane_address == PlaneAddress(1, 0, 2)
     assert "blk3" in str(block)
     assert "pg5" in str(page)
 

@@ -307,7 +307,7 @@ def test_erase_latency_cdf_kernel_matches_object():
         )
         np.testing.assert_allclose(
             kernel.mtbers_ms[pec],
-            sorted(m.min_t_bers_ms for m in measurements),
+            sorted(m.min_t_bers_us / 1000.0 for m in measurements),
             atol=1e-9,
         )
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,12 +11,11 @@ from repro.core.ept import (
     published_conservative_table,
 )
 from repro.core.felp import FelpPredictor
-from repro.erase.scheme import EraseOperationResult, EraseSegment, SegmentKind
 from repro.erase.suspension import SegmentCursor
 from repro.ftl.mapping import PageMappingTable
 from repro.nand.chip_types import TLC_3D_48L
 from repro.nand.erase_model import BlockEraseModel, EraseState
-from repro.nand.geometry import NandGeometry, PageAddress
+from repro.nand.geometry import BlockAddress, NandGeometry, PageAddress
 from repro.rng import make_rng
 from repro.sim.engine import Simulator
 
@@ -124,17 +124,12 @@ def test_conservative_table_rarely_underpredicts_with_noise():
 def test_segment_cursor_time_conservation(durations, cut):
     """advance() consumes exactly the operation's total time, no matter
     where a suspension splits it (plus the resume overhead)."""
-    result = EraseOperationResult(scheme="prop")
-    for duration in durations:
-        result.segments.append(
-            EraseSegment(SegmentKind.ERASE_PULSE, duration, loop=1)
-        )
     total = sum(durations)
-    cursor = SegmentCursor(result, suspend_overhead_us=40.0)
+    cursor = SegmentCursor(list(durations))
     first = cursor.advance(total * cut)
     if not cursor.finished:
         cursor.suspend()
-        cursor.resume()
+        cursor.resume(40.0)
         second = cursor.advance(1e12)
         assert math.isclose(first + second, total + 40.0, rel_tol=1e-9)
     else:
@@ -195,7 +190,9 @@ def test_geometry_index_bijection(channels, chips, planes, blocks, pages):
         page_size=4096,
     )
     indices = {
-        geometry.block_index(address)
-        for address in geometry.iter_block_addresses()
+        geometry.block_index(BlockAddress(*fields))
+        for fields in product(
+            range(channels), range(chips), range(planes), range(blocks)
+        )
     }
     assert indices == set(range(geometry.blocks))

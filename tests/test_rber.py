@@ -78,8 +78,8 @@ def test_sensitivity_scales_effective_age(rber):
 def test_meets_requirement(rber, profile):
     young = rber.mrber(WearState(age_kilocycles=0.5))
     old = rber.mrber(WearState(age_kilocycles=8.0))
-    assert rber.meets_requirement(young)
-    assert not rber.meets_requirement(old)
+    assert rber.margin(young) >= 0
+    assert rber.margin(old) < 0
 
 
 def test_retention_factor_validation(profile):

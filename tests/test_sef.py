@@ -13,21 +13,12 @@ def test_fresh_drive_all_enabled():
     assert all(sef.shallow_enabled(i) for i in range(128))
 
 
-def test_disable_and_reenable():
+def test_disable_one_block():
     sef = ShallowEraseFlags(16)
     sef.disable_shallow(3)
     assert not sef.shallow_enabled(3)
-    assert sef.disabled_count == 1
-    sef.enable_shallow(3)
-    assert sef.shallow_enabled(3)
-
-
-def test_reset():
-    sef = ShallowEraseFlags(16)
-    for index in range(8):
-        sef.disable_shallow(index)
-    sef.reset()
-    assert sef.enabled_count == 16
+    assert sef.enabled_count == 15
+    assert sef.shallow_enabled(2) and sef.shallow_enabled(4)
 
 
 def test_storage_overhead_matches_paper():

@@ -52,7 +52,6 @@ def test_cancel_prevents_firing():
     sim.at(5.0, lambda: event.cancel())
     sim.run()
     assert fired == []
-    assert event.cancelled
 
 
 def test_run_until_horizon():
@@ -79,7 +78,6 @@ def test_cascading_events():
     sim.at(0.0, lambda: chain(0))
     sim.run()
     assert counter == list(range(6))
-    assert sim.events_fired == 6  # chain(0) through chain(5)
 
 
 def test_max_events_guard():
@@ -168,7 +166,6 @@ def test_cancel_twice_before_firing_is_idempotent():
     event.cancel()
     sim.run()
     assert fired == []
-    assert event.cancelled
 
 
 def test_property_run_until_clamps_and_preserves_later_events():

@@ -27,11 +27,6 @@ class TestChannelBus:
         assert bus.reserve(now=0.0, pages=3) == pytest.approx(30.0)
         assert bus.transfers == 3
 
-    def test_utilization(self):
-        bus = ChannelBus(0, transfer_us_per_page=10.0)
-        bus.reserve(0.0)
-        assert bus.utilization(100.0) == pytest.approx(0.1)
-
 
 class TestLatencyRecorder:
     def test_summary(self):

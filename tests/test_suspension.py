@@ -2,100 +2,89 @@
 
 import pytest
 
-from repro.erase.scheme import EraseOperationResult, EraseSegment, SegmentKind
 from repro.erase.suspension import SegmentCursor
 from repro.errors import SimulationError
 
 
-def make_result(durations):
-    result = EraseOperationResult(scheme="test")
-    for index, duration in enumerate(durations):
-        result.segments.append(
-            EraseSegment(
-                kind=SegmentKind.ERASE_PULSE if index % 2 == 0 else SegmentKind.VERIFY_READ,
-                duration_us=duration,
-                loop=1,
-            )
-        )
-    return result
-
-
 def test_remaining_and_advance():
-    cursor = SegmentCursor(make_result([1000.0, 100.0, 500.0]))
-    assert cursor.remaining_us() == pytest.approx(1600.0)
+    cursor = SegmentCursor([1000.0, 100.0, 500.0])
+    assert cursor.remaining() == pytest.approx(1600.0)
     used = cursor.advance(1000.0)
     assert used == pytest.approx(1000.0)
-    assert cursor.remaining_us() == pytest.approx(600.0)
+    assert cursor.remaining() == pytest.approx(600.0)
     cursor.advance(600.0)
     assert cursor.finished
 
 
 def test_advance_stops_at_completion():
-    cursor = SegmentCursor(make_result([200.0]))
+    cursor = SegmentCursor([200.0])
     used = cursor.advance(999.0)
     assert used == pytest.approx(200.0)
     assert cursor.finished
 
 
 def test_mid_segment_suspend_resume_overhead():
-    cursor = SegmentCursor(make_result([1000.0]), suspend_overhead_us=40.0)
+    cursor = SegmentCursor([1000.0])
     cursor.advance(300.0)
     cursor.suspend()
     assert cursor.suspended
-    cursor.resume()
+    cursor.resume(40.0)
     # Remaining = 700 left + 40 ramp overhead.
-    assert cursor.remaining_us() == pytest.approx(740.0)
+    assert cursor.remaining() == pytest.approx(740.0)
     cursor.advance(740.0)
     assert cursor.finished
-    assert cursor.suspend_count == 1
-    assert cursor.total_overhead_us == pytest.approx(40.0)
+    assert cursor.count == 1
 
 
 def test_multiple_suspensions_accumulate_overhead():
-    cursor = SegmentCursor(make_result([1000.0]), suspend_overhead_us=25.0)
+    cursor = SegmentCursor([1000.0])
     for _ in range(3):
         cursor.advance(100.0)
         cursor.suspend()
-        cursor.resume()
+        cursor.resume(25.0)
         cursor.advance(25.0)  # consume the ramp overhead
-    assert cursor.suspend_count == 3
-    assert cursor.total_overhead_us == pytest.approx(75.0)
+    assert cursor.count == 3
+    # Each ramp ran before any segment time: 3 x 100 of 1000 elapsed.
+    assert cursor.remaining() == pytest.approx(700.0)
 
 
 def test_cannot_advance_while_suspended():
-    cursor = SegmentCursor(make_result([100.0]))
+    cursor = SegmentCursor([100.0])
     cursor.suspend()
     with pytest.raises(SimulationError):
         cursor.advance(10.0)
 
 
 def test_cannot_double_suspend_or_resume_idle():
-    cursor = SegmentCursor(make_result([100.0]))
+    cursor = SegmentCursor([100.0])
     cursor.suspend()
     with pytest.raises(SimulationError):
         cursor.suspend()
-    cursor.resume()
+    cursor.resume(40.0)
     with pytest.raises(SimulationError):
-        cursor.resume()
+        cursor.resume(40.0)
 
 
 def test_cannot_suspend_finished():
-    cursor = SegmentCursor(make_result([50.0]))
+    cursor = SegmentCursor([50.0])
     cursor.advance(50.0)
     with pytest.raises(SimulationError):
         cursor.suspend()
 
 
 def test_negative_advance_rejected():
-    cursor = SegmentCursor(make_result([50.0]))
+    cursor = SegmentCursor([50.0])
     with pytest.raises(SimulationError):
         cursor.advance(-1.0)
 
 
 def test_current_segment_tracking():
-    cursor = SegmentCursor(make_result([100.0, 10.0]))
-    assert cursor.current_segment().duration_us == 100.0
-    cursor.advance(100.0)
-    assert cursor.current_segment().duration_us == 10.0
+    """The boundary is the time left in the segment now elapsing."""
+    cursor = SegmentCursor([100.0, 10.0])
+    assert cursor.boundary() == 100.0
+    cursor.advance(30.0)
+    assert cursor.boundary() == pytest.approx(70.0)
+    cursor.advance(70.0)
+    assert cursor.boundary() == 10.0
     cursor.advance(10.0)
-    assert cursor.current_segment() is None
+    assert cursor.boundary() == 0.0

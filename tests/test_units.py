@@ -1,37 +1,12 @@
 """Unit conversions."""
 
-import pytest
-
 from repro import units
 
 
 def test_time_constructors():
     assert units.us(1) == 1.0
     assert units.ms(1) == 1000.0
-    assert units.sec(1) == 1_000_000.0
     assert units.ms(3.5) == 3500.0
-
-
-def test_time_round_trips():
-    assert units.to_ms(units.ms(7.25)) == pytest.approx(7.25)
-    assert units.to_sec(units.sec(0.5)) == pytest.approx(0.5)
-
-
-def test_hour_constant():
-    assert units.HOUR == 3600 * units.SEC
-
-
-def test_size_constructors():
-    assert units.kib(16) == 16 * 1024
-    assert units.mib(2) == 2 * 1024 * 1024
-    assert units.gib(1) == 1024 ** 3
-
-
-def test_sectors_for_rounds_up():
-    assert units.sectors_for(1) == 1
-    assert units.sectors_for(512) == 1
-    assert units.sectors_for(513) == 2
-    assert units.sectors_for(16384) == 32
 
 
 def test_sector_size_is_512():

@@ -1,5 +1,7 @@
 """Traces, Table 3 profiles, synthetic generation, format parsers."""
 
+import csv
+
 import pytest
 
 from repro.errors import ConfigError, TraceError
@@ -12,10 +14,12 @@ from repro.workloads import (
     load_alibaba_csv,
     load_msrc_csv,
     profile_by_abbr,
-    save_alibaba_csv,
-    save_msrc_csv,
 )
-from repro.workloads.trace import merge_traces
+
+
+def _write_rows(path, rows):
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
 
 
 class TestTrace:
@@ -39,23 +43,7 @@ class TestTrace:
         ]
         trace = Trace(requests)
         assert trace.read_ratio == pytest.approx(2 / 3)
-        assert trace.avg_request_bytes == pytest.approx(16 * SECTOR_BYTES)
-        assert trace.avg_inter_arrival_us == pytest.approx(100.0)
-        assert trace.max_lba == 32
         assert trace.duration_us == 200.0
-
-    def test_acceleration(self):
-        trace = Trace([TraceRequest(0.0, 0, 1, True), TraceRequest(100.0, 0, 1, True)])
-        fast = trace.accelerated(10.0)
-        assert fast.avg_inter_arrival_us == pytest.approx(10.0)
-        with pytest.raises(TraceError):
-            trace.accelerated(0.0)
-
-    def test_merge(self):
-        t1 = Trace([TraceRequest(0.0, 0, 1, True), TraceRequest(50.0, 0, 1, True)])
-        t2 = Trace([TraceRequest(25.0, 0, 1, False)])
-        merged = merge_traces([t1, t2])
-        assert [r.arrival_us for r in merged] == [0.0, 25.0, 50.0]
 
 
 class TestProfiles:
@@ -96,10 +84,10 @@ class TestSyntheticGenerator:
         )
         trace = generator.generate(3000)
         assert trace.read_ratio == pytest.approx(profile.read_ratio, abs=0.05)
-        assert trace.avg_request_bytes == pytest.approx(
-            profile.avg_request_kb * 1024, rel=0.25
-        )
-        assert trace.avg_inter_arrival_us == pytest.approx(
+        mean_bytes = sum(r.bytes for r in trace) / len(trace)
+        mean_gap = (trace[-1].arrival_us - trace[0].arrival_us) / (len(trace) - 1)
+        assert mean_bytes == pytest.approx(profile.avg_request_kb * 1024, rel=0.25)
+        assert mean_gap == pytest.approx(
             profile.effective_inter_arrival_us, rel=0.25
         )
 
@@ -108,7 +96,7 @@ class TestSyntheticGenerator:
         footprint = 1 << 24
         generator = SyntheticTraceGenerator(profile, footprint_bytes=footprint, seed=2)
         trace = generator.generate(500)
-        assert trace.max_lba * SECTOR_BYTES <= footprint
+        assert max(r.end_lba for r in trace) * SECTOR_BYTES <= footprint
 
     def test_tiny_footprint_rejected(self):
         with pytest.raises(TraceError):
@@ -120,7 +108,14 @@ class TestFormats:
         profile = profile_by_abbr("hm")
         trace = SyntheticTraceGenerator(profile, 1 << 24, seed=1).generate(100)
         path = tmp_path / "trace.csv"
-        save_msrc_csv(trace, path)
+        _write_rows(path, [
+            [
+                int(round(r.arrival_us * 10)), "synth", 0,
+                "Read" if r.is_read else "Write",
+                r.lba * SECTOR_BYTES, r.sectors * SECTOR_BYTES, 0,
+            ]
+            for r in trace
+        ])
         loaded = load_msrc_csv(path)
         assert len(loaded) == len(trace)
         # The loader normalizes timestamps to trace start.
@@ -137,7 +132,14 @@ class TestFormats:
         profile = profile_by_abbr("ali.B")
         trace = SyntheticTraceGenerator(profile, 1 << 24, seed=1).generate(100)
         path = tmp_path / "trace.csv"
-        save_alibaba_csv(trace, path, device_id=3)
+        _write_rows(path, [
+            [
+                3, "R" if r.is_read else "W",
+                r.lba * SECTOR_BYTES, r.sectors * SECTOR_BYTES,
+                int(round(r.arrival_us)),
+            ]
+            for r in trace
+        ])
         loaded = load_alibaba_csv(path)
         assert len(loaded) == len(trace)
         assert load_alibaba_csv(path, device_id=99).requests == []
