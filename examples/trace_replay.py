@@ -19,6 +19,7 @@ from repro.experiments import WORKLOADS
 from repro.ftl.aeroftl import AeroFtl
 from repro.workloads import (
     SyntheticTraceGenerator,
+    Trace,
     load_alibaba_csv,
     load_msrc_csv,
 )
@@ -57,7 +58,8 @@ def main():
     ssd.precondition(footprint_pages=int(spec.logical_pages * 0.9))
 
     if args.trace:
-        trace = load_trace(Path(args.trace), spec).head(args.requests)
+        trace = load_trace(Path(args.trace), spec)
+        trace = Trace(trace.requests[: args.requests], name=trace.name)
         print(f"Loaded {len(trace)} requests from {args.trace}")
     else:
         generator = SyntheticTraceGenerator(

@@ -11,12 +11,12 @@ processes with crash-resume". Four layers:
   keeps its historical name because the repo benchmark imports it;
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, the declarative
   (schemes x PECs x workloads) campaign description,
-  :meth:`GridRunner.plan`-compatible; plus :class:`MixedCampaignSpec`
-  and :func:`campaign_spec_from_dict`, which dispatch on a ``family``
-  key so one campaign file carries grid cells (``"cell"``), lifetime
-  curves (``"lifetime"``, a :class:`~repro.lifetime.spec.LifetimeSpec`),
-  or both (``"mixed"``). Every spec class shares one JSON codec and
-  one version (:class:`~repro.experiments.spec.SpecBase`,
+  :meth:`GridRunner.plan`-compatible; plus :func:`load_campaign_file`,
+  which dispatches on a ``family`` key so a campaign file carries grid
+  cells (``"cell"``) or lifetime curves (``"lifetime"``, a
+  :class:`~repro.lifetime.spec.LifetimeSpec`). Every spec class shares
+  one JSON codec and one version
+  (:class:`~repro.experiments.spec.SpecBase`,
   :data:`~repro.experiments.spec.SPEC_VERSION`) and one file reader,
   so a wrongly typed field is a ``ConfigError`` naming the field;
 * :mod:`repro.campaign.orchestrator` — :class:`CampaignOrchestrator`,
@@ -112,8 +112,6 @@ from repro.campaign.orchestrator import (
 from repro.campaign.spec import (
     CAMPAIGN_FAMILIES,
     CampaignSpec,
-    MixedCampaignSpec,
-    campaign_spec_from_dict,
     load_campaign_file,
 )
 from repro.campaign.store import (
@@ -142,11 +140,9 @@ __all__ = [
     "CellSupervisor",
     "CompactionStats",
     "GcResult",
-    "MixedCampaignSpec",
     "RetryPolicy",
     "ShardedResultStore",
     "StoreStats",
-    "campaign_spec_from_dict",
     "load_campaign_file",
     "open_store",
     "run_campaign",

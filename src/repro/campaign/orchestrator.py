@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import open_store
@@ -110,18 +110,6 @@ def format_duration(seconds: float) -> str:
     return f"{seconds:.0f}s"
 
 
-def _family_counts(
-    jobs: Iterable[Any], done: Iterable[bool]
-) -> Dict[str, Dict[str, int]]:
-    """``{family: {"total": n, "done": m}}`` over jobs and their done flags."""
-    counts: Dict[str, Dict[str, int]] = {}
-    for job, finished in zip(jobs, done):
-        entry = counts.setdefault(job.family, {"total": 0, "done": 0})
-        entry["total"] += 1
-        entry["done"] += bool(finished)
-    return counts
-
-
 @dataclass(frozen=True)
 class CampaignStats:
     """Where the campaign's cells came from, and how long it took.
@@ -161,11 +149,6 @@ class CampaignResult:
     stats: CampaignStats
     quarantined: Tuple[Dict[str, Any], ...] = ()
     comparisons: Tuple[Any, ...] = ()
-
-    @property
-    def complete(self) -> bool:
-        return all(report is not None for report in self.reports)
-
 
 _ProgressFn = Callable[[CampaignProgress], None]
 _CellFn = Callable[[int, Any, Any], None]
@@ -243,24 +226,8 @@ class CampaignOrchestrator:
 
     def plan(self) -> List[Any]:
         """The campaign's jobs (``GridRunner.plan``-identical for grid
-        cells; lifetime members emit :class:`LifetimeJob` orders)."""
+        cells; a lifetime spec emits :class:`LifetimeJob` orders)."""
         return self.spec.jobs()
-
-    def family_status(self) -> Dict[str, Dict[str, int]]:
-        """Per-family resume counts of the store (``campaign status``),
-        in one pass and without executing anything."""
-        jobs = self.plan()
-        return _family_counts(
-            jobs, (job.fingerprint in self.store for job in jobs)
-        )
-
-    def _member_ranges(self) -> List[Tuple[Any, int, int]]:
-        """``(member, start, stop)`` job slices; single-family specs
-        are their own sole member."""
-        ranges = getattr(self.spec, "member_ranges", None)
-        if ranges is not None:
-            return ranges()
-        return [(self.spec, 0, self.spec.size)]
 
     # --- execution ----------------------------------------------------------
 
@@ -368,15 +335,13 @@ class CampaignOrchestrator:
             [job for job, _ in finished],
             [report for _, report in finished],
         )
-        # Lifetime members whose curves all completed assemble into
-        # SchemeComparisons, one per member, in member order.
+        # A lifetime campaign whose curves all completed assembles into
+        # its SchemeComparison.
         comparisons = []
-        for member, begin, end in self._member_ranges():
-            if getattr(member, "family", "cell") != "lifetime":
-                continue
-            curves = reports[begin:end]
-            if all(curve is not None for curve in curves):
-                comparisons.append(member.comparison(curves))
+        if getattr(self.spec, "family", None) == "lifetime" and all(
+            curve is not None for curve in reports
+        ):
+            comparisons.append(self.spec.comparison(reports))
         return CampaignResult(
             spec=self.spec,
             jobs=tuple(jobs),

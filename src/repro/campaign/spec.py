@@ -13,9 +13,8 @@ registries, seed derivation, and cache fingerprints:
 * each of those jobs is the :class:`CellJob` an
   :class:`ExperimentSpec` with the same fields resolves to, so a
   ``python -m repro run`` of one cell shares its store entry;
-* both this class and :class:`MixedCampaignSpec` take their JSON codec
-  (``to_dict``/``from_dict``, version and type checks) and
-  ``fingerprints()`` from :class:`~repro.experiments.spec.JobSpec`, and
+* it takes its JSON codec (``to_dict``/``from_dict``, version and type
+  checks) from :class:`~repro.experiments.spec.SpecBase`, and
   :func:`load_campaign_file` reads the ``campaign.json`` files the CLI
   takes through the shared
   :func:`~repro.experiments.spec.read_spec_file`.
@@ -30,18 +29,18 @@ from typing import Any, List, Mapping, Optional, Tuple, Union
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES, WORKLOADS
-from repro.experiments.spec import SSD_CODEC, JobSpec, read_spec_file
+from repro.experiments.spec import SSD_CODEC, SpecBase, read_spec_file
 from repro.harness.cells import PAPER_PEC_POINTS, PAPER_SCHEMES
 from repro.harness.runner import CellJob, plan_jobs
 from repro.kernels import check_engine
 from repro.rng import DEFAULT_SEED
 
 #: The ``family`` values a campaign file may declare.
-CAMPAIGN_FAMILIES = ("cell", "lifetime", "mixed")
+CAMPAIGN_FAMILIES = ("cell", "lifetime")
 
 
 @dataclass(frozen=True)
-class CampaignSpec(JobSpec):
+class CampaignSpec(SpecBase):
     """Frozen description of one (schemes x PECs x workloads) campaign."""
 
     schemes: Tuple[str, ...] = PAPER_SCHEMES
@@ -78,11 +77,6 @@ class CampaignSpec(JobSpec):
 
     # --- derived ------------------------------------------------------------
 
-    @property
-    def size(self) -> int:
-        """How many cells the campaign comprises."""
-        return len(self.schemes) * len(self.pec_points) * len(self.workloads)
-
     def validate(self) -> "CampaignSpec":
         """Check every scheme and workload against the registries."""
         for scheme in self.schemes:
@@ -111,96 +105,17 @@ class CampaignSpec(JobSpec):
         )
 
 
-def _members_from_json(members: Any) -> Tuple[Any, ...]:
-    """Decode a mixed campaign's ``members`` list (``__post_init__``
-    rejects nested mixed members)."""
-    if not isinstance(members, list):
-        raise ConfigError("mixed campaign needs a members list")
-    return tuple(campaign_spec_from_dict(member) for member in members)
+def load_campaign_file(path: Union[str, Path]) -> Any:
+    """Load a campaign spec of either family from a JSON file.
 
-
-def _members_to_json(members: Tuple[Any, ...]) -> List[Any]:
-    return [member.to_dict() for member in members]
-
-
-@dataclass(frozen=True)
-class MixedCampaignSpec(JobSpec):
-    """A campaign whose members span both families.
-
-    ``members`` is an ordered tuple of :class:`CampaignSpec` and
-    :class:`~repro.lifetime.spec.LifetimeSpec` objects; ``jobs()``
-    concatenates the members' jobs in order, so one orchestrator run
-    executes lifetime curves and replay cells under the same
-    supervision, retry/quarantine, fault-injection, and telemetry.
-    Nested mixed members are rejected — one level of grouping keeps
-    job offsets trivially computable (``member_ranges``).
-    """
-
-    members: Tuple[Any, ...] = ()
-
-    label = "mixed campaign spec"
-    #: Family discriminator (heterogeneous campaigns).
-    family = "mixed"
-    codecs = {"members": (_members_to_json, _members_from_json)}
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
-            raise ConfigError("mixed campaign needs at least one member")
-        for member in self.members:
-            member_family = getattr(member, "family", None)
-            if member_family not in ("cell", "lifetime"):
-                raise ConfigError(
-                    f"mixed campaign members must be cell or lifetime "
-                    f"specs, got {type(member).__name__} "
-                    f"(family {member_family!r})"
-                )
-
-    # --- derived ------------------------------------------------------------
-
-    @property
-    def seed(self) -> int:
-        """The first member's seed (used for retry-backoff derivation)."""
-        return self.members[0].seed
-
-    @property
-    def size(self) -> int:
-        return sum(member.size for member in self.members)
-
-    def validate(self) -> "MixedCampaignSpec":
-        for member in self.members:
-            member.validate()
-        return self
-
-    def jobs(self) -> List[Any]:
-        """Every member's jobs, concatenated in member order."""
-        jobs: List[Any] = []
-        for member in self.members:
-            jobs.extend(member.jobs())
-        return jobs
-
-    def member_ranges(self) -> List[Tuple[Any, int, int]]:
-        """``(member, start, stop)`` slices into the :meth:`jobs` list."""
-        ranges: List[Tuple[Any, int, int]] = []
-        offset = 0
-        for member in self.members:
-            ranges.append((member, offset, offset + member.size))
-            offset += member.size
-        return ranges
-
-
-def campaign_spec_from_dict(
-    data: Mapping[str, Any],
-) -> Union[CampaignSpec, MixedCampaignSpec, Any]:
-    """Parse any campaign-family spec dict by its ``family`` key.
-
-    ``cell`` (the default when the key is absent, for backward
-    compatibility with pre-family campaign files) builds a
+    Accepts the bare spec object or ``{"campaign": {...}}``. Its
+    ``family`` key selects the spec: ``cell`` (the default when the key
+    is absent, as in pre-family campaign files) builds a
     :class:`CampaignSpec`, ``lifetime`` a
-    :class:`~repro.lifetime.spec.LifetimeSpec`, ``mixed`` a
-    :class:`MixedCampaignSpec`; anything else is a
+    :class:`~repro.lifetime.spec.LifetimeSpec`; anything else is a
     :class:`ConfigError` listing the valid families.
     """
+    data = read_spec_file(path, "campaign")
     if not isinstance(data, Mapping):
         raise ConfigError(
             f"campaign spec must be a JSON object, got {type(data).__name__}"
@@ -212,20 +127,7 @@ def campaign_spec_from_dict(
         from repro.lifetime.spec import LifetimeSpec
 
         return LifetimeSpec.from_dict(data)
-    if family == "mixed":
-        return MixedCampaignSpec.from_dict(data)
     raise ConfigError(
         f"unknown campaign family {family!r}; "
         f"valid families: {', '.join(CAMPAIGN_FAMILIES)}"
     )
-
-
-def load_campaign_file(
-    path: Union[str, Path],
-) -> Union[CampaignSpec, MixedCampaignSpec, Any]:
-    """Load a campaign spec (any family) from a JSON file.
-
-    Accepts the bare spec object or ``{"campaign": {...}}``; the
-    ``family`` key selects the spec type (``cell`` when absent).
-    """
-    return campaign_spec_from_dict(read_spec_file(path, "campaign"))

@@ -71,7 +71,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, NO_FAULTS
@@ -353,8 +353,7 @@ class StoreStats:
     checksum_failed: int  # rows seen with a CRC32 mismatch on whole JSON
     data_bytes: int      # database size, pages in use and free
     #: Retrievable entries per result family, as sorted (family, count)
-    #: pairs — mixed campaigns report cell and lifetime progress
-    #: separately (``campaign status --json``).
+    #: pairs (``campaign status``).
     families: Tuple[Tuple[str, int], ...] = ()
 
 
@@ -482,8 +481,8 @@ class ShardedResultStore:
     def quarantine(self, key: str, index: int, attempts: int, reason: str,
                    error: str = "", meta: Optional[Dict[str, Any]] = None,
                    ) -> Dict[str, Any]:
-        """Record one cell given up after ``attempts`` failed attempts;
-        returns the record, as :meth:`quarantined` lists it."""
+        """Record one cell given up after ``attempts`` failed attempts
+        as a row of the ``quarantine`` table; returns the record."""
         meta, ts = meta or {}, time.time()
         with self._lock:
             self._db().execute(
@@ -492,17 +491,6 @@ class ShardedResultStore:
             )
         return dict(zip(_QUARANTINE_FIELDS,
                         (key, index, attempts, reason, error, meta, ts)))
-
-    def quarantined(self) -> List[Dict[str, Any]]:
-        """Every quarantine record, oldest first."""
-        with self._lock:
-            rows = self._db().execute(
-                "SELECT * FROM quarantine ORDER BY rowid"
-            ).fetchall()
-        return [
-            {**dict(zip(_QUARANTINE_FIELDS, row)), "meta": json.loads(row[5])}
-            for row in rows
-        ]
 
     # --- inspection ---------------------------------------------------------
 
@@ -520,16 +508,6 @@ class ShardedResultStore:
                 in self._db().execute(_SELECT_ALL)
             ]
         return sorted(rows, key=lambda row: (row[4], row[0]))
-
-    def __len__(self) -> int:
-        """Retrievable entries only — corrupt and stale rows read as
-        misses, so counting them would make resume-progress estimates
-        (and ``campaign ls`` totals) lie after a crash."""
-        return sum(1 for _ in self.keys())
-
-    def keys(self) -> Iterator[str]:
-        """Every retrievable key (healthy, current-version)."""
-        return (key for key, state, *_ in self._scan() if state is None)
 
     def entries(self) -> List[CacheEntry]:
         """One :class:`CacheEntry` per key, oldest first, unusable ones
@@ -652,10 +630,6 @@ class ShardedResultStore:
                 )
         dropped = before.superseded + pruned.removed_count
         return CompactionStats(dropped, before.data_bytes, after.data_bytes)
-
-    def __repr__(self) -> str:
-        return f"ShardedResultStore(root={str(self.root)!r})"
-
 
 def open_store(store: ResultStore | str | Path) -> ResultStore:
     """``store`` itself, or a :class:`ShardedResultStore` opened (and

@@ -42,9 +42,12 @@ class SchedulerSpec:
 class GcSpec:
     """Greedy garbage collection policy parameters (Table 2: greedy)."""
 
-    #: Start GC when a plane's free-block count drops below this.
+    #: GC collects while a plane's free-block count is below this.
     low_watermark: int = 3
-    #: Collect until the free-block count reaches this.
+    #: Read by no GC loop: a collection frees at most one block net, so
+    #: collecting stops at ``low_watermark``. Only validated (above
+    #: ``low_watermark``, and the geometry must leave 4 blocks per plane
+    #: beyond it); kept because every cell fingerprint holds it.
     high_watermark: int = 5
 
     def __post_init__(self) -> None:
@@ -126,11 +129,6 @@ class SsdSpec:
         return replace(self, scheduler=replace(self.scheduler, **kwargs))
 
     # --- canned configurations ----------------------------------------------------
-
-    @classmethod
-    def paper_table2(cls) -> "SsdSpec":
-        """The paper's full 1024 GB configuration (reference only)."""
-        return cls()
 
     @classmethod
     def small_test(cls, seed: int = 0xAE20) -> "SsdSpec":

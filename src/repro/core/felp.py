@@ -89,14 +89,6 @@ class FelpPredictor:
             rows.append(tuple(row))
         return tuple(rows)
 
-    @property
-    def f_pass(self) -> int:
-        return self.profile.f_pass
-
-    @property
-    def f_high(self) -> int:
-        return self.profile.f_high
-
     def predict(
         self,
         loop: int,

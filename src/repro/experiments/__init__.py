@@ -68,7 +68,3 @@ def __getattr__(name: str) -> Any:
     value = getattr(importlib.import_module(module_name), name)
     globals()[name] = value  # cache for subsequent lookups
     return value
-
-
-def __dir__() -> list:
-    return sorted(set(__all__) | set(globals()))

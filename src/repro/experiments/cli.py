@@ -57,7 +57,7 @@ from repro.lifetime.spec import LifetimeSpec, load_lifetime_file
 _SSD_PRESETS = {
     "small": SsdSpec.small_test,
     "bench": SsdSpec.bench,
-    "paper": lambda seed: SsdSpec.paper_table2(),
+    "paper": lambda seed: SsdSpec(),
 }
 
 def _parse_age(text: str) -> float:
@@ -514,15 +514,14 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         },
     }
     if spec is not None:
-        families = CampaignOrchestrator(spec, store).family_status()
-        total = sum(counts["total"] for counts in families.values())
-        done = sum(counts["done"] for counts in families.values())
+        jobs = spec.jobs()
+        total = len(jobs)
+        done = sum(job.fingerprint in store for job in jobs)
         payload["campaign"] = {
             "family": spec.family,
             "total": total,
             "done": done,
             "remaining": total - done,
-            "families": families,
         }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -532,10 +531,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             f"campaign: {done}/{total} cells done "
             f"({done / total:.1%}), {total - done} pending"
         )
-        for family, counts in sorted(families.items()):
-            print(
-                f"  {family}: {counts['done']}/{counts['total']} done"
-            )
     print(
         f"store {args.store}: {stats.keys} entries, "
         f"{stats.data_bytes:,} bytes"
@@ -859,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--store", required=True)
     add("--json", action="store_true",
         help="machine-readable status: store stats (incl. per-family "
-             "entry counts) plus per-family campaign progress when "
+             "entry counts) plus campaign progress when "
              "--spec-file is given")
     add("--spec-file", default=None,
         help="campaign spec to report done/total against")

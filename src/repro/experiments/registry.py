@@ -2,10 +2,10 @@
 
 ``SCHEMES`` and ``WORKLOADS`` are the process-wide registries behind
 every string key in the library: ``make_scheme``/``build_ssd`` look
-scheme keys up here, ``profile_by_abbr`` and the harness resolve
-workload abbreviations here, and the ``python -m repro`` CLI derives
-its ``--scheme``/``--workload`` vocabularies from them. New schemes and
-workloads plug in without editing core files::
+scheme keys up here, the harness resolves workload abbreviations here,
+and the ``python -m repro`` CLI derives its ``--scheme``/``--workload``
+vocabularies from them. New schemes and workloads plug in without
+editing core files::
 
     from repro.experiments import SCHEMES, WORKLOADS
 
@@ -30,7 +30,7 @@ store serve reports computed for its first entry.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.errors import ConfigError
 
@@ -86,19 +86,6 @@ class Registry:
     def keys(self) -> Tuple[str, ...]:
         """Registered keys in registration order."""
         return tuple(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.keys())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.kind!r}, keys={list(self._entries)})"
-
 
 class SchemeRegistry(Registry):
     """Registry of erase-scheme factories.

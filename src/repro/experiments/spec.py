@@ -1,16 +1,15 @@
 """Declarative specs: the shared codec and ``ExperimentSpec``.
 
 :class:`SpecBase` is the one JSON codec of every frozen spec class
-(:class:`ExperimentSpec` here, ``CampaignSpec`` and
-``MixedCampaignSpec`` in :mod:`repro.campaign.spec`, ``LifetimeSpec``
-in :mod:`repro.lifetime.spec`, and the fault plan classes in
+(:class:`ExperimentSpec` here, ``CampaignSpec`` in
+:mod:`repro.campaign.spec`, ``LifetimeSpec`` in
+:mod:`repro.lifetime.spec`, and the fault plan classes in
 :mod:`repro.faults.plan`). Its ``to_dict``/``from_dict`` walk
 ``dataclasses.fields`` under one :data:`SPEC_VERSION`; a wrongly typed
 JSON value is a :class:`~repro.errors.ConfigError` naming its field,
 and an absent field keeps its dataclass default, so every default is
 defined once, on its class. :func:`read_spec_file` is the one reader
-of spec files. The four job-spec classes also take :class:`JobSpec`,
-which derives ``fingerprints()`` from their ``jobs()``.
+of spec files.
 
 An :class:`ExperimentSpec` is the canonical, frozen description of one
 evaluation cell — scheme key plus scheme params, the SSD under test,
@@ -181,19 +180,6 @@ class SpecBase:
         return cls.from_dict(data)
 
 
-class JobSpec(SpecBase):
-    """A spec that plans jobs: the four job-spec classes, not the fault
-    plan classes, which share only the codec."""
-
-    def jobs(self) -> List[Any]:
-        """The work orders this spec describes, in canonical order."""
-        raise NotImplementedError
-
-    def fingerprints(self) -> List[str]:
-        """Cache keys of every job, in job order."""
-        return [job.fingerprint for job in self.jobs()]
-
-
 def read_spec_file(path: Union[str, Path], wrapper: str) -> Any:
     """Read and parse a JSON spec file, unwrapping ``{wrapper: ...}``.
 
@@ -302,7 +288,7 @@ SSD_CODEC = (_ssd_to_dict, _ssd_from_dict)
 
 
 @dataclass(frozen=True)
-class ExperimentSpec(JobSpec):
+class ExperimentSpec(SpecBase):
     """Frozen description of one (scheme, PEC, workload) experiment.
 
     ``ssd=None`` means "the deterministic small test SSD seeded from
@@ -356,11 +342,6 @@ class ExperimentSpec(JobSpec):
 
     # --- derived ------------------------------------------------------------
 
-    @property
-    def params(self) -> Dict[str, Any]:
-        """The scheme params as a plain dict."""
-        return dict(self.scheme_params)
-
     # --- resolution ---------------------------------------------------------
 
     def validate(self) -> "ExperimentSpec":
@@ -384,10 +365,6 @@ class ExperimentSpec(JobSpec):
         )
         return replace(job, scheme_params=self.scheme_params)
 
-    def jobs(self) -> List[CellJob]:
-        """The one cell job this spec describes."""
-        return [self.resolve()]
-
     @property
     def fingerprint(self) -> str:
         """The cache key of this experiment's result."""
@@ -396,7 +373,7 @@ class ExperimentSpec(JobSpec):
     def run(self, cache: Any = None):
         """Run this one experiment; returns its PerfReport. ``cache``
         is a result store or a store directory path."""
-        [report] = GridRunner(cache=cache).execute_jobs(self.jobs())
+        [report] = GridRunner(cache=cache).execute_jobs([self.resolve()])
         return report
 
 

@@ -121,16 +121,14 @@ class PageLevelFtl:
     # --- GC ------------------------------------------------------------------------
 
     def _maybe_collect(self, allocator: PlaneAllocator) -> List[GcJob]:
-        """Run greedy GC until the plane is back above the low watermark."""
+        """Run greedy GC until the plane is back at the low watermark."""
         jobs: List[GcJob] = []
-        gc_spec = self.spec.gc
-        while allocator.free_blocks < gc_spec.low_watermark:
+        low_watermark = self.spec.gc.low_watermark
+        while allocator.free_blocks < low_watermark:
             job = self._collect_one(allocator)
             if job is None:
                 break
             jobs.append(job)
-            if allocator.free_blocks >= gc_spec.high_watermark:
-                break
         return jobs
 
     def _collect_one(self, allocator: PlaneAllocator) -> Optional[GcJob]:

@@ -24,12 +24,6 @@ class PageMappingTable:
         self.logical_pages = logical_pages
         self._map: Dict[int, PageAddress] = {}
 
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, lpn: int) -> bool:
-        return lpn in self._map
-
     def check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.logical_pages:
             raise MappingError(

@@ -9,10 +9,9 @@ median-of-N wall times with their quartiles, plus the result store's
 ``put``, ``get`` and ``in`` per record, and writes a JSON artifact
 future PRs can diff to catch regressions. ``--out`` names the
 artifact and its stem is the artifact's ``label`` (``BENCH_smoke.json``
-is labelled ``BENCH_smoke``). Exposed as ``python -m repro bench`` and
-as the standalone ``benchmarks/perf_bench.py`` script; CI runs it in
-``--smoke`` mode (tiny block counts) on every push and uploads the
-artifact.
+is labelled ``BENCH_smoke``). Exposed as ``python -m repro bench``;
+CI runs it in ``--smoke`` mode (tiny block counts) on every push and
+uploads the artifact.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 #: Bump when the artifact layout changes (adding keys does not).
 ARTIFACT_VERSION = 1
@@ -339,7 +338,7 @@ def _count(text: str) -> int:
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Register the bench flags (shared by the CLI and the script)."""
+    """Register the bench flags on the ``bench`` subcommand."""
     defaults = BenchConfig()
     parser.add_argument("--out", required=True,
                         help="artifact path; its stem is the artifact label "
@@ -420,8 +419,3 @@ def run_from_args(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point (used by ``benchmarks/perf_bench.py``)."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_bench_arguments(parser)
-    return run_from_args(parser.parse_args(argv))

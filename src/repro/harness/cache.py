@@ -3,7 +3,7 @@
 Every unit of work a store files — a grid cell
 (:class:`~repro.harness.runner.CellJob`) or a lifetime curve
 (:class:`~repro.lifetime.spec.LifetimeJob`) — is a frozen dataclass
-on :class:`Job`. A job states its fields, its :meth:`Job.payload` and
+on :class:`Job`. A job states its fields, its ``payload()`` and
 its ``execute()``; the base derives, each by one rule, what the store,
 the supervisor and the orchestrator read:
 
@@ -47,21 +47,18 @@ CACHE_VERSION = 2
 
 
 class Job:
-    """Base of the frozen job dataclasses (picklable work orders)."""
+    """Base of the frozen job dataclasses (picklable work orders).
+
+    A subclass defines ``payload()``, every input of the result in
+    fingerprint-line order (each value renders its line with ``str``),
+    and ``execute()``, which computes the result as a pure function of
+    the job.
+    """
 
     #: Family discriminator for the campaign layer and result stores.
     family = ""
     #: ``str.format`` template over the fields: the :meth:`describe` text.
     label = ""
-
-    def payload(self) -> Dict[str, Any]:
-        """Every input of the result, in fingerprint-line order; each
-        value renders its line with ``str``."""
-        raise NotImplementedError
-
-    def execute(self) -> Any:
-        """Compute the result (a pure function of the job)."""
-        raise NotImplementedError
 
     @property
     def fingerprint(self) -> str:

@@ -44,7 +44,6 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional, Tuple
 
 from repro.config import SsdSpec
-from repro.errors import ConfigError
 from repro.experiments.registry import WORKLOADS
 from repro.kernels import check_engine
 from repro.rng import derive
@@ -107,9 +106,9 @@ def run_workload_cell(
     ``scheme_params['mispredict_rate']`` wins).
 
     ``engine`` selects how the timed replay executes: ``object`` walks
-    the per-transaction event loop, ``kernel`` runs the lean event-loop
-    replay (identical report, pinned by tests), and ``auto`` picks the
-    kernel whenever the built SSD supports it.
+    the per-transaction event loop, and ``kernel`` and ``auto`` run the
+    lean event-loop replay (identical report, pinned by tests), which
+    supports every drive :func:`~repro.ssd.builder.build_ssd` builds.
     """
     global _POINT
     check_engine(engine)
@@ -131,20 +130,9 @@ def run_workload_cell(
     ssd = build_ssd(
         spec, scheme, pec_setpoint=pec, draws=point.draws, **params
     )
-    use_kernel = False
-    if engine != "object":
-        from repro.kernels.cell import (
-            kernel_replay_supported,
-            precondition_kernel,
-            run_trace_kernel,
-        )
-
-        use_kernel = kernel_replay_supported(ssd)
-        if not use_kernel and engine == "kernel":
-            raise ConfigError(
-                f"scheme {scheme!r} / SSD configuration has no kernel "
-                "replay; use engine='auto' or 'object'"
-            )
+    use_kernel = engine != "object"
+    if use_kernel:
+        from repro.kernels.cell import precondition_kernel, run_trace_kernel
     footprint_pages = int(spec.logical_pages * PRECONDITION_FRACTION)
     if use_kernel:
         lean = precondition_kernel(ssd, footprint_pages, point=point)

@@ -40,51 +40,26 @@ class EvaluationGrid:
     """All cells of one evaluation campaign, with lookup helpers."""
 
     cells: List[GridCell] = field(default_factory=list)
-    # key -> position of the *first* cell with that key (matching the
-    # original linear scan's first-match semantics for duplicates).
+    # key -> position of the *first* cell added with that key.
     _index: Dict[CellKey, int] = field(
         default_factory=dict, repr=False, compare=False
     )
-    # How many cells the index covered when last in sync.
-    _indexed: int = field(default=0, repr=False, compare=False)
-
-    def _rebuild_index(self) -> None:
-        self._index = {}
-        for position, cell in enumerate(self.cells):
-            self._index.setdefault(cell.key, position)
-        self._indexed = len(self.cells)
 
     def add(self, cell: GridCell) -> None:
         """Append a cell and index it for O(1) lookup."""
         self.cells.append(cell)
-        if self._indexed == len(self.cells) - 1:
-            self._index.setdefault(cell.key, len(self.cells) - 1)
-            self._indexed += 1
-        # Otherwise the index is already stale (cells were appended
-        # directly); the next lookup rebuilds it.
+        self._index.setdefault(cell.key, len(self.cells) - 1)
 
     def report(self, scheme: str, pec: int, workload: str) -> PerfReport:
-        key = (scheme, pec, workload)
-        if self._indexed != len(self.cells):
-            self._rebuild_index()
-        position = self._index.get(key)
-        if position is None or self.cells[position].key != key:
-            # Miss, or a cell was replaced in place under the index:
-            # rebuild once and retry before giving up.
-            self._rebuild_index()
-            position = self._index.get(key)
-            if position is None:
-                raise KeyError(key)
-        return self.cells[position].report
+        """The report of the first cell :meth:`add` took under this key
+        (``KeyError`` if none)."""
+        return self.cells[self._index[(scheme, pec, workload)]].report
 
     def schemes(self) -> List[str]:
         return sorted({cell.scheme for cell in self.cells})
 
     def workloads(self) -> List[str]:
         return sorted({cell.workload for cell in self.cells})
-
-    def pec_points(self) -> List[int]:
-        return sorted({cell.pec for cell in self.cells})
 
     # --- figure-shaped projections -------------------------------------------------
 

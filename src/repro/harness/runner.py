@@ -221,11 +221,6 @@ class RunStats:
     executed: int = 0
     cached: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.executed + self.cached
-
-
 def _raise_unfinished(outcome: Any, superseding: bool) -> None:
     """``JobRun`` outcome hook: a job that did not finish ends the call."""
     if outcome.kind != "done":

@@ -12,10 +12,9 @@ campaigns always measure through the m-ISPE kernel.
 :mod:`repro.kernels.cell` adds the grid-cell replay kernel behind the
 ``engine`` knob of :func:`repro.harness.cells.run_workload_cell`:
 ``precondition_kernel`` / ``run_trace_kernel`` replace the
-per-transaction object event loop with a report-identical lean replay,
-gated by ``kernel_replay_supported``. Those three are re-exported here
-lazily (the cell module pulls in the full SSD stack, which importers
-of just ``ENGINES`` should not pay for).
+per-transaction object event loop with a report-identical lean replay
+(import them from :mod:`repro.kernels.cell`, which pulls in the full
+SSD stack that importers of just ``ENGINES`` should not pay for).
 """
 
 from repro.errors import ConfigError
@@ -81,22 +80,6 @@ def kernel_for_scheme(scheme) -> "BatchEraseKernel | None":
     return factory()
 
 
-#: Lazily re-exported from :mod:`repro.kernels.cell` (PEP 562).
-_CELL_EXPORTS = (
-    "kernel_replay_supported",
-    "precondition_kernel",
-    "run_trace_kernel",
-)
-
-
-def __getattr__(name: str):
-    if name in _CELL_EXPORTS:
-        from repro.kernels import cell
-
-        return getattr(cell, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AeroBatchKernel",
     "BaselineBatchKernel",
@@ -110,8 +93,5 @@ __all__ = [
     "MispeBatchKernel",
     "check_engine",
     "kernel_for_scheme",
-    "kernel_replay_supported",
-    "precondition_kernel",
     "resolve_kernel",
-    "run_trace_kernel",
 ]

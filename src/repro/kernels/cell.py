@@ -132,10 +132,9 @@ drive of the point copies the fill's end state and replays the log, so
 only its physics pass and event loop run. Without ``point`` each
 kernel runs its own passes and shares nothing.
 
-``kernel_replay_supported`` gates the fast path to configurations whose
-FTL bookkeeping the kernel replicates exactly (the two built-in FTL
-classes); anything else falls back to the object path via
-``engine="auto"``.
+The kernels replicate the page, mapping and allocator bookkeeping of
+the two FTL classes :func:`~repro.ssd.builder.build_ssd` builds
+(``PageLevelFtl`` and ``AeroFtl``), so they drive every grid cell.
 """
 
 from __future__ import annotations
@@ -150,9 +149,7 @@ from typing import List, Optional, Tuple
 from repro.erase.scheme import EraseScheme
 from repro.erase.suspension import SegmentCursor
 from repro.errors import MappingError, OutOfSpaceError, SimulationError
-from repro.ftl.aeroftl import AeroFtl
 from repro.ftl.allocator import WriteStream
-from repro.ftl.ftl import PageLevelFtl
 from repro.nand.block import PageState
 from repro.rng import derive_rng
 from repro.ssd.metrics import LatencyRecorder, PerfReport
@@ -271,7 +268,7 @@ class _LeanFtl:
 
     __slots__ = (
         "planes", "lmap", "blk_obj", "blk_wp", "blk_valid", "blk_lpns",
-        "blk_pec", "page_count", "low_wm", "high_wm", "program_scale",
+        "blk_pec", "page_count", "low_wm", "program_scale",
         "collect_one", "take_counts",
     )
 
@@ -290,7 +287,6 @@ def _lean_ftl(ftl) -> _LeanFtl:
     scheme = ftl.scheme
     page_count = spec.geometry.pages_per_block
     low_wm = spec.gc.low_watermark
-    high_wm = spec.gc.high_watermark
     wl_gap = ftl.leveler.pec_gap_threshold
     wl_cold = wl_gap // 4
 
@@ -475,7 +471,6 @@ def _lean_ftl(ftl) -> _LeanFtl:
     lean.blk_pec = blk_pec
     lean.page_count = page_count
     lean.low_wm = low_wm
-    lean.high_wm = high_wm
     # None for the default 1.0 scale (every scheme but DPES).
     lean.program_scale = (
         None
@@ -546,16 +541,6 @@ def _earlier(x: "_Chip", y: "_Chip") -> bool:
         if ax != ay:
             return ax < ay
     return sx < sy
-
-
-def kernel_replay_supported(ssd) -> bool:
-    """Whether the lean cell kernels can drive this SSD bit-exactly.
-
-    The kernels replicate the page/mapping/allocator bookkeeping of the
-    two built-in FTL classes; a subclassed FTL may override any of it,
-    so only exact types qualify.
-    """
-    return type(ssd.ftl) in (PageLevelFtl, AeroFtl)
 
 
 class _State:
@@ -629,7 +614,6 @@ def _map_pages(lean: _LeanFtl, pages: List[int]) -> _Log:
     blk_lpns = lean.blk_lpns
     page_count = lean.page_count
     low_wm = lean.low_wm
-    high_wm = lean.high_wm
     collect_one = lean.collect_one
     log = _Log()
     reads = log.reads = array("i")
@@ -670,8 +654,6 @@ def _map_pages(lean: _LeanFtl, pages: List[int]) -> _Log:
             gc_moves.append(job[0])
             victims.append(job[1])
             wps.append(job[2])
-            if len(free) >= high_wm:
-                break
     log.pec = tuple(lean.blk_pec)
     log.counts = lean.take_counts()
     log.unmapped = reads.count(-1)
@@ -816,8 +798,7 @@ def run_trace_kernel(
     """Replay ``trace`` with the lean cell kernel (report-identical).
 
     Mirrors :meth:`repro.ssd.ssd.Ssd.run_trace` exactly; see the module
-    docstring for how identity is maintained. The caller is expected to
-    have checked :func:`kernel_replay_supported`. ``lean`` is the
+    docstring for how identity is maintained. ``lean`` is the
     drive's FTL view: the state :func:`precondition_kernel` returned
     for it, or :func:`_lean_ftl` of a drive that
     :meth:`Ssd.precondition` filled. It is required, since a kernel
@@ -1042,8 +1023,7 @@ def run_trace_kernel(
         bus.busy_until = start + bus.tr
 
     def dispatch(chip):
-        if chip.busy:
-            return
+        # Every caller tests or clears ``chip.busy`` first.
         if chip.q0:
             execute(chip, chip.q0.popleft())
         elif chip.q1:
@@ -1060,35 +1040,20 @@ def run_trace_kernel(
         elif chip.q3:
             execute(chip, chip.q3.popleft())
 
-    def submit_txn(chip, txn):
-        priority = txn[1]
-        if priority == 0:
-            chip.q0.append(txn)
-            if suspension_on and chip.busy:
-                current = chip.current
-                if current is not None and current[0] == _ERASE:
-                    cursor = chip.cursor
-                    if cursor is not None and cursor.idx < len(cursor.durs):
-                        request_suspension(chip, cursor)
-        elif priority == 1:
-            chip.q1.append(txn)
-        elif priority == 2:
-            chip.q2.append(txn)
-        else:
-            chip.q3.append(txn)
+    def submit_erase(chip, txn):
+        # A GC job's erase: priority 1 when escalated, else 3 (host
+        # txns are submitted inline in ``admit``).
+        (chip.q1 if txn[1] == 1 else chip.q3).append(txn)
         if not chip.busy:
             dispatch(chip)
 
     def credit_request(req):
+        # Only reads of never-written pages are credited (``admit``).
         nonlocal completed, last_completion
         req[1] += 1
         if req[1] < req[0]:
             return
-        latency = now - req[2]
-        if req[3]:
-            read_record(latency)
-        else:
-            write_record(latency)
+        read_record(now - req[2])
         completed += 1
         last_completion = now
 
@@ -1127,23 +1092,20 @@ def run_trace_kernel(
         gc[1] = erase_txn
         if moves == 0:
             gc[3] = True
-            submit_txn(chip, erase_txn)
+            submit_erase(chip, erase_txn)
             return
         # GC moves never trigger suspension (priority > 0), so their
-        # submits inline to queue-append + dispatch-if-idle; and once
-        # the first dispatch runs, the chip stays busy until a heap
-        # event fires, so the object path's remaining per-submit
-        # dispatches are no-ops. Move txns are value-identical and
-        # never compared by identity, so one tuple per kind serves the
-        # whole job.
+        # submits reduce to a queue append, with no dispatch: the job's
+        # plane is that of the write that ran it, whose program
+        # ``admit`` just queued on this chip, so the chip is busy. Move
+        # txns are value-identical and never compared by identity, so
+        # one tuple per kind serves the whole job.
         priority = 1 if escalated else 2
         gc[4] = (_GC_READ, priority, chip, None, 1.0, None, gc)
         gc[5] = (_GC_PROGRAM, priority, chip, None, 1.0, None, gc)
         (chip.q1 if escalated else chip.q2).append(
             (_MOVES, priority, chip, None, 1.0, None, gc)
         )
-        if not chip.busy:
-            dispatch(chip)
 
     def admit(request):
         nonlocal seq, next_read, next_write, next_job, job_at
@@ -1163,7 +1125,8 @@ def run_trace_kernel(
                     push(heap, (now + overhead, seq, _CREDIT, req))
                     seq += 1
                 else:
-                    # submit_txn inlined for the user-read fast path.
+                    # A host read: queue at priority 0, suspending an
+                    # erase in flight (the object path's submit).
                     chip = blk_chip[block]
                     txn = read_txns.get(chip)
                     if txn is None:
@@ -1187,8 +1150,8 @@ def run_trace_kernel(
             start = next_write
             next_write = start + (last - first + 1)
             for write in range(start, next_write):
-                # submit_txn inlined for the user-program fast path
-                # (priority 1 never triggers suspension).
+                # A host program: queue at priority 1 (which never
+                # triggers suspension).
                 chip = blk_chip[write_blocks[write]]
                 chip.q1.append((
                     _PROGRAM, 1, chip, req,
@@ -1318,7 +1281,7 @@ def run_trace_kernel(
                 if gc[2] == 0 and not gc[3]:
                     gc[3] = True
                     erase_txn = gc[1]
-                    submit_txn(erase_txn[2], erase_txn)
+                    submit_erase(erase_txn[2], erase_txn)
         if chip.busy:
             continue
         if chip.q0:

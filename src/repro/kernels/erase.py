@@ -91,7 +91,12 @@ _DEFAULT_FIELDS = (
 
 
 class BatchEraseKernel:
-    """Base class: wear accounting shared by every scheme kernel."""
+    """Base class: wear accounting shared by every scheme kernel.
+
+    A subclass resolves its scheme's ladder over a whole block state in
+    ``_run_batch(state, rng)``, which returns a
+    :class:`BatchEraseResult`.
+    """
 
     scheme_key: str = "abstract"
 
@@ -129,11 +134,6 @@ class BatchEraseKernel:
             np.maximum(0, per_loop * loops - result.total_pulses).sum()
         )
         return result
-
-    def _run_batch(
-        self, state: BlockArrayState, rng: np.random.Generator
-    ) -> BatchEraseResult:
-        raise NotImplementedError
 
     def _result(
         self,

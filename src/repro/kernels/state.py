@@ -79,12 +79,6 @@ class JitterTable:
                     self._chunks.append(drawn)
         return self._chunks[chunk][:, offset]
 
-    @property
-    def columns(self) -> int:
-        """Jitter columns drawn so far."""
-        return JITTER_CHUNK * len(self._chunks)
-
-
 def block_draws(
     models: Sequence[BlockEraseModel],
 ) -> Tuple[np.ndarray, np.ndarray, JitterTable]:
@@ -240,11 +234,3 @@ class BlockArrayState:
         self.residual_fail_bits = np.asarray(residual_fail_bits, dtype=np.int64)
         self.residual_nispe = np.asarray(nispe, dtype=np.int64)
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:
-        return (
-            f"BlockArrayState({self.profile.name}, blocks={self.count}, "
-            f"mean_age={float(np.mean(self.age)):.3f}kc)"
-        )

@@ -9,7 +9,7 @@ misprediction rate (Figure 16, lifetime panel) and RBER requirement
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.harness.runner import GridRunner
@@ -34,28 +34,6 @@ class SchemeComparison:
     def improvement(self, key: str, baseline_key: str = "baseline") -> float:
         """Relative lifetime change of ``key`` vs the baseline scheme."""
         return self.curves[key].improvement_over(self.curves[baseline_key])
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """Serialize to plain JSON types; exact round-trip via
-        :meth:`from_json_dict` (curve order preserved)."""
-        return {
-            "profile_name": self.profile_name,
-            "curves": {
-                key: curve.to_json_dict()
-                for key, curve in self.curves.items()
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "SchemeComparison":
-        return cls(
-            profile_name=str(data["profile_name"]),
-            curves={
-                str(key): LifetimeCurve.from_json_dict(curve)
-                for key, curve in data["curves"].items()
-            },
-        )
-
 
 def _builtin_profile_name(profile: ChipProfile) -> str:
     """The registry name of ``profile``.

@@ -26,8 +26,8 @@ canonicalizes to the path actually taken, so ``auto`` and an explicit
 ``kernel`` share one cache entry).
 
 :class:`LifetimeSpec` takes its JSON codec (``to_dict``/``from_dict``,
-version, family and type checks) and ``fingerprints()`` from
-:class:`~repro.experiments.spec.JobSpec`, so a wrongly typed field
+version, family and type checks) from
+:class:`~repro.experiments.spec.SpecBase`, so a wrongly typed field
 such as ``"block_count": 8.7`` is an error, not a silent coercion;
 :func:`load_lifetime_file` reads spec files through the shared
 :func:`~repro.experiments.spec.read_spec_file`.
@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.experiments.registry import SCHEMES
-from repro.experiments.spec import JobSpec, read_spec_file
+from repro.experiments.spec import SpecBase, read_spec_file
 from repro.harness.cache import CACHE_VERSION, Job
 from repro.kernels import check_engine, resolve_kernel
 from repro.lifetime.comparison import SchemeComparison
@@ -157,7 +157,7 @@ class LifetimeJob(Job):
 
 
 @dataclass(frozen=True)
-class LifetimeSpec(JobSpec):
+class LifetimeSpec(SpecBase):
     """Frozen, registry-validated description of a lifetime campaign.
 
     Mirrors :class:`~repro.experiments.spec.ExperimentSpec` /
@@ -195,10 +195,6 @@ class LifetimeSpec(JobSpec):
         if not 0.0 <= float(self.mispredict_rate) <= 1.0:
             raise ConfigError("mispredict_rate must be within [0, 1]")
         check_engine(self.engine)
-
-    @property
-    def size(self) -> int:
-        return len(self.schemes)
 
     def validate(self) -> "LifetimeSpec":
         """Resolve every scheme and the profile through the registries."""

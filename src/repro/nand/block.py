@@ -64,23 +64,9 @@ class Block:
 
     # --- page bookkeeping ---------------------------------------------------------
 
-    def page_state(self, page: int) -> PageState:
-        """State of physical page ``page``."""
-        return self._page_states[page]
-
     def page_lpn(self, page: int) -> Optional[int]:
         """Logical page stored at physical page ``page`` (None if free)."""
         return self._page_lpns[page]
-
-    @property
-    def free_pages(self) -> int:
-        """Pages still programmable (NAND programs in order)."""
-        return self.page_count - self.write_pointer
-
-    @property
-    def invalid_count(self) -> int:
-        """Pages holding stale data (GC reclaim potential)."""
-        return self.write_pointer - self.valid_count
 
     @property
     def is_full(self) -> bool:
@@ -144,12 +130,11 @@ class Block:
         if nispe is None:
             nispe = max(1, state.loop)
         self.wear.record_erase(
-            self.erase_model,
             state.damage,
+            state.baseline_damage,
             residual_fail_bits=residual_fail_bits,
             nispe=nispe,
             cycles=cycles,
-            baseline=state.baseline_damage,
         )
         # Reset the page lists in place, and only up to the write
         # pointer — pages past it were never programmed since the last
@@ -160,8 +145,3 @@ class Block:
         self.write_pointer = 0
         self.valid_count = 0
 
-    def __repr__(self) -> str:
-        return (
-            f"Block({self.address}, pec={self.wear.pec}, "
-            f"valid={self.valid_count}/{self.page_count})"
-        )

@@ -241,11 +241,6 @@ class ChipProfile:
         """Total pulse budget across ``max_loops`` ISPE loops."""
         return self.pulses_per_loop * self.max_loops
 
-    @cached_property
-    def f_high(self) -> int:
-        """FHIGH threshold in fail bits (no tEP reduction above this)."""
-        return self.f_high_deltas * self.delta
-
     def loop_voltage_factor(self, loop: int) -> float:
         """VERASE(loop) / VERASE(1), loop counted from 1."""
         if loop < 1:

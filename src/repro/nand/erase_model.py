@@ -105,16 +105,6 @@ class EraseState:
 
     # --- queries ------------------------------------------------------------
 
-    @property
-    def complete(self) -> bool:
-        """True once applied progress covers the required erase work."""
-        return self.progress >= self.required
-
-    @property
-    def remaining_pulses(self) -> int:
-        """Pulses still needed at the current (or any higher) voltage."""
-        return max(0, math.ceil(self.required - self.progress - 1e-9))
-
     # --- driving ------------------------------------------------------------
 
     def start_loop(self, voltage_loop: int) -> None:
@@ -400,7 +390,7 @@ class BlockEraseModel:
         """Create the erase-state ladder for one erase operation.
 
         The wear term and floor are evaluated once, for both the
-        jittered required work and the :meth:`baseline_damage` reference
+        jittered required work and the ``baseline_damage`` reference
         that wear accounting divides by when the erase finishes.
         """
         raw, floor = self._work(age_kilocycles)
@@ -409,15 +399,6 @@ class BlockEraseModel:
             profile=self.profile,
             baseline_damage=self._baseline_damage(self._clamp(raw, floor)),
         )
-
-    def baseline_damage(self, age_kilocycles: float) -> float:
-        """Damage a Baseline ISPE erase would inflict at this wear age.
-
-        The wear-age update divides actual damage by this reference, so
-        Baseline cycling ages a block by exactly one cycle per erase.
-        """
-        return self._baseline_damage(self.deterministic_pulses(age_kilocycles))
-
 
 @dataclass
 class WearState:
@@ -438,20 +419,19 @@ class WearState:
 
     def record_erase(
         self,
-        model: BlockEraseModel,
         damage: float,
+        baseline: float,
         residual_fail_bits: int = 0,
         nispe: int = 1,
         cycles: int = 1,
-        baseline: Optional[float] = None,
     ) -> None:
         """Account one erase (or ``cycles`` identical coarse-step erases).
 
-        ``baseline`` is the erase's :meth:`BlockEraseModel.baseline_damage`
-        at the current wear age, when the caller already has it.
+        ``baseline`` is the damage a Baseline ISPE erase would inflict at
+        the current wear age (the erase state's ``baseline_damage``): wear
+        age advances by ``damage / baseline`` of a cycle's erase share, so
+        Baseline cycling ages a block by exactly one cycle per erase.
         """
-        if baseline is None:
-            baseline = model.baseline_damage(self.age_kilocycles)
         ratio = damage / baseline if baseline > 0 else 1.0
         step = (PROGRAM_WEAR_SHARE + ERASE_WEAR_SHARE * ratio) / 1000.0
         self.age_kilocycles += step * cycles

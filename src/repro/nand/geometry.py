@@ -97,14 +97,6 @@ class NandGeometry:
             + addr.block
         )
 
-    def page_index(self, addr: "PageAddress") -> int:
-        """Dense [0, pages) index for a page address."""
-        return (
-            self.block_index(addr.block_address) * self.pages_per_block
-            + addr.page
-        )
-
-
 @dataclass(frozen=True, order=True)
 class PlaneAddress:
     """Address of one plane within the SSD."""

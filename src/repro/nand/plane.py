@@ -46,9 +46,6 @@ class Plane:
             raise AddressError(f"block {index} outside plane {self.address}")
         return self.blocks[index]
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     def __iter__(self):
         return iter(self.blocks)
 

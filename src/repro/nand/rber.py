@@ -224,6 +224,3 @@ class RberModel:
             under_erase_penalty=penalty,
         )
 
-    def margin(self, sample: RberSample) -> float:
-        """Reliability margin: requirement minus measured MRBER (Fig. 10)."""
-        return self.profile.ecc.requirement_bits_per_kib - sample.total

@@ -50,11 +50,6 @@ class NandTiming:
         if self.suspend_overhead_us < 0:
             raise ConfigError("suspend overhead must be non-negative")
 
-    @property
-    def pulses_per_loop(self) -> int:
-        """Pulse quanta per default-latency erase-pulse step."""
-        return int(round(self.t_ep_us / self.pulse_quantum_us))
-
     def erase_pulse_us(self, pulses: int) -> float:
         """Duration of an erase-pulse step of ``pulses`` quanta."""
         if pulses < 0:

@@ -61,29 +61,13 @@ class Simulator:
             raise SchedulingError(f"negative delay {delay}")
         return self.at(self._now + delay, callback)
 
-    def step(self) -> bool:
-        """Fire the next event; returns False when the queue is empty."""
-        while self._heap:
-            time, _, __, callback = heapq.heappop(self._heap)
-            if callback is None:
-                continue  # cancelled
-            self._now = time
-            callback()
-            return True
-        return False
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+    def run(self, max_events: Optional[int] = None) -> None:
         """Drain the event queue.
 
-        ``until`` stops the clock at a horizon (events beyond it stay
-        queued); ``max_events`` bounds the number of callbacks (guard
-        against runaway models).
-
-        The loop pops each live entry exactly once: cancelled entries
-        are pruned at the heap top, the horizon check reads the top
-        in place, and the fired event comes from a single ``heappop``
-        (the old ``_next_pending_time()`` + ``step()`` pairing popped
-        the top twice per event).
+        ``max_events`` bounds the number of callbacks (guard against
+        runaway models). The loop pops each live entry exactly once:
+        cancelled entries are pruned at the heap top and the fired
+        event comes from a single ``heappop``.
         """
         fired = 0
         heap = self._heap
@@ -96,12 +80,7 @@ class Simulator:
                 heapq.heappop(heap)
             if not heap:
                 break
-            if until is not None and heap[0][0] > until:
-                self._now = until
-                return
             time, _, __, callback = heapq.heappop(heap)
             self._now = time
             callback()
             fired += 1
-        if until is not None:
-            self._now = max(self._now, until)

@@ -21,7 +21,6 @@ class ChannelBus:
         self.channel = channel
         self.transfer_us_per_page = transfer_us_per_page
         self._busy_until = 0.0
-        self.transfers = 0
 
     def reserve(self, now: float, pages: int = 1) -> float:
         """Reserve a transfer starting at/after ``now``.
@@ -32,9 +31,4 @@ class ChannelBus:
         duration = pages * self.transfer_us_per_page
         start = max(now, self._busy_until)
         self._busy_until = start + duration
-        self.transfers += pages
         return (start - now) + duration
-
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until

@@ -24,11 +24,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-#: Percentiles reported by default: the paper's Figure 14/15 points
-#: (99.99, 99.9999) plus the robust 99.9 used at bench scale.
-DEFAULT_PERCENTILES = (99.0, 99.9, 99.99, 99.9999)
-
-
 class LatencyRecorder:
     """Accumulates per-request latencies for one operation class."""
 
@@ -52,10 +47,6 @@ class LatencyRecorder:
     def mean_us(self) -> float:
         return float(np.mean(self._values)) if self._values else 0.0
 
-    @property
-    def max_us(self) -> float:
-        return float(np.max(self._values)) if self._values else 0.0
-
     def percentile(self, pct: float) -> float:
         """Exact percentile over recorded samples (us).
 
@@ -66,13 +57,6 @@ class LatencyRecorder:
         if not self._values:
             return 0.0
         return float(np.percentile(self._values, pct))
-
-    def summary(self, percentiles=DEFAULT_PERCENTILES) -> Dict[str, float]:
-        out = {"count": float(len(self._values)), "mean_us": self.mean_us}
-        for pct in percentiles:
-            out[f"p{pct:g}_us"] = self.percentile(pct)
-        out["max_us"] = self.max_us
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatencyRecorder):

@@ -110,8 +110,3 @@ class MetricsServer:
             self._thread = None
         self._httpd.server_close()
 
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

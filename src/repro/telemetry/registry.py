@@ -103,13 +103,6 @@ class GaugeChild(_Child):
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -304,9 +297,6 @@ class MetricFamily:
     def inc(self, amount: float = 1.0) -> None:
         self._solo().inc(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._solo().dec(amount)
-
     def set(self, value: float) -> None:
         self._solo().set(value)
 
@@ -315,10 +305,6 @@ class MetricFamily:
 
     def observe_many(self, values: Iterable[float]) -> None:
         self._solo().observe_many(values)
-
-    @property
-    def value(self) -> float:
-        return self._solo().value
 
     # --- snapshot -----------------------------------------------------------
 
@@ -447,11 +433,6 @@ class MetricsRegistry:
             name, help, "histogram", labels, buckets=buckets
         )
 
-    def get(self, name: str) -> Optional[MetricFamily]:
-        """The family registered under ``name``, or None."""
-        with self._lock:
-            return self._families.get(name)
-
     def collect(self) -> List[MetricFamily]:
         """Every family, name-sorted (the exposition order)."""
         with self._lock:
@@ -534,9 +515,3 @@ class MetricsRegistry:
                     f"cannot merge unknown metric type {kind!r}"
                 )
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._families)
-
-    def __repr__(self) -> str:
-        return f"MetricsRegistry({len(self)} families)"

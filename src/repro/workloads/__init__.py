@@ -5,7 +5,6 @@ from repro.workloads.profiles import (
     ALL_PROFILES,
     PROFILES_BY_ABBR,
     WorkloadProfile,
-    profile_by_abbr,
 )
 from repro.workloads.synthetic import SyntheticTraceGenerator
 from repro.workloads.msrc import load_msrc_csv
@@ -20,5 +19,4 @@ __all__ = [
     "WorkloadProfile",
     "load_alibaba_csv",
     "load_msrc_csv",
-    "profile_by_abbr",
 ]

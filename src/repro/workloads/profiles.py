@@ -77,13 +77,3 @@ PROFILES_BY_ABBR: Dict[str, WorkloadProfile] = {
 for _profile in ALL_PROFILES:
     WORKLOADS.add(_profile)
 del _profile
-
-
-def profile_by_abbr(abbr: str) -> WorkloadProfile:
-    """Look up a workload by its figure abbreviation (registry shim).
-
-    Resolves through :data:`repro.experiments.WORKLOADS`, so plugin
-    workloads registered at runtime are found too. Unknown keys raise
-    :class:`ConfigError` listing every registered abbreviation.
-    """
-    return WORKLOADS.resolve(abbr)

@@ -8,10 +8,9 @@ the paper evaluates with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from repro.errors import TraceError
-from repro.units import SECTOR_BYTES
 
 
 @dataclass(frozen=True)
@@ -30,10 +29,6 @@ class TraceRequest:
     def __post_init__(self) -> None:
         if self.arrival_us < 0 or self.lba < 0 or self.sectors < 1:
             raise TraceError(f"malformed request {self}")
-
-    @property
-    def bytes(self) -> int:
-        return self.sectors * SECTOR_BYTES
 
     @property
     def end_lba(self) -> int:
@@ -56,12 +51,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.requests)
 
-    def __iter__(self) -> Iterator[TraceRequest]:
-        return iter(self.requests)
-
-    def __getitem__(self, index: int) -> TraceRequest:
-        return self.requests[index]
-
     # --- statistics (Table 3 columns) ----------------------------------------------
 
     @property
@@ -77,8 +66,4 @@ class Trace:
         if not self.requests:
             return 0.0
         return self.requests[-1].arrival_us
-
-    def head(self, count: int) -> "Trace":
-        """First ``count`` requests (scaled-down benchmark runs)."""
-        return Trace(self.requests[:count], name=self.name)
 

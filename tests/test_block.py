@@ -13,17 +13,16 @@ def block(profile):
 
 
 def test_fresh_block_state(block):
-    assert block.free_pages == 8
+    assert block.write_pointer == 0
     assert block.valid_count == 0
-    assert block.invalid_count == 0
     assert not block.is_full
-    assert block.page_state(0) is PageState.FREE
+    assert block._page_states[0] is PageState.FREE
 
 
 def test_program_in_order(block):
     page = block.program(lpn=100)
     assert page == 0
-    assert block.page_state(0) is PageState.VALID
+    assert block._page_states[0] is PageState.VALID
     assert block.page_lpn(0) == 100
     assert block.valid_count == 1
     assert block.program(lpn=101) == 1
@@ -40,9 +39,9 @@ def test_program_full_block_rejected(block):
 def test_invalidate(block):
     block.program(lpn=7)
     block.invalidate(0)
-    assert block.page_state(0) is PageState.INVALID
+    assert block._page_states[0] is PageState.INVALID
     assert block.page_lpn(0) is None
-    assert block.invalid_count == 1
+    assert block.write_pointer - block.valid_count == 1
     with pytest.raises(CommandError):
         block.invalidate(0)  # double invalidate
 
@@ -62,7 +61,7 @@ def test_erase_resets_pages(block, rng):
     state.start_loop(1)
     state.apply_pulses(state.required)
     block.finish_erase(state)
-    assert block.free_pages == 8
+    assert block.write_pointer == 0
     assert block.valid_count == 0
     assert block.wear.pec == 1
     assert block.wear.age_kilocycles > 0

@@ -36,7 +36,6 @@ from repro.campaign import (
     CampaignOrchestrator,
     CampaignSpec,
     CellSupervisor,
-    MixedCampaignSpec,
     RetryPolicy,
     ShardedResultStore,
     load_campaign_file,
@@ -51,7 +50,7 @@ from repro.harness import (
     ResultStore,
     run_workload_cell,
 )
-from repro.lifetime.spec import LifetimeJob, LifetimeSpec
+from repro.lifetime.spec import LifetimeJob
 from repro.ssd.metrics import LatencyRecorder, PerfReport
 
 SPEC = CampaignSpec(
@@ -61,6 +60,14 @@ SPEC = CampaignSpec(
     requests=120,
     seed=1234,
 )
+
+
+def healthy_keys(store):
+    """The keys ``store`` serves (no torn, corrupt or stale row)."""
+    return [
+        entry.key for entry in store.entries()
+        if not (entry.corrupt or entry.stale)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +103,7 @@ def test_store_round_trip_and_membership(tmp_path, report):
     store.put(key, report, meta={"scheme": "aero"})
     assert key in store
     assert store.get(key) == report
-    assert len(store) == 1
+    assert store.stats().keys == 1
     # a fresh handle reads the same state back from disk
     reopened = ShardedResultStore(tmp_path)
     assert key in reopened
@@ -116,7 +123,7 @@ def test_store_last_write_wins(tmp_path, report):
     store.put(key, report)
     store.put(key, other)
     assert store.get(key) == other
-    assert len(store) == 1
+    assert store.stats().keys == 1
     assert store.stats().superseded == 1
     # the reopened index resolves the duplicate the same way
     assert ShardedResultStore(tmp_path).get(key) == other
@@ -184,7 +191,7 @@ def test_store_gc_refuses_a_nan_or_negative_age(tmp_path, report, age):
     store.put(fake_key(0), report)
     with pytest.raises(ConfigError, match="older_than_s must be >= 0"):
         store.gc(older_than_s=age)
-    assert len(store) == 1
+    assert store.stats().keys == 1
 
 
 def test_store_gc_matches_cache_semantics(tmp_path, report, damage_row):
@@ -200,7 +207,7 @@ def test_store_gc_matches_cache_semantics(tmp_path, report, damage_row):
     assert result.removed_count == 2
     assert {entry.key for entry in result.removed} == set(keys[:2])
     assert result.kept == 3
-    assert len(store) == 3
+    assert store.stats().keys == 3
     for key in keys[:2]:
         assert key not in store
     for key in keys[2:]:
@@ -208,7 +215,7 @@ def test_store_gc_matches_cache_semantics(tmp_path, report, damage_row):
     # dry-run reports without deleting
     dry = store.gc(max_entries=1, dry_run=True)
     assert dry.removed_count == 2
-    assert len(store) == 3
+    assert store.stats().keys == 3
 
 
 def test_store_gc_ranks_healthy_over_stale(tmp_path, report, damage_row):
@@ -248,7 +255,7 @@ def test_store_concurrent_thread_puts(tmp_path, report):
     for thread in threads:
         thread.join()
     assert not errors
-    assert len(store) == 24
+    assert store.stats().keys == 24
     reopened = ShardedResultStore(tmp_path)
     assert all(reopened.get(key) == report for key in keys)
 
@@ -296,7 +303,7 @@ def test_forked_child_puts_through_inherited_handle(tmp_path, report):
     child.join(60)
     assert child.exitcode == 0
     assert store.get(fake_key(1)) == report
-    assert sorted(store.keys()) == sorted([fake_key(0), fake_key(1)])
+    assert sorted(healthy_keys(store)) == sorted([fake_key(0), fake_key(1)])
 
 
 #: A store in the earlier JSONL layout, written by the previous library
@@ -339,7 +346,7 @@ def test_jsonl_store_is_imported_on_first_open(tmp_path):
     # a second open does not import again, even if old files reappear
     store.gc(max_entries=1)
     shutil.copytree(JSONL_STORE, root, dirs_exist_ok=True)
-    assert len(ShardedResultStore(root)) == 1
+    assert ShardedResultStore(root).stats().keys == 1
 
 
 # --- record format -----------------------------------------------------------
@@ -406,7 +413,7 @@ def test_rows_with_plain_float_lists_are_served(tmp_path, report):
     curve = LifetimeJob("aero", "3D-TLC-48L", block_count=8, step=200,
                         max_pec=2000).execute()
     rows = {fake_key(60): ("cell", report), fake_key(61): ("lifetime", curve)}
-    assert len(ShardedResultStore(tmp_path)) == 0  # creates the table
+    assert ShardedResultStore(tmp_path).stats().keys == 0  # creates the table
     for key, (family, result) in rows.items():
         insert_plain_row(tmp_path, key, family, result)
     store = ShardedResultStore(tmp_path)
@@ -497,7 +504,7 @@ def test_grid_runner_path_shares_entries_with_orchestrator(tmp_path):
     assert partial.stats.executed == 2
     result = CampaignOrchestrator(SPEC, tmp_path).run()
     assert result.stats.resumed == 2
-    assert result.stats.executed == SPEC.size - 2
+    assert result.stats.executed == len(SPEC.jobs()) - 2
     reread = GridRunner(cache=str(tmp_path))
     assert reread.run(
         schemes=SPEC.schemes, pec_points=SPEC.pec_points,
@@ -520,7 +527,7 @@ def test_campaign_jobs_match_grid_runner_plan():
         seed=SPEC.seed,
     )
     assert SPEC.jobs() == planned
-    assert SPEC.fingerprints() == [job.fingerprint for job in planned]
+    assert [job.fingerprint for job in SPEC.jobs()] == [job.fingerprint for job in planned]
 
 
 def test_campaign_experiments_resolve_to_same_jobs():
@@ -540,7 +547,7 @@ def test_campaign_experiments_resolve_to_same_jobs():
 def test_campaign_spec_json_round_trip(tmp_path):
     clone = CampaignSpec.from_json(SPEC.to_json())
     assert clone == SPEC
-    assert clone.fingerprints() == SPEC.fingerprints()
+    assert [job.fingerprint for job in clone.jobs()] == [job.fingerprint for job in SPEC.jobs()]
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps({"campaign": SPEC.to_dict()}))
     assert load_campaign_file(path) == SPEC
@@ -562,7 +569,7 @@ def test_campaign_spec_validation_errors():
 
 
 def test_campaign_spec_size():
-    assert SPEC.size == 2 * 1 * 2 == len(SPEC.jobs())
+    assert len(SPEC.jobs()) == 2 * 1 * 2 == len(SPEC.jobs())
 
 
 # --- orchestrator ------------------------------------------------------------
@@ -571,7 +578,7 @@ def test_campaign_spec_size():
 def test_campaign_equals_serial_grid(tmp_path):
     reference = serial_grid(SPEC)
     result = run_campaign(SPEC, tmp_path, process_workers=2)
-    assert result.stats.executed == SPEC.size
+    assert result.stats.executed == len(SPEC.jobs())
     assert result.stats.resumed == 0
     assert result.grid == reference
 
@@ -678,17 +685,6 @@ def test_campaign_runs_each_distinct_job_once(tmp_path):
     assert result.reports[2] is result.reports[1]
     assert ShardedResultStore(tmp_path / "grid").stats().superseded == 0
 
-    member = LifetimeSpec(
-        schemes=("aero",), block_count=8, step=200, max_pec=2000
-    )
-    mixed = MixedCampaignSpec(members=(member, member))
-    result = run_campaign(mixed, tmp_path / "mixed")
-    assert result.stats.executed == 1
-    assert result.reports[1] is result.reports[0]
-    assert len(result.comparisons) == 2
-    assert result.comparisons[0] == result.comparisons[1]
-    assert ShardedResultStore(tmp_path / "mixed").stats().superseded == 0
-
 
 def test_shutdown_interrupts_pending_cells_then_resumes(tmp_path):
     shutdown = threading.Event()
@@ -698,11 +694,11 @@ def test_shutdown_interrupts_pending_cells_then_resumes(tmp_path):
 
     result = run_campaign(SPEC, tmp_path, on_cell=stop, shutdown=shutdown)
     assert result.stats.executed == 1
-    assert result.stats.interrupted == SPEC.size - 1
-    assert result.complete is False
+    assert result.stats.interrupted == len(SPEC.jobs()) - 1
+    assert None in result.reports
     resumed = run_campaign(SPEC, tmp_path)
     assert resumed.stats.resumed == 1
-    assert resumed.stats.executed == SPEC.size - 1
+    assert resumed.stats.executed == len(SPEC.jobs()) - 1
     assert resumed.grid == serial_grid(SPEC)
     assert ShardedResultStore(tmp_path).stats().superseded == 0
 
@@ -746,23 +742,23 @@ def test_interrupted_campaign_resumes_bit_identical(tmp_path):
         ).run()
     # the killed run persisted exactly the cells completed before death
     interrupted = ShardedResultStore(tmp_path)
-    assert len(interrupted) == kill_after
+    assert interrupted.stats().keys == kill_after
 
     # restart from the store alone: a brand-new orchestrator instance
     resumed = CampaignOrchestrator(SPEC, tmp_path, process_workers=2).run()
     assert resumed.stats.resumed == kill_after
-    assert resumed.stats.executed == SPEC.size - kill_after
+    assert resumed.stats.executed == len(SPEC.jobs()) - kill_after
     assert resumed.grid == reference
     # no cell executed twice: every key was written exactly once (the
     # store would count superseded writes otherwise)
     stats = ShardedResultStore(tmp_path).stats()
-    assert stats.keys == SPEC.size
+    assert stats.keys == len(SPEC.jobs())
     assert stats.superseded == 0
 
     # a third run resumes everything and stays identical
     replay = run_campaign(SPEC, tmp_path)
     assert replay.stats.executed == 0
-    assert replay.stats.resumed == SPEC.size
+    assert replay.stats.resumed == len(SPEC.jobs())
     assert replay.grid == reference
 
 
@@ -775,26 +771,36 @@ def test_campaign_progress_reports(tmp_path):
         progress=snapshots.append,
         progress_interval_s=0.0,
     )
-    assert result.stats.executed == SPEC.size
+    assert result.stats.executed == len(SPEC.jobs())
     assert snapshots[0].done == 0
     final = snapshots[-1]
-    assert final.done == final.total == SPEC.size
+    assert final.done == final.total == len(SPEC.jobs())
     assert final.fraction == 1.0
     assert final.cells_per_s is not None and final.cells_per_s > 0
     assert final.remaining == 0
     mid = snapshots[1]
-    assert 0 < mid.done <= SPEC.size
+    assert 0 < mid.done <= len(SPEC.jobs())
     assert "cells" in final.format()
 
 
-def test_campaign_status_without_executing(tmp_path):
-    orchestrator = CampaignOrchestrator(SPEC, tmp_path)
-    status = orchestrator.family_status()
-    assert status == {"cell": {"total": SPEC.size, "done": 0}}
-    run_campaign(SPEC, tmp_path)
-    assert CampaignOrchestrator(SPEC, tmp_path).family_status() == {
-        "cell": {"total": SPEC.size, "done": SPEC.size}
-    }
+def test_campaign_status_without_executing(tmp_path, capsys):
+    from repro.experiments.cli import main
+
+    spec_file = tmp_path / "campaign.json"
+    spec_file.write_text(SPEC.to_json())
+    store = tmp_path / "store"
+    ShardedResultStore(store).stats()  # status opens only a store
+    argv = ["campaign", "status", "--store", str(store),
+            "--spec-file", str(spec_file), "--json"]
+
+    def status():
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["campaign"]
+
+    assert status() == {"family": "cell", "total": len(SPEC.jobs()), "done": 0,
+                        "remaining": len(SPEC.jobs())}
+    run_campaign(SPEC, store)
+    assert status()["done"] == len(SPEC.jobs())
 
 
 def test_worker_exception_propagates(tmp_path):
@@ -854,7 +860,7 @@ def test_two_process_store_writers_lose_nothing(tmp_path):
     compactor.compact()
     final = ShardedResultStore(tmp_path)
     expected = sorted(fake_key(n) for n in range(2 * per_writer))
-    assert sorted(final.keys()) == expected
+    assert sorted(healthy_keys(final)) == expected
     for key in expected:
         assert key in final
 
@@ -877,10 +883,10 @@ def test_two_orchestrator_processes_share_one_store(tmp_path):
         assert racer.exitcode == 0
     replay = run_campaign(SPEC, tmp_path)
     assert replay.stats.executed == 0
-    assert replay.stats.resumed == SPEC.size
+    assert replay.stats.resumed == len(SPEC.jobs())
     assert replay.grid == reference
     stats = ShardedResultStore(tmp_path).stats()
-    assert stats.keys == SPEC.size
+    assert stats.keys == len(SPEC.jobs())
 
 
 def test_two_handles_interleave_put_and_compact(tmp_path, report):
@@ -896,10 +902,10 @@ def test_two_handles_interleave_put_and_compact(tmp_path, report):
     # the writer's next put lands in the compacted database
     writer.put(fake_key(2), report)
     expected = sorted(fake_key(n) for n in range(3))
-    assert sorted(writer.keys()) == expected
+    assert sorted(healthy_keys(writer)) == expected
     for key in expected:
         assert writer.get(key) == report
     # a fresh handle (and the compactor, after its own rescan) agree
-    assert sorted(ShardedResultStore(tmp_path).keys()) == expected
+    assert sorted(healthy_keys(ShardedResultStore(tmp_path))) == expected
     compactor.compact()
-    assert sorted(compactor.keys()) == expected
+    assert sorted(healthy_keys(compactor)) == expected

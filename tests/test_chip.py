@@ -21,7 +21,7 @@ def chip(profile):
 def test_chip_structure(chip):
     assert len(chip.planes) == 2
     assert len(list(chip.iter_blocks())) == 8
-    assert len(chip.plane(0)) == 4
+    assert len(chip.plane(0).blocks) == 4
 
 
 def test_block_resolution(chip):
@@ -44,7 +44,6 @@ class TestNandTiming:
     def test_from_profile(self, profile):
         timing = NandTiming.from_profile(profile)
         assert timing.t_ep_us == profile.t_ep_us
-        assert timing.pulses_per_loop == profile.pulses_per_loop
 
     def test_erase_pulse_duration(self, profile):
         timing = NandTiming.from_profile(profile)

@@ -27,7 +27,7 @@ def test_paper_timing_constants():
 
 def test_failbit_thresholds_ordering(any_profile):
     assert any_profile.f_pass < any_profile.gamma < any_profile.delta
-    assert any_profile.f_high == 7 * any_profile.delta
+    assert any_profile.f_high_deltas == 7
 
 
 def test_failbit_range_edges(profile):

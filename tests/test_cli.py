@@ -159,8 +159,7 @@ def test_spec_flag_at_its_default_value_conflicts(tmp_path, capsys, argv,
         (["campaign", "run", "--store", "s", "--spec-file"],
          {"requests": "10"}, "requests"),
         (["campaign", "status", "--store", ".", "--spec-file"],
-         {"family": "mixed", "members": [
-             {"family": "lifetime", "mispredict_rate": "x"}]},
+         {"family": "lifetime", "mispredict_rate": "x"},
          "mispredict_rate"),
         (["compare", "--spec-file"], {"schemes": "aero"}, "schemes"),
     ],
@@ -680,7 +679,7 @@ def test_campaign_compact_keep_corrupt_needs_gc_knob(
     store = str(tmp_path / "store")
     assert main(CAMPAIGN_ARGS + ["--store", store, "--quiet"]) == 0
     # stale records: plain compaction would drop them
-    for key in list(ShardedResultStore(store).keys()):
+    for key in [e.key for e in ShardedResultStore(store).entries()]:
         damage_row(store, key, "version = ?", CACHE_VERSION - 1)
     capsys.readouterr()
     assert main(["campaign", "compact", "--store", store,

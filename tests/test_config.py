@@ -13,7 +13,7 @@ from repro.units import KIB
 
 
 def test_table2_defaults():
-    spec = SsdSpec.paper_table2()
+    spec = SsdSpec()
     assert spec.overprovisioning == 0.20
     assert spec.geometry.channels == 8
     assert spec.geometry.chips_per_channel == 2
@@ -87,7 +87,7 @@ def test_logical_space_must_fit_beside_the_gc_reserve():
     # 179 logical pages per plane fit under the same 192-page bound.
     assert _livelock_spec(0.30).logical_pages == 358
     # The canned drives sit under the bound (small_test: 615 < 640).
-    SsdSpec.small_test(), SsdSpec.bench(), SsdSpec.paper_table2()
+    SsdSpec.small_test(), SsdSpec.bench(), SsdSpec()
 
 
 def test_scheduler_spec_defaults():

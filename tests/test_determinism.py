@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 import repro.kernels.cell as kernel_cell
+from repro.experiments.registry import WORKLOADS
 from repro.nand import erase_model
 from repro.campaign import ShardedResultStore, open_store
 from repro.harness import (
@@ -30,7 +31,6 @@ from repro.nand.erase_model import BlockEraseModel
 from repro.rng import derive
 from repro.ssd.metrics import LatencyRecorder, PerfReport
 from repro.telemetry import parse_text_format, render_text, scoped_registry
-from repro.workloads.profiles import profile_by_abbr
 from repro.workloads.synthetic import SyntheticTraceGenerator
 
 GRID_KWARGS = dict(
@@ -87,14 +87,17 @@ def test_process_lifetime_comparison_equals_serial():
     parallel = compare_schemes(
         TLC_3D_48L, runner=GridRunner(workers=2), **kwargs
     )
-    assert parallel.to_json_dict() == serial.to_json_dict()
+    assert parallel.profile_name == serial.profile_name
+    assert {k: c.to_json_dict() for k, c in parallel.curves.items()} == {
+        k: c.to_json_dict() for k, c in serial.curves.items()
+    }
 
 
 def test_process_fanout_persists_every_cell(tmp_path):
     parallel = GridRunner(workers=2, cache=tmp_path)
     grid_p = parallel.run(**GRID_KWARGS)
     assert parallel.stats.executed == 4
-    assert len(ShardedResultStore(tmp_path)) == 4
+    assert ShardedResultStore(tmp_path).stats().keys == 4
 
     rerun = GridRunner(cache=tmp_path)
     assert rerun.run(**GRID_KWARGS) == grid_p
@@ -130,7 +133,6 @@ def test_repeated_job_runs_once_per_call(tmp_path):
     )
     assert runner.stats.executed == 1
     assert runner.stats.cached == 1
-    assert runner.stats.total == 2
     first, second = grid.cells
     assert first.report == second.report
     stats = ShardedResultStore(tmp_path).stats()
@@ -169,7 +171,7 @@ def test_cache_ignores_corrupt_entries(tmp_path, damage_row):
     runner = GridRunner(cache=tmp_path)
     runner.run(**GRID_KWARGS)
     # Tear every record mid-report (a crash mid-write).
-    keys = list(ShardedResultStore(tmp_path).keys())
+    keys = [entry.key for entry in ShardedResultStore(tmp_path).entries()]
     assert len(keys) == 4
     for key in keys:
         damage_row(
@@ -222,14 +224,14 @@ def test_result_cache_round_trip(tmp_path):
     report = run_workload_cell("aero", 500, "hm", requests=100, seed=3)
     cache.put(KEYS["abc"], report, meta={"scheme": "aero"})
     assert KEYS["abc"] in cache
-    assert len(cache) == 1
+    assert cache.stats().keys == 1
     assert cache.get(KEYS["abc"]) == report
     assert cache.get(KEYS["missing"]) is None
     assert open_store(str(tmp_path)).get(KEYS["abc"]) == report
 
 
 def test_custom_workload_profile_runs_and_gets_own_cache_key(tmp_path):
-    from repro.workloads.profiles import WorkloadProfile, profile_by_abbr
+    from repro.workloads.profiles import WorkloadProfile
 
     custom = WorkloadProfile("synthetic", "custom_0", "cst", 0.5, 16.0, 50.0)
     tweaked_hm = WorkloadProfile("msrc", "hm_0", "hm", 0.75, 8.0, 151.5,
@@ -249,7 +251,7 @@ def test_custom_workload_profile_runs_and_gets_own_cache_key(tmp_path):
     assert grid_tweaked != grid_stock
 
     # A profile equal to the registry entry shares the stock cache.
-    runner.run(workloads=(profile_by_abbr("hm"),), **kwargs)
+    runner.run(workloads=(WORKLOADS.resolve("hm"),), **kwargs)
     assert runner.stats.executed == 0
     assert runner.stats.cached == 1
 
@@ -330,7 +332,7 @@ POINT_KEY_VARIANTS = {
     )),
     "pec": dict(pec=3000),
     "workload": dict(
-        workload=replace(profile_by_abbr("ali.A"), read_ratio=0.5)
+        workload=replace(WORKLOADS.resolve("ali.A"), read_ratio=0.5)
     ),
     "requests": dict(requests=101),
     "seed": dict(seed=POINT[2] + 1),

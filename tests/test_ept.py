@@ -43,7 +43,7 @@ def test_storage_overhead_matches_paper(profile):
 
 def test_lookup_above_fhigh_returns_default(profile):
     table = published_conservative_table(profile)
-    assert table.lookup_pulses(profile, 2, profile.f_high + 1) == 7
+    assert table.lookup_pulses(profile, 2, profile.f_high_deltas * profile.delta + 1) == 7
 
 
 def test_lookup_within_ranges(profile):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignSpec, MixedCampaignSpec
+from repro.campaign import CampaignSpec
 from repro.errors import ConfigError
 from repro.experiments import (
     ExperimentSpec,
@@ -78,7 +78,7 @@ def test_register_decorator_and_unregister():
     def _build(profile, *, mispredict_rate=0.0, rber_requirement=None):
         return ("custom-scheme", profile)
 
-    assert "custom" in registry
+    assert "custom" in registry.keys()
     assert registry.create("custom", TLC_3D_48L) == ("custom-scheme", TLC_3D_48L)
     with pytest.raises(ConfigError, match="already registered"):
         registry.register("custom", _build)
@@ -271,8 +271,8 @@ def test_equal_ssd_specs_keep_their_own_fingerprints(twin_first):
 
 
 #: SHA-256 over the space-joined fingerprints of each job-spec class's
-#: default spec (a mixed campaign needs members: one of each family),
-#: computed before ``fingerprints()`` moved to ``JobSpec``.
+#: default spec's jobs (``resolve()`` for the one cell of an
+#: ``ExperimentSpec``), computed before the job protocol existed.
 DEFAULT_FINGERPRINTS = {
     "ExperimentSpec": (
         1, "67cecefcbffe18cdd331795c769e806de5fd9d0e9435cdaf36d4027116cd659b"
@@ -283,25 +283,21 @@ DEFAULT_FINGERPRINTS = {
     "LifetimeSpec": (
         5, "010c989f3634e360828240bf42a1c00b848bf6a985a61353f1bcc46161247990"
     ),
-    "MixedCampaignSpec": (
-        50, "2c91ed224f8628399c65827ca80a2d2623d2a8239b73cf1770ff4d561bfe5a09"
-    ),
 }
 
 
 def test_job_specs_alone_have_fingerprints():
-    specs = [ExperimentSpec(), CampaignSpec(), LifetimeSpec(),
-             MixedCampaignSpec(members=(CampaignSpec(), LifetimeSpec()))]
-    for spec in specs:
-        fingerprints = spec.fingerprints()
-        assert fingerprints == [job.fingerprint for job in spec.jobs()]
+    jobs = {
+        "ExperimentSpec": [ExperimentSpec().resolve()],
+        "CampaignSpec": CampaignSpec().jobs(),
+        "LifetimeSpec": LifetimeSpec().jobs(),
+    }
+    for name, planned in jobs.items():
+        fingerprints = [job.fingerprint for job in planned]
         digest = hashlib.sha256(" ".join(fingerprints).encode()).hexdigest()
-        assert (len(fingerprints), digest) == (
-            DEFAULT_FINGERPRINTS[type(spec).__name__]
-        )
+        assert (len(fingerprints), digest) == DEFAULT_FINGERPRINTS[name]
     # The fault plan classes share the codec, not the job protocol.
     for cls in (FaultPlan, FaultSpec):
-        assert not hasattr(cls, "fingerprints")
         assert not hasattr(cls, "jobs")
 
 
@@ -309,7 +305,7 @@ def test_scheme_params_tuple_values_roundtrip_fingerprint_stably():
     # JSON turns tuples into lists; the spec canonicalizes up front so
     # a save/load cycle cannot change the fingerprint.
     spec = ExperimentSpec(scheme_params={"levels": (1, 2, 3)})
-    assert spec.params == {"levels": [1, 2, 3]}
+    assert dict(spec.scheme_params) == {"levels": [1, 2, 3]}
     rebuilt = ExperimentSpec.from_json(spec.to_json())
     assert rebuilt == spec
     assert rebuilt.fingerprint == spec.fingerprint
@@ -324,7 +320,7 @@ def test_scheme_params_normalized_and_order_insensitive():
     a = ExperimentSpec(scheme_params={"b": 2, "a": 1})
     b = ExperimentSpec(scheme_params=(("a", 1), ("b", 2)))
     assert a == b
-    assert a.params == {"a": 1, "b": 2}
+    assert dict(a.scheme_params) == {"a": 1, "b": 2}
     assert hash(a) == hash(b)
 
 

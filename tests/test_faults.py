@@ -21,7 +21,7 @@ from repro.campaign import (
     ShardedResultStore,
     run_campaign,
 )
-from repro.campaign.store import DB_NAME
+from repro.campaign.store import _QUARANTINE_FIELDS, DB_NAME
 from repro.errors import ConfigError, InjectedFault, PoisonCellError
 from repro.faults import (
     FAULT_KINDS,
@@ -50,6 +50,22 @@ def report():
 
 def families_of(registry):
     return parse_text_format(render_text(registry))
+
+
+def stored_keys(store):
+    """Every key ``store`` holds a row for."""
+    return [entry.key for entry in store.entries()]
+
+
+def quarantined(root):
+    """The quarantine records of the store at ``root``, oldest first,
+    as ``ShardedResultStore.quarantine`` returns them."""
+    with closing(sqlite3.connect(root / DB_NAME)) as db:
+        rows = db.execute("SELECT * FROM quarantine ORDER BY rowid").fetchall()
+    return [
+        {**dict(zip(_QUARANTINE_FIELDS, row)), "meta": json.loads(row[5])}
+        for row in rows
+    ]
 
 
 # --- plan validation and round-trip ------------------------------------------
@@ -267,11 +283,11 @@ def test_chaos_corrupting_put_faults_finish_the_campaign(tmp_path, kind):
     )
     with scoped_registry() as registry:
         result = run_campaign(SPEC, store, max_retries=1)
-    assert result.complete and result.stats.executed == 2
+    assert None not in result.reports and result.stats.executed == 2
     assert injected_count(registry, kind) == 1
     # the damaged record is a miss; the healthy one survives
     fresh = ShardedResultStore(tmp_path)
-    assert len(fresh) == 1
+    assert fresh.stats().keys == 1
     with scoped_registry():
         resumed = run_campaign(SPEC, ShardedResultStore(tmp_path))
     assert resumed.stats.resumed == 1 and resumed.stats.executed == 1
@@ -285,14 +301,14 @@ def test_chaos_crashing_put_faults_retry_the_cell(tmp_path, kind):
     )
     with scoped_registry() as registry:
         result = run_campaign(SPEC, store, max_retries=2)
-    assert result.complete and result.stats.retried == 1
+    assert None not in result.reports and result.stats.retried == 1
     assert injected_count(registry, kind) == 1
     families = families_of(registry)
     assert families["repro_campaign_retries_total"].value(
         {"reason": "persist_fault"}
     ) == 1
     # both records durable despite the mid-append crash
-    assert len(ShardedResultStore(tmp_path)) == 2
+    assert ShardedResultStore(tmp_path).stats().keys == 2
 
 
 def test_chaos_kill_worker_rebuilds_pool_and_finishes(tmp_path):
@@ -304,7 +320,7 @@ def test_chaos_kill_worker_rebuilds_pool_and_finishes(tmp_path):
             SPEC, tmp_path / "store", fault_plan=plan, max_retries=2,
             process_workers=2,
         )
-    assert result.complete
+    assert None not in result.reports
     assert result.stats.retried == 1
     assert result.stats.pool_rebuilds >= 1
     families = families_of(registry)
@@ -330,7 +346,7 @@ def test_chaos_slow_cell_trips_timeout_then_recovers(tmp_path):
             max_retries=2,
             cell_timeout_s=0.5,
         )
-    assert result.complete  # attempt 2 carries no fault and succeeds
+    assert None not in result.reports  # attempt 2 has no fault
     assert result.stats.timeouts == 1
     families = families_of(registry)
     assert families["repro_campaign_timeouts_total"].value() == 1
@@ -355,10 +371,10 @@ def test_chaos_compact_interrupt_is_recoverable(tmp_path, report):
     # delete staged but not committed, so it rolled back. Recovery is
     # a plain reopen.
     recovered = ShardedResultStore(tmp_path)
-    assert sorted(recovered.keys()) == sorted(keys)
+    assert sorted(stored_keys(recovered)) == sorted(keys)
     assert recovered.stats().superseded == len(keys)
     recovered.compact()
-    assert sorted(recovered.keys()) == sorted(keys)
+    assert sorted(stored_keys(recovered)) == sorted(keys)
     assert recovered.stats().superseded == 0
 
 
@@ -378,7 +394,7 @@ def test_poison_cell_quarantines_and_campaign_finishes(tmp_path):
             max_retries=1,
             process_workers=2,
         )
-    assert not result.complete
+    assert None in result.reports
     assert result.stats.quarantined == 1
     assert result.reports[0] is None and result.reports[1] is not None
     assert len(result.grid.cells) == 1
@@ -388,7 +404,7 @@ def test_poison_cell_quarantines_and_campaign_finishes(tmp_path):
     families = families_of(registry)
     assert families["repro_campaign_quarantined_total"].value() == 1
     # the quarantine record is durable in the store's database
-    assert ShardedResultStore(tmp_path / "store").quarantined() == [record]
+    assert quarantined(tmp_path / "store") == [record]
     assert record["meta"]["scheme"] == "baseline"
 
 
@@ -410,7 +426,7 @@ def test_on_poison_fail_raises_poison_cell_error(tmp_path):
     assert excinfo.value.index == 0
     assert excinfo.value.fingerprint
     # even the failing mode leaves the quarantine record behind
-    assert len(ShardedResultStore(tmp_path / "store").quarantined()) == 1
+    assert len(quarantined(tmp_path / "store")) == 1
 
 
 def test_quarantine_file_round_trips(tmp_path, report):
@@ -422,7 +438,7 @@ def test_quarantine_file_round_trips(tmp_path, report):
         "f" * 64, index=3, attempts=4, reason="timeout",
         error="exceeded 1s", meta={"scheme": "aero"},
     )
-    [entry] = ShardedResultStore(tmp_path).quarantined()
+    [entry] = quarantined(tmp_path)
     assert entry == record and entry["key"] == "f" * 64
     assert entry["attempts"] == 4 and entry["reason"] == "timeout"
     assert entry["meta"] == {"scheme": "aero"}
@@ -472,8 +488,8 @@ def test_kill9_during_compact_then_clean_reopen(tmp_path, report):
     # the uncommitted compaction died with the process; a clean reopen
     # discards its WAL tail and sees every record
     recovered = ShardedResultStore(tmp_path)
-    assert sorted(recovered.keys()) == sorted(keys)
+    assert sorted(stored_keys(recovered)) == sorted(keys)
     for key in keys:
         assert recovered.get(key) == report
     recovered.compact()  # finishing the interrupted job also works
-    assert sorted(ShardedResultStore(tmp_path).keys()) == sorted(keys)
+    assert sorted(stored_keys(ShardedResultStore(tmp_path))) == sorted(keys)

@@ -20,7 +20,7 @@ def predictor(profile):
 
 
 def test_above_fhigh_no_reduction(predictor, profile):
-    prediction = predictor.predict(2, profile.f_high + 1)
+    prediction = predictor.predict(2, profile.f_high_deltas * profile.delta + 1)
     assert prediction.pulses == 7
     assert not prediction.reduced
     assert not prediction.aggressive

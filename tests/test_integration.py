@@ -17,12 +17,13 @@ from repro.core.ept import (
     published_conservative_table,
 )
 from repro.core.felp import FelpPredictor
+from repro.experiments.registry import WORKLOADS
 from repro.ftl.aeroftl import AeroFtl
 from repro.nand.chip import NandChip
 from repro.nand.chip_types import TLC_3D_48L
 from repro.schemes import SCHEME_KEYS, make_scheme
 from repro.ssd.builder import build_ssd
-from repro.workloads import SyntheticTraceGenerator, profile_by_abbr
+from repro.workloads import SyntheticTraceGenerator
 
 
 def test_characterization_to_ept_to_ssd():
@@ -55,7 +56,7 @@ def test_characterization_to_ept_to_ssd():
     ssd.precondition(footprint_pages=int(spec.logical_pages * 0.85))
     # 4. Replay a workload and verify consistency + AERO activity.
     generator = SyntheticTraceGenerator(
-        profile_by_abbr("stg"), footprint_bytes=int(spec.logical_bytes * 0.8),
+        WORKLOADS.resolve("stg"), footprint_bytes=int(spec.logical_bytes * 0.8),
         seed=60,
     )
     report = ssd.run_trace(generator.generate(300))
@@ -71,7 +72,7 @@ def test_every_scheme_replays_cleanly(key):
     ssd = build_ssd(spec, key, pec_setpoint=1500)
     ssd.precondition(footprint_pages=int(spec.logical_pages * 0.85))
     generator = SyntheticTraceGenerator(
-        profile_by_abbr("hm"), footprint_bytes=int(spec.logical_bytes * 0.8),
+        WORKLOADS.resolve("hm"), footprint_bytes=int(spec.logical_bytes * 0.8),
         seed=7,
     )
     report = ssd.run_trace(generator.generate(250))
@@ -86,7 +87,7 @@ def test_replay_is_deterministic():
         ssd = build_ssd(spec, "aero", pec_setpoint=2500)
         ssd.precondition(footprint_pages=int(spec.logical_pages * 0.8))
         generator = SyntheticTraceGenerator(
-            profile_by_abbr("prxy"),
+            WORKLOADS.resolve("prxy"),
             footprint_bytes=int(spec.logical_bytes * 0.75),
             seed=3,
         )
@@ -107,7 +108,7 @@ def test_wear_accumulates_across_runs():
     ssd = build_ssd(spec, "baseline", pec_setpoint=0)
     ssd.precondition(footprint_pages=int(spec.logical_pages * 0.9))
     generator = SyntheticTraceGenerator(
-        profile_by_abbr("ali.A"), footprint_bytes=int(spec.logical_bytes * 0.85),
+        WORKLOADS.resolve("ali.A"), footprint_bytes=int(spec.logical_bytes * 0.85),
         seed=13,
     )
     before = max(b.wear.pec for c in ssd.chips for b in c.iter_blocks())

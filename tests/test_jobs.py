@@ -21,6 +21,8 @@ from repro.harness import PAPER_PEC_POINTS, PAPER_SCHEMES, plan_jobs
 from repro.lifetime.spec import LifetimeJob
 from repro.telemetry import scoped_registry
 
+from test_faults import quarantined
+
 #: ``scheme_params`` spellings whose keys must stay apart or together
 #: exactly as before: a float rate, an int-spelled zero rate (keyed as
 #: 0.0), a rate beside another knob, and a null knob.
@@ -152,4 +154,4 @@ def test_quarantine_record_carries_the_engine(tmp_path):
     [job] = spec.jobs()
     assert record["meta"] == job.store_meta()
     assert record["meta"]["engine"] == "object"
-    assert ShardedResultStore(tmp_path).quarantined() == [record]
+    assert quarantined(tmp_path) == [record]

@@ -102,7 +102,7 @@ def test_aero_kernel_felp_decisions_match_predictor(profile, key):
     above FHIGH included."""
     scheme = make_scheme(profile, key)
     kernel = scheme.batch_kernel()
-    fail_bits = np.arange(0, profile.f_high + 2 * profile.delta, 97)
+    fail_bits = np.arange(0, profile.f_high_deltas * profile.delta + 2 * profile.delta, 97)
     for loop in range(1, profile.max_loops + 2):
         pulses, reduced, aggressive = kernel._predict(loop, fail_bits)
         expected = [
@@ -207,7 +207,7 @@ def test_block_array_state_mirrors_blocks():
     blocks[5].wear.residual_fail_bits = 700
     blocks[5].wear.residual_nispe = 3
     state = BlockArrayState.from_blocks(blocks)
-    assert state.count == len(state) == 8
+    assert state.count == 8
     for index, block in enumerate(blocks):
         assert state.base[index] == block.erase_model.base
         assert state.rate[index] == block.erase_model.rate

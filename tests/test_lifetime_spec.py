@@ -1,10 +1,10 @@
-"""Unified lifetime campaign family: spec, cached jobs, mixed campaigns.
+"""Unified lifetime campaign family: spec, cached jobs, campaigns.
 
-Pins the ISSUE's acceptance criteria: LifetimeSpec fingerprints are
-stable and trajectory-pinned, specs round-trip through JSON exactly,
-cached/resumed comparisons are bit-identical to a fresh serial run
-with no job executed twice, mixed-family campaigns kill+resume, and
-unknown campaign families fail fast with the valid-family list.
+LifetimeSpec fingerprints are stable and trajectory-pinned, specs
+round-trip through JSON exactly, cached/resumed comparisons are
+bit-identical to a fresh serial run with no job executed twice, a
+lifetime campaign kills and resumes, and unknown campaign families fail
+fast with the valid-family list.
 """
 
 import json
@@ -14,9 +14,8 @@ import pytest
 from repro.campaign import (
     CampaignOrchestrator,
     CampaignSpec,
-    MixedCampaignSpec,
     ShardedResultStore,
-    campaign_spec_from_dict,
+    load_campaign_file,
 )
 from repro.errors import ConfigError
 from repro.harness import GridRunner
@@ -24,7 +23,6 @@ from repro.lifetime import (
     LifetimeCurve,
     LifetimeJob,
     LifetimeSpec,
-    SchemeComparison,
     compare_schemes,
     load_lifetime_file,
     misprediction_sensitivity,
@@ -52,12 +50,25 @@ CELL_SPEC = CampaignSpec(
 # --- fingerprints ------------------------------------------------------------
 
 
+def keys(spec):
+    """The cache keys of a spec's jobs, in job order."""
+    return [job.fingerprint for job in spec.jobs()]
+
+
+def as_json(comparison):
+    """A comparison in plain JSON types (a served curve's samples
+    decode as ``array("d")``)."""
+    return comparison.profile_name, {
+        key: curve.to_json_dict() for key, curve in comparison.curves.items()
+    }
+
+
 def test_fingerprints_stable_and_distinct():
     again = LifetimeSpec(
         schemes=("baseline", "aero"), profile="3D-TLC-48L", **FAST
     )
-    assert SPEC.fingerprints() == again.fingerprints()
-    assert len(set(SPEC.fingerprints())) == len(SPEC.schemes)
+    assert keys(SPEC) == keys(again)
+    assert len(set(keys(SPEC))) == len(SPEC.schemes)
 
 
 @pytest.mark.parametrize(
@@ -69,8 +80,8 @@ def test_fingerprint_covers_every_resolved_field(change):
     base = dict(schemes=("baseline",), profile="3D-TLC-48L", **FAST)
     changed = {**base, **change}
     assert (
-        LifetimeSpec(**base).fingerprints()
-        != LifetimeSpec(**changed).fingerprints()
+        keys(LifetimeSpec(**base))
+        != keys(LifetimeSpec(**changed))
     )
 
 
@@ -85,8 +96,8 @@ def test_fingerprint_pins_resolved_engine():
     # auto resolves to the kernel for schemes that provide one, so the
     # two spellings share one cache entry; the object path is only
     # statistically equivalent and must not.
-    assert auto.fingerprints() == kernel.fingerprints()
-    assert auto.fingerprints() != obj.fingerprints()
+    assert keys(auto) == keys(kernel)
+    assert keys(auto) != keys(obj)
 
 
 def test_seed_trajectory_memo_keys_on_seed_scheme_and_block_count():
@@ -117,7 +128,7 @@ def test_seed_trajectory_memo_keys_on_seed_scheme_and_block_count():
 def test_spec_json_round_trip(tmp_path):
     data = json.loads(json.dumps(SPEC.to_dict()))
     assert LifetimeSpec.from_dict(data) == SPEC
-    assert LifetimeSpec.from_dict(data).fingerprints() == SPEC.fingerprints()
+    assert keys(LifetimeSpec.from_dict(data)) == keys(SPEC)
     path = tmp_path / "lifetime.json"
     path.write_text(json.dumps({"campaign": SPEC.to_dict()}))
     assert load_lifetime_file(path) == SPEC
@@ -130,26 +141,22 @@ def test_spec_rejects_unknown_fields_and_wrong_family():
         LifetimeSpec.from_dict({**SPEC.to_dict(), "family": "cell"})
 
 
-def test_unknown_campaign_family_lists_valid_families():
+def test_unknown_campaign_family_lists_valid_families(tmp_path):
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"family": "nonsense"}))
     with pytest.raises(ConfigError) as excinfo:
-        campaign_spec_from_dict({"family": "nonsense"})
+        load_campaign_file(path)
     message = str(excinfo.value)
     assert "nonsense" in message
-    for family in ("cell", "lifetime", "mixed"):
+    for family in ("cell", "lifetime"):
         assert family in message
 
 
-def test_campaign_spec_from_dict_dispatches_by_family():
-    assert campaign_spec_from_dict(SPEC.to_dict()) == SPEC
-    assert campaign_spec_from_dict(CELL_SPEC.to_dict()) == CELL_SPEC
-    mixed = MixedCampaignSpec(members=(SPEC, CELL_SPEC))
-    round_tripped = campaign_spec_from_dict(
-        json.loads(json.dumps(mixed.to_dict()))
-    )
-    assert round_tripped == mixed
-    assert [j.fingerprint for j in round_tripped.jobs()] == [
-        j.fingerprint for j in mixed.jobs()
-    ]
+def test_campaign_spec_from_dict_dispatches_by_family(tmp_path):
+    path = tmp_path / "campaign.json"
+    for spec in (SPEC, CELL_SPEC):
+        path.write_text(json.dumps({"campaign": spec.to_dict()}))
+        assert load_campaign_file(path) == spec
 
 
 def test_curve_and_comparison_json_round_trip():
@@ -157,13 +164,10 @@ def test_curve_and_comparison_json_round_trip():
         profile_by_name(SPEC.profile), scheme_keys=SPEC.schemes,
         block_count=SPEC.block_count, step=SPEC.step, max_pec=SPEC.max_pec,
     )
-    data = json.loads(json.dumps(comparison.to_json_dict()))
-    back = SchemeComparison.from_json_dict(data)
-    assert back == comparison
-    curve = comparison.curves["aero"]
-    assert LifetimeCurve.from_json_dict(
-        json.loads(json.dumps(curve.to_json_dict()))
-    ) == curve
+    for curve in comparison.curves.values():
+        assert LifetimeCurve.from_json_dict(
+            json.loads(json.dumps(curve.to_json_dict()))
+        ) == curve
 
 
 # --- cached execution --------------------------------------------------------
@@ -183,8 +187,8 @@ def test_cached_compare_bit_identical_to_fresh_serial(tmp_path):
     resumed = SPEC.comparison(resumed_runner.execute_jobs(SPEC.jobs()))
     assert resumed_runner.stats.executed == 0
     assert resumed_runner.stats.cached == len(SPEC.schemes)
-    assert first.to_json_dict() == fresh.to_json_dict()
-    assert resumed.to_json_dict() == fresh.to_json_dict()
+    assert as_json(first) == as_json(fresh)
+    assert as_json(resumed) == as_json(fresh)
     assert store.stats().superseded == 0
 
 
@@ -230,71 +234,41 @@ def test_lifetime_spec_rejects_a_non_positive_requirement():
     # Valid specs keep their fingerprints (computed before the check).
     spec = LifetimeSpec(schemes=("baseline", "aero"), requirement=40,
                         block_count=8)
-    assert spec.fingerprints() == [
+    assert keys(spec) == [
         "2761b72fdc483c0a9dfc193213e0fbaf4fde7d7d1295082753546ccb9782d190",
         "4c5185528d9a672819fc406c806acece8c86f37eef0644eef81a4db502d83062",
     ]
 
 
-# --- mixed-family campaigns --------------------------------------------------
+# --- lifetime campaigns ------------------------------------------------------
 
 
-def test_mixed_campaign_kill_and_resume_bit_identical(tmp_path):
-    mixed = MixedCampaignSpec(members=(SPEC, CELL_SPEC))
+def test_lifetime_campaign_kill_and_resume_bit_identical(tmp_path):
     store_dir = tmp_path / "store"
 
-    def bomb(index, job, report, _seen=[0]):  # noqa: B006
-        _seen[0] += 1
-        if _seen[0] >= 2:
-            raise RuntimeError("injected crash after 2 jobs")
+    def bomb(index, job, report):
+        raise RuntimeError("injected crash after 1 job")
 
     with pytest.raises(RuntimeError):
         CampaignOrchestrator(
-            mixed, ShardedResultStore(store_dir), on_cell=bomb
+            SPEC, ShardedResultStore(store_dir), on_cell=bomb
         ).run()
     store = ShardedResultStore(store_dir)
     done_before = store.stats().keys
-    assert 0 < done_before < mixed.size
-    result = CampaignOrchestrator(mixed, store).run()
+    assert 0 < done_before < len(SPEC.schemes)
+    result = CampaignOrchestrator(SPEC, store).run()
     assert result.stats.resumed == done_before
-    assert result.stats.executed == mixed.size - done_before
+    assert result.stats.executed == len(SPEC.schemes) - done_before
     assert store.stats().superseded == 0  # no job executed twice
-    families = [job.family for job in result.jobs]
-    assert families.count("lifetime") == SPEC.size
-    assert families.count("cell") == CELL_SPEC.size
-    assert result.complete
-    # The lifetime member's comparison is assembled and bit-identical
-    # to a fresh serial run of the imperative entry point.
+    assert all(job.family == "lifetime" for job in result.jobs)
+    assert all(report is not None for report in result.reports)
+    # The comparison is assembled and bit-identical to a fresh serial
+    # run of the imperative entry point.
     fresh = compare_schemes(
         profile_by_name(SPEC.profile), scheme_keys=SPEC.schemes,
         block_count=SPEC.block_count, step=SPEC.step, max_pec=SPEC.max_pec,
         runner=GridRunner(),
     )
-    assert len(result.comparisons) == 1
-    assert result.comparisons[0].to_json_dict() == fresh.to_json_dict()
-    # The cell member's grid is assembled from cell jobs only.
-    assert result.grid is not None
-
-
-def test_mixed_campaign_status_counts_per_family(tmp_path):
-    mixed = MixedCampaignSpec(members=(SPEC, CELL_SPEC))
-    store = ShardedResultStore(tmp_path / "store")
-    orchestrator = CampaignOrchestrator(mixed, store)
-    status = orchestrator.family_status()
-    assert status["lifetime"] == {"total": SPEC.size, "done": 0}
-    assert status["cell"] == {"total": CELL_SPEC.size, "done": 0}
-    orchestrator.run()
-    status = CampaignOrchestrator(mixed, store).family_status()
-    assert status["lifetime"]["done"] == SPEC.size
-    assert status["cell"]["done"] == CELL_SPEC.size
-    families = dict(store.stats().families)
-    assert families == {"lifetime": SPEC.size, "cell": CELL_SPEC.size}
-
-
-def test_mixed_spec_validation():
-    with pytest.raises(ConfigError, match="at least one"):
-        MixedCampaignSpec(members=())
-    with pytest.raises(ConfigError, match="family"):
-        MixedCampaignSpec(
-            members=(MixedCampaignSpec(members=(SPEC,)),)
-        )
+    [comparison] = result.comparisons
+    assert as_json(comparison) == as_json(fresh)
+    assert dict(store.stats().families) == {"lifetime": len(SPEC.schemes)}

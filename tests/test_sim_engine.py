@@ -54,18 +54,6 @@ def test_cancel_prevents_firing():
     assert fired == []
 
 
-def test_run_until_horizon():
-    sim = Simulator()
-    fired = []
-    sim.at(10.0, lambda: fired.append(1))
-    sim.at(100.0, lambda: fired.append(2))
-    sim.run(until=50.0)
-    assert fired == [1]
-    assert sim.now == 50.0
-    sim.run()
-    assert fired == [1, 2]
-
-
 def test_cascading_events():
     sim = Simulator()
     counter = []
@@ -89,14 +77,6 @@ def test_max_events_guard():
     sim.at(0.0, forever)
     with pytest.raises(SchedulingError):
         sim.run(max_events=100)
-
-
-def test_step_returns_false_when_empty():
-    sim = Simulator()
-    assert sim.step() is False
-    sim.at(1.0, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
 
 
 # --- property-style checks over random schedules -------------------------------
@@ -155,7 +135,6 @@ def test_cancel_after_firing_is_a_noop():
     event.cancel()  # already fired: must not raise or un-fire
     event.cancel()  # idempotent
     assert fired == ["x"]
-    assert sim.step() is False
 
 
 def test_cancel_twice_before_firing_is_idempotent():
@@ -166,39 +145,3 @@ def test_cancel_twice_before_firing_is_idempotent():
     event.cancel()
     sim.run()
     assert fired == []
-
-
-def test_property_run_until_clamps_and_preserves_later_events():
-    """run(until=h) fires exactly the events with time <= h, sets now == h,
-    and leaves every later event queued and still runnable."""
-    rng = make_rng(0x0717)
-    for _ in range(25):
-        sim = Simulator()
-        times = sorted(float(t) for t in rng.integers(0, 100, size=30))
-        horizon = float(rng.integers(0, 100))
-        fired = []
-        for time in times:
-            sim.at(time, lambda t=time: fired.append(t))
-        sim.run(until=horizon)
-        assert fired == [t for t in times if t <= horizon]
-        assert sim.now == horizon
-        sim.run()
-        assert fired == times
-        assert sim.now == max([horizon] + times)
-
-
-def test_run_until_fires_event_exactly_at_horizon():
-    sim = Simulator()
-    fired = []
-    sim.at(50.0, lambda: fired.append("edge"))
-    sim.run(until=50.0)
-    assert fired == ["edge"]
-    assert sim.now == 50.0
-
-
-def test_run_until_on_empty_queue_advances_clock():
-    sim = Simulator()
-    sim.run(until=25.0)
-    assert sim.now == 25.0
-    sim.run(until=10.0)  # horizon in the past: clock never goes backwards
-    assert sim.now == 25.0

@@ -17,7 +17,7 @@ import urllib.error
 import urllib.request
 import zlib
 from array import array
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
@@ -33,8 +33,9 @@ from repro.campaign.store import DB_NAME, _decode
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.cli import main
+from repro.experiments.registry import WORKLOADS
 from repro.harness import GridRunner, run_workload_cell
-from repro.kernels import precondition_kernel, run_trace_kernel
+from repro.kernels.cell import precondition_kernel, run_trace_kernel
 from repro.ssd.builder import build_ssd
 from repro.telemetry import (
     MetricsRegistry,
@@ -51,7 +52,6 @@ from repro.telemetry.instruments import (
     ssd_metrics,
     store_metrics,
 )
-from repro.workloads.profiles import profile_by_abbr
 from repro.workloads.synthetic import SyntheticTraceGenerator
 
 SPEC = CampaignSpec(
@@ -66,6 +66,16 @@ SPEC = CampaignSpec(
 @pytest.fixture(scope="module")
 def report():
     return run_workload_cell("aero", 500, "hm", requests=120, seed=7)
+
+
+@contextmanager
+def serving(registry, **kwargs):
+    """A started :class:`MetricsServer`, closed on exit."""
+    server = MetricsServer(registry, **kwargs).start()
+    try:
+        yield server
+    finally:
+        server.close()
 
 
 def families_of(registry: MetricsRegistry):
@@ -84,8 +94,6 @@ def test_counter_gauge_histogram_basics():
     counter.inc(4)
     gauge = registry.gauge("repro_test_depth", "depth")
     gauge.set(7)
-    gauge.inc(2)
-    gauge.dec()
     histogram = registry.histogram(
         "repro_test_wait_seconds", "wait", buckets=(0.1, 1.0)
     )
@@ -94,7 +102,7 @@ def test_counter_gauge_histogram_basics():
     histogram.observe(5.0)
     families = families_of(registry)
     assert families["repro_test_ops_total"].value() == 5
-    assert families["repro_test_depth"].value() == 8
+    assert families["repro_test_depth"].value() == 7
     assert families["repro_test_wait_seconds"].value(
         sample_name="repro_test_wait_seconds_count"
     ) == 3
@@ -209,7 +217,7 @@ def test_parser_rejects_structural_violations():
 def test_metrics_server_serves_text_and_json():
     registry = MetricsRegistry()
     registry.counter("repro_test_total", "t").inc(9)
-    with MetricsServer(registry) as server:
+    with serving(registry) as server:
         with urllib.request.urlopen(server.url, timeout=5) as response:
             assert "version=0.0.4" in response.headers["Content-Type"]
             text = response.read().decode("utf-8")
@@ -300,7 +308,7 @@ def test_crash_resume_metrics_reconcile(tmp_path):
         cells = families["repro_campaign_cells_total"]
         executed = cells.value({"outcome": "executed"})
         resumed = cells.value({"outcome": "resumed"})
-        assert executed + resumed == SPEC.size
+        assert executed + resumed == len(SPEC.jobs())
         assert executed == result.stats.executed
         assert resumed == result.stats.resumed == kill_after
         # store counters reconcile with the store's own stats(): every
@@ -319,7 +327,7 @@ def test_crash_resume_metrics_reconcile(tmp_path):
         assert puts == executed
         assert hits == resumed
         assert misses == executed
-        assert stats.keys == SPEC.size
+        assert stats.keys == len(SPEC.jobs())
         assert stats.superseded == 0
         # stats() refreshes the data_bytes gauge; re-render to see it
         assert families_of(registry)["repro_store_data_bytes"].value(
@@ -470,7 +478,7 @@ def _drive_and_traces(count):
     ssd = build_ssd(spec, "aero", pec_setpoint=2500)
     traces = [
         SyntheticTraceGenerator(
-            profile_by_abbr("ali.A"),
+            WORKLOADS.resolve("ali.A"),
             footprint_bytes=int(spec.logical_bytes * 0.85),
             seed=40 + index,
         ).generate(150)
@@ -625,7 +633,7 @@ def test_cli_campaign_run_writes_metrics_snapshot(tmp_path, capsys):
 
 def test_metrics_server_ephemeral_port_sets_gauge():
     registry = MetricsRegistry()
-    with MetricsServer(registry, port=0) as server:
+    with serving(registry, port=0) as server:
         assert server.port != 0
         families = parse_text_format(render_text(registry))
         assert families["repro_metrics_port"].value() == server.port
@@ -633,7 +641,7 @@ def test_metrics_server_ephemeral_port_sets_gauge():
 
 def test_metrics_server_address_in_use_is_one_line():
     registry = MetricsRegistry()
-    with MetricsServer(registry, port=0) as server:
+    with serving(registry, port=0) as server:
         with pytest.raises(ConfigError) as excinfo:
             MetricsServer(MetricsRegistry(), port=server.port).start()
     message = str(excinfo.value)
@@ -659,7 +667,7 @@ def test_merge_snapshot_adds_counters_and_decumulates_histograms():
     families = families_of(parent)
     assert families["repro_test_total"].value({"kind": "a"}) == 6
     assert families["repro_test_gauge"].value() == 7
-    merged = parent.get("repro_test_seconds")._solo()
+    merged = parent._families.get("repro_test_seconds")._solo()
     assert merged.count == 6
     assert merged.sum == pytest.approx(22.0)
     assert merged.cumulative_buckets() == [(1.0, 2), (2.0, 4), (math.inf, 6)]
@@ -674,7 +682,7 @@ def test_merge_snapshot_skips_empty_histograms_and_none():
     parent.merge_snapshot(child.snapshot())
     # The unobserved histogram must not be created in the parent: that
     # would pin bucket bounds nobody chose.
-    assert parent.get("repro_test_seconds") is None
+    assert parent._families.get("repro_test_seconds") is None
 
 
 def test_process_executor_forwards_child_telemetry():
@@ -690,9 +698,9 @@ def test_process_executor_forwards_child_telemetry():
     ]
     with scoped_registry() as registry:
         GridRunner(workers=2).execute_jobs(jobs)
-        replays = registry.get("repro_ssd_replays_total")
-        assert replays is not None and replays.value == 2
-        latency = registry.get("repro_ssd_latency_seconds")
+        replays = families_of(registry)["repro_ssd_replays_total"]
+        assert replays.value() == 2
+        latency = registry._families["repro_ssd_latency_seconds"]
         assert latency is not None
         assert sum(
             sample["count"]
@@ -718,8 +726,8 @@ def test_supervised_process_worker_forwards_child_telemetry(tmp_path):
         finally:
             supervisor.close()
         assert outcome.kind == "done"
-        replays = registry.get("repro_ssd_replays_total")
-        assert replays is not None and replays.value == 1
+        replays = families_of(registry)["repro_ssd_replays_total"]
+        assert replays.value() == 1
 
 
 # --- golden exposition -------------------------------------------------------

@@ -5,6 +5,7 @@ import csv
 import pytest
 
 from repro.errors import ConfigError, TraceError
+from repro.experiments.registry import WORKLOADS
 from repro.units import SECTOR_BYTES
 from repro.workloads import (
     ALL_PROFILES,
@@ -13,7 +14,6 @@ from repro.workloads import (
     TraceRequest,
     load_alibaba_csv,
     load_msrc_csv,
-    profile_by_abbr,
 )
 
 
@@ -53,59 +53,61 @@ class TestProfiles:
         assert sum(1 for p in ALL_PROFILES if p.suite == "msrc") == 6
 
     def test_table3_values(self):
-        ali_a = profile_by_abbr("ali.A")
+        ali_a = WORKLOADS.resolve("ali.A")
         assert ali_a.read_ratio == 0.07
         assert ali_a.avg_request_kb == 54.0
         assert ali_a.acceleration == 1.0
-        rsrch = profile_by_abbr("rsrch")
+        rsrch = WORKLOADS.resolve("rsrch")
         assert rsrch.acceleration == 10.0
         assert rsrch.effective_inter_arrival_us == pytest.approx(42190.0)
 
     def test_unknown_abbr(self):
         with pytest.raises(ConfigError):
-            profile_by_abbr("nope")
+            WORKLOADS.resolve("nope")
 
 
 class TestSyntheticGenerator:
     def test_reproducible(self):
-        profile = profile_by_abbr("hm")
+        profile = WORKLOADS.resolve("hm")
         g1 = SyntheticTraceGenerator(profile, footprint_bytes=1 << 26, seed=5)
         g2 = SyntheticTraceGenerator(profile, footprint_bytes=1 << 26, seed=5)
         t1, t2 = g1.generate(300), g2.generate(300)
-        assert [(r.arrival_us, r.lba, r.sectors, r.is_read) for r in t1] == [
-            (r.arrival_us, r.lba, r.sectors, r.is_read) for r in t2
+        assert [(r.arrival_us, r.lba, r.sectors, r.is_read) for r in t1.requests] == [
+            (r.arrival_us, r.lba, r.sectors, r.is_read) for r in t2.requests
         ]
 
     @pytest.mark.parametrize("abbr", ["ali.A", "ali.E", "rsrch", "prxy", "usr"])
     def test_matches_profile_statistics(self, abbr):
-        profile = profile_by_abbr(abbr)
+        profile = WORKLOADS.resolve(abbr)
         generator = SyntheticTraceGenerator(
             profile, footprint_bytes=1 << 28, seed=11
         )
         trace = generator.generate(3000)
         assert trace.read_ratio == pytest.approx(profile.read_ratio, abs=0.05)
-        mean_bytes = sum(r.bytes for r in trace) / len(trace)
-        mean_gap = (trace[-1].arrival_us - trace[0].arrival_us) / (len(trace) - 1)
+        mean_bytes = (
+            sum(r.sectors for r in trace.requests) * SECTOR_BYTES / len(trace)
+        )
+        mean_gap = (trace.requests[-1].arrival_us - trace.requests[0].arrival_us) / (len(trace) - 1)
         assert mean_bytes == pytest.approx(profile.avg_request_kb * 1024, rel=0.25)
         assert mean_gap == pytest.approx(
             profile.effective_inter_arrival_us, rel=0.25
         )
 
     def test_addresses_within_footprint(self):
-        profile = profile_by_abbr("stg")
+        profile = WORKLOADS.resolve("stg")
         footprint = 1 << 24
         generator = SyntheticTraceGenerator(profile, footprint_bytes=footprint, seed=2)
         trace = generator.generate(500)
-        assert max(r.end_lba for r in trace) * SECTOR_BYTES <= footprint
+        assert max(r.end_lba for r in trace.requests) * SECTOR_BYTES <= footprint
 
     def test_tiny_footprint_rejected(self):
         with pytest.raises(TraceError):
-            SyntheticTraceGenerator(profile_by_abbr("hm"), footprint_bytes=100)
+            SyntheticTraceGenerator(WORKLOADS.resolve("hm"), footprint_bytes=100)
 
 
 class TestFormats:
     def test_msrc_round_trip(self, tmp_path):
-        profile = profile_by_abbr("hm")
+        profile = WORKLOADS.resolve("hm")
         trace = SyntheticTraceGenerator(profile, 1 << 24, seed=1).generate(100)
         path = tmp_path / "trace.csv"
         _write_rows(path, [
@@ -114,13 +116,13 @@ class TestFormats:
                 "Read" if r.is_read else "Write",
                 r.lba * SECTOR_BYTES, r.sectors * SECTOR_BYTES, 0,
             ]
-            for r in trace
+            for r in trace.requests
         ])
         loaded = load_msrc_csv(path)
         assert len(loaded) == len(trace)
         # The loader normalizes timestamps to trace start.
-        origin = trace[0].arrival_us
-        for original, parsed in zip(trace, loaded):
+        origin = trace.requests[0].arrival_us
+        for original, parsed in zip(trace.requests, loaded.requests):
             assert parsed.lba == original.lba
             assert parsed.sectors == original.sectors
             assert parsed.is_read == original.is_read
@@ -129,7 +131,7 @@ class TestFormats:
             )
 
     def test_alibaba_round_trip(self, tmp_path):
-        profile = profile_by_abbr("ali.B")
+        profile = WORKLOADS.resolve("ali.B")
         trace = SyntheticTraceGenerator(profile, 1 << 24, seed=1).generate(100)
         path = tmp_path / "trace.csv"
         _write_rows(path, [
@@ -138,7 +140,7 @@ class TestFormats:
                 r.lba * SECTOR_BYTES, r.sectors * SECTOR_BYTES,
                 int(round(r.arrival_us)),
             ]
-            for r in trace
+            for r in trace.requests
         ])
         loaded = load_alibaba_csv(path)
         assert len(loaded) == len(trace)
